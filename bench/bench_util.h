@@ -25,6 +25,7 @@
 
 #include "api/experiment.h"
 #include "api/sweep.h"
+#include "api/sweep_io.h"
 #include "topo/topology.h"
 #include "topo/trace_synth.h"
 
@@ -130,27 +131,17 @@ class BenchJson {
   class Row {
    public:
     Row& num(const std::string& key, double v) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", v);
-      fields_.emplace_back(key, buf);
-      quoted_.push_back(false);
+      fields_.emplace_back(key, api::json_double(v));
       return *this;
     }
     Row& str(const std::string& key, const std::string& v) {
-      std::string esc;
-      for (const char c : v) {
-        if (c == '"' || c == '\\') esc += '\\';
-        esc += c;
-      }
-      fields_.emplace_back(key, esc);
-      quoted_.push_back(true);
+      fields_.emplace_back(key, api::json_quote(v));
       return *this;
     }
 
    private:
     friend class BenchJson;
-    std::vector<std::pair<std::string, std::string>> fields_;
-    std::vector<bool> quoted_;
+    std::vector<std::pair<std::string, std::string>> fields_;  // key, JSON
   };
 
   Row& add_row() {
@@ -160,9 +151,7 @@ class BenchJson {
 
   /// Extra top-level numeric field (e.g. sweep wall-clock seconds).
   void meta(const std::string& key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    meta_.emplace_back(key, buf);
+    meta_.emplace_back(key, api::json_double(v));
   }
 
   ~BenchJson() {
@@ -177,9 +166,9 @@ class BenchJson {
       std::fprintf(stderr, "DMN_BENCH_JSON: cannot open %s\n", path.c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name_.c_str());
+    std::fprintf(f, "{\n  \"bench\": %s,\n", api::json_quote(name_).c_str());
     for (const auto& [k, v] : meta_) {
-      std::fprintf(f, "  \"%s\": %s,\n", k.c_str(), v.c_str());
+      std::fprintf(f, "  %s: %s,\n", api::json_quote(k).c_str(), v.c_str());
     }
     std::fprintf(f, "  \"rows\": [\n");
     for (std::size_t r = 0; r < rows_.size(); ++r) {
@@ -187,9 +176,8 @@ class BenchJson {
       const Row& row = rows_[r];
       for (std::size_t i = 0; i < row.fields_.size(); ++i) {
         const auto& [k, v] = row.fields_[i];
-        std::fprintf(f, "%s\"%s\": %s%s%s", i == 0 ? "" : ", ", k.c_str(),
-                     row.quoted_[i] ? "\"" : "", v.c_str(),
-                     row.quoted_[i] ? "\"" : "");
+        std::fprintf(f, "%s%s: %s", i == 0 ? "" : ", ",
+                     api::json_quote(k).c_str(), v.c_str());
       }
       std::fprintf(f, "}%s\n", r + 1 == rows_.size() ? "" : ",");
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <cstdlib>
 
 #include "fault/fault_injector.h"
@@ -337,26 +336,6 @@ void DominoApMac::receive_plan(const ApSchedule& plan) {
     std::uint32_t& symbols = rop_boundaries_[b.slot];
     symbols = std::max(symbols, std::max<std::uint32_t>(b.symbols, 1));
   }
-  if (std::getenv("DMN_PLAN_DEBUG")) {
-    for (const ApSlotPlan& pp : plan.slots) {
-      if (pp.polls_in_rop) {
-        const Row* row = nullptr;
-        const auto itr = rows_.find(pp.global_index);
-        if (itr != rows_.end()) row = &itr->second;
-        std::fprintf(stderr,
-                     "%10.1f PLAN ap=%d poll row g=%llu role=%d "
-                     "merged_role=%d merged_polls=%d executed=%d "
-                     "frontier=%llu\n",
-                     to_usec(sim_.now()), node(),
-                     static_cast<unsigned long long>(pp.global_index),
-                     static_cast<int>(pp.role),
-                     row ? static_cast<int>(row->plan.role) : -1,
-                     row ? (row->plan.polls_in_rop ? 1 : 0) : -1,
-                     row ? (row->executed ? 1 : 0) : -1,
-                     static_cast<unsigned long long>(frontier_));
-      }
-    }
-  }
   if (!has_anchor()) {
     // First batch: no chain exists yet, so start strictly from the local
     // clock — the wired jitter between APs is the initial misalignment the
@@ -606,12 +585,6 @@ void DominoApMac::after_data_phase(const Row& row, TimeNs slot_t0,
 void DominoApMac::finish_slot(std::uint64_t g) {
   if (!powered_) return;
   Row* r = find_row(g);
-  if (std::getenv("DMN_PLAN_DEBUG") && r != nullptr && r->plan.polls_in_rop) {
-    std::fprintf(stderr, "%10.1f FINISH ap=%d g=%llu role=%d polls=%d\n",
-                 to_usec(sim_.now()), node(),
-                 static_cast<unsigned long long>(g),
-                 static_cast<int>(r->plan.role), 1);
-  }
   const TimeNs now = sim_.now();
   if (r != nullptr) {
     if (r->plan.polls_in_rop && r->plan.role != ApSlotPlan::Role::kNone) {
@@ -669,11 +642,6 @@ void DominoApMac::prune_tx_attempts() {
 }
 
 void DominoApMac::execute_poll(std::uint64_t g, TimeNs at) {
-  if (std::getenv("DMN_PLAN_DEBUG")) {
-    std::fprintf(stderr, "%10.1f POLLREQ ap=%d g=%llu at=%.1f\n",
-                 to_usec(sim_.now()), node(),
-                 static_cast<unsigned long long>(g), to_usec(at));
-  }
   sim_.post_at(std::max(at, sim_.now()), [this, g] {
     if (!powered_) return;
     if (radio_.transmitting()) {
@@ -938,17 +906,6 @@ void DominoClientMac::on_anchor_moved() {
 
 void DominoClientMac::schedule_data_tx(std::uint64_t tag, TimeNs at) {
   if (tag <= last_tx_tag_ && last_tx_tag_ != 0) return;  // stale trigger
-  // Clients snap to their anchored slot lattice too: when the passively
-  // heard network lattice says this slot starts later than the in-band
-  // instruction implies, defer to the lattice. This is also how an AP that
-  // hears nobody re-synchronizes -- through the observed timing of its own
-  // client's transmissions.
-  if (std::getenv("DMN_CLIENT_SNAP") && has_anchor()) {
-    const TimeNs anchored = expected_start(tag);
-    if (anchored > at && anchored - at < 2 * timing_.slot_duration()) {
-      at = anchored;
-    }
-  }
   // Later triggers re-anchor a still-pending transmission ("last correctly
   // received trigger as time reference").
   if (tx_scheduled_) sim_.cancel(tx_event_);

@@ -1,75 +1,38 @@
 #include "topo/conflict_graph.h"
 
 #include <algorithm>
-#include <cstdlib>
-
-namespace {
-/// Pairwise scheduling margin (dB): conflict graphs are pairwise but slots
-/// hold many concurrent links whose interference adds up; requiring each
-/// pair to clear the threshold with margin keeps the summed case feasible.
-double graph_margin_db() {
-  static const double v = []() {
-    const char* e = std::getenv("DMN_GRAPH_MARGIN");
-    return e != nullptr ? std::atof(e) : 3.0;
-  }();
-  return v;
-}
-}  // namespace
 
 namespace dmn::topo {
 namespace {
 
-/// SINR (dB) at `receiver` for a signal from `sender` with one interferer.
-double sinr_with_interferer(const Topology& topo, NodeId sender,
-                            NodeId receiver, NodeId interferer) {
-  const double sig_mw = dbm_to_mw(topo.rss(sender, receiver));
-  const double noise_mw = dbm_to_mw(topo.thresholds().noise_floor_dbm);
-  const double intf_mw = dbm_to_mw(topo.rss(interferer, receiver));
-  return ratio_to_db(sig_mw / (noise_mw + intf_mw));
-}
+/// Pairwise scheduling margin (dB): conflict graphs are pairwise but slots
+/// hold many concurrent links whose interference adds up; requiring each
+/// pair to clear the threshold with margin keeps the summed case feasible.
+constexpr double kGraphMarginDb = 3.0;
+
+/// The one pairwise SINR test behind the graph and the census: SINR (dB) at
+/// `receiver` for a signal from `sender` under one concurrent interferer.
+/// Powers come from the topology's cached linear-power table (exactly
+/// dbm_to_mw of the dBm map), and the noise term is converted once.
+class PairSinr {
+ public:
+  explicit PairSinr(const Topology& topo)
+      : topo_(topo),
+        noise_mw_(dbm_to_mw(topo.thresholds().noise_floor_dbm)) {}
+
+  double operator()(NodeId sender, NodeId receiver, NodeId interferer) const {
+    return ratio_to_db(topo_.rss_mw(sender, receiver) /
+                       (noise_mw_ + topo_.rss_mw(interferer, receiver)));
+  }
+
+ private:
+  const Topology& topo_;
+  double noise_mw_;
+};
 
 bool share_node(const Link& a, const Link& b) {
   return a.sender == b.sender || a.sender == b.receiver ||
          a.receiver == b.sender || a.receiver == b.receiver;
-}
-
-/// Data-direction-only conflict: either receiver's data SINR breaks under
-/// interference from any endpoint of the other link (both endpoints of a
-/// link transmit something during a slot: data/fake one way, ACK back).
-bool links_conflict_data(const Topology& topo, const Link& a,
-                         const Link& b) {
-  if (share_node(a, b)) return true;
-  const double th = topo.thresholds().sinr_data_db + graph_margin_db();
-  return sinr_with_interferer(topo, a.sender, a.receiver, b.sender) < th ||
-         sinr_with_interferer(topo, a.sender, a.receiver, b.receiver) < th ||
-         sinr_with_interferer(topo, b.sender, b.receiver, a.sender) < th ||
-         sinr_with_interferer(topo, b.sender, b.receiver, a.receiver) < th;
-}
-
-/// True if a and b cannot successfully transmit concurrently. Checks both
-/// the data direction (sender -> receiver at the data threshold) and the
-/// link-layer ACK direction (receiver -> sender at the control threshold):
-/// an exposed data pair whose ACKs collide is not schedulable together.
-bool links_conflict(const Topology& topo, const Link& a, const Link& b) {
-  if (share_node(a, b)) return true;
-  // Strict rule = the data-only rule plus ACK protection, so the full rule
-  // is a superset of the relaxed one by construction.
-  if (links_conflict_data(topo, a, b)) return true;
-  const double ctrl_th =
-      topo.thresholds().sinr_control_db + graph_margin_db();
-  // ACK phase: scheduled transmissions share a fixed slot structure, so
-  // data phases align with data phases and ACK phases with ACK phases —
-  // the cross (ack-under-data) case never occurs in time. What must hold
-  // is each ACK decoding under the OTHER link's concurrent ACK.
-  if (sinr_with_interferer(topo, a.receiver, a.sender, b.receiver) <
-      ctrl_th) {
-    return true;
-  }
-  if (sinr_with_interferer(topo, b.receiver, b.sender, a.receiver) <
-      ctrl_th) {
-    return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -81,17 +44,33 @@ ConflictGraph ConflictGraph::build(const Topology& topo,
   const std::size_t n = g.links_.size();
   g.conflict_.assign(n, std::vector<bool>(n, false));
   g.data_conflict_.assign(n, std::vector<bool>(n, false));
-  g.adj_.assign(n, {});
+  const PairSinr sinr(topo);
+  const double data_th = topo.thresholds().sinr_data_db + kGraphMarginDb;
+  const double ctrl_th = topo.thresholds().sinr_control_db + kGraphMarginDb;
   for (std::size_t i = 0; i < n; ++i) {
+    const Link& a = g.links_[i];
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (links_conflict(topo, g.links_[i], g.links_[j])) {
-        g.conflict_[i][j] = g.conflict_[j][i] = true;
-        g.adj_[i].push_back(static_cast<LinkId>(j));
-        g.adj_[j].push_back(static_cast<LinkId>(i));
+      const Link& b = g.links_[j];
+      bool data = true;
+      bool full = true;
+      if (!share_node(a, b)) {
+        // Data rule: either receiver's data SINR breaks under interference
+        // from any endpoint of the other link (both endpoints of a link
+        // transmit during a slot: data/fake one way, ACK back).
+        data = sinr(a.sender, a.receiver, b.sender) < data_th ||
+               sinr(a.sender, a.receiver, b.receiver) < data_th ||
+               sinr(b.sender, b.receiver, a.sender) < data_th ||
+               sinr(b.sender, b.receiver, a.receiver) < data_th;
+        // Full rule = data rule plus ACK protection, so it is a superset of
+        // the data rule by construction. Scheduled transmissions share a
+        // fixed slot structure (data phases align with data phases, ACK
+        // phases with ACK phases), so what must also hold is each ACK
+        // decoding under the OTHER link's concurrent ACK.
+        full = data || sinr(a.receiver, a.sender, b.receiver) < ctrl_th ||
+               sinr(b.receiver, b.sender, a.receiver) < ctrl_th;
       }
-      if (links_conflict_data(topo, g.links_[i], g.links_[j])) {
-        g.data_conflict_[i][j] = g.data_conflict_[j][i] = true;
-      }
+      if (full) g.conflict_[i][j] = g.conflict_[j][i] = true;
+      if (data) g.data_conflict_[i][j] = g.data_conflict_[j][i] = true;
     }
   }
   return g;
@@ -143,24 +122,17 @@ LinkId ConflictGraph::find(const Link& l) const {
 
 PairCensus classify_pairs(const Topology& topo, std::span<const Link> links) {
   PairCensus census;
+  const PairSinr sinr(topo);
   const double th = topo.thresholds().sinr_data_db;
-  const double noise_mw = dbm_to_mw(topo.thresholds().noise_floor_dbm);
-  auto sinr = [&](const Link& l, NodeId interferer) {
-    const double sig = dbm_to_mw(topo.rss(l.sender, l.receiver));
-    const double intf = dbm_to_mw(topo.rss(interferer, l.receiver));
-    return ratio_to_db(sig / (noise_mw + intf));
-  };
   for (std::size_t i = 0; i < links.size(); ++i) {
     for (std::size_t j = i + 1; j < links.size(); ++j) {
       const Link& a = links[i];
       const Link& b = links[j];
-      if (a.sender == b.sender || a.sender == b.receiver ||
-          a.receiver == b.sender || a.receiver == b.receiver) {
-        continue;  // node-sharing pairs are neither hidden nor exposed
-      }
+      if (share_node(a, b)) continue;  // neither hidden nor exposed
       ++census.total;
       const bool sense = topo.can_sense(a.sender, b.sender);
-      const bool both_ok = sinr(a, b.sender) >= th && sinr(b, a.sender) >= th;
+      const bool both_ok = sinr(a.sender, a.receiver, b.sender) >= th &&
+                           sinr(b.sender, b.receiver, a.sender) >= th;
       if (!sense && !both_ok) ++census.hidden;
       if (sense && both_ok) ++census.exposed;
     }

@@ -17,8 +17,11 @@ class ConflictGraph {
  public:
   /// Builds the graph for `links` over `topo`. Two links conflict when
   ///  * they share a node (half-duplex / single radio), or
-  ///  * either receiver's SINR — desired RSS over (noise + the other
-  ///    sender's RSS) — falls below the data decode threshold.
+  ///  * either receiver's data SINR — desired power over (noise + one
+  ///    endpoint of the other link) — falls below the data decode
+  ///    threshold plus a 3 dB pairwise margin, or
+  ///  * (full rule only) either sender's ACK SINR under the other link's
+  ///    concurrent ACK falls below the control threshold plus the margin.
   static ConflictGraph build(const Topology& topo,
                              std::span<const Link> links);
 
@@ -33,9 +36,6 @@ class ConflictGraph {
   /// insertion, where losing the occasional instruction-carrying ACK is
   /// acceptable but corrupting a real link's data is not.
   bool data_conflicts(LinkId a, LinkId b) const;
-  const std::vector<LinkId>& neighbors(LinkId id) const {
-    return adj_.at(static_cast<std::size_t>(id));
-  }
 
   /// True if `set` is an independent set (pairwise conflict-free).
   bool is_independent(std::span<const LinkId> set) const;
@@ -53,7 +53,6 @@ class ConflictGraph {
   std::vector<Link> links_;
   std::vector<std::vector<bool>> conflict_;       // full (data + ACK)
   std::vector<std::vector<bool>> data_conflict_;  // data direction only
-  std::vector<std::vector<LinkId>> adj_;
 };
 
 /// Hidden/exposed census over all unordered pairs of node-disjoint links:

@@ -193,14 +193,6 @@ std::vector<NodeId> Topology::all_clients() const {
   return out;
 }
 
-std::vector<NodeId> Topology::comm_neighbors(NodeId id) const {
-  std::vector<NodeId> out;
-  for (const Node& n : nodes_) {
-    if (n.id != id && can_communicate(id, n.id)) out.push_back(n.id);
-  }
-  return out;
-}
-
 std::vector<Link> Topology::make_links(bool downlink, bool uplink) const {
   std::vector<Link> links;
   for (const Node& n : nodes_) {

@@ -132,9 +132,6 @@ class Topology {
   std::vector<NodeId> clients_of(NodeId ap) const;
   std::vector<NodeId> all_clients() const;
 
-  /// Nodes within communication range of `id` (excluding itself).
-  std::vector<NodeId> comm_neighbors(NodeId id) const;
-
   /// All AP->client (downlink) and/or client->AP (uplink) links.
   std::vector<Link> make_links(bool downlink, bool uplink) const;
 

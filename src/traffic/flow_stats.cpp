@@ -92,14 +92,4 @@ double FlowStats::jain_index(std::span<const double> xs) {
   return sum * sum / (static_cast<double>(xs.size()) * sq);
 }
 
-double FlowStats::jain_index_all(TimeNs duration) const {
-  std::vector<double> xs;
-  xs.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) {
-    (void)f;
-    xs.push_back(throughput_bps(id, duration));
-  }
-  return jain_index(xs);
-}
-
 }  // namespace dmn::traffic

@@ -44,9 +44,6 @@ class FlowStats {
   /// (sum x)^2 / (n * sum x^2); 1.0 is perfectly fair.
   static double jain_index(std::span<const double> xs);
 
-  /// Jain's index over all flows recorded here.
-  double jain_index_all(TimeNs duration) const;
-
  private:
   struct PerFlow {
     std::uint64_t count = 0;

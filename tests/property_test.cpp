@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "api/experiment.h"
 #include "domino/converter.h"
@@ -12,6 +15,7 @@
 #include "domino/signature_plan.h"
 #include "rop/poll_planner.h"
 #include "topo/conflict_graph.h"
+#include "topo/dynamics.h"
 #include "topo/topology.h"
 #include "topo/trace_synth.h"
 
@@ -54,6 +58,202 @@ TEST_P(ConflictGraphProperty, RandSlotsAlwaysIndependent) {
     for (topo::LinkId l : slot) {
       EXPECT_GT(demand[static_cast<std::size_t>(l)], 0u);
     }
+  }
+}
+
+// Reference oracle for the graph and the census: the dB-domain formulation
+// that recomputes every SINR from the dBm map (one dbm_to_mw per term)
+// instead of reading the topology's linear-power table. Thresholds are
+// explicit so the test can prove the oracle is sharp enough to see an
+// off-by-epsilon rule.
+struct RefRules {
+  double data_th;    // data rule: data decode threshold + pairwise margin
+  double ctrl_th;    // ACK rule: control decode threshold + pairwise margin
+  double census_th;  // census: plain data decode threshold
+};
+
+RefRules default_rules(const topo::Topology& t) {
+  const auto& th = t.thresholds();
+  return {th.sinr_data_db + 3.0, th.sinr_control_db + 3.0, th.sinr_data_db};
+}
+
+double ref_sinr_db(const topo::Topology& t, double sig_dbm, double intf_dbm) {
+  const double sig_mw = dbm_to_mw(sig_dbm);
+  const double noise_mw = dbm_to_mw(t.thresholds().noise_floor_dbm);
+  const double intf_mw = dbm_to_mw(intf_dbm);
+  return ratio_to_db(sig_mw / (noise_mw + intf_mw));
+}
+
+double ref_sinr_db(const topo::Topology& t, topo::NodeId sender,
+                   topo::NodeId receiver, topo::NodeId interferer) {
+  return ref_sinr_db(t, t.rss(sender, receiver), t.rss(interferer, receiver));
+}
+
+bool ref_share_node(const topo::Link& a, const topo::Link& b) {
+  return a.sender == b.sender || a.sender == b.receiver ||
+         a.receiver == b.sender || a.receiver == b.receiver;
+}
+
+struct RefVerdicts {
+  std::vector<bool> full;  // row-major L x L, diagonal true
+  std::vector<bool> data;
+  topo::PairCensus census;
+
+  bool operator==(const RefVerdicts& o) const {
+    return full == o.full && data == o.data &&
+           census.hidden == o.census.hidden &&
+           census.exposed == o.census.exposed &&
+           census.total == o.census.total;
+  }
+};
+
+RefVerdicts reference_verdicts(const topo::Topology& t,
+                               const std::vector<topo::Link>& links,
+                               const RefRules& r) {
+  const std::size_t n = links.size();
+  RefVerdicts v{std::vector<bool>(n * n, true), std::vector<bool>(n * n, true),
+                {}};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const topo::Link& a = links[i];
+      const topo::Link& b = links[j];
+      if (i == j || ref_share_node(a, b)) continue;
+      const bool data =
+          ref_sinr_db(t, a.sender, a.receiver, b.sender) < r.data_th ||
+          ref_sinr_db(t, a.sender, a.receiver, b.receiver) < r.data_th ||
+          ref_sinr_db(t, b.sender, b.receiver, a.sender) < r.data_th ||
+          ref_sinr_db(t, b.sender, b.receiver, a.receiver) < r.data_th;
+      const bool ack =
+          ref_sinr_db(t, a.receiver, a.sender, b.receiver) < r.ctrl_th ||
+          ref_sinr_db(t, b.receiver, b.sender, a.receiver) < r.ctrl_th;
+      v.data[i * n + j] = data;
+      v.full[i * n + j] = data || ack;
+      if (j < i) continue;  // the census counts unordered pairs
+      ++v.census.total;
+      const bool sense = t.can_sense(a.sender, b.sender);
+      const bool both_ok =
+          ref_sinr_db(t, a.sender, a.receiver, b.sender) >= r.census_th &&
+          ref_sinr_db(t, b.sender, b.receiver, a.sender) >= r.census_th;
+      if (!sense && !both_ok) ++v.census.hidden;
+      if (sense && both_ok) ++v.census.exposed;
+    }
+  }
+  return v;
+}
+
+RefVerdicts actual_verdicts(const topo::Topology& t,
+                            const std::vector<topo::Link>& links) {
+  const auto g = topo::ConflictGraph::build(t, links);
+  const std::size_t n = links.size();
+  RefVerdicts v{std::vector<bool>(n * n), std::vector<bool>(n * n),
+                topo::classify_pairs(t, links)};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto a = static_cast<topo::LinkId>(i);
+      const auto b = static_cast<topo::LinkId>(j);
+      v.full[i * n + j] = g.conflicts(a, b);
+      v.data[i * n + j] = g.data_conflicts(a, b);
+    }
+  }
+  return v;
+}
+
+void expect_matches_reference(const topo::Topology& t, const char* draw) {
+  const auto links = t.make_links(true, true);
+  const RefVerdicts want = reference_verdicts(t, links, default_rules(t));
+  const RefVerdicts got = actual_verdicts(t, links);
+  const std::size_t n = links.size();
+  std::size_t full_bad = 0;
+  std::size_t data_bad = 0;
+  for (std::size_t k = 0; k < n * n; ++k) {
+    full_bad += got.full[k] != want.full[k] ? 1 : 0;
+    data_bad += got.data[k] != want.data[k] ? 1 : 0;
+  }
+  EXPECT_EQ(full_bad, 0u) << draw << ": conflicts() differs from reference";
+  EXPECT_EQ(data_bad, 0u) << draw << ": data_conflicts() differs";
+  EXPECT_EQ(got.census.hidden, want.census.hidden) << draw;
+  EXPECT_EQ(got.census.exposed, want.census.exposed) << draw;
+  EXPECT_EQ(got.census.total, want.census.total) << draw;
+}
+
+/// The lifecycle write path: random RSS updates, then one interference
+/// value per (rule, side) moved onto that rule's threshold to within
+/// rounding, so a rule whose threshold is off by 1e-9 dB in either
+/// direction flips a verdict. A boundary case is kept only if the reference
+/// sees every case placed so far, so the seeded topology provably has that
+/// sharpness.
+void mutate_with_boundary_cases(topo::Topology& t, Rng& rng) {
+  const auto n = static_cast<std::int64_t>(t.num_nodes());
+  for (int k = 0; k < 40; ++k) {
+    const auto a = static_cast<topo::NodeId>(rng.uniform_int(0, n - 1));
+    const auto b = static_cast<topo::NodeId>(rng.uniform_int(0, n - 1));
+    if (a != b) t.update_rss(a, b, rng.uniform(-100.0, -45.0));
+  }
+
+  constexpr double kEps = 1e-9;
+  const auto links = t.make_links(true, true);
+  const RefRules base = default_rules(t);
+  std::vector<RefRules> sharp;  // shifted rules the reference must tell apart
+  auto all_sharp = [&] {
+    const RefVerdicts now = reference_verdicts(t, links, base);
+    return std::none_of(sharp.begin(), sharp.end(), [&](const RefRules& r) {
+      return now == reference_verdicts(t, links, r);
+    });
+  };
+  for (double RefRules::*rule :
+       {&RefRules::data_th, &RefRules::ctrl_th, &RefRules::census_th}) {
+    // The ACK rule probes a sender under the other link's receiver; the
+    // data rule and the census probe a receiver under the other sender.
+    const bool ack = rule == &RefRules::ctrl_th;
+    const double th = base.*rule;
+    for (const bool above : {true, false}) {
+      sharp.push_back(base);
+      sharp.back().*rule += above ? kEps : -kEps;
+      bool placed = false;
+      for (std::size_t i = 0; i < links.size() && !placed; ++i) {
+        for (std::size_t j = 0; j < links.size() && !placed; ++j) {
+          const topo::Link& a = links[i];
+          const topo::Link& b = links[j];
+          if (i == j || ref_share_node(a, b)) continue;
+          const topo::NodeId s = ack ? a.receiver : a.sender;
+          const topo::NodeId r = ack ? a.sender : a.receiver;
+          const topo::NodeId x = ack ? b.receiver : b.sender;
+          const double sig = t.rss(s, r);
+          double lo = -200.0;  // SINR >= th side
+          double hi = 0.0;     // SINR <  th side
+          if (ref_sinr_db(t, sig, lo) < th || ref_sinr_db(t, sig, hi) >= th) {
+            continue;
+          }
+          for (int it = 0; it < 200; ++it) {
+            const double mid = 0.5 * (lo + hi);
+            if (mid == lo || mid == hi) break;
+            (ref_sinr_db(t, sig, mid) >= th ? lo : hi) = mid;
+          }
+          const double old = t.rss(x, r);
+          t.update_rss(x, r, above ? lo : hi);
+          placed = all_sharp();
+          if (!placed) t.update_rss(x, r, old);
+        }
+      }
+      ASSERT_TRUE(placed) << "no boundary case for a threshold "
+                          << (above ? "+" : "-") << "1e-9 dB";
+    }
+  }
+}
+
+TEST_P(ConflictGraphProperty, MatchesDbDomainReference) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 53 + 11);
+  const auto trace = topo::synthesize_trace({}, rng);
+  auto tmn = topo::Topology::build_tmn(trace.rss, 6, 2, {}, rng);
+  auto rnd = topo::Topology::random_network(6, 3, 400.0, {}, {}, rng);
+  auto floor = topo::make_floorplan_topology({}, 4, 3, {}, rng);
+  for (auto& [name, t] : {std::pair<const char*, topo::Topology*>{"tmn", &tmn},
+                          {"random", &rnd},
+                          {"floorplan", &floor}}) {
+    expect_matches_reference(*t, name);
+    mutate_with_boundary_cases(*t, rng);
+    if (HasFatalFailure()) return;
+    expect_matches_reference(*t, name);
   }
 }
 
