@@ -3,12 +3,13 @@
 // across worker-thread counts against the classic single-queue kernel.
 //
 // The quantity of interest is kernel throughput — events per second of the
-// event loop itself (ExperimentResult::wall_run_seconds) — reported as a
-// wall-clock split (substrate setup vs event loop vs the coordinator's
-// barrier share) so a regression is attributable to a layer, not just
-// visible in a single number. Alongside the sweep the bench asserts the
-// partitioned kernel's two correctness claims at scale: results are
-// byte-stable across thread counts, and a full audited run (DMN_AUDIT
+// event loop itself (ExperimentResult::wall_run_seconds) — reported next to
+// the end-to-end wall time of the whole run_experiment call and its split
+// (substrate setup vs event loop vs result collection, plus the
+// coordinator's barrier share) so a regression is attributable to a layer,
+// not just visible in a single number. Alongside the sweep the bench
+// asserts the partitioned kernel's two correctness claims at scale: results
+// are byte-stable across thread counts, and a full audited run (DMN_AUDIT
 // semantics via cfg.audit) completes violation-free.
 //
 // Shape knobs (defaults reproduce the 1000-AP / 24k-client campus):
@@ -30,6 +31,7 @@
 // transmission, adaptive windows, sparse activation). docs/PERFORMANCE.md
 // discusses both regimes.
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -86,8 +88,7 @@ api::ExperimentConfig scale_cfg(const topo::Topology& t, TimeNs duration,
   cfg.audit.mode = audit::AuditMode::kOff;
   // One rate-limited downlink flow per AP (to its first client): the node
   // count — not the flow count — is what stresses the kernel's per-
-  // transmission accounting, and a modest flow set keeps the O(links^2)
-  // conflict-graph setup from dominating the bench.
+  // transmission accounting.
   cfg.traffic.custom.clear();
   for (const topo::NodeId ap : t.aps()) {
     const auto clients = t.clients_of(ap);
@@ -147,9 +148,10 @@ int main() {
       {"part-4t", 4},  {"part-8t", 8},
   };
 
-  std::printf("%-10s %8s %10s %12s %9s %9s %9s %8s %12s %9s\n", "kernel",
-              "threads", "partitions", "events", "setup_s", "run_s",
-              "barrier_s", "barr%", "events/s", "speedup");
+  std::printf("%-10s %8s %10s %12s %9s %9s %9s %9s %9s %8s %12s %9s\n",
+              "kernel", "threads", "partitions", "events", "total_s",
+              "setup_s", "run_s", "collect_s", "barrier_s", "barr%",
+              "events/s", "speedup");
   double classic_eps = 0.0;
   double one_thread_eps = 0.0;
   double best_multi_eps = 0.0;
@@ -160,12 +162,22 @@ int main() {
     // determinism makes every repetition compute identical results, so the
     // repetitions differ only in scheduler noise.
     api::ExperimentResult r;
+    double total_s = 0.0;  // wall time around run_experiment for `r`
     for (int rep = 0; rep < runs; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
       auto attempt = api::run_experiment(t, scale_cfg(t, duration, p.threads));
+      const double wall = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
       if (rep == 0 || attempt.wall_run_seconds < r.wall_run_seconds) {
         r = std::move(attempt);
+        total_s = wall;
       }
     }
+    // Everything after the loop: result collection (census included) and
+    // teardown.
+    const double collect_s =
+        total_s - r.wall_setup_seconds - r.wall_run_seconds;
     const double eps = r.wall_run_seconds > 0.0
                            ? static_cast<double>(r.events_executed) /
                                  r.wall_run_seconds
@@ -178,11 +190,13 @@ int main() {
                                      ? r.sim_barrier_seconds /
                                            r.wall_run_seconds
                                      : 0.0;
-    std::printf("%-10s %8d %10u %12llu %9.3f %9.3f %9.3f %7.1f%% %12.0f %8.2fx\n",
-                p.label, p.threads, r.sim_partitions,
-                static_cast<unsigned long long>(r.events_executed),
-                r.wall_setup_seconds, r.wall_run_seconds,
-                r.sim_barrier_seconds, 100.0 * barrier_share, eps, speedup);
+    std::printf(
+        "%-10s %8d %10u %12llu %9.3f %9.3f %9.3f %9.3f %9.3f %7.1f%% %12.0f "
+        "%8.2fx\n",
+        p.label, p.threads, r.sim_partitions,
+        static_cast<unsigned long long>(r.events_executed), total_s,
+        r.wall_setup_seconds, r.wall_run_seconds, collect_s,
+        r.sim_barrier_seconds, 100.0 * barrier_share, eps, speedup);
     if (want_stats && p.threads > 0) {
       std::printf(
           "  stats: %llu windows, %llu ff-jumps, %llu elongated, "
@@ -207,8 +221,10 @@ int main() {
         .num("threads", p.threads)
         .num("partitions", r.sim_partitions)
         .num("events", static_cast<double>(r.events_executed))
+        .num("total_s", total_s)
         .num("setup_s", r.wall_setup_seconds)
         .num("run_s", r.wall_run_seconds)
+        .num("collect_s", collect_s)
         .num("barrier_s", r.sim_barrier_seconds)
         .num("events_per_sec", eps)
         .num("speedup_vs_classic", speedup)

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 
 #include "api/lifecycle.h"
 #include "api/scheme_stack.h"
@@ -71,7 +72,14 @@ struct Experiment::Impl {
   std::vector<mac::MacEntity*> macs;
   std::unique_ptr<SchemeStack> stack;
 
+  /// The shared conflict graph: null until a consumer (the DOMINO or
+  /// Omniscient stack, the auditors) asks for it through shared_graph().
   std::unique_ptr<topo::ConflictGraph> graph;
+  std::uint64_t graph_builds = 0;
+  /// Set when the event loop starts: from then on the graph may only be
+  /// rebuilt (classic-kernel lifecycle hook), never built for the first
+  /// time, so no partition worker ever runs the build.
+  bool loop_started = false;
 
   std::vector<std::unique_ptr<traffic::UdpSource>> udp_sources;
   std::map<traffic::FlowId, std::unique_ptr<traffic::TcpSender>> tcp_senders;
@@ -161,6 +169,23 @@ struct Experiment::Impl {
   /// travel the reverse path as regular data packets).
   bool graph_downlink() const { return want_downlink() || tcp(); }
   bool graph_uplink() const { return want_uplink() || tcp(); }
+  std::vector<topo::Link> graph_links() const {
+    return topo.make_links(graph_downlink(), graph_uplink());
+  }
+
+  const topo::ConflictGraph& shared_graph() {
+    if (!graph) {
+      if (loop_started) {
+        throw std::logic_error(
+            "conflict graph first requested after setup; consumers must "
+            "ask for it while the experiment is assembled");
+      }
+      graph = std::make_unique<topo::ConflictGraph>(
+          topo::ConflictGraph::build(topo, graph_links()));
+      ++graph_builds;
+    }
+    return *graph;
+  }
 
   void deliver(const traffic::Packet& p, topo::NodeId at, TimeNs now) {
     if (at != p.dst) return;
@@ -332,7 +357,9 @@ struct Experiment::Impl {
                      },
                      topo,
                      cfg,
-                     *graph,
+                     [this]() -> const topo::ConflictGraph& {
+                       return shared_graph();
+                     },
                      root,
                      delivery_fn(),
                      (timeline || audited) ? &trace : nullptr,
@@ -361,9 +388,6 @@ struct Experiment::Impl {
       lifecycle->prepare(cfg.duration);
     }
     build_flows();
-    const auto links = topo.make_links(graph_downlink(), graph_uplink());
-    graph = std::make_unique<topo::ConflictGraph>(
-        topo::ConflictGraph::build(topo, links));
 
     // The stack object is created (not yet built) before the kernel choice:
     // a stack that couples nodes outside the audible graph (Omniscient's
@@ -464,7 +488,7 @@ struct Experiment::Impl {
       for (std::size_t i = 0; i < n_auditors; ++i) {
         auditors.push_back(
             std::make_unique<audit::SimAuditor>(sim, topo, audit_mode, as));
-        auditors.back()->attach_graph(*graph);
+        auditors.back()->attach_graph(shared_graph());
       }
       if (partitioned) {
         for (std::uint32_t q = 0; q < parts.count; ++q) {
@@ -492,12 +516,15 @@ struct Experiment::Impl {
       LifecycleDriver::Hooks h;
       h.refresh_medium = [this] { medium.on_topology_changed(); };
       h.rebuild_graph = [this] {
-        // In-place rebuild: every holder of the graph reference (stack,
-        // auditors) sees the new links/edges; LinkIds change meaning, so
-        // the scheduling plane and the auditors reset their link-keyed
-        // state in the same synchronous event.
-        *graph = topo::ConflictGraph::build(
-            topo, topo.make_links(graph_downlink(), graph_uplink()));
+        // In-place rebuild of a graph some consumer built: every holder of
+        // the graph reference (stack, auditors) sees the new links/edges;
+        // LinkIds change meaning, so the scheduling plane and the auditors
+        // reset their link-keyed state in the same synchronous event. A
+        // graph nobody asked for stays unbuilt.
+        if (graph) {
+          *graph = topo::ConflictGraph::build(topo, graph_links());
+          ++graph_builds;
+        }
         stack->on_conflict_graph_rebuilt();
         for (auto& a : auditors) a->on_schedule_reset();
       };
@@ -526,6 +553,7 @@ struct Experiment::Impl {
 
     sim.set_interrupt_flag(cancel);
     sim.set_event_budget(max_events);
+    loop_started = true;
     const auto wall_loop = std::chrono::steady_clock::now();
     sim.run_until(cfg.duration);
     const auto wall_end = std::chrono::steady_clock::now();
@@ -538,7 +566,10 @@ struct Experiment::Impl {
         std::chrono::duration<double>(wall_loop - wall_start).count();
     result.wall_run_seconds =
         std::chrono::duration<double>(wall_end - wall_loop).count();
-    result.census = topo::classify_pairs(topo, links);
+    // Over the final link set: on dynamic runs the RSS map and membership
+    // the census reads are the post-run ones, so the links must be too.
+    result.census = topo::classify_pairs(topo, graph_links());
+    result.graph_builds = graph_builds;
     std::vector<double> xs;
     for (const FlowCtx& fc : flows) {
       LinkResult lr;

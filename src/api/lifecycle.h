@@ -11,11 +11,12 @@
 // Event discipline: every handler runs as one synchronous simulator event —
 // it mutates the topology, re-registers clients through the scheme stack,
 // and only then flushes the PHY (phy::Medium::on_topology_changed) and the
-// scheduling plane (in-place conflict-graph rebuild + controller/auditor
-// resets) before returning to the event loop. No other event can observe a
-// half-applied epoch. Dynamics runs force the classic single-queue kernel
-// (api/experiment.cpp gates partitioning on !cfg.dynamics.any()), so this
-// also holds trivially at any DMN_SIM_THREADS.
+// scheduling plane (in-place rebuild of the conflict graph if one was built,
+// controller/auditor resets) before returning to the event loop. No other
+// event can observe a half-applied epoch. Dynamics runs force the classic
+// single-queue kernel (api/experiment.cpp gates partitioning on
+// !cfg.dynamics.any()), so this also holds trivially at any
+// DMN_SIM_THREADS.
 
 #include <cstdint>
 #include <functional>

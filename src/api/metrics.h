@@ -103,6 +103,10 @@ struct ExperimentResult {
   /// events/sec comparisons (bench/bench_scale.cpp).
   double wall_setup_seconds = 0.0;
   double wall_run_seconds = 0.0;
+  /// Shared conflict-graph builds, in-loop lifecycle rebuilds included: 0
+  /// when no consumer (DOMINO, Omniscient, the auditor) asked for the
+  /// graph. Not serialized, like `events_executed`.
+  std::uint64_t graph_builds = 0;
   /// Partitioned-kernel telemetry (all zero on the classic kernel). Like
   /// `events_executed`, deliberately NOT serialized — these describe how
   /// the run was scheduled, not what it computed, and must never leak into

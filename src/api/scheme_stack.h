@@ -4,11 +4,12 @@
 // A SchemeStack owns everything specific to one channel-access scheme: the
 // per-node MAC entities, controllers, backbones and signature plans. The
 // Experiment facade owns the shared substrate (simulator, medium, topology,
-// conflict graph, traffic sources, flow stats) and hands it to the stack
-// through a StackContext. Stacks register themselves by name in the
-// SchemeStackRegistry, so adding a scheme (or an ablation variant of an
-// existing one) means adding one file under src/api/stacks/ and one
-// registration call — the facade, benches and tests need no changes.
+// conflict graph built on first use, traffic sources, flow stats) and hands
+// it to the stack through a StackContext. Stacks register themselves by
+// name in the SchemeStackRegistry, so adding a scheme (or an ablation
+// variant of an existing one) means adding one file under src/api/stacks/
+// and one registration call — the facade, benches and tests need no
+// changes.
 //
 //   class MyStack : public SchemeStack { ... };
 //   SchemeStackRegistry::instance().add("MY-SCHEME", [] {
@@ -62,8 +63,11 @@ struct StackContext {
   std::function<phy::Medium&(topo::NodeId)> medium_of;
   const topo::Topology& topo;
   const ExperimentConfig& cfg;
-  /// Conflict graph over the directions the traffic spec exercises.
-  const topo::ConflictGraph& graph;
+  /// Conflict graph over the directions the traffic spec exercises, built
+  /// on the first call (during setup only) and shared by every consumer.
+  /// Stacks that schedule from it call this in build(); stacks that never
+  /// call it keep the O(links^2) build out of their runs.
+  std::function<const topo::ConflictGraph&()> graph;
   Rng& rng;
   /// Invoked when a data packet is decoded at its MAC destination.
   mac::DeliveryFn deliver;
@@ -126,8 +130,9 @@ class SchemeStack {
   /// downlink packets for it are dropped or handed off by the stack.
   virtual void on_client_detach(topo::NodeId client) { (void)client; }
 
-  /// The facade rebuilt the shared conflict graph in place after a
-  /// topology change. Controllers caching LinkIds must refresh.
+  /// The link set changed after a topology change; the shared conflict
+  /// graph, if any consumer built it, was rebuilt in place. Controllers
+  /// caching LinkIds must refresh.
   virtual void on_conflict_graph_rebuilt() {}
 };
 

@@ -34,7 +34,7 @@ void DominoStack::build(StackContext& ctx,
   domino::DominoParams domino_params = cfg.domino;
   domino_params.payload_bytes = cfg.traffic.packet_bytes;
   controller_ = std::make_unique<domino::DominoController>(
-      ctx.sim, *backbone_, topo, ctx.graph, *signatures_, domino_params,
+      ctx.sim, *backbone_, topo, ctx.graph(), *signatures_, domino_params,
       cfg.converter, timing.slot_duration(), timing.rop_duration(), cfg.rop,
       timing.rop_symbol);
   if (ctx.faults != nullptr) controller_->set_fault_injector(ctx.faults);

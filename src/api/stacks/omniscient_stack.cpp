@@ -16,7 +16,7 @@ void OmniscientStack::build(StackContext& ctx,
     nodes_.push_back(std::move(node));
   }
   scheduler_ = std::make_unique<omni::OmniscientScheduler>(
-      ctx.sim, ctx.medium, ctx.graph, ctx.cfg.wifi, std::move(raw));
+      ctx.sim, ctx.medium, ctx.graph(), ctx.cfg.wifi, std::move(raw));
   scheduler_->start(usec(100));
 }
 

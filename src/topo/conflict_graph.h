@@ -60,6 +60,9 @@ class ConflictGraph {
 ///    transmission fails at a receiver;
 ///  * exposed: senders sense each other (so DCF serializes them), yet both
 ///    receptions would succeed concurrently.
+/// classify_pairs scores only the pairs that can be either (endpoints within
+/// hearing range; see conflict_graph.cpp), so its counts equal a scan of
+/// every pair.
 struct PairCensus {
   std::size_t hidden = 0;
   std::size_t exposed = 0;

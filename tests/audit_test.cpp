@@ -127,6 +127,9 @@ TEST(Audit, ForgedTriggersSkipProvenanceButStayViolationFree) {
 
 // ---- passivity: audit-on results byte-identical to audit-off ---------------
 
+// The shared conflict graph is built on first use: DOMINO always asks for
+// it, DCF only when the auditor does, and neither the build nor its in-loop
+// rebuilds may change a result.
 TEST(Audit, ResultsByteIdenticalWithAuditOn) {
   for (Scheme s : {Scheme::kDcf, Scheme::kDomino}) {
     auto off = audited_cfg(s, audit::AuditMode::kOff);
@@ -137,7 +140,32 @@ TEST(Audit, ResultsByteIdenticalWithAuditOn) {
         << to_string(s);
     EXPECT_EQ(r_off.audit, nullptr);
     ASSERT_NE(r_on.audit, nullptr);
+    EXPECT_EQ(r_off.graph_builds, s == Scheme::kDcf ? 0u : 1u)
+        << to_string(s);
+    EXPECT_EQ(r_on.graph_builds, 1u) << to_string(s);
   }
+
+  // DCF under churn and roaming: the audited run builds the graph for the
+  // auditor and rebuilds it at every join, leave and roam; the unaudited run
+  // does neither.
+  Rng rng(13);
+  const auto t = topo::make_floorplan_topology({}, 4, 2, {}, rng);
+  auto dynamic = [](audit::AuditMode mode) {
+    auto cfg = audited_cfg(Scheme::kDcf, mode);
+    cfg.dynamics.epoch = msec(25);
+    cfg.dynamics.churn_rate_hz = 3.0;
+    cfg.dynamics.churn_downtime = msec(50);
+    cfg.dynamics.roam.enabled = true;
+    cfg.dynamics.roam.min_dwell = msec(50);
+    return cfg;
+  };
+  const auto r_off = run_experiment(t, dynamic(audit::AuditMode::kOff));
+  const auto r_on = run_experiment(t, dynamic(audit::AuditMode::kThrow));
+  EXPECT_EQ(serialize_result(r_off), serialize_result(r_on));
+  EXPECT_GT(r_on.lifecycle_leaves + r_on.lifecycle_roams, 0u)
+      << "dynamics never fired; the rebuild check below is vacuous";
+  EXPECT_EQ(r_off.graph_builds, 0u);
+  EXPECT_GT(r_on.graph_builds, 1u);
 }
 
 // ---- differential oracle ----------------------------------------------------

@@ -22,6 +22,7 @@
 #include "domino/signature_plan.h"
 #include "phy/medium.h"
 #include "sim/simulator.h"
+#include "topo/conflict_graph.h"
 #include "topo/dynamics.h"
 #include "topo/topology.h"
 #include "topo/trace_synth.h"
@@ -285,6 +286,25 @@ TEST(Lifecycle, InitiallyAbsentClientCarriesNoTraffic) {
   EXPECT_GT(others_delivered, 0u);
   ASSERT_NE(r.audit, nullptr);
   EXPECT_TRUE(r.audit->violation_free()) << r.audit->summary();
+}
+
+TEST(Lifecycle, CensusCountsTheFinalLinkSet) {
+  // Churn only: one client leaves and never rejoins. The census reads the
+  // post-run RSS map and membership, so it must count the post-run links.
+  const auto t = floorplan(11, 4, 2);
+  const topo::NodeId gone = t.all_clients()[0];
+  auto cfg = dyn_cfg(api::Scheme::kDcf, msec(300));
+  cfg.dynamics.membership.push_back({msec(100), gone, false});
+  const auto r = api::run_experiment(t, cfg);
+  ASSERT_EQ(r.lifecycle_leaves, 1u);
+  ASSERT_EQ(r.lifecycle_joins, 0u);
+
+  topo::Topology after = t;
+  after.set_node_active(gone, false);
+  const auto want = topo::classify_pairs(after, after.make_links(true, true));
+  EXPECT_EQ(r.census.hidden, want.hidden);
+  EXPECT_EQ(r.census.exposed, want.exposed);
+  EXPECT_EQ(r.census.total, want.total);
 }
 
 // ---- waypoint mobility + roaming -------------------------------------------

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <utility>
@@ -176,19 +178,23 @@ void expect_matches_reference(const topo::Topology& t, const char* draw) {
   EXPECT_EQ(got.census.total, want.census.total) << draw;
 }
 
-/// The lifecycle write path: random RSS updates, then one interference
-/// value per (rule, side) moved onto that rule's threshold to within
-/// rounding, so a rule whose threshold is off by 1e-9 dB in either
-/// direction flips a verdict. A boundary case is kept only if the reference
-/// sees every case placed so far, so the seeded topology provably has that
-/// sharpness.
-void mutate_with_boundary_cases(topo::Topology& t, Rng& rng) {
+/// The lifecycle write path: 40 random RSS updates.
+void mutate_randomly(topo::Topology& t, Rng& rng) {
   const auto n = static_cast<std::int64_t>(t.num_nodes());
   for (int k = 0; k < 40; ++k) {
     const auto a = static_cast<topo::NodeId>(rng.uniform_int(0, n - 1));
     const auto b = static_cast<topo::NodeId>(rng.uniform_int(0, n - 1));
     if (a != b) t.update_rss(a, b, rng.uniform(-100.0, -45.0));
   }
+}
+
+/// Random RSS updates, then one interference value per (rule, side) moved
+/// onto that rule's threshold to within rounding, so a rule whose threshold
+/// is off by 1e-9 dB in either direction flips a verdict. A boundary case is
+/// kept only if the reference sees every case placed so far, so the seeded
+/// topology provably has that sharpness.
+void mutate_with_boundary_cases(topo::Topology& t, Rng& rng) {
+  mutate_randomly(t, rng);
 
   constexpr double kEps = 1e-9;
   const auto links = t.make_links(true, true);
@@ -241,6 +247,95 @@ void mutate_with_boundary_cases(topo::Topology& t, Rng& rng) {
   }
 }
 
+/// Campus of radio-isolated buildings where the census prunes most pairs:
+/// each building is a chain of APs that carrier-sense their neighbours
+/// (exposed pairs), and each AP's first client also hears the AP two hops
+/// down the chain, which it cannot sense (hidden pairs in both link orders).
+topo::Topology manual_campus(std::size_t buildings, std::size_t aps,
+                             std::size_t clients_per_ap,
+                             const topo::PhyThresholds& th = {}) {
+  topo::ManualTopologyBuilder b;
+  for (std::size_t k = 0; k < buildings; ++k) {
+    std::vector<topo::NodeId> chain, first_client;
+    for (std::size_t a = 0; a < aps; ++a) {
+      chain.push_back(b.add_ap());
+      if (a > 0) b.sense(chain[a - 1], chain[a]);
+      for (std::size_t c = 0; c < clients_per_ap; ++c) {
+        const topo::NodeId client = b.add_client(chain[a]);
+        if (c == 0) first_client.push_back(client);
+      }
+      if (a >= 2) b.interfere(first_client[a - 2], chain[a]);
+    }
+  }
+  return b.build(th);
+}
+
+/// The census fallback for a link that fails even under a sensitivity-floor
+/// interferer: links a and b get an interferer just below the sensitivity
+/// (b's sender at a's receiver) and a's own signal is set to the largest
+/// value at which that interferer still breaks it, so a's floor SINR is
+/// within rounding below the data threshold. No candidate source links the
+/// pair (the senders and a's sender at b's receiver are out of range), yet
+/// the pair is hidden.
+void plant_floor_fallback_pair(topo::Topology& t) {
+  const auto links = t.make_links(true, false);
+  const double th = t.thresholds().sinr_data_db;
+  const double min_rss = t.thresholds().min_rss_dbm;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    for (std::size_t j = 0; j < links.size(); ++j) {
+      const topo::Link& a = links[i];
+      const topo::Link& b = links[j];
+      if (i == j || ref_share_node(a, b)) continue;
+      const double intf = std::nextafter(
+          min_rss, -std::numeric_limits<double>::infinity());
+      t.update_rss(a.sender, b.sender, topo::kRssFaint);
+      t.update_rss(a.sender, b.receiver, topo::kRssFaint);
+      t.update_rss(b.sender, a.receiver, intf);
+      double lo = -120.0;  // SINR < th side
+      double hi = 0.0;     // SINR >= th side
+      for (int it = 0; it < 200; ++it) {
+        const double mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi) break;
+        (ref_sinr_db(t, mid, intf) < th ? lo : hi) = mid;
+      }
+      t.update_rss(a.sender, a.receiver, lo);
+      ASSERT_LT(ref_sinr_db(t, a.sender, a.receiver, b.sender), th);
+      ASSERT_FALSE(t.can_sense(a.sender, b.sender));
+      ASSERT_NEAR(ref_sinr_db(t, lo, min_rss), th, 1e-9);
+      return;
+    }
+  }
+  FAIL() << "no node-disjoint link pair to plant the floor case on";
+}
+
+/// The census fallback for a carrier-sense threshold below the receiver
+/// sensitivity: two downlinks whose senders sense each other without being
+/// in hearing range, and whose receivers hear nothing of the other link,
+/// form an exposed pair that no audibility list connects.
+void plant_unheard_exposed_pair(topo::Topology& t) {
+  const auto& th = t.thresholds();
+  ASSERT_LT(th.cs_threshold_dbm, th.min_rss_dbm);
+  const auto links = t.make_links(true, false);
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    for (std::size_t j = i + 1; j < links.size(); ++j) {
+      const topo::Link& a = links[i];
+      const topo::Link& b = links[j];
+      if (a.sender == b.sender || ref_share_node(a, b)) continue;
+      t.update_rss(a.sender, b.sender,
+                   0.5 * (th.cs_threshold_dbm + th.min_rss_dbm));
+      t.update_rss(a.sender, b.receiver, topo::kRssFaint);
+      t.update_rss(b.sender, a.receiver, topo::kRssFaint);
+      ASSERT_TRUE(t.can_sense(a.sender, b.sender));
+      ASSERT_GE(ref_sinr_db(t, a.sender, a.receiver, b.sender),
+                th.sinr_data_db);
+      ASSERT_GE(ref_sinr_db(t, b.sender, b.receiver, a.sender),
+                th.sinr_data_db);
+      return;
+    }
+  }
+  FAIL() << "no two cells to plant the exposed pair on";
+}
+
 TEST_P(ConflictGraphProperty, MatchesDbDomainReference) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 53 + 11);
   const auto trace = topo::synthesize_trace({}, rng);
@@ -250,10 +345,49 @@ TEST_P(ConflictGraphProperty, MatchesDbDomainReference) {
   for (auto& [name, t] : {std::pair<const char*, topo::Topology*>{"tmn", &tmn},
                           {"random", &rnd},
                           {"floorplan", &floor}}) {
+    SCOPED_TRACE(name);
     expect_matches_reference(*t, name);
     mutate_with_boundary_cases(*t, rng);
     if (HasFatalFailure()) return;
     expect_matches_reference(*t, name);
+  }
+
+  // Shapes where the census prunes most pairs: isolated buildings, and the
+  // Figure 14 T(20,3) square where most cells are out of each other's
+  // range. Random writes move nodes into and out of hearing range.
+  auto campus = manual_campus(3, 4, 2);
+  auto wide = topo::Topology::random_network(20, 3, 800.0, {}, {}, rng);
+  for (auto& [name, t] :
+       {std::pair<const char*, topo::Topology*>{"campus", &campus},
+        {"random-800m", &wide}}) {
+    SCOPED_TRACE(name);
+    expect_matches_reference(*t, name);
+    mutate_randomly(*t, rng);
+    expect_matches_reference(*t, name);
+  }
+
+  // Census fallbacks: a link failing under a floor interferer is paired
+  // with every link, and a CS threshold below the sensitivity scans all
+  // pairs.
+  topo::PhyThresholds low_cs;
+  low_cs.cs_threshold_dbm = low_cs.min_rss_dbm - 4.0;
+  std::vector<std::pair<const char*, topo::Topology>> floor_cases, cs_cases;
+  floor_cases.emplace_back("campus", manual_campus(3, 4, 2));
+  floor_cases.emplace_back(
+      "random-800m", topo::Topology::random_network(20, 3, 800.0, {}, {}, rng));
+  cs_cases.emplace_back("campus-low-cs", manual_campus(3, 4, 2, low_cs));
+  cs_cases.emplace_back(
+      "random-800m-low-cs",
+      topo::Topology::random_network(20, 3, 800.0, {}, low_cs, rng));
+  for (auto& [name, t] : floor_cases) {
+    plant_floor_fallback_pair(t);
+    if (HasFatalFailure()) return;
+    expect_matches_reference(t, name);
+  }
+  for (auto& [name, t] : cs_cases) {
+    plant_unheard_exposed_pair(t);
+    if (HasFatalFailure()) return;
+    expect_matches_reference(t, name);
   }
 }
 
