@@ -71,9 +71,7 @@ int main() {
     json.add_row()
         .str("variant", points[i].label)
         .num("throughput_mbps", r.throughput_mbps())
-        .num("jain_fairness", r.jain_fairness)
-        .num("self_starts", static_cast<double>(r.domino_self_starts))
-        .num("ack_timeouts", static_cast<double>(r.ack_timeouts));
+        .metrics(r);
   }
   std::printf(
       "\nexpected: backup triggers and fake links buy robustness (fewer "

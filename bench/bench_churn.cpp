@@ -142,21 +142,7 @@ int main() {
         .num("churn_rate_hz", m.churn_hz)
         .num("speed_mps", m.speed_mps)
         .num("throughput_mbps", r.throughput_mbps())
-        .num("jain_fairness", r.jain_fairness)
-        .num("mean_delay_us", r.mean_delay_us)
-        .num("lifecycle_epochs", static_cast<double>(r.lifecycle_epochs))
-        .num("lifecycle_rss_updates",
-             static_cast<double>(r.lifecycle_rss_updates))
-        .num("lifecycle_joins", static_cast<double>(r.lifecycle_joins))
-        .num("lifecycle_leaves", static_cast<double>(r.lifecycle_leaves))
-        .num("lifecycle_roams", static_cast<double>(r.lifecycle_roams))
-        .num("lifecycle_roam_rejections",
-             static_cast<double>(r.lifecycle_roam_rejections))
-        .num("lifecycle_join_rejections",
-             static_cast<double>(r.lifecycle_join_rejections))
-        .num("missed_rows", static_cast<double>(r.domino_missed_rows))
-        .num("rows_executed", static_cast<double>(r.domino_rows_executed))
-        .num("self_starts", static_cast<double>(r.domino_self_starts))
+        .metrics(r)
         .num("recovery_samples",
              static_cast<double>(r.domino_recovery_latency_slots.size()))
         .num("recovery_slots_p50", rec.p50)

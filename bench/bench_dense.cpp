@@ -108,12 +108,8 @@ int main() {
         .num("clients", static_cast<double>(m.clients))
         .str("poll_mode", rop::to_string(m.mode))
         .num("throughput_mbps", r.throughput_mbps())
-        .num("jain_fairness", r.jain_fairness)
-        .num("mean_delay_us", r.mean_delay_us)
-        .num("poll_rounds", static_cast<double>(r.domino_poll_rounds))
-        .num("poll_symbols", static_cast<double>(r.domino_poll_symbols))
+        .metrics(r)
         .num("poll_symbols_per_round", spr)
-        .num("poll_staleness_rounds", r.domino_poll_staleness_rounds)
         .num("audit_checks",
              r.audit ? static_cast<double>(r.audit->checks_run) : 0.0)
         .num("audit_violations",

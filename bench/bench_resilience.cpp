@@ -136,21 +136,7 @@ int main() {
         .num("severity", m.severity)
         .str("scheme", api::to_string(m.scheme))
         .num("throughput_mbps", r.throughput_mbps())
-        .num("jain_fairness", r.jain_fairness)
-        .num("mean_delay_us", r.mean_delay_us)
-        .num("missed_rows", static_cast<double>(r.domino_missed_rows))
-        .num("rows_executed", static_cast<double>(r.domino_rows_executed))
-        .num("self_starts", static_cast<double>(r.domino_self_starts))
-        .num("retry_drops", static_cast<double>(r.domino_retry_drops))
-        .num("anchor_rejections",
-             static_cast<double>(r.domino_anchor_rejections))
-        .num("forced_trigger_losses",
-             static_cast<double>(r.domino_forced_trigger_losses))
-        .num("controller_outage_skips",
-             static_cast<double>(r.domino_controller_outage_skips))
-        .num("backbone_drops", static_cast<double>(r.fault_backbone_drops))
-        .num("interference_bursts",
-             static_cast<double>(r.fault_interference_bursts))
+        .metrics(r)
         .num("recovery_samples",
              static_cast<double>(r.domino_recovery_latency_slots.size()))
         .num("recovery_slots_p50", rec.p50)

@@ -18,8 +18,6 @@
 //   DMN_SCALE_CLIENTS_PER_AP  clients per AP       (default 24)
 //   DMN_BENCH_SECONDS         simulated seconds    (default 0.05)
 //   DMN_BENCH_RUNS            repetitions per point, best run kept (default 1)
-//   DMN_SIM_STATS=1           print kernel telemetry per point (windows,
-//                             fast-forward jumps, activation, wake counts)
 //   DMN_SCALE_MIN_SCALING     when set (e.g. "1.0"): exit non-zero unless the
 //                             best multi-thread events/s is at least this
 //                             multiple of the 1-thread events/s — the CI
@@ -119,9 +117,6 @@ int main() {
   const std::size_t clients_per_ap = env_size("DMN_SCALE_CLIENTS_PER_AP", 24);
   const TimeNs duration = sec(bench::bench_seconds(0.05));
   const int runs = bench::bench_runs(1);
-  const char* stats_env = std::getenv("DMN_SIM_STATS");
-  const bool want_stats =
-      stats_env != nullptr && *stats_env != '\0' && *stats_env != '0';
 
   bench::print_header("partitioned-kernel scale sweep");
   std::printf("building campus: %zu APs, %zu buildings, %zu clients/AP...\n",
@@ -197,17 +192,6 @@ int main() {
         static_cast<unsigned long long>(r.events_executed), total_s,
         r.wall_setup_seconds, r.wall_run_seconds, collect_s,
         r.sim_barrier_seconds, 100.0 * barrier_share, eps, speedup);
-    if (want_stats && p.threads > 0) {
-      std::printf(
-          "  stats: %llu windows, %llu ff-jumps, %llu elongated, "
-          "activated p50=%u max=%u, wakes spin=%llu sleep=%llu\n",
-          static_cast<unsigned long long>(r.sim_windows),
-          static_cast<unsigned long long>(r.sim_ff_jumps),
-          static_cast<unsigned long long>(r.sim_elongated_windows),
-          r.sim_activated_p50, r.sim_activated_max,
-          static_cast<unsigned long long>(r.sim_spin_wakes),
-          static_cast<unsigned long long>(r.sim_sleep_wakes));
-    }
     const std::string bytes = api::serialize_result(r);
     if (p.threads > 0) {
       if (part_bytes.empty()) {
@@ -219,24 +203,12 @@ int main() {
     json.add_row()
         .str("kernel", p.label)
         .num("threads", p.threads)
-        .num("partitions", r.sim_partitions)
-        .num("events", static_cast<double>(r.events_executed))
         .num("total_s", total_s)
-        .num("setup_s", r.wall_setup_seconds)
-        .num("run_s", r.wall_run_seconds)
         .num("collect_s", collect_s)
-        .num("barrier_s", r.sim_barrier_seconds)
         .num("events_per_sec", eps)
         .num("speedup_vs_classic", speedup)
-        .num("windows", static_cast<double>(r.sim_windows))
-        .num("ff_jumps", static_cast<double>(r.sim_ff_jumps))
-        .num("elongated_windows",
-             static_cast<double>(r.sim_elongated_windows))
-        .num("activated_p50", r.sim_activated_p50)
-        .num("activated_max", r.sim_activated_max)
-        .num("spin_wakes", static_cast<double>(r.sim_spin_wakes))
-        .num("sleep_wakes", static_cast<double>(r.sim_sleep_wakes))
-        .num("result_hash", static_cast<double>(fnv1a(bytes) >> 11));
+        .num("result_hash", static_cast<double>(fnv1a(bytes) >> 11))
+        .metrics(r);
   }
   json.meta("byte_stable", stable ? 1.0 : 0.0);
   std::printf("byte-stable across thread counts: %s\n",

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -136,6 +137,18 @@ class BenchJson {
     }
     Row& str(const std::string& key, const std::string& v) {
       fields_.emplace_back(key, api::json_quote(v));
+      return *this;
+    }
+    /// Every scalar metric of `r`, result and telemetry, under its
+    /// field-table name (api/metrics.h). Array metrics are left to the
+    /// caller's derived columns (percentiles, counts).
+    Row& metrics(const api::ExperimentResult& r) {
+      api::visit_fields(r, [&](const char* key, api::MetricClass,
+                               const auto& v) {
+        if constexpr (std::is_arithmetic_v<std::remove_cvref_t<decltype(v)>>) {
+          num(key, static_cast<double>(v));
+        }
+      });
       return *this;
     }
 

@@ -1,6 +1,7 @@
 #include "api/sweep_io.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -42,16 +44,14 @@ std::string json_quote(const std::string& s) {
   return out;
 }
 
-std::string json_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 namespace {
 
-std::string json_u64(std::uint64_t v) { return std::to_string(v); }
-std::string json_i64(std::int64_t v) { return std::to_string(v); }
+/// Appends without a temporary string (%.17g needs at most 24 chars).
+void append_double(std::string& out, double v) {
+  char buf[32];
+  out.append(buf, static_cast<std::size_t>(
+                      std::snprintf(buf, sizeof(buf), "%.17g", v)));
+}
 
 std::string hex_u64(std::uint64_t v) {
   char buf[20];
@@ -64,11 +64,28 @@ std::uint64_t parse_hex_u64(const std::string& s) {
   return std::strtoull(s.c_str(), nullptr, 16);
 }
 
+/// Overwrites `out` when all of `text` spells an integer T can hold; leaves
+/// it alone for a fraction, an exponent, a sign T cannot take, or a value
+/// out of range.
+template <typename T>
+void read_int(const std::string& text, T& out) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc() && ptr == end) out = v;
+}
+
 }  // namespace
+
+std::string json_double(double v) {
+  std::string out;
+  append_double(out, v);
+  return out;
+}
 
 // ---- JSON parsing ----------------------------------------------------------
 
-const JsonValue* JsonValue::find(const std::string& key) const {
+const JsonValue* JsonValue::find(std::string_view key) const {
   if (type != Type::kObject) return nullptr;
   for (const auto& [k, v] : object) {
     if (k == key) return &v;
@@ -76,26 +93,21 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
-double JsonValue::num_or(const std::string& key, double fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->type == Type::kNumber ? v->number : fallback;
-}
-
-std::uint64_t JsonValue::u64_or(const std::string& key,
+std::uint64_t JsonValue::u64_or(std::string_view key,
                                 std::uint64_t fallback) const {
   const JsonValue* v = find(key);
-  if (v == nullptr || v->type != Type::kNumber) return fallback;
-  return std::strtoull(v->text.c_str(), nullptr, 10);
+  if (v != nullptr && v->type == Type::kNumber) read_int(v->text, fallback);
+  return fallback;
 }
 
-std::int64_t JsonValue::i64_or(const std::string& key,
+std::int64_t JsonValue::i64_or(std::string_view key,
                                std::int64_t fallback) const {
   const JsonValue* v = find(key);
-  if (v == nullptr || v->type != Type::kNumber) return fallback;
-  return std::strtoll(v->text.c_str(), nullptr, 10);
+  if (v != nullptr && v->type == Type::kNumber) read_int(v->text, fallback);
+  return fallback;
 }
 
-std::string JsonValue::str_or(const std::string& key,
+std::string JsonValue::str_or(std::string_view key,
                               const std::string& fb) const {
   const JsonValue* v = find(key);
   return v != nullptr && v->type == Type::kString ? v->text : fb;
@@ -150,15 +162,20 @@ class JsonParser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Untrusted input must not be able to exhaust the stack.
+        if (++depth_ > kMaxDepth) fail("nesting too deep");
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return parse_string();
       case 't':
       case 'f': return parse_bool();
       case 'n':
-        if (consume_literal("nan")) return make_number("nan");
         if (consume_literal("null")) return JsonValue{};
-        fail("bad literal");
+        return parse_number();  // nan
       default: return parse_number();
     }
   }
@@ -233,10 +250,13 @@ class JsonParser {
         case 'b': v.text += '\b'; break;
         case 'f': v.text += '\f'; break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-          const std::string hex(text_.substr(pos_, 4));
+          unsigned cp = 0;
+          const char* hex = text_.data() + pos_;
+          if (pos_ + 4 > text_.size() ||
+              std::from_chars(hex, hex + 4, cp, 16).ptr != hex + 4) {
+            fail("bad \\u escape");
+          }
           pos_ += 4;
-          const long cp = std::strtol(hex.c_str(), nullptr, 16);
           // Checkpoint strings only ever contain control characters via
           // \u00xx (see json_quote); anything wider is not produced.
           v.text += static_cast<char>(cp & 0xff);
@@ -258,11 +278,14 @@ class JsonParser {
     fail("bad literal");
   }
 
-  JsonValue make_number(std::string text) {
+  /// The token is text_[start, pos_); strtod must consume all of it.
+  JsonValue make_number(std::size_t start) {
     JsonValue v;
     v.type = JsonValue::Type::kNumber;
-    v.number = std::strtod(text.c_str(), nullptr);
-    v.text = std::move(text);
+    v.text = std::string(text_.substr(start, pos_ - start));
+    char* end = nullptr;
+    v.number = std::strtod(v.text.c_str(), &end);
+    if (end != v.text.c_str() + v.text.size()) fail("bad number");
     return v;
   }
 
@@ -270,11 +293,8 @@ class JsonParser {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     // Non-standard tokens %.17g can emit.
-    if (consume_literal("inf")) {
-      return make_number(std::string(text_.substr(start, pos_ - start)));
-    }
-    if (consume_literal("nan")) {
-      return make_number(std::string(text_.substr(start, pos_ - start)));
+    if (consume_literal("inf") || consume_literal("nan")) {
+      return make_number(start);
     }
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
@@ -286,11 +306,14 @@ class JsonParser {
       }
     }
     if (pos_ == start) fail("expected number");
-    return make_number(std::string(text_.substr(start, pos_ - start)));
+    return make_number(start);
   }
+
+  static constexpr int kMaxDepth = 64;
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -300,16 +323,20 @@ JsonValue parse_json(std::string_view text) {
 }
 
 // ---- result serialization --------------------------------------------------
+//
+// One codec for ExperimentResult and its LinkResult / ApChainHealth rows:
+// it walks the field tables in api/metrics.h over `result`-class fields
+// only. Writing appends into one string (table keys need no escaping);
+// reading keeps a field's default when its key is absent, mistyped or out
+// of range.
 
 namespace {
 
 /// Streaming writer for fixed-order JSON objects.
 class ObjWriter {
  public:
-  void num(const char* k, double v) { field(k, json_double(v)); }
-  void u64(const char* k, std::uint64_t v) { field(k, json_u64(v)); }
-  void i64(const char* k, std::int64_t v) { field(k, json_i64(v)); }
-  void boolean(const char* k, bool v) { field(k, v ? "true" : "false"); }
+  template <typename Int>
+  void num(const char* k, Int v) { field(k, std::to_string(v)); }
   void str(const char* k, const std::string& v) { field(k, json_quote(v)); }
   void raw(const char* k, const std::string& v) { field(k, v); }
 
@@ -327,162 +354,71 @@ class ObjWriter {
   bool first_ = true;
 };
 
-std::string serialize_link(const LinkResult& l) {
-  ObjWriter w;
-  w.i64("flow_id", l.flow.id);
-  w.i64("src", l.flow.src);
-  w.i64("dst", l.flow.dst);
-  w.boolean("uplink", l.uplink);
-  w.num("throughput_bps", l.throughput_bps);
-  w.num("mean_delay_us", l.mean_delay_us);
-  w.u64("delivered", l.delivered);
-  return w.close();
-}
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
 
-LinkResult deserialize_link(const JsonValue& v) {
-  LinkResult l;
-  l.flow.id = static_cast<traffic::FlowId>(v.i64_or("flow_id", -1));
-  l.flow.src = static_cast<topo::NodeId>(v.i64_or("src", -1));
-  l.flow.dst = static_cast<topo::NodeId>(v.i64_or("dst", -1));
-  const JsonValue* up = v.find("uplink");
-  l.uplink = up != nullptr && up->boolean;
-  l.throughput_bps = v.num_or("throughput_bps", 0.0);
-  l.mean_delay_us = v.num_or("mean_delay_us", 0.0);
-  l.delivered = v.u64_or("delivered", 0);
-  return l;
-}
-
-std::string serialize_ap_health(const ApChainHealth& h) {
-  ObjWriter w;
-  w.i64("ap", h.ap);
-  w.u64("self_starts", h.self_starts);
-  w.u64("missed_rows", h.missed_rows);
-  w.u64("ack_timeouts", h.ack_timeouts);
-  w.u64("retry_drops", h.retry_drops);
-  w.u64("anchor_rejections", h.anchor_rejections);
-  w.u64("forced_trigger_losses", h.forced_trigger_losses);
-  w.u64("recovery_samples", h.recovery_samples);
-  return w.close();
-}
-
-ApChainHealth deserialize_ap_health(const JsonValue& v) {
-  ApChainHealth h;
-  h.ap = static_cast<topo::NodeId>(v.i64_or("ap", -1));
-  h.self_starts = v.u64_or("self_starts", 0);
-  h.missed_rows = v.u64_or("missed_rows", 0);
-  h.ack_timeouts = v.u64_or("ack_timeouts", 0);
-  h.retry_drops = v.u64_or("retry_drops", 0);
-  h.anchor_rejections = v.u64_or("anchor_rejections", 0);
-  h.forced_trigger_losses = v.u64_or("forced_trigger_losses", 0);
-  h.recovery_samples = v.u64_or("recovery_samples", 0);
-  return h;
-}
-
-template <typename T, typename Fn>
-std::string serialize_array(const std::vector<T>& xs, Fn fn) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i != 0) out += ",";
-    out += fn(xs[i]);
+template <typename T>
+void write_value(std::string& out, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out += v ? "true" : "false";
+  } else if constexpr (std::is_integral_v<T>) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    append_double(out, v);
+  } else if constexpr (kIsVector<T>) {
+    out += '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i != 0) out += ',';
+      write_value(out, v[i]);
+    }
+    out += ']';
+  } else {
+    char sep = '{';
+    visit_fields(v, [&](const char* key, MetricClass cls, const auto& f) {
+      if (cls != MetricClass::kResult) return;
+      out += sep;
+      sep = ',';
+      out += '"';
+      out += key;
+      out += "\":";
+      write_value(out, f);
+    });
+    out += '}';
   }
-  return out + "]";
+}
+
+template <typename T>
+void read_value(const JsonValue& j, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (j.type == JsonValue::Type::kBool) v = j.boolean;
+  } else if constexpr (std::is_integral_v<T>) {
+    if (j.type == JsonValue::Type::kNumber) read_int(j.text, v);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (j.type == JsonValue::Type::kNumber) v = j.number;
+  } else if constexpr (kIsVector<T>) {
+    for (const JsonValue& e : j.array) read_value(e, v.emplace_back());
+  } else {
+    visit_fields(v, [&](const char* key, MetricClass cls, auto& f) {
+      if (cls != MetricClass::kResult) return;
+      if (const JsonValue* m = j.find(key)) read_value(*m, f);
+    });
+  }
 }
 
 }  // namespace
 
 std::string serialize_result(const ExperimentResult& r) {
-  ObjWriter w;
-  w.raw("links", serialize_array(r.links, serialize_link));
-  w.num("aggregate_throughput_bps", r.aggregate_throughput_bps);
-  w.num("jain_fairness", r.jain_fairness);
-  w.num("mean_delay_us", r.mean_delay_us);
-  w.u64("ack_timeouts", r.ack_timeouts);
-  w.u64("mac_drops", r.mac_drops);
-  w.u64("census_hidden", r.census.hidden);
-  w.u64("census_exposed", r.census.exposed);
-  w.u64("census_total", r.census.total);
-  w.u64("domino_self_starts", r.domino_self_starts);
-  w.u64("domino_missed_rows", r.domino_missed_rows);
-  w.u64("domino_rows_executed", r.domino_rows_executed);
-  w.u64("domino_untriggerable", r.domino_untriggerable);
-  w.u64("domino_batches", r.domino_batches);
-  w.u64("domino_retry_drops", r.domino_retry_drops);
-  w.u64("domino_anchor_rejections", r.domino_anchor_rejections);
-  w.u64("domino_forced_trigger_losses", r.domino_forced_trigger_losses);
-  w.u64("domino_controller_outage_skips", r.domino_controller_outage_skips);
-  w.raw("recovery_slots",
-        serialize_array(r.domino_recovery_latency_slots,
-                        [](double s) { return json_double(s); }));
-  w.raw("ap_health", serialize_array(r.ap_chain_health, serialize_ap_health));
-  w.u64("fault_backbone_drops", r.fault_backbone_drops);
-  w.u64("fault_backbone_dups", r.fault_backbone_dups);
-  w.u64("fault_backbone_spikes", r.fault_backbone_spikes);
-  w.u64("fault_interference_bursts", r.fault_interference_bursts);
-  w.u64("fault_controller_outage_skips", r.fault_controller_outage_skips);
-  w.u64("fault_forced_trigger_losses", r.fault_forced_trigger_losses);
-  w.u64("fault_forced_false_positives", r.fault_forced_false_positives);
-  w.u64("lifecycle_epochs", r.lifecycle_epochs);
-  w.u64("lifecycle_rss_updates", r.lifecycle_rss_updates);
-  w.u64("lifecycle_joins", r.lifecycle_joins);
-  w.u64("lifecycle_leaves", r.lifecycle_leaves);
-  w.u64("lifecycle_roams", r.lifecycle_roams);
-  w.u64("lifecycle_roam_rejections", r.lifecycle_roam_rejections);
-  w.u64("lifecycle_join_rejections", r.lifecycle_join_rejections);
-  return w.close();
+  std::string out;
+  write_value(out, r);
+  return out;
 }
 
 ExperimentResult deserialize_result(const JsonValue& v) {
   ExperimentResult r;
-  if (const JsonValue* links = v.find("links")) {
-    for (const JsonValue& l : links->array) {
-      r.links.push_back(deserialize_link(l));
-    }
-  }
-  r.aggregate_throughput_bps = v.num_or("aggregate_throughput_bps", 0.0);
-  r.jain_fairness = v.num_or("jain_fairness", 1.0);
-  r.mean_delay_us = v.num_or("mean_delay_us", 0.0);
-  r.ack_timeouts = v.u64_or("ack_timeouts", 0);
-  r.mac_drops = v.u64_or("mac_drops", 0);
-  r.census.hidden = v.u64_or("census_hidden", 0);
-  r.census.exposed = v.u64_or("census_exposed", 0);
-  r.census.total = v.u64_or("census_total", 0);
-  r.domino_self_starts = v.u64_or("domino_self_starts", 0);
-  r.domino_missed_rows = v.u64_or("domino_missed_rows", 0);
-  r.domino_rows_executed = v.u64_or("domino_rows_executed", 0);
-  r.domino_untriggerable = v.u64_or("domino_untriggerable", 0);
-  r.domino_batches = v.u64_or("domino_batches", 0);
-  r.domino_retry_drops = v.u64_or("domino_retry_drops", 0);
-  r.domino_anchor_rejections = v.u64_or("domino_anchor_rejections", 0);
-  r.domino_forced_trigger_losses =
-      v.u64_or("domino_forced_trigger_losses", 0);
-  r.domino_controller_outage_skips =
-      v.u64_or("domino_controller_outage_skips", 0);
-  if (const JsonValue* slots = v.find("recovery_slots")) {
-    for (const JsonValue& s : slots->array) {
-      r.domino_recovery_latency_slots.push_back(s.number);
-    }
-  }
-  if (const JsonValue* hp = v.find("ap_health")) {
-    for (const JsonValue& h : hp->array) {
-      r.ap_chain_health.push_back(deserialize_ap_health(h));
-    }
-  }
-  r.fault_backbone_drops = v.u64_or("fault_backbone_drops", 0);
-  r.fault_backbone_dups = v.u64_or("fault_backbone_dups", 0);
-  r.fault_backbone_spikes = v.u64_or("fault_backbone_spikes", 0);
-  r.fault_interference_bursts = v.u64_or("fault_interference_bursts", 0);
-  r.fault_controller_outage_skips =
-      v.u64_or("fault_controller_outage_skips", 0);
-  r.fault_forced_trigger_losses = v.u64_or("fault_forced_trigger_losses", 0);
-  r.fault_forced_false_positives =
-      v.u64_or("fault_forced_false_positives", 0);
-  r.lifecycle_epochs = v.u64_or("lifecycle_epochs", 0);
-  r.lifecycle_rss_updates = v.u64_or("lifecycle_rss_updates", 0);
-  r.lifecycle_joins = v.u64_or("lifecycle_joins", 0);
-  r.lifecycle_leaves = v.u64_or("lifecycle_leaves", 0);
-  r.lifecycle_roams = v.u64_or("lifecycle_roams", 0);
-  r.lifecycle_roam_rejections = v.u64_or("lifecycle_roam_rejections", 0);
-  r.lifecycle_join_rejections = v.u64_or("lifecycle_join_rejections", 0);
+  read_value(v, r);
   return r;
 }
 
@@ -491,8 +427,8 @@ std::string serialize_outcome(const PointOutcome& o) {
   w.str("status", to_string(o.status));
   w.str("error_type", o.error_type);
   w.str("error_message", o.error_message);
-  w.i64("sim_time_ns", o.sim_time_ns);
-  w.u64("events_executed", o.events_executed);
+  w.num("sim_time_ns", o.sim_time_ns);
+  w.num("events_executed", o.events_executed);
   w.raw("result", serialize_result(o.result));
   return w.close();
 }
@@ -771,7 +707,7 @@ std::string serialize_manifest(const CheckpointManifest& m) {
   ObjWriter w;
   w.str("type", "manifest");
   w.str("sweep_hash", hex_u64(m.sweep_hash));
-  w.u64("num_points", m.num_points);
+  w.num("num_points", m.num_points);
   w.str("fingerprint", m.fingerprint);
   w.str("sweep_name", m.sweep_name);
   return w.close();
@@ -780,7 +716,7 @@ std::string serialize_manifest(const CheckpointManifest& m) {
 std::string serialize_record(const CheckpointRecord& r) {
   ObjWriter w;
   w.str("type", "point");
-  w.u64("index", r.index);
+  w.num("index", r.index);
   w.str("point_hash", hex_u64(r.point_hash));
   w.raw("outcome", serialize_outcome(r.outcome));
   return w.close();

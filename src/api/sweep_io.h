@@ -14,12 +14,11 @@
 //    (write temp + rename) so a killed process always leaves a readable,
 //    consistent file.
 //
-// The timeline recorder (ExperimentResult::timeline) is intentionally not
-// serialized: checkpointing targets long unattended sweeps, which never
-// record timelines. A restored result has timeline == nullptr. The audit
-// report (ExperimentResult::audit) is excluded for the same reason, and so
-// that audit-on results serialize byte-identically to audit-off results;
-// hash_config likewise ignores ExperimentConfig::audit.
+// The field tables in api/metrics.h decide what serializes: `result`
+// metrics, in table order, never `telemetry`. The timeline and audit report
+// sit outside the tables, so a restored result has neither, audit-on
+// results serialize like audit-off ones, and hash_config ignores
+// ExperimentConfig::audit too.
 
 #include <cstdint>
 #include <string>
@@ -47,16 +46,21 @@ struct JsonValue {
   std::vector<JsonValue> array;
 
   /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* find(const std::string& key) const;
+  const JsonValue* find(std::string_view key) const;
 
-  double num_or(const std::string& key, double fallback) const;
-  std::uint64_t u64_or(const std::string& key, std::uint64_t fallback) const;
-  std::int64_t i64_or(const std::string& key, std::int64_t fallback) const;
-  std::string str_or(const std::string& key, const std::string& fb) const;
+  /// Member values, or `fallback` when the member is absent or of another
+  /// type. The integer forms also fall back unless the number's text is an
+  /// integer in range (no fraction, exponent or stray sign).
+  std::uint64_t u64_or(std::string_view key, std::uint64_t fallback) const;
+  std::int64_t i64_or(std::string_view key, std::int64_t fallback) const;
+  std::string str_or(std::string_view key, const std::string& fb) const;
 };
 
-/// Parses one JSON document. Throws std::runtime_error on malformed input.
-/// Accepts the non-standard number tokens inf/-inf/nan that %.17g emits.
+/// Parses one JSON document. Throws std::runtime_error on malformed input,
+/// which includes nesting deeper than 64 arrays/objects, number tokens
+/// strtod does not consume in full, and \u escapes that are not four hex
+/// digits. Accepts the non-standard number tokens inf/-inf/nan that %.17g
+/// emits.
 JsonValue parse_json(std::string_view text);
 
 /// Escapes and quotes `s` as a JSON string literal.
@@ -68,8 +72,9 @@ std::string json_double(double v);
 
 // ---- result / outcome serialization ----------------------------------------
 
-/// Compact single-line JSON object. Field order is fixed, so equal results
-/// serialize to equal bytes.
+/// Compact single-line JSON object of the `result`-class metrics, keys in
+/// field-table order (api/metrics.h), so equal results serialize to equal
+/// bytes.
 std::string serialize_result(const ExperimentResult& r);
 ExperimentResult deserialize_result(const JsonValue& v);
 

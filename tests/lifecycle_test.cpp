@@ -533,19 +533,16 @@ TEST(LifecycleDeterminism, DynamicsForcesTheClassicKernel) {
   EXPECT_EQ(api::serialize_result(parallel), api::serialize_result(serial));
 }
 
+// Field by field, every lifecycle counter's round trip is covered by
+// ResultCodec.EveryResultMetricRoundTrips (sweep_test); this pins a real
+// churn run's bytes through the same trip.
 TEST(LifecycleDeterminism, LifecycleCountersSurviveSerialization) {
   const auto t = floorplan(11, 4, 2);
   const auto r = api::run_experiment(t, churny_cfg(api::Scheme::kDcf));
   ASSERT_GT(r.lifecycle_leaves, 0u);
   const std::string once = api::serialize_result(r);
   const auto back = api::deserialize_result(api::parse_json(once));
-  EXPECT_EQ(back.lifecycle_epochs, r.lifecycle_epochs);
-  EXPECT_EQ(back.lifecycle_rss_updates, r.lifecycle_rss_updates);
-  EXPECT_EQ(back.lifecycle_joins, r.lifecycle_joins);
   EXPECT_EQ(back.lifecycle_leaves, r.lifecycle_leaves);
-  EXPECT_EQ(back.lifecycle_roams, r.lifecycle_roams);
-  EXPECT_EQ(back.lifecycle_roam_rejections, r.lifecycle_roam_rejections);
-  EXPECT_EQ(back.lifecycle_join_rejections, r.lifecycle_join_rejections);
   EXPECT_EQ(api::serialize_result(back), once);
 }
 

@@ -1,16 +1,24 @@
 // Tests for the scheme-plugin + sweep layer: registry contents, plugin
 // registration, the determinism contract (1-thread vs N-thread sweeps are
-// bit-identical), and error propagation out of the pool.
+// bit-identical), error propagation out of the pool, and the result codec
+// driven by the field tables in api/metrics.h (pinned bytes, round trip of
+// every result metric, telemetry kept out of the bytes).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "api/experiment.h"
 #include "api/scheme_stack.h"
 #include "api/stacks/dcf_stack.h"
 #include "api/sweep.h"
+#include "api/sweep_io.h"
+#include "topo/dynamics.h"
 #include "topo/topology.h"
 
 namespace dmn::api {
@@ -34,17 +42,7 @@ ExperimentConfig base_config() {
 }
 
 void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_DOUBLE_EQ(a.aggregate_throughput_bps, b.aggregate_throughput_bps);
-  EXPECT_DOUBLE_EQ(a.mean_delay_us, b.mean_delay_us);
-  EXPECT_DOUBLE_EQ(a.jain_fairness, b.jain_fairness);
-  EXPECT_EQ(a.ack_timeouts, b.ack_timeouts);
-  EXPECT_EQ(a.mac_drops, b.mac_drops);
-  ASSERT_EQ(a.links.size(), b.links.size());
-  for (std::size_t i = 0; i < a.links.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.links[i].throughput_bps, b.links[i].throughput_bps);
-    EXPECT_DOUBLE_EQ(a.links[i].mean_delay_us, b.links[i].mean_delay_us);
-    EXPECT_EQ(a.links[i].delivered, b.links[i].delivered);
-  }
+  EXPECT_EQ(serialize_result(a), serialize_result(b));
 }
 
 // ---- registry --------------------------------------------------------------
@@ -198,6 +196,258 @@ TEST(SweepRunner, PointFailureRethrownOnCaller) {
     EXPECT_NE(msg.find("point 2"), std::string::npos) << msg;
     EXPECT_NE(msg.find("NO-SUCH-SCHEME"), std::string::npos) << msg;
   }
+}
+
+// ---- result codec ----------------------------------------------------------
+
+// Serialized results of three fixed points, captured before the codec was
+// rebuilt on the field tables: the format is byte-for-byte the same. Line
+// breaks are for width only and are stripped before comparing.
+constexpr const char* kStaticDcfBytes = R"(
+{"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
+"throughput_bps":4423680,"mean_delay_us":43504.671037037035,
+"delivered":108},{"flow_id":1,"src":1,"dst":3,"uplink":false,
+"throughput_bps":4341760,"mean_delay_us":44543.258773584901,
+"delivered":106}],"aggregate_throughput_bps":8765440,
+"jain_fairness":0.99991266375545851,"mean_delay_us":44019.111691588783,
+"ack_timeouts":0,"mac_drops":1336,"census_hidden":0,"census_exposed":1,
+"census_total":1,"domino_self_starts":0,"domino_missed_rows":0,
+"domino_rows_executed":0,"domino_untriggerable":0,"domino_batches":0,
+"domino_retry_drops":0,"domino_anchor_rejections":0,
+"domino_forced_trigger_losses":0,"domino_controller_outage_skips":0,
+"recovery_slots":[],"ap_health":[],"fault_backbone_drops":0,
+"fault_backbone_dups":0,"fault_backbone_spikes":0,
+"fault_interference_bursts":0,"fault_controller_outage_skips":0,
+"fault_forced_trigger_losses":0,"fault_forced_false_positives":0,
+"lifecycle_epochs":0,"lifecycle_rss_updates":0,"lifecycle_joins":0,
+"lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
+"lifecycle_join_rejections":0})";
+
+constexpr const char* kDominoFaultsBytes = R"(
+{"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
+"throughput_bps":6498986.666666667,"mean_delay_us":46216.817336134452,
+"delivered":238},{"flow_id":1,"src":1,"dst":3,"uplink":false,
+"throughput_bps":6444373.333333334,"mean_delay_us":47863.812762711867,
+"delivered":236}],"aggregate_throughput_bps":12943360,
+"jain_fairness":0.99998219690226076,"mean_delay_us":47036.840375527427,
+"ack_timeouts":103,"mac_drops":0,"census_hidden":0,"census_exposed":1,
+"census_total":1,"domino_self_starts":6,"domino_missed_rows":0,
+"domino_rows_executed":579,"domino_untriggerable":0,"domino_batches":37,
+"domino_retry_drops":0,"domino_anchor_rejections":2,
+"domino_forced_trigger_losses":7,"domino_controller_outage_skips":0,
+"recovery_slots":[0.019202048218476639,0.019202048218476639,
+0.019202048218476639,0.019202048218476639,0.019202048218476639,
+0.019202048218476639,0.019202048218476639],"ap_health":[{"ap":0,
+"self_starts":3,"missed_rows":0,"ack_timeouts":51,"retry_drops":0,
+"anchor_rejections":0,"forced_trigger_losses":2,"recovery_samples":2},
+{"ap":1,"self_starts":3,"missed_rows":0,"ack_timeouts":52,"retry_drops":0,
+"anchor_rejections":2,"forced_trigger_losses":5,"recovery_samples":5}],
+"fault_backbone_drops":10,"fault_backbone_dups":0,"fault_backbone_spikes":0,
+"fault_interference_bursts":30,"fault_controller_outage_skips":0,
+"fault_forced_trigger_losses":7,"fault_forced_false_positives":0,
+"lifecycle_epochs":0,"lifecycle_rss_updates":0,"lifecycle_joins":0,
+"lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
+"lifecycle_join_rejections":0})";
+
+constexpr const char* kChurnBytes = R"(
+{"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
+"throughput_bps":1843200,"mean_delay_us":18991.768,"delivered":90},
+{"flow_id":1,"src":2,"dst":0,"uplink":true,"throughput_bps":675840,
+"mean_delay_us":1327.9999393939395,"delivered":33},{"flow_id":2,"src":0,
+"dst":3,"uplink":false,"throughput_bps":4341760,
+"mean_delay_us":21777.541811320756,"delivered":212},{"flow_id":3,"src":3,
+"dst":0,"uplink":true,"throughput_bps":1003520,
+"mean_delay_us":1121.6530612244896,"delivered":49},{"flow_id":4,"src":1,
+"dst":4,"uplink":false,"throughput_bps":2641920,
+"mean_delay_us":38910.884922480618,"delivered":129},{"flow_id":5,"src":4,
+"dst":1,"uplink":true,"throughput_bps":1003520,
+"mean_delay_us":1138.6873469387756,"delivered":49},{"flow_id":6,"src":1,
+"dst":5,"uplink":false,"throughput_bps":2498560,
+"mean_delay_us":35276.942213114751,"delivered":122},{"flow_id":7,"src":5,
+"dst":1,"uplink":true,"throughput_bps":839680,
+"mean_delay_us":1019.6333170731707,"delivered":41}],
+"aggregate_throughput_bps":14848000,"jain_fairness":0.71307154252721372,
+"mean_delay_us":21856.241011034483,"ack_timeouts":8,"mac_drops":69,
+"census_hidden":0,"census_exposed":0,"census_total":8,
+"domino_self_starts":0,"domino_missed_rows":0,"domino_rows_executed":0,
+"domino_untriggerable":0,"domino_batches":0,"domino_retry_drops":0,
+"domino_anchor_rejections":0,"domino_forced_trigger_losses":0,
+"domino_controller_outage_skips":0,"recovery_slots":[],"ap_health":[],
+"fault_backbone_drops":0,"fault_backbone_dups":0,"fault_backbone_spikes":0,
+"fault_interference_bursts":0,"fault_controller_outage_skips":0,
+"fault_forced_trigger_losses":0,"fault_forced_false_positives":0,
+"lifecycle_epochs":9,"lifecycle_rss_updates":5,"lifecycle_joins":1,
+"lifecycle_leaves":2,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
+"lifecycle_join_rejections":0})";
+
+std::string pinned(const char* wrapped) {
+  std::string s(wrapped);
+  s.erase(std::remove(s.begin(), s.end(), '\n'), s.end());
+  return s;
+}
+
+std::string serialized_run(const topo::Topology& t,
+                           const ExperimentConfig& cfg) {
+  return serialize_result(run_experiment(t, cfg));
+}
+
+void expect_pinned(const std::string& bytes, const char* wrapped) {
+  const std::string want = pinned(wrapped);
+  EXPECT_EQ(bytes, want);
+  EXPECT_EQ(serialize_result(deserialize_result(parse_json(want))), want);
+}
+
+TEST(ResultCodec, PinnedBytesStaticDcf) {
+  ExperimentConfig cfg;
+  cfg.duration = msec(100);
+  cfg.traffic.saturate_downlink = true;
+  cfg.seed = 3;
+  expect_pinned(serialized_run(two_cells(), cfg), kStaticDcfBytes);
+}
+
+TEST(ResultCodec, PinnedBytesDominoWithFaults) {
+  ExperimentConfig cfg;
+  cfg.scheme = Scheme::kDomino;
+  cfg.duration = msec(150);
+  cfg.traffic.saturate_downlink = true;
+  cfg.seed = 5;
+  cfg.faults.backbone.drop_rate = 0.05;
+  cfg.faults.interference.duty = 0.1;
+  cfg.faults.signature.false_negative_rate = 0.02;
+  expect_pinned(serialized_run(two_cells(), cfg), kDominoFaultsBytes);
+}
+
+TEST(ResultCodec, PinnedBytesChurn) {
+  Rng rng(11);
+  const auto t = topo::make_floorplan_topology({}, 2, 2, {}, rng);
+  ExperimentConfig cfg;
+  cfg.duration = msec(200);
+  cfg.traffic.downlink_bps = 5e6;
+  cfg.traffic.uplink_bps = 1e6;
+  cfg.dynamics.epoch = msec(20);
+  cfg.dynamics.churn_rate_hz = 4.0;
+  cfg.dynamics.churn_downtime = msec(40);
+  cfg.dynamics.roam.enabled = true;
+  cfg.dynamics.roam.min_dwell = msec(40);
+  expect_pinned(serialized_run(t, cfg), kChurnBytes);
+}
+
+/// Every `cls` field the tables reach from `x`, flattened to path -> value
+/// (vector sizes included), in table order.
+template <typename T>
+void flatten(const T& x, MetricClass cls, const std::string& prefix,
+             std::vector<std::pair<std::string, std::string>>& out) {
+  visit_fields(x, [&](const char* key, MetricClass c, const auto& f) {
+    if (c != cls) return;
+    using F = std::remove_cvref_t<decltype(f)>;
+    const std::string path = prefix + key;
+    if constexpr (std::is_arithmetic_v<F>) {
+      out.emplace_back(path, json_double(static_cast<double>(f)));
+    } else {
+      out.emplace_back(path + ".size", std::to_string(f.size()));
+      for (std::size_t i = 0; i < f.size(); ++i) {
+        const std::string item = path + "[" + std::to_string(i) + "]";
+        if constexpr (std::is_arithmetic_v<typename F::value_type>) {
+          out.emplace_back(item, json_double(f[i]));
+        } else {
+          flatten(f[i], MetricClass::kResult, item + ".", out);
+        }
+      }
+    }
+  });
+}
+
+std::vector<std::pair<std::string, std::string>> flatten(
+    const ExperimentResult& r, MetricClass cls) {
+  std::vector<std::pair<std::string, std::string>> out;
+  flatten(r, cls, "", out);
+  return out;
+}
+
+/// Gives every field of `x` of class `cls` (and every field of its rows) a
+/// value no other field shares: 1000 + n for the n-th number set.
+template <typename T>
+void fill_distinct(T& x, MetricClass cls, int& n) {
+  visit_fields(x, [&](const char*, MetricClass c, auto& f) {
+    if (c != cls) return;
+    using F = std::remove_cvref_t<decltype(f)>;
+    if constexpr (std::is_same_v<F, bool>) {
+      f = !f;
+    } else if constexpr (std::is_arithmetic_v<F>) {
+      f = static_cast<F>(1000 + ++n) + static_cast<F>(0.25);
+    } else {
+      f.resize(2);
+      for (auto& e : f) {
+        if constexpr (std::is_arithmetic_v<typename F::value_type>) {
+          e = 1000 + ++n + 0.5;
+        } else {
+          fill_distinct(e, MetricClass::kResult, n);
+        }
+      }
+    }
+  });
+}
+
+TEST(ResultCodec, EveryResultMetricRoundTrips) {
+  ExperimentResult r;
+  int n = 0;
+  fill_distinct(r, MetricClass::kResult, n);
+  const auto fields = flatten(r, MetricClass::kResult);
+
+  // Every value left its default and no two fields share one, so a table
+  // row pointing at the wrong member cannot pass.
+  std::map<std::string, std::string> defaults;
+  for (const auto& kv : flatten(ExperimentResult{}, MetricClass::kResult)) {
+    defaults.insert(kv);
+  }
+  std::set<std::string> seen;
+  for (const auto& [path, value] : fields) {
+    if (const auto d = defaults.find(path); d != defaults.end()) {
+      EXPECT_NE(value, d->second) << path << " kept its default";
+    }
+    if (path.ends_with(".size") || value == "1") continue;  // sizes, bools
+    EXPECT_TRUE(seen.insert(value).second) << path << " shares " << value;
+  }
+
+  const std::string bytes = serialize_result(r);
+  const ExperimentResult back = deserialize_result(parse_json(bytes));
+  EXPECT_EQ(flatten(back, MetricClass::kResult), fields);
+  EXPECT_EQ(serialize_result(back), bytes);
+}
+
+TEST(ResultCodec, TelemetryIsExactlyTheSchedulingAndTimingFields) {
+  const ExperimentResult r;
+  visit_fields(r, [](const char* key, MetricClass c, const auto&) {
+    const std::string k = key;
+    const bool scheduling =
+        k.starts_with("domino_poll_") || k.starts_with("sim_") ||
+        (k.starts_with("wall_") && k.ends_with("_seconds")) ||
+        k == "events_executed" || k == "graph_builds";
+    EXPECT_EQ(c == MetricClass::kTelemetry, scheduling) << k;
+  });
+}
+
+TEST(ResultCodec, TelemetryNeverReachesTheBytes) {
+  ExperimentResult r;
+  int n = 0;
+  fill_distinct(r, MetricClass::kTelemetry, n);
+  ASSERT_GT(n, 0);
+  const std::string bytes = serialize_result(r);
+  EXPECT_EQ(bytes, serialize_result(ExperimentResult{}));
+
+  // Nor does it come back from bytes that carry it.
+  std::string forged = bytes;
+  forged.pop_back();
+  visit_fields(r, [&](const char* key, MetricClass c, const auto&) {
+    if (c != MetricClass::kTelemetry) return;
+    EXPECT_EQ(bytes.find('"' + std::string(key) + '"'), std::string::npos)
+        << key;
+    forged += ",\"" + std::string(key) + "\":7";
+  });
+  forged += '}';
+  EXPECT_EQ(flatten(deserialize_result(parse_json(forged)),
+                    MetricClass::kTelemetry),
+            flatten(ExperimentResult{}, MetricClass::kTelemetry));
 }
 
 }  // namespace
