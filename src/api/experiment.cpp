@@ -27,9 +27,14 @@ const char* to_string(Scheme s) {
   return "?";
 }
 
-// The facade owns the scheme-independent substrate — simulator, medium,
+// The facade owns the scheme-independent substrate — simulator, mediums,
 // traffic sources/sinks, flow statistics — and delegates scheme assembly to
 // the SchemeStack selected by the config (see api/scheme_stack.h).
+//
+// Per-queue state (mediums, packet-id lanes, auditors) is held one entry per
+// event queue and looked up through the simulator's queue_of_node() /
+// wired_queue_index(); a classic run is the one-queue case. Only the kernel
+// choice in run() decides how many queues there are.
 struct Experiment::Impl {
   ExperimentConfig cfg;
   /// Dynamic runs own a mutable copy of the caller's topology — the
@@ -43,20 +48,14 @@ struct Experiment::Impl {
   Rng root;
 
   sim::Simulator sim;
-  phy::Medium medium;
 
-  // Partitioned kernel state (empty / false on the classic path).
-  topo::Partitioning parts;
-  bool partitioned = false;
-  unsigned threads = 0;
-  /// One restricted Medium per interference partition; `medium` above stays
-  /// unused airtime-wise when partitioned (stacks resolve through
-  /// medium_of()).
-  std::vector<std::unique_ptr<phy::Medium>> part_mediums;
+  /// One Medium per node queue: a single unrestricted medium on the classic
+  /// kernel, one medium restricted to its interference partition otherwise.
+  std::vector<std::unique_ptr<phy::Medium>> mediums;
 
-  /// Packet-id lanes: one generator on the classic path (ids 1, 2, 3, ...),
-  /// one per partition with disjoint bases (p << 44) when partitioned.
-  /// Never resized after build_traffic — sources hold references into it.
+  /// Packet-id lanes, one per node queue with disjoint bases (q << 44); lane
+  /// 0 yields ids 1, 2, 3, ... Never resized after build_traffic — sources
+  /// hold references into it.
   std::vector<traffic::PacketIdGen> id_gens;
   traffic::FlowStats stats;
 
@@ -91,10 +90,9 @@ struct Experiment::Impl {
 
   // Built only when auditing resolves on (cfg.audit / DMN_AUDIT). The
   // auditors are strictly passive — no RNG draws, no scheduled events — so
-  // their presence cannot perturb results. Classic runs build exactly one;
-  // partitioned runs build one per partition plus one for the wired queue,
-  // so every check still runs race-free on its own queue (reports merged at
-  // the end via audit::merge_reports).
+  // their presence cannot perturb results. One per event queue, so every
+  // check runs race-free on its own queue (reports merged at the end via
+  // audit::merge_reports).
   std::vector<std::unique_ptr<audit::SimAuditor>> auditors;
 
   // Built only when cfg.faults has an active knob: the fault-free path
@@ -116,34 +114,28 @@ struct Experiment::Impl {
                                       : nullptr),
         topo(owned_topo ? *owned_topo : t),
         root(cfg.seed),
-        sim(),
-        medium(sim, topo) {}
+        sim() {}
 
-  /// The medium carrying `node`'s airtime (its partition's on partitioned
-  /// runs, the single shared one otherwise).
+  std::uint32_t queue_of(topo::NodeId node) const {
+    return sim.queue_of_node(static_cast<std::size_t>(node));
+  }
+  /// The medium carrying `node`'s airtime.
   phy::Medium& medium_of(topo::NodeId node) {
-    return partitioned
-               ? *part_mediums[parts.assignment[static_cast<std::size_t>(node)]]
-               : medium;
+    return *mediums[queue_of(node)];
   }
   /// The auditor owning `node`'s queue (null when auditing is off).
   audit::SimAuditor* auditor_of(topo::NodeId node) {
-    if (auditors.empty()) return nullptr;
-    return partitioned
-               ? auditors[parts.assignment[static_cast<std::size_t>(node)]]
-                     .get()
-               : auditors[0].get();
+    return auditors.empty() ? nullptr : auditors[queue_of(node)].get();
   }
-  /// The auditor owning the wired/controller queue (== auditor_of on the
-  /// classic path; null when auditing is off).
+  /// The auditor owning the wired/controller queue (null when auditing is
+  /// off).
   audit::SimAuditor* wired_auditor() {
-    return auditors.empty() ? nullptr : auditors.back().get();
+    return auditors.empty() ? nullptr
+                            : auditors[sim.wired_queue_index()].get();
   }
   /// The packet-id lane for packets generated at `node`.
   traffic::PacketIdGen& ids_for(topo::NodeId node) {
-    return partitioned
-               ? id_gens[parts.assignment[static_cast<std::size_t>(node)]]
-               : id_gens[0];
+    return id_gens[queue_of(node)];
   }
 
   bool tcp() const { return cfg.traffic.kind == TrafficKind::kTcp; }
@@ -280,8 +272,7 @@ struct Experiment::Impl {
         // Pre-register the accounting slot so concurrent record_* calls
         // from partition queues never mutate the map structure.
         stats.ensure_flow(fc.flow.id);
-        sim::Simulator::Scope scope(
-            sim, sim.queue_of_node(static_cast<std::size_t>(fc.flow.src)));
+        sim::Simulator::Scope scope(sim, queue_of(fc.flow.src));
         auto sender = std::make_unique<traffic::TcpSender>(
             sim, fc.flow, tp, ids_for(fc.flow.src), enqueue);
         mac::MacEntity* dst_mac =
@@ -304,8 +295,7 @@ struct Experiment::Impl {
             fc.saturate ? 3.0 * cfg.wifi.data_rate_bps : fc.rate_bps;
         if (rate <= 0.0) continue;
         stats.ensure_flow(fc.flow.id);
-        sim::Simulator::Scope scope(
-            sim, sim.queue_of_node(static_cast<std::size_t>(fc.flow.src)));
+        sim::Simulator::Scope scope(sim, queue_of(fc.flow.src));
         auto src = std::make_unique<traffic::UdpSource>(
             sim, fc.flow, rate, cfg.traffic.packet_bytes,
             ids_for(fc.flow.src), enqueue);
@@ -351,7 +341,6 @@ struct Experiment::Impl {
     // The stack object itself is created early in run() (its
     // supports_partitioning() gates the kernel choice); here we assemble it.
     StackContext ctx{sim,
-                     medium,
                      [this](topo::NodeId n) -> phy::Medium& {
                        return medium_of(n);
                      },
@@ -410,32 +399,28 @@ struct Experiment::Impl {
     // and a mid-window RSS change would violate the lookahead contract —
     // so churn results are byte-stable at any DMN_SIM_THREADS by
     // construction.
-    threads = resolve_sim_threads(cfg);
+    const unsigned threads = resolve_sim_threads(cfg);
     if (threads > 0 && stack->supports_partitioning() &&
         !cfg.record_timeline && !cfg.dynamics.any()) {
-      topo::Partitioning p = topo::compute_partitions(topo);
-      if (p.count >= 2) {
-        parts = std::move(p);
+      const topo::Partitioning parts = topo::compute_partitions(topo);
+      if (parts.count >= 2) {
         sim.configure_partitions(parts.assignment, parts.count,
                                  cfg.backbone.min_latency, threads);
-        partitioned = true;
-        part_mediums.reserve(parts.count);
         for (std::uint32_t q = 0; q < parts.count; ++q) {
           auto m = std::make_unique<phy::Medium>(sim, topo);
           m->restrict_to_nodes(parts.members_of(q));
-          part_mediums.push_back(std::move(m));
+          mediums.push_back(std::move(m));
         }
       }
     }
+    if (mediums.empty()) {
+      mediums.push_back(std::make_unique<phy::Medium>(sim, topo));
+    }
 
     // Packet-id lanes (sources hold references; sized once, never resized).
-    if (partitioned) {
-      id_gens.reserve(parts.count);
-      for (std::uint32_t q = 0; q < parts.count; ++q) {
-        id_gens.emplace_back(static_cast<traffic::PacketId>(q) << 44);
-      }
-    } else {
-      id_gens.emplace_back();
+    id_gens.reserve(mediums.size());
+    for (std::size_t q = 0; q < mediums.size(); ++q) {
+      id_gens.emplace_back(static_cast<traffic::PacketId>(q) << 44);
     }
 
     // The injector forks per-queue RNG lanes in its constructor, so it must
@@ -481,26 +466,18 @@ struct Experiment::Impl {
           as.starvation_rounds += 4;
         }
       }
-      // One auditor per event queue (partitions + wired) so checks stay
-      // race-free; the classic path keeps the single historical instance.
-      const std::size_t n_auditors = partitioned ? parts.count + 1 : 1;
-      auditors.reserve(n_auditors);
-      for (std::size_t i = 0; i < n_auditors; ++i) {
+      // One auditor per event queue, each watching its queue's medium (a
+      // wired queue of its own has none).
+      auditors.reserve(sim.queue_count());
+      for (std::uint32_t q = 0; q < sim.queue_count(); ++q) {
         auditors.push_back(
             std::make_unique<audit::SimAuditor>(sim, topo, audit_mode, as));
         auditors.back()->attach_graph(shared_graph());
-      }
-      if (partitioned) {
-        for (std::uint32_t q = 0; q < parts.count; ++q) {
-          auditors[q]->attach_medium(*part_mediums[q]);
-        }
-      } else {
-        auditors[0]->attach_medium(medium);
+        if (q < mediums.size()) auditors.back()->attach_medium(*mediums[q]);
       }
     }
     if (cfg.audit.mutation == audit::Mutation::kMediumLeakPower) {
-      medium.set_test_power_leak(true);
-      for (auto& m : part_mediums) m->set_test_power_leak(true);
+      for (auto& m : mediums) m->set_test_power_leak(true);
     }
     if (lifecycle) {
       if (cfg.audit.mutation == audit::Mutation::kLifecycleGhostRadio) {
@@ -514,7 +491,9 @@ struct Experiment::Impl {
     build_traffic();
     if (lifecycle) {
       LifecycleDriver::Hooks h;
-      h.refresh_medium = [this] { medium.on_topology_changed(); };
+      h.refresh_medium = [this] {
+        for (auto& m : mediums) m->on_topology_changed();
+      };
       h.rebuild_graph = [this] {
         // In-place rebuild of a graph some consumer built: every holder of
         // the graph reference (stack, auditors) sees the new links/edges;
@@ -540,16 +519,7 @@ struct Experiment::Impl {
       };
       lifecycle->arm(std::move(h));
     }
-    if (injector) {
-      if (partitioned) {
-        std::vector<phy::Medium*> mediums;
-        mediums.reserve(part_mediums.size());
-        for (auto& m : part_mediums) mediums.push_back(m.get());
-        injector->arm_mediums(mediums, cfg.duration);
-      } else {
-        injector->arm_medium(medium, cfg.duration);
-      }
-    }
+    if (injector) injector->arm_mediums(mediums, cfg.duration);
 
     sim.set_interrupt_flag(cancel);
     sim.set_event_budget(max_events);
@@ -586,7 +556,7 @@ struct Experiment::Impl {
     result.jain_fairness = traffic::FlowStats::jain_index(xs);
     result.mean_delay_us = stats.mean_delay_us_all();
     result.events_executed = sim.events_executed();
-    result.sim_partitions = partitioned ? parts.count : 1;
+    result.sim_partitions = static_cast<std::uint32_t>(mediums.size());
     const sim::KernelStats& ks = sim.kernel_stats();
     result.sim_windows = ks.windows;
     result.sim_ff_jumps = ks.ff_jumps;
@@ -625,11 +595,8 @@ struct Experiment::Impl {
         a->finalize();
         reports.push_back(a->report());
       }
-      result.audit =
-          reports.size() == 1
-              ? reports[0]
-              : std::make_shared<const audit::AuditReport>(
-                    audit::merge_reports(reports));
+      result.audit = std::make_shared<const audit::AuditReport>(
+          audit::merge_reports(reports));
     }
     return result;
   }

@@ -75,9 +75,6 @@ class LifecycleDriver {
   void arm(Hooks hooks);
 
   const LifecycleCounters& counters() const { return counters_; }
-  const std::vector<topo::NodeId>& initially_absent() const {
-    return initially_absent_;
-  }
 
   /// Audit mutants (audit::Mutation::kLifecycleGhostRadio / StaleRoam).
   /// Ghost radio: departures are recorded in the lifecycle ledger but the

@@ -1,7 +1,6 @@
 #include "api/metrics.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace dmn::api {
 
@@ -25,17 +24,6 @@ double coupled_misalignment_us(const TimelineRecorder& timeline,
     }
   }
   return worst;
-}
-
-std::string summarize(const ExperimentResult& r) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "throughput %.2f Mbps | fairness %.3f | delay %.0f us | "
-                "flows %zu | ack_to %llu",
-                r.aggregate_throughput_bps / 1e6, r.jain_fairness,
-                r.mean_delay_us, r.links.size(),
-                static_cast<unsigned long long>(r.ack_timeouts));
-  return buf;
 }
 
 }  // namespace dmn::api

@@ -239,9 +239,6 @@ void visit_fields(E& r, Visit&& visit) {
   visit("sim_barrier_seconds", kTelemetry, r.sim_barrier_seconds);
 }
 
-/// Pretty one-line summary for benches and examples.
-std::string summarize(const ExperimentResult& r);
-
 /// Misalignment restricted to transmitters that share a collision domain
 /// (any endpoint pair within carrier-sense range): offsets between chains
 /// that cannot even hear each other are physically harmless and would

@@ -55,11 +55,10 @@ struct ExperimentResult;
 /// component so schemes draw from independent streams.
 struct StackContext {
   sim::Simulator& sim;
-  phy::Medium& medium;
-  /// Medium carrying `node`'s airtime. Equal to `medium` for every node in
-  /// a single-kernel run; under the partitioned kernel each interference
-  /// partition has its own Medium and MAC entities must attach to (and
-  /// transmit on) their node's. Always non-null.
+  /// Medium carrying `node`'s airtime: one per node event queue. Every node
+  /// shares one medium in a single-queue run; under the partitioned kernel
+  /// each interference partition has its own, and MAC entities must attach
+  /// to (and transmit on) their node's.
   std::function<phy::Medium&(topo::NodeId)> medium_of;
   const topo::Topology& topo;
   const ExperimentConfig& cfg;

@@ -189,29 +189,6 @@ class CheckpointSink {
 
 }  // namespace
 
-SweepError::SweepError(std::size_t index, const std::string& label,
-                       const PointOutcome& outcome)
-    : std::runtime_error(
-          "sweep point " + std::to_string(index) +
-          (label.empty() ? std::string() : " ('" + label + "')") + " " +
-          to_string(outcome.status) +
-          (outcome.status == PointStatus::kTimedOut
-               ? " at sim time " + std::to_string(outcome.sim_time_ns) +
-                     " ns after " + std::to_string(outcome.events_executed) +
-                     " events"
-               : std::string()) +
-          (outcome.error_message.empty()
-               ? std::string()
-               : ": " + outcome.error_type +
-                     (outcome.error_type.empty() ? "" : ": ") +
-                     outcome.error_message) +
-          (outcome.attempts > 1
-               ? " (after " + std::to_string(outcome.attempts) + " attempts)"
-               : std::string())),
-      point_index(index),
-      point_label(label),
-      status(outcome.status) {}
-
 SweepRunner::SweepRunner(SweepOptions options)
     : options_(std::move(options)) {}
 
@@ -386,22 +363,6 @@ SweepReport SweepRunner::run_outcomes(const std::vector<SweepPoint>& points) {
                  sink.path().c_str(), sink.path().c_str());
   }
   return report;
-}
-
-std::vector<ExperimentResult> SweepRunner::run(
-    const std::vector<SweepPoint>& points) {
-  SweepReport report = run_outcomes(points);
-  for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
-    if (!report.outcomes[i].ok()) {
-      throw SweepError(i, points[i].label, report.outcomes[i]);
-    }
-  }
-  std::vector<ExperimentResult> results;
-  results.reserve(report.outcomes.size());
-  for (PointOutcome& o : report.outcomes) {
-    results.push_back(std::move(o.result));
-  }
-  return results;
 }
 
 std::size_t sweep_threads_from_env() {

@@ -38,7 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -161,19 +160,6 @@ struct SweepReport {
   }
 };
 
-/// Thrown by SweepRunner::run() (the strict all-or-nothing API) when any
-/// point did not complete: names the first failing point's index, label and
-/// captured error so callers see *which* config failed.
-class SweepError : public std::runtime_error {
- public:
-  SweepError(std::size_t index, const std::string& label,
-             const PointOutcome& outcome);
-
-  std::size_t point_index = 0;
-  std::string point_label;
-  PointStatus status = PointStatus::kError;
-};
-
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});
@@ -182,11 +168,6 @@ class SweepRunner {
   /// returns the per-point outcomes in point order. Never throws for a
   /// point failure — errors, timeouts and skips are data in the report.
   SweepReport run_outcomes(const std::vector<SweepPoint>& points);
-
-  /// Strict wrapper: runs every point and returns the results in point
-  /// order, or throws SweepError describing the first point that did not
-  /// complete ok.
-  std::vector<ExperimentResult> run(const std::vector<SweepPoint>& points);
 
   /// Wall-clock, pool and outcome statistics of the last run.
   const SweepStats& stats() const { return stats_; }

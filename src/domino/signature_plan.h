@@ -55,8 +55,6 @@ class SignaturePlan {
   std::size_t rop_code() const { return domain_size_ + 1; }
 
   std::size_t num_nodes() const { return num_nodes_; }
-  /// Node codes the selected Gold set supports (its length).
-  std::size_t domain_size() const { return domain_size_; }
 
  private:
   std::size_t num_nodes_;

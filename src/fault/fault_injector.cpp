@@ -8,35 +8,30 @@
 
 namespace dmn::fault {
 
-FaultInjector::FaultInjector(sim::Simulator& sim, std::size_t num_nodes,
-                             const FaultPlan& plan, Rng rng)
-    : sim_(sim), plan_(plan), rng_(std::move(rng)) {
-  // Draw per-node skews up front so lookup order cannot perturb the RNG
-  // stream; all-zero when the knob is off (no draws consumed).
-  skew_ppm_.assign(num_nodes, 0.0);
-  if (plan_.clock.any()) {
-    for (double& s : skew_ppm_) {
-      s = rng_.uniform(-plan_.clock.max_skew_ppm, plan_.clock.max_skew_ppm);
+namespace {
+
+/// Per-node clock skews, drawn up front so lookup order cannot perturb the
+/// RNG stream; all-zero when the knob is off (no draws consumed).
+std::vector<double> draw_skews(const ClockFaults& clock, std::size_t num_nodes,
+                               Rng& rng) {
+  std::vector<double> skew(num_nodes, 0.0);
+  if (clock.any()) {
+    for (double& s : skew) {
+      s = rng.uniform(-clock.max_skew_ppm, clock.max_skew_ppm);
     }
   }
-  std::size_t lanes = 1;
-  if (sim_.partitioned()) {
-    lanes = sim_.partition_count() + 1;  // + wired queue
-    lane_rngs_.reserve(lanes);
-    for (std::size_t i = 0; i < lanes; ++i) lane_rngs_.push_back(rng_.fork());
-  }
-  lane_counters_.resize(lanes);
+  return skew;
 }
 
-Rng& FaultInjector::lane_rng() {
-  if (lane_rngs_.empty()) return rng_;
-  return lane_rngs_[sim_.active_queue_index()];
-}
+}  // namespace
 
-FaultCounters& FaultInjector::lane_counters() {
-  if (lane_counters_.size() == 1) return lane_counters_[0];
-  return lane_counters_[sim_.active_queue_index()];
-}
+FaultInjector::FaultInjector(sim::Simulator& sim, std::size_t num_nodes,
+                             const FaultPlan& plan, Rng rng)
+    : sim_(sim),
+      plan_(plan),
+      skew_ppm_(draw_skews(plan_.clock, num_nodes, rng)),
+      rng_(sim, std::move(rng)),
+      lane_counters_(sim.queue_count()) {}
 
 FaultCounters FaultInjector::counters() const {
   FaultCounters out;
@@ -69,7 +64,7 @@ void FaultInjector::note_trigger_loss() {
 wired::DeliveryMod FaultInjector::backbone_delivery() {
   wired::DeliveryMod mod;
   const BackboneFaults& bf = plan_.backbone;
-  Rng& rng = lane_rng();
+  Rng& rng = rng_.active();
   FaultCounters& counters = lane_counters();
   if (rng.chance(bf.drop_rate)) {
     mod.copies = 0;
@@ -87,21 +82,18 @@ wired::DeliveryMod FaultInjector::backbone_delivery() {
   return mod;
 }
 
-void FaultInjector::arm_medium(phy::Medium& medium, TimeNs duration) {
-  arm_mediums({&medium}, duration);
-}
-
-void FaultInjector::arm_mediums(const std::vector<phy::Medium*>& mediums,
-                                TimeNs duration) {
+void FaultInjector::arm_mediums(
+    const std::vector<std::unique_ptr<phy::Medium>>& mediums,
+    TimeNs duration) {
   const InterferenceFaults& intf = plan_.interference;
   if (!intf.any() || intf.period <= 0 || mediums.empty()) return;
-  // Random burst phase (one draw, identical whether the run is partitioned
-  // or not), then a self-rescheduling on/off chain per medium: one pending
+  // Random burst phase (one draw from the root stream, whatever the queue
+  // count), then a self-rescheduling on/off chain per medium: one pending
   // event at a time per chain regardless of run length. Each chain lives on
-  // its medium's partition queue; the environment-wide interferer is
-  // counted once, on the first chain.
+  // its medium's queue; the environment-wide interferer is counted once, on
+  // the first chain.
   const TimeNs phase = static_cast<TimeNs>(
-      rng_.uniform(0.0, static_cast<double>(intf.period)));
+      rng_.root().uniform(0.0, static_cast<double>(intf.period)));
   for (std::size_t i = 0; i < mediums.size(); ++i) {
     sim::Simulator::Scope scope(sim_, static_cast<std::uint32_t>(i));
     schedule_burst(*mediums[i], phase, duration, /*count_bursts=*/i == 0);

@@ -8,26 +8,25 @@
 // was actually injected — benches and tests read them back through
 // ExperimentResult.
 //
-// Thread safety: an injector belongs to exactly one Experiment. Under the
-// partitioned kernel its decisions are taken from every event queue, so
-// both the RNG streams and the counters are striped into per-queue lanes
-// (node partitions + the wired queue): each lane is only touched by its
-// queue's executing thread, and counters() merges the lanes on read. The
-// lane split is what keeps 1-thread and N-thread results bit-identical —
-// a fault decision consumes randomness from the lane of the queue that
-// asked, a pure function of that queue's event stream.
+// Thread safety: an injector belongs to exactly one Experiment. Its
+// decisions are taken from every event queue, so both the RNG streams
+// (sim/rng_lanes.h) and the counters are striped into per-queue lanes: each
+// lane is only touched by its queue's executing thread, and counters()
+// merges the lanes on read. The lane split is what keeps 1-thread and
+// N-thread results bit-identical — a fault decision consumes randomness
+// from the lane of the queue that asked, a pure function of that queue's
+// event stream.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "fault/fault_plan.h"
+#include "sim/rng_lanes.h"
 #include "util/rng.h"
 #include "util/time.h"
 #include "wired/backbone.h"
 
-namespace dmn::sim {
-class Simulator;
-}
 namespace dmn::phy {
 class Medium;
 }
@@ -48,21 +47,22 @@ struct FaultCounters {
 class FaultInjector {
  public:
   /// `num_nodes` sizes the per-node clock-skew table; skews are drawn at
-  /// construction so lookup order cannot affect the RNG stream.
+  /// construction so lookup order cannot affect the RNG stream. Must be
+  /// built after Simulator::configure_partitions (it forks the RNG lanes).
   FaultInjector(sim::Simulator& sim, std::size_t num_nodes,
                 const FaultPlan& plan, Rng rng);
 
   const FaultPlan& plan() const { return plan_; }
 
   /// Schedules the medium-level impairments (interference burst on/off
-  /// chain) for a run of `duration`. Called once by the experiment facade
-  /// before the simulation starts, so every scheme sees identical bursts.
-  void arm_medium(phy::Medium& medium, TimeNs duration);
-
-  /// Partitioned runs: replicates the burst chain onto every partition's
-  /// medium (same phase, drawn once) so each partition sees the identical
-  /// external interferer. Bursts are counted once (on the first chain).
-  void arm_mediums(const std::vector<phy::Medium*>& mediums, TimeNs duration);
+  /// chain) for a run of `duration`, one chain per medium: `mediums[q]`
+  /// carries node queue q's airtime. Every chain shares one phase, drawn
+  /// once, so each queue sees the identical external interferer; bursts
+  /// are counted once (on the first chain). Called once by the experiment
+  /// facade before the simulation starts, so every scheme sees identical
+  /// bursts.
+  void arm_mediums(const std::vector<std::unique_ptr<phy::Medium>>& mediums,
+                   TimeNs duration);
 
   // ---- backbone ----------------------------------------------------------
 
@@ -110,19 +110,17 @@ class FaultInjector {
  private:
   void schedule_burst(phy::Medium& medium, TimeNs at, TimeNs until,
                       bool count_bursts);
-  Rng& lane_rng();
-  FaultCounters& lane_counters();
+  FaultCounters& lane_counters() {
+    return lane_counters_[sim_.active_queue_index()];
+  }
 
   sim::Simulator& sim_;
   FaultPlan plan_;
-  Rng rng_;
-  /// Per-queue RNG lanes, forked from rng_ at construction when the
-  /// simulator is partitioned; empty otherwise (rng_ is the single lane,
-  /// preserving the historical stream byte-for-byte).
-  std::vector<Rng> lane_rngs_;
-  /// Per-queue counter lanes; always at least one.
-  std::vector<FaultCounters> lane_counters_;
+  /// Drawn from the root stream before the lanes fork.
   std::vector<double> skew_ppm_;
+  sim::RngLanes rng_;
+  /// One counter lane per event queue.
+  std::vector<FaultCounters> lane_counters_;
 };
 
 }  // namespace dmn::fault

@@ -77,7 +77,6 @@ class DcfNode final : public MacEntity, public phy::MediumClient {
   void begin_difs();
   void begin_backoff();
   void pause_backoff();
-  void resume_backoff_when_idle();
   void transmit_head();
   void on_ack_timeout();
   void head_done(bool success);

@@ -60,7 +60,6 @@ struct RopParams {
   /// Seed for the deterministic symbol-partition permutation (non-legacy).
   std::uint64_t assign_seed = 1;
 
-  std::size_t bits_per_client() const { return data_per_subchannel; }
   std::size_t max_queue_report() const {
     return (std::size_t{1} << data_per_subchannel) - 1;  // 63
   }

@@ -197,10 +197,6 @@ void Simulator::post_at(TimeNs at, EventFn fn) {
 }
 
 void Simulator::post_to_queue(std::uint32_t dst, TimeNs at, EventFn fn) {
-  if (partitions_ == 0) {
-    post_at(at, std::move(fn));
-    return;
-  }
   if (dst >= queues_.size()) {
     throw std::out_of_range("sim: post_to_queue destination " +
                             std::to_string(dst) + " out of range");

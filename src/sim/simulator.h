@@ -122,6 +122,13 @@ class Simulator {
   bool partitioned() const { return partitions_ != 0; }
   /// Number of node partitions (0 when not partitioned).
   std::uint32_t partition_count() const { return partitions_; }
+  /// Number of event queues: 1 for the single-queue kernel, the node
+  /// partitions plus the wired queue otherwise. Per-queue state (RNG and
+  /// counter lanes, auditors) is sized by this and indexed by
+  /// active_queue_index() / queue_of_node() / wired_queue_index().
+  std::uint32_t queue_count() const {
+    return static_cast<std::uint32_t>(queues_.size());
+  }
   TimeNs lookahead() const { return lookahead_; }
 
   /// Queue carrying a node's events: its partition when partitioned, the
@@ -175,10 +182,11 @@ class Simulator {
   }
 
   /// Schedules `fn` at absolute time `at` on queue `dst`. Falls back to
-  /// post_at() when not partitioned or when `dst` is the active queue;
-  /// otherwise appends to dst's inbox in (time, source queue, source seq)
-  /// order. Cross-queue sends must respect the lookahead contract
-  /// (`at >= now() + lookahead()`); violations throw std::logic_error.
+  /// post_at() when `dst` is the active queue (always so on the
+  /// single-queue kernel); otherwise appends to dst's inbox in (time,
+  /// source queue, source seq) order. Cross-queue sends must respect the
+  /// lookahead contract (`at >= now() + lookahead()`); violations throw
+  /// std::logic_error.
   void post_to_queue(std::uint32_t dst, TimeNs at, EventFn fn);
 
   /// Cancel a pending event. No-op if already run or cancelled. Only valid

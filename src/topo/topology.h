@@ -91,7 +91,6 @@ class Topology {
   const Node& node(NodeId id) const { return nodes_.at(
       static_cast<std::size_t>(id)); }
   const std::vector<Node>& nodes() const { return nodes_; }
-  const RssMap& rss_map() const { return rss_; }
   const PhyThresholds& thresholds() const { return thresholds_; }
 
   double rss(NodeId a, NodeId b) const { return rss_.rss(a, b); }

@@ -7,18 +7,7 @@
 namespace dmn::wired {
 
 Backbone::Backbone(sim::Simulator& sim, const BackboneParams& params, Rng rng)
-    : sim_(sim), params_(params), rng_(std::move(rng)) {
-  if (sim_.partitioned()) {
-    const std::uint32_t lanes = sim_.partition_count() + 1;  // + wired
-    lanes_.reserve(lanes);
-    for (std::uint32_t i = 0; i < lanes; ++i) lanes_.push_back(rng_.fork());
-  }
-}
-
-Rng& Backbone::lane_rng() {
-  if (lanes_.empty()) return rng_;
-  return lanes_[sim_.active_queue_index()];
-}
+    : sim_(sim), params_(params), rng_(sim, std::move(rng)) {}
 
 TimeNs Backbone::sample_latency(Rng& rng) {
   const double s = rng.normal(static_cast<double>(params_.mean_latency),
@@ -26,7 +15,7 @@ TimeNs Backbone::sample_latency(Rng& rng) {
   return std::max(params_.min_latency, static_cast<TimeNs>(s));
 }
 
-TimeNs Backbone::sample_latency() { return sample_latency(lane_rng()); }
+TimeNs Backbone::sample_latency() { return sample_latency(rng_.active()); }
 
 void Backbone::send(std::function<void()> fn) {
   deliver(Route::kActive, topo::kNoNode, std::move(fn));
@@ -45,7 +34,7 @@ void Backbone::deliver(Route route, topo::NodeId node,
   // Single delivery path: the unimpaired case is DeliveryMod{1, 0}, so the
   // hook-free RNG stream and event order are identical to a build without
   // fault support at all.
-  Rng& rng = lane_rng();
+  Rng& rng = rng_.active();
   const TimeNs latency = sample_latency(rng);
   DeliveryMod mod;
   if (fault_hook_) mod = fault_hook_();

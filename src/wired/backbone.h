@@ -15,14 +15,14 @@
 // Partitioned kernel: min_latency is the conservative lookahead bound of
 // src/sim/simulator.h, so every delivery — including every faulted copy —
 // must take at least min_latency. send_to_node()/send_to_wired() route a
-// delivery to the destination's event queue; when the simulator is
-// partitioned, each queue samples from its own forked RNG lane so the
-// latency stream is a pure function of the sending queue's computation
-// (byte-stable at any thread count).
+// delivery to the destination's event queue, and each queue samples from
+// its own RNG lane (sim/rng_lanes.h) so the latency stream is a pure
+// function of the sending queue's computation (byte-stable at any thread
+// count).
 
 #include <functional>
-#include <vector>
 
+#include "sim/rng_lanes.h"
 #include "sim/simulator.h"
 #include "topo/node.h"
 #include "util/rng.h"
@@ -77,15 +77,11 @@ class Backbone {
   enum class Route { kActive, kNode, kWired };
 
   void deliver(Route route, topo::NodeId node, std::function<void()> fn);
-  Rng& lane_rng();
   TimeNs sample_latency(Rng& rng);
 
   sim::Simulator& sim_;
   BackboneParams params_;
-  Rng rng_;
-  /// Per-queue RNG lanes (node partitions + wired), forked from rng_ at
-  /// construction when the simulator is partitioned; empty otherwise.
-  std::vector<Rng> lanes_;
+  sim::RngLanes rng_;
   FaultHook fault_hook_;
 };
 

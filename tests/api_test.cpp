@@ -130,15 +130,6 @@ TEST(Experiment, TcpOverDcfConverges) {
   EXPECT_GT(r.throughput_mbps(), 3.0);
 }
 
-TEST(Experiment, SummarizeMentionsKeyNumbers) {
-  ExperimentResult r;
-  r.aggregate_throughput_bps = 12.5e6;
-  r.jain_fairness = 0.93;
-  const std::string s = summarize(r);
-  EXPECT_NE(s.find("12.50"), std::string::npos);
-  EXPECT_NE(s.find("0.930"), std::string::npos);
-}
-
 TEST(Experiment, TraceDrivenTmnAllSchemesRun) {
   Rng rng(5);
   const auto trace = topo::synthesize_trace({}, rng);

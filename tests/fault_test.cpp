@@ -16,6 +16,7 @@
 #include "api/experiment.h"
 #include "api/scheme_stack.h"
 #include "api/sweep.h"
+#include "api/sweep_io.h"
 #include "domino/domino_mac.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
@@ -308,19 +309,16 @@ TEST(FaultDeterminism, SerialAndPooledSweepsIdenticalUnderFaults) {
   const auto points = api::seed_sweep(two_cells(), cfg, 1, 8);
   api::SweepRunner serial({1, nullptr});
   api::SweepRunner pooled({4, nullptr});
-  const auto a = serial.run(points);
-  const auto b = pooled.run(points);
-  ASSERT_EQ(a.size(), 8u);
-  ASSERT_EQ(b.size(), 8u);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("point " + std::to_string(i));
-    expect_identical(a[i], b[i]);
-  }
+  const api::SweepReport a = serial.run_outcomes(points);
+  const api::SweepReport b = pooled.run_outcomes(points);
+  ASSERT_EQ(a.outcomes.size(), 8u);
+  ASSERT_TRUE(a.all_ok());
+  EXPECT_EQ(api::serialize_report(a), api::serialize_report(b));
   // The plan actually fired (this is not a vacuous comparison).
   std::uint64_t drops = 0, losses = 0;
-  for (const auto& r : a) {
-    drops += r.fault_backbone_drops;
-    losses += r.domino_forced_trigger_losses;
+  for (const api::PointOutcome& o : a.outcomes) {
+    drops += o.result.fault_backbone_drops;
+    losses += o.result.domino_forced_trigger_losses;
   }
   EXPECT_GT(drops, 0u);
   EXPECT_GT(losses, 0u);

@@ -18,6 +18,7 @@
 #include "api/stacks/dcf_stack.h"
 #include "api/sweep.h"
 #include "api/sweep_io.h"
+#include "audit/audit.h"
 #include "topo/dynamics.h"
 #include "topo/topology.h"
 
@@ -137,27 +138,24 @@ TEST(SweepRunner, ParallelIdenticalToSerial16Seeds) {
 
     SweepRunner serial({1, nullptr});
     SweepRunner pooled({4, nullptr});
-    const auto a = serial.run(points);
-    const auto b = pooled.run(points);
+    const SweepReport a = serial.run_outcomes(points);
+    const SweepReport b = pooled.run_outcomes(points);
     EXPECT_EQ(serial.stats().threads, 1u);
     EXPECT_EQ(pooled.stats().threads, 4u);
-    ASSERT_EQ(a.size(), 16u);
-    ASSERT_EQ(b.size(), 16u);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      SCOPED_TRACE(std::string(to_string(s)) + " point " +
-                   std::to_string(i));
-      expect_identical(a[i], b[i]);
-    }
+    ASSERT_EQ(a.outcomes.size(), 16u);
+    EXPECT_TRUE(a.all_ok()) << to_string(s);
+    EXPECT_EQ(serialize_report(a), serialize_report(b)) << to_string(s);
   }
 }
 
 TEST(SweepRunner, DistinctSeedsGiveDistinctResults) {
   ExperimentConfig cfg = base_config();
   cfg.scheme = Scheme::kDcf;
-  const auto results = SweepRunner({2, nullptr})
-                           .run(seed_sweep(two_cells(), cfg, 1, 2));
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_NE(results[0].mean_delay_us, results[1].mean_delay_us);
+  const SweepReport report = SweepRunner({2, nullptr})
+                                 .run_outcomes(seed_sweep(two_cells(), cfg,
+                                                          1, 2));
+  ASSERT_TRUE(report.all_ok());
+  EXPECT_NE(report.result(0).mean_delay_us, report.result(1).mean_delay_us);
 }
 
 TEST(SweepRunner, ProgressCallbackCoversAllPoints) {
@@ -171,31 +169,12 @@ TEST(SweepRunner, ProgressCallbackCoversAllPoints) {
     seen.push_back(done);
   };
   SweepRunner runner(opts);
-  const auto results = runner.run(seed_sweep(two_cells(), cfg, 1, 6));
-  EXPECT_EQ(results.size(), 6u);
+  const SweepReport report =
+      runner.run_outcomes(seed_sweep(two_cells(), cfg, 1, 6));
+  EXPECT_EQ(report.outcomes.size(), 6u);
   EXPECT_EQ(seen.size(), 6u);
   EXPECT_GT(runner.stats().wall_seconds, 0.0);
   EXPECT_EQ(runner.stats().points, 6u);
-}
-
-// The strict API runs every point (no worker can die mid-pool) and then
-// reports the first failure as a typed SweepError naming the point.
-TEST(SweepRunner, PointFailureRethrownOnCaller) {
-  ExperimentConfig cfg = base_config();
-  cfg.duration = msec(50);
-  auto points = seed_sweep(two_cells(), cfg, 1, 4);
-  points[2].config.scheme_name = "NO-SUCH-SCHEME";
-  SweepRunner runner({2, nullptr});
-  try {
-    runner.run(points);
-    FAIL() << "expected SweepError";
-  } catch (const SweepError& e) {
-    EXPECT_EQ(e.point_index, 2u);
-    EXPECT_EQ(e.status, PointStatus::kError);
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("point 2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("NO-SUCH-SCHEME"), std::string::npos) << msg;
-  }
 }
 
 // ---- result codec ----------------------------------------------------------
@@ -330,6 +309,121 @@ TEST(ResultCodec, PinnedBytesChurn) {
   cfg.dynamics.roam.enabled = true;
   cfg.dynamics.roam.min_dwell = msec(40);
   expect_pinned(serialized_run(t, cfg), kChurnBytes);
+}
+
+constexpr const char* kCampusDcfBytes = R"(
+{"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
+"throughput_bps":3618133.3333333335,"mean_delay_us":55481.140396226416,
+"delivered":106},{"flow_id":1,"src":1,"dst":3,"uplink":false,
+"throughput_bps":3754666.666666667,"mean_delay_us":53043.828272727274,
+"delivered":110},{"flow_id":2,"src":4,"dst":6,"uplink":false,
+"throughput_bps":3788800,"mean_delay_us":56145.284315315315,
+"delivered":111},{"flow_id":3,"src":5,"dst":7,"uplink":false,
+"throughput_bps":3584000,"mean_delay_us":51976.479314285716,
+"delivered":105}],"aggregate_throughput_bps":14745600,
+"jain_fairness":0.99944304014395258,"mean_delay_us":54179.34925694445,
+"ack_timeouts":45,"mac_drops":3368,"census_hidden":0,"census_exposed":2,
+"census_total":6,"domino_self_starts":0,"domino_missed_rows":0,
+"domino_rows_executed":0,"domino_untriggerable":0,"domino_batches":0,
+"domino_retry_drops":0,"domino_anchor_rejections":0,
+"domino_forced_trigger_losses":0,"domino_controller_outage_skips":0,
+"recovery_slots":[],"ap_health":[],"fault_backbone_drops":0,
+"fault_backbone_dups":0,"fault_backbone_spikes":0,
+"fault_interference_bursts":24,"fault_controller_outage_skips":0,
+"fault_forced_trigger_losses":0,"fault_forced_false_positives":0,
+"lifecycle_epochs":0,"lifecycle_rss_updates":0,"lifecycle_joins":0,
+"lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
+"lifecycle_join_rejections":0})";
+
+constexpr const char* kCampusDominoBytes = R"(
+{"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
+"throughput_bps":6075733.333333334,"mean_delay_us":46738.426741573036,
+"delivered":178},{"flow_id":1,"src":1,"dst":3,"uplink":false,
+"throughput_bps":6826666.666666667,"mean_delay_us":41480.04406,
+"delivered":200},{"flow_id":2,"src":4,"dst":6,"uplink":false,
+"throughput_bps":6860800,"mean_delay_us":41612.108084577114,
+"delivered":201},{"flow_id":3,"src":5,"dst":7,"uplink":false,
+"throughput_bps":6382933.333333334,"mean_delay_us":42870.630534759359,
+"delivered":187}],"aggregate_throughput_bps":26146133.333333336,
+"jain_fairness":0.99751791858772987,"mean_delay_us":43076.097137075718,
+"ack_timeouts":175,"mac_drops":0,"census_hidden":0,"census_exposed":2,
+"census_total":6,"domino_self_starts":8,"domino_missed_rows":0,
+"domino_rows_executed":947,"domino_untriggerable":0,"domino_batches":27,
+"domino_retry_drops":0,"domino_anchor_rejections":6,
+"domino_forced_trigger_losses":10,"domino_controller_outage_skips":0,
+"recovery_slots":[0.019202048218476639,0.019202048218476639,
+0.019202048218476639,0.019202048218476639,0.019202048218476639,
+0.019202048218476639,0.019202048218476639,0.019202048218476639,
+0.019202048218476639,0.019202048218476639],"ap_health":[{"ap":0,
+"self_starts":4,"missed_rows":0,"ack_timeouts":40,"retry_drops":0,
+"anchor_rejections":4,"forced_trigger_losses":2,"recovery_samples":2},
+{"ap":1,"self_starts":1,"missed_rows":0,"ack_timeouts":46,
+"retry_drops":0,"anchor_rejections":0,"forced_trigger_losses":3,
+"recovery_samples":3},{"ap":4,"self_starts":1,"missed_rows":0,
+"ack_timeouts":45,"retry_drops":0,"anchor_rejections":0,
+"forced_trigger_losses":3,"recovery_samples":3},{"ap":5,"self_starts":2,
+"missed_rows":0,"ack_timeouts":44,"retry_drops":0,"anchor_rejections":2,
+"forced_trigger_losses":2,"recovery_samples":2}],
+"fault_backbone_drops":13,"fault_backbone_dups":6,
+"fault_backbone_spikes":12,"fault_interference_bursts":24,
+"fault_controller_outage_skips":0,"fault_forced_trigger_losses":10,
+"fault_forced_false_positives":0,"lifecycle_epochs":0,
+"lifecycle_rss_updates":0,"lifecycle_joins":0,"lifecycle_leaves":0,
+"lifecycle_roams":0,"lifecycle_roam_rejections":0,
+"lifecycle_join_rejections":0})";
+
+/// Two radio-isolated buildings, each a sensing AP pair with one client per
+/// AP: two interference partitions plus the wired queue.
+topo::Topology two_building_campus() {
+  topo::ManualTopologyBuilder b;
+  for (int k = 0; k < 2; ++k) {
+    const auto a0 = b.add_ap();
+    const auto a1 = b.add_ap();
+    b.sense(a0, a1);
+    b.add_client(a0);
+    b.add_client(a1);
+  }
+  return b.build();
+}
+
+// Partitioned campus bytes pinned against an earlier build, at 1 and 4
+// threads. Backbone drop/dup/spike and signature false negatives draw from
+// the per-queue RNG lanes, the interference burst phase from the root
+// stream, and every check lands on its queue's auditor: moving the lane
+// forking order, the phase draw or the per-queue auditor wiring changes
+// the bytes or the audit check count.
+TEST(ResultCodec, PinnedBytesPartitionedCampusWithFaultsAndAudit) {
+  const struct {
+    Scheme scheme;
+    const char* bytes;
+    std::uint64_t checks_run;
+  } cases[] = {{Scheme::kDcf, kCampusDcfBytes, 6552},
+               {Scheme::kDomino, kCampusDominoBytes, 12783}};
+  const auto t = two_building_campus();
+  for (const auto& c : cases) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(to_string(c.scheme)) + " at " +
+                   std::to_string(threads) + " threads");
+      ExperimentConfig cfg;
+      cfg.scheme = c.scheme;
+      cfg.duration = msec(120);
+      cfg.seed = 7;
+      cfg.traffic.saturate_downlink = true;
+      cfg.sim_threads = threads;
+      cfg.faults.backbone.drop_rate = 0.05;
+      cfg.faults.backbone.dup_rate = 0.05;
+      cfg.faults.backbone.spike_rate = 0.05;
+      cfg.faults.interference.duty = 0.1;
+      cfg.faults.signature.false_negative_rate = 0.02;
+      cfg.audit.mode = audit::AuditMode::kRecord;
+      const ExperimentResult r = run_experiment(t, cfg);
+      EXPECT_EQ(r.sim_partitions, 2u);
+      expect_pinned(serialize_result(r), c.bytes);
+      ASSERT_NE(r.audit, nullptr);
+      EXPECT_EQ(r.audit->checks_run, c.checks_run);
+      EXPECT_TRUE(r.audit->violation_free()) << r.audit->summary();
+    }
+  }
 }
 
 /// Every `cls` field the tables reach from `x`, flattened to path -> value
