@@ -51,12 +51,17 @@ int main() {
       gain = dom.aggregate_throughput_bps / dcf.aggregate_throughput_bps;
       gains.push_back(gain);
     }
-    std::printf("run %2d: gain %.2fx\n", run, gain);
+    // Plan age: how old the plan row an AP polls from is when it polls.
+    std::printf("run %2d: gain %.2fx  plan age mean %.0f us, max %.0f us\n",
+                run, gain, dom.domino_plan_age_us_mean,
+                dom.domino_plan_age_us_max);
     json.add_row()
         .num("run", run)
         .num("dcf_mbps", dcf.throughput_mbps())
         .num("domino_mbps", dom.throughput_mbps())
-        .num("gain", gain);
+        .num("gain", gain)
+        .num("plan_age_us_mean", dom.domino_plan_age_us_mean)
+        .num("plan_age_us_max", dom.domino_plan_age_us_max);
   }
 
   std::sort(gains.begin(), gains.end());

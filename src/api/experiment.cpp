@@ -439,32 +439,16 @@ struct Experiment::Impl {
       as.insert_fake_links = cfg.converter.insert_fake_links;
       as.rop_max_report = static_cast<unsigned>(cfg.rop.max_queue_report());
       as.signature_forging = cfg.faults.signature.false_positive_rate > 0.0;
-      // Multi-symbol polling relaxations (all default to the legacy paper
-      // invariants when poll_mode is kLegacy).
-      as.poll_symbol_budget =
-          cfg.rop.poll_mode == rop::PollMode::kLegacy
-              ? 1u
-              : static_cast<unsigned>(cfg.rop.max_poll_symbols);
-      as.adaptive_polling = cfg.rop.poll_mode == rop::PollMode::kAdaptive;
-      if (cfg.rop.poll_mode != rop::PollMode::kLegacy) {
-        // Multi-symbol rosters carry every client each round; adaptive
-        // rosters may defer an idle client up to adaptive_max_interval
-        // rounds. One round of grace absorbs the planning/air skew.
-        as.starvation_rounds = static_cast<unsigned>(
-            (cfg.rop.poll_mode == rop::PollMode::kAdaptive
-                 ? cfg.rop.adaptive_max_interval
-                 : 1) +
-            1);
-        if (cfg.dynamics.any()) {
-          // Under a dynamic topology every join/leave/roam re-partitions
-          // the poll plan while already-planned batches are still on the
-          // air, so subchannel reassignment is sanctioned (as in adaptive
-          // mode) and the starvation bound gains pipeline slack: a client
-          // rejoining mid-batch is absent from the rosters planned before
-          // its join until the re-planned batch reaches the air.
-          as.adaptive_polling = true;
-          as.starvation_rounds += 4;
-        }
+      as.poll_symbol_budget = static_cast<unsigned>(cfg.rop.symbol_cap());
+      if (cfg.rop.poll_mode == rop::PollMode::kAdaptive) {
+        // Rosters reassign subchannels and defer idle clients up to
+        // adaptive_max_interval rounds, plus one round of planning/air
+        // skew; churn adds pipeline slack (rosters planned before a join
+        // air after it).
+        as.adaptive_polling = true;
+        as.starvation_rounds =
+            static_cast<unsigned>(cfg.rop.adaptive_max_interval + 1) +
+            (cfg.dynamics.any() ? 4u : 0u);
       }
       // One auditor per event queue, each watching its queue's medium (a
       // wired queue of its own has none).

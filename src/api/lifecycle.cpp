@@ -284,9 +284,8 @@ void LifecycleDriver::handle_join(topo::NodeId node, TimeNs now) {
       target != topo::kNoNode &&
       (!hooks_.try_attach || hooks_.try_attach(node, target));
   if (!attached) {
-    // No admissible AP: out of range, the (single, legacy) poll symbol is
-    // full, or in the multi-symbol modes every poll symbol is full — the
-    // AP hit rop.client_capacity(). Stay absent and retry one epoch later.
+    // No admissible AP: out of range, or every poll slot of the AP is
+    // taken (rop.client_capacity()). Stay absent and retry one epoch later.
     // Re-isolating restores the exact pre-join rows, so the medium never
     // needs a refresh for this no-op.
     ++counters_.join_rejections;

@@ -73,6 +73,10 @@ struct ExperimentResult {
   std::uint64_t domino_poll_rounds = 0;
   std::uint64_t domino_poll_symbols = 0;
   double domino_poll_staleness_rounds = 0.0;
+  /// Age of the plan row an AP polls from, over every DOMINO poll: the
+  /// time from the controller planning the row to the AP polling (us).
+  double domino_plan_age_us_mean = 0.0;
+  double domino_plan_age_us_max = 0.0;
 
   /// Ground-truth totals of what the fault injector actually injected
   /// (all zero when the experiment ran without faults).
@@ -208,6 +212,8 @@ void visit_fields(E& r, Visit&& visit) {
   visit("domino_poll_symbols", kTelemetry, r.domino_poll_symbols);
   visit("domino_poll_staleness_rounds", kTelemetry,
         r.domino_poll_staleness_rounds);
+  visit("domino_plan_age_us_mean", kTelemetry, r.domino_plan_age_us_mean);
+  visit("domino_plan_age_us_max", kTelemetry, r.domino_plan_age_us_max);
   visit("fault_backbone_drops", kResult, r.fault_backbone_drops);
   visit("fault_backbone_dups", kResult, r.fault_backbone_dups);
   visit("fault_backbone_spikes", kResult, r.fault_backbone_spikes);

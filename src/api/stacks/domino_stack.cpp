@@ -1,6 +1,8 @@
 #include "api/stacks/domino_stack.h"
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -54,59 +56,27 @@ void DominoStack::build(StackContext& ctx,
         domino::DominoController::PollDefect::kStarveClient);
   }
 
-  // APs with subchannel allocation for their clients.
+  // APs, each with its static poll slot table.
   topo_ = &topo;
-  rop_ = cfg.rop;
-  num_subchannels_ = cfg.rop.num_subchannels;
-  rop::SubchannelAllocator alloc(cfg.rop);
-  rop::PollPlanner planner(cfg.rop);
-  std::map<topo::NodeId, std::size_t> subchannel_of;
+  const rop::PollPlanner planner(cfg.rop);
+  std::map<topo::NodeId, rop::PollSlot> slot_of;
   for (topo::NodeId ap : topo.aps()) {
     const std::vector<topo::NodeId> clients = topo.clients_of(ap);
-    // Legacy mode executes every ROP poll in a single symbol, so each
-    // client needs a dedicated subchannel — two clients on the same
-    // subchannel would answer the same poll and collide silently. The
-    // multi-symbol modes lift the ceiling to subchannels x max_poll_symbols.
+    // Each client needs a slot of its own: two clients on one (symbol,
+    // subchannel) would answer the same poll and collide silently.
     if (clients.size() > cfg.rop.client_capacity()) {
-      if (cfg.rop.poll_mode == rop::PollMode::kLegacy) {
-        throw std::invalid_argument(
-            "DOMINO: AP " + std::to_string(ap) + " serves " +
-            std::to_string(clients.size()) +
-            " clients but ROP polls at most " +
-            std::to_string(cfg.rop.num_subchannels) +
-            " subchannels per symbol; split the BSS, raise "
-            "rop.num_subchannels, or set rop.poll_mode to multi_symbol");
-      }
+      const std::string subs = std::to_string(cfg.rop.num_subchannels);
       throw std::invalid_argument(
           "DOMINO: AP " + std::to_string(ap) + " serves " +
           std::to_string(clients.size()) + " clients but " +
-          std::to_string(cfg.rop.max_poll_symbols) + " poll symbols x " +
-          std::to_string(cfg.rop.num_subchannels) +
-          " subchannels cap a BSS at " +
-          std::to_string(cfg.rop.client_capacity()) +
-          " clients; split the BSS or raise rop.max_poll_symbols");
+          (cfg.rop.symbol_cap() == 1
+               ? "ROP polls at most " + subs + " subchannels per symbol"
+               : std::to_string(cfg.rop.symbol_cap()) + " poll symbols x " +
+                     subs + " subchannels cap a BSS at " +
+                     std::to_string(cfg.rop.client_capacity()) + " clients") +
+          "; split the BSS or poll across more symbols "
+          "(rop.poll_mode, rop.max_poll_symbols)");
     }
-    std::vector<double> rss;
-    rss.reserve(clients.size());
-    for (topo::NodeId c : clients) rss.push_back(topo.rss(ap, c));
-    // The static fallback assignment: legacy clients always answer here;
-    // multi-symbol clients use it only for a kPoll with no roster. The
-    // planner's static partition keeps per-symbol packing identical to the
-    // single-symbol allocator for populations that fit one symbol.
-    std::vector<rop::SubchannelAllocator::Assignment> assigns;
-    if (cfg.rop.poll_mode == rop::PollMode::kLegacy) {
-      assigns = alloc.assign(clients, rss);
-    } else {
-      std::vector<rop::PollClient> pcs;
-      pcs.reserve(clients.size());
-      for (std::size_t i = 0; i < clients.size(); ++i) {
-        pcs.push_back(rop::PollClient{clients[i], rss[i], 0, 0});
-      }
-      for (const rop::PollSlot& s : planner.plan_static(pcs).slots) {
-        assigns.push_back({s.client, s.subchannel, 0});
-      }
-    }
-
     // Reports ride the backbone to the controller's (wired) queue.
     auto report_fn = [this](const domino::ApReport& rep) {
       backbone_->send_to_wired([this, rep] { controller_->on_ap_report(rep); });
@@ -118,13 +88,16 @@ void DominoStack::build(StackContext& ctx,
     auto node = std::make_unique<domino::DominoApMac>(
         ctx.sim, ctx.medium_of(ap), ap, timing, *signatures_, cfg.sig_model,
         cfg.rop, ctx.rng.fork(), ctx.deliver, report_fn, ctx.trace);
-    std::vector<domino::DominoApMac::ClientInfo> infos;
-    for (const auto& a : assigns) {
-      infos.push_back(domino::DominoApMac::ClientInfo{
-          a.client, a.subchannel, topo.rss(ap, a.client)});
-      subchannel_of[a.client] = a.subchannel;
+    // Every mode seeds the AP's slot table from the static plan; kAdaptive
+    // clients use their slot only for a kPoll that carries no roster.
+    std::vector<rop::PollClient> pcs;
+    for (topo::NodeId c : clients) pcs.push_back({c, topo.rss(c, ap)});
+    rop::SlotTable& table = slots_.try_emplace(ap, cfg.rop).first->second;
+    for (const rop::PollSlot& s : planner.plan_static(pcs).slots) {
+      slot_of[s.client] = *table.take(s.client, s);
+      node->register_client({s.client, topo.rss(ap, s.client)});
     }
-    node->set_clients(std::move(infos));
+    controller_->set_poll_symbols(ap, table.symbols());
     if (ctx.faults != nullptr) {
       node->set_faults(ctx.faults);
       node->set_clock_skew_ppm(ctx.faults->clock_skew_ppm(ap));
@@ -143,14 +116,14 @@ void DominoStack::build(StackContext& ctx,
     aps_.push_back(std::move(node));
   }
   for (topo::NodeId c : topo.all_clients()) {
-    // A client its AP never assigned a subchannel would silently collide on
-    // subchannel 0; fail loudly instead so topology bugs surface.
-    const auto sc = subchannel_of.find(c);
-    if (sc == subchannel_of.end()) {
+    // A client its AP never assigned a slot would silently collide on
+    // slot 0; fail loudly instead so topology bugs surface.
+    const auto sc = slot_of.find(c);
+    if (sc == slot_of.end()) {
       throw std::runtime_error(
           "DOMINO: client " + std::to_string(c) + " (AP " +
           std::to_string(topo.node(c).ap) +
-          ") received no ROP subchannel assignment");
+          ") received no ROP slot assignment");
     }
     sim::Simulator::Scope scope(
         ctx.sim, ctx.sim.queue_of_node(static_cast<std::size_t>(c)));
@@ -197,45 +170,22 @@ bool DominoStack::on_client_attach(topo::NodeId client, topo::NodeId to) {
   // Called before the topology records the new association.
   const topo::NodeId old = topo_->node(client).ap;
 
+  // Admission control: the client needs a free poll slot at `to`. A rejoin
+  // at the same AP keeps its old slot unless another client took it
+  // meanwhile.
+  rop::SlotTable& table = slots_.at(to);
+  const std::optional<rop::PollSlot> slot =
+      table.take(client, old == to ? std::optional(c->slot()) : std::nullopt);
+  if (!slot) return false;  // every poll slot taken — rejected
+  controller_->set_poll_symbols(to, table.symbols());
+  c->reassociate(to, *slot);
+
   if (old == to) {
     // Rejoin at the same AP after a leave: the association stands, and the
     // retained dedup state keeps a lost-ACK retransmit from being
     // delivered twice.
-    new_ap->register_client(domino::DominoApMac::ClientInfo{
-        client, c->subchannel(), topo_->rss(to, client)});
+    new_ap->register_client({client, topo_->rss(to, client)});
     return true;
-  }
-
-  // Admission control. Legacy: the AP polls all clients in one ROP symbol,
-  // so a roam-in needs a dedicated free subchannel. Multi-symbol modes: the
-  // ceiling is subchannels x max_poll_symbols and the controller re-plans
-  // rosters every round, so the roam-in only needs headroom under the
-  // capacity; its fallback subchannel is the least-loaded one.
-  std::size_t subch = 0;
-  if (rop_.poll_mode == rop::PollMode::kLegacy) {
-    std::vector<bool> used(num_subchannels_, false);
-    for (const auto& info : new_ap->clients()) {
-      if (info.subchannel < used.size()) used[info.subchannel] = true;
-    }
-    subch = used.size();
-    for (std::size_t s = 0; s < used.size(); ++s) {
-      if (!used[s]) {
-        subch = s;
-        break;
-      }
-    }
-    if (subch == used.size()) return false;  // poll symbol full — rejected
-  } else {
-    if (new_ap->clients().size() >= rop_.client_capacity()) {
-      return false;  // every poll symbol full — rejected
-    }
-    std::vector<std::size_t> load(num_subchannels_, 0);
-    for (const auto& info : new_ap->clients()) {
-      if (info.subchannel < load.size()) ++load[info.subchannel];
-    }
-    for (std::size_t s = 1; s < load.size(); ++s) {
-      if (load[s] < load[subch]) subch = s;
-    }
   }
 
   std::vector<traffic::Packet> handoff;
@@ -247,11 +197,10 @@ bool DominoStack::on_client_attach(topo::NodeId client, topo::NodeId to) {
     // will retransmit it through the new AP.
     carried_dedup = it->second->take_uplink_seen(client);
     it->second->unregister_client(client);
+    release_slot(client, old);
   }
-  new_ap->register_client(
-      domino::DominoApMac::ClientInfo{client, subch, topo_->rss(to, client)});
+  new_ap->register_client({client, topo_->rss(to, client)});
   new_ap->adopt_uplink_seen(client, std::move(carried_dedup));
-  c->reassociate(to, subch);
   for (traffic::Packet& p : handoff) {
     p.src = to;  // downlink source is now the new AP
     new_ap->enqueue(std::move(p));
@@ -265,8 +214,15 @@ void DominoStack::on_client_detach(topo::NodeId client) {
   if (const auto it = ap_map_.find(old); it != ap_map_.end()) {
     (void)it->second->extract_queued_for(client);
     it->second->unregister_client(client);
+    release_slot(client, old);
   }
   controller_->on_topology_changed();
+}
+
+void DominoStack::release_slot(topo::NodeId client, topo::NodeId ap) {
+  rop::SlotTable& table = slots_.at(ap);
+  table.release(client);
+  controller_->set_poll_symbols(ap, table.symbols());
 }
 
 void DominoStack::on_conflict_graph_rebuilt() {
@@ -274,7 +230,11 @@ void DominoStack::on_conflict_graph_rebuilt() {
 }
 
 void DominoStack::collect(ExperimentResult& result) const {
+  domino::DominoApMac::PlanAge age;
   for (const auto& n : aps_) {
+    age.sum_us += n->plan_age().sum_us;
+    age.samples += n->plan_age().samples;
+    age.max_us = std::max(age.max_us, n->plan_age().max_us);
     result.ack_timeouts += n->ack_timeouts();
     result.domino_self_starts += n->self_starts();
     result.domino_missed_rows += n->missed_rows();
@@ -296,6 +256,11 @@ void DominoStack::collect(ExperimentResult& result) const {
     h.recovery_samples = lat.size();
     result.ap_chain_health.push_back(h);
   }
+  if (age.samples > 0) {
+    result.domino_plan_age_us_mean =
+        age.sum_us / static_cast<double>(age.samples);
+  }
+  result.domino_plan_age_us_max = age.max_us;
   for (const auto& n : clients_) {
     result.ack_timeouts += n->ack_timeouts();
     result.domino_anchor_rejections += n->anchor_rejections();

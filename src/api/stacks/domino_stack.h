@@ -10,7 +10,7 @@
 #include "domino/controller.h"
 #include "domino/domino_mac.h"
 #include "domino/signature_plan.h"
-#include "rop/params.h"
+#include "rop/poll_planner.h"
 #include "wired/backbone.h"
 
 namespace dmn::api {
@@ -22,20 +22,21 @@ class DominoStack : public SchemeStack {
   void build(StackContext& ctx, std::vector<mac::MacEntity*>& macs) override;
   void collect(ExperimentResult& result) const override;
 
-  /// Roam/join with ROP admission control. Legacy mode: the client takes
-  /// the smallest free subchannel at the target AP, or the handoff is
-  /// rejected when the AP's (single) poll symbol is full. Multi-symbol
-  /// modes: admission succeeds while the AP is under
-  /// rop.client_capacity() — the controller re-plans poll rosters, so the
-  /// roam-in only needs a least-loaded fallback subchannel, not an
-  /// exclusive one. On success the old AP's downlink backlog and
-  /// the client's uplink dedup filter move over (so a lost-ACK retransmit
-  /// stays deduplicated), and the controller forgets its per-link estimates.
+  /// Roam/join with ROP admission control: the client takes the first free
+  /// (symbol, subchannel) slot in the target AP's slot table — a rejoin at
+  /// the same AP keeps its old slot if it is still free — or is rejected
+  /// when every slot is taken (rop.client_capacity()). On success the old
+  /// AP's downlink backlog and the client's uplink dedup filter move over
+  /// (so a lost-ACK retransmit stays deduplicated), and the controller
+  /// forgets its per-link estimates.
   bool on_client_attach(topo::NodeId client, topo::NodeId to) override;
   void on_client_detach(topo::NodeId client) override;
   void on_conflict_graph_rebuilt() override;
 
  private:
+  /// Frees the client's slot at `ap` and re-announces the AP's symbols.
+  void release_slot(topo::NodeId client, topo::NodeId ap);
+
   std::unique_ptr<domino::SignaturePlan> signatures_;
   std::unique_ptr<wired::Backbone> backbone_;
   std::unique_ptr<domino::DominoController> controller_;
@@ -44,8 +45,7 @@ class DominoStack : public SchemeStack {
 
   // Lifecycle plumbing.
   const topo::Topology* topo_ = nullptr;
-  rop::RopParams rop_;
-  std::size_t num_subchannels_ = 0;
+  std::map<topo::NodeId, rop::SlotTable> slots_;
   std::map<topo::NodeId, domino::DominoApMac*> ap_map_;
   std::map<topo::NodeId, domino::DominoClientMac*> client_map_;
 };

@@ -211,7 +211,7 @@ void SimAuditor::on_medium_tx(const phy::Frame& frame, TimeNs /*start*/,
   }
 
   if (frame.type == phy::FrameType::kPoll) {
-    // ---- poll-round invariants (multi-symbol modes) ----
+    // ---- poll-round invariants ----
     ++report_->checks_run;
     if (frame.poll_symbol > settings_.poll_symbol_budget) {
       std::ostringstream os;
@@ -294,22 +294,17 @@ void SimAuditor::on_medium_tx(const phy::Frame& frame, TimeNs /*start*/,
        << " but is associated to AP " << topo_.node(src).ap;
     violate("rop.foreign-response", os.str());
   }
-  // Subchannel constancy holds in the static modes (legacy and
-  // multi-symbol); a schedule reset marks the pin stale, sanctioning one
-  // re-pin (see SubchannelPin). Adaptive rosters legitimately reassign
-  // subchannels round to round.
+  // Subchannel constancy holds in the static modes, where a client answers
+  // on its slot until its next join or roam. Adaptive rosters legitimately
+  // reassign subchannels round to round.
   if (!settings_.adaptive_polling) {
-    auto [it, fresh] =
-        client_subchannel_.try_emplace(src, SubchannelPin{frame.subchannel});
-    if (!fresh && it->second.subchannel != frame.subchannel) {
-      if (it->second.stale) {
-        it->second = SubchannelPin{frame.subchannel};
-      } else {
-        std::ostringstream os;
-        os << "client " << src << " switched subchannel "
-           << it->second.subchannel << " -> " << frame.subchannel;
-        violate("rop.subchannel-change", os.str());
-      }
+    const auto [it, fresh] =
+        client_subchannel_.try_emplace(src, frame.subchannel);
+    if (!fresh && it->second != frame.subchannel) {
+      std::ostringstream os;
+      os << "client " << src << " switched subchannel " << it->second
+         << " -> " << frame.subchannel;
+      violate("rop.subchannel-change", os.str());
     }
   }
 
@@ -837,8 +832,8 @@ void SimAuditor::on_lifecycle(topo::NodeId node, bool active, TimeNs now) {
 }
 
 void SimAuditor::on_client_reassociated(topo::NodeId client) {
-  // The new AP may assign a different ROP subchannel; retaining the old
-  // pin would raise a false rop.subchannel-change violation. Its starvation
+  // The new slot may sit on a different subchannel; retaining the old pin
+  // would raise a false rop.subchannel-change violation. Its starvation
   // counter restarts with the new AP's rosters.
   client_subchannel_.erase(client);
   poll_misses_.erase(client);
@@ -848,16 +843,8 @@ void SimAuditor::on_schedule_reset() {
   // The conflict graph was rebuilt: LinkIds changed meaning, so the next
   // batch legitimately does not connect to the previous one.
   have_prev_batch_ = false;
-  // In the multi-symbol modes the static partition is replanned from the
-  // surviving client set, so remaining clients may legitimately land on new
-  // subchannels. Pins go stale rather than vanish: batches planned before
-  // the reset still drain on the old subchannels, and each client gets one
-  // sanctioned re-pin when its re-planned round airs. Legacy assignments
-  // never repack, so those pins stay hard.
-  if (settings_.poll_symbol_budget > 1) {
-    for (auto& [client, pin] : client_subchannel_) pin.stale = true;
-    poll_misses_.clear();
-  }
+  // Adaptive rosters are re-planned from the surviving client set.
+  if (settings_.adaptive_polling) poll_misses_.clear();
 }
 
 void SimAuditor::finalize() {

@@ -105,13 +105,14 @@ enum class Mutation {
   /// keeps scheduling the stale link.
   kLifecycleStaleRoam,
   /// DominoClientMac answers every multi-symbol poll in symbol 0 regardless
-  /// of its roster symbol, colliding with the symbol-0 group's subchannels.
+  /// of its assigned symbol, colliding with the symbol-0 group's
+  /// subchannels.
   kRopCrossSymbolCollision,
-  /// DominoController drops the highest-id client from every poll roster it
-  /// plans, so that client is never polled again.
+  /// DominoController drops the highest-id client from every (adaptive)
+  /// poll roster it plans, so that client is never polled again.
   kRopStarvedClient,
-  /// DominoController spreads each roster one-client-per-symbol, blowing
-  /// the round past the max_poll_symbols airtime budget.
+  /// DominoController spreads each (adaptive) roster one-client-per-symbol,
+  /// blowing the round past the max_poll_symbols airtime budget.
   kRopAirtimeOverBudget,
 };
 
@@ -176,10 +177,9 @@ struct AuditSettings {
   /// Fault injection forges trigger false positives: the trigger-provenance
   /// invariant cannot hold and is skipped.
   bool signature_forging = false;
-  /// Poll symbols one ROP round may span: RopParams::max_poll_symbols in
-  /// the multi-symbol modes, 1 in legacy. A kPoll announcing more symbols,
-  /// or a roster assignment at or past the announced count, violates
-  /// rop.airtime-over-budget.
+  /// Poll symbols one ROP round may span (RopParams::symbol_cap()). A
+  /// kPoll announcing more symbols, or a roster assignment at or past the
+  /// announced count, violates rop.airtime-over-budget.
   unsigned poll_symbol_budget = 1;
   /// Adaptive polling legitimately reassigns subchannels round to round, so
   /// the per-client subchannel-constancy invariant is skipped (collisions
@@ -187,7 +187,7 @@ struct AuditSettings {
   bool adaptive_polling = false;
   /// Consecutive rostered polls an active associated client may miss before
   /// rop.starved-client trips (adaptive_max_interval plus grace). 0 skips
-  /// the check (legacy mode: kPoll carries no roster).
+  /// the check (the static modes: kPoll carries no roster).
   unsigned starvation_rounds = 0;
 };
 
@@ -240,8 +240,8 @@ class SimAuditor final : public phy::MediumObserver,
   /// (plus a short in-flight grace) violates "lifecycle.delivery-to-
   /// departed".
   void on_lifecycle(topo::NodeId node, bool active, TimeNs now);
-  /// A client re-associated to a new AP: per-client ROP subchannel state is
-  /// reset (the new AP may legitimately assign a different subchannel).
+  /// A client joined or re-associated: per-client ROP subchannel state is
+  /// reset (its new slot may legitimately sit on a different subchannel).
   void on_client_reassociated(topo::NodeId client);
   /// The schedule context was invalidated (graph rebuild): the next batch
   /// need not connect to the previous one through the overlap slot.
@@ -316,17 +316,10 @@ class SimAuditor final : public phy::MediumObserver,
     std::vector<PollResponseSeen> responses;
   };
   std::deque<PollGroup> polls_;
-  /// Static-mode subchannel pin. A schedule reset in the multi-symbol modes
-  /// marks the pin stale instead of erasing it: responses from batches
-  /// planned before the reset may still air on the old subchannel, and the
-  /// first post-reset round may legitimately re-pin a new one — exactly one
-  /// sanctioned change per reset. An unsanctioned mid-run switch (no reset
-  /// in between) still violates rop.subchannel-change.
-  struct SubchannelPin {
-    std::size_t subchannel;
-    bool stale = false;
-  };
-  std::unordered_map<topo::NodeId, SubchannelPin> client_subchannel_;
+  /// Static-mode subchannel pin: a client keeps its slot from one join or
+  /// roam to the next, so any switch in between violates
+  /// rop.subchannel-change.
+  std::unordered_map<topo::NodeId, std::size_t> client_subchannel_;
   /// Consecutive rostered polls each client has been absent from (rosters
   /// observed on the air via kPoll; starvation bound in AuditSettings).
   std::unordered_map<topo::NodeId, unsigned> poll_misses_;

@@ -56,25 +56,22 @@ std::map<topo::NodeId, rop::PollRound> DominoController::plan_poll_rounds(
   rop_symbols.assign(rop_aps.size(), 1);
   if (rop_aps.empty()) return rounds;
   poll_rounds_ += rop_aps.size();
-  if (rop_params_.poll_mode == rop::PollMode::kLegacy) {
-    // Legacy single-symbol ROP: no rosters, one symbol per polled AP.
-    poll_symbols_ += rop_aps.size();
-    return rounds;
-  }
-
   for (std::size_t i = 0; i < rop_aps.size(); ++i) {
     const topo::NodeId ap = rop_aps[i];
+    if (rop_params_.poll_mode != rop::PollMode::kAdaptive) {
+      // Static modes: no roster; every client answers on its slot.
+      const auto it = static_symbols_.find(ap);
+      if (it != static_symbols_.end()) rop_symbols[i] = it->second;
+      poll_symbols_ += rop_symbols[i];
+      continue;
+    }
     std::vector<rop::PollClient> clients;
     for (topo::NodeId c : topo_.clients_of(ap)) {
       if (!topo_.node_active(c)) continue;
-      rop::PollClient pc;
-      pc.client = c;
-      pc.rss_at_ap = topo_.rss(c, ap);
-      pc.backlog = client_backlog_.count(c) ? client_backlog_[c] : 0;
-      pc.rounds_since_polled = poll_age_.count(c) ? poll_age_[c] : 0;
-      clients.push_back(pc);
+      clients.push_back({c, topo_.rss(c, ap), client_backlog_[c],
+                         poll_age_[c]});
     }
-    rop::PollRound round = poll_planner_.plan(clients, poll_round_index_);
+    rop::PollRound round = poll_planner_.plan_adaptive(clients, batches_);
 
     switch (test_poll_defect_) {
       case PollDefect::kNone:
@@ -117,7 +114,6 @@ std::map<topo::NodeId, rop::PollRound> DominoController::plan_poll_rounds(
     }
     rounds.emplace(ap, std::move(round));
   }
-  ++poll_round_index_;
   return rounds;
 }
 
@@ -177,9 +173,10 @@ void DominoController::plan_batch() {
   if (dispatch_) {
     for (ApSchedule& plan : converter_.make_ap_plans(rs)) {
       if (plan.slots.empty()) continue;
-      // Non-legacy modes: stamp the planned roster onto every polling row
-      // so the AP broadcasts it in its kPoll (legacy rosters stay empty and
-      // clients answer on their static subchannels).
+      plan.planned_at = sim_.now();
+      // kAdaptive: stamp the planned roster onto every polling row so the
+      // AP broadcasts it in its kPoll (static-mode polls carry no roster:
+      // clients answer on their slots).
       auto rit = rounds.find(plan.ap);
       if (rit != rounds.end()) {
         std::vector<phy::PollAssignment> roster;
@@ -207,7 +204,7 @@ void DominoController::plan_batch() {
   for (const RelSlot& s : rs.slots) {
     if (!s.rop_after) continue;
     // Each extra poll symbol beyond the first stretches the boundary by
-    // rop_symbol_step_ (0 in legacy single-symbol mode).
+    // rop_symbol_step_.
     rop_airtime += rop_duration_ +
                    static_cast<TimeNs>(std::max<std::uint32_t>(
                        s.rop_symbols, 1) - 1) * rop_symbol_step_;

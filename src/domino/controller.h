@@ -69,7 +69,7 @@ class DominoController {
   /// `rop` selects the polling mode and sizing (legacy single-symbol by
   /// default); `rop_symbol_step` is the extra lattice stretch per poll
   /// symbol beyond the first (DominoTiming::rop_symbol), used only for the
-  /// airtime fallback timer — 0 keeps the legacy single-symbol budget.
+  /// airtime fallback timer.
   DominoController(sim::Simulator& sim, wired::Backbone& backbone,
                    const topo::Topology& topo,
                    const topo::ConflictGraph& graph,
@@ -89,6 +89,12 @@ class DominoController {
   /// ever learned through ROP — that is the paper's core constraint.
   using DownlinkPeekFn = std::function<std::size_t(const topo::Link&)>;
   void set_downlink_peek(DownlinkPeekFn peek) { peek_ = std::move(peek); }
+
+  /// Static poll modes: how many poll symbols `ap` announces
+  /// (rop::SlotTable::symbols(), kept current by the stack; default 1).
+  void set_poll_symbols(topo::NodeId ap, std::size_t symbols) {
+    static_symbols_[ap] = static_cast<std::uint32_t>(symbols);
+  }
 
   void start(TimeNs at);
 
@@ -118,12 +124,12 @@ class DominoController {
 
   // ---- polling metrics (not serialized; bench/bench_dense.cpp) ---------
 
-  /// Per-AP poll rounds planned (legacy counts one per polled AP too).
+  /// Per-AP poll rounds planned (one per polled AP per poll batch).
   std::uint64_t poll_rounds() const { return poll_rounds_; }
   /// Total poll symbols across all planned rounds — the poll-airtime proxy.
   std::uint64_t poll_symbols_total() const { return poll_symbols_; }
-  /// Mean rounds a client had waited when it was finally rostered (0 when
-  /// every client is polled every round, i.e. legacy and multi-symbol).
+  /// Mean rounds a client had waited when it was finally rostered (0 in
+  /// the static modes, which poll every client every round).
   double mean_poll_staleness_rounds() const {
     return staleness_samples_ == 0
                ? 0.0
@@ -133,7 +139,7 @@ class DominoController {
 
   /// Test-only roster defects for the auditor self-test (src/audit): the
   /// planner output is corrupted after planning so the auditor must catch
-  /// the violation downstream.
+  /// the violation downstream. Rosters exist only in kAdaptive.
   enum class PollDefect {
     kNone = 0,
     /// Spread the roster one-client-per-symbol so the round spans more
@@ -148,9 +154,8 @@ class DominoController {
  private:
   void plan_batch();
   std::vector<std::size_t> demand_vector() const;
-  /// Plans one poll round per AP in `rop_aps` (non-legacy modes), applies
-  /// test defects, updates ages/staleness and fills `rop_symbols` parallel
-  /// to `rop_aps`.
+  /// Fills `rop_symbols` parallel to `rop_aps`. kAdaptive also plans one
+  /// roster per AP, applies test defects and updates ages/staleness.
   std::map<topo::NodeId, rop::PollRound> plan_poll_rounds(
       const std::vector<topo::NodeId>& rop_aps,
       std::vector<std::uint32_t>& rop_symbols);
@@ -180,12 +185,13 @@ class DominoController {
   std::set<topo::NodeId> pending_polls_;
   sim::EventHandle plan_timer_;
 
+  std::map<topo::NodeId, std::uint32_t> static_symbols_;
+
   // Planner history for adaptive polling: last reported uplink backlog and
   // rounds since each client was last rostered. Keyed by client id; entries
   // for departed clients are harmless (the planner only sees clients_of()).
   std::map<topo::NodeId, std::size_t> client_backlog_;
   std::map<topo::NodeId, std::size_t> poll_age_;
-  std::uint64_t poll_round_index_ = 0;
   std::uint64_t poll_rounds_ = 0;
   std::uint64_t poll_symbols_ = 0;
   std::uint64_t staleness_sum_ = 0;

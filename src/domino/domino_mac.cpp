@@ -219,10 +219,6 @@ DominoApMac::DominoApMac(sim::Simulator& sim, phy::Medium& medium,
       report_fn_(std::move(report_fn)),
       queue_(timing.wifi.queue_capacity) {}
 
-void DominoApMac::set_clients(std::vector<ClientInfo> clients) {
-  clients_ = std::move(clients);
-}
-
 void DominoApMac::register_client(const ClientInfo& info) {
   unregister_client(info.client);  // idempotent entry replacement
   clients_.push_back(info);
@@ -302,6 +298,9 @@ void DominoApMac::receive_plan(const ApSchedule& plan) {
   for (const ApSlotPlan& p : plan.slots) {
     auto [it, fresh] = rows_.try_emplace(p.global_index);
     Row& row = it->second;
+    if (fresh || (p.polls_in_rop && !row.plan.polls_in_rop)) {
+      row.planned_at = plan.planned_at;
+    }
     if (fresh) {
       row.plan = p;
     } else {
@@ -653,14 +652,18 @@ void DominoApMac::execute_poll(std::uint64_t g, TimeNs at) {
     if (trace_ != nullptr && trace_->on_poll) {
       trace_->on_poll(g, node(), sim_.now());
     }
-    // Multi-symbol rounds ship the roster in the poll broadcast; legacy
-    // rounds leave it empty (clients answer on their static subchannel in
-    // symbol 0) and span exactly one symbol.
+    // kAdaptive rounds ship the roster in the poll broadcast; static-mode
+    // rounds leave it empty (clients answer on their slots).
     std::uint32_t symbols = 1;
     std::vector<phy::PollAssignment> roster;
     if (const Row* r = find_row(g); r != nullptr) {
       symbols = std::max<std::uint32_t>(r->plan.rop_symbols, 1);
       roster = r->plan.poll_roster;
+      const double age_us =
+          static_cast<double>(sim_.now() - r->planned_at) / 1e3;
+      plan_age_.sum_us += age_us;
+      ++plan_age_.samples;
+      plan_age_.max_us = std::max(plan_age_.max_us, age_us);
     }
     phy::Frame poll;
     poll.type = phy::FrameType::kPoll;
@@ -688,7 +691,8 @@ void DominoApMac::evaluate_poll(std::uint64_t /*g*/) {
   // MAC-level model fitted from the signal-level ROP study (Figure 6).
   // Only clients answering in the SAME poll symbol are on the air together,
   // so co-client interference is scoped per symbol; the subchannel comes
-  // from the response itself (the roster may reassign it round to round).
+  // from the response itself (an adaptive roster may reassign it round to
+  // round).
   for (const PollResponse& r : poll_responses_) {
     if (!r.decoded) continue;
     std::vector<rop::RopLinkModel::CoClient> others;
@@ -841,7 +845,7 @@ void DominoApMac::handle_frame(const phy::Frame& frame,
 
 DominoClientMac::DominoClientMac(sim::Simulator& sim, phy::Medium& medium,
                                  topo::NodeId node, topo::NodeId ap,
-                                 std::size_t subchannel,
+                                 const rop::PollSlot& slot,
                                  const DominoTiming& timing,
                                  const SignaturePlan& signatures,
                                  const phy::SignatureDetectionModel& model,
@@ -850,7 +854,7 @@ DominoClientMac::DominoClientMac(sim::Simulator& sim, phy::Medium& medium,
     : DominoNodeBase(sim, medium, node, timing, signatures, model,
                      std::move(rng), trace),
       ap_(ap),
-      subchannel_(subchannel),
+      slot_(slot),
       deliver_(std::move(deliver)),
       queue_(timing.wifi.queue_capacity) {}
 
@@ -860,11 +864,9 @@ bool DominoClientMac::enqueue(traffic::Packet p) {
 }
 
 void DominoClientMac::reassociate(topo::NodeId new_ap,
-                                  std::size_t subchannel) {
-  if (new_ap == ap_) {
-    subchannel_ = subchannel;
-    return;
-  }
+                                  const rop::PollSlot& slot) {
+  slot_ = slot;
+  if (new_ap == ap_) return;
   // A transmission scheduled off the old AP's trigger must not fire toward
   // the new one: the new AP's schedule has no row for it, and the old AP no
   // longer carries this client. The head simply waits for the next trigger.
@@ -878,7 +880,6 @@ void DominoClientMac::reassociate(topo::NodeId new_ap,
   // history still suppresses duplicates the old AP forwarded.
   queue_.retarget(ap_, new_ap);
   ap_ = new_ap;
-  subchannel_ = subchannel;
 }
 
 void DominoClientMac::on_trigger_detected(std::uint64_t tag,
@@ -1057,12 +1058,12 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
     case phy::FrameType::kPoll: {
       if (frame.src != ap_) break;
       const auto tag = frame.slot_tag;
-      // Legacy (empty roster): answer on the static subchannel in symbol 0
-      // — the paper's single-symbol exchange, unchanged. Multi-symbol: find
-      // our roster entry; a client outside this round's roster stays silent
-      // (the adaptive planner polls it again within its bounded interval).
-      std::size_t subch = subchannel_;
-      std::uint32_t symbol = 0;
+      // Static modes (no roster): answer on our slot, unless the poll was
+      // planned before the slot's symbol was in use. kAdaptive: answer on
+      // our roster entry; outside the roster stay silent (the planner
+      // polls us again within its bounded interval).
+      std::size_t subch = slot_.subchannel;
+      auto symbol = static_cast<std::uint32_t>(slot_.symbol);
       if (!frame.poll_roster.empty()) {
         bool mine = false;
         for (const phy::PollAssignment& a : frame.poll_roster) {
@@ -1075,6 +1076,7 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
         }
         if (!mine) break;
       }
+      if (symbol >= frame.poll_symbol) break;
       // Auditor self-test defect (audit::Mutation::kRopCrossSymbolCollision):
       // transmit in symbol 0 regardless of the assigned symbol.
       if (test_poll_symbol_collapse_) symbol = 0;

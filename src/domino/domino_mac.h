@@ -13,8 +13,9 @@
 // APs know their slice of the schedule (global-slot-indexed rows shipped by
 // the controller); clients are purely reactive: they transmit on detecting
 // their own signature, rebroadcast the signature samples their AP embedded
-// in the slot's data frame / ACK, answer polls on their assigned OFDM
-// subchannel, and retransmit un-ACKed packets on the next trigger (§3.5).
+// in the slot's data frame / ACK, answer polls on their assigned (symbol,
+// subchannel) slot, and retransmit un-ACKed packets on the next trigger
+// (§3.5).
 //
 // Liveness / healing: every node passively re-anchors its notion of slot
 // timing on the last correctly received trigger (Figure 11's convergence);
@@ -37,6 +38,7 @@
 #include "mac/mac_common.h"
 #include "phy/medium.h"
 #include "phy/signature_model.h"
+#include "rop/poll_planner.h"
 #include "rop/rop_protocol.h"
 #include "sim/simulator.h"
 #include "traffic/queue.h"
@@ -118,13 +120,9 @@ struct DominoTiming {
   TimeNs slot_duration() const {
     return sig_phase_offset() + burst_air() + wifi.slot_time;
   }
-  /// Extra wait when an ROP slot is inserted at the boundary.
-  TimeNs rop_duration() const {
-    return poll_air() + wifi.slot_time + rop_symbol + rop_guard;
-  }
-  /// Multi-symbol ROP slot: the poll broadcast is followed by `symbols`
-  /// back-to-back response symbols. rop_duration(1) == rop_duration().
-  TimeNs rop_duration(std::uint32_t symbols) const {
+  /// Extra wait when an ROP slot is inserted at the boundary: the poll
+  /// broadcast is followed by `symbols` back-to-back response symbols.
+  TimeNs rop_duration(std::uint32_t symbols = 1) const {
     return poll_air() + wifi.slot_time +
            static_cast<TimeNs>(std::max<std::uint32_t>(symbols, 1)) *
                rop_symbol +
@@ -274,7 +272,6 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
  public:
   struct ClientInfo {
     topo::NodeId client;
-    std::size_t subchannel;
     double rss_at_ap;
   };
 
@@ -285,8 +282,6 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
               mac::DeliveryFn deliver,
               std::function<void(const ApReport&)> report_fn,
               DominoTrace* trace);
-
-  void set_clients(std::vector<ClientInfo> clients);
 
   // ---- lifecycle (join/leave/roam) ---------------------------------------
   /// Admits a client (join or roam-in). Any retained duplicate-filter state
@@ -300,7 +295,6 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   /// retained for a possible rejoin; a roam-out moves it to the new AP via
   /// take_uplink_seen/adopt_uplink_seen instead. No-op if not registered.
   void unregister_client(topo::NodeId client);
-  const std::vector<ClientInfo>& clients() const { return clients_; }
   /// Drains queued downlink packets for `dst` (roam hand-off). The packet
   /// awaiting its ACK stays queued: the completion path pops it by peer.
   std::vector<traffic::Packet> extract_queued_for(topo::NodeId dst);
@@ -351,6 +345,14 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   std::uint64_t rows_executed() const { return rows_executed_; }
   std::uint64_t missed_rows() const { return missed_rows_; }
   std::uint64_t retry_drops() const { return retry_drops_; }
+  /// Plan age at each poll: how long before the poll went out the
+  /// controller planned the row it polls from.
+  struct PlanAge {
+    double sum_us = 0.0;
+    std::uint64_t samples = 0;
+    double max_us = 0.0;
+  };
+  const PlanAge& plan_age() const { return plan_age_; }
 
  protected:
   void on_trigger_detected(std::uint64_t tag, std::uint32_t rop_symbols,
@@ -365,6 +367,8 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
     bool kick_sent = false;
     /// Write-off deadline after the kick.
     TimeNs kick_deadline = kTimeNever;
+    /// When the controller planned the batch that made this row poll.
+    TimeNs planned_at = 0;
   };
 
   Row* find_row(std::uint64_t g);
@@ -437,12 +441,13 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   std::uint64_t rows_executed_ = 0;
   std::uint64_t retry_drops_ = 0;
   std::uint64_t missed_rows_ = 0;
+  PlanAge plan_age_;
 };
 
 class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
  public:
   DominoClientMac(sim::Simulator& sim, phy::Medium& medium, topo::NodeId node,
-                  topo::NodeId ap, std::size_t subchannel,
+                  topo::NodeId ap, const rop::PollSlot& slot,
                   const DominoTiming& timing, const SignaturePlan& signatures,
                   const phy::SignatureDetectionModel& model, Rng rng,
                   mac::DeliveryFn deliver, DominoTrace* trace);
@@ -453,22 +458,22 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
   std::uint64_t ack_timeouts() const { return ack_timeouts_; }
 
   // ---- lifecycle (roaming) -----------------------------------------------
-  /// Re-homes this client to `new_ap` on `subchannel`: cancels any pending
+  /// Re-homes this client to `new_ap` on poll `slot`: cancels any pending
   /// slot transmission toward the old AP, retargets queued uplink packets,
   /// and from now on reacts only to the new AP's frames. The pending ACK
   /// timer stays armed (its timeout just requeues the head for the next
   /// trigger), and the downlink duplicate filter is kept — packet ids are
   /// globally unique, so history still suppresses old-AP duplicates.
-  void reassociate(topo::NodeId new_ap, std::size_t subchannel);
+  void reassociate(topo::NodeId new_ap, const rop::PollSlot& slot);
   topo::NodeId ap() const { return ap_; }
-  std::size_t subchannel() const { return subchannel_; }
+  const rop::PollSlot& slot() const { return slot_; }
 
   /// Test-only defects for the auditor self-test (src/audit).
   void set_test_double_delivery(bool on) { test_double_delivery_ = on; }
   void set_test_rop_report_offset(bool on) { test_rop_report_offset_ = on; }
   /// audit::Mutation::kRopCrossSymbolCollision: answer every poll in symbol
-  /// 0 regardless of the roster's symbol assignment, colliding with the
-  /// client legitimately holding the same subchannel there.
+  /// 0 regardless of the assigned symbol, colliding with the client
+  /// legitimately holding the same subchannel there.
   void set_test_poll_symbol_collapse(bool on) {
     test_poll_symbol_collapse_ = on;
   }
@@ -488,7 +493,7 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
                                  std::uint64_t tag, TimeNs at);
 
   topo::NodeId ap_;
-  std::size_t subchannel_;
+  rop::PollSlot slot_;
   mac::DeliveryFn deliver_;
   traffic::PacketQueue queue_;
 

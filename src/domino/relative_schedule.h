@@ -81,9 +81,9 @@ struct ApSlotPlan {
   /// every acting AP announces it in-band so clients stretch the lattice by
   /// the same amount.
   std::uint32_t rop_symbols = 1;
-  /// polls_in_rop, non-legacy modes: the roster the AP broadcasts in its
-  /// kPoll (stamped by the controller after conversion). Empty in legacy
-  /// mode — clients then answer on their static subchannels in symbol 0.
+  /// polls_in_rop, adaptive mode: the roster the AP broadcasts in its kPoll
+  /// (stamped by the controller after conversion). Empty in the static
+  /// modes — clients then answer on their slots.
   std::vector<phy::PollAssignment> poll_roster;
 };
 
@@ -93,6 +93,8 @@ struct ApSchedule {
   /// Global index of the batch's first NEW slot (after the overlap slot);
   /// APs use it to anchor strict self-starts at the very first batch.
   std::uint64_t batch_first_slot = 0;
+  /// Controller time the batch was planned at (plan-age telemetry).
+  TimeNs planned_at = 0;
   /// One ROP boundary: the global slot index it follows and how many poll
   /// symbols it spans (the lattice stretch is rop_duration(symbols)).
   struct RopBoundary {

@@ -51,7 +51,7 @@ struct SignatureBurst {
   std::uint32_t rop_symbols = 1;
 };
 
-/// One entry of a multi-symbol poll roster (kPoll payload): which client
+/// One entry of an adaptive poll roster (kPoll payload): which client
 /// answers on which subchannel of which poll symbol this round.
 struct PollAssignment {
   topo::NodeId client = topo::kNoNode;
@@ -96,9 +96,8 @@ struct Frame {
   /// the single-symbol ROP). kPoll: total symbols in the announced round.
   std::uint32_t poll_symbol = 0;
 
-  /// kPoll, non-legacy modes: the round's roster. Empty in legacy mode —
-  /// every client then answers on its static subchannel in symbol 0, which
-  /// is the paper's original single-symbol exchange.
+  /// kPoll, adaptive mode: the round's roster. Empty in the static modes —
+  /// every client then answers on its (symbol, subchannel) slot.
   std::vector<PollAssignment> poll_roster;
 
   /// NAV: how long others should defer beyond this frame (paper §5 uses it

@@ -13,15 +13,16 @@
 
 namespace dmn::rop {
 
-/// How an AP turns its client population into poll rounds.
+/// How an AP turns its client population into poll rounds. The two static
+/// modes give every client a fixed (symbol, subchannel) slot and poll all of
+/// them in every round; they differ only in their symbol cap.
 enum class PollMode {
-  /// Paper-faithful single-symbol ROP: at most num_subchannels clients per
-  /// AP, each with a static subchannel, all polled in every round. This is
-  /// the default and byte-matches the pre-multi-symbol behaviour.
+  /// Paper-faithful single-symbol ROP: the static mode capped at one poll
+  /// symbol, so at most num_subchannels clients per AP. The default.
   kLegacy = 0,
   /// Static multi-symbol: clients partitioned across ceil(N/num_subchannels)
-  /// poll symbols with a deterministic, seeded assignment; every client is
-  /// polled in every round.
+  /// poll symbols (up to max_poll_symbols) with a deterministic, seeded
+  /// assignment.
   kMultiSymbol,
   /// Traffic-adaptive multi-symbol (A2P-style): backlogged clients are
   /// polled every round, idle clients rotate through the spare capacity, and
@@ -43,21 +44,20 @@ struct RopParams {
   /// turnaround propagation delay (2 us) plus sync slack.
   std::size_t cp_samples = 64;
 
-  /// Poll planning mode. kLegacy keeps the single-symbol code path (and its
-  /// hard num_subchannels clients/AP cap) bit-for-bit.
+  /// Poll planning mode.
   PollMode poll_mode = PollMode::kLegacy;
 
-  /// Airtime budget: hard cap on poll symbols per round. Bounds both the
-  /// admissible population (max_poll_symbols * num_subchannels clients/AP in
-  /// the non-legacy modes) and the lattice stretch a single ROP boundary may
-  /// cause. 11 symbols -> 264 clients/AP at the default 24 subchannels.
+  /// Airtime budget: hard cap on poll symbols per round outside kLegacy.
+  /// Bounds both the admissible population (symbol_cap() * num_subchannels
+  /// clients/AP) and the lattice stretch a single ROP boundary may cause.
+  /// 11 symbols -> 264 clients/AP at the default 24 subchannels.
   std::size_t max_poll_symbols = 11;
 
   /// kAdaptive: an idle client is re-polled at least every this many rounds
   /// (the starvation bound). Backlogged clients are polled every round.
   std::size_t adaptive_max_interval = 4;
 
-  /// Seed for the deterministic symbol-partition permutation (non-legacy).
+  /// Seed for the deterministic symbol-partition permutation.
   std::uint64_t assign_seed = 1;
 
   std::size_t max_queue_report() const {
@@ -68,11 +68,15 @@ struct RopParams {
   }
   std::size_t symbol_samples() const { return fft_size + cp_samples; }
 
-  /// Clients one AP can serve under the active poll mode.
+  /// Poll symbols one round may span under the active poll mode: kLegacy
+  /// is the one-symbol case of the static slot table.
+  std::size_t symbol_cap() const {
+    return poll_mode == PollMode::kLegacy ? 1 : max_poll_symbols;
+  }
+
+  /// Clients one AP can serve: one per (symbol, subchannel) slot.
   std::size_t client_capacity() const {
-    return poll_mode == PollMode::kLegacy
-               ? num_subchannels
-               : num_subchannels * max_poll_symbols;
+    return num_subchannels * symbol_cap();
   }
 
   /// 16 us symbol + 3.2 us CP is included in symbol_samples already;

@@ -25,7 +25,7 @@ std::uint64_t poll_mix(std::uint64_t x) {
 std::size_t PollPlanner::symbol_budget(std::size_t num_clients) const {
   const std::size_t per = params_.num_subchannels;
   const std::size_t need = num_clients == 0 ? 1 : (num_clients + per - 1) / per;
-  return std::min(std::max<std::size_t>(need, 1), params_.max_poll_symbols);
+  return std::min(std::max<std::size_t>(need, 1), params_.symbol_cap());
 }
 
 PollRound PollPlanner::plan(const std::vector<PollClient>& clients,
@@ -118,6 +118,36 @@ PollRound PollPlanner::plan_adaptive(const std::vector<PollClient>& clients,
     }
   }
   return partition(std::move(roster), symbols);
+}
+
+SlotTable::SlotTable(const RopParams& params)
+    : subchannels_(params.num_subchannels),
+      owner_(params.client_capacity(), topo::kNoNode) {}
+
+std::optional<PollSlot> SlotTable::take(topo::NodeId client,
+                                        std::optional<PollSlot> want) {
+  std::size_t i =
+      want ? want->symbol * subchannels_ + want->subchannel : owner_.size();
+  if (i >= owner_.size() || owner_[i] != topo::kNoNode) {
+    i = static_cast<std::size_t>(
+        std::find(owner_.begin(), owner_.end(), topo::kNoNode) -
+        owner_.begin());
+    if (i == owner_.size()) return std::nullopt;
+  }
+  owner_[i] = client;
+  return PollSlot{client, i % subchannels_, i / subchannels_};
+}
+
+void SlotTable::release(topo::NodeId client) {
+  std::replace(owner_.begin(), owner_.end(), client, topo::kNoNode);
+}
+
+std::size_t SlotTable::symbols() const {
+  std::size_t last = 0;
+  for (std::size_t i = 0; i < owner_.size(); ++i) {
+    if (owner_[i] != topo::kNoNode) last = i / subchannels_;
+  }
+  return last + 1;
 }
 
 }  // namespace dmn::rop

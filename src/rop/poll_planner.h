@@ -6,8 +6,10 @@
 // partitioning larger populations across ceil(N / num_subchannels) poll
 // symbols transmitted back-to-back in the same polling slot:
 //
-//   * kMultiSymbol: a deterministic, seeded permutation spreads clients
-//     round-robin over the symbols; every client is polled in every round.
+//   * kLegacy / kMultiSymbol (static): a deterministic, seeded permutation
+//     spreads clients round-robin over the symbols once, at setup; the
+//     result seeds each AP's SlotTable, and every client answers every
+//     poll on its slot. kLegacy is the one-symbol case.
 //   * kAdaptive: clients with a non-zero reported backlog are polled every
 //     round; idle clients rotate through the leftover capacity, and a
 //     bounded max poll interval (adaptive_max_interval rounds) guarantees no
@@ -23,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "rop/params.h"
@@ -59,11 +62,11 @@ class PollPlanner {
   explicit PollPlanner(const RopParams& params) : params_(params) {}
 
   /// Symbols a static plan needs for `num_clients`: ceil(N / subchannels),
-  /// at least 1, capped at the max_poll_symbols airtime budget.
+  /// at least 1, capped at params.symbol_cap().
   std::size_t symbol_budget(std::size_t num_clients) const;
 
-  /// Dispatch on params.poll_mode (kLegacy uses plan_static, which
-  /// degenerates to one symbol for populations that fit it).
+  /// Dispatch on params.poll_mode: plan_adaptive for kAdaptive, else
+  /// plan_static.
   PollRound plan(const std::vector<PollClient>& clients,
                  std::uint64_t round_index) const;
 
@@ -83,6 +86,28 @@ class PollPlanner {
                       std::size_t symbols) const;
 
   RopParams params_;
+};
+
+/// One AP's static poll slots: each (symbol, subchannel) pair holds at most
+/// one client. Seeded from plan_static; a join or roam-in takes the first
+/// free slot (symbol-major), a leave or roam-out frees it.
+class SlotTable {
+ public:
+  explicit SlotTable(const RopParams& params);
+
+  /// Gives `client` the slot `want` when that slot is free, else the first
+  /// free slot. nullopt when every slot is taken.
+  std::optional<PollSlot> take(topo::NodeId client,
+                               std::optional<PollSlot> want = std::nullopt);
+  /// Frees the client's slot; no-op if it holds none.
+  void release(topo::NodeId client);
+  /// Symbols a poll must announce: 1 + the highest occupied symbol, at
+  /// least 1.
+  std::size_t symbols() const;
+
+ private:
+  std::size_t subchannels_;
+  std::vector<topo::NodeId> owner_;  // [symbol * subchannels_ + subchannel]
 };
 
 /// SplitMix64 — the seeded permutation key. Exposed for tests.

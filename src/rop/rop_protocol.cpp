@@ -26,13 +26,14 @@ std::vector<SubchannelAllocator::Assignment> SubchannelAllocator::assign(
   const std::size_t per_round = params_.num_subchannels;
   std::vector<Assignment> out;
 
-  // Order clients by RSS (descending) so adjacent subchannels see similar
-  // powers; split into rounds of at most num_subchannels.
+  // Order clients by RSS (descending, ties to the lower id) so adjacent
+  // subchannels see similar powers; split into rounds of at most
+  // num_subchannels.
   std::vector<std::size_t> order(clients.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    return rss_at_ap[a] > rss_at_ap[b];
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (rss_at_ap[a] != rss_at_ap[b]) return rss_at_ap[a] > rss_at_ap[b];
+    return clients[a] < clients[b];
   });
 
   std::size_t round = 0;

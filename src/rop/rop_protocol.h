@@ -32,7 +32,8 @@ struct QueueReport {
 };
 QueueReport encode_queue(std::size_t queue_len, const RopParams& params);
 
-/// Assigns each client of an AP a subchannel. Clients are sorted by RSS so
+/// Assigns each client of an AP a subchannel. Clients are sorted by RSS
+/// (ties to the lower id, so input order never matters) so
 /// frequency-adjacent subchannels carry similar powers; when even sorted
 /// neighbours exceed the tolerance, a spare subchannel is skipped between
 /// them (possible while #clients < #subchannels).

@@ -60,16 +60,6 @@ const std::vector<std::size_t>& SubchannelMap::guard_bins(
   return guard_.at(sc);
 }
 
-std::vector<std::size_t> SubchannelMap::adjacent_subchannels(
-    std::size_t sc) const {
-  std::vector<std::size_t> out;
-  for (std::size_t other = 0; other < data_.size(); ++other) {
-    if (other == sc) continue;
-    if (bin_distance(sc, other) <= params_.block_size()) out.push_back(other);
-  }
-  return out;
-}
-
 std::size_t SubchannelMap::bin_distance(std::size_t a, std::size_t b) const {
   // Distance on the circular FFT index ring.
   const std::size_t n = params_.fft_size;

@@ -33,11 +33,6 @@ class SubchannelMap {
 
   std::size_t num_subchannels() const { return data_.size(); }
 
-  /// Subchannels adjacent in frequency to `sc` (used by the interference
-  /// model and by the AP's "assign non-adjacent subchannels above 38 dB
-  /// mismatch" rule).
-  std::vector<std::size_t> adjacent_subchannels(std::size_t sc) const;
-
   /// Minimum bin distance between the data bins of two subchannels.
   std::size_t bin_distance(std::size_t a, std::size_t b) const;
 

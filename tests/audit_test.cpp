@@ -321,22 +321,65 @@ TEST(AuditMutant, LifecycleStaleRoamCaught) {
   EXPECT_TRUE(clean.audit->violation_free()) << clean.audit->summary();
 }
 
-// The full dynamic stack — churn + mobility + roaming — under the throwing
-// auditor: the lifecycle invariants hold on the real (unmutated) code path.
-TEST(Audit, ChurnAndRoamingViolationFree) {
-  Rng rng(13);
-  const auto t = topo::make_floorplan_topology({}, 4, 2, {}, rng);
+// The full dynamic stack — churn + roaming — under the throwing auditor, in
+// both static poll modes: the lifecycle and ROP invariants hold on the real
+// (unmutated) code path. Multi-symbol polling used to re-plan rosters per
+// round, which aired long after they were planned and starved rejoined
+// clients on these floor plans; the slot table keeps every client's slot.
+struct ChurnCase {
+  rop::PollMode mode;
+  std::uint64_t floorplan_seed;
+};
+
+class ChurnAndRoamingViolationFree
+    : public ::testing::TestWithParam<ChurnCase> {};
+
+ExperimentConfig churn_cfg(rop::PollMode mode, bool roam) {
   auto cfg = audited_cfg(Scheme::kDomino, audit::AuditMode::kThrow);
+  cfg.rop.poll_mode = mode;
   cfg.dynamics.epoch = msec(25);
   cfg.dynamics.churn_rate_hz = 3.0;
   cfg.dynamics.churn_downtime = msec(50);
-  cfg.dynamics.roam.enabled = true;
+  cfg.dynamics.roam.enabled = roam;
   cfg.dynamics.roam.min_dwell = msec(50);
-  const auto r = run_experiment(t, cfg);  // throws on violation
+  return cfg;
+}
+
+TEST_P(ChurnAndRoamingViolationFree, FloorPlan) {
+  Rng rng(GetParam().floorplan_seed);
+  const auto t = topo::make_floorplan_topology({}, 4, 2, {}, rng);
+  const auto r = run_experiment(t, churn_cfg(GetParam().mode, true));
   ASSERT_NE(r.audit, nullptr);
   EXPECT_TRUE(r.audit->violation_free()) << r.audit->summary();
   EXPECT_GT(r.lifecycle_leaves + r.lifecycle_roams, 0u)
       << "dynamics never fired; the assertion above is vacuous";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Audit, ChurnAndRoamingViolationFree,
+    ::testing::Values(ChurnCase{rop::PollMode::kLegacy, 13},
+                      ChurnCase{rop::PollMode::kLegacy, 3},
+                      ChurnCase{rop::PollMode::kLegacy, 9},
+                      ChurnCase{rop::PollMode::kMultiSymbol, 13},
+                      ChurnCase{rop::PollMode::kMultiSymbol, 3},
+                      ChurnCase{rop::PollMode::kMultiSymbol, 9}),
+    [](const ::testing::TestParamInfo<ChurnCase>& info) {
+      return std::string(rop::to_string(info.param.mode)) + "_seed" +
+             std::to_string(info.param.floorplan_seed);
+    });
+
+// A client that leaves and rejoins the same AP keeps its old slot only if
+// no other client took it meanwhile. On this floor plan client 4 takes
+// subchannel 0 of AP 2 at 200.7 ms, and client 9, which held it before its
+// leave, rejoins AP 2 at 279.9 ms; reusing its old subchannel blindly made
+// both answer AP 2's polls there (rop.subchannel-collision at 281.4 ms).
+TEST(Audit, SameApRejoinTakesAFreeSlot) {
+  Rng rng(3);
+  const auto t = topo::make_floorplan_topology({}, 4, 2, {}, rng);
+  const auto r = run_experiment(t, churn_cfg(rop::PollMode::kLegacy, false));
+  ASSERT_NE(r.audit, nullptr);
+  EXPECT_TRUE(r.audit->violation_free()) << r.audit->summary();
+  EXPECT_GT(r.lifecycle_joins, 0u) << "nobody rejoined";
 }
 
 // ---- multi-symbol polling mutant self-test ----------------------------------
@@ -345,7 +388,9 @@ TEST(Audit, ChurnAndRoamingViolationFree) {
 // each need a mutant proving the relaxed invariant still catches real
 // defects. The scenario: one dense cell whose 26 clients need 2 poll
 // symbols (max_poll_symbols = 2), queue reports exercised by uplink
-// traffic. Every mutant is paired with the identical clean run.
+// traffic. Every mutant is paired with the identical clean run. Rosters
+// exist only in adaptive mode, so the roster mutants run there; the
+// cross-symbol mutant runs on the static multi-symbol slot table.
 
 ExperimentConfig dense_poll_cfg(audit::Mutation m, rop::PollMode mode) {
   auto cfg = audited_cfg(Scheme::kDomino, audit::AuditMode::kRecord);
@@ -361,63 +406,46 @@ topo::Topology dense_cell() {
   return topo::make_floorplan_topology({}, 1, 26, {}, rng);
 }
 
-TEST(AuditMutant, RopCrossSymbolCollisionCaught) {
-  // Clients answer in symbol 0 regardless of roster symbol: the symbol-1
-  // group lands on the symbol-0 group's subchannels. The per-symbol
-  // disjointness scope must still see the collision.
+/// Runs the mutant and its clean twin in `mode`; the mutant must trip an
+/// invariant starting with `prefix`, the twin none.
+void expect_poll_mutant_caught(audit::Mutation m, rop::PollMode mode,
+                               const std::string& prefix) {
   const auto t = dense_cell();
-  const auto bad = run_experiment(
-      t, dense_poll_cfg(audit::Mutation::kRopCrossSymbolCollision,
-                        rop::PollMode::kMultiSymbol));
+  const auto bad = run_experiment(t, dense_poll_cfg(m, mode));
   ASSERT_NE(bad.audit, nullptr);
-  EXPECT_TRUE(tripped_with_prefix(*bad.audit, "rop.subchannel-collision"))
+  EXPECT_TRUE(tripped_with_prefix(*bad.audit, prefix))
       << tripped_names(*bad.audit);
 
-  const auto clean = run_experiment(
-      t, dense_poll_cfg(audit::Mutation::kNone,
-                        rop::PollMode::kMultiSymbol));
+  const auto clean =
+      run_experiment(t, dense_poll_cfg(audit::Mutation::kNone, mode));
   ASSERT_NE(clean.audit, nullptr);
   EXPECT_TRUE(clean.audit->violation_free()) << clean.audit->summary();
+}
+
+TEST(AuditMutant, RopCrossSymbolCollisionCaught) {
+  // Clients answer in symbol 0 regardless of their slot's symbol: the
+  // symbol-1 group lands on the symbol-0 group's subchannels. The
+  // per-symbol disjointness scope must still see the collision.
+  expect_poll_mutant_caught(audit::Mutation::kRopCrossSymbolCollision,
+                            rop::PollMode::kMultiSymbol,
+                            "rop.subchannel-collision");
 }
 
 TEST(AuditMutant, RopStarvedClientCaught) {
   // The controller silently drops one client from every roster: after the
   // starvation bound (max interval + grace) consecutive misses the auditor
-  // must flag it. Checked in both non-legacy modes — the adaptive
-  // relaxation must not grant unbounded deferral.
-  const auto t = dense_cell();
-  for (const rop::PollMode mode :
-       {rop::PollMode::kMultiSymbol, rop::PollMode::kAdaptive}) {
-    const auto bad = run_experiment(
-        t, dense_poll_cfg(audit::Mutation::kRopStarvedClient, mode));
-    ASSERT_NE(bad.audit, nullptr);
-    EXPECT_TRUE(tripped_with_prefix(*bad.audit, "rop.starved-client"))
-        << rop::to_string(mode) << ": " << tripped_names(*bad.audit);
-
-    const auto clean =
-        run_experiment(t, dense_poll_cfg(audit::Mutation::kNone, mode));
-    ASSERT_NE(clean.audit, nullptr);
-    EXPECT_TRUE(clean.audit->violation_free())
-        << rop::to_string(mode) << ": " << clean.audit->summary();
-  }
+  // must flag it — the adaptive relaxation must not grant unbounded
+  // deferral.
+  expect_poll_mutant_caught(audit::Mutation::kRopStarvedClient,
+                            rop::PollMode::kAdaptive, "rop.starved-client");
 }
 
 TEST(AuditMutant, RopAirtimeOverBudgetCaught) {
-  // The controller spreads each roster one client per symbol: a 26-client
-  // round spans 26 symbols against a budget of 2.
-  const auto t = dense_cell();
-  const auto bad = run_experiment(
-      t, dense_poll_cfg(audit::Mutation::kRopAirtimeOverBudget,
-                        rop::PollMode::kMultiSymbol));
-  ASSERT_NE(bad.audit, nullptr);
-  EXPECT_TRUE(tripped_with_prefix(*bad.audit, "rop.airtime-over-budget"))
-      << tripped_names(*bad.audit);
-
-  const auto clean = run_experiment(
-      t, dense_poll_cfg(audit::Mutation::kNone,
-                        rop::PollMode::kMultiSymbol));
-  ASSERT_NE(clean.audit, nullptr);
-  EXPECT_TRUE(clean.audit->violation_free()) << clean.audit->summary();
+  // The controller spreads each roster one client per symbol: a round
+  // spans as many symbols as it rosters clients, against a budget of 2.
+  expect_poll_mutant_caught(audit::Mutation::kRopAirtimeOverBudget,
+                            rop::PollMode::kAdaptive,
+                            "rop.airtime-over-budget");
 }
 
 TEST(AuditMutant, ThrowModeSurfacesSimTimeContext) {

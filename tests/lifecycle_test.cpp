@@ -368,9 +368,9 @@ TEST(Lifecycle, RoamIntoDenseApIsAdmittedWithReplannedSymbols) {
   // Both APs already serve 26 clients — past the single-symbol ROP ceiling,
   // so only the multi-symbol modes can host this floor plan at all. Client 2
   // then walks into AP 1's cell: the roam admission must succeed (AP 1 goes
-  // to 27 clients, still far below rop.client_capacity()), the poll planner
-  // must fold the newcomer into re-planned symbol groups, and the whole run
-  // must survive audit kThrow with the client's uplink flowing across the
+  // to 27 clients, still far below rop.client_capacity()), the newcomer
+  // must take a free slot in AP 1's slot table, and the whole run must
+  // survive audit kThrow with the client's uplink flowing across the
   // hand-off.
   const auto t = floorplan(13, 2, 26);
   ASSERT_EQ(t.node(2).ap, 0);
@@ -403,8 +403,8 @@ TEST(Lifecycle, RoamIntoDenseApIsAdmittedWithReplannedSymbols) {
 
 TEST(Lifecycle, ChurnInDenseCellRejoinsStayViolationFree) {
   // Membership churn on a 30-client cell: every rejoin is an admission into
-  // an AP already past the 24-client legacy ceiling, exercising the
-  // least-loaded symbol/subchannel placement path under audit kThrow.
+  // an AP already past the 24-client legacy ceiling, exercising the slot
+  // table's first-fit (symbol, subchannel) placement under audit kThrow.
   const auto t = floorplan(17, 1, 30);
   auto cfg = dyn_cfg(api::Scheme::kDomino, msec(400));
   cfg.audit.mode = audit::AuditMode::kThrow;
@@ -444,7 +444,7 @@ TEST(DedupReset, ReassociationKeepsUplinkDedupState) {
       [](const traffic::Packet&, topo::NodeId, TimeNs) {},
       [](const domino::ApReport&) {}, nullptr);
 
-  ap.register_client({1, 0, -40.0});
+  ap.register_client({1, -40.0});
   ap.test_note_uplink_seen(1, 42);
   ASSERT_TRUE(ap.test_uplink_seen(1, 42));
 
@@ -454,13 +454,13 @@ TEST(DedupReset, ReassociationKeepsUplinkDedupState) {
   // globally unique, so the retained history can never block fresh traffic.
   ap.unregister_client(1);
   EXPECT_TRUE(ap.test_uplink_seen(1, 42)) << "leave forgot delivered ids";
-  ap.register_client({1, 0, -40.0});
+  ap.register_client({1, -40.0});
   EXPECT_TRUE(ap.test_uplink_seen(1, 42)) << "rejoin forgot delivered ids";
 
   // Other clients' filters are isolated from a peer's re-association.
-  ap.register_client({2, 1, -45.0});
+  ap.register_client({2, -45.0});
   ap.test_note_uplink_seen(2, 7);
-  ap.register_client({1, 0, -40.0});
+  ap.register_client({1, -40.0});
   EXPECT_TRUE(ap.test_uplink_seen(2, 7));
   EXPECT_FALSE(ap.test_uplink_seen(1, 7));
 }
@@ -477,14 +477,14 @@ TEST(DedupReset, RoamHandsTheDedupFilterToTheNewAp) {
   domino::DominoApMac ap_b(sim, medium, 1, domino::DominoTiming{}, sigs, {},
                            {}, Rng(2), deliver, report, nullptr);
 
-  ap_a.register_client({2, 0, -40.0});
+  ap_a.register_client({2, -40.0});
   ap_a.test_note_uplink_seen(2, 42);
 
   // Roam A->B: the filter follows the client, so B recognises the lost-ACK
   // retransmit of id 42 as a duplicate, and A no longer holds the entry.
   auto carried = ap_a.take_uplink_seen(2);
   ap_a.unregister_client(2);
-  ap_b.register_client({2, 0, -40.0});
+  ap_b.register_client({2, -40.0});
   ap_b.adopt_uplink_seen(2, std::move(carried));
   EXPECT_TRUE(ap_b.test_uplink_seen(2, 42));
   EXPECT_FALSE(ap_a.test_uplink_seen(2, 42));

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -469,7 +470,9 @@ TEST(Kernel, ReconfigureBeforeSchedulingTakesEffect) {
   EXPECT_EQ(sim.partition_count(), 3u);
   EXPECT_EQ(sim.lookahead(), usec(40));
   EXPECT_EQ(sim.queue_of_node(3), 0u);
-  int ran = 0;
+  // The three events run on different queues, possibly on different
+  // worker threads.
+  std::atomic<int> ran = 0;
   for (std::uint32_t q = 0; q < 3; ++q) {
     sim::Simulator::Scope scope(sim, q);
     sim.post_at(usec(q), [&ran] { ++ran; });

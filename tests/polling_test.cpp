@@ -1,6 +1,7 @@
 // Multi-symbol / adaptive ROP polling (rop/poll_planner.h + the DOMINO
 // stack wiring): the dense-population battery that pins the >24-client/AP
-// subsystem. Covers the legacy differential oracle (multi-symbol mode at
+// subsystem. Covers the legacy differential oracle (legacy polling is the
+// static slot table capped at one symbol, so multi-symbol mode at
 // populations that fit one symbol is byte-identical to the paper's
 // single-symbol ROP), dense admission up to rop.client_capacity(), adaptive
 // airtime savings, audit cleanliness, and thread-count byte-stability.
@@ -46,6 +47,7 @@ TEST(PollMode, ToStringNames) {
 
 TEST(PollMode, ClientCapacityByMode) {
   rop::RopParams p;
+  EXPECT_EQ(p.symbol_cap(), 1u);
   EXPECT_EQ(p.client_capacity(), 24u);  // legacy: one symbol
   p.poll_mode = rop::PollMode::kMultiSymbol;
   EXPECT_EQ(p.client_capacity(), 24u * 11u);
@@ -60,7 +62,7 @@ TEST(PollMode, ClientCapacityByMode) {
 // multi-symbol machinery must degenerate exactly: one-symbol rounds, the
 // same RSS-sorted subchannel packing, identical response timing. The
 // serialized result — every scheme, every counter — is byte-identical to
-// legacy mode, which itself takes the pre-multi-symbol code path.
+// legacy mode, whose bytes tests/sweep_test.cpp pins.
 
 TEST(PollingOracle, MultiSymbolMatchesLegacyUnder24PerAp) {
   const auto t = dense(2, 12, 21);
@@ -84,6 +86,32 @@ TEST(PollingOracle, MultiSymbolMatchesLegacyAtExactlyFullSymbol) {
   const auto b = serialize_result(
       run_experiment(t, polled_cfg(rop::PollMode::kMultiSymbol)));
   EXPECT_EQ(a, b);
+}
+
+TEST(PollingOracle, LegacyIsMultiSymbolCappedAtOneSymbol) {
+  // kLegacy is the static slot table with a symbol cap of 1, so capping
+  // multi-symbol polling at one symbol must give the same bytes — on a
+  // static cell and under churn and roaming, where joins fill the table.
+  auto legacy = polled_cfg(rop::PollMode::kLegacy);
+  auto one = polled_cfg(rop::PollMode::kMultiSymbol);
+  one.rop.max_poll_symbols = 1;
+  const auto t = dense(2, 12, 21);
+  EXPECT_EQ(serialize_result(run_experiment(t, legacy)),
+            serialize_result(run_experiment(t, one)));
+
+  for (auto* cfg : {&legacy, &one}) {
+    cfg->duration = msec(400);
+    cfg->dynamics.epoch = msec(25);
+    cfg->dynamics.churn_rate_hz = 3.0;
+    cfg->dynamics.churn_downtime = msec(50);
+    cfg->dynamics.roam.enabled = true;
+    cfg->dynamics.roam.min_dwell = msec(50);
+  }
+  const auto churny = dense(4, 2, 3);
+  const auto a = run_experiment(churny, legacy);
+  EXPECT_GT(a.lifecycle_joins, 0u);
+  EXPECT_GT(a.lifecycle_roams, 0u);
+  EXPECT_EQ(serialize_result(a), serialize_result(run_experiment(churny, one)));
 }
 
 // ---- dense admission --------------------------------------------------------

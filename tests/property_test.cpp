@@ -16,6 +16,7 @@
 #include "domino/rand_scheduler.h"
 #include "domino/signature_plan.h"
 #include "rop/poll_planner.h"
+#include "rop/rop_protocol.h"
 #include "topo/conflict_graph.h"
 #include "topo/dynamics.h"
 #include "topo/topology.h"
@@ -645,6 +646,47 @@ TEST_P(PollPlannerProperty, StaticRoundsDisjointCompleteAndBudgeted) {
     std::set<topo::NodeId> polled;
     for (const rop::PollSlot& s : round.slots) polled.insert(s.client);
     EXPECT_EQ(polled.size(), n);
+  }
+}
+
+TEST_P(PollPlannerProperty, StaticPlanMatchesSingleSymbolAllocatorUpTo24) {
+  // Legacy polling seeds its slot table from plan_static capped at one
+  // symbol; it must reproduce the single-symbol allocator on the AP's
+  // clients in id order, RSS ties included, for any population that fits
+  // one symbol, and so must multi-symbol polling.
+  Rng rng(GetParam() * 53 + 11);
+  for (const rop::PollMode mode :
+       {rop::PollMode::kLegacy, rop::PollMode::kMultiSymbol}) {
+    rop::RopParams p;
+    p.poll_mode = mode;
+    const rop::PollPlanner planner(p);
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 24));
+      auto clients = random_population(rng, n);
+      // Odd trials round RSS to 5 dB steps, so ties are common.
+      if (trial % 2 == 1) {
+        for (auto& c : clients) {
+          c.rss_at_ap = 5.0 * std::round(c.rss_at_ap / 5.0);
+        }
+      }
+      std::vector<topo::NodeId> ids;
+      std::vector<double> rss;
+      for (const rop::PollClient& c : clients) {
+        ids.push_back(c.client);
+        rss.push_back(c.rss_at_ap);
+      }
+      const auto want = rop::SubchannelAllocator(p).assign(ids, rss);
+      std::reverse(clients.begin(), clients.end());  // order must not matter
+      const rop::PollRound round = planner.plan_static(clients);
+      EXPECT_EQ(round.symbols, 1u);
+      ASSERT_EQ(round.slots.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(round.slots[i].client, want[i].client) << "slot " << i;
+        EXPECT_EQ(round.slots[i].subchannel, want[i].subchannel)
+            << "client " << want[i].client;
+        EXPECT_EQ(round.slots[i].symbol, 0u);
+      }
+    }
   }
 }
 

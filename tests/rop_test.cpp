@@ -10,6 +10,7 @@
 
 #include "api/experiment.h"
 #include "rop/params.h"
+#include "rop/poll_planner.h"
 #include "rop/rop_phy.h"
 #include "rop/rop_protocol.h"
 #include "rop/subchannel_map.h"
@@ -170,6 +171,58 @@ TEST(RopCapacity, DominoAcceptsExactlyFullSymbol) {
   cfg.duration = msec(50);
   cfg.traffic.downlink_bps = 1e5;
   EXPECT_NO_THROW(api::run_experiment(b.build(), cfg));
+}
+
+// ---- per-AP static slot table ----------------------------------------------
+
+TEST(SlotTable, FirstFitFillsSymbolsInOrderAndCountsThem) {
+  RopParams p;
+  p.poll_mode = PollMode::kMultiSymbol;
+  p.max_poll_symbols = 2;
+  SlotTable table(p);
+  EXPECT_EQ(table.symbols(), 1u) << "an empty AP still polls one symbol";
+  for (topo::NodeId c = 0; c < 24; ++c) {
+    const auto s = table.take(c);
+    ASSERT_TRUE(s.has_value());
+    EXPECT_EQ(s->symbol, 0u);
+    EXPECT_EQ(s->subchannel, static_cast<std::size_t>(c));
+  }
+  EXPECT_EQ(table.symbols(), 1u);
+  const auto spill = table.take(100);
+  ASSERT_TRUE(spill.has_value());
+  EXPECT_EQ(spill->symbol, 1u);
+  EXPECT_EQ(spill->subchannel, 0u);
+  EXPECT_EQ(table.symbols(), 2u);
+  table.release(100);
+  EXPECT_EQ(table.symbols(), 1u) << "symbol 1 emptied";
+  table.release(100);  // releasing twice is a no-op
+  EXPECT_EQ(table.symbols(), 1u);
+}
+
+TEST(SlotTable, RejoinKeepsItsSlotOnlyWhileFree) {
+  RopParams p;
+  SlotTable table(p);
+  for (topo::NodeId c = 0; c < 10; ++c) ASSERT_TRUE(table.take(c));
+  const PollSlot old{3, 3, 0};
+  table.release(3);
+  // Nobody took it: the rejoin gets its old slot back.
+  EXPECT_EQ(table.take(3, old)->subchannel, 3u);
+  // Someone took it meanwhile: the rejoin falls back to the first free slot.
+  table.release(3);
+  EXPECT_EQ(table.take(50)->subchannel, 3u);
+  EXPECT_EQ(table.take(3, old)->subchannel, 10u);
+}
+
+TEST(SlotTable, LegacyIsTheOneSymbolCase) {
+  RopParams p;  // kLegacy
+  EXPECT_EQ(p.symbol_cap(), 1u);
+  SlotTable table(p);
+  for (topo::NodeId c = 0; c < 24; ++c) ASSERT_TRUE(table.take(c));
+  EXPECT_FALSE(table.take(24).has_value()) << "the one poll symbol is full";
+  EXPECT_EQ(table.symbols(), 1u);
+  p.poll_mode = PollMode::kMultiSymbol;
+  p.max_poll_symbols = 1;
+  EXPECT_EQ(p.client_capacity(), 24u);
 }
 
 TEST(Allocator, SortsByRssForAdjacency) {

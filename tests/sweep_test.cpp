@@ -426,6 +426,338 @@ TEST(ResultCodec, PinnedBytesPartitionedCampusWithFaultsAndAudit) {
   }
 }
 
+// Serialized DOMINO results of the poll paths the per-AP slot table
+// replaced, captured from the build before it: the single-symbol legacy
+// path (static, and under churn and roaming) and the static multi-symbol
+// rosters of a 26-client cell split over two poll symbols.
+constexpr const char* kLegacyStaticBytes = R"(
+{"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
+"throughput_bps":464213.33333333337,"mean_delay_us":30720.22482352941,
+"delivered":17},{"flow_id":1,"src":2,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":50056.139384615381,
+"delivered":13},{"flow_id":2,"src":0,"dst":3,"uplink":false,
+"throughput_bps":354986.66666666669,"mean_delay_us":48479.418769230768,
+"delivered":13},{"flow_id":3,"src":3,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":50932.478999999999,
+"delivered":13},{"flow_id":4,"src":0,"dst":4,"uplink":false,
+"throughput_bps":300373.33333333337,"mean_delay_us":44786.424636363634,
+"delivered":11},{"flow_id":5,"src":4,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":52164.531615384614,
+"delivered":13},{"flow_id":6,"src":0,"dst":5,"uplink":false,
+"throughput_bps":273066.66666666669,"mean_delay_us":50842.813999999998,
+"delivered":10},{"flow_id":7,"src":5,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":53464.434692307696,
+"delivered":13},{"flow_id":8,"src":0,"dst":6,"uplink":false,
+"throughput_bps":354986.66666666669,"mean_delay_us":68842.117076923067,
+"delivered":13},{"flow_id":9,"src":6,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":53738.156307692305,
+"delivered":13},{"flow_id":10,"src":0,"dst":7,"uplink":false,
+"throughput_bps":354986.66666666669,"mean_delay_us":67271.90207692307,
+"delivered":13},{"flow_id":11,"src":7,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":55548.461384615381,
+"delivered":13},{"flow_id":12,"src":0,"dst":8,"uplink":false,
+"throughput_bps":300373.33333333337,"mean_delay_us":55469.738181818182,
+"delivered":11},{"flow_id":13,"src":8,"dst":0,"uplink":true,
+"throughput_bps":327680,"mean_delay_us":51923.146666666667,"delivered":12},
+{"flow_id":14,"src":0,"dst":9,"uplink":false,"throughput_bps":327680,
+"mean_delay_us":66266.876666666663,"delivered":12},{"flow_id":15,"src":9,
+"dst":0,"uplink":true,"throughput_bps":327680,
+"mean_delay_us":53250.199000000001,"delivered":12},{"flow_id":16,"src":0,
+"dst":10,"uplink":false,"throughput_bps":354986.66666666669,
+"mean_delay_us":57142.247615384615,"delivered":13},{"flow_id":17,"src":10,
+"dst":0,"uplink":true,"throughput_bps":327680,
+"mean_delay_us":53757.529333333339,"delivered":12},{"flow_id":18,"src":0,
+"dst":11,"uplink":false,"throughput_bps":327680,
+"mean_delay_us":59621.997333333333,"delivered":12},{"flow_id":19,"src":11,
+"dst":0,"uplink":true,"throughput_bps":327680,
+"mean_delay_us":54630.163333333338,"delivered":12},{"flow_id":20,"src":0,
+"dst":12,"uplink":false,"throughput_bps":327680,
+"mean_delay_us":71673.229333333322,"delivered":12},{"flow_id":21,"src":12,
+"dst":0,"uplink":true,"throughput_bps":327680,
+"mean_delay_us":55328.778666666665,"delivered":12},{"flow_id":22,"src":0,
+"dst":13,"uplink":false,"throughput_bps":327680,
+"mean_delay_us":70929.066000000006,"delivered":12},{"flow_id":23,"src":13,
+"dst":0,"uplink":true,"throughput_bps":327680,
+"mean_delay_us":56380.042666666661,"delivered":12},{"flow_id":24,"src":1,
+"dst":14,"uplink":false,"throughput_bps":300373.33333333337,
+"mean_delay_us":12359.049999999999,"delivered":11},{"flow_id":25,"src":14,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":50317.574999999997,"delivered":13},{"flow_id":26,"src":1,
+"dst":15,"uplink":false,"throughput_bps":354986.66666666669,
+"mean_delay_us":62187.29992307692,"delivered":13},{"flow_id":27,"src":15,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":51826.120615384614,"delivered":13},{"flow_id":28,"src":1,
+"dst":16,"uplink":false,"throughput_bps":354986.66666666669,
+"mean_delay_us":67061.506153846145,"delivered":13},{"flow_id":29,"src":16,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":52605.758153846153,"delivered":13},{"flow_id":30,"src":1,
+"dst":17,"uplink":false,"throughput_bps":327680,
+"mean_delay_us":48207.555666666667,"delivered":12},{"flow_id":31,"src":17,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":53077.266692307698,"delivered":13},{"flow_id":32,"src":1,
+"dst":18,"uplink":false,"throughput_bps":273066.66666666669,
+"mean_delay_us":51570.889999999999,"delivered":10},{"flow_id":33,"src":18,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":53687.677307692305,"delivered":13},{"flow_id":34,"src":1,
+"dst":19,"uplink":false,"throughput_bps":354986.66666666669,
+"mean_delay_us":53979.623230769233,"delivered":13},{"flow_id":35,"src":19,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":54106.788307692303,"delivered":13},{"flow_id":36,"src":1,
+"dst":20,"uplink":false,"throughput_bps":354986.66666666669,
+"mean_delay_us":70097.844076923066,"delivered":13},{"flow_id":37,"src":20,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":54301.47592307692,"delivered":13},{"flow_id":38,"src":1,
+"dst":21,"uplink":false,"throughput_bps":354986.66666666669,
+"mean_delay_us":69306.392538461543,"delivered":13},{"flow_id":39,"src":21,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":55249.192000000003,"delivered":13},{"flow_id":40,"src":1,
+"dst":22,"uplink":false,"throughput_bps":300373.33333333337,
+"mean_delay_us":54071.048818181822,"delivered":11},{"flow_id":41,"src":22,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":55911.228615384614,"delivered":13},{"flow_id":42,"src":1,
+"dst":23,"uplink":false,"throughput_bps":300373.33333333337,
+"mean_delay_us":49872.261090909094,"delivered":11},{"flow_id":43,"src":23,
+"dst":1,"uplink":true,"throughput_bps":327680,
+"mean_delay_us":53240.271666666667,"delivered":12},{"flow_id":44,"src":1,
+"dst":24,"uplink":false,"throughput_bps":327680,
+"mean_delay_us":69967.382666666672,"delivered":12},{"flow_id":45,"src":24,
+"dst":1,"uplink":true,"throughput_bps":327680,
+"mean_delay_us":54413.918666666665,"delivered":12},{"flow_id":46,"src":1,
+"dst":25,"uplink":false,"throughput_bps":327680,
+"mean_delay_us":55814.953999999998,"delivered":12},{"flow_id":47,"src":25,
+"dst":1,"uplink":true,"throughput_bps":327680,"mean_delay_us":55694.659,
+"delivered":12}],"aggregate_throughput_bps":16274773.333333325,
+"jain_fairness":0.99280028619980187,"mean_delay_us":55032.458278523489,
+"ack_timeouts":0,"mac_drops":0,"census_hidden":0,"census_exposed":0,
+"census_total":576,"domino_self_starts":2,"domino_missed_rows":0,
+"domino_rows_executed":619,"domino_untriggerable":0,"domino_batches":42,
+"domino_retry_drops":0,"domino_anchor_rejections":0,
+"domino_forced_trigger_losses":0,"domino_controller_outage_skips":0,
+"recovery_slots":[],"ap_health":[{"ap":0,"self_starts":1,"missed_rows":0,
+"ack_timeouts":0,"retry_drops":0,"anchor_rejections":0,
+"forced_trigger_losses":0,"recovery_samples":0},{"ap":1,"self_starts":1,
+"missed_rows":0,"ack_timeouts":0,"retry_drops":0,"anchor_rejections":0,
+"forced_trigger_losses":0,"recovery_samples":0}],"fault_backbone_drops":0,
+"fault_backbone_dups":0,"fault_backbone_spikes":0,
+"fault_interference_bursts":0,"fault_controller_outage_skips":0,
+"fault_forced_trigger_losses":0,"fault_forced_false_positives":0,
+"lifecycle_epochs":0,"lifecycle_rss_updates":0,"lifecycle_joins":0,
+"lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
+"lifecycle_join_rejections":0})";
+
+constexpr const char* kLegacyChurnRoamBytes = R"(
+{"links":[{"flow_id":0,"src":0,"dst":4,"uplink":false,
+"throughput_bps":788480,"mean_delay_us":28960.123688311687,"delivered":77},
+{"flow_id":1,"src":4,"dst":0,"uplink":true,"throughput_bps":808960,
+"mean_delay_us":39103.997075949366,"delivered":79},{"flow_id":2,"src":0,
+"dst":5,"uplink":false,"throughput_bps":1658880,
+"mean_delay_us":98108.475234567901,"delivered":162},{"flow_id":3,"src":5,
+"dst":0,"uplink":true,"throughput_bps":921600,
+"mean_delay_us":14899.636444444444,"delivered":90},{"flow_id":4,"src":1,
+"dst":6,"uplink":false,"throughput_bps":2908160,
+"mean_delay_us":45635.353422535212,"delivered":284},{"flow_id":5,"src":6,
+"dst":1,"uplink":true,"throughput_bps":962560,
+"mean_delay_us":9029.9135957446815,"delivered":94},{"flow_id":6,"src":1,
+"dst":7,"uplink":false,"throughput_bps":1372160,
+"mean_delay_us":60109.738582089551,"delivered":134},{"flow_id":7,"src":7,
+"dst":1,"uplink":true,"throughput_bps":552960,
+"mean_delay_us":26811.68414814815,"delivered":54},{"flow_id":8,"src":2,
+"dst":8,"uplink":false,"throughput_bps":471040,
+"mean_delay_us":58756.190086956522,"delivered":46},{"flow_id":9,"src":8,
+"dst":2,"uplink":true,"throughput_bps":317440,
+"mean_delay_us":12805.072967741935,"delivered":31},{"flow_id":10,"src":2,
+"dst":9,"uplink":false,"throughput_bps":686080,
+"mean_delay_us":71155.631985074622,"delivered":67},{"flow_id":11,"src":9,
+"dst":2,"uplink":true,"throughput_bps":583680,
+"mean_delay_us":55277.140315789475,"delivered":57},{"flow_id":12,"src":3,
+"dst":10,"uplink":false,"throughput_bps":2396160,
+"mean_delay_us":34810.931119658118,"delivered":234},{"flow_id":13,"src":10,
+"dst":3,"uplink":true,"throughput_bps":931840,
+"mean_delay_us":12530.312395604396,"delivered":91},{"flow_id":14,"src":3,
+"dst":11,"uplink":false,"throughput_bps":3020800,
+"mean_delay_us":67252.325322033896,"delivered":295},{"flow_id":15,"src":11,
+"dst":3,"uplink":true,"throughput_bps":931840,
+"mean_delay_us":11855.331098901099,"delivered":91}],
+"aggregate_throughput_bps":19312640,"jain_fairness":0.68186411929970925,
+"mean_delay_us":46175.889439024388,"ack_timeouts":47,"mac_drops":0,
+"census_hidden":0,"census_exposed":0,"census_total":80,
+"domino_self_starts":291,"domino_missed_rows":2,"domino_rows_executed":2241,
+"domino_untriggerable":132,"domino_batches":89,"domino_retry_drops":3,
+"domino_anchor_rejections":159,"domino_forced_trigger_losses":0,
+"domino_controller_outage_skips":0,"recovery_slots":[],"ap_health":[{"ap":0,
+"self_starts":80,"missed_rows":2,"ack_timeouts":1,"retry_drops":0,
+"anchor_rejections":2,"forced_trigger_losses":0,"recovery_samples":0},
+{"ap":1,"self_starts":130,"missed_rows":0,"ack_timeouts":0,"retry_drops":0,
+"anchor_rejections":130,"forced_trigger_losses":0,"recovery_samples":0},
+{"ap":2,"self_starts":72,"missed_rows":0,"ack_timeouts":29,"retry_drops":2,
+"anchor_rejections":0,"forced_trigger_losses":0,"recovery_samples":0},
+{"ap":3,"self_starts":9,"missed_rows":0,"ack_timeouts":8,"retry_drops":1,
+"anchor_rejections":27,"forced_trigger_losses":0,"recovery_samples":0}],
+"fault_backbone_drops":0,"fault_backbone_dups":0,"fault_backbone_spikes":0,
+"fault_interference_bursts":0,"fault_controller_outage_skips":0,
+"fault_forced_trigger_losses":0,"fault_forced_false_positives":0,
+"lifecycle_epochs":15,"lifecycle_rss_updates":88,"lifecycle_joins":9,
+"lifecycle_leaves":9,"lifecycle_roams":2,"lifecycle_roam_rejections":0,
+"lifecycle_join_rejections":0})";
+
+constexpr const char* kMultiSymbolDenseBytes = R"(
+{"links":[{"flow_id":0,"src":0,"dst":1,"uplink":false,
+"throughput_bps":238933.33333333334,"mean_delay_us":9547.4811428571429,
+"delivered":7},{"flow_id":1,"src":1,"dst":0,"uplink":true,
+"throughput_bps":0,"mean_delay_us":0,"delivered":0},{"flow_id":2,"src":0,
+"dst":2,"uplink":false,"throughput_bps":170666.66666666669,
+"mean_delay_us":42590.879000000001,"delivered":5},{"flow_id":3,"src":2,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":46152.661,"delivered":5},{"flow_id":4,"src":0,"dst":3,
+"uplink":false,"throughput_bps":136533.33333333334,
+"mean_delay_us":41193.122000000003,"delivered":4},{"flow_id":5,"src":3,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":47150.214,"delivered":5},{"flow_id":6,"src":0,"dst":4,
+"uplink":false,"throughput_bps":136533.33333333334,
+"mean_delay_us":42470.101999999999,"delivered":4},{"flow_id":7,"src":4,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":47888.993999999999,"delivered":5},{"flow_id":8,"src":0,
+"dst":5,"uplink":false,"throughput_bps":136533.33333333334,
+"mean_delay_us":42709.438999999998,"delivered":4},{"flow_id":9,"src":5,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":49052.779000000002,"delivered":5},{"flow_id":10,"src":0,
+"dst":6,"uplink":false,"throughput_bps":170666.66666666669,
+"mean_delay_us":49800.286,"delivered":5},{"flow_id":11,"src":6,"dst":0,
+"uplink":true,"throughput_bps":170666.66666666669,"mean_delay_us":49608.82,
+"delivered":5},{"flow_id":12,"src":0,"dst":7,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":45174.68,"delivered":5},
+{"flow_id":13,"src":7,"dst":0,"uplink":true,"throughput_bps":0,
+"mean_delay_us":0,"delivered":0},{"flow_id":14,"src":0,"dst":8,
+"uplink":false,"throughput_bps":170666.66666666669,
+"mean_delay_us":46688.599000000002,"delivered":5},{"flow_id":15,"src":8,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":51631.142999999996,"delivered":5},{"flow_id":16,"src":0,
+"dst":9,"uplink":false,"throughput_bps":170666.66666666669,
+"mean_delay_us":56527.875999999997,"delivered":5},{"flow_id":17,"src":9,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":54401.343999999997,"delivered":5},{"flow_id":18,"src":0,
+"dst":10,"uplink":false,"throughput_bps":170666.66666666669,
+"mean_delay_us":39076.959999999999,"delivered":5},{"flow_id":19,"src":10,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":52126.425999999999,"delivered":5},{"flow_id":20,"src":0,
+"dst":11,"uplink":false,"throughput_bps":170666.66666666669,
+"mean_delay_us":57363.542000000001,"delivered":5},{"flow_id":21,"src":11,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":53832.095999999998,"delivered":5},{"flow_id":22,"src":0,
+"dst":12,"uplink":false,"throughput_bps":136533.33333333334,
+"mean_delay_us":48240.025999999998,"delivered":4},{"flow_id":23,"src":12,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":54437.252999999997,"delivered":5},{"flow_id":24,"src":0,
+"dst":13,"uplink":false,"throughput_bps":170666.66666666669,
+"mean_delay_us":55179.377999999997,"delivered":5},{"flow_id":25,"src":13,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":55773.826000000001,"delivered":5},{"flow_id":26,"src":0,
+"dst":14,"uplink":false,"throughput_bps":170666.66666666669,
+"mean_delay_us":50326.398999999998,"delivered":5},{"flow_id":27,"src":14,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":56521.563000000002,"delivered":5},{"flow_id":28,"src":0,
+"dst":15,"uplink":false,"throughput_bps":170666.66666666669,
+"mean_delay_us":59509.614999999998,"delivered":5},{"flow_id":29,"src":15,
+"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
+"mean_delay_us":57852.042000000001,"delivered":5},{"flow_id":30,"src":0,
+"dst":16,"uplink":false,"throughput_bps":170666.66666666669,
+"mean_delay_us":49583.962,"delivered":5},{"flow_id":31,"src":16,"dst":0,
+"uplink":true,"throughput_bps":170666.66666666669,"mean_delay_us":58833.913,
+"delivered":5},{"flow_id":32,"src":0,"dst":17,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":48062.148000000001,
+"delivered":5},{"flow_id":33,"src":17,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":59314.256999999998,
+"delivered":5},{"flow_id":34,"src":0,"dst":18,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":65178.999000000003,
+"delivered":5},{"flow_id":35,"src":18,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":60021.224000000002,
+"delivered":5},{"flow_id":36,"src":0,"dst":19,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":61309.302000000003,
+"delivered":5},{"flow_id":37,"src":19,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":60778.233999999997,
+"delivered":5},{"flow_id":38,"src":0,"dst":20,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":52912.294999999998,
+"delivered":5},{"flow_id":39,"src":20,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":62267.669999999998,
+"delivered":5},{"flow_id":40,"src":0,"dst":21,"uplink":false,
+"throughput_bps":136533.33333333334,"mean_delay_us":56568.716999999997,
+"delivered":4},{"flow_id":41,"src":21,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":62480.254999999997,
+"delivered":5},{"flow_id":42,"src":0,"dst":22,"uplink":false,
+"throughput_bps":136533.33333333334,"mean_delay_us":57507.478000000003,
+"delivered":4},{"flow_id":43,"src":22,"dst":0,"uplink":true,
+"throughput_bps":136533.33333333334,"mean_delay_us":53144.839,
+"delivered":4},{"flow_id":44,"src":0,"dst":23,"uplink":false,
+"throughput_bps":136533.33333333334,"mean_delay_us":58643.875,
+"delivered":4},{"flow_id":45,"src":23,"dst":0,"uplink":true,
+"throughput_bps":136533.33333333334,"mean_delay_us":54583.576999999997,
+"delivered":4},{"flow_id":46,"src":0,"dst":24,"uplink":false,
+"throughput_bps":136533.33333333334,"mean_delay_us":59982.281999999999,
+"delivered":4},{"flow_id":47,"src":24,"dst":0,"uplink":true,
+"throughput_bps":136533.33333333334,"mean_delay_us":55210.103000000003,
+"delivered":4},{"flow_id":48,"src":0,"dst":25,"uplink":false,
+"throughput_bps":136533.33333333334,"mean_delay_us":60587.281999999999,
+"delivered":4},{"flow_id":49,"src":25,"dst":0,"uplink":true,
+"throughput_bps":136533.33333333334,"mean_delay_us":56567.726000000002,
+"delivered":4},{"flow_id":50,"src":0,"dst":26,"uplink":false,
+"throughput_bps":136533.33333333334,"mean_delay_us":61588.576000000001,
+"delivered":4},{"flow_id":51,"src":26,"dst":0,"uplink":true,
+"throughput_bps":136533.33333333334,"mean_delay_us":57474.256000000001,
+"delivered":4}],"aggregate_throughput_bps":8089600,
+"jain_fairness":0.9483521307489704,"mean_delay_us":52277.494253164557,
+"ack_timeouts":0,"mac_drops":0,"census_hidden":0,"census_exposed":0,
+"census_total":0,"domino_self_starts":1,"domino_missed_rows":0,
+"domino_rows_executed":247,"domino_untriggerable":0,"domino_batches":39,
+"domino_retry_drops":0,"domino_anchor_rejections":0,
+"domino_forced_trigger_losses":0,"domino_controller_outage_skips":0,
+"recovery_slots":[],"ap_health":[{"ap":0,"self_starts":1,"missed_rows":0,
+"ack_timeouts":0,"retry_drops":0,"anchor_rejections":0,
+"forced_trigger_losses":0,"recovery_samples":0}],"fault_backbone_drops":0,
+"fault_backbone_dups":0,"fault_backbone_spikes":0,
+"fault_interference_bursts":0,"fault_controller_outage_skips":0,
+"fault_forced_trigger_losses":0,"fault_forced_false_positives":0,
+"lifecycle_epochs":0,"lifecycle_rss_updates":0,"lifecycle_joins":0,
+"lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
+"lifecycle_join_rejections":0})";
+
+ExperimentConfig polled_domino_cfg(TimeNs duration) {
+  ExperimentConfig cfg;
+  cfg.scheme = Scheme::kDomino;
+  cfg.duration = duration;
+  cfg.traffic.downlink_bps = 4e6;
+  cfg.traffic.uplink_bps = 1e6;
+  return cfg;
+}
+
+TEST(ResultCodec, PinnedBytesLegacyDominoStatic) {
+  Rng rng(21);
+  const auto t = topo::make_floorplan_topology({}, 2, 12, {}, rng);
+  expect_pinned(serialized_run(t, polled_domino_cfg(msec(150))),
+                kLegacyStaticBytes);
+}
+
+TEST(ResultCodec, PinnedBytesLegacyDominoChurnAndRoam) {
+  Rng rng(3);
+  const auto t = topo::make_floorplan_topology({}, 4, 2, {}, rng);
+  ExperimentConfig cfg = polled_domino_cfg(msec(400));
+  cfg.traffic.downlink_bps = 5e6;
+  cfg.dynamics.epoch = msec(25);
+  cfg.dynamics.churn_rate_hz = 3.0;
+  cfg.dynamics.churn_downtime = msec(50);
+  cfg.dynamics.roam.enabled = true;
+  cfg.dynamics.roam.min_dwell = msec(50);
+  expect_pinned(serialized_run(t, cfg), kLegacyChurnRoamBytes);
+}
+
+TEST(ResultCodec, PinnedBytesMultiSymbolDenseCell) {
+  Rng rng(23);
+  const auto t = topo::make_floorplan_topology({}, 1, 26, {}, rng);
+  ExperimentConfig cfg = polled_domino_cfg(msec(120));
+  cfg.rop.poll_mode = rop::PollMode::kMultiSymbol;
+  cfg.rop.max_poll_symbols = 2;
+  expect_pinned(serialized_run(t, cfg), kMultiSymbolDenseBytes);
+}
+
 /// Every `cls` field the tables reach from `x`, flattened to path -> value
 /// (vector sizes included), in table order.
 template <typename T>
@@ -514,7 +846,8 @@ TEST(ResultCodec, TelemetryIsExactlyTheSchedulingAndTimingFields) {
   visit_fields(r, [](const char* key, MetricClass c, const auto&) {
     const std::string k = key;
     const bool scheduling =
-        k.starts_with("domino_poll_") || k.starts_with("sim_") ||
+        k.starts_with("domino_poll_") || k.starts_with("domino_plan_age_") ||
+        k.starts_with("sim_") ||
         (k.starts_with("wall_") && k.ends_with("_seconds")) ||
         k == "events_executed" || k == "graph_builds";
     EXPECT_EQ(c == MetricClass::kTelemetry, scheduling) << k;
