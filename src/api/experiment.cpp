@@ -31,10 +31,10 @@ const char* to_string(Scheme s) {
 // traffic sources/sinks, flow statistics — and delegates scheme assembly to
 // the SchemeStack selected by the config (see api/scheme_stack.h).
 //
-// Per-queue state (mediums, packet-id lanes, auditors) is held one entry per
-// event queue and looked up through the simulator's queue_of_node() /
-// wired_queue_index(); a classic run is the one-queue case. Only the kernel
-// choice in run() decides how many queues there are.
+// Per-queue state (mediums, packet-id lanes, auditors, timeline recorders)
+// is held one entry per event queue and looked up through the simulator's
+// queue_of_node() / wired_queue_index(); a classic run is the one-queue
+// case. Only the kernel choice in run() decides how many queues there are.
 struct Experiment::Impl {
   ExperimentConfig cfg;
   /// Dynamic runs own a mutable copy of the caller's topology — the
@@ -85,7 +85,10 @@ struct Experiment::Impl {
   std::map<traffic::FlowId, std::unique_ptr<traffic::TcpReceiver>>
       tcp_receivers;
 
-  std::shared_ptr<TimelineRecorder> timeline;
+  // Built only when cfg.record_timeline. One per event queue, like the
+  // auditors: each is written only by its own queue, and collect merges
+  // them into the result's one timeline.
+  std::vector<TimelineRecorder> timelines;
   domino::DominoTrace trace;
 
   // Built only when auditing resolves on (cfg.audit / DMN_AUDIT). The
@@ -126,6 +129,10 @@ struct Experiment::Impl {
   /// The auditor owning `node`'s queue (null when auditing is off).
   audit::SimAuditor* auditor_of(topo::NodeId node) {
     return auditors.empty() ? nullptr : auditors[queue_of(node)].get();
+  }
+  /// The timeline recorder owning `node`'s queue (null when not recording).
+  TimelineRecorder* timeline_of(topo::NodeId node) {
+    return timelines.empty() ? nullptr : &timelines[queue_of(node)];
   }
   /// The auditor owning the wired/controller queue (null when auditing is
   /// off).
@@ -306,25 +313,28 @@ struct Experiment::Impl {
   }
 
   void build_stack() {
-    if (cfg.record_timeline) {
-      timeline = std::make_shared<TimelineRecorder>();
-    }
-    // The trace fans out to the timeline recorder and/or the auditors;
+    if (cfg.record_timeline) timelines.resize(sim.queue_count());
+    // The trace fans out to the timeline recorders and/or the auditors;
     // hooks stay unset (and cost nothing) when neither consumer wants them.
     // Trace callbacks fire on the emitting node's queue, so each is routed
-    // to that node's (partition's) auditor.
+    // to that queue's recorder and auditor.
+    const bool recorded = !timelines.empty();
     const bool audited = !auditors.empty();
-    if (timeline || audited) {
+    if (recorded || audited) {
       trace.on_data_tx = [this](std::uint64_t slot, topo::NodeId s,
                                 topo::NodeId r, TimeNs t, bool fake,
                                 bool uplink) {
-        if (timeline) timeline->record_tx(slot, s, r, t, fake, uplink);
+        if (TimelineRecorder* tl = timeline_of(s)) {
+          tl->record_tx(slot, s, r, t, fake, uplink);
+        }
         if (audit::SimAuditor* a = auditor_of(s)) {
           a->on_data_tx(slot, s, r, t, fake, uplink);
         }
       };
       trace.on_poll = [this](std::uint64_t slot, topo::NodeId ap, TimeNs t) {
-        if (timeline) timeline->record_poll(slot, ap, t);
+        if (TimelineRecorder* tl = timeline_of(ap)) {
+          tl->record_poll(slot, ap, t);
+        }
         if (audit::SimAuditor* a = auditor_of(ap)) a->on_poll(slot, ap, t);
       };
     }
@@ -351,7 +361,7 @@ struct Experiment::Impl {
                      },
                      root,
                      delivery_fn(),
-                     (timeline || audited) ? &trace : nullptr,
+                     (recorded || audited) ? &trace : nullptr,
                      injector.get(),
                      wired_auditor()};
     macs.assign(topo.num_nodes(), nullptr);
@@ -392,16 +402,15 @@ struct Experiment::Impl {
 
     // Partitioned kernel: split the run into interference components when
     // the resolved thread count asks for it and the run is eligible.
-    // Timeline recording keeps the classic kernel (the recorder is a single
-    // shared sink); single-component topologies gain nothing. Dynamic runs
-    // always keep the classic kernel: partition-restricted mediums cannot
-    // track a mutable topology (phy::Medium::on_topology_changed throws),
-    // and a mid-window RSS change would violate the lookahead contract —
-    // so churn results are byte-stable at any DMN_SIM_THREADS by
-    // construction.
+    // Single-component topologies gain nothing. Dynamic runs always keep
+    // one queue: partitions derive from the static audibility graph, so a
+    // restricted medium could lose closure under a topology change
+    // (phy::Medium::on_topology_changed throws), and a mid-window RSS
+    // change would violate the lookahead contract — so churn results are
+    // byte-stable at any DMN_SIM_THREADS by construction.
     const unsigned threads = resolve_sim_threads(cfg);
     if (threads > 0 && stack->supports_partitioning() &&
-        !cfg.record_timeline && !cfg.dynamics.any()) {
+        !cfg.dynamics.any()) {
       const topo::Partitioning parts = topo::compute_partitions(topo);
       if (parts.count >= 2) {
         sim.configure_partitions(parts.assignment, parts.count,
@@ -571,7 +580,10 @@ struct Experiment::Impl {
       result.lifecycle_roam_rejections = lc.roam_rejections;
       result.lifecycle_join_rejections = lc.join_rejections;
     }
-    result.timeline = timeline;
+    if (!timelines.empty()) {
+      result.timeline = std::make_shared<TimelineRecorder>(
+          TimelineRecorder::merge(timelines));
+    }
     if (!auditors.empty()) {
       std::vector<std::shared_ptr<const audit::AuditReport>> reports;
       reports.reserve(auditors.size());

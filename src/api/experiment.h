@@ -86,10 +86,9 @@ struct ExperimentConfig {
   /// simulator events by the api::LifecycleDriver. A default-constructed
   /// plan is a strict no-op — the topology is not copied, the driver is not
   /// instantiated, and results stay byte-identical to static builds.
-  /// Dynamic runs force the classic single-queue kernel (partition-restricted
-  /// mediums cannot track a mutable topology), reject TCP traffic (flows
-  /// have fixed endpoints) and reject stacks whose supports_dynamics() is
-  /// false (Omniscient).
+  /// Dynamic runs keep one event queue (partitions derive from the static
+  /// audibility graph), reject TCP traffic (flows have fixed endpoints) and
+  /// reject stacks whose supports_dynamics() is false (Omniscient).
   topo::DynamicsPlan dynamics;
 
   /// Online invariant auditing (src/audit). Defaults to AuditMode::kInherit,
@@ -99,22 +98,26 @@ struct ExperimentConfig {
   /// hash_config (sweep_io) for the same reason.
   audit::AuditConfig audit;
 
+  /// Records the DOMINO timeline (ExperimentResult::timeline): one recorder
+  /// per event queue, merged when the run is collected. Strictly passive,
+  /// on every kernel: results are byte-identical with it on or off, so
+  /// hash_config (sweep_io) leaves it out, like `audit`.
   bool record_timeline = false;
 
   /// Partitioned simulation kernel (src/sim, src/topo/partition.h).
   ///   0   consult the DMN_SIM_THREADS environment variable; unset / 0 /
-  ///       unparsable keeps the classic single-queue kernel;
+  ///       unparsable keeps one event queue;
   ///   >=1 partition the run into interference components and execute them
   ///       on up to this many worker threads. Results are byte-stable
   ///       across every value >= 1 (the merge order of cross-partition
   ///       events is deterministic), but the partitioned family is a
-  ///       documented, deliberate deviation from the single-queue kernel
-  ///       (per-queue RNG lanes, per-partition mediums), so hash_config
-  ///       folds in *whether* partitioning is on — never the thread count;
-  ///   <0  force the classic kernel regardless of the environment.
+  ///       documented, deliberate deviation from one queue (per-queue RNG
+  ///       lanes, per-partition mediums), so hash_config folds in *whether*
+  ///       partitioning is on — never the thread count;
+  ///   <0  keep one queue regardless of the environment.
   /// Stacks that can't run partitioned (SchemeStack::supports_partitioning()
-  /// == false), timeline recording, and single-component topologies all fall
-  /// back to the classic kernel automatically.
+  /// == false), dynamic runs and single-component topologies keep one queue
+  /// automatically.
   int sim_threads = 0;
 
   /// The registry key this config resolves to: `scheme_name` when set,
@@ -165,7 +168,7 @@ ExperimentResult run_experiment(const topo::Topology& topology,
                                 const ExperimentConfig& config);
 
 /// The worker-thread count `cfg.sim_threads` resolves to: an explicit
-/// positive value wins, a negative value forces 0 (classic kernel), and 0
+/// positive value wins, a negative value forces 0 (one queue), and 0
 /// defers to DMN_SIM_THREADS. 0 means "do not partition".
 unsigned resolve_sim_threads(const ExperimentConfig& cfg);
 

@@ -99,8 +99,7 @@ struct ExperimentResult {
   std::uint64_t lifecycle_join_rejections = 0;
 
   /// Simulation-kernel diagnostics: total events executed and how many
-  /// interference partitions the run used (1 = classic single-queue
-  /// kernel). Like the wall-clock split and window statistics below, these
+  /// interference partitions the run used (1 = one event queue). Like the wall-clock split and window statistics below, these
   /// are telemetry: they describe how the run was scheduled and timed,
   /// which varies with thread count.
   std::uint64_t events_executed = 0;
@@ -114,7 +113,8 @@ struct ExperimentResult {
   /// when no consumer (DOMINO, Omniscient, the auditor) asked for the
   /// graph.
   std::uint64_t graph_builds = 0;
-  /// Partitioned-kernel window statistics (all zero on the classic kernel).
+  /// Kernel window statistics (sim::KernelStats; one queue runs one window
+  /// per run and activates no node queue).
   std::uint64_t sim_windows = 0;            ///< synchronization windows
   std::uint64_t sim_ff_jumps = 0;           ///< windows that skipped idle time
   std::uint64_t sim_elongated_windows = 0;  ///< windows with an extended bound

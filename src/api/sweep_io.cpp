@@ -667,8 +667,6 @@ void hash_config(Hasher& h, const ExperimentConfig& c) {
   h.num(d.roam.hysteresis_db);
   h.i64(d.roam.min_dwell);
 
-  h.boolean(c.record_timeline);
-
   // Whether the run is eligible for the partitioned kernel — the
   // partitioned family is a documented deviation from the classic kernel
   // (per-queue RNG lanes, per-partition mediums), so it hashes as a

@@ -21,6 +21,28 @@ void TimelineRecorder::record_poll(std::uint64_t slot, topo::NodeId ap,
   polls_.push_back(PollRecord{slot, ap, at});
 }
 
+TimelineRecorder TimelineRecorder::merge(
+    const std::vector<TimelineRecorder>& parts) {
+  std::vector<TxRecord> tx;
+  TimelineRecorder out;
+  for (const TimelineRecorder& p : parts) {
+    tx.insert(tx.end(), p.tx_.begin(), p.tx_.end());
+    out.polls_.insert(out.polls_.end(), p.polls_.begin(), p.polls_.end());
+  }
+  std::stable_sort(tx.begin(), tx.end(),
+                   [](const TxRecord& a, const TxRecord& b) {
+                     return a.start < b.start;
+                   });
+  std::stable_sort(out.polls_.begin(), out.polls_.end(),
+                   [](const PollRecord& a, const PollRecord& b) {
+                     return a.at < b.at;
+                   });
+  for (const TxRecord& r : tx) {
+    out.record_tx(r.slot, r.sender, r.receiver, r.start, r.fake, r.uplink);
+  }
+  return out;
+}
+
 double TimelineRecorder::misalignment_us(std::uint64_t slot) const {
   const auto it = window_.find(slot);
   if (it == window_.end()) return 0.0;

@@ -32,6 +32,11 @@ class TimelineRecorder {
                  topo::NodeId receiver, TimeNs start, bool fake, bool uplink);
   void record_poll(std::uint64_t slot, topo::NodeId ap, TimeNs at);
 
+  /// One timeline from per-queue recorders: their records in queue order,
+  /// stably sorted by start time — the identity on a single recorder, whose
+  /// records already come in execution order.
+  static TimelineRecorder merge(const std::vector<TimelineRecorder>& parts);
+
   const std::vector<TxRecord>& transmissions() const { return tx_; }
   const std::vector<PollRecord>& polls() const { return polls_; }
 

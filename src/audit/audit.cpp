@@ -116,19 +116,13 @@ void SimAuditor::check(bool ok, const char* invariant,
 // ---------------------------------------------------------------------------
 
 void SimAuditor::check_medium_sums() {
-  const std::size_t n = scratch_inbound_.size();
-  // A partition-restricted medium only maintains sums for its member nodes
-  // (power elsewhere is sub-audible and dropped): recompute and compare
-  // exactly the set it maintains, so an audited partitioned run keeps the
-  // kernel's O(partition) per-transmission cost instead of O(all nodes).
-  const std::vector<topo::NodeId>& members = medium_->member_nodes();
-  if (members.empty()) {
-    std::fill(scratch_inbound_.begin(), scratch_inbound_.end(), 0.0);
-    std::fill(scratch_rop_.begin(), scratch_rop_.end(), 0.0);
-    std::fill(scratch_txcount_.begin(), scratch_txcount_.end(), 0);
-  } else {
-    for (const topo::NodeId m : members) {
-      const auto i = static_cast<std::size_t>(m);
+  // The medium maintains sums only for its member runs (a partition-
+  // restricted medium drops sub-audible power elsewhere): recompute and
+  // compare exactly those, so an audited partitioned run keeps the kernel's
+  // O(partition) per-transmission cost instead of O(all nodes).
+  const std::vector<phy::NodeRun>& runs = medium_->member_runs();
+  for (const phy::NodeRun& run : runs) {
+    for (std::size_t i = run.begin; i < run.end; ++i) {
       scratch_inbound_[i] = 0.0;
       scratch_rop_[i] = 0.0;
       scratch_txcount_[i] = 0;
@@ -137,14 +131,8 @@ void SimAuditor::check_medium_sums() {
   medium_->visit_active_tx([&](const phy::Frame& f, TimeNs, TimeNs,
                                bool rop) {
     const auto row = topo_.rss_mw_row(f.src);
-    if (members.empty()) {
-      for (std::size_t i = 0; i < n; ++i) scratch_inbound_[i] += row[i];
-      if (rop) {
-        for (std::size_t i = 0; i < n; ++i) scratch_rop_[i] += row[i];
-      }
-    } else {
-      for (const topo::NodeId m : members) {
-        const auto i = static_cast<std::size_t>(m);
+    for (const phy::NodeRun& run : runs) {
+      for (std::size_t i = run.begin; i < run.end; ++i) {
         scratch_inbound_[i] += row[i];
         if (rop) scratch_rop_[i] += row[i];
       }
@@ -153,46 +141,45 @@ void SimAuditor::check_medium_sums() {
   });
 
   ++report_->checks_run;
-  const std::size_t checked = members.empty() ? n : members.size();
-  for (std::size_t k = 0; k < checked; ++k) {
-    const std::size_t i =
-        members.empty() ? k : static_cast<std::size_t>(members[k]);
-    const auto id = static_cast<topo::NodeId>(i);
-    const double inc = medium_->inbound_mw(id);
-    const double scr = scratch_inbound_[i];
-    if (std::abs(inc - scr) > kAbsTolMw + kRelTol * scr) {
-      std::ostringstream os;
-      os << "node " << i << ": incremental inbound " << inc
-         << " mW vs from-scratch " << scr << " mW ("
-         << medium_->active_tx_count() << " active tx)";
-      violate("medium.interference-accounting", os.str());
-    }
-    const double inc_rop = medium_->rop_inbound_mw(id);
-    const double scr_rop = scratch_rop_[i];
-    if (std::abs(inc_rop - scr_rop) > kAbsTolMw + kRelTol * scr_rop) {
-      std::ostringstream os;
-      os << "node " << i << ": incremental ROP inbound " << inc_rop
-         << " mW vs from-scratch " << scr_rop << " mW";
-      violate("medium.interference-accounting", os.str());
-    }
-    if (medium_->tx_count(id) != scratch_txcount_[i]) {
-      std::ostringstream os;
-      os << "node " << i << ": tx_count " << medium_->tx_count(id)
-         << " vs recount " << scratch_txcount_[i];
-      violate("medium.interference-accounting", os.str());
-    }
-    // Carrier sense must agree with its defining predicate over the
-    // medium's own cached sums (exact — refresh just ran).
-    const bool busy =
-        medium_->tx_count(id) > 0 ||
-        medium_->external_interference_mw() + medium_->inbound_mw(id) >=
-            medium_->cs_threshold_mw();
-    if (busy != medium_->cs_busy_cached(id)) {
-      std::ostringstream os;
-      os << "node " << i << ": cached cs_busy="
-         << (medium_->cs_busy_cached(id) ? 1 : 0) << " but predicate says "
-         << (busy ? 1 : 0);
-      violate("medium.carrier-sense", os.str());
+  for (const phy::NodeRun& run : runs) {
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      const auto id = static_cast<topo::NodeId>(i);
+      const double inc = medium_->inbound_mw(id);
+      const double scr = scratch_inbound_[i];
+      if (std::abs(inc - scr) > kAbsTolMw + kRelTol * scr) {
+        std::ostringstream os;
+        os << "node " << i << ": incremental inbound " << inc
+           << " mW vs from-scratch " << scr << " mW ("
+           << medium_->active_tx_count() << " active tx)";
+        violate("medium.interference-accounting", os.str());
+      }
+      const double inc_rop = medium_->rop_inbound_mw(id);
+      const double scr_rop = scratch_rop_[i];
+      if (std::abs(inc_rop - scr_rop) > kAbsTolMw + kRelTol * scr_rop) {
+        std::ostringstream os;
+        os << "node " << i << ": incremental ROP inbound " << inc_rop
+           << " mW vs from-scratch " << scr_rop << " mW";
+        violate("medium.interference-accounting", os.str());
+      }
+      if (medium_->tx_count(id) != scratch_txcount_[i]) {
+        std::ostringstream os;
+        os << "node " << i << ": tx_count " << medium_->tx_count(id)
+           << " vs recount " << scratch_txcount_[i];
+        violate("medium.interference-accounting", os.str());
+      }
+      // Carrier sense must agree with its defining predicate over the
+      // medium's own cached sums (exact — refresh just ran).
+      const bool busy =
+          medium_->tx_count(id) > 0 ||
+          medium_->external_interference_mw() + medium_->inbound_mw(id) >=
+              medium_->cs_threshold_mw();
+      if (busy != medium_->cs_busy_cached(id)) {
+        std::ostringstream os;
+        os << "node " << i << ": cached cs_busy="
+           << (medium_->cs_busy_cached(id) ? 1 : 0) << " but predicate says "
+           << (busy ? 1 : 0);
+        violate("medium.carrier-sense", os.str());
+      }
     }
   }
 }

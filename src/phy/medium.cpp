@@ -12,6 +12,8 @@ namespace dmn::phy {
 Medium::Medium(sim::Simulator& sim, const topo::Topology& topo)
     : sim_(sim),
       topo_(topo),
+      runs_{NodeRun{0, topo.num_nodes()}},
+      member_mask_(topo.num_nodes(), true),
       clients_(topo.num_nodes(), nullptr),
       inbound_mw_(topo.num_nodes(), 0.0),
       rop_inbound_mw_(topo.num_nodes(), 0.0),
@@ -32,22 +34,35 @@ void Medium::attach(topo::NodeId node, MediumClient* client) {
 void Medium::restrict_to_nodes(std::vector<topo::NodeId> members) {
   std::sort(members.begin(), members.end());
   member_mask_.assign(topo_.num_nodes(), false);
+  runs_.clear();
   for (const topo::NodeId id : members) {
-    member_mask_.at(static_cast<std::size_t>(id)) = true;
+    const auto i = static_cast<std::size_t>(id);
+    member_mask_.at(i) = true;
+    if (!runs_.empty() && runs_.back().end >= i) {
+      runs_.back().end = i + 1;  // extends the run (or repeats its last id)
+    } else {
+      runs_.push_back(NodeRun{i, i + 1});
+    }
   }
+  check_closed();
+}
+
+void Medium::check_closed() const {
   // No cross-partition airtime coupling: every audible neighbor of a member
   // must itself be a member, otherwise a transmission here would deposit
   // decodable power on a node simulated elsewhere.
-  for (const topo::NodeId id : members) {
-    for (const topo::NodeId nb : topo_.audible_from(id)) {
-      if (!member_mask_[static_cast<std::size_t>(nb)]) {
-        throw std::logic_error(
-            "medium: partition not closed under audibility: node " +
-            std::to_string(id) + " hears non-member " + std::to_string(nb));
+  for (const NodeRun& run : runs_) {
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      const auto id = static_cast<topo::NodeId>(i);
+      for (const topo::NodeId nb : topo_.audible_from(id)) {
+        if (!member_mask_[static_cast<std::size_t>(nb)]) {
+          throw std::logic_error(
+              "medium: partition not closed under audibility: node " +
+              std::to_string(id) + " hears non-member " + std::to_string(nb));
+        }
       }
     }
   }
-  members_ = std::move(members);
 }
 
 double Medium::decode_threshold_db(FrameType t) const {
@@ -89,39 +104,34 @@ void Medium::apply_tx_power(const ActiveTx& tx, double sign) {
   // to itself is -inf dBm), so adding the whole row is a no-op for the
   // transmitter itself — matching the reference accounting that skipped
   // the own-source term.
+  // Only member sums are maintained: power on any non-member is
+  // sub-audible by the closure invariant. On a partition-restricted medium
+  // this is the main algorithmic win of partitioning — O(partition) instead
+  // of O(topology) per transmission edge.
   const auto row = topo_.rss_mw_row(tx.frame.src);
   double* inbound = inbound_mw_.data();
-  if (members_.empty()) {
-    const std::size_t n = inbound_mw_.size();
-    for (std::size_t i = 0; i < n; ++i) inbound[i] += sign * row[i];
-    if (tx.rop) {
-      double* rop = rop_inbound_mw_.data();
-      for (std::size_t i = 0; i < n; ++i) rop[i] += sign * row[i];
-    }
-  } else {
-    // Partition-restricted medium: only member sums are maintained (power
-    // on any non-member is sub-audible by the closure invariant). This is
-    // the main algorithmic win of partitioning — O(partition) instead of
-    // O(topology) per transmission edge.
-    double* rop = rop_inbound_mw_.data();
-    for (const topo::NodeId id : members_) {
-      const auto i = static_cast<std::size_t>(id);
+  double* rop = rop_inbound_mw_.data();
+  for (const NodeRun& run : runs_) {
+    for (std::size_t i = run.begin; i < run.end; ++i) {
       inbound[i] += sign * row[i];
-      if (tx.rop) rop[i] += sign * row[i];
+    }
+    if (tx.rop) {
+      for (std::size_t i = run.begin; i < run.end; ++i) {
+        rop[i] += sign * row[i];
+      }
     }
   }
   // Quiescence resets incremental sums to exactly zero, so add/remove
   // rounding residues cannot accumulate across the simulation.
-  if (active_.empty()) {
-    if (members_.empty()) {
-      std::fill(inbound_mw_.begin(), inbound_mw_.end(), 0.0);
-      std::fill(rop_inbound_mw_.begin(), rop_inbound_mw_.end(), 0.0);
-    } else {
-      for (const topo::NodeId id : members_) {
-        inbound_mw_[static_cast<std::size_t>(id)] = 0.0;
-        rop_inbound_mw_[static_cast<std::size_t>(id)] = 0.0;
-      }
-    }
+  if (active_.empty()) zero_sums();
+}
+
+void Medium::zero_sums() {
+  for (const NodeRun& run : runs_) {
+    std::fill(inbound_mw_.begin() + run.begin, inbound_mw_.begin() + run.end,
+              0.0);
+    std::fill(rop_inbound_mw_.begin() + run.begin,
+              rop_inbound_mw_.begin() + run.end, 0.0);
   }
 }
 
@@ -162,13 +172,8 @@ void Medium::refresh_interference_and_cs() {
       if (clients_[i] != nullptr) clients_[i]->on_cs_change(busy);
     }
   };
-  if (members_.empty()) {
-    const std::size_t n = clients_.size();
-    for (std::size_t i = 0; i < n; ++i) check_cs(i);
-  } else {
-    for (const topo::NodeId id : members_) {
-      check_cs(static_cast<std::size_t>(id));
-    }
+  for (const NodeRun& run : runs_) {
+    for (std::size_t i = run.begin; i < run.end; ++i) check_cs(i);
   }
   if (observer_ != nullptr) observer_->on_medium_accounting();
 }
@@ -273,18 +278,12 @@ void Medium::set_external_interference_mw(double mw) {
 }
 
 void Medium::on_topology_changed() {
-  if (!members_.empty()) {
-    throw std::logic_error(
-        "Medium::on_topology_changed: partition-restricted medium cannot "
-        "track a mutable topology (partitions derive from the static "
-        "audibility graph; dynamic runs must use the classic kernel)");
-  }
+  check_closed();
   // Rebuild the running power sums from the CURRENT linear-power rows of
   // every active transmission. TX-end removal subtracts the row as it is at
   // removal time, so the sums must always reflect the current matrix — a
   // zero-and-readd here keeps add/remove pairs consistent across the change.
-  std::fill(inbound_mw_.begin(), inbound_mw_.end(), 0.0);
-  std::fill(rop_inbound_mw_.begin(), rop_inbound_mw_.end(), 0.0);
+  zero_sums();
   for (std::uint32_t slot : active_) {
     apply_tx_power(slab_[slot], +1.0);
   }

@@ -32,6 +32,7 @@
 // (pinned by tests/golden_test.cpp).
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -81,6 +82,12 @@ class MediumObserver {
   virtual void on_medium_accounting() = 0;
 };
 
+/// The node ids [begin, end).
+struct NodeRun {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
 class Medium {
  public:
   Medium(sim::Simulator& sim, const topo::Topology& topo);
@@ -97,11 +104,13 @@ class Medium {
   /// transmission would deposit on a non-member is below receiver
   /// sensitivity by construction and is dropped from the sums (documented
   /// idealization: sub-audible power also stops contributing to non-member
-  /// carrier-sense/interference aggregates).
+  /// carrier-sense/interference aggregates). Restricting to every node is
+  /// the unrestricted medium.
   void restrict_to_nodes(std::vector<topo::NodeId> members);
 
-  /// Restricted member list (ascending); empty when unrestricted.
-  const std::vector<topo::NodeId>& member_nodes() const { return members_; }
+  /// The member set as ascending, disjoint, non-adjacent runs of node ids;
+  /// an unrestricted medium is the single run [0, num_nodes).
+  const std::vector<NodeRun>& member_runs() const { return runs_; }
 
   /// Starts transmitting `frame` (frame.duration must be set). The frame is
   /// delivered to listeners at now() + duration.
@@ -142,10 +151,9 @@ class Medium {
   /// Without this call, TX-end removal would subtract new-matrix rows from
   /// old-matrix sums and corrupt the accounting.
   ///
-  /// Throws std::logic_error on a partition-restricted medium: partitions
-  /// are computed from the static audibility graph, so a mutable topology
-  /// forces the classic kernel (the facade enforces this; the throw is the
-  /// backstop for the PR 6/8 lookahead contract).
+  /// Throws std::logic_error when the change leaves the member set no
+  /// longer closed under audibility (a restricted medium would then drop
+  /// decodable power; the facade keeps dynamic runs on one medium).
   void on_topology_changed();
 
   // ---- audit seam -------------------------------------------------------
@@ -210,16 +218,20 @@ class Medium {
   /// Adds (sign = +1) or removes (sign = -1) a transmission's power row
   /// from the per-node sums.
   void apply_tx_power(const ActiveTx& tx, double sign);
+  /// Zeroes the member sums (quiescence, topology change).
+  void zero_sums();
   double decode_threshold_db(FrameType t) const;
+  /// Throws std::logic_error when an audible edge leaves the member set.
+  void check_closed() const;
 
   bool is_member(topo::NodeId node) const {
-    return member_mask_.empty() || member_mask_[static_cast<std::size_t>(node)];
+    return member_mask_[static_cast<std::size_t>(node)];
   }
 
   sim::Simulator& sim_;
   const topo::Topology& topo_;
-  std::vector<topo::NodeId> members_;  // empty = all nodes
-  std::vector<bool> member_mask_;      // empty = all nodes
+  std::vector<NodeRun> runs_;      // the member set, see member_runs()
+  std::vector<bool> member_mask_;  // the same set, by node id
   std::vector<MediumClient*> clients_;
   MediumObserver* observer_ = nullptr;
   bool test_power_leak_ = false;

@@ -135,8 +135,8 @@ void EventQueue::inbox_put(CrossMsg msg) {
   inbox_flag_.store(true, std::memory_order_release);
 }
 
-bool EventQueue::drain_inbox() {
-  if (!inbox_flag_.load(std::memory_order_acquire)) return false;
+void EventQueue::drain_inbox() {
+  if (!inbox_flag_.load(std::memory_order_acquire)) return;
   {
     const std::lock_guard<std::mutex> lock(inbox_mutex_);
     drain_scratch_.swap(inbox_);
@@ -149,9 +149,7 @@ bool EventQueue::drain_inbox() {
     // merged order cannot depend on which barrier drained which message.
     heap_insert(Key{m.at, 1 + static_cast<std::uint64_t>(m.src), m.seq, slot});
   }
-  const bool drained = !drain_scratch_.empty();
   drain_scratch_.clear();  // keeps capacity for the next barrier
-  return drained;
 }
 
 }  // namespace dmn::sim

@@ -32,9 +32,9 @@
 //
 // Threading contract: a queue is only ever touched by one thread at a time —
 // its owning worker during a synchronization window, the coordinator between
-// windows. The sole exception is inbox_put()/inbox_pending(), which remote
-// partitions may call concurrently (mutex-protected vector plus a lock-free
-// "pending" flag for the barrier's idle check); drain_inbox() moves the
+// windows. The sole exception is inbox_put(), which remote partitions may
+// call concurrently (mutex-protected vector plus a lock-free "pending" flag
+// that lets the barrier skip idle inboxes); drain_inbox() moves the
 // accumulated messages into the heap at a window barrier.
 //
 // Lifetime contract: an EventHandle borrows pooled state owned by its
@@ -230,11 +230,6 @@ class EventQueue {
     }
   }
 
-  /// Pops and executes the earliest pending event; skips (without counting)
-  /// a cancelled entry. The caller guarantees the heap is non-empty.
-  /// Returns true when an event actually ran.
-  bool run_one();
-
   /// Runs pending events with at <= last, in (at, lane, seq) order, until
   /// the heap drains past the bound, `max_events` have run, stop() was
   /// requested from inside an event, or the interrupt flag reads true.
@@ -242,7 +237,6 @@ class EventQueue {
   std::uint64_t run_window(TimeNs last, std::uint64_t max_events,
                            const std::atomic<bool>* interrupt);
 
-  bool stop_requested() const { return stop_requested_; }
   void request_stop() { stop_requested_ = true; }
   void clear_stop() { stop_requested_ = false; }
 
@@ -255,7 +249,7 @@ class EventQueue {
   };
 
   /// Appends a message from another partition (thread-safe) and raises the
-  /// lock-free pending flag the barrier's idle check reads.
+  /// lock-free pending flag drain_inbox() checks first.
   void inbox_put(CrossMsg msg);
 
   /// Next per-source sequence number for cross-partition sends originating
@@ -266,16 +260,9 @@ class EventQueue {
   /// execution order is encoded directly in the heap key, so the result is
   /// independent of which barrier drained which message. Barrier-only: the
   /// caller must be the queue's sole executor. Throws if a message lands in
-  /// the past. Returns true when any message moved (i.e. next_time() may
-  /// have changed).
-  bool drain_inbox();
+  /// the past.
+  void drain_inbox();
 
-  /// True when inbox_put() calls are pending a drain. Lock-free: a relaxed
-  /// flag raised by inbox_put and cleared by drain_inbox, so per-barrier
-  /// idle checks cost one atomic load instead of a mutex round trip.
-  bool inbox_pending() const {
-    return inbox_flag_.load(std::memory_order_acquire);
-  }
 
  private:
   friend class Simulator;
@@ -301,6 +288,10 @@ class EventQueue {
     EventHandle::State* state = nullptr;  // null for post_at events
   };
 
+  /// Pops and executes the earliest pending event; skips (without counting)
+  /// a cancelled entry. The caller guarantees the heap is non-empty.
+  /// Returns true when an event actually ran.
+  bool run_one();
   void check_future(TimeNs at) const;
   std::uint32_t take_slot(EventFn fn, EventHandle::State* state);
   void heap_insert(Key k);

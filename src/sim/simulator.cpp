@@ -121,6 +121,7 @@ struct Simulator::Pool {
 
 Simulator::Simulator() {
   queues_.push_back(std::make_unique<EventQueue>(0));
+  stats_.activation_hist.assign(1, 0);
 }
 
 Simulator::~Simulator() { shutdown_pool(); }
@@ -148,8 +149,8 @@ void Simulator::configure_partitions(std::vector<std::uint32_t> assignment,
                                      unsigned threads) {
   if (count < 2) {
     throw std::invalid_argument(
-        "sim: configure_partitions requires >= 2 partitions; keep the "
-        "single-queue kernel otherwise");
+        "sim: configure_partitions requires >= 2 partitions; keep one "
+        "queue otherwise");
   }
   if (count >= Pool::kIdxMask) {
     throw std::invalid_argument(
@@ -175,7 +176,6 @@ void Simulator::configure_partitions(std::vector<std::uint32_t> assignment,
   // wake counters don't leak into the freshly-reset stats below.
   shutdown_pool();
   node_queue_ = std::move(assignment);
-  partitions_ = count;
   lookahead_ = lookahead;
   threads_ = std::max(1u, threads);
   const char* fixed = std::getenv("DMN_SIM_FIXED_WINDOWS");
@@ -231,49 +231,6 @@ std::uint64_t Simulator::events_executed() const {
   return total;
 }
 
-void Simulator::run_until(TimeNs until) {
-  if (partitions_ == 0) {
-    run_until_legacy(until);
-  } else {
-    run_until_partitioned(until);
-  }
-}
-
-void Simulator::run() {
-  if (partitions_ != 0) {
-    throw std::logic_error("sim: partitioned run requires a finite horizon");
-  }
-  run_until(kTimeNever);
-}
-
-void Simulator::run_until_legacy(TimeNs until) {
-  EventQueue& q = *queues_[0];
-  q.clear_stop();
-  stop_all_.store(false, std::memory_order_relaxed);
-  interrupted_ = false;
-  while (!q.empty() && !q.stop_requested()) {
-    // Watchdog checks between events: a budget overrun or an externally-set
-    // interrupt flag stops the loop at a safe event boundary, leaving now()
-    // and events_executed() as the last-known progress.
-    if (event_budget_ != 0 && q.executed() >= event_budget_) {
-      interrupted_ = true;
-      break;
-    }
-    if (interrupt_ != nullptr &&
-        interrupt_->load(std::memory_order_relaxed)) {
-      interrupted_ = true;
-      break;
-    }
-    if (q.next_time() > until) break;
-    q.run_one();
-  }
-  // Fast-forward the clock to the horizon (but not to the run()'s
-  // infinite sentinel) so callers observe "simulated until `until`".
-  if (q.now() < until && q.empty() && until != kTimeNever) {
-    q.set_now(until);
-  }
-}
-
 void Simulator::run_queue_window(std::uint32_t q, TimeNs last,
                                  std::uint64_t cap) {
   TlsScope scope(this, queues_[q].get());
@@ -284,14 +241,11 @@ void Simulator::run_queue_window(std::uint32_t q, TimeNs last,
   }
 }
 
-void Simulator::run_until_partitioned(TimeNs until) {
-  if (until == kTimeNever) {
-    throw std::logic_error("sim: partitioned run requires a finite horizon");
-  }
+void Simulator::run_until(TimeNs until) {
   interrupted_ = false;
   stop_all_.store(false, std::memory_order_relaxed);
   for (auto& q : queues_) q->clear_stop();
-  const std::uint32_t wired = partitions_;
+  const std::uint32_t wired = wired_queue_index();
   const std::size_t nq = queues_.size();
   bounds_.assign(nq, 0);
   exec_delta_.assign(nq, 0);
@@ -302,15 +256,6 @@ void Simulator::run_until_partitioned(TimeNs until) {
     // their destination heaps. The lock-free inbox flag makes this a single
     // relaxed load per idle queue — no mutex sweep.
     for (auto& q : queues_) q->drain_inbox();
-    if (event_budget_ != 0 && events_executed() >= event_budget_) {
-      interrupted_ = true;
-      break;
-    }
-    if (interrupt_ != nullptr &&
-        interrupt_->load(std::memory_order_relaxed)) {
-      interrupted_ = true;
-      break;
-    }
     if (stop_all_.load(std::memory_order_relaxed)) break;
     // m1 = earliest pending event anywhere; m2 = earliest on any OTHER
     // queue than m1's (== m1 on a tie). Both are pure simulation state.
@@ -328,6 +273,22 @@ void Simulator::run_until_partitioned(TimeNs until) {
       }
     }
     if (m1 == kTimeNever || m1 > until) break;
+    // Work remains before the horizon: a watchdog stop here is early.
+    if ((event_budget_ != 0 && events_executed() >= event_budget_) ||
+        (interrupt_ != nullptr &&
+         interrupt_->load(std::memory_order_relaxed))) {
+      interrupted_ = true;
+      break;
+    }
+    // The previous window ran to completion: advance every clock to its
+    // bound so this window's wired peeks and inbox drains see a consistent
+    // "time has passed" view. A halted window skips this, leaving each
+    // clock at its last executed event.
+    if (have_prev) {
+      for (std::size_t i = 0; i < nq; ++i) {
+        if (queues_[i]->now() < bounds_[i]) queues_[i]->set_now(bounds_[i]);
+      }
+    }
     // Window start: jump straight to the earliest event (adaptive mode) or
     // step densely from the previous end (DMN_SIM_FIXED_WINDOWS reference).
     TimeNs start;
@@ -338,6 +299,8 @@ void Simulator::run_until_partitioned(TimeNs until) {
       if (have_prev && m1 > prev_end + 1) ++stats_.ff_jumps;
     }
     ++stats_.windows;
+    // One queue has lookahead kTimeNever, so its window is bounded only by
+    // the horizon.
     const TimeNs horizon = (start > kTimeNever - lookahead_)
                                ? kTimeNever
                                : start + lookahead_;
@@ -363,7 +326,7 @@ void Simulator::run_until_partitioned(TimeNs until) {
     const std::uint64_t cap =
         event_budget_ == 0
             ? std::numeric_limits<std::uint64_t>::max()
-            : (event_budget_ > total ? event_budget_ - total : 0);
+            : event_budget_ - total;
     errors_.assign(nq, nullptr);
     // Wired queue first, on the coordinator, while every node queue is
     // parked: controller logic may peek AP MAC state race-free. Its view
@@ -376,7 +339,7 @@ void Simulator::run_until_partitioned(TimeNs until) {
       // Sparse activation: only node queues with events inside their bound
       // enter the window at all; the rest just get their clocks advanced.
       active_.clear();
-      for (std::uint32_t q = 0; q < partitions_; ++q) {
+      for (std::uint32_t q = 0; q < wired; ++q) {
         if (queues_[q]->next_time() <= bounds_[q]) active_.push_back(q);
       }
       stats_.activations += active_.size();
@@ -388,11 +351,6 @@ void Simulator::run_until_partitioned(TimeNs until) {
         run_active_pooled(cap);
       }
     }
-    // Advance every clock to its window bound so the next window's wired
-    // peeks and inbox drains see a consistent "time has passed" view.
-    for (std::size_t i = 0; i < nq; ++i) {
-      if (queues_[i]->now() < bounds_[i]) queues_[i]->set_now(bounds_[i]);
-    }
     have_prev = true;
     prev_end = window_end;
     for (auto& e : errors_) {
@@ -403,15 +361,11 @@ void Simulator::run_until_partitioned(TimeNs until) {
     stats_.spin_wakes = pool_->spin_wakes.load(std::memory_order_relaxed);
     stats_.sleep_wakes = pool_->sleep_wakes.load(std::memory_order_relaxed);
   }
-  if (!interrupted_ && !stop_all_.load(std::memory_order_relaxed)) {
-    bool all_idle = true;
+  // Simulated until `until` (but not to run()'s infinite sentinel).
+  if (!interrupted_ && !stop_all_.load(std::memory_order_relaxed) &&
+      until != kTimeNever) {
     for (auto& q : queues_) {
-      if (!q->empty() || q->inbox_pending()) all_idle = false;
-    }
-    if (all_idle) {
-      for (auto& q : queues_) {
-        if (q->now() < until) q->set_now(until);
-      }
+      if (q->now() < until) q->set_now(until);
     }
   }
 }
@@ -534,7 +488,7 @@ void Simulator::ensure_pool() {
   pool_ = std::make_unique<Pool>();
   // The coordinator pulls work alongside the pool, so it counts as one of
   // the `threads_` execution lanes.
-  const unsigned extra = std::min(threads_, partitions_) - 1;
+  const unsigned extra = std::min(threads_, wired_queue_index()) - 1;
   pool_->workers.reserve(extra);
   for (unsigned w = 0; w < extra; ++w) {
     pool_->workers.emplace_back([this] { worker_loop(); });

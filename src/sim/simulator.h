@@ -1,9 +1,12 @@
 #pragma once
 // Discrete-event simulation kernel.
 //
-// In its default configuration a Simulator owns exactly one EventQueue and
-// behaves byte-identically to the historical single-heap kernel: one clock,
-// one time-ordered heap, strict (at, seq) execution order.
+// A Simulator owns one or more EventQueues, each with its own clock and
+// time-ordered heap executing in strict (at, lane, seq) order, and one run
+// loop that advances them in synchronization windows. A default-constructed
+// Simulator has exactly one queue. No other queue can post to it, so no
+// lookahead applies (lookahead() is kTimeNever) and each run_until() is a
+// single window bounded only by the horizon.
 //
 // configure_partitions() turns it into a conservative parallel kernel
 // (classic ns-3-distributed recipe): each interference partition of the
@@ -76,17 +79,20 @@
 
 namespace dmn::sim {
 
-/// Kernel telemetry for the partitioned run loop. Counters accumulate
-/// across run_until() calls; all are coordinator-written except the wake
-/// counts, which workers accumulate into the pool and the coordinator folds
-/// in. Cheap enough to keep always-on.
+/// Kernel telemetry for the run loop. Counters accumulate across
+/// run_until() calls; all are coordinator-written except the wake counts,
+/// which workers accumulate into the pool and the coordinator folds in.
+/// Cheap enough to keep always-on. A one-queue simulator counts one window
+/// per run_until() that executes anything and never activates a node queue
+/// (its only queue is the wired one). The counts describe how a run was
+/// scheduled, never what it computed: results carry them as telemetry only.
 struct KernelStats {
   std::uint64_t windows = 0;            ///< synchronization windows executed
   std::uint64_t ff_jumps = 0;           ///< windows whose start skipped idle time
   std::uint64_t elongated_windows = 0;  ///< windows where the min queue ran past m1+L-1
   std::uint64_t activations = 0;        ///< total node-queue activations (sum over windows)
   /// activation_hist[k] = number of windows that activated exactly k node
-  /// queues; sized partition_count()+1 once partitioned.
+  /// queues; sized queue_count().
   std::vector<std::uint64_t> activation_hist;
   std::uint64_t spin_wakes = 0;   ///< worker wakeups served by the spin loop
   std::uint64_t sleep_wakes = 0;  ///< worker wakeups that fell through to the cv
@@ -119,26 +125,26 @@ class Simulator {
                             std::uint32_t count, TimeNs lookahead,
                             unsigned threads);
 
-  bool partitioned() const { return partitions_ != 0; }
-  /// Number of node partitions (0 when not partitioned).
-  std::uint32_t partition_count() const { return partitions_; }
-  /// Number of event queues: 1 for the single-queue kernel, the node
-  /// partitions plus the wired queue otherwise. Per-queue state (RNG and
-  /// counter lanes, auditors) is sized by this and indexed by
+  /// Number of event queues: 1 by default, the node partitions plus the
+  /// wired queue once partitioned. Per-queue state (RNG and counter lanes,
+  /// mediums, auditors, timeline recorders) is sized by this and indexed by
   /// active_queue_index() / queue_of_node() / wired_queue_index().
   std::uint32_t queue_count() const {
     return static_cast<std::uint32_t>(queues_.size());
   }
+  /// Minimum latency of any cross-queue delivery: the window width of a
+  /// partitioned kernel, kTimeNever on one queue (nothing can cross).
   TimeNs lookahead() const { return lookahead_; }
 
-  /// Queue carrying a node's events: its partition when partitioned, the
-  /// single legacy queue otherwise.
+  /// Queue carrying a node's events: its partition's queue. A node no
+  /// partition claims — every node of a one-queue simulator — runs on the
+  /// wired queue, which on one queue is the only queue.
   std::uint32_t queue_of_node(std::size_t node) const {
-    return partitions_ == 0 ? 0
-                            : node_queue_[node];
+    return node < node_queue_.size() ? node_queue_[node]
+                                     : wired_queue_index();
   }
-  /// Queue carrying backbone-side logic (== 0 when not partitioned).
-  std::uint32_t wired_queue_index() const { return partitions_; }
+  /// Queue carrying backbone-side logic: the last queue.
+  std::uint32_t wired_queue_index() const { return queue_count() - 1; }
   /// Index of the queue the calling context schedules into right now.
   std::uint32_t active_queue_index() const { return active().index(); }
 
@@ -146,7 +152,7 @@ class Simulator {
   /// The facade wraps component construction and traffic-source starts in a
   /// Scope so their initial self-scheduled events start on the right queue;
   /// events posted from inside a running event always follow the executing
-  /// queue instead. No-op scoping to queue 0 when not partitioned.
+  /// queue instead. On one queue every Scope pins queue 0.
   class Scope {
    public:
     Scope(Simulator& sim, std::uint32_t queue);
@@ -182,11 +188,10 @@ class Simulator {
   }
 
   /// Schedules `fn` at absolute time `at` on queue `dst`. Falls back to
-  /// post_at() when `dst` is the active queue (always so on the
-  /// single-queue kernel); otherwise appends to dst's inbox in (time,
-  /// source queue, source seq) order. Cross-queue sends must respect the
-  /// lookahead contract (`at >= now() + lookahead()`); violations throw
-  /// std::logic_error.
+  /// post_at() when `dst` is the active queue (always so on one queue);
+  /// otherwise appends to dst's inbox in (time, source queue, source seq)
+  /// order. Cross-queue sends must respect the lookahead contract
+  /// (`at >= now() + lookahead()`); violations throw std::logic_error.
   void post_to_queue(std::uint32_t dst, TimeNs at, EventFn fn);
 
   /// Cancel a pending event. No-op if already run or cancelled. Only valid
@@ -194,17 +199,19 @@ class Simulator {
   void cancel(EventHandle& h) { EventQueue::cancel(h); }
 
   /// Run until every queue drains or simulation time exceeds `until`.
-  /// Events stamped exactly at `until` still run. Partitioned runs require
-  /// a finite horizon.
+  /// Events stamped exactly at `until` still run. On a normal return every
+  /// clock reads `until` (unless it is kTimeNever); a run halted early by
+  /// stop(), the interrupt flag or the event budget leaves each clock at its
+  /// last executed event — the last-known progress.
   void run_until(TimeNs until);
 
-  /// Run until the queue drains (single-queue kernel only).
-  void run();
+  /// Run until every queue drains: run_until(kTimeNever).
+  void run() { run_until(kTimeNever); }
 
-  /// Request the run loop to stop after the current event. In a partitioned
-  /// run the active queue stops immediately and every other queue stops at
-  /// the next window barrier — a deterministic point, since in-window
-  /// executions are independent.
+  /// Request the run loop to stop after the current event. The active queue
+  /// stops immediately and every other queue stops at the next window
+  /// barrier — a deterministic point, since in-window executions are
+  /// independent.
   void stop();
 
   /// Arms cooperative external interruption (the sweep watchdog hook).
@@ -217,25 +224,26 @@ class Simulator {
   }
 
   /// Caps the total number of executed events (summed across queues); once
-  /// events_executed() reaches the budget the run loop stops and reports
-  /// interrupted(). In a partitioned run the budget is re-checked at every
-  /// window barrier and enforced deterministically in-window: each window
-  /// lets every queue run at most (budget - total at window start) events,
-  /// a per-queue cap that does not depend on other queues' progress.
+  /// events_executed() reaches the budget with work left before the horizon,
+  /// the run loop stops and reports interrupted(). The budget is re-checked
+  /// at every window barrier and enforced deterministically in-window: each
+  /// window lets every queue run at most (budget - total at window start)
+  /// events, a per-queue cap that does not depend on other queues' progress.
   /// 0 disables the budget.
   void set_event_budget(std::uint64_t max_events) {
     event_budget_ = max_events;
   }
 
   /// True when the last run_until()/run() stopped early because of the
-  /// interrupt flag or the event budget (not because the queues drained,
-  /// the horizon was reached, or stop() was called).
+  /// interrupt flag or the event budget while events remained at or before
+  /// the horizon (not because the queues drained, the horizon was reached,
+  /// or stop() was called).
   bool interrupted() const { return interrupted_; }
 
   /// Number of events executed so far, summed across queues.
   std::uint64_t events_executed() const;
 
-  /// Telemetry of the partitioned run loop (empty for the legacy kernel).
+  /// Telemetry of the run loop.
   const KernelStats& kernel_stats() const { return stats_; }
 
  private:
@@ -243,8 +251,6 @@ class Simulator {
   struct Pool;
 
   EventQueue& active() const;
-  void run_until_legacy(TimeNs until);
-  void run_until_partitioned(TimeNs until);
   /// Runs queue `q` for the current window on the calling thread, recording
   /// its executed count (LPT input) and trapping its error.
   void run_queue_window(std::uint32_t q, TimeNs last, std::uint64_t cap);
@@ -259,9 +265,8 @@ class Simulator {
   void shutdown_pool();
 
   std::vector<std::unique_ptr<EventQueue>> queues_;
-  std::vector<std::uint32_t> node_queue_;
-  std::uint32_t partitions_ = 0;  // node partitions; 0 = single-queue kernel
-  TimeNs lookahead_ = 0;
+  std::vector<std::uint32_t> node_queue_;  // empty on one queue
+  TimeNs lookahead_ = kTimeNever;
   unsigned threads_ = 1;
   bool fixed_windows_ = false;  // DMN_SIM_FIXED_WINDOWS=1 reference schedule
   std::uint32_t build_queue_ = 0;

@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/experiment.h"
@@ -201,6 +203,91 @@ TEST(Kernel, CrossPartitionSendBelowLookaheadThrows) {
   EXPECT_TRUE(ran);
 }
 
+// ---- run-loop contract ------------------------------------------------------
+
+/// Ten events on queue 0 at 10, 20, ..., 100 us (event k calls `hook(k)`)
+/// and five on the wired queue at 15, 35, ..., 95 us — on one queue both
+/// sets land on queue 0. Partitioned: two node queues plus the wired queue,
+/// lookahead 20 us, one thread.
+struct ContractRun {
+  explicit ContractRun(bool partitioned, std::function<void(int)> hook = {}) {
+    if (partitioned) sim.configure_partitions({0u, 1u}, 2, usec(20), 1);
+    {
+      sim::Simulator::Scope scope(sim, 0);
+      for (int k = 1; k <= 10; ++k) {
+        sim.post_at(usec(10 * k), [k, hook] {
+          if (hook) hook(k);
+        });
+      }
+    }
+    sim::Simulator::Scope scope(sim, sim.wired_queue_index());
+    for (int k = 0; k < 5; ++k) sim.post_at(usec(15 + 20 * k), [] {});
+  }
+  void expect(std::uint64_t events, bool interrupted, TimeNs now) const {
+    EXPECT_EQ(sim.events_executed(), events);
+    EXPECT_EQ(sim.interrupted(), interrupted);
+    EXPECT_EQ(sim.now(), now);
+  }
+  sim::Simulator sim;
+};
+
+// One run loop serves both kernels, with one clock rule: a normal return
+// leaves every clock at the horizon, a halted run (budget, interrupt flag,
+// stop()) leaves each clock at its last executed event. A budget met
+// exactly as the work runs out is no interruption, and run() drains a
+// partitioned simulator too.
+TEST(Kernel, RunLoopContractOnOneAndManyQueues) {
+  for (const bool partitioned : {false, true}) {
+    SCOPED_TRACE(partitioned ? "partitioned" : "one queue");
+    const std::uint64_t halted_events = partitioned ? 7 : 6;
+    {
+      ContractRun r(partitioned);
+      r.sim.set_event_budget(4);
+      r.sim.run_until(msec(1));
+      r.expect(4, true, usec(30));
+    }
+    {
+      std::atomic<bool> flag{false};
+      ContractRun r(partitioned, [&flag](int k) {
+        if (k == 4) flag = true;
+      });
+      r.sim.set_interrupt_flag(&flag);
+      r.sim.run_until(msec(1));
+      r.expect(halted_events, true, usec(40));
+    }
+    {
+      sim::Simulator* sim = nullptr;
+      ContractRun r(partitioned, [&sim](int k) {
+        if (k == 4) sim->stop();
+      });
+      sim = &r.sim;
+      r.sim.run_until(msec(1));
+      r.expect(halted_events, false, usec(40));
+      r.sim.run_until(msec(1));  // resumes where stop() left off
+      r.expect(15, false, msec(1));
+    }
+    {
+      ContractRun r(partitioned);
+      r.sim.run_until(usec(58));  // 60 us and later stay pending
+      r.expect(8, false, usec(58));
+      r.sim.run_until(msec(1));
+      r.expect(15, false, msec(1));
+    }
+    {
+      // A budget met exactly as the work runs out is no interruption.
+      ContractRun r(partitioned);
+      r.sim.set_event_budget(15);
+      r.sim.run_until(msec(1));
+      r.expect(15, false, msec(1));
+    }
+    {
+      ContractRun r(partitioned);
+      r.sim.run();  // drains; the clock stays at the last event
+      r.expect(15, false, usec(100));
+    }
+  }
+}
+
 TEST(Kernel, NegativeExtraLatencyThrows) {
   sim::Simulator sim;
   wired::Backbone bb(sim, wired::BackboneParams{}, Rng(7));
@@ -345,6 +432,76 @@ TEST(Determinism, DynamicTopologyForcesClassicKernelAndStaysByteStable) {
   }
 }
 
+// ---- timelines on every kernel ----------------------------------------------
+
+/// A DOMINO timeline run on a radio-isolated two-building floor plan.
+api::ExperimentConfig timeline_cfg(int threads) {
+  auto cfg = part_cfg(api::Scheme::kDomino, threads);
+  cfg.duration = msec(200);
+  cfg.record_timeline = true;
+  return cfg;
+}
+
+topo::Topology timeline_floorplan() {
+  topo::TraceParams params;
+  params.building_gap = 500.0;
+  Rng rng(11);
+  return topo::make_floorplan_topology(params, 4, 2, {}, rng);
+}
+
+TEST(Timeline, RecordsOnThePartitionedKernelAtAnyThreadCount) {
+  const auto t = timeline_floorplan();
+  const auto four = api::run_experiment(t, timeline_cfg(4));
+  const auto one = api::run_experiment(t, timeline_cfg(1));
+  EXPECT_GT(four.sim_partitions, 1u) << "timeline forced one queue";
+  EXPECT_EQ(one.sim_partitions, four.sim_partitions);
+  ASSERT_NE(four.timeline, nullptr);
+  ASSERT_NE(one.timeline, nullptr);
+  const api::TimelineRecorder& a = *one.timeline;
+  const api::TimelineRecorder& b = *four.timeline;
+  ASSERT_FALSE(a.polls().empty());
+  ASSERT_EQ(a.transmissions().size(), b.transmissions().size());
+  // The merged record covers every building's APs, in start-time order.
+  std::vector<bool> sent(t.num_nodes(), false);
+  for (std::size_t i = 0; i < a.transmissions().size(); ++i) {
+    const auto& x = a.transmissions()[i];
+    const auto& y = b.transmissions()[i];
+    EXPECT_EQ(std::tie(x.slot, x.sender, x.receiver, x.start, x.fake,
+                       x.uplink),
+              std::tie(y.slot, y.sender, y.receiver, y.start, y.fake,
+                       y.uplink))
+        << "record " << i;
+    if (i > 0) EXPECT_LE(a.transmissions()[i - 1].start, x.start);
+    if (!x.uplink) sent[static_cast<std::size_t>(x.sender)] = true;
+  }
+  for (const topo::NodeId ap : t.aps()) {
+    EXPECT_TRUE(sent[static_cast<std::size_t>(ap)]) << "AP " << ap;
+  }
+  ASSERT_EQ(a.polls().size(), b.polls().size());
+  for (std::size_t i = 0; i < a.polls().size(); ++i) {
+    const auto& x = a.polls()[i];
+    const auto& y = b.polls()[i];
+    EXPECT_EQ(std::tie(x.slot, x.ap, x.at), std::tie(y.slot, y.ap, y.at))
+        << "poll " << i;
+  }
+  EXPECT_EQ(a.first_slot(), b.first_slot());
+  EXPECT_EQ(a.last_slot(), b.last_slot());
+  const std::size_t slots = a.last_slot() - a.first_slot() + 1;
+  EXPECT_EQ(a.misalignment_series(a.first_slot(), slots),
+            b.misalignment_series(b.first_slot(), slots));
+}
+
+TEST(Timeline, RecordingIsPassiveOnEveryKernel) {
+  const auto t = timeline_floorplan();
+  for (const int threads : {-1, 1, 4}) {
+    SCOPED_TRACE("sim_threads " + std::to_string(threads));
+    auto cfg = timeline_cfg(threads);
+    const std::string on = run_bytes(t, cfg);
+    cfg.record_timeline = false;
+    EXPECT_EQ(on, run_bytes(t, cfg));
+  }
+}
+
 TEST(Partitioned, SmokeBothBuildingsCarryTraffic) {
   const auto t = two_buildings(2);
   const auto r = api::run_experiment(t, part_cfg(api::Scheme::kDomino, 2));
@@ -467,7 +624,7 @@ TEST(Kernel, ReconfigureBeforeSchedulingTakesEffect) {
   sim::Simulator sim;
   sim.configure_partitions({0u, 1u}, 2, usec(20), 8);
   sim.configure_partitions({0u, 1u, 2u, 0u}, 3, usec(40), 2);
-  EXPECT_EQ(sim.partition_count(), 3u);
+  EXPECT_EQ(sim.queue_count(), 4u);  // three partitions + the wired queue
   EXPECT_EQ(sim.lookahead(), usec(40));
   EXPECT_EQ(sim.queue_of_node(3), 0u);
   // The three events run on different queues, possibly on different

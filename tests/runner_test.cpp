@@ -411,6 +411,18 @@ TEST(Runner, PointHashDistinguishesSeedAndTopology) {
   EXPECT_EQ(hash_point(points[0]), hash_point(same));
 }
 
+TEST(Runner, PointHashIgnoresPassiveRecorders) {
+  // The timeline and the auditor never change a result, on any kernel, so
+  // checkpoints resume across them.
+  const auto topo = two_cells();
+  const auto points = seed_sweep(topo, base_config(), 1, 1);
+  SweepPoint recorded = points[0];
+  recorded.config.record_timeline = !points[0].config.record_timeline;
+  EXPECT_EQ(hash_point(points[0]), hash_point(recorded));
+  recorded.config.audit.mode = audit::AuditMode::kRecord;
+  EXPECT_EQ(hash_point(points[0]), hash_point(recorded));
+}
+
 TEST(Runner, PointHashSeesDynamicsKnobs) {
   // A checkpoint written by a static sweep must not be trusted by a churny
   // one (and vice versa): every dynamics knob feeds hash_config.

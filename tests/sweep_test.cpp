@@ -278,6 +278,7 @@ void expect_pinned(const std::string& bytes, const char* wrapped) {
 
 TEST(ResultCodec, PinnedBytesStaticDcf) {
   ExperimentConfig cfg;
+  cfg.sim_threads = -1;  // classic-kernel bytes, whatever DMN_SIM_THREADS
   cfg.duration = msec(100);
   cfg.traffic.saturate_downlink = true;
   cfg.seed = 3;
@@ -286,6 +287,7 @@ TEST(ResultCodec, PinnedBytesStaticDcf) {
 
 TEST(ResultCodec, PinnedBytesDominoWithFaults) {
   ExperimentConfig cfg;
+  cfg.sim_threads = -1;  // classic-kernel bytes, whatever DMN_SIM_THREADS
   cfg.scheme = Scheme::kDomino;
   cfg.duration = msec(150);
   cfg.traffic.saturate_downlink = true;
@@ -300,6 +302,7 @@ TEST(ResultCodec, PinnedBytesChurn) {
   Rng rng(11);
   const auto t = topo::make_floorplan_topology({}, 2, 2, {}, rng);
   ExperimentConfig cfg;
+  cfg.sim_threads = -1;  // classic-kernel bytes, whatever DMN_SIM_THREADS
   cfg.duration = msec(200);
   cfg.traffic.downlink_bps = 5e6;
   cfg.traffic.uplink_bps = 1e6;
@@ -720,8 +723,11 @@ constexpr const char* kMultiSymbolDenseBytes = R"(
 "lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
 "lifecycle_join_rejections":0})";
 
+/// Pins classic-kernel bytes: sim_threads = -1 keeps one queue whatever
+/// DMN_SIM_THREADS says (the two-building floor plans would partition).
 ExperimentConfig polled_domino_cfg(TimeNs duration) {
   ExperimentConfig cfg;
+  cfg.sim_threads = -1;
   cfg.scheme = Scheme::kDomino;
   cfg.duration = duration;
   cfg.traffic.downlink_bps = 4e6;
