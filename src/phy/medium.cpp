@@ -2,12 +2,39 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "util/units.h"
 
 namespace dmn::phy {
+
+namespace {
+
+/// One scan of edge-triggered carrier sense over the members. A node is
+/// busy when it transmits or when its received power reaches the threshold
+/// (compared in linear power, equivalent to the dBm comparison by
+/// monotonicity of the conversion). step() is branch-free and writes a flip
+/// mark instead of calling back, so the loops around it vectorize.
+struct CsScan {
+  const std::uint32_t* tx_count;
+  std::uint8_t* busy;
+  std::uint8_t* flip;
+  double ext_mw;
+  double threshold_mw;
+
+  std::uint8_t step(std::size_t i, double inbound_mw) const {
+    const auto now = static_cast<std::uint8_t>(
+        (tx_count[i] != 0) | (ext_mw + inbound_mw >= threshold_mw));
+    const auto flipped = static_cast<std::uint8_t>(now ^ busy[i]);
+    busy[i] = now;
+    flip[i] = flipped;
+    return flipped;
+  }
+};
+
+}  // namespace
 
 Medium::Medium(sim::Simulator& sim, const topo::Topology& topo)
     : sim_(sim),
@@ -18,7 +45,8 @@ Medium::Medium(sim::Simulator& sim, const topo::Topology& topo)
       inbound_mw_(topo.num_nodes(), 0.0),
       rop_inbound_mw_(topo.num_nodes(), 0.0),
       tx_count_(topo.num_nodes(), 0),
-      cs_busy_(topo.num_nodes(), false),
+      cs_busy_(topo.num_nodes(), 0),
+      cs_flip_(topo.num_nodes() + 8, 0),
       nav_until_(topo.num_nodes(), 0),
       cs_threshold_mw_(dbm_to_mw(topo.thresholds().cs_threshold_dbm)),
       noise_mw_(dbm_to_mw(topo.thresholds().noise_floor_dbm)) {}
@@ -96,10 +124,17 @@ std::uint32_t Medium::alloc_slot() {
   return static_cast<std::uint32_t>(slab_.size() - 1);
 }
 
-void Medium::apply_tx_power(const ActiveTx& tx, double sign) {
+bool Medium::apply_tx_power(const ActiveTx& tx, double sign) {
   // Auditor self-test defect: leave half the row behind on removal, the way
   // a missed bookkeeping path would (audit::Mutation::kMediumLeakPower).
   if (test_power_leak_ && sign < 0.0) sign = -0.5;
+  // Quiescence resets the sums to exactly zero (before carrier sense reads
+  // them), so add/remove rounding residues cannot accumulate across the
+  // simulation.
+  if (active_.empty()) {
+    zero_sums();
+    return mark_cs_flips();
+  }
   // The diagonal of the linear-power matrix is exactly 0 mW (rss of a node
   // to itself is -inf dBm), so adding the whole row is a no-op for the
   // transmitter itself — matching the reference accounting that skipped
@@ -111,19 +146,33 @@ void Medium::apply_tx_power(const ActiveTx& tx, double sign) {
   const auto row = topo_.rss_mw_row(tx.frame.src);
   double* inbound = inbound_mw_.data();
   double* rop = rop_inbound_mw_.data();
+  const CsScan cs{tx_count_.data(), cs_busy_.data(), cs_flip_.data(),
+                  external_intf_mw_, cs_threshold_mw_};
+  std::uint8_t any = 0;
   for (const NodeRun& run : runs_) {
-    for (std::size_t i = run.begin; i < run.end; ++i) {
-      inbound[i] += sign * row[i];
-    }
     if (tx.rop) {
       for (std::size_t i = run.begin; i < run.end; ++i) {
         rop[i] += sign * row[i];
       }
     }
+    // Carrier sense rides the same pass: it reads only the updated sum.
+    for (std::size_t i = run.begin, end = run.end; i < end; ++i) {
+      const double sum = inbound[i] + sign * row[i];
+      inbound[i] = sum;
+      any |= cs.step(i, sum);
+    }
   }
-  // Quiescence resets incremental sums to exactly zero, so add/remove
-  // rounding residues cannot accumulate across the simulation.
-  if (active_.empty()) zero_sums();
+  return any != 0;
+}
+
+void Medium::add_tx_power(const ActiveTx& tx) {
+  const auto row = topo_.rss_mw_row(tx.frame.src);
+  for (const NodeRun& run : runs_) {
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      inbound_mw_[i] += row[i];
+      if (tx.rop) rop_inbound_mw_[i] += row[i];
+    }
+  }
 }
 
 void Medium::zero_sums() {
@@ -151,29 +200,49 @@ double Medium::interference_at(topo::NodeId node,
   return acc > 0.0 ? acc : 0.0;
 }
 
-void Medium::refresh_interference_and_cs() {
-  // Update worst-case interference for every in-flight reception.
+void Medium::sweep_interference(bool rop_only) {
   for (const std::uint32_t slot : active_) {
     ActiveTx& tx = slab_[slot];
+    if (rop_only && !tx.rop) continue;
     for (RxAttempt& rx : tx.rx) {
       const double intf = interference_at(rx.node, tx);
       if (intf > rx.max_intf_mw) rx.max_intf_mw = intf;
       if (transmitting(rx.node)) rx.half_duplex_loss = true;
     }
   }
-  // Edge-triggered CS notifications. The comparison happens in linear
-  // power against the precomputed threshold (equivalent to the dBm
-  // comparison by monotonicity of the conversion).
-  auto check_cs = [this](std::size_t i) {
-    const bool busy = tx_count_[i] > 0 ||
-                      external_intf_mw_ + inbound_mw_[i] >= cs_threshold_mw_;
-    if (busy != cs_busy_[i]) {
-      cs_busy_[i] = busy;
-      if (clients_[i] != nullptr) clients_[i]->on_cs_change(busy);
-    }
-  };
+}
+
+bool Medium::mark_cs_flips() {
+  const CsScan cs{tx_count_.data(), cs_busy_.data(), cs_flip_.data(),
+                  external_intf_mw_, cs_threshold_mw_};
+  const double* inbound = inbound_mw_.data();
+  std::uint8_t any = 0;
   for (const NodeRun& run : runs_) {
-    for (std::size_t i = run.begin; i < run.end; ++i) check_cs(i);
+    for (std::size_t i = run.begin, end = run.end; i < end; ++i) {
+      any |= cs.step(i, inbound[i]);
+    }
+  }
+  return any != 0;
+}
+
+void Medium::notify_cs_flips(bool any) {
+  if (any) {
+    notifying_cs_ = true;
+    for (const NodeRun& run : runs_) {
+      for (std::size_t i = run.begin; i < run.end; i += 8) {
+        // Flips cluster around the transmitter, so test eight marks at once
+        // (cs_flip_ is padded for the read past the run's end).
+        std::uint64_t marks;
+        std::memcpy(&marks, &cs_flip_[i], sizeof marks);
+        if (marks == 0) continue;
+        for (std::size_t j = i; j < std::min(i + 8, run.end); ++j) {
+          if (cs_flip_[j] != 0 && clients_[j] != nullptr) {
+            clients_[j]->on_cs_change(cs_busy_[j] != 0);
+          }
+        }
+      }
+    }
+    notifying_cs_ = false;
   }
   if (observer_ != nullptr) observer_->on_medium_accounting();
 }
@@ -181,6 +250,11 @@ void Medium::refresh_interference_and_cs() {
 void Medium::transmit(const Frame& frame) {
   assert(frame.duration > 0 && "frame duration must be set");
   assert(frame.src != topo::kNoNode);
+  if (notifying_cs_) {
+    throw std::logic_error("medium: transmit by node " +
+                           std::to_string(frame.src) +
+                           " from a carrier-sense callback");
+  }
   if (!is_member(frame.src)) {
     throw std::logic_error("medium: transmit by node " +
                            std::to_string(frame.src) +
@@ -220,8 +294,11 @@ void Medium::transmit(const Frame& frame) {
 
   active_.push_back(slot);
   ++tx_count_[static_cast<std::size_t>(frame.src)];
-  apply_tx_power(tx, +1.0);
-  refresh_interference_and_cs();
+  const bool flips = apply_tx_power(tx, +1.0);
+  // The new row raises interference everywhere, and the new transmitter
+  // may be receiving: every in-flight reception is re-swept.
+  sweep_interference(/*rop_only=*/false);
+  notify_cs_flips(flips);
   if (observer_ != nullptr) observer_->on_medium_tx(tx.frame, tx.start, tx.end);
 
   sim_.post_at(tx.end, [this, slot] { on_tx_end(slot); });
@@ -229,18 +306,16 @@ void Medium::transmit(const Frame& frame) {
 
 void Medium::on_tx_end(std::uint32_t slot) {
   ActiveTx& tx = slab_[slot];
-  // One final interference refresh (captures transmissions that started and
-  // are still running).
-  for (RxAttempt& rx : tx.rx) {
-    const double intf = interference_at(rx.node, tx);
-    if (intf > rx.max_intf_mw) rx.max_intf_mw = intf;
-    if (transmitting(rx.node)) rx.half_duplex_loss = true;
-  }
-
+  // No sweep before the removal: every edge since the last sweep could only
+  // lower this frame's interference (docs/PERFORMANCE.md, invariant 5).
   active_.erase(std::find(active_.begin(), active_.end(), slot));
   --tx_count_[static_cast<std::size_t>(tx.frame.src)];
-  apply_tx_power(tx, -1.0);
-  refresh_interference_and_cs();
+  const bool flips = apply_tx_power(tx, -1.0);
+  // Subtracting a non-negative row lowers every sum it touches, so only a
+  // ROP victim's difference (sum minus ROP sum) can round upward, and only
+  // when a ROP row left both sums.
+  if (tx.rop) sweep_interference(/*rop_only=*/true);
+  notify_cs_flips(flips);
 
   const double th = decode_threshold_db(tx.frame.type);
   for (const RxAttempt& rx : tx.rx) {
@@ -271,10 +346,13 @@ bool Medium::virtual_busy(topo::NodeId node) const {
 
 void Medium::set_external_interference_mw(double mw) {
   if (mw == external_intf_mw_) return;
+  const bool rise = mw > external_intf_mw_;
   external_intf_mw_ = mw;
-  // A burst edge mid-frame must count toward every in-flight reception's
-  // worst-case interference and may flip carrier sense.
-  refresh_interference_and_cs();
+  // A rising burst edge mid-frame must count toward every in-flight
+  // reception's worst-case interference; a falling one can only lower it.
+  // Either may flip carrier sense.
+  if (rise) sweep_interference(/*rop_only=*/false);
+  notify_cs_flips(mark_cs_flips());
 }
 
 void Medium::on_topology_changed() {
@@ -284,13 +362,12 @@ void Medium::on_topology_changed() {
   // removal time, so the sums must always reflect the current matrix — a
   // zero-and-readd here keeps add/remove pairs consistent across the change.
   zero_sums();
-  for (std::uint32_t slot : active_) {
-    apply_tx_power(slab_[slot], +1.0);
-  }
+  for (std::uint32_t slot : active_) add_tx_power(slab_[slot]);
   // In-flight receptions keep their frozen desired power (RxAttempt.rss_mw,
-  // sampled at TX start); only their interference picture follows the move.
-  // refresh also re-notifies the audit observer.
-  refresh_interference_and_cs();
+  // sampled at TX start); only their interference picture follows the move,
+  // in either direction, so every reception is re-swept.
+  sweep_interference(/*rop_only=*/false);
+  notify_cs_flips(mark_cs_flips());
 }
 
 }  // namespace dmn::phy

@@ -27,9 +27,20 @@
 // active transmissions per node per edge. Active transmissions live in a
 // slab with a free list (stable storage, recycled RxAttempt capacity), and
 // TX-end events are posted fire-and-forget, so a transmission allocates
-// nothing in steady state. docs/PERFORMANCE.md lists the invariants this
-// accounting preserves relative to the scratch-recompute reference
-// (pinned by tests/golden_test.cpp).
+// nothing in steady state.
+//
+// Each edge does only the work that can change a result. The worst-case
+// interference sweep over in-flight receptions runs on TX start, on a rise
+// of external interference and on a topology change; a TX end sweeps only
+// ROP-response receptions, and only when the frame that ended was itself a
+// ROP response, because removing a power row can raise nothing else.
+// Carrier sense is one branch-free pass over the member runs (fused with
+// the power-row update on TX edges) that marks flips into a byte buffer;
+// a second loop then notifies the marked nodes in ascending id order.
+// docs/PERFORMANCE.md lists the invariants this accounting preserves
+// relative to the scratch-recompute reference (pinned by
+// tests/golden_test.cpp and, bit for bit, by tests/phy_test.cpp's
+// MediumPin case).
 
 #include <array>
 #include <cstddef>
@@ -62,7 +73,12 @@ class MediumClient {
   /// with info.decoded == false (self-rx suppressed by MACs as needed).
   virtual void on_frame_rx(const Frame& frame, const RxInfo& info) = 0;
 
-  /// Carrier-sense transitions (edge-triggered).
+  /// Carrier-sense transitions (edge-triggered). The medium evaluates
+  /// every member's carrier sense first and then notifies the nodes that
+  /// flipped, in ascending id order, so an implementation must not
+  /// transmit from here: Medium::transmit throws std::logic_error while
+  /// these notifications are being delivered (later flips are already
+  /// decided). Arm a timer instead.
   virtual void on_cs_change(bool /*busy*/) {}
 };
 
@@ -138,7 +154,9 @@ class Medium {
   /// External interference power (mW) received at every node — a wideband
   /// interferer outside the system (fault injection). Counts toward carrier
   /// sense and toward the interference term of every in-flight reception
-  /// from the moment it changes; setting it refreshes all SINR tracking.
+  /// from the moment it changes: a rise re-sweeps every reception's
+  /// worst-case interference, a fall (which can only lower it) re-checks
+  /// carrier sense alone.
   void set_external_interference_mw(double mw);
   double external_interference_mw() const { return external_intf_mw_; }
 
@@ -182,7 +200,7 @@ class Medium {
   }
   /// The cached edge-triggered carrier-sense state (not recomputed).
   bool cs_busy_cached(topo::NodeId n) const {
-    return cs_busy_[static_cast<std::size_t>(n)];
+    return cs_busy_[static_cast<std::size_t>(n)] != 0;
   }
   double cs_threshold_mw() const { return cs_threshold_mw_; }
 
@@ -208,18 +226,29 @@ class Medium {
 
   std::uint32_t alloc_slot();
   void on_tx_end(std::uint32_t slot);
-  /// Sweeps worst-case interference for all in-flight receptions and
-  /// re-evaluates edge-triggered carrier sense, after any accounting change.
-  void refresh_interference_and_cs();
+  /// Raises each in-flight reception's worst-case interference to its
+  /// current value and flags receivers that are transmitting; `rop_only`
+  /// restricts the sweep to receptions of ROP responses.
+  void sweep_interference(bool rop_only);
   /// O(1) interference at `node` against `victim`, derived from the running
   /// per-node sums (sum minus the victim's own contribution; for ROP
   /// victims, minus all concurrent ROP contributions).
   double interference_at(topo::NodeId node, const ActiveTx& victim) const;
   /// Adds (sign = +1) or removes (sign = -1) a transmission's power row
-  /// from the per-node sums.
-  void apply_tx_power(const ActiveTx& tx, double sign);
+  /// from the member sums and, in the same pass, re-evaluates carrier
+  /// sense (mark_cs_flips). Returns whether any member flipped.
+  bool apply_tx_power(const ActiveTx& tx, double sign);
+  /// Adds a transmission's power row to the member sums, nothing else.
+  void add_tx_power(const ActiveTx& tx);
   /// Zeroes the member sums (quiescence, topology change).
   void zero_sums();
+  /// Re-evaluates every member's carrier sense, branch-free: stores the new
+  /// state in cs_busy_ and a flip mark in cs_flip_. Returns whether any
+  /// member flipped.
+  bool mark_cs_flips();
+  /// Calls on_cs_change for the members mark_cs_flips marked, in ascending
+  /// id order (only when `any`), then the observer's on_medium_accounting.
+  void notify_cs_flips(bool any);
   double decode_threshold_db(FrameType t) const;
   /// Throws std::logic_error when an audible edge leaves the member set.
   void check_closed() const;
@@ -246,7 +275,10 @@ class Medium {
   std::vector<double> inbound_mw_;      // sum of active contributions
   std::vector<double> rop_inbound_mw_;  // same, kRopResponse sources only
   std::vector<std::uint32_t> tx_count_;   // active transmissions per node
-  std::vector<bool> cs_busy_;
+  std::vector<std::uint8_t> cs_busy_;     // edge-triggered CS state, 0/1
+  std::vector<std::uint8_t> cs_flip_;     // 1 = flipped at the last scan,
+                                          // plus 8 bytes of zero padding
+  bool notifying_cs_ = false;             // transmit() throws while set
   std::vector<TimeNs> nav_until_;
   std::array<std::uint64_t, kFrameTypeCount> sent_{};
   double external_intf_mw_ = 0.0;

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <iomanip>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -15,6 +18,7 @@
 #include "phy/signature_model.h"
 #include "phy/transceiver.h"
 #include "topo/topology.h"
+#include "util/rng.h"
 
 namespace dmn::phy {
 namespace {
@@ -342,6 +346,301 @@ TEST(MediumRuns, MembershipAndClosureChecksHold) {
 TEST(MediumRuns, RestrictingToEveryNodeIsTheUnrestrictedMedium) {
   EXPECT_EQ(run_component_x(false, /*restrict_to_all=*/true),
             run_component_x(false, false));
+}
+
+// ---- bit-for-bit pin ------------------------------------------------------
+
+/// FNV-1a over everything the medium hands its clients, in delivery order:
+/// every RxInfo's bit patterns (with the receiver's NAV-aware busy state at
+/// delivery) and the globally ordered (now, node, busy) carrier-sense edge
+/// stream. The counters only show which cases a scenario reached.
+struct MediumDigest {
+  std::uint64_t hash = 14695981039346656037ull;
+  std::size_t rx = 0, rop_rx = 0, decoded = 0, half_duplex = 0;
+  std::size_t cs_edges = 0, nav_busy = 0;
+
+  template <typename T>
+  void mix(T value) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&value);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      hash = (hash ^ p[i]) * 1099511628211ull;
+    }
+  }
+};
+
+class DigestClient final : public MediumClient {
+ public:
+  DigestClient(MediumDigest& digest, const sim::Simulator& sim,
+               const Medium& medium, topo::NodeId node)
+      : d_(digest), sim_(sim), medium_(medium), node_(node) {}
+
+  void on_frame_rx(const Frame& f, const RxInfo& i) override {
+    const bool nav_busy =
+        medium_.virtual_busy(node_) && !medium_.carrier_busy(node_);
+    d_.mix(node_);
+    d_.mix(f.src);
+    d_.mix(static_cast<int>(f.type));
+    d_.mix(std::bit_cast<std::uint64_t>(i.rss_dbm));
+    d_.mix(std::bit_cast<std::uint64_t>(i.min_sinr_db));
+    d_.mix(i.decoded);
+    d_.mix(i.half_duplex_loss);
+    d_.mix(nav_busy);
+    ++d_.rx;
+    d_.rop_rx += f.type == FrameType::kRopResponse;
+    d_.decoded += i.decoded;
+    d_.half_duplex += i.half_duplex_loss;
+    d_.nav_busy += nav_busy;
+  }
+  void on_cs_change(bool busy) override {
+    d_.mix(sim_.now());
+    d_.mix(node_);
+    d_.mix(busy);
+    ++d_.cs_edges;
+  }
+
+ private:
+  MediumDigest& d_;
+  const sim::Simulator& sim_;
+  const Medium& medium_;
+  topo::NodeId node_;
+};
+
+/// Attaches one DigestClient per node of `nodes`.
+std::vector<std::unique_ptr<DigestClient>> attach_digest_clients(
+    Medium& m, const sim::Simulator& sim, MediumDigest& digest,
+    const std::vector<topo::NodeId>& nodes) {
+  std::vector<std::unique_ptr<DigestClient>> clients;
+  for (const topo::NodeId n : nodes) {
+    clients.push_back(std::make_unique<DigestClient>(digest, sim, m, n));
+    m.attach(n, clients.back().get());
+  }
+  return clients;
+}
+
+Frame pin_frame(FrameType type, topo::NodeId src, TimeNs duration,
+                TimeNs nav = 0) {
+  Frame f;
+  f.type = type;
+  f.src = src;
+  f.duration = duration;
+  f.nav = nav;
+  return f;
+}
+
+/// Posts `count` seeded random transmissions by `nodes` over [0, horizon):
+/// data frames (some carrying NAV), ACKs, and ROP bursts in which every
+/// client of one AP answers with a different duration, so responses end
+/// while others of the same poll are still in flight. A node that is
+/// already transmitting skips its turn.
+void post_random_traffic(sim::Simulator& sim, Medium& m,
+                         const std::vector<topo::NodeId>& nodes, int count,
+                         TimeNs horizon, Rng& rng) {
+  const topo::Topology& t = m.topology();
+  auto send = [&m](const Frame& f) {
+    if (!m.transmitting(f.src)) m.transmit(f);
+  };
+  for (int k = 0; k < count; ++k) {
+    const TimeNs at = rng.uniform_int(0, horizon - 1);
+    const topo::NodeId src =
+        nodes[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(nodes.size()) - 1))];
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    if (kind <= 4) {
+      const TimeNs dur = usec(rng.uniform_int(40, 400));
+      const TimeNs nav = rng.chance(0.3) ? usec(60) : 0;
+      sim.post_at(at, [send, f = pin_frame(FrameType::kData, src, dur, nav)] {
+        send(f);
+      });
+    } else if (kind <= 6) {
+      sim.post_at(at, [send, f = pin_frame(FrameType::kAck, src, usec(44))] {
+        send(f);
+      });
+    } else {
+      const topo::NodeId ap = t.node(src).is_ap ? src : t.node(src).ap;
+      TimeNs dur = usec(16);
+      for (const topo::NodeId c : t.clients_of(ap)) {
+        sim.post_at(at, [send, f = pin_frame(FrameType::kRopResponse, c,
+                                              dur)] { send(f); });
+        dur += usec(8);
+      }
+    }
+  }
+}
+
+/// Dense rows: 8 APs x 4 clients in a 250 m square, so most nodes hear
+/// most transmitters. Random traffic plus two
+/// external-interference bursts (up, higher, down, off) and two RSS moves
+/// applied while a long frame is in the air.
+MediumDigest pin_dense_scenario() {
+  Rng rng(4242);
+  topo::Topology t = topo::Topology::random_network(
+      8, 4, 250.0, topo::LogDistanceModel{}, {}, rng);
+  sim::Simulator sim;
+  Medium m(sim, t);
+  MediumDigest digest;
+  std::vector<topo::NodeId> nodes(t.num_nodes());
+  std::iota(nodes.begin(), nodes.end(), 0);
+  const auto clients = attach_digest_clients(m, sim, digest, nodes);
+  post_random_traffic(sim, m, nodes, 250, usec(8000), rng);
+  for (const TimeNs base : {usec(1000), usec(3500)}) {
+    sim.post_at(base, [&m] { m.set_external_interference_mw(2e-9); });
+    sim.post_at(base + usec(30), [&m] { m.set_external_interference_mw(6e-9); });
+    sim.post_at(base + usec(70), [&m] { m.set_external_interference_mw(1e-9); });
+    sim.post_at(base + usec(90), [&m] { m.set_external_interference_mw(0.0); });
+  }
+  const topo::NodeId ap = t.aps().front();
+  const topo::NodeId client = t.clients_of(ap).front();
+  sim.post_at(usec(1990), [&m, ap] {
+    m.transmit(pin_frame(FrameType::kData, ap, usec(400)));
+  });
+  sim.post_at(usec(2100), [&] {
+    t.update_rss(ap, client, -75.0);
+    t.update_rss(ap, t.aps().back(), -62.0);
+    m.on_topology_changed();
+  });
+  sim.post_at(usec(2250), [&] {
+    t.update_rss(ap, client, topo::kRssStrong);
+    m.on_topology_changed();
+  });
+  sim.run();
+  return digest;
+}
+
+/// A manual topology with one scripted instance of every case: a data frame
+/// ending under in-flight ROP responses, ROP responses of one poll ending
+/// at different times, a receiver keying up mid-reception, NAV, an
+/// external-interference rise and fall mid-frame, and RSS moves applied
+/// mid-frame that raise and then lower a reception's interference.
+MediumDigest pin_manual_scenario() {
+  topo::ManualTopologyBuilder b;
+  const auto ap0 = b.add_ap();        // 0
+  const auto c0 = b.add_client(ap0);  // 1
+  const auto c1 = b.add_client(ap0);  // 2
+  const auto ap1 = b.add_ap();        // 3
+  const auto c2 = b.add_client(ap1);  // 4
+  const auto c3 = b.add_client(ap1);  // 5
+  b.interfere(ap1, c0);
+  b.sense(ap0, ap1);
+  b.sense(c1, c2);
+  topo::Topology t = b.build();
+  sim::Simulator sim;
+  Medium m(sim, t);
+  MediumDigest digest;
+  const auto clients =
+      attach_digest_clients(m, sim, digest, {ap0, c0, c1, ap1, c2, c3});
+  auto at = [&sim, &m](TimeNs when, Frame f) {
+    sim.post_at(when, [&m, f] { m.transmit(f); });
+  };
+  // ROP responses of two polls; a data frame ends under them.
+  at(usec(0), pin_frame(FrameType::kData, ap1, usec(40), usec(100)));
+  at(usec(20), pin_frame(FrameType::kRopResponse, c0, usec(16)));
+  at(usec(20), pin_frame(FrameType::kRopResponse, c1, usec(32)));
+  at(usec(22), pin_frame(FrameType::kRopResponse, c2, usec(24)));
+  at(usec(22), pin_frame(FrameType::kRopResponse, c3, usec(40)));
+  // c0 keys up while receiving ap0.
+  at(usec(200), pin_frame(FrameType::kData, ap0, usec(120), usec(50)));
+  at(usec(260), pin_frame(FrameType::kAck, c0, usec(44)));
+  // External interference rises and falls under one frame.
+  at(usec(400), pin_frame(FrameType::kData, ap0, usec(200)));
+  at(usec(420), pin_frame(FrameType::kData, c2, usec(100)));
+  sim.post_at(usec(450), [&m] { m.set_external_interference_mw(3e-9); });
+  sim.post_at(usec(470), [&m] { m.set_external_interference_mw(8e-9); });
+  sim.post_at(usec(500), [&m] { m.set_external_interference_mw(0.0); });
+  // While c3 is on the air, its faint edge to c0 becomes an interference
+  // edge and then fades again: c0's reception of ap0 takes the hit.
+  at(usec(700), pin_frame(FrameType::kData, ap0, usec(300)));
+  at(usec(720), pin_frame(FrameType::kData, c3, usec(300)));
+  sim.post_at(usec(800), [&] {
+    t.update_rss(c3, c0, topo::kRssInterfere);
+    m.on_topology_changed();
+  });
+  sim.post_at(usec(900), [&] {
+    t.update_rss(c3, c0, topo::kRssFaint);
+    m.on_topology_changed();
+  });
+  sim.run();
+  return digest;
+}
+
+/// Random traffic on component X of interleaved_components(), the medium
+/// restricted to the non-contiguous runs [0,1), [2,3), [5,8).
+MediumDigest pin_restricted_scenario() {
+  const topo::Topology t = interleaved_components();
+  const std::vector<topo::NodeId> x = {0, 2, 5, 6, 7};
+  sim::Simulator sim;
+  Medium m(sim, t);
+  m.restrict_to_nodes(x);
+  MediumDigest digest;
+  const auto clients = attach_digest_clients(m, sim, digest, x);
+  Rng rng(77);
+  post_random_traffic(sim, m, x, 120, usec(3000), rng);
+  sim.post_at(usec(1500), [&m] { m.set_external_interference_mw(4e-9); });
+  sim.post_at(usec(1560), [&m] { m.set_external_interference_mw(0.0); });
+  sim.run();
+  return digest;
+}
+
+TEST(MediumPin, DeliveriesAndCarrierSenseStreamAreBitIdentical) {
+  // Digests pinned from a build whose every TX edge re-swept all in-flight
+  // receptions and re-checked carrier sense node by node.
+  const MediumDigest dense = pin_dense_scenario();
+  const MediumDigest manual = pin_manual_scenario();
+  const MediumDigest restricted = pin_restricted_scenario();
+  EXPECT_EQ(dense.hash, 0x28a1ea3508ef2479ull) << std::hex << dense.hash;
+  EXPECT_EQ(manual.hash, 0xe88ec918369fcae9ull) << std::hex << manual.hash;
+  EXPECT_EQ(restricted.hash, 0x148c0e205d17b102ull) << std::hex << restricted.hash;
+  // Every scenario reaches the cases it is meant to cover.
+  for (const MediumDigest* d : {&dense, &manual, &restricted}) {
+    EXPECT_GT(d->rop_rx, 0u);
+    EXPECT_GT(d->decoded, 0u);
+    EXPECT_LT(d->decoded, d->rx);
+    EXPECT_GT(d->half_duplex, 0u);
+    EXPECT_GT(d->cs_edges, 0u);
+    EXPECT_GT(d->nav_busy, 0u);
+  }
+}
+
+/// Tries to answer every busy edge with a frame of its own.
+class EagerClient final : public MediumClient {
+ public:
+  explicit EagerClient(Medium& m, topo::NodeId node) : m_(m), node_(node) {}
+  void on_frame_rx(const Frame&, const RxInfo&) override {}
+  void on_cs_change(bool busy) override {
+    if (!busy) return;
+    try {
+      m_.transmit(pin_frame(FrameType::kAck, node_, usec(44)));
+    } catch (const std::logic_error&) {
+      ++refused;
+    }
+  }
+  int refused = 0;
+
+ private:
+  Medium& m_;
+  topo::NodeId node_;
+};
+
+TEST(MediumCallbacks, TransmitFromACarrierSenseCallbackThrows) {
+  topo::ManualTopologyBuilder b;
+  const auto ap = b.add_ap();
+  const auto c = b.add_client(ap);
+  const topo::Topology t = b.build();
+  sim::Simulator sim;
+  Medium m(sim, t);
+  EagerClient eager(m, c);
+  Sniffer sniffer;
+  m.attach(ap, &sniffer);
+  m.attach(c, &eager);
+  m.transmit(pin_frame(FrameType::kData, ap, usec(100)));
+  EXPECT_EQ(eager.refused, 1);
+  EXPECT_FALSE(m.transmitting(c));
+  EXPECT_EQ(m.frames_sent(FrameType::kAck), 0u);
+  // The refused attempt left the medium consistent: the frame is delivered
+  // and a later transmit outside the callback is accepted.
+  sim.run();
+  ASSERT_EQ(sniffer.cs_edges.size(), 2u);
+  m.transmit(pin_frame(FrameType::kAck, c, usec(44)));
+  EXPECT_TRUE(m.transmitting(c));
 }
 
 // ---- Signature detection model -------------------------------------------
