@@ -1,8 +1,7 @@
 #include "domino/converter.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <stdexcept>
 
 namespace dmn::domino {
 
@@ -10,17 +9,53 @@ ScheduleConverter::ScheduleConverter(const topo::Topology& topo,
                                      const topo::ConflictGraph& graph,
                                      const SignaturePlan& signatures,
                                      const ConverterParams& params)
-    : topo_(topo), graph_(graph), signatures_(signatures), params_(params) {}
-
-std::vector<topo::NodeId> ScheduleConverter::endpoints(
-    const RelSlot& slot) const {
-  std::vector<topo::NodeId> out;
-  for (const SlotEntry& e : slot.entries) {
-    const topo::Link& l = graph_.link(e.link);
-    out.push_back(l.sender);
-    out.push_back(l.receiver);
+    : topo_(topo),
+      graph_(graph),
+      signatures_(signatures),
+      params_(params),
+      aps_(topo.aps()),
+      plan_of_(topo.num_nodes(), kNotAp),
+      marks_(topo.num_nodes()) {
+  for (std::size_t i = 0; i < aps_.size(); ++i) {
+    plan_of_[static_cast<std::size_t>(aps_[i])] = i;
   }
-  return out;
+}
+
+void ScheduleConverter::refresh_graph_tables() {
+  if (graph_generation_ == graph_.generation()) return;
+  graph_generation_ = graph_.generation();
+  const std::size_t links = graph_.num_links();
+  all_links_.resize(links);
+  for (std::size_t i = 0; i < links; ++i) {
+    all_links_[i] = static_cast<topo::LinkId>(i);
+  }
+  // Two nodes may poll together iff no link at one conflicts with a link at
+  // the other: clear the pair for every endpoint pair of a conflicting
+  // link pair (a link conflicts with itself).
+  const std::size_t n = topo_.num_nodes();
+  share_rop_.assign(n * n, 1);
+  for (std::size_t i = 0; i < links; ++i) {
+    const topo::Link& a = graph_.link(static_cast<topo::LinkId>(i));
+    for (std::size_t j = 0; j < links; ++j) {
+      if (!graph_.conflicts(static_cast<topo::LinkId>(i),
+                            static_cast<topo::LinkId>(j))) {
+        continue;
+      }
+      const topo::Link& b = graph_.link(static_cast<topo::LinkId>(j));
+      for (const topo::NodeId x : {a.sender, a.receiver}) {
+        for (const topo::NodeId y : {b.sender, b.receiver}) {
+          share_rop_[static_cast<std::size_t>(x) * n +
+                     static_cast<std::size_t>(y)] = 0;
+        }
+      }
+    }
+  }
+}
+
+ScheduleConverter::NodeMark& ScheduleConverter::mark(topo::NodeId n) {
+  NodeMark& m = marks_[static_cast<std::size_t>(n)];
+  if (m.stamp != mark_stamp_) m = NodeMark{mark_stamp_};
+  return m;
 }
 
 bool ScheduleConverter::can_trigger(topo::NodeId via,
@@ -29,20 +64,56 @@ bool ScheduleConverter::can_trigger(topo::NodeId via,
   return topo_.rss(via, target) >= params_.trigger_rss_floor_dbm;
 }
 
-bool ScheduleConverter::aps_can_share_rop(topo::NodeId a,
-                                          topo::NodeId b) const {
-  // Two APs may poll together iff none of their associated links conflict.
-  for (std::size_t i = 0; i < graph_.num_links(); ++i) {
-    const topo::Link& la = graph_.link(static_cast<topo::LinkId>(i));
-    if (la.sender != a && la.receiver != a) continue;
-    for (std::size_t j = 0; j < graph_.num_links(); ++j) {
-      const topo::Link& lb = graph_.link(static_cast<topo::LinkId>(j));
-      if (lb.sender != b && lb.receiver != b) continue;
-      if (graph_.conflicts(static_cast<topo::LinkId>(i),
-                           static_cast<topo::LinkId>(j))) {
-        return false;
-      }
+topo::NodeId ScheduleConverter::pick_via(topo::NodeId target,
+                                         topo::NodeId exclude) {
+  // Self-continuation: free, APs only (they hold the schedule).
+  if (topo_.node(target).is_ap && (mark(target).flags & kMarkVia) != 0 &&
+      target != exclude) {
+    return target;
+  }
+  topo::NodeId best = topo::kNoNode;
+  double best_rss = -1e9;
+  for (const topo::NodeId v : vias_) {
+    if (v == target) continue;  // clients cannot self-time
+    if (v == exclude) continue;
+    const NodeMark& m = mark(v);
+    if ((m.flags & kMarkMustListen) != 0) continue;
+    if (m.outbound >= params_.max_outbound) continue;
+    const double rss = topo_.rss(v, target);
+    if (rss < params_.trigger_rss_floor_dbm) continue;  // cannot trigger
+    if (rss > best_rss) {
+      best_rss = rss;
+      best = v;
     }
+  }
+  return best;
+}
+
+bool ScheduleConverter::assign_one(RelSlot& from, Target& tgt, bool backup) {
+  const topo::Node& node = topo_.node(tgt.node);
+  const bool is_client = !node.is_ap;
+  NodeMark& m = mark(tgt.node);
+  const bool continuation = (m.flags & kMarkContinuation) != 0;
+  // Continuation first: free and robust for clients staying active.
+  if (is_client && continuation && !backup) {
+    from.triggers.push_back(Trigger{node.ap, tgt.node, /*continuation=*/true});
+    ++m.inbound;
+    return true;
+  }
+  // A (fake) client already bursting as a via cannot also listen.
+  if (is_client && (m.flags & kMarkUsedAsVia) != 0) return false;
+  // Continuation clients do not listen; they cannot take RF backups.
+  if (is_client && continuation) return false;
+  const topo::NodeId via =
+      pick_via(tgt.node, backup ? tgt.first_via : topo::kNoNode);
+  if (via == topo::kNoNode) return false;
+  if (!backup) tgt.first_via = via;
+  from.triggers.push_back(Trigger{via, tgt.node});
+  ++m.inbound;
+  if (via != tgt.node) {
+    NodeMark& v = mark(via);
+    ++v.outbound;
+    if (!topo_.node(via).is_ap) v.flags |= kMarkUsedAsVia;
   }
   return true;
 }
@@ -58,133 +129,64 @@ void ScheduleConverter::assign_triggers(RelSlot& from, RelSlot& to) {
     // forced ROP placement landed on an empty overlap slot).
     return;
   }
+  ++mark_stamp_;  // every node mark starts clean
   // Targets: senders of `to`'s entries, plus APs polling right after
   // `from`. Clients must receive an explicit signature; APs self-continue
   // when they are an endpoint of `from`. Priority order: real entries,
   // then polling APs, then fake entries — a fake client target may be
   // *sacrificed* (used as a via instead of listening for its own trigger)
   // when it is the only node that can reach a higher-priority target.
-  struct Target {
-    topo::NodeId node;
-    bool is_entry;           // false for polling APs
-    bool fake;
-    std::size_t entry_index; // into to.entries when is_entry
-  };
-  std::vector<Target> targets;
+  targets_.clear();
   for (std::size_t i = 0; i < to.entries.size(); ++i) {
     if (to.entries[i].fake) continue;
     const topo::Link& l = graph_.link(to.entries[i].link);
-    targets.push_back(Target{l.sender, true, false, i});
+    targets_.push_back(Target{l.sender, true, false, i});
   }
   for (topo::NodeId ap : from.rop_aps) {
-    targets.push_back(Target{ap, false, false, 0});
+    targets_.push_back(Target{ap, false, false, 0});
   }
   for (std::size_t i = 0; i < to.entries.size(); ++i) {
     if (!to.entries[i].fake) continue;
     const topo::Link& l = graph_.link(to.entries[i].link);
-    targets.push_back(Target{l.sender, true, true, i});
+    targets_.push_back(Target{l.sender, true, true, i});
   }
 
-  const std::vector<topo::NodeId> vias = endpoints(from);
-  std::map<topo::NodeId, int> outbound;
-  std::map<topo::NodeId, int> inbound;
-
-  // Instructed continuation: a client target that is already an endpoint
-  // of `from` gets its "go again" in-band from its AP (data frame or ACK),
-  // costing nothing and requiring no listening.
-  std::set<topo::NodeId> continuation_ok;
+  // Vias: the endpoints of `from`, in entry order (the best-RSS scan keeps
+  // the first of equal candidates). Instructed continuation: a client
+  // target that is already an endpoint of `from` gets its "go again"
+  // in-band from its AP (data frame or ACK), costing nothing and requiring
+  // no listening.
+  vias_.clear();
   for (const SlotEntry& e : from.entries) {
     const topo::Link& l = graph_.link(e.link);
+    vias_.push_back(l.sender);
+    vias_.push_back(l.receiver);
+    mark(l.sender).flags |= kMarkVia;
+    mark(l.receiver).flags |= kMarkVia;
     const topo::NodeId client =
         topo_.node(l.sender).is_ap ? l.receiver : l.sender;
-    continuation_ok.insert(client);
+    mark(client).flags |= kMarkContinuation;
   }
 
   // Clients that must *listen* at this boundary — next-slot senders of
   // REAL entries without a continuation path cannot broadcast signatures
   // at the same instant (half-duplex would make them deaf to their own
   // trigger).
-  std::set<topo::NodeId> must_listen;
-  for (const Target& t : targets) {
+  for (const Target& t : targets_) {
+    NodeMark& m = mark(t.node);
     if (!t.fake && !topo_.node(t.node).is_ap &&
-        !continuation_ok.contains(t.node)) {
-      must_listen.insert(t.node);
+        (m.flags & kMarkContinuation) == 0) {
+      m.flags |= kMarkMustListen;
     }
   }
-  // Clients actually used as vias: a fake target among them loses its slot.
-  std::set<topo::NodeId> used_as_via;
-
-  auto pick_via = [&](const Target& tgt,
-                      const std::vector<topo::NodeId>& exclude)
-      -> topo::NodeId {
-    const topo::NodeId target = tgt.node;
-    // Self-continuation: free, APs only (they hold the schedule).
-    const bool target_is_ap = topo_.node(target).is_ap;
-    if (target_is_ap &&
-        std::find(vias.begin(), vias.end(), target) != vias.end() &&
-        std::find(exclude.begin(), exclude.end(), target) == exclude.end()) {
-      return target;
-    }
-    topo::NodeId best = topo::kNoNode;
-    double best_rss = -1e9;
-    for (topo::NodeId v : vias) {
-      if (v == target) continue;  // clients cannot self-time
-      if (must_listen.contains(v)) continue;
-      if (std::find(exclude.begin(), exclude.end(), v) != exclude.end()) {
-        continue;
-      }
-      if (outbound[v] >= params_.max_outbound) continue;
-      if (!can_trigger(v, target)) continue;
-      const double rss = topo_.rss(v, target);
-      if (rss > best_rss) {
-        best_rss = rss;
-        best = v;
-      }
-    }
-    return best;
-  };
-
-  auto assign_one = [&](const Target& tgt,
-                        std::vector<topo::NodeId>& already) -> bool {
-    const bool is_client = !topo_.node(tgt.node).is_ap;
-    // Continuation first: free and robust for clients staying active.
-    if (is_client && continuation_ok.contains(tgt.node) &&
-        already.empty()) {
-      const topo::NodeId ap = topo_.node(tgt.node).ap;
-      already.push_back(ap);
-      from.triggers.push_back(Trigger{ap, tgt.node, /*continuation=*/true});
-      ++inbound[tgt.node];
-      return true;
-    }
-    // A (fake) client already bursting as a via cannot also listen.
-    if (is_client && used_as_via.contains(tgt.node)) {
-      return false;
-    }
-    // Continuation clients do not listen; they cannot take RF backups.
-    if (is_client && continuation_ok.contains(tgt.node)) return false;
-    const topo::NodeId via = pick_via(tgt, already);
-    if (via == topo::kNoNode) return false;
-    already.push_back(via);
-    from.triggers.push_back(Trigger{via, tgt.node});
-    ++inbound[tgt.node];
-    if (via != tgt.node) {
-      ++outbound[via];
-      if (!topo_.node(via).is_ap) used_as_via.insert(via);
-    }
-    return true;
-  };
 
   // Pass 1 in priority order, then pass 2 (backup trigger) where budgets
   // allow.
-  std::vector<bool> reachable(targets.size(), false);
-  std::vector<std::vector<topo::NodeId>> assigned(targets.size());
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    reachable[t] = assign_one(targets[t], assigned[t]);
-  }
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    if (!reachable[t]) continue;
-    if (inbound[targets[t].node] >= params_.max_inbound) continue;
-    assign_one(targets[t], assigned[t]);
+  for (Target& t : targets_) t.reachable = assign_one(from, t, false);
+  for (Target& t : targets_) {
+    if (!t.reachable) continue;
+    if (mark(t.node).inbound >= params_.max_inbound) continue;
+    assign_one(from, t, true);
   }
 
   // Fake entries whose sender was sacrificed as a via (or is otherwise
@@ -194,15 +196,15 @@ void ScheduleConverter::assign_triggers(RelSlot& from, RelSlot& to) {
   // generalized "APs individually start executing" rule); a downlink AP
   // with no RF trigger path would otherwise starve forever. Untriggered
   // uplink entries rely on the AP-side kick.
-  std::vector<SlotEntry> kept;
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    if (!targets[t].is_entry) continue;
-    if (reachable[t] || !targets[t].fake) {
-      kept.push_back(to.entries[targets[t].entry_index]);
-      if (!reachable[t]) ++dropped_;  // stat: executed on lattice timing
+  kept_.clear();
+  for (const Target& t : targets_) {
+    if (!t.is_entry) continue;
+    if (t.reachable || !t.fake) {
+      kept_.push_back(to.entries[t.entry_index]);
+      if (!t.reachable) ++dropped_;  // stat: executed on lattice timing
     }
   }
-  to.entries = std::move(kept);
+  to.entries.swap(kept_);
 }
 
 RelativeSchedule ScheduleConverter::convert(
@@ -220,18 +222,16 @@ RelativeSchedule ScheduleConverter::convert(
   overlap.entries = prev_last;
   rs.slots.push_back(std::move(overlap));
 
+  refresh_graph_tables();
+
   // New slots with fake-link insertion.
-  std::vector<topo::LinkId> all_links(graph_.num_links());
-  for (std::size_t i = 0; i < all_links.size(); ++i) {
-    all_links[i] = static_cast<topo::LinkId>(i);
-  }
   for (std::size_t s = 0; s < strict.size(); ++s) {
     RelSlot slot;
     slot.global_index = first_global_index + 1 + s;
     std::vector<topo::LinkId> links = strict[s];
     const std::size_t real_count = links.size();
     if (params_.insert_fake_links) {
-      graph_.extend_to_maximal(links, all_links);
+      graph_.extend_to_maximal(links, all_links_);
     }
     for (std::size_t i = 0; i < links.size(); ++i) {
       slot.entries.push_back(SlotEntry{links[i], i >= real_count});
@@ -253,26 +253,20 @@ RelativeSchedule ScheduleConverter::convert(
     for (std::size_t i = 1; i + 1 < rs.slots.size() && !placed; ++i) {
       RelSlot& si = rs.slots[i];
       // Can si trigger this AP?
-      bool reachable = false;
-      for (topo::NodeId v : endpoints(si)) {
-        if (v == ap || can_trigger(v, ap)) {
-          reachable = true;
-          break;
-        }
-      }
+      const bool reachable = std::any_of(
+          si.entries.begin(), si.entries.end(), [&](const SlotEntry& e) {
+            const topo::Link& l = graph_.link(e.link);
+            return can_trigger(l.sender, ap) || can_trigger(l.receiver, ap);
+          });
       if (!reachable) continue;
       if (!si.rop_after) {
         si.rop_after = true;
         si.rop_aps.push_back(ap);
         placed = true;
       } else {
-        bool shareable = true;
-        for (topo::NodeId other : si.rop_aps) {
-          if (!aps_can_share_rop(ap, other)) {
-            shareable = false;
-            break;
-          }
-        }
+        const bool shareable = std::all_of(
+            si.rop_aps.begin(), si.rop_aps.end(),
+            [&](topo::NodeId other) { return aps_can_share_rop(ap, other); });
         if (shareable) {
           si.rop_aps.push_back(ap);
           placed = true;
@@ -313,7 +307,7 @@ RelativeSchedule ScheduleConverter::convert(
       if (s.entries.empty()) continue;
       const topo::LinkId a = s.entries.front().link;
       topo::LinkId bad = a;  // fallback: a duplicate entry is also invalid
-      for (topo::LinkId b : all_links) {
+      for (topo::LinkId b : all_links_) {
         if (b != a && graph_.data_conflicts(a, b)) {
           bad = b;
           break;
@@ -328,7 +322,10 @@ RelativeSchedule ScheduleConverter::convert(
 
 std::vector<ApSchedule> ScheduleConverter::make_ap_plans(
     const RelativeSchedule& rs) const {
-  std::map<topo::NodeId, ApSchedule> plans;
+  // One plan per AP in ascending id order; `row_slot` remembers which slot
+  // an AP's last row belongs to, so each slot opens at most one row per AP.
+  std::vector<ApSchedule> plans(aps_.size());
+  std::vector<std::size_t> row_slot(aps_.size(), rs.slots.size());
   const std::uint64_t first_new =
       rs.slots.size() > 1 ? rs.slots[1].global_index
                           : rs.slots.front().global_index;
@@ -338,20 +335,27 @@ std::vector<ApSchedule> ScheduleConverter::make_ap_plans(
       rop_boundaries.push_back({slot.global_index, slot.rop_symbols});
     }
   }
-  for (topo::NodeId ap : topo_.aps()) {
-    plans[ap].ap = ap;
-    plans[ap].batch_id = rs.batch_id;
-    plans[ap].batch_first_slot = first_new;
-    plans[ap].rop_boundaries = rop_boundaries;
+  for (std::size_t i = 0; i < aps_.size(); ++i) {
+    plans[i].ap = aps_[i];
+    plans[i].batch_id = rs.batch_id;
+    plans[i].batch_first_slot = first_new;
+    plans[i].rop_boundaries = rop_boundaries;
   }
 
-  for (const RelSlot& slot : rs.slots) {
+  for (std::size_t s = 0; s < rs.slots.size(); ++s) {
+    const RelSlot& slot = rs.slots[s];
     // Start a plan row for any AP that acts in this slot.
-    std::map<topo::NodeId, ApSlotPlan> rows;
     auto row = [&](topo::NodeId ap) -> ApSlotPlan& {
-      auto [it, fresh] = rows.try_emplace(ap);
-      if (fresh) it->second.global_index = slot.global_index;
-      return it->second;
+      const std::size_t i = plan_of_.at(static_cast<std::size_t>(ap));
+      if (i == kNotAp) {
+        throw std::invalid_argument("make_ap_plans: row for a non-AP node");
+      }
+      std::vector<ApSlotPlan>& rows = plans[i].slots;
+      if (row_slot[i] != s) {
+        row_slot[i] = s;
+        rows.emplace_back().global_index = slot.global_index;
+      }
+      return rows.back();
     };
 
     for (const SlotEntry& e : slot.entries) {
@@ -395,18 +399,8 @@ std::vector<ApSchedule> ScheduleConverter::make_ap_plans(
         r.rop_symbols = slot.rop_symbols;
       }
     }
-    for (auto& [ap, plan_row] : rows) {
-      plans[ap].slots.push_back(std::move(plan_row));
-    }
   }
-
-  std::vector<ApSchedule> out;
-  out.reserve(plans.size());
-  for (auto& [ap, plan] : plans) {
-    (void)ap;
-    out.push_back(std::move(plan));
-  }
-  return out;
+  return plans;
 }
 
 }  // namespace dmn::domino

@@ -22,6 +22,7 @@
 // Targets with no reachable trigger are dropped from the slot ("the
 // scheduler will reschedule such links").
 
+#include <cstdint>
 #include <vector>
 
 #include "domino/relative_schedule.h"
@@ -80,10 +81,45 @@ class ScheduleConverter {
   void set_test_defect(TestDefect d) { test_defect_ = d; }
 
  private:
-  /// Endpoints (senders and receivers) of a slot's entries.
-  std::vector<topo::NodeId> endpoints(const RelSlot& slot) const;
+  /// A node to trigger at one boundary (see assign_triggers).
+  struct Target {
+    topo::NodeId node;
+    bool is_entry;            // false for polling APs
+    bool fake;
+    std::size_t entry_index;  // into to.entries when is_entry
+    bool reachable = false;   // pass 1 found a trigger
+    /// The via pass 1 picked by RSS; the pass-2 backup must differ.
+    topo::NodeId first_via = topo::kNoNode;
+  };
+
+  /// Per-node state of one assign_triggers call. An entry is live only
+  /// while its stamp equals the call's, so each call starts from clean
+  /// state without clearing the table.
+  struct NodeMark {
+    std::uint64_t stamp = 0;
+    std::uint8_t flags = 0;  // kMark* bits
+    int inbound = 0;
+    int outbound = 0;
+  };
+  static constexpr std::uint8_t kMarkVia = 1;           // endpoint of `from`
+  static constexpr std::uint8_t kMarkContinuation = 2;  // in-band "go again"
+  static constexpr std::uint8_t kMarkMustListen = 4;    // deaf at boundary
+  static constexpr std::uint8_t kMarkUsedAsVia = 8;     // client bursting
+
+  /// Rebuilds the tables derived from the conflict graph when its
+  /// generation moved (first use, or an in-place rebuild after churn).
+  void refresh_graph_tables();
+  NodeMark& mark(topo::NodeId n);
   bool can_trigger(topo::NodeId via, topo::NodeId target) const;
-  bool aps_can_share_rop(topo::NodeId a, topo::NodeId b) const;
+  bool aps_can_share_rop(topo::NodeId a, topo::NodeId b) const {
+    return share_rop_[static_cast<std::size_t>(a) * topo_.num_nodes() +
+                      static_cast<std::size_t>(b)] != 0;
+  }
+  /// Gives `tgt` a trigger from `from`: its first (pass 1) or, when
+  /// `backup`, a second one from a different via (pass 2). False if none.
+  bool assign_one(RelSlot& from, Target& tgt, bool backup);
+  /// Best-RSS via for `target` among the vias, never `exclude`.
+  topo::NodeId pick_via(topo::NodeId target, topo::NodeId exclude);
 
   void assign_triggers(RelSlot& from, RelSlot& to);
 
@@ -93,6 +129,25 @@ class ScheduleConverter {
   ConverterParams params_;
   std::uint64_t dropped_ = 0;
   TestDefect test_defect_ = TestDefect::kNone;
+
+  // ---- tables of one graph build (refresh_graph_tables) ------------------
+  std::uint64_t graph_generation_ = 0;
+  std::vector<topo::LinkId> all_links_;
+  /// Node x node, row-major: 1 when no link at the row node conflicts with
+  /// a link at the column node (the two may poll in one ROP slot).
+  std::vector<std::uint8_t> share_rop_;
+
+  // ---- tables of the topology's fixed node set ---------------------------
+  static constexpr std::size_t kNotAp = static_cast<std::size_t>(-1);
+  std::vector<topo::NodeId> aps_;     // Topology::aps(), ascending
+  std::vector<std::size_t> plan_of_;  // node -> index into aps_, or kNotAp
+
+  // ---- assign_triggers scratch, reused across calls ----------------------
+  std::vector<NodeMark> marks_;
+  std::uint64_t mark_stamp_ = 0;
+  std::vector<topo::NodeId> vias_;
+  std::vector<Target> targets_;
+  std::vector<SlotEntry> kept_;
 };
 
 }  // namespace dmn::domino

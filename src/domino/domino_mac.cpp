@@ -31,6 +31,7 @@ DominoNodeBase::DominoNodeBase(sim::Simulator& sim, phy::Medium& medium,
     : sim_(sim),
       radio_(medium, node, this),
       timing_(timing),
+      dur_(timing),
       signatures_(signatures),
       model_(model),
       rng_(std::move(rng)),
@@ -43,7 +44,7 @@ void DominoNodeBase::send_burst(const std::vector<std::size_t>& codes,
   phy::Frame f;
   f.type = phy::FrameType::kSignature;
   f.dst = topo::kNoNode;  // broadcast
-  f.duration = timing_.burst_air();
+  f.duration = dur_.burst_air;
   phy::SignatureBurst burst;
   burst.codes = codes;
   burst.start_signature = !rop_flag;
@@ -62,7 +63,7 @@ void DominoNodeBase::update_anchor(std::uint64_t tag, TimeNs t0,
   // refresh it); own executions (force) set it outright.
   if (!force && anchor_valid_) {
     const TimeNs projected = expected_start(tag);
-    if (t0 < projected - timing_.slot_duration() / 4) {
+    if (t0 < projected - dur_.slot_duration / 4) {
       // Earlier than our lattice: normally the other chain should defer to
       // us — but if every reference we hear is earlier, *we* are the
       // runaway island and must fall back to the network.
@@ -83,7 +84,7 @@ TimeNs DominoNodeBase::expected_start(std::uint64_t tag) const {
   if (!anchor_valid_) return kTimeNever;
   const auto delta = static_cast<std::int64_t>(tag) -
                      static_cast<std::int64_t>(anchor_tag_);
-  TimeNs horizon = delta * timing_.slot_duration();
+  TimeNs horizon = delta * dur_.slot_duration;
   if (clock_skew_ppm_ != 0.0) {
     // A fast local clock (positive ppm) counts off its slots in less true
     // time. Skew only enters through this extrapolation: per-frame offsets
@@ -99,7 +100,7 @@ void DominoNodeBase::note_chain_resume(TimeNs now) {
   loss_pending_ = false;
   recovery_latency_slots_.push_back(
       static_cast<double>(now - loss_time_) /
-      static_cast<double>(timing_.slot_duration()));
+      static_cast<double>(dur_.slot_duration));
 }
 
 void DominoNodeBase::on_frame_rx(const phy::Frame& frame,
@@ -119,9 +120,9 @@ void DominoNodeBase::on_frame_rx(const phy::Frame& frame,
   // Passive re-anchoring from tagged data-phase frames.
   if (info.decoded) {
     if (frame.type == phy::FrameType::kData) {
-      update_anchor(frame.slot_tag, sim_.now() - timing_.data_air());
+      update_anchor(frame.slot_tag, sim_.now() - dur_.data_air);
     } else if (frame.type == phy::FrameType::kFakeHeader) {
-      update_anchor(frame.slot_tag, sim_.now() - timing_.fake_air());
+      update_anchor(frame.slot_tag, sim_.now() - dur_.fake_air);
     }
   }
   handle_frame(frame, info);
@@ -170,7 +171,7 @@ void DominoNodeBase::evaluate_sig_buffer() {
       update_anchor(b.tag + 1,
                     b.end_time + timing_.wifi.slot_time +
                         (b.burst.rop_signature
-                             ? timing_.rop_duration(b.burst.rop_symbols)
+                             ? dur_.rop_duration(b.burst.rop_symbols)
                              : 0));
     }
 
@@ -357,7 +358,7 @@ TimeNs DominoApMac::row_due(const Row& r) const {
   due += 2 * timing_.wifi.slot_time;
   if (r.plan.role == ApSlotPlan::Role::kRxData) {
     if (r.kick_sent) return r.kick_deadline;
-    due += timing_.data_air() + timing_.wifi.sifs + timing_.ack_air();
+    due += dur_.data_air + timing_.wifi.sifs + dur_.ack_air;
   }
   return due;
 }
@@ -400,7 +401,7 @@ void DominoApMac::on_self_start_timer() {
         // Bootstrap rule (§3.3): for an uplink at the head of a stalled
         // schedule the AP sends the client's signature to start it.
         r->kick_sent = true;
-        r->kick_deadline = sim_.now() + 2 * timing_.slot_duration();
+        r->kick_deadline = sim_.now() + 2 * dur_.slot_duration;
         ++self_starts_;
         note_chain_resume(sim_.now());
         send_burst({signatures_.code_of(r->plan.peer)}, g - 1,
@@ -408,7 +409,7 @@ void DominoApMac::on_self_start_timer() {
         // Give the client one response window before writing the row off.
         sim_.cancel(self_start_timer_);
         self_start_timer_ = sim_.schedule_in(
-            2 * timing_.slot_duration(), [this] { on_self_start_timer(); });
+            2 * dur_.slot_duration, [this] { on_self_start_timer(); });
       } else {
         // The client never showed up; write the slot off and move on.
         r->executed = true;
@@ -450,7 +451,7 @@ void DominoApMac::on_trigger_detected(std::uint64_t tag,
       nxt->plan.role == ApSlotPlan::Role::kTxData) {
     schedule_tx(tag + 1,
                 detect_time + timing_.wifi.slot_time +
-                    (rop_symbols != 0 ? timing_.rop_duration(rop_symbols)
+                    (rop_symbols != 0 ? dur_.rop_duration(rop_symbols)
                                       : 0));
   }
   arm_self_start();
@@ -464,7 +465,7 @@ void DominoApMac::on_anchor_moved() {
   // and adopting it would pull us out of our own slot.
   const TimeNs snapped = anchored_start(tx_pending_slot_);
   if (snapped > sim_.now() &&
-      std::abs(snapped - tx_scheduled_at_) < timing_.slot_duration() / 4) {
+      std::abs(snapped - tx_scheduled_at_) < dur_.slot_duration / 4) {
     sim_.cancel(tx_event_);
     const std::uint64_t g = tx_pending_slot_;
     tx_scheduled_at_ = snapped;
@@ -506,7 +507,7 @@ void DominoApMac::execute_tx(std::uint64_t g) {
   TimeNs anchor_t0 = t0;
   const TimeNs lattice = anchored_start(g);
   if (lattice != kTimeNever && t0 > lattice &&
-      t0 - lattice < timing_.slot_duration() / 4) {
+      t0 - lattice < dur_.slot_duration / 4) {
     anchor_t0 = lattice;
   }
   update_anchor(g, anchor_t0, /*force=*/true);
@@ -531,7 +532,7 @@ void DominoApMac::execute_tx(std::uint64_t g) {
   if (pkt != nullptr) {
     f.type = phy::FrameType::kData;
     f.bytes = pkt->bytes + timing_.wifi.mac_header_bytes;
-    f.duration = timing_.data_air();
+    f.duration = dur_.data_air;
     f.packet = *pkt;
     f.packet_id = pkt->id;
     awaiting_ack_ = pkt->id;
@@ -539,7 +540,7 @@ void DominoApMac::execute_tx(std::uint64_t g) {
     awaiting_peer_ = p.peer;
     sim_.cancel(ack_timer_);
     ack_timer_ = sim_.schedule_in(
-        f.duration + timing_.wifi.sifs + timing_.ack_air() +
+        f.duration + timing_.wifi.sifs + dur_.ack_air +
             timing_.wifi.slot_time,
         [this] {
           ++ack_timeouts_;
@@ -559,7 +560,7 @@ void DominoApMac::execute_tx(std::uint64_t g) {
   } else {
     f.type = phy::FrameType::kFakeHeader;
     f.bytes = timing_.fake_header_bytes;
-    f.duration = timing_.fake_air();
+    f.duration = dur_.fake_air;
   }
   radio_.send(f);
   after_data_phase(*r, t0, /*uplink=*/false);
@@ -571,12 +572,12 @@ void DominoApMac::after_data_phase(const Row& row, TimeNs slot_t0,
   const std::uint64_t g = row.plan.global_index;
   const bool rop = row.plan.rop_after;
   const std::uint32_t symbols = row.plan.rop_symbols;
-  sim_.post_at(std::max(slot_t0 + timing_.sig_phase_offset(), sim_.now()),
+  sim_.post_at(std::max(slot_t0 + dur_.sig_phase_offset, sim_.now()),
                [this, codes, g, rop, symbols] {
                  send_burst(codes, g, rop, /*recovery=*/false, symbols);
                });
   const TimeNs burst_end =
-      slot_t0 + timing_.sig_phase_offset() + timing_.burst_air();
+      slot_t0 + dur_.sig_phase_offset + dur_.burst_air;
   sim_.post_at(std::max(burst_end, sim_.now()),
                    [this, g] { finish_slot(g); });
 }
@@ -601,7 +602,7 @@ void DominoApMac::finish_slot(std::uint64_t g) {
       schedule_tx(g + 1,
                   now + timing_.wifi.slot_time +
                       (r->plan.rop_after
-                           ? timing_.rop_duration(r->plan.rop_symbols)
+                           ? dur_.rop_duration(r->plan.rop_symbols)
                            : 0));
     }
   }
@@ -613,7 +614,7 @@ TimeNs DominoApMac::anchored_start(std::uint64_t g) const {
   if (!has_anchor()) return kTimeNever;
   TimeNs at = expected_start(g);
   for (const auto& [b, symbols] : rop_boundaries_) {
-    if (b >= anchor_tag() && b < g) at += timing_.rop_duration(symbols);
+    if (b >= anchor_tag() && b < g) at += dur_.rop_duration(symbols);
   }
   return at;
 }
@@ -669,7 +670,7 @@ void DominoApMac::execute_poll(std::uint64_t g, TimeNs at) {
     poll.type = phy::FrameType::kPoll;
     poll.dst = topo::kNoNode;  // broadcast to associated clients
     poll.bytes = timing_.poll_bytes + timing_.wifi.mac_header_bytes;
-    poll.duration = timing_.poll_air();
+    poll.duration = dur_.poll_air;
     poll.slot_tag = g;
     poll.poll_symbol = symbols;
     poll.poll_roster = std::move(roster);
@@ -781,14 +782,14 @@ void DominoApMac::handle_frame(const phy::Frame& frame,
       // and only interfere with each other, never with data.
       const TimeNs ack_at =
           is_data ? timing_.wifi.sifs
-                  : timing_.data_air() - timing_.fake_air() +
+                  : dur_.data_air - dur_.fake_air +
                         timing_.wifi.sifs;
       sim_.post_in(ack_at, [this, ack_for, back_to, instr, tag] {
         phy::Frame ack;
         ack.type = phy::FrameType::kAck;
         ack.dst = back_to;
         ack.bytes = timing_.wifi.ack_bytes;
-        ack.duration = timing_.ack_air();
+        ack.duration = dur_.ack_air;
         ack.packet_id = ack_for;
         ack.slot_tag = tag;
         ack.client_instruction = instr;
@@ -805,11 +806,11 @@ void DominoApMac::handle_frame(const phy::Frame& frame,
         advance_frontier(match->plan.global_index);
         note_chain_resume(sim_.now());
         const TimeNs t0 =
-            sim_.now() - (is_data ? timing_.data_air() : timing_.fake_air());
+            sim_.now() - (is_data ? dur_.data_air : dur_.fake_air);
         TimeNs anchor_t0 = t0;
         const TimeNs lattice = anchored_start(match->plan.global_index);
         if (lattice != kTimeNever && t0 > lattice &&
-            t0 - lattice < timing_.slot_duration() / 4) {
+            t0 - lattice < dur_.slot_duration / 4) {
           anchor_t0 = lattice;
         }
         update_anchor(match->plan.global_index, anchor_t0, /*force=*/true);
@@ -889,7 +890,7 @@ void DominoClientMac::on_trigger_detected(std::uint64_t tag,
   // exchange when the boundary carries an ROP slot).
   schedule_data_tx(tag + 1,
                    detect_time + timing_.wifi.slot_time +
-                       (rop_symbols != 0 ? timing_.rop_duration(rop_symbols)
+                       (rop_symbols != 0 ? dur_.rop_duration(rop_symbols)
                                          : 0));
 }
 
@@ -897,7 +898,7 @@ void DominoClientMac::on_anchor_moved() {
   if (!tx_scheduled_) return;
   const TimeNs snapped = expected_start(tx_slot_tag_);
   if (snapped > sim_.now() &&
-      std::abs(snapped - tx_scheduled_at_) < timing_.slot_duration() / 4) {
+      std::abs(snapped - tx_scheduled_at_) < dur_.slot_duration / 4) {
     sim_.cancel(tx_event_);
     tx_scheduled_at_ = snapped;
     tx_event_ =
@@ -924,8 +925,8 @@ void DominoClientMac::handle_continuation(const phy::SignatureBurst& instr,
     trace_->on_continuation(tag + 1, node(), sim_.now());
   }
   const TimeNs next_t0 =
-      slot_t0 + timing_.slot_duration() +
-      (instr.rop_signature ? timing_.rop_duration(instr.rop_symbols) : 0);
+      slot_t0 + dur_.slot_duration +
+      (instr.rop_signature ? dur_.rop_duration(instr.rop_symbols) : 0);
   schedule_data_tx(tag + 1, next_t0);
 }
 
@@ -950,7 +951,7 @@ void DominoClientMac::execute_tx(std::uint64_t slot_tag) {
   if (head != nullptr) {
     f.type = phy::FrameType::kData;
     f.bytes = head->bytes + timing_.wifi.mac_header_bytes;
-    f.duration = timing_.data_air();
+    f.duration = dur_.data_air;
     f.packet = *head;
     f.packet_id = head->id;
     f.is_retry = awaiting_ack_valid_ && awaiting_ack_ == head->id;
@@ -958,7 +959,7 @@ void DominoClientMac::execute_tx(std::uint64_t slot_tag) {
     awaiting_ack_valid_ = true;
     sim_.cancel(ack_timer_);
     ack_timer_ = sim_.schedule_in(
-        f.duration + timing_.wifi.sifs + timing_.ack_air() +
+        f.duration + timing_.wifi.sifs + dur_.ack_air +
             timing_.wifi.slot_time,
         [this] {
           // Missed ACK (§3.5): the packet stays at the head of the queue
@@ -968,7 +969,7 @@ void DominoClientMac::execute_tx(std::uint64_t slot_tag) {
   } else {
     f.type = phy::FrameType::kFakeHeader;
     f.bytes = timing_.fake_header_bytes;
-    f.duration = timing_.fake_air();
+    f.duration = dur_.fake_air;
   }
   radio_.send(f);
 }
@@ -1001,7 +1002,7 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
         ack.type = phy::FrameType::kAck;
         ack.dst = ap_;
         ack.bytes = timing_.wifi.ack_bytes;
-        ack.duration = timing_.ack_air();
+        ack.duration = dur_.ack_air;
         ack.packet_id = ack_for;
         ack.slot_tag = tag;
         radio_.send(ack);
@@ -1016,10 +1017,10 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
       if (frame.client_instruction.has_value()) {
         schedule_instructed_burst(*frame.client_instruction, frame.slot_tag,
                                   sim_.now() + timing_.wifi.sifs +
-                                      timing_.ack_air() +
+                                      dur_.ack_air +
                                       timing_.wifi.slot_time);
         handle_continuation(*frame.client_instruction, frame.slot_tag,
-                            sim_.now() - timing_.data_air());
+                            sim_.now() - dur_.data_air);
       }
       break;
     }
@@ -1028,9 +1029,9 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
       if (frame.client_instruction.has_value()) {
         // Fixed slot structure: the signature phase sits at the same offset
         // from the slot start whether the data phase was real or fake.
-        const TimeNs slot_t0 = sim_.now() - timing_.fake_air();
+        const TimeNs slot_t0 = sim_.now() - dur_.fake_air;
         schedule_instructed_burst(*frame.client_instruction, frame.slot_tag,
-                                  slot_t0 + timing_.sig_phase_offset());
+                                  slot_t0 + dur_.sig_phase_offset);
         handle_continuation(*frame.client_instruction, frame.slot_tag,
                             slot_t0);
       }
@@ -1047,10 +1048,10 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
       // burst goes at the slot's fixed signature-phase offset. ACKs sit at
       // the same slot phase whether the data was real or a fake header.
       if (frame.client_instruction.has_value()) {
-        const TimeNs t0 = sim_.now() - timing_.ack_air() -
-                          timing_.wifi.sifs - timing_.data_air();
+        const TimeNs t0 = sim_.now() - dur_.ack_air -
+                          timing_.wifi.sifs - dur_.data_air;
         schedule_instructed_burst(*frame.client_instruction, frame.slot_tag,
-                                  t0 + timing_.sig_phase_offset());
+                                  t0 + dur_.sig_phase_offset);
         handle_continuation(*frame.client_instruction, frame.slot_tag, t0);
       }
       break;

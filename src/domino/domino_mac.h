@@ -130,6 +130,41 @@ struct DominoTiming {
   }
 };
 
+/// A DominoTiming's derived durations, evaluated once per node: each is a
+/// frame_airtime() evaluation or a sum of them, and the slot lattice reads
+/// them on every expected_start.
+struct DominoDurations {
+  explicit DominoDurations(const DominoTiming& t)
+      : data_air(t.data_air()),
+        fake_air(t.fake_air()),
+        ack_air(t.ack_air()),
+        poll_air(t.poll_air()),
+        burst_air(t.burst_air()),
+        sig_phase_offset(t.sig_phase_offset()),
+        slot_duration(t.slot_duration()),
+        rop_symbol(t.rop_symbol),
+        rop_base(t.rop_duration(1) - t.rop_symbol) {}
+
+  TimeNs data_air;
+  TimeNs fake_air;
+  TimeNs ack_air;
+  TimeNs poll_air;
+  TimeNs burst_air;
+  TimeNs sig_phase_offset;
+  TimeNs slot_duration;
+
+  /// DominoTiming::rop_duration(symbols).
+  TimeNs rop_duration(std::uint32_t symbols = 1) const {
+    return rop_base +
+           static_cast<TimeNs>(std::max<std::uint32_t>(symbols, 1)) *
+               rop_symbol;
+  }
+
+ private:
+  TimeNs rop_symbol;
+  TimeNs rop_base;  // rop_duration minus its symbols
+};
+
 /// Hooks for the timeline / misalignment recorders (api/timeline.h).
 struct DominoTrace {
   /// (slot index, node, peer, start, fake?, uplink?)
@@ -234,7 +269,8 @@ class DominoNodeBase : public phy::MediumClient {
 
   sim::Simulator& sim_;
   phy::Transceiver radio_;
-  DominoTiming timing_;
+  const DominoTiming timing_;
+  const DominoDurations dur_;  // of timing_
   const SignaturePlan& signatures_;
   phy::SignatureDetectionModel model_;
   Rng rng_;

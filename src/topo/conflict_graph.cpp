@@ -1,6 +1,7 @@
 #include "topo/conflict_graph.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace dmn::topo {
 namespace {
@@ -39,6 +40,9 @@ class PairSinr {
   double floor_mw_;
 };
 
+/// Source of ConflictGraph::generation(); shared by concurrent sweeps.
+std::atomic<std::uint64_t> g_last_generation{0};
+
 bool share_node(const Link& a, const Link& b) {
   return a.sender == b.sender || a.sender == b.receiver ||
          a.receiver == b.sender || a.receiver == b.receiver;
@@ -49,6 +53,7 @@ bool share_node(const Link& a, const Link& b) {
 ConflictGraph ConflictGraph::build(const Topology& topo,
                                    std::span<const Link> links) {
   ConflictGraph g;
+  g.generation_ = g_last_generation.fetch_add(1, std::memory_order_relaxed) + 1;
   g.links_.assign(links.begin(), links.end());
   const std::size_t n = g.links_.size();
   g.conflict_.assign(n, std::vector<bool>(n, false));

@@ -6,6 +6,7 @@
 // hidden/exposed pair classification the evaluation reports.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -49,7 +50,14 @@ class ConflictGraph {
   /// Finds the LinkId of `l`, or kNoLink.
   LinkId find(const Link& l) const;
 
+  /// Stamp of the build() that produced this graph, unique per process
+  /// (never 0). Tables derived from a graph (the converter's) remember it,
+  /// so an in-place rebuild (`*graph = ConflictGraph::build(...)`) tells
+  /// them to refresh.
+  std::uint64_t generation() const { return generation_; }
+
  private:
+  std::uint64_t generation_ = 0;
   std::vector<Link> links_;
   std::vector<std::vector<bool>> conflict_;       // full (data + ACK)
   std::vector<std::vector<bool>> data_conflict_;  // data direction only

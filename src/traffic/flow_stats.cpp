@@ -2,38 +2,43 @@
 
 namespace dmn::traffic {
 
+FlowStats::PerFlow& FlowStats::slot(FlowId flow) {
+  const auto i = static_cast<std::size_t>(flow);
+  if (i >= flows_.size()) flows_.resize(i + 1);
+  flows_[i].registered = true;
+  return flows_[i];
+}
+
+const FlowStats::PerFlow* FlowStats::find(FlowId flow) const {
+  const auto i = static_cast<std::size_t>(flow);
+  return i < flows_.size() && flows_[i].registered ? &flows_[i] : nullptr;
+}
+
 void FlowStats::record_delivery(const Packet& p, TimeNs now) {
-  // find-then-insert rather than operator[]: on the partitioned kernel's
-  // hot path every sourced flow is pre-registered (ensure_flow), so this is
-  // a pure read of the map structure — safe under concurrent record_* calls
-  // for different flows.
-  auto it = flows_.find(p.flow);
-  if (it == flows_.end()) it = flows_.try_emplace(p.flow).first;
-  PerFlow& f = it->second;
+  // On the partitioned kernel's hot path every sourced flow is
+  // pre-registered (ensure_flow), so this only writes the flow's own slot —
+  // safe under concurrent record_* calls for different flows.
+  PerFlow& f = slot(p.flow);
   ++f.count;
   f.bytes += p.bytes;
   f.delay_sum_ns += static_cast<double>(now - p.enqueued);
 }
 
-void FlowStats::record_offered(FlowId flow) {
-  auto it = flows_.find(flow);
-  if (it == flows_.end()) it = flows_.try_emplace(flow).first;
-  ++it->second.offered;
-}
+void FlowStats::record_offered(FlowId flow) { ++slot(flow).offered; }
 
 std::uint64_t FlowStats::delivered(FlowId flow) const {
-  const auto it = flows_.find(flow);
-  return it == flows_.end() ? 0 : it->second.count;
+  const PerFlow* f = find(flow);
+  return f == nullptr ? 0 : f->count;
 }
 
 std::uint64_t FlowStats::delivered_bytes(FlowId flow) const {
-  const auto it = flows_.find(flow);
-  return it == flows_.end() ? 0 : it->second.bytes;
+  const PerFlow* f = find(flow);
+  return f == nullptr ? 0 : f->bytes;
 }
 
 std::uint64_t FlowStats::offered(FlowId flow) const {
-  const auto it = flows_.find(flow);
-  return it == flows_.end() ? 0 : it->second.offered;
+  const PerFlow* f = find(flow);
+  return f == nullptr ? 0 : f->offered;
 }
 
 double FlowStats::throughput_bps(FlowId flow, TimeNs duration) const {
@@ -44,25 +49,20 @@ double FlowStats::throughput_bps(FlowId flow, TimeNs duration) const {
 
 double FlowStats::aggregate_throughput_bps(TimeNs duration) const {
   double acc = 0.0;
-  for (const auto& [id, f] : flows_) {
-    (void)f;
-    acc += throughput_bps(id, duration);
-  }
+  for (const FlowId id : flows()) acc += throughput_bps(id, duration);
   return acc;
 }
 
 double FlowStats::mean_delay_us(FlowId flow) const {
-  const auto it = flows_.find(flow);
-  if (it == flows_.end() || it->second.count == 0) return 0.0;
-  return it->second.delay_sum_ns / static_cast<double>(it->second.count) /
-         1000.0;
+  const PerFlow* f = find(flow);
+  if (f == nullptr || f->count == 0) return 0.0;
+  return f->delay_sum_ns / static_cast<double>(f->count) / 1000.0;
 }
 
 double FlowStats::mean_delay_us_all() const {
   double sum = 0.0;
   std::uint64_t n = 0;
-  for (const auto& [id, f] : flows_) {
-    (void)id;
+  for (const PerFlow& f : flows_) {
     sum += f.delay_sum_ns;
     n += f.count;
   }
@@ -72,10 +72,8 @@ double FlowStats::mean_delay_us_all() const {
 
 std::vector<FlowId> FlowStats::flows() const {
   std::vector<FlowId> out;
-  out.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) {
-    (void)f;
-    out.push_back(id);
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    if (flows_[i].registered) out.push_back(static_cast<FlowId>(i));
   }
   return out;
 }

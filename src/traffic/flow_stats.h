@@ -2,7 +2,6 @@
 // Per-flow delivery accounting and the evaluation metrics: throughput,
 // mean packet delay (queued -> delivered, §4.2.4) and Jain's fairness index.
 
-#include <map>
 #include <span>
 #include <vector>
 
@@ -14,10 +13,12 @@ class FlowStats {
  public:
   /// Pre-registers a flow's accounting slot. Partitioned runs register
   /// every sourced flow up front so record_* calls from concurrent
-  /// partition queues hit existing map nodes and never mutate the map
-  /// structure (per-flow counters are only ever touched by the flow's own
+  /// partition queues hit existing slots and never resize the table
+  /// (per-flow counters are only ever touched by the flow's own
   /// partition).
-  void ensure_flow(FlowId flow) { flows_.try_emplace(flow); }
+  void ensure_flow(FlowId flow) { slot(flow); }
+
+  // Flow ids are non-negative (experiments number them 0, 1, 2, ...).
 
   /// Records a successful MAC-level delivery (UDP) or first in-order
   /// arrival (TCP). Delay is measured from Packet::enqueued.
@@ -38,6 +39,7 @@ class FlowStats {
   double mean_delay_us(FlowId flow) const;
   double mean_delay_us_all() const;
 
+  /// Registered flows, ascending.
   std::vector<FlowId> flows() const;
 
   /// Jain's fairness index over per-flow throughputs:
@@ -50,8 +52,15 @@ class FlowStats {
     std::uint64_t bytes = 0;
     std::uint64_t offered = 0;
     double delay_sum_ns = 0.0;
+    bool registered = false;  // ensure_flow or a record_* call saw it
   };
-  std::map<FlowId, PerFlow> flows_;
+  /// The flow's slot, registering it (and growing the table) if new.
+  PerFlow& slot(FlowId flow);
+  /// The flow's slot if registered, else nullptr.
+  const PerFlow* find(FlowId flow) const;
+
+  /// Indexed by flow id; aggregates visit registered slots in id order.
+  std::vector<PerFlow> flows_;
 };
 
 }  // namespace dmn::traffic

@@ -4,11 +4,34 @@
 
 namespace dmn::traffic {
 
+void PacketQueue::count_add(topo::NodeId dst, std::size_t n) {
+  for (DstCount& c : counts_) {
+    if (c.dst == dst) {
+      c.packets += n;
+      return;
+    }
+  }
+  counts_.push_back({dst, n});
+}
+
+void PacketQueue::count_sub(topo::NodeId dst, std::size_t n) {
+  for (DstCount& c : counts_) {
+    if (c.dst != dst) continue;
+    c.packets -= n;
+    if (c.packets == 0) {
+      c = counts_.back();
+      counts_.pop_back();
+    }
+    return;
+  }
+}
+
 bool PacketQueue::push(Packet p) {
   if (q_.size() >= capacity_) {
     ++dropped_;
     return false;
   }
+  count_add(p.dst, 1);
   q_.push_back(std::move(p));
   return true;
 }
@@ -17,6 +40,7 @@ std::optional<Packet> PacketQueue::pop() {
   if (q_.empty()) return std::nullopt;
   Packet p = std::move(q_.front());
   q_.pop_front();
+  count_sub(p.dst, 1);
   return p;
 }
 
@@ -31,6 +55,7 @@ std::optional<Packet> PacketQueue::pop_for(topo::NodeId dst) {
   if (it == q_.end()) return std::nullopt;
   Packet p = std::move(*it);
   q_.erase(it);
+  count_sub(dst, 1);
   return p;
 }
 
@@ -52,6 +77,7 @@ std::vector<Packet> PacketQueue::extract_for(topo::NodeId dst,
       ++it;
     }
   }
+  count_sub(dst, out.size());
   return out;
 }
 
@@ -63,14 +89,18 @@ std::size_t PacketQueue::retarget(topo::NodeId from, topo::NodeId to) {
       ++n;
     }
   }
+  if (n != 0 && from != to) {
+    count_sub(from, n);
+    count_add(to, n);
+  }
   return n;
 }
 
 std::size_t PacketQueue::count_for(topo::NodeId dst) const {
-  return static_cast<std::size_t>(
-      std::count_if(q_.begin(), q_.end(), [dst](const Packet& p) {
-        return p.dst == dst;
-      }));
+  for (const DstCount& c : counts_) {
+    if (c.dst == dst) return c.packets;
+  }
+  return 0;
 }
 
 }  // namespace dmn::traffic

@@ -37,6 +37,8 @@ class PacketQueue {
 
   /// Number of queued packets for a destination.
   std::size_t count_for(topo::NodeId dst) const;
+  /// Number of distinct destinations with queued packets.
+  std::size_t destinations() const { return counts_.size(); }
 
   // ---- lifecycle (roaming hand-off) -------------------------------------
 
@@ -52,8 +54,20 @@ class PacketQueue {
   std::size_t retarget(topo::NodeId from, topo::NodeId to);
 
  private:
+  struct DstCount {
+    topo::NodeId dst;
+    std::size_t packets;
+  };
+  void count_add(topo::NodeId dst, std::size_t n);
+  void count_sub(topo::NodeId dst, std::size_t n);
+
   std::size_t capacity_;
   std::deque<Packet> q_;
+  /// Queued packets per destination, one entry per destination present
+  /// (none at zero), in no particular order. Sized by the destinations a
+  /// queue actually holds — a client's queue holds one — never by the
+  /// node count.
+  std::vector<DstCount> counts_;
   std::uint64_t dropped_ = 0;
 };
 

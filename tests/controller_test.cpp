@@ -146,7 +146,9 @@ TEST(Controller, RopBoundariesSharedAcrossPlans) {
   std::map<std::uint64_t, std::vector<ApSchedule::RopBoundary>> by_batch;
   for (const auto& p : h.dispatched) {
     auto [it, fresh] = by_batch.try_emplace(p.batch_id, p.rop_boundaries);
-    if (!fresh) EXPECT_EQ(it->second, p.rop_boundaries);
+    if (!fresh) {
+      EXPECT_EQ(it->second, p.rop_boundaries);
+    }
   }
   // The first batch polls both APs somewhere.
   EXPECT_FALSE(by_batch.begin()->second.empty());

@@ -37,6 +37,12 @@ topo::Topology two_cells() {
   return b.build();
 }
 
+api::SweepOptions threads(std::size_t n) {
+  api::SweepOptions opts;
+  opts.num_threads = n;
+  return opts;
+}
+
 api::ExperimentConfig domino_config(TimeNs duration = msec(400)) {
   api::ExperimentConfig cfg;
   cfg.scheme = api::Scheme::kDomino;
@@ -307,8 +313,8 @@ TEST(FaultDeterminism, SerialAndPooledSweepsIdenticalUnderFaults) {
   cfg.faults.controller.outages.push_back({msec(100), msec(10)});
 
   const auto points = api::seed_sweep(two_cells(), cfg, 1, 8);
-  api::SweepRunner serial({1, nullptr});
-  api::SweepRunner pooled({4, nullptr});
+  api::SweepRunner serial(threads(1));
+  api::SweepRunner pooled(threads(4));
   const api::SweepReport a = serial.run_outcomes(points);
   const api::SweepReport b = pooled.run_outcomes(points);
   ASSERT_EQ(a.outcomes.size(), 8u);

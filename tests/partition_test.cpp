@@ -471,7 +471,9 @@ TEST(Timeline, RecordsOnThePartitionedKernelAtAnyThreadCount) {
               std::tie(y.slot, y.sender, y.receiver, y.start, y.fake,
                        y.uplink))
         << "record " << i;
-    if (i > 0) EXPECT_LE(a.transmissions()[i - 1].start, x.start);
+    if (i > 0) {
+      EXPECT_LE(a.transmissions()[i - 1].start, x.start);
+    }
     if (!x.uplink) sent[static_cast<std::size_t>(x.sender)] = true;
   }
   for (const topo::NodeId ap : t.aps()) {
@@ -510,7 +512,9 @@ TEST(Partitioned, SmokeBothBuildingsCarryTraffic) {
   ASSERT_FALSE(r.links.empty());
   // Every downlink flow in both buildings delivered something.
   for (const api::LinkResult& lr : r.links) {
-    if (!lr.uplink) EXPECT_GT(lr.delivered, 0u) << "flow " << lr.flow.id;
+    if (!lr.uplink) {
+      EXPECT_GT(lr.delivered, 0u) << "flow " << lr.flow.id;
+    }
   }
 }
 

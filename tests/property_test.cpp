@@ -41,7 +41,9 @@ TEST_P(ConflictGraphProperty, SymmetricAndAckImpliesSuperset) {
       const auto b = static_cast<topo::LinkId>(j);
       EXPECT_EQ(g.conflicts(a, b), g.conflicts(b, a));
       // Full rule is a superset of the data-only rule.
-      if (g.data_conflicts(a, b)) EXPECT_TRUE(g.conflicts(a, b));
+      if (g.data_conflicts(a, b)) {
+        EXPECT_TRUE(g.conflicts(a, b));
+      }
     }
   }
 }
@@ -452,7 +454,9 @@ TEST_P(ConverterProperty, InvariantsHoldAcrossRandomBatches) {
       // data-only rule, real pairs under the full rule).
       for (std::size_t i = 0; i < slot.entries.size(); ++i) {
         const auto& ei = slot.entries[i];
-        if (ei.fake) EXPECT_EQ(want.count(ei.link), 0u);
+        if (ei.fake) {
+          EXPECT_EQ(want.count(ei.link), 0u);
+        }
         for (std::size_t j = i + 1; j < slot.entries.size(); ++j) {
           const auto& ej = slot.entries[j];
           EXPECT_NE(ei.link, ej.link);

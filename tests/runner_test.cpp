@@ -385,7 +385,9 @@ TEST(Runner, OutcomeSerializationRoundTripsExactly) {
   ExperimentConfig cfg = base_config();
   cfg.scheme = Scheme::kDomino;
   const auto points = seed_sweep(topo, cfg, 7, 1);
-  SweepRunner runner({1, nullptr});
+  SweepOptions opt;
+  opt.num_threads = 1;
+  SweepRunner runner(opt);
   const auto report = runner.run_outcomes(points);
   ASSERT_TRUE(report.ok(0));
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -44,6 +45,12 @@ ExperimentConfig base_config() {
 
 void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(serialize_result(a), serialize_result(b));
+}
+
+SweepOptions threads(std::size_t n) {
+  SweepOptions opts;
+  opts.num_threads = n;
+  return opts;
 }
 
 // ---- registry --------------------------------------------------------------
@@ -136,8 +143,8 @@ TEST(SweepRunner, ParallelIdenticalToSerial16Seeds) {
     cfg.duration = msec(150);
     const auto points = seed_sweep(two_cells(), cfg, 1, 16);
 
-    SweepRunner serial({1, nullptr});
-    SweepRunner pooled({4, nullptr});
+    SweepRunner serial(threads(1));
+    SweepRunner pooled(threads(4));
     const SweepReport a = serial.run_outcomes(points);
     const SweepReport b = pooled.run_outcomes(points);
     EXPECT_EQ(serial.stats().threads, 1u);
@@ -151,7 +158,7 @@ TEST(SweepRunner, ParallelIdenticalToSerial16Seeds) {
 TEST(SweepRunner, DistinctSeedsGiveDistinctResults) {
   ExperimentConfig cfg = base_config();
   cfg.scheme = Scheme::kDcf;
-  const SweepReport report = SweepRunner({2, nullptr})
+  const SweepReport report = SweepRunner(threads(2))
                                  .run_outcomes(seed_sweep(two_cells(), cfg,
                                                           1, 2));
   ASSERT_TRUE(report.all_ok());
@@ -762,6 +769,56 @@ TEST(ResultCodec, PinnedBytesMultiSymbolDenseCell) {
   cfg.rop.poll_mode = rop::PollMode::kMultiSymbol;
   cfg.rop.max_poll_symbols = 2;
   expect_pinned(serialized_run(t, cfg), kMultiSymbolDenseBytes);
+}
+
+/// 64-bit FNV-1a: the fig14-shaped results below serialize to 8-11 KB
+/// each, so their bytes are pinned by digest and length.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// The e2ebench fig14 point shape: a random T(20,3) draw in an 800 m
+/// square, 10 Mbps downlink per client, run as DCF and as DOMINO (here for
+/// 100 ms). Draw 1005 is one of those whose DOMINO run trips the auditor's
+/// converter.rop-sharing check (ROADMAP item 1), so the pin runs unaudited.
+/// Digests were taken before the converter, traffic and DOMINO MAC moved
+/// onto flat tables; the results must not change.
+TEST(ResultCodec, PinnedBytesFig14Draws) {
+  struct Pin {
+    std::uint64_t draw;
+    Scheme scheme;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {1000, Scheme::kDcf, 8011, 0x7d39a1febb72f560ull},
+      {1000, Scheme::kDomino, 11074, 0x67163fe056c7caf1ull},
+      {1005, Scheme::kDcf, 8006, 0x9489801f912fccfaull},
+      {1005, Scheme::kDomino, 11066, 0x99997fa1b9c3de8eull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("draw " + std::to_string(pin.draw) + " " +
+                 to_string(pin.scheme));
+    Rng rng(pin.draw);
+    topo::LogDistanceModel model;
+    const auto t =
+        topo::Topology::random_network(20, 3, 800.0, model, {}, rng);
+    ExperimentConfig cfg;
+    cfg.sim_threads = -1;  // classic-kernel bytes, whatever DMN_SIM_THREADS
+    cfg.audit.mode = audit::AuditMode::kOff;  // whatever DMN_AUDIT says
+    cfg.scheme = pin.scheme;
+    cfg.seed = pin.draw;
+    cfg.duration = msec(100);
+    cfg.traffic.downlink_bps = 10e6;
+    const std::string bytes = serialized_run(t, cfg);
+    EXPECT_EQ(bytes.size(), pin.size);
+    EXPECT_EQ(fnv1a(bytes), pin.digest) << bytes;
+  }
 }
 
 /// Every `cls` field the tables reach from `x`, flattened to path -> value

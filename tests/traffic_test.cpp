@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -11,6 +15,7 @@
 #include "traffic/queue.h"
 #include "traffic/tcp_reno.h"
 #include "traffic/udp_source.h"
+#include "util/rng.h"
 #include "wired/backbone.h"
 
 namespace dmn::traffic {
@@ -56,6 +61,121 @@ TEST(Queue, PerDestinationAccess) {
   EXPECT_EQ(q.count_for(7), 1u);
   EXPECT_EQ(q.size(), 2u);
   EXPECT_FALSE(q.pop_for(99).has_value());
+}
+
+/// Per-destination counts are kept incrementally: after every operation of
+/// a seeded random mix, count_for must equal a scan of a plain deque that
+/// mirrors the queue, and only destinations with packets keep an entry.
+TEST(Queue, PerDestinationCountsMatchScanUnderRandomOps) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    PacketQueue q(12);
+    std::deque<Packet> model;
+    std::set<topo::NodeId> seen;
+    PacketId next_id = 0;
+    auto random_dst = [&] {
+      return static_cast<topo::NodeId>(rng.uniform_int(0, 5));
+    };
+    auto model_count = [&](topo::NodeId d) {
+      return static_cast<std::size_t>(
+          std::count_if(model.begin(), model.end(),
+                        [d](const Packet& p) { return p.dst == d; }));
+    };
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const topo::NodeId d = random_dst();
+      seen.insert(d);
+      switch (rng.uniform_int(0, 5)) {
+        case 0:
+        case 1: {  // push, dropping at capacity
+          const Packet p = make_packet(++next_id, d);
+          const bool fits = model.size() < q.capacity();
+          EXPECT_EQ(q.push(p), fits);
+          if (fits) model.push_back(p);
+          break;
+        }
+        case 2: {
+          const auto got = q.pop();
+          ASSERT_EQ(got.has_value(), !model.empty());
+          if (got) {
+            EXPECT_EQ(got->id, model.front().id);
+            model.pop_front();
+          }
+          break;
+        }
+        case 3: {
+          const auto got = q.pop_for(d);
+          const auto it =
+              std::find_if(model.begin(), model.end(),
+                           [d](const Packet& p) { return p.dst == d; });
+          ASSERT_EQ(got.has_value(), it != model.end());
+          if (got) {
+            EXPECT_EQ(got->id, it->id);
+            model.erase(it);
+          }
+          break;
+        }
+        case 4: {  // extract, sometimes keeping an in-flight head
+          std::optional<PacketId> exclude;
+          if (!model.empty() && rng.chance(0.5)) exclude = model.front().id;
+          const std::vector<Packet> got = q.extract_for(d, exclude);
+          std::vector<PacketId> want;
+          for (auto it = model.begin(); it != model.end();) {
+            if (it->dst == d && (!exclude || it->id != *exclude)) {
+              want.push_back(it->id);
+              it = model.erase(it);
+            } else {
+              ++it;
+            }
+          }
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].id, want[i]);
+          }
+          break;
+        }
+        default: {
+          const topo::NodeId to = random_dst();
+          seen.insert(to);
+          std::size_t n = 0;
+          for (Packet& p : model) {
+            if (p.dst == d) {
+              p.dst = to;
+              ++n;
+            }
+          }
+          EXPECT_EQ(q.retarget(d, to), n);
+          break;
+        }
+      }
+      ASSERT_EQ(q.size(), model.size());
+      std::set<topo::NodeId> present;
+      for (const Packet& p : model) present.insert(p.dst);
+      EXPECT_EQ(q.destinations(), present.size());
+      for (const topo::NodeId dst : seen) {
+        EXPECT_EQ(q.count_for(dst), model_count(dst)) << "dst " << dst;
+      }
+    }
+  }
+}
+
+TEST(FlowStatsTest, SparseFlowIdsReportOnlyRegisteredFlows) {
+  FlowStats stats;
+  stats.ensure_flow(5);
+  Packet p = make_packet(1);
+  p.flow = 2;
+  p.bytes = 100;
+  p.enqueued = usec(100);
+  stats.record_delivery(p, usec(300));
+  stats.record_offered(2);
+  EXPECT_EQ(stats.flows(), (std::vector<FlowId>{2, 5}));
+  EXPECT_EQ(stats.offered(2), 1u);
+  EXPECT_EQ(stats.delivered(3), 0u);
+  EXPECT_EQ(stats.offered(99), 0u);
+  EXPECT_DOUBLE_EQ(stats.mean_delay_us(3), 0.0);
+  EXPECT_DOUBLE_EQ(stats.mean_delay_us_all(), 200.0);
+  EXPECT_DOUBLE_EQ(stats.aggregate_throughput_bps(sec(1)), 800.0);
 }
 
 TEST(UdpSourceTest, GeneratesAtConfiguredRate) {
