@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "gold/correlator.h"
+#include "gold/burst.h"
 
 using namespace dmn;
 
@@ -26,7 +26,7 @@ struct Setup {
 
 double run_setup(const gold::GoldCodeSet& set, const Setup& setup,
                  int combined, int runs, Rng& rng, double* false_pos) {
-  gold::Correlator corr(set);
+  const gold::CorrelatorBank bank(set);
   int ok = 0;
   int fp = 0;
   std::vector<gold::DetectionResult> results;
@@ -55,12 +55,12 @@ double run_setup(const gold::GoldCodeSet& set, const Setup& setup,
       senders.push_back(std::move(b));
     }
     const auto rx =
-        gold::synthesize_burst(corr.bank(), senders, /*noise=*/0.05, 16, rng);
+        gold::synthesize_burst(bank, senders, /*noise=*/0.05, 16, rng);
     // One batched pass: the first target code plus a false-positive probe
     // (a code guaranteed absent) share the burst's SoA conversion and RMS.
     const std::size_t probes[] = {codes[0],
                                   110 + static_cast<std::size_t>(r % 10)};
-    corr.detect_many(rx, probes, results);
+    bank.detect_many(rx, probes, results);
     if (results[0].detected) ++ok;
     if (results[1].detected) ++fp;
   }

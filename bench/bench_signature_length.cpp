@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "gold/correlator.h"
+#include "gold/burst.h"
 #include "gold/gold_code.h"
 
 using namespace dmn;
@@ -29,7 +29,7 @@ int main() {
                 static_cast<double>(set.length()) / set.t_bound());
 
     // Detection check at 4 combined signatures (the protocol maximum).
-    gold::Correlator corr(set);
+    const gold::CorrelatorBank bank(set);
     int ok = 0;
     const int trials = 200;
     for (int t = 0; t < trials; ++t) {
@@ -38,8 +38,8 @@ int main() {
                             1.0,
                             static_cast<std::size_t>(rng.uniform_int(0, 3)),
                             rng.uniform(0.0, 6.28)}};
-      const auto rx = gold::synthesize_burst(corr.bank(), senders, 0.1, 16, rng);
-      if (corr.detect(rx, 1).detected) ++ok;
+      const auto rx = gold::synthesize_burst(bank, senders, 0.1, 16, rng);
+      if (bank.detect(rx, 1).detected) ++ok;
     }
     std::printf("   detect@4: %5.1f%%\n", 100.0 * ok / trials);
   }

@@ -1,9 +1,6 @@
 #include "phy/signature_model.h"
 
 #include <algorithm>
-#include <vector>
-
-#include "gold/correlator.h"
 
 namespace dmn::phy {
 
@@ -35,43 +32,6 @@ bool SignatureDetectionModel::sample_detect(int combined_total, double sinr_db,
 
 bool SignatureDetectionModel::sample_false_positive(Rng& rng) const {
   return rng.chance(false_positive_rate);
-}
-
-SignatureDetectionModel fit_signature_model(const gold::CorrelatorBank& bank,
-                                            std::size_t trials_per_count,
-                                            double noise_power, Rng& rng) {
-  SignatureDetectionModel model;
-  const std::size_t node_codes =
-      std::min<std::size_t>(gold::kMaxNodesPerDomain, bank.set().size());
-  std::size_t fp = 0;
-  std::size_t fp_trials = 0;
-  std::vector<gold::DetectionResult> results;
-  for (int count = 1; count <= 7; ++count) {
-    std::size_t ok = 0;
-    for (std::size_t t = 0; t < trials_per_count; ++t) {
-      gold::BurstSender sender;
-      for (int k = 0; k < count; ++k) {
-        sender.codes.push_back(
-            (t * 13 + static_cast<std::size_t>(k) * 29) % (node_codes - 27));
-      }
-      sender.chip_offset = static_cast<std::size_t>(rng.uniform_int(0, 3));
-      sender.phase_rad = rng.uniform(0.0, 6.283185307179586);
-      const std::vector<gold::BurstSender> senders = {sender};
-      const auto rx = synthesize_burst(bank, senders, noise_power, 16, rng);
-      // Target probe plus a guaranteed-absent probe in one bank pass.
-      const std::size_t absent = node_codes - 10 + (t % 10);
-      const std::size_t probes[2] = {sender.codes[0], absent};
-      bank.detect_many(rx, probes, results);
-      if (results[0].detected) ++ok;
-      if (results[1].detected) ++fp;
-      ++fp_trials;
-    }
-    model.p_by_count[count] =
-        static_cast<double>(ok) / static_cast<double>(trials_per_count);
-  }
-  model.false_positive_rate =
-      static_cast<double>(fp) / static_cast<double>(fp_trials);
-  return model;
 }
 
 }  // namespace dmn::phy

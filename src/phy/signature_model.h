@@ -12,9 +12,6 @@
 // remain detectable far below the packet-decode SINR; the model rolls off
 // linearly between `full_sinr_db` and `zero_sinr_db`.
 
-#include <cstddef>
-
-#include "gold/correlator_bank.h"
 #include "util/rng.h"
 
 namespace dmn::phy {
@@ -39,16 +36,5 @@ struct SignatureDetectionModel {
   /// Bernoulli sample of a false positive for one correlator in one slot.
   bool sample_false_positive(Rng& rng) const;
 };
-
-/// Chip-accurate calibration: re-measures p_by_count (and the
-/// false-positive rate) by running trigger-burst trials through a
-/// CorrelatorBank — the same procedure that produced the baked Figure 9
-/// curve, available so the fitted MAC-level model can be re-derived (or
-/// cross-checked) from the signal level instead of trusted blindly. SINR
-/// rolloff parameters keep their defaults (they encode processing gain,
-/// not burst mixing).
-SignatureDetectionModel fit_signature_model(const gold::CorrelatorBank& bank,
-                                            std::size_t trials_per_count,
-                                            double noise_power, Rng& rng);
 
 }  // namespace dmn::phy

@@ -7,7 +7,7 @@
 
 #include "dsp/channel.h"
 #include "dsp/fft.h"
-#include "gold/correlator.h"
+#include "gold/burst.h"
 #include "gold/gold_code.h"
 #include "gold/lfsr.h"
 #include "util/rng.h"
@@ -163,66 +163,123 @@ TEST(GoldSet, PaperParameters) {
 
 TEST(Correlator, DetectsCleanSignature) {
   gold::GoldCodeSet set(7);
-  gold::Correlator corr(set);
+  const gold::CorrelatorBank bank(set);
   Rng rng(20);
   std::vector<gold::BurstSender> senders = {
       gold::BurstSender{{5}, 1.0, 0, 0.0}};
-  const auto rx = gold::synthesize_burst(set, senders, 0.01, 16, rng);
-  EXPECT_TRUE(corr.detect(rx, 5).detected);
+  const auto rx = gold::synthesize_burst(bank, senders, 0.01, 16, rng);
+  EXPECT_TRUE(bank.detect(rx, 5).detected);
   // A code that was not transmitted must not be detected.
-  EXPECT_FALSE(corr.detect(rx, 77).detected);
+  EXPECT_FALSE(bank.detect(rx, 77).detected);
 }
 
 TEST(Correlator, DetectsUnderChipOffsetAndPhase) {
   gold::GoldCodeSet set(7);
-  gold::Correlator corr(set);
+  const gold::CorrelatorBank bank(set);
   Rng rng(21);
   std::vector<gold::BurstSender> senders = {
       gold::BurstSender{{9}, 1.0, 3, 1.1}};
-  const auto rx = gold::synthesize_burst(set, senders, 0.01, 16, rng);
-  const auto r = corr.detect(rx, 9);
+  const auto rx = gold::synthesize_burst(bank, senders, 0.01, 16, rng);
+  const auto r = bank.detect(rx, 9);
   EXPECT_TRUE(r.detected);
   EXPECT_EQ(r.lag, 3u);
 }
 
 TEST(Correlator, CombinedSignaturesAllDetected) {
   gold::GoldCodeSet set(7);
-  gold::Correlator corr(set);
+  const gold::CorrelatorBank bank(set);
   Rng rng(22);
   std::vector<gold::BurstSender> senders = {
       gold::BurstSender{{1, 2, 3, 4}, 1.0, 0, 0.0}};
-  const auto rx = gold::synthesize_burst(set, senders, 0.01, 16, rng);
+  const auto rx = gold::synthesize_burst(bank, senders, 0.01, 16, rng);
   for (std::size_t code : {1u, 2u, 3u, 4u}) {
-    EXPECT_TRUE(corr.detect(rx, code).detected) << "code " << code;
+    EXPECT_TRUE(bank.detect(rx, code).detected) << "code " << code;
   }
 }
 
 TEST(Correlator, TwoConcurrentSendersDifferentSignatures) {
   gold::GoldCodeSet set(7);
-  gold::Correlator corr(set);
+  const gold::CorrelatorBank bank(set);
   Rng rng(23);
   std::vector<gold::BurstSender> senders = {
       gold::BurstSender{{10, 11}, 1.0, 0, 0.3},
       gold::BurstSender{{12, 13}, 1.0, 2, 2.1}};
-  const auto rx = gold::synthesize_burst(set, senders, 0.01, 16, rng);
+  const auto rx = gold::synthesize_burst(bank, senders, 0.01, 16, rng);
   for (std::size_t code : {10u, 11u, 12u, 13u}) {
-    EXPECT_TRUE(corr.detect(rx, code).detected) << "code " << code;
+    EXPECT_TRUE(bank.detect(rx, code).detected) << "code " << code;
   }
 }
 
 TEST(Correlator, FalsePositiveRateBelowOnePercent) {
   gold::GoldCodeSet set(7);
-  gold::Correlator corr(set);
+  const gold::CorrelatorBank bank(set);
   Rng rng(24);
   int fp = 0;
   const int trials = 400;
   for (int t = 0; t < trials; ++t) {
     std::vector<gold::BurstSender> senders = {
         gold::BurstSender{{(t % 60) + 60u}, 1.0, 0, 0.0}};
-    const auto rx = gold::synthesize_burst(set, senders, 0.05, 16, rng);
-    if (corr.detect(rx, t % 40).detected) ++fp;
+    const auto rx = gold::synthesize_burst(bank, senders, 0.05, 16, rng);
+    if (bank.detect(rx, t % 40).detected) ++fp;
   }
   EXPECT_LE(static_cast<double>(fp) / trials, 0.01);
+}
+
+// detect_many correlates several candidate codes over one burst in a single
+// pass; every verdict must equal detect() for the same code, bit for bit.
+// detect() itself is pinned to the naive sliding correlator by
+// Golden.CorrelatorDetect. The 64 bursts carry 1-3 senders of 1-4 combined
+// codes each, with chip skew and random phase; each receiver probes 16
+// candidates, padded with codes that are absent from the burst.
+TEST(CorrelatorBank, DetectManyMatchesPerCodeDetect) {
+  gold::GoldCodeSet set(7);
+  const gold::CorrelatorBank bank(set);
+  Rng rng(20260807);
+  std::vector<gold::DetectionResult> many;
+  int detected = 0;
+  int probes = 0;
+  for (int b = 0; b < 64; ++b) {
+    std::vector<gold::BurstSender> senders;
+    std::vector<std::size_t> candidates;
+    const int nsenders = 1 + b % 3;
+    for (int s = 0; s < nsenders; ++s) {
+      gold::BurstSender sender;
+      const int ncodes = 1 + (b + s) % 4;
+      for (int c = 0; c < ncodes; ++c) {
+        sender.codes.push_back(
+            static_cast<std::size_t>((b * 17 + s * 31 + c * 7) % 100));
+      }
+      sender.amplitude = 0.8 + 0.2 * rng.uniform();
+      sender.chip_offset = static_cast<std::size_t>(b + s) % 5;
+      sender.phase_rad = rng.uniform(0.0, 6.28318);
+      candidates.insert(candidates.end(), sender.codes.begin(),
+                        sender.codes.end());
+      senders.push_back(std::move(sender));
+    }
+    while (candidates.size() < 16) {
+      candidates.push_back(
+          (static_cast<std::size_t>(b) * 3 + candidates.size() * 5) % 100 + 1);
+    }
+    candidates.resize(16);
+    const auto rx = gold::synthesize_burst(bank, senders, 0.05, 16, rng);
+
+    bank.detect_many(rx, candidates, many);
+    ASSERT_EQ(many.size(), candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const gold::DetectionResult one = bank.detect(rx, candidates[i]);
+      EXPECT_EQ(many[i].detected, one.detected) << "burst " << b << " i " << i;
+      EXPECT_EQ(many[i].lag, one.lag) << "burst " << b << " i " << i;
+      EXPECT_EQ(many[i].peak_metric, one.peak_metric)
+          << "burst " << b << " i " << i;
+      EXPECT_EQ(many[i].floor_metric, one.floor_metric)
+          << "burst " << b << " i " << i;
+      detected += one.detected ? 1 : 0;
+      ++probes;
+    }
+  }
+  // The workload exercises both verdicts.
+  EXPECT_GT(detected, 0);
+  EXPECT_LT(detected, probes);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // The numbers below were captured from the straightforward reference
 // implementations (scratch-recompute interference in Medium, per-call
-// template construction in Correlator) BEFORE the incremental/banked fast
+// template construction per detection) BEFORE the incremental/banked fast
 // paths were introduced. They pin the observable outputs bit-for-bit (to a
 // 1e-9 absolute tolerance, far below any physically meaningful delta), so
 // any fast-path rewrite that changes results — not just performance — fails
@@ -13,7 +13,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "gold/correlator.h"
+#include "gold/burst.h"
 #include "gold/gold_code.h"
 #include "phy/medium.h"
 #include "topo/topology.h"
@@ -73,15 +73,15 @@ const CorrelatorGolden kCorrelatorGoldens[] = {
 
 TEST(Golden, CorrelatorDetect) {
   gold::GoldCodeSet set(7);
-  gold::Correlator corr(set);
+  const gold::CorrelatorBank bank(set);
   const auto scenarios = burst_scenarios();
   std::vector<std::vector<dsp::Cplx>> bursts;
   for (const auto& s : scenarios) {
     Rng rng(s.seed);
-    bursts.push_back(gold::synthesize_burst(set, s.senders, s.noise, 16, rng));
+    bursts.push_back(gold::synthesize_burst(bank, s.senders, s.noise, 16, rng));
   }
   for (const auto& g : kCorrelatorGoldens) {
-    const auto r = corr.detect(bursts[g.scenario], g.code);
+    const auto r = bank.detect(bursts[g.scenario], g.code);
     EXPECT_NEAR(r.peak_metric, g.peak_metric, kTol)
         << "scenario " << g.scenario << " code " << g.code;
     EXPECT_NEAR(r.floor_metric, g.floor_metric, kTol)

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -242,6 +244,78 @@ TEST(Simulator, StatePoolSurvivesManyScheduleRunCycles) {
   }
   EXPECT_EQ(ran, 1000u);
   EXPECT_EQ(sim.events_executed(), 1000u);
+}
+
+// Self-rescheduling event chains, the event loop's churn workload: 64
+// chains with 40-byte captures run to a 5 ms horizon, each event folding
+// its payload into an order-sensitive checksum (so a same-tick reorder
+// shows, not only a lost or extra event). The three ways of scheduling the
+// same chains must agree with each other and with the pinned pair:
+// cancellable events through schedule_in, handle-free events through
+// post_in, and post_in with a capture padded past EventFn's inline buffer
+// (the heap fallback).
+enum class ChainPath { kHandle, kPost, kHeapFallback };
+
+struct ChainRun {
+  struct Payload {
+    std::uint64_t a, b, c;
+  };
+  /// The heap-fallback callable: the same capture plus padding.
+  struct Padded {
+    ChainRun* run;
+    TimeNs step;
+    Payload p;
+    unsigned char pad[sim::EventFn::kInlineCapacity] = {};
+    void operator()() { run->tick(step, p); }
+  };
+  static_assert(sizeof(Padded) > sim::EventFn::kInlineCapacity);
+
+  ChainRun(ChainPath path, TimeNs horizon) : path(path), horizon(horizon) {}
+
+  sim::Simulator sim;
+  ChainPath path;
+  TimeNs horizon;
+  std::uint64_t checksum = 0;
+
+  void schedule(TimeNs delay, TimeNs step, Payload p) {
+    switch (path) {
+      case ChainPath::kHandle:
+        sim.schedule_in(delay, [this, step, p] { tick(step, p); });
+        break;
+      case ChainPath::kPost:
+        sim.post_in(delay, [this, step, p] { tick(step, p); });
+        break;
+      case ChainPath::kHeapFallback:
+        sim.post_in(delay, Padded{this, step, p});
+        break;
+    }
+  }
+
+  void tick(TimeNs step, Payload p) {
+    checksum = checksum * 1099511628211ULL + (p.a ^ (p.b << 1) ^ (p.c << 2));
+    if (sim.now() + step <= horizon) {
+      schedule(step, step, Payload{p.a + 1, p.b + 3, p.c + 5});
+    }
+  }
+
+  std::pair<std::uint64_t, std::uint64_t> run(int chains) {
+    for (int c = 0; c < chains; ++c) {
+      schedule(c % 13, 997 + (c % 7) * 101,
+               Payload{static_cast<std::uint64_t>(c), 2, 3});
+    }
+    sim.run();
+    return {sim.events_executed(), checksum};
+  }
+};
+
+TEST(Simulator, HandleFreeAndHeapFallbackPathsAgree) {
+  const std::pair<std::uint64_t, std::uint64_t> pinned{253470,
+                                                       8689350023374965893ULL};
+  for (const ChainPath path :
+       {ChainPath::kHandle, ChainPath::kPost, ChainPath::kHeapFallback}) {
+    ChainRun run(path, 5'000'000);
+    EXPECT_EQ(run.run(64), pinned) << "path " << static_cast<int>(path);
+  }
 }
 
 }  // namespace
