@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "api/lifecycle.h"
 #include "api/scheme_stack.h"
@@ -388,9 +389,6 @@ struct Experiment::Impl {
     }
     build_flows();
 
-    // The stack object is created (not yet built) before the kernel choice:
-    // a stack that couples nodes outside the audible graph (Omniscient's
-    // oracle) vetoes partitioning.
     stack = SchemeStackRegistry::instance().create(
         cfg.effective_scheme_name());
     if (lifecycle && !stack->supports_dynamics()) {
@@ -400,26 +398,17 @@ struct Experiment::Impl {
           "(SchemeStack::supports_dynamics() is false)");
     }
 
-    // Partitioned kernel: split the run into interference components when
-    // the resolved thread count asks for it and the run is eligible.
-    // Single-component topologies gain nothing. Dynamic runs always keep
-    // one queue: partitions derive from the static audibility graph, so a
-    // restricted medium could lose closure under a topology change
-    // (phy::Medium::on_topology_changed throws), and a mid-window RSS
-    // change would violate the lookahead contract — so churn results are
-    // byte-stable at any DMN_SIM_THREADS by construction.
-    const unsigned threads = resolve_sim_threads(cfg);
-    if (threads > 0 && stack->supports_partitioning() &&
-        !cfg.dynamics.any()) {
+    // Partitioned kernel: one event queue and one restricted medium per
+    // coupling component (see runs_partitioned).
+    if (runs_partitioned(topo, cfg)) {
       const topo::Partitioning parts = topo::compute_partitions(topo);
-      if (parts.count >= 2) {
-        sim.configure_partitions(parts.assignment, parts.count,
-                                 cfg.backbone.min_latency, threads);
-        for (std::uint32_t q = 0; q < parts.count; ++q) {
-          auto m = std::make_unique<phy::Medium>(sim, topo);
-          m->restrict_to_nodes(parts.members_of(q));
-          mediums.push_back(std::move(m));
-        }
+      sim.configure_partitions(parts.assignment, parts.count,
+                               cfg.backbone.min_latency,
+                               resolve_sim_threads(cfg));
+      for (std::uint32_t q = 0; q < parts.count; ++q) {
+        auto m = std::make_unique<phy::Medium>(sim, topo);
+        m->restrict_to_nodes(parts.members_of(q));
+        mediums.push_back(std::move(m));
       }
     }
     if (mediums.empty()) {
@@ -605,6 +594,23 @@ unsigned resolve_sim_threads(const ExperimentConfig& cfg) {
   if (env == nullptr || *env == '\0') return 0;
   const long v = std::strtol(env, nullptr, 10);
   return v > 0 ? static_cast<unsigned>(v) : 0;
+}
+
+bool runs_partitioned(const topo::Topology& topology,
+                      const ExperimentConfig& cfg) {
+  // Dynamic runs keep one queue: a topology change could couple two
+  // partitions (phy::Medium::on_topology_changed throws), and a mid-window
+  // RSS change would violate the lookahead contract. One component gains
+  // nothing.
+  if (resolve_sim_threads(cfg) == 0 || cfg.dynamics.any() ||
+      topology.component_count() < 2) {
+    return false;
+  }
+  // An unknown scheme fails when its run creates the stack.
+  const SchemeStackRegistry& registry = SchemeStackRegistry::instance();
+  const std::string name = cfg.effective_scheme_name();
+  return registry.contains(name) &&
+         registry.create(name)->supports_partitioning();
 }
 
 ExperimentInterrupted::ExperimentInterrupted(TimeNs sim_time,

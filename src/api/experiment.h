@@ -86,8 +86,8 @@ struct ExperimentConfig {
   /// simulator events by the api::LifecycleDriver. A default-constructed
   /// plan is a strict no-op — the topology is not copied, the driver is not
   /// instantiated, and results stay byte-identical to static builds.
-  /// Dynamic runs keep one event queue (partitions derive from the static
-  /// audibility graph), reject TCP traffic (flows have fixed endpoints) and
+  /// Dynamic runs keep one event queue (a topology change could couple two
+  /// partitions), reject TCP traffic (flows have fixed endpoints) and
   /// reject stacks whose supports_dynamics() is false (Omniscient).
   topo::DynamicsPlan dynamics;
 
@@ -107,13 +107,14 @@ struct ExperimentConfig {
   /// Partitioned simulation kernel (src/sim, src/topo/partition.h).
   ///   0   consult the DMN_SIM_THREADS environment variable; unset / 0 /
   ///       unparsable keeps one event queue;
-  ///   >=1 partition the run into interference components and execute them
+  ///   >=1 partition the run into its coupling components and execute them
   ///       on up to this many worker threads. Results are byte-stable
   ///       across every value >= 1 (the merge order of cross-partition
-  ///       events is deterministic), but the partitioned family is a
-  ///       documented, deliberate deviation from one queue (per-queue RNG
-  ///       lanes, per-partition mediums), so hash_config folds in *whether*
-  ///       partitioning is on — never the thread count;
+  ///       events is deterministic). The medium computes the same on one
+  ///       queue, but per-queue RNG lanes and DOMINO's controller peeks
+  ///       still make the partitioned family a documented deviation, so
+  ///       hash_point folds in *whether* the run partitions
+  ///       (runs_partitioned) — never the thread count;
   ///   <0  keep one queue regardless of the environment.
   /// Stacks that can't run partitioned (SchemeStack::supports_partitioning()
   /// == false), dynamic runs and single-component topologies keep one queue
@@ -171,5 +172,13 @@ ExperimentResult run_experiment(const topo::Topology& topology,
 /// positive value wins, a negative value forces 0 (one queue), and 0
 /// defers to DMN_SIM_THREADS. 0 means "do not partition".
 unsigned resolve_sim_threads(const ExperimentConfig& cfg);
+
+/// The kernel decision, for Experiment::run and hash_point (sweep_io)
+/// alike: whether `cfg` over `topology` runs partitioned. It does when
+/// resolve_sim_threads(cfg) > 0, the scheme's stack supports partitioning,
+/// the run has no dynamics and the topology has at least two coupling
+/// components; every other run keeps one event queue.
+bool runs_partitioned(const topo::Topology& topology,
+                      const ExperimentConfig& cfg);
 
 }  // namespace dmn::api

@@ -666,13 +666,6 @@ void hash_config(Hasher& h, const ExperimentConfig& c) {
   h.boolean(d.roam.enabled);
   h.num(d.roam.hysteresis_db);
   h.i64(d.roam.min_dwell);
-
-  // Whether the run is eligible for the partitioned kernel — the
-  // partitioned family is a documented deviation from the classic kernel
-  // (per-queue RNG lanes, per-partition mediums), so it hashes as a
-  // distinct config. The thread count itself is deliberately excluded:
-  // results are byte-stable across every thread count >= 1.
-  h.boolean(resolve_sim_threads(c) > 0);
 }
 
 }  // namespace
@@ -681,6 +674,12 @@ std::uint64_t hash_point(const SweepPoint& p) {
   Hasher h;
   hash_topology(h, p.topology);
   hash_config(h, p.config);
+  // The kernel the run takes — the partitioned family is a documented
+  // deviation from one queue (per-queue RNG lanes, controller peeks), so it
+  // hashes as a distinct point. The thread count itself is deliberately
+  // excluded: results are byte-stable across every thread count >= 1, and
+  // a run that keeps one queue hashes alike whatever DMN_SIM_THREADS says.
+  h.boolean(runs_partitioned(p.topology, p.config));
   return h.value();
 }
 
@@ -693,9 +692,9 @@ std::uint64_t hash_sweep(const std::vector<SweepPoint>& points) {
 
 std::string runner_fingerprint() {
 #if defined(__VERSION__)
-  return std::string("dmn-sweep-v3 ") + __VERSION__;
+  return std::string("dmn-sweep-v4 ") + __VERSION__;
 #else
-  return "dmn-sweep-v3 unknown-compiler";
+  return "dmn-sweep-v4 unknown-compiler";
 #endif
 }
 

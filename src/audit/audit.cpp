@@ -116,10 +116,9 @@ void SimAuditor::check(bool ok, const char* invariant,
 // ---------------------------------------------------------------------------
 
 void SimAuditor::check_medium_sums() {
-  // The medium maintains sums only for its member runs (a partition-
-  // restricted medium drops sub-audible power elsewhere): recompute and
-  // compare exactly those, so an audited partitioned run keeps the kernel's
-  // O(partition) per-transmission cost instead of O(all nodes).
+  // The medium keeps sums for its members, and a transmission's power
+  // never leaves its coupling component: recompute each active row over
+  // its sender's component and compare the members.
   const std::vector<phy::NodeRun>& runs = medium_->member_runs();
   for (const phy::NodeRun& run : runs) {
     for (std::size_t i = run.begin; i < run.end; ++i) {
@@ -131,11 +130,11 @@ void SimAuditor::check_medium_sums() {
   medium_->visit_active_tx([&](const phy::Frame& f, TimeNs, TimeNs,
                                bool rop) {
     const auto row = topo_.rss_mw_row(f.src);
-    for (const phy::NodeRun& run : runs) {
-      for (std::size_t i = run.begin; i < run.end; ++i) {
-        scratch_inbound_[i] += row[i];
-        if (rop) scratch_rop_[i] += row[i];
-      }
+    for (const topo::NodeId n :
+         topo_.component_members(topo_.component_of(f.src))) {
+      const auto i = static_cast<std::size_t>(n);
+      scratch_inbound_[i] += row[i];
+      if (rop) scratch_rop_[i] += row[i];
     }
     ++scratch_txcount_[static_cast<std::size_t>(f.src)];
   });

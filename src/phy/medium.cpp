@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -34,13 +35,26 @@ struct CsScan {
   }
 };
 
+/// Ascending node ids (repeats allowed) as disjoint, non-adjacent runs.
+std::vector<NodeRun> to_runs(std::span<const topo::NodeId> ids) {
+  std::vector<NodeRun> runs;
+  for (const topo::NodeId id : ids) {
+    const auto i = static_cast<std::size_t>(id);
+    if (!runs.empty() && runs.back().end >= i) {
+      runs.back().end = i + 1;  // extends the run (or repeats its last id)
+    } else {
+      runs.push_back(NodeRun{i, i + 1});
+    }
+  }
+  return runs;
+}
+
 }  // namespace
 
 Medium::Medium(sim::Simulator& sim, const topo::Topology& topo)
     : sim_(sim),
       topo_(topo),
       runs_{NodeRun{0, topo.num_nodes()}},
-      member_mask_(topo.num_nodes(), true),
       clients_(topo.num_nodes(), nullptr),
       inbound_mw_(topo.num_nodes(), 0.0),
       rop_inbound_mw_(topo.num_nodes(), 0.0),
@@ -49,7 +63,9 @@ Medium::Medium(sim::Simulator& sim, const topo::Topology& topo)
       cs_flip_(topo.num_nodes() + 8, 0),
       nav_until_(topo.num_nodes(), 0),
       cs_threshold_mw_(dbm_to_mw(topo.thresholds().cs_threshold_dbm)),
-      noise_mw_(dbm_to_mw(topo.thresholds().noise_floor_dbm)) {}
+      noise_mw_(dbm_to_mw(topo.thresholds().noise_floor_dbm)) {
+  adopt_components();
+}
 
 void Medium::attach(topo::NodeId node, MediumClient* client) {
   if (!is_member(node)) {
@@ -61,35 +77,58 @@ void Medium::attach(topo::NodeId node, MediumClient* client) {
 
 void Medium::restrict_to_nodes(std::vector<topo::NodeId> members) {
   std::sort(members.begin(), members.end());
-  member_mask_.assign(topo_.num_nodes(), false);
-  runs_.clear();
+  // Marks the members (any value but kNotMember) for check_closed;
+  // adopt_components numbers them.
+  comp_of_.assign(topo_.num_nodes(), kNotMember);
   for (const topo::NodeId id : members) {
-    const auto i = static_cast<std::size_t>(id);
-    member_mask_.at(i) = true;
-    if (!runs_.empty() && runs_.back().end >= i) {
-      runs_.back().end = i + 1;  // extends the run (or repeats its last id)
-    } else {
-      runs_.push_back(NodeRun{i, i + 1});
-    }
+    comp_of_.at(static_cast<std::size_t>(id)) = 0;
   }
+  runs_ = to_runs(members);
   check_closed();
+  adopt_components();
 }
 
 void Medium::check_closed() const {
-  // No cross-partition airtime coupling: every audible neighbor of a member
-  // must itself be a member, otherwise a transmission here would deposit
-  // decodable power on a node simulated elsewhere.
+  // No cross-partition airtime coupling: every component a member belongs
+  // to must be whole, otherwise a transmission here would deposit power on
+  // a node simulated elsewhere. Each component is checked once, at its
+  // smallest member; every other member only checks that one.
   for (const NodeRun& run : runs_) {
     for (std::size_t i = run.begin; i < run.end; ++i) {
       const auto id = static_cast<topo::NodeId>(i);
-      for (const topo::NodeId nb : topo_.audible_from(id)) {
-        if (!member_mask_[static_cast<std::size_t>(nb)]) {
+      const auto comp = topo_.component_members(topo_.component_of(id));
+      const auto check = comp.front() == id ? comp : comp.first(1);
+      for (const topo::NodeId other : check) {
+        if (!is_member(other)) {
           throw std::logic_error(
-              "medium: partition not closed under audibility: node " +
-              std::to_string(id) + " hears non-member " + std::to_string(nb));
+              "medium: member set not closed under coupling: node " +
+              std::to_string(id) + " couples with non-member " +
+              std::to_string(other));
         }
       }
     }
+  }
+}
+
+void Medium::adopt_components() {
+  comps_.clear();
+  comp_of_.assign(topo_.num_nodes(), kNotMember);
+  for (const NodeRun& run : runs_) {
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      if (comp_of_[i] != kNotMember) continue;
+      const auto members = topo_.component_members(
+          topo_.component_of(static_cast<topo::NodeId>(i)));
+      const auto c = static_cast<std::uint32_t>(comps_.size());
+      for (const topo::NodeId m : members) {
+        comp_of_[static_cast<std::size_t>(m)] = c;
+      }
+      comps_.push_back(Component{to_runs(members), 0});
+    }
+  }
+  for (const std::uint32_t slot : active_) {
+    ActiveTx& tx = slab_[slot];
+    tx.comp = comp_of_[static_cast<std::size_t>(tx.frame.src)];
+    ++comps_[tx.comp].active;
   }
 }
 
@@ -128,28 +167,26 @@ bool Medium::apply_tx_power(const ActiveTx& tx, double sign) {
   // Auditor self-test defect: leave half the row behind on removal, the way
   // a missed bookkeeping path would (audit::Mutation::kMediumLeakPower).
   if (test_power_leak_ && sign < 0.0) sign = -0.5;
-  // Quiescence resets the sums to exactly zero (before carrier sense reads
-  // them), so add/remove rounding residues cannot accumulate across the
-  // simulation.
-  if (active_.empty()) {
-    zero_sums();
-    return mark_cs_flips();
+  const Component& comp = comps_[tx.comp];
+  // Quiescence resets the component's sums to exactly zero (before carrier
+  // sense reads them), so add/remove rounding residues cannot accumulate
+  // across the simulation.
+  if (comp.active == 0) {
+    zero_sums(comp.runs);
+    return mark_cs_flips(comp.runs);
   }
   // The diagonal of the linear-power matrix is exactly 0 mW (rss of a node
   // to itself is -inf dBm), so adding the whole row is a no-op for the
   // transmitter itself — matching the reference accounting that skipped
-  // the own-source term.
-  // Only member sums are maintained: power on any non-member is
-  // sub-audible by the closure invariant. On a partition-restricted medium
-  // this is the main algorithmic win of partitioning — O(partition) instead
-  // of O(topology) per transmission edge.
+  // the own-source term. The row is exactly 0 mW outside the component,
+  // so the pass is O(component) instead of O(topology) per edge.
   const auto row = topo_.rss_mw_row(tx.frame.src);
   double* inbound = inbound_mw_.data();
   double* rop = rop_inbound_mw_.data();
   const CsScan cs{tx_count_.data(), cs_busy_.data(), cs_flip_.data(),
                   external_intf_mw_, cs_threshold_mw_};
   std::uint8_t any = 0;
-  for (const NodeRun& run : runs_) {
+  for (const NodeRun& run : comp.runs) {
     if (tx.rop) {
       for (std::size_t i = run.begin; i < run.end; ++i) {
         rop[i] += sign * row[i];
@@ -167,7 +204,7 @@ bool Medium::apply_tx_power(const ActiveTx& tx, double sign) {
 
 void Medium::add_tx_power(const ActiveTx& tx) {
   const auto row = topo_.rss_mw_row(tx.frame.src);
-  for (const NodeRun& run : runs_) {
+  for (const NodeRun& run : comps_[tx.comp].runs) {
     for (std::size_t i = run.begin; i < run.end; ++i) {
       inbound_mw_[i] += row[i];
       if (tx.rop) rop_inbound_mw_[i] += row[i];
@@ -175,8 +212,8 @@ void Medium::add_tx_power(const ActiveTx& tx) {
   }
 }
 
-void Medium::zero_sums() {
-  for (const NodeRun& run : runs_) {
+void Medium::zero_sums(const std::vector<NodeRun>& runs) {
+  for (const NodeRun& run : runs) {
     std::fill(inbound_mw_.begin() + run.begin, inbound_mw_.begin() + run.end,
               0.0);
     std::fill(rop_inbound_mw_.begin() + run.begin,
@@ -200,10 +237,13 @@ double Medium::interference_at(topo::NodeId node,
   return acc > 0.0 ? acc : 0.0;
 }
 
-void Medium::sweep_interference(bool rop_only) {
+void Medium::sweep_interference(std::uint32_t comp, bool rop_only) {
   for (const std::uint32_t slot : active_) {
     ActiveTx& tx = slab_[slot];
-    if (rop_only && !tx.rop) continue;
+    if ((comp != kEveryComponent && tx.comp != comp) ||
+        (rop_only && !tx.rop)) {
+      continue;
+    }
     for (RxAttempt& rx : tx.rx) {
       const double intf = interference_at(rx.node, tx);
       if (intf > rx.max_intf_mw) rx.max_intf_mw = intf;
@@ -212,12 +252,12 @@ void Medium::sweep_interference(bool rop_only) {
   }
 }
 
-bool Medium::mark_cs_flips() {
+bool Medium::mark_cs_flips(const std::vector<NodeRun>& runs) {
   const CsScan cs{tx_count_.data(), cs_busy_.data(), cs_flip_.data(),
                   external_intf_mw_, cs_threshold_mw_};
   const double* inbound = inbound_mw_.data();
   std::uint8_t any = 0;
-  for (const NodeRun& run : runs_) {
+  for (const NodeRun& run : runs) {
     for (std::size_t i = run.begin, end = run.end; i < end; ++i) {
       any |= cs.step(i, inbound[i]);
     }
@@ -225,10 +265,10 @@ bool Medium::mark_cs_flips() {
   return any != 0;
 }
 
-void Medium::notify_cs_flips(bool any) {
+void Medium::notify_cs_flips(const std::vector<NodeRun>& runs, bool any) {
   if (any) {
     notifying_cs_ = true;
-    for (const NodeRun& run : runs_) {
+    for (const NodeRun& run : runs) {
       for (std::size_t i = run.begin; i < run.end; i += 8) {
         // Flips cluster around the transmitter, so test eight marks at once
         // (cs_flip_ is padded for the read past the run's end).
@@ -266,6 +306,7 @@ void Medium::transmit(const Frame& frame) {
   tx.start = sim_.now();
   tx.end = sim_.now() + frame.duration;
   tx.rop = frame.type == FrameType::kRopResponse;
+  tx.comp = comp_of_[static_cast<std::size_t>(frame.src)];
   tx.rx.clear();
   ++sent_[static_cast<std::size_t>(frame.type)];
 
@@ -293,12 +334,13 @@ void Medium::transmit(const Frame& frame) {
   }
 
   active_.push_back(slot);
+  ++comps_[tx.comp].active;
   ++tx_count_[static_cast<std::size_t>(frame.src)];
   const bool flips = apply_tx_power(tx, +1.0);
-  // The new row raises interference everywhere, and the new transmitter
-  // may be receiving: every in-flight reception is re-swept.
-  sweep_interference(/*rop_only=*/false);
-  notify_cs_flips(flips);
+  // The new row raises interference across the component, and the new
+  // transmitter may be receiving: every reception there is re-swept.
+  sweep_interference(tx.comp, /*rop_only=*/false);
+  notify_cs_flips(comps_[tx.comp].runs, flips);
   if (observer_ != nullptr) observer_->on_medium_tx(tx.frame, tx.start, tx.end);
 
   sim_.post_at(tx.end, [this, slot] { on_tx_end(slot); });
@@ -309,13 +351,14 @@ void Medium::on_tx_end(std::uint32_t slot) {
   // No sweep before the removal: every edge since the last sweep could only
   // lower this frame's interference (docs/PERFORMANCE.md, invariant 5).
   active_.erase(std::find(active_.begin(), active_.end(), slot));
+  --comps_[tx.comp].active;
   --tx_count_[static_cast<std::size_t>(tx.frame.src)];
   const bool flips = apply_tx_power(tx, -1.0);
   // Subtracting a non-negative row lowers every sum it touches, so only a
   // ROP victim's difference (sum minus ROP sum) can round upward, and only
   // when a ROP row left both sums.
-  if (tx.rop) sweep_interference(/*rop_only=*/true);
-  notify_cs_flips(flips);
+  if (tx.rop) sweep_interference(tx.comp, /*rop_only=*/true);
+  notify_cs_flips(comps_[tx.comp].runs, flips);
 
   const double th = decode_threshold_db(tx.frame.type);
   for (const RxAttempt& rx : tx.rx) {
@@ -351,23 +394,25 @@ void Medium::set_external_interference_mw(double mw) {
   // A rising burst edge mid-frame must count toward every in-flight
   // reception's worst-case interference; a falling one can only lower it.
   // Either may flip carrier sense.
-  if (rise) sweep_interference(/*rop_only=*/false);
-  notify_cs_flips(mark_cs_flips());
+  if (rise) sweep_interference(kEveryComponent, /*rop_only=*/false);
+  notify_cs_flips(runs_, mark_cs_flips(runs_));
 }
 
 void Medium::on_topology_changed() {
   check_closed();
+  // The change may have merged components.
+  adopt_components();
   // Rebuild the running power sums from the CURRENT linear-power rows of
   // every active transmission. TX-end removal subtracts the row as it is at
   // removal time, so the sums must always reflect the current matrix — a
   // zero-and-readd here keeps add/remove pairs consistent across the change.
-  zero_sums();
+  zero_sums(runs_);
   for (std::uint32_t slot : active_) add_tx_power(slab_[slot]);
   // In-flight receptions keep their frozen desired power (RxAttempt.rss_mw,
   // sampled at TX start); only their interference picture follows the move,
   // in either direction, so every reception is re-swept.
-  sweep_interference(/*rop_only=*/false);
-  notify_cs_flips(mark_cs_flips());
+  sweep_interference(kEveryComponent, /*rop_only=*/false);
+  notify_cs_flips(runs_, mark_cs_flips(runs_));
 }
 
 }  // namespace dmn::phy

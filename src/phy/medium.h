@@ -29,14 +29,20 @@
 // TX-end events are posted fire-and-forget, so a transmission allocates
 // nothing in steady state.
 //
-// Each edge does only the work that can change a result. The worst-case
-// interference sweep over in-flight receptions runs on TX start, on a rise
-// of external interference and on a topology change; a TX end sweeps only
-// ROP-response receptions, and only when the frame that ended was itself a
-// ROP response, because removing a power row can raise nothing else.
-// Carrier sense is one branch-free pass over the member runs (fused with
-// the power-row update on TX edges) that marks flips into a byte buffer;
-// a second loop then notifies the marked nodes in ascending id order.
+// Each edge does only the work that can change a result. A TX edge touches
+// only the transmitter's coupling component (Topology::component_of): no
+// power, carrier-sense flip or interference change reaches another one.
+// Its worst-case interference sweep over in-flight receptions runs on TX
+// start, on a rise of external interference and on a topology change; a
+// TX end sweeps only ROP-response receptions, and only when the frame that
+// ended was itself a ROP response, because removing a power row can raise
+// nothing else. Carrier sense is one branch-free pass over the component's
+// node runs (fused with the power-row update on TX edges) that marks flips
+// into a byte buffer; a second loop then notifies the marked nodes in
+// ascending id order. A component's sums reset to exactly zero when its own
+// last transmission ends, so they never depend on another component's
+// traffic: one medium over many components computes, bit for bit, what one
+// restricted medium per component computes.
 // docs/PERFORMANCE.md lists the invariants this accounting preserves
 // relative to the scratch-recompute reference (pinned by
 // tests/golden_test.cpp and, bit for bit, by tests/phy_test.cpp's
@@ -112,16 +118,14 @@ class Medium {
   void attach(topo::NodeId node, MediumClient* client);
 
   /// Partitioned runs give each interference partition its own Medium and
-  /// attach only that partition's nodes. Restricting pins the member set:
-  /// power/CS accounting sweeps only members, and attach()/transmit() by a
-  /// non-member throw. The set must be closed under audibility — no audible
-  /// edge may leave it — which is verified here; this is the kernel's
-  /// "no cross-partition airtime coupling" assertion. Power a member's
-  /// transmission would deposit on a non-member is below receiver
-  /// sensitivity by construction and is dropped from the sums (documented
-  /// idealization: sub-audible power also stops contributing to non-member
-  /// carrier-sense/interference aggregates). Restricting to every node is
-  /// the unrestricted medium.
+  /// attach only that partition's nodes. Restricting pins the member set,
+  /// before the first transmission: attach()/transmit() by a non-member
+  /// throw. The set must be a union of whole coupling components
+  /// (Topology::component_of), which is verified here in O(members); this
+  /// is the kernel's "no cross-partition airtime coupling" assertion. No
+  /// member's transmission deposits power on a non-member, so a restricted
+  /// medium computes for its members exactly what the unrestricted medium
+  /// does. Restricting to every node is the unrestricted medium.
   void restrict_to_nodes(std::vector<topo::NodeId> members);
 
   /// The member set as ascending, disjoint, non-adjacent runs of node ids;
@@ -169,9 +173,8 @@ class Medium {
   /// Without this call, TX-end removal would subtract new-matrix rows from
   /// old-matrix sums and corrupt the accounting.
   ///
-  /// Throws std::logic_error when the change leaves the member set no
-  /// longer closed under audibility (a restricted medium would then drop
-  /// decodable power; the facade keeps dynamic runs on one medium).
+  /// Throws std::logic_error when the change couples a member with a
+  /// non-member (the facade keeps dynamic runs on one medium).
   void on_topology_changed();
 
   // ---- audit seam -------------------------------------------------------
@@ -221,46 +224,67 @@ class Medium {
     TimeNs start = 0;
     TimeNs end = 0;
     bool rop = false;  // frame.type == kRopResponse (orthogonality class)
+    std::uint32_t comp = 0;  // the sender's index into comps_
     std::vector<RxAttempt> rx;
   };
+  /// One coupling component of the member set.
+  struct Component {
+    std::vector<NodeRun> runs;  // its nodes
+    std::uint32_t active = 0;   // its transmissions in the air
+  };
+  /// sweep_interference's component argument for "every component".
+  static constexpr std::uint32_t kEveryComponent = 0xffffffffu;
+  /// comp_of_ of a node outside the member set.
+  static constexpr std::uint32_t kNotMember = 0xffffffffu;
 
   std::uint32_t alloc_slot();
   void on_tx_end(std::uint32_t slot);
   /// Raises each in-flight reception's worst-case interference to its
-  /// current value and flags receivers that are transmitting; `rop_only`
-  /// restricts the sweep to receptions of ROP responses.
-  void sweep_interference(bool rop_only);
+  /// current value and flags receivers that are transmitting; `comp`
+  /// restricts the sweep to one component's transmissions and `rop_only`
+  /// to receptions of ROP responses.
+  void sweep_interference(std::uint32_t comp, bool rop_only);
   /// O(1) interference at `node` against `victim`, derived from the running
   /// per-node sums (sum minus the victim's own contribution; for ROP
   /// victims, minus all concurrent ROP contributions).
   double interference_at(topo::NodeId node, const ActiveTx& victim) const;
   /// Adds (sign = +1) or removes (sign = -1) a transmission's power row
-  /// from the member sums and, in the same pass, re-evaluates carrier
-  /// sense (mark_cs_flips). Returns whether any member flipped.
+  /// from its component's sums and, in the same pass, re-evaluates carrier
+  /// sense (mark_cs_flips). Returns whether any node flipped.
   bool apply_tx_power(const ActiveTx& tx, double sign);
-  /// Adds a transmission's power row to the member sums, nothing else.
+  /// Adds a transmission's power row to its component's sums, nothing
+  /// else.
   void add_tx_power(const ActiveTx& tx);
-  /// Zeroes the member sums (quiescence, topology change).
-  void zero_sums();
-  /// Re-evaluates every member's carrier sense, branch-free: stores the new
+  /// Zeroes the sums of `runs` (quiescence, topology change).
+  void zero_sums(const std::vector<NodeRun>& runs);
+  /// Re-evaluates the carrier sense of `runs`, branch-free: stores the new
   /// state in cs_busy_ and a flip mark in cs_flip_. Returns whether any
-  /// member flipped.
-  bool mark_cs_flips();
-  /// Calls on_cs_change for the members mark_cs_flips marked, in ascending
-  /// id order (only when `any`), then the observer's on_medium_accounting.
-  void notify_cs_flips(bool any);
+  /// node flipped.
+  bool mark_cs_flips(const std::vector<NodeRun>& runs);
+  /// Calls on_cs_change for the nodes of `runs` that mark_cs_flips marked,
+  /// in ascending id order (only when `any`), then the observer's
+  /// on_medium_accounting.
+  void notify_cs_flips(const std::vector<NodeRun>& runs, bool any);
   double decode_threshold_db(FrameType t) const;
-  /// Throws std::logic_error when an audible edge leaves the member set.
+  /// Throws std::logic_error when a member couples with a non-member.
   void check_closed() const;
+  /// Rebuilds comps_ and comp_of_ from the topology's components and
+  /// recounts the active transmissions per component.
+  void adopt_components();
 
   bool is_member(topo::NodeId node) const {
-    return member_mask_[static_cast<std::size_t>(node)];
+    return comp_of_[static_cast<std::size_t>(node)] != kNotMember;
   }
 
   sim::Simulator& sim_;
   const topo::Topology& topo_;
-  std::vector<NodeRun> runs_;      // the member set, see member_runs()
-  std::vector<bool> member_mask_;  // the same set, by node id
+  std::vector<NodeRun> runs_;  // the member set, see member_runs()
+  // The members' components as of construction, restriction or the last
+  // topology change: a snapshot, because the topology merges components
+  // as soon as an RSS update couples them.
+  std::vector<Component> comps_;
+  // Per node: index into comps_, or kNotMember.
+  std::vector<std::uint32_t> comp_of_;
   std::vector<MediumClient*> clients_;
   MediumObserver* observer_ = nullptr;
   bool test_power_leak_ = false;

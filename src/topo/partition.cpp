@@ -1,30 +1,6 @@
 #include "topo/partition.h"
 
-#include <numeric>
-
 namespace dmn::topo {
-
-namespace {
-
-std::size_t find_root(std::vector<std::size_t>& parent, std::size_t x) {
-  while (parent[x] != x) {
-    parent[x] = parent[parent[x]];  // path halving
-    x = parent[x];
-  }
-  return x;
-}
-
-void unite(std::vector<std::size_t>& parent, std::size_t a, std::size_t b) {
-  a = find_root(parent, a);
-  b = find_root(parent, b);
-  if (a == b) return;
-  // Union by smaller root id keeps roots minimal, which makes the final
-  // renumbering (by smallest member) a straight scan.
-  if (b < a) std::swap(a, b);
-  parent[b] = a;
-}
-
-}  // namespace
 
 std::vector<NodeId> Partitioning::members_of(std::uint32_t p) const {
   std::vector<NodeId> out;
@@ -35,31 +11,11 @@ std::vector<NodeId> Partitioning::members_of(std::uint32_t p) const {
 }
 
 Partitioning compute_partitions(const Topology& topo) {
-  const std::size_t n = topo.num_nodes();
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId src = static_cast<NodeId>(i);
-    for (const NodeId dst : topo.audible_from(src)) {
-      unite(parent, i, static_cast<std::size_t>(dst));
-    }
-  }
-  for (const Node& node : topo.nodes()) {
-    if (!node.is_ap && node.ap != kNoNode) {
-      unite(parent, static_cast<std::size_t>(node.id),
-            static_cast<std::size_t>(node.ap));
-    }
-  }
   Partitioning out;
-  out.assignment.resize(n);
-  // Roots are minimal member ids (see unite), so numbering components in
-  // node-id order yields ids ordered by smallest member.
-  constexpr std::uint32_t kUnset = 0xffffffffu;
-  std::vector<std::uint32_t> root_id(n, kUnset);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t r = find_root(parent, i);
-    if (root_id[r] == kUnset) root_id[r] = out.count++;
-    out.assignment[i] = root_id[r];
+  out.count = topo.component_count();
+  out.assignment.resize(topo.num_nodes());
+  for (std::size_t i = 0; i < out.assignment.size(); ++i) {
+    out.assignment[i] = topo.component_of(static_cast<NodeId>(i));
   }
   return out;
 }

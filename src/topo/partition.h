@@ -1,14 +1,11 @@
 #pragma once
-// Interference partitions: connected components of the audible-neighbor
-// graph. Two nodes in different components share no RSS edge at or above
-// receiver sensitivity, so neither carrier sense, interference summation
-// nor frame delivery can couple them over the air — the wired backbone is
-// the only cross-component channel, and its min_latency floor becomes the
-// conservative lookahead of the partitioned kernel (src/sim/simulator.h).
-//
-// Client-AP association edges are folded in as well: an associated pair is
-// always audible in practice, and folding the association explicitly keeps
-// every BSS intact even on hand-built topologies with eccentric RSS tables.
+// Interference partitions: the topology's coupling components
+// (Topology::component_of). Two nodes in different components share no
+// nonzero power and no association, so neither carrier sense, interference
+// summation nor frame delivery can couple them over the air — the wired
+// backbone is the only cross-component channel, and its min_latency floor
+// becomes the conservative lookahead of the partitioned kernel
+// (src/sim/simulator.h).
 
 #include <cstdint>
 #include <vector>
@@ -27,8 +24,7 @@ struct Partitioning {
   std::vector<NodeId> members_of(std::uint32_t p) const;
 };
 
-/// Union-find over the precomputed audible lists plus every client-AP
-/// association edge.
+/// The topology's coupling components as a partitioning.
 Partitioning compute_partitions(const Topology& topo);
 
 }  // namespace dmn::topo

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "topo/node.h"
+#include "util/page_allocator.h"
 #include "util/rng.h"
 
 namespace dmn::topo {
@@ -28,6 +29,7 @@ struct LogDistanceModel {
 /// Symmetric RSS matrix between all node pairs, in dBm.
 class RssMap {
  public:
+  /// Every pair starts at -inf dBm: no path.
   explicit RssMap(std::size_t n_nodes);
 
   std::size_t size() const { return n_; }
@@ -43,7 +45,7 @@ class RssMap {
 
  private:
   std::size_t n_;
-  std::vector<double> rss_;  // row-major, symmetric
+  util::DenseTable rss_;  // row-major, symmetric
 };
 
 }  // namespace dmn::topo

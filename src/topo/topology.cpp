@@ -17,6 +17,20 @@ namespace {
 /// simulates (bench/bench_scale.cpp), while still rejecting garbage counts.
 constexpr std::size_t kMaxNodes = 32768;
 
+std::size_t find_root(std::vector<std::size_t>& parent, std::size_t x) {
+  while (parent[x] != x) {
+    parent[x] = parent[parent[x]];  // path halving
+    x = parent[x];
+  }
+  return x;
+}
+
+void unite(std::vector<std::size_t>& parent, std::size_t a, std::size_t b) {
+  a = find_root(parent, a);
+  b = find_root(parent, b);
+  if (a != b) parent[std::max(a, b)] = std::min(a, b);
+}
+
 }  // namespace
 
 Topology::Topology(std::vector<Node> nodes, RssMap rss,
@@ -62,10 +76,13 @@ Topology::Topology(std::vector<Node> nodes, RssMap rss,
   }
 
   // Bake the PHY fast-path tables: the linear-power matrix (one pow() per
-  // pair here instead of one per interference term at runtime) and the
-  // per-source audible-neighbor lists that bound frame delivery fan-out.
+  // pair here instead of one per interference term at runtime), the
+  // per-source audible-neighbor lists that bound frame delivery fan-out,
+  // and, by union-find in the same pass, the coupling components.
   rss_mw_.resize(n * n);
   audible_.resize(n);
+  std::vector<std::size_t> parent(n);
+  for (std::size_t i = 0; i < n; ++i) parent[i] = i;
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
       const double dbm = rss_.rss(static_cast<NodeId>(a),
@@ -82,12 +99,58 @@ Topology::Topology(std::vector<Node> nodes, RssMap rss,
             " dBm is invalid (expected a finite value <= 0 dBm, or -inf "
             "for no path)");
       }
-      rss_mw_[a * n + b] = dbm_to_mw(dbm);
+      const double mw = dbm_to_mw(dbm);
+      rss_mw_[a * n + b] = mw;
+      if (mw > 0.0 && parent[b] != parent[a]) unite(parent, a, b);
       if (a != b && dbm >= thresholds_.min_rss_dbm) {
         audible_[a].push_back(static_cast<NodeId>(b));
       }
     }
   }
+  for (const Node& node : nodes_) {
+    if (!node.is_ap && node.ap != kNoNode) {
+      unite(parent, static_cast<std::size_t>(node.id),
+            static_cast<std::size_t>(node.ap));
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) parent[i] = find_root(parent, i);
+  set_components(parent);
+}
+
+void Topology::set_components(const std::vector<std::size_t>& label) {
+  const std::size_t n = nodes_.size();
+  constexpr std::uint32_t kUnset = 0xffffffffu;
+  // Numbering labels in node-id order of first appearance orders the ids
+  // by each component's smallest member.
+  std::vector<std::uint32_t> id(n, kUnset);
+  std::uint32_t count = 0;
+  component_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t& c = id[label[i]];
+    if (c == kUnset) c = count++;
+    component_[i] = c;
+  }
+  comp_begin_.assign(count + 1, 0);
+  for (const std::uint32_t c : component_) ++comp_begin_[c + 1];
+  for (std::uint32_t c = 0; c < count; ++c) {
+    comp_begin_[c + 1] += comp_begin_[c];
+  }
+  std::vector<std::size_t> next(comp_begin_.begin(), comp_begin_.end() - 1);
+  comp_nodes_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    comp_nodes_[next[component_[i]]++] = static_cast<NodeId>(i);
+  }
+}
+
+void Topology::couple(NodeId a, NodeId b) {
+  const std::uint32_t ca = component_of(a);
+  const std::uint32_t cb = component_of(b);
+  if (ca == cb) return;
+  std::vector<std::size_t> label(component_.begin(), component_.end());
+  for (std::size_t& l : label) {
+    if (l == cb) l = ca;
+  }
+  set_components(label);
 }
 
 void Topology::update_audible(NodeId src, NodeId dst, double dbm) {
@@ -125,6 +188,7 @@ void Topology::update_rss(NodeId a, NodeId b, double dbm) {
   rss_mw_[static_cast<std::size_t>(b) * n + static_cast<std::size_t>(a)] = mw;
   update_audible(a, b, dbm);
   update_audible(b, a, dbm);
+  if (mw > 0.0) couple(a, b);
 }
 
 void Topology::set_association(NodeId client, NodeId ap) {
@@ -141,6 +205,7 @@ void Topology::set_association(NodeId client, NodeId ap) {
                                 std::to_string(ap) + " is not an AP");
   }
   nodes_[static_cast<std::size_t>(client)].ap = ap;
+  if (ap != kNoNode) couple(client, ap);
 }
 
 void Topology::set_position(NodeId id, const Position& pos) {
@@ -370,12 +435,7 @@ ManualTopologyBuilder& ManualTopologyBuilder::sense(NodeId a, NodeId b) {
 }
 
 Topology ManualTopologyBuilder::build(const PhyThresholds& thresholds) const {
-  RssMap rss(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    for (std::size_t j = i + 1; j < nodes_.size(); ++j) {
-      rss.set_rss(static_cast<NodeId>(i), static_cast<NodeId>(j), kRssFaint);
-    }
-  }
+  RssMap rss(nodes_.size());  // kRssFaint (no path) everywhere
   for (const auto& [a, b, dbm] : edges_) {
     // set_rss on an out-of-range id would index past the dense matrix, so
     // reject the edge here with both endpoints named.

@@ -4,12 +4,15 @@
 // evaluation uses: T(m,n) drawn from a trace (§4.2.1), ns-3-style random
 // placement (§4.2.5), and hand-built figure topologies (Figs 1, 7, 13).
 
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <tuple>
 #include <vector>
 
 #include "topo/node.h"
 #include "topo/propagation.h"
+#include "util/page_allocator.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -33,11 +36,12 @@ struct PhyThresholds {
 ///    threshold but below the association/communication threshold, and far
 ///    enough below the communication tier that concurrent (exposed)
 ///    transmissions and their ACKs still decode.
-///  * kRssFaint     — out of range entirely.
+///  * kRssFaint     — out of range entirely: no path (-inf dBm, 0 mW), so
+///    the pair neither interferes nor couples (see component_of).
 inline constexpr double kRssStrong = -55.0;
 inline constexpr double kRssInterfere = -58.0;
 inline constexpr double kRssSense = -81.0;
-inline constexpr double kRssFaint = -120.0;
+inline constexpr double kRssFaint = -std::numeric_limits<double>::infinity();
 
 class Topology {
  public:
@@ -62,15 +66,18 @@ class Topology {
   // ---- mutation (dynamic networks) ------------------------------------
   // Incremental updates driven by the lifecycle layer (topo/dynamics.h,
   // api/lifecycle.h). Each call keeps the PHY fast-path tables — the
-  // linear-power matrix and the sorted audible lists — exactly consistent
-  // with the dBm map, so phy::Medium::on_topology_changed() can re-derive
-  // its running sums from current rows at any time.
+  // linear-power matrix, the sorted audible lists and the coupling
+  // components — exactly consistent with the dBm map, so
+  // phy::Medium::on_topology_changed() can re-derive its running sums from
+  // current rows at any time.
 
   /// Updates the RSS of one pair, both directions. Rejects NaN / positive
-  /// dBm like the constructor (-inf = "no path" is fine).
+  /// dBm like the constructor (-inf = "no path" is fine). Nonzero power
+  /// merges the pair's components.
   void update_rss(NodeId a, NodeId b, double dbm);
 
-  /// Re-associates `client` to `ap` (roaming). `ap` must be an AP.
+  /// Re-associates `client` to `ap` (roaming) and merges their components.
+  /// `ap` must be an AP.
   void set_association(NodeId client, NodeId ap);
 
   /// Moves a node (mobility bookkeeping only — callers update RSS
@@ -121,6 +128,30 @@ class Topology {
     return audible_[static_cast<std::size_t>(src)];
   }
 
+  // ---- coupling components ---------------------------------------------
+  // Two nodes couple when one receives nonzero linear power from the other
+  // (rss_mw > 0) or when one is the other's associated AP. Nodes in
+  // different coupling components never interact over the air — no
+  // delivery, carrier-sense or interference term crosses — so a component
+  // is the unit of phy::Medium accounting and of the partitioned kernel
+  // (topo/partition.h). Ids are dense [0, component_count()) and ordered by
+  // each component's smallest node id: a pure function of the coupling.
+  // update_rss and set_association merge the components a new coupling
+  // joins; removing a coupling never splits one, so after such a change a
+  // component is still closed under coupling, only larger than needed.
+
+  std::uint32_t component_of(NodeId n) const {
+    return component_[static_cast<std::size_t>(n)];
+  }
+  std::uint32_t component_count() const {
+    return static_cast<std::uint32_t>(comp_begin_.size() - 1);
+  }
+  /// The members of component `c`, ascending.
+  std::span<const NodeId> component_members(std::uint32_t c) const {
+    return {comp_nodes_.data() + comp_begin_[c],
+            comp_begin_[c + 1] - comp_begin_[c]};
+  }
+
   /// a hears b's transmissions for carrier sensing.
   bool can_sense(NodeId a, NodeId b) const;
 
@@ -138,13 +169,21 @@ class Topology {
   std::vector<Node> nodes_;
   RssMap rss_;
   PhyThresholds thresholds_;
-  std::vector<double> rss_mw_;              // row-major linear-power matrix
+  util::DenseTable rss_mw_;  // row-major linear-power matrix
   std::vector<std::vector<NodeId>> audible_;  // per-src audible neighbors
   /// Lazy presence flags (join/leave churn): empty = every node active.
   std::vector<char> active_;
+  std::vector<std::uint32_t> component_;  // component id per node
+  std::vector<NodeId> comp_nodes_;  // members, grouped by component id
+  std::vector<std::size_t> comp_begin_;  // component c's slice of comp_nodes_
 
   /// Keeps audible_[src] consistent with a changed rss(src, dst).
   void update_audible(NodeId src, NodeId dst, double dbm);
+  /// Adopts the components that `label` (any per-node component labels)
+  /// describes: canonical ids and member lists.
+  void set_components(const std::vector<std::size_t>& label);
+  /// Merges the components of a and b.
+  void couple(NodeId a, NodeId b);
 };
 
 /// Incremental builder for hand-crafted figure topologies. RSS defaults to

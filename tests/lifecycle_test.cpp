@@ -225,12 +225,14 @@ TEST(TopologyMutation, InactiveNodesAreSkippedByMakeLinks) {
 // ---- partition-restricted Medium backstop ----------------------------------
 
 TEST(MediumDynamics, RestrictedMediumRejectsTopologyChanges) {
-  // Radio-isolate the two buildings so {AP 0, client 2} is a genuine
-  // audibility-closed partition the medium accepts.
-  topo::TraceParams params;
-  params.building_gap = 500.0;
-  Rng rng(3);
-  auto t = topo::make_floorplan_topology(params, 2, 1, {}, rng);
+  // Two radio-isolated buildings, so {AP 0, client 2} is a genuine
+  // coupling component the medium accepts.
+  topo::ManualTopologyBuilder b;
+  const auto a0 = b.add_ap();  // 0
+  const auto a1 = b.add_ap();  // 1
+  b.add_client(a0);            // 2
+  b.add_client(a1);            // 3
+  auto t = b.build();
 
   sim::Simulator sim;
   phy::Medium unrestricted(sim, t);
@@ -519,9 +521,9 @@ TEST(LifecycleDeterminism, RepeatChurnRunsAreByteIdentical) {
 }
 
 TEST(LifecycleDeterminism, DynamicsForcesTheClassicKernel) {
-  // A 4-AP floor plan would normally split into interference partitions;
-  // with dynamics active, the run must fall back to the classic kernel
-  // (sim_partitions == 1) and stay byte-identical to the forced-serial run.
+  // With dynamics active, a run asking for threads must keep the classic
+  // kernel (sim_partitions == 1) and stay byte-identical to the
+  // forced-serial run.
   const auto t = floorplan(11, 4, 2);
   auto cfg = churny_cfg(api::Scheme::kDcf);
   cfg.sim_threads = 4;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
@@ -39,6 +40,22 @@ topo::Topology two_buildings(std::size_t clients = 2) {
   return b.build();
 }
 
+/// `buildings` radio-isolated buildings, each a two-AP chain with two
+/// clients per AP.
+topo::Topology campus(int buildings) {
+  topo::ManualTopologyBuilder b;
+  for (int k = 0; k < buildings; ++k) {
+    const auto a0 = b.add_ap();
+    const auto a1 = b.add_ap();
+    b.sense(a0, a1);
+    b.add_client(a0);
+    b.add_client(a0);
+    b.add_client(a1);
+    b.add_client(a1);
+  }
+  return b.build();
+}
+
 /// Two cells whose APs can hear each other: a single interference component.
 topo::Topology two_cells_coupled() {
   topo::ManualTopologyBuilder b;
@@ -50,10 +67,10 @@ topo::Topology two_cells_coupled() {
   return b.build();
 }
 
-/// Reference component labelling: BFS over the union of audibility edges
-/// and client-AP association edges, components numbered in node-id order of
-/// their first (smallest) member — the same canonical order
-/// compute_partitions documents.
+/// Reference component labelling: BFS over the union of coupling edges
+/// (nonzero linear power) and client-AP association edges, components
+/// numbered in node-id order of their first (smallest) member — the same
+/// canonical order compute_partitions documents.
 topo::Partitioning bfs_partitions(const topo::Topology& t) {
   const std::size_t n = t.num_nodes();
   topo::Partitioning out;
@@ -74,7 +91,10 @@ topo::Partitioning bfs_partitions(const topo::Topology& t) {
           stack.push_back(v);
         }
       };
-      for (topo::NodeId v : t.audible_from(u)) visit(v);
+      for (std::size_t w = 0; w < n; ++w) {
+        const auto v = static_cast<topo::NodeId>(w);
+        if (t.rss_mw(u, v) > 0.0) visit(v);
+      }
       const topo::Node& node = t.node(u);
       if (!node.is_ap && node.ap != topo::kNoNode) visit(node.ap);
       for (std::size_t w = 0; w < n; ++w) {
@@ -140,29 +160,42 @@ TEST(Partition, PropertyNoAudibleEdgeCrossesAndMatchesBfs) {
   Rng rng(42);
   for (int trial = 0; trial < 20; ++trial) {
     // Random multi-building layout: each building is a chain of APs with
-    // random clients; buildings are radio-isolated from each other.
+    // random clients; buildings are radio-isolated from each other, except
+    // that a building's first AP sometimes gets a sub-audible (-100 dBm)
+    // path to the previous building, which couples the two.
     topo::ManualTopologyBuilder b;
     const int buildings = 2 + static_cast<int>(rng.uniform(0.0, 3.0));
+    topo::NodeId last_ap = topo::kNoNode;
     for (int k = 0; k < buildings; ++k) {
       topo::NodeId prev = topo::kNoNode;
       const int aps = 1 + static_cast<int>(rng.uniform(0.0, 2.5));
       for (int a = 0; a < aps; ++a) {
         const auto ap = b.add_ap();
         if (prev != topo::kNoNode) b.sense(prev, ap);
+        if (prev == topo::kNoNode && last_ap != topo::kNoNode &&
+            rng.chance(0.3)) {
+          b.set_rss(last_ap, ap, -100.0);
+        }
         const int clients = static_cast<int>(rng.uniform(0.0, 2.5));
         for (int c = 0; c < clients; ++c) b.add_client(ap);
         prev = ap;
       }
+      last_ap = prev;
     }
     const auto t = b.build();
     const auto p = topo::compute_partitions(t);
     const auto ref = bfs_partitions(t);
     EXPECT_EQ(p.count, ref.count);
     EXPECT_EQ(p.assignment, ref.assignment);
-    // The defining property: no audible edge crosses a partition boundary.
+    EXPECT_EQ(p.count, t.component_count());
+    // The defining property: no coupling edge — a fortiori no audible
+    // edge — crosses a partition boundary.
     for (std::size_t n = 0; n < t.num_nodes(); ++n) {
-      for (topo::NodeId v : t.audible_from(static_cast<topo::NodeId>(n))) {
-        EXPECT_EQ(p.assignment[n], p.assignment[static_cast<std::size_t>(v)]);
+      for (std::size_t v = 0; v < t.num_nodes(); ++v) {
+        if (t.rss_mw(static_cast<topo::NodeId>(n),
+                     static_cast<topo::NodeId>(v)) > 0.0) {
+          EXPECT_EQ(p.assignment[n], p.assignment[v]);
+        }
       }
     }
     // members_of round-trips the assignment.
@@ -175,6 +208,66 @@ TEST(Partition, PropertyNoAudibleEdgeCrossesAndMatchesBfs) {
     }
     EXPECT_EQ(total, t.num_nodes());
   }
+}
+
+TEST(Partition, RandomSparseCouplingMatchesBfs) {
+  // Random sparse coupling graphs, with and without association edges:
+  // deep union-find trees, whose roots move more than once, must still
+  // label every member with its component.
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    topo::ManualTopologyBuilder b;
+    const int aps = 4 + static_cast<int>(rng.uniform(0.0, 8.0));
+    for (int i = 0; i < aps; ++i) b.add_ap();
+    const int clients = static_cast<int>(rng.uniform(0.0, 12.0));
+    for (int i = 0; i < clients; ++i) {
+      b.add_client(static_cast<topo::NodeId>(rng.uniform_int(0, aps - 1)));
+    }
+    const int n = aps + clients;
+    for (int a = 0; a < n; ++a) {
+      for (int c = a + 1; c < n; ++c) {
+        if (rng.chance(0.06)) b.set_rss(a, c, -100.0);
+      }
+    }
+    const auto t = b.build();
+    const auto ref = bfs_partitions(t);
+    const auto p = topo::compute_partitions(t);
+    ASSERT_EQ(p.count, ref.count) << "trial " << trial;
+    ASSERT_EQ(p.assignment, ref.assignment) << "trial " << trial;
+  }
+}
+
+TEST(Partition, PathLossFloorPlanIsOneComponentAtAnyBuildingGap) {
+  // Path loss leaves nonzero power between every pair, however far apart
+  // the buildings are.
+  for (const double gap : {0.0, 50.0, 500.0, 5000.0}) {
+    topo::TraceParams params;
+    params.building_gap = gap;
+    Rng rng(11);
+    const auto t = topo::make_floorplan_topology(params, 4, 2, {}, rng);
+    EXPECT_EQ(t.component_count(), 1u) << "gap " << gap;
+    EXPECT_EQ(topo::compute_partitions(t).count, 1u) << "gap " << gap;
+  }
+}
+
+TEST(Partition, CouplingUpdatesMergeAndNeverSplit) {
+  auto t = campus(3);  // buildings {0..5}, {6..11}, {12..17}
+  ASSERT_EQ(t.component_count(), 3u);
+  t.update_rss(7, 13, -110.0);  // sub-audible, but power: couples
+  EXPECT_EQ(t.component_count(), 2u);
+  EXPECT_EQ(t.component_of(7), t.component_of(17));
+  EXPECT_EQ(t.component_of(0), 0u);  // numbered by smallest member
+  EXPECT_EQ(t.component_of(6), 1u);
+  const std::vector<topo::NodeId> merged(t.component_members(1).begin(),
+                                         t.component_members(1).end());
+  EXPECT_EQ(merged.size(), 12u);
+  EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end()));
+  t.update_rss(7, 13, topo::kRssFaint);  // no path again: stays merged
+  EXPECT_EQ(t.component_count(), 2u);
+  t.set_association(2, 6);  // roams across buildings: couples
+  EXPECT_EQ(t.component_count(), 1u);
+  EXPECT_EQ(topo::compute_partitions(t).assignment,
+            std::vector<std::uint32_t>(t.num_nodes(), 0u));
 }
 
 // ---- kernel guards ----------------------------------------------------------
@@ -393,16 +486,18 @@ TEST(Determinism, SingleComponentFallsBackToClassicKernel) {
 }
 
 TEST(Determinism, DynamicTopologyForcesClassicKernelAndStaysByteStable) {
-  // A multi-building floor plan splits into interference components, but an
-  // active DynamicsPlan makes the partition gate fall back to the classic
-  // kernel: partitions are computed from the static audibility graph, so a
+  // An active DynamicsPlan makes the partition gate fall back to the
+  // classic kernel: a topology change could couple two partitions, so a
   // mutable topology cannot run partitioned. Byte stability across
   // DMN_SIM_THREADS values must hold trivially — every thread count takes
   // the same single-queue path.
   topo::TraceParams params;
-  params.building_gap = 500.0;  // radio-isolate the two buildings
+  params.building_gap = 500.0;
   Rng rng(11);
   const auto t = topo::make_floorplan_topology(params, 4, 2, {}, rng);
+  // A path-loss floor plan is one coupling component; two hand-built
+  // buildings with the same cells are two.
+  const auto buildings = campus(2);
   for (api::Scheme s : {api::Scheme::kDcf, api::Scheme::kDomino}) {
     SCOPED_TRACE(api::to_string(s));
     auto cfg = part_cfg(s, 1);
@@ -424,17 +519,17 @@ TEST(Determinism, DynamicTopologyForcesClassicKernelAndStaysByteStable) {
     EXPECT_EQ(api::serialize_result(one), four);
     EXPECT_EQ(four, eight);
 
-    // The same topology without dynamics does partition — the fallback is
-    // the plan's doing, not the topology's.
+    // Without dynamics, two buildings do partition — the fallback is the
+    // plan's doing, not the kernel's.
     auto static_cfg = part_cfg(s, 4);
-    const auto static_r = api::run_experiment(t, static_cfg);
+    const auto static_r = api::run_experiment(buildings, static_cfg);
     EXPECT_GT(static_r.sim_partitions, 1u);
   }
 }
 
 // ---- timelines on every kernel ----------------------------------------------
 
-/// A DOMINO timeline run on a radio-isolated two-building floor plan.
+/// A DOMINO timeline run on two radio-isolated buildings (campus(2)).
 api::ExperimentConfig timeline_cfg(int threads) {
   auto cfg = part_cfg(api::Scheme::kDomino, threads);
   cfg.duration = msec(200);
@@ -442,15 +537,8 @@ api::ExperimentConfig timeline_cfg(int threads) {
   return cfg;
 }
 
-topo::Topology timeline_floorplan() {
-  topo::TraceParams params;
-  params.building_gap = 500.0;
-  Rng rng(11);
-  return topo::make_floorplan_topology(params, 4, 2, {}, rng);
-}
-
 TEST(Timeline, RecordsOnThePartitionedKernelAtAnyThreadCount) {
-  const auto t = timeline_floorplan();
+  const auto t = campus(2);
   const auto four = api::run_experiment(t, timeline_cfg(4));
   const auto one = api::run_experiment(t, timeline_cfg(1));
   EXPECT_GT(four.sim_partitions, 1u) << "timeline forced one queue";
@@ -494,7 +582,7 @@ TEST(Timeline, RecordsOnThePartitionedKernelAtAnyThreadCount) {
 }
 
 TEST(Timeline, RecordingIsPassiveOnEveryKernel) {
-  const auto t = timeline_floorplan();
+  const auto t = campus(2);
   for (const int threads : {-1, 1, 4}) {
     SCOPED_TRACE("sim_threads " + std::to_string(threads));
     auto cfg = timeline_cfg(threads);
@@ -527,22 +615,9 @@ TEST(Partitioned, AggregatedEventBudgetInterrupts) {
 
 // ---- window protocol v2 -----------------------------------------------------
 
-/// A small campus: four radio-isolated buildings, each a two-AP chain with
-/// two clients per AP — enough components that the sparse-activation and
-/// LPT paths in the scheduler actually engage.
-topo::Topology campus4() {
-  topo::ManualTopologyBuilder b;
-  for (int k = 0; k < 4; ++k) {
-    const auto a0 = b.add_ap();
-    const auto a1 = b.add_ap();
-    b.sense(a0, a1);
-    b.add_client(a0);
-    b.add_client(a0);
-    b.add_client(a1);
-    b.add_client(a1);
-  }
-  return b.build();
-}
+/// A small campus: enough components that the sparse-activation and LPT
+/// paths in the scheduler actually engage.
+topo::Topology campus4() { return campus(4); }
 
 TEST(Determinism, CampusByteStableAtAllThreadCountsWithFaultsAndAudit) {
   const auto t = campus4();
@@ -562,6 +637,23 @@ TEST(Determinism, CampusByteStableAtAllThreadCountsWithFaultsAndAudit) {
       cfg.sim_threads = threads;
       EXPECT_EQ(run_bytes(t, cfg), one)
           << api::to_string(s) << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(Determinism, DcfBytesMatchOnOneQueueAndPerComponentQueues) {
+  // One medium over every component computes what one medium per component
+  // does, and DCF draws no per-queue RNG lane: the result bytes are the
+  // same on one queue and on the partitioned kernel.
+  for (const auto& t : {two_buildings(2), campus4()}) {
+    const std::string one_queue =
+        run_bytes(t, part_cfg(api::Scheme::kDcf, -1));
+    for (const int threads : {1, 4}) {
+      const auto r =
+          api::run_experiment(t, part_cfg(api::Scheme::kDcf, threads));
+      EXPECT_EQ(r.sim_partitions, t.component_count());
+      EXPECT_EQ(api::serialize_result(r), one_queue)
+          << t.num_nodes() << " nodes at " << threads << " threads";
     }
   }
 }

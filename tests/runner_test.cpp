@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -25,6 +27,7 @@
 #include "api/sweep_io.h"
 #include "topo/dynamics.h"
 #include "topo/topology.h"
+#include "util/rng.h"
 
 namespace dmn::api {
 namespace {
@@ -423,6 +426,39 @@ TEST(Runner, PointHashIgnoresPassiveRecorders) {
   EXPECT_EQ(hash_point(points[0]), hash_point(recorded));
   recorded.config.audit.mode = audit::AuditMode::kRecord;
   EXPECT_EQ(hash_point(points[0]), hash_point(recorded));
+}
+
+TEST(Runner, PointHashFollowsTheKernelTaken) {
+  // DMN_SIM_THREADS counts only where it changes the kernel. A path-loss
+  // floor plan is one coupling component at any building gap, so it keeps
+  // one queue and hashes alike whatever the variable says: its checkpoints
+  // resume across it. Two radio-isolated buildings do partition when asked,
+  // and hash as a distinct point then.
+  const char* saved = std::getenv("DMN_SIM_THREADS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  topo::TraceParams params;
+  params.building_gap = 500.0;
+  Rng rng(11);
+  const auto plan = topo::make_floorplan_topology(params, 4, 2, {}, rng);
+  topo::ManualTopologyBuilder b;
+  b.add_client(b.add_ap());
+  b.add_client(b.add_ap());
+  const auto buildings = b.build();
+  const SweepPoint on_plan = seed_sweep(plan, base_config(), 1, 1)[0];
+  const SweepPoint split = seed_sweep(buildings, base_config(), 1, 1)[0];
+
+  ::unsetenv("DMN_SIM_THREADS");
+  const std::uint64_t plan_unset = hash_point(on_plan);
+  const std::uint64_t split_unset = hash_point(split);
+  ::setenv("DMN_SIM_THREADS", "4", 1);
+  EXPECT_EQ(hash_point(on_plan), plan_unset);
+  EXPECT_NE(hash_point(split), split_unset);
+
+  if (saved != nullptr) {
+    ::setenv("DMN_SIM_THREADS", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("DMN_SIM_THREADS");
+  }
 }
 
 TEST(Runner, PointHashSeesDynamicsKnobs) {
