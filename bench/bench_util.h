@@ -13,8 +13,8 @@
 //                      BENCH_<name>.json rows there (a directory, or a
 //                      literal *.json file path)
 // plus the runner knobs every sweep inherits through run_sweep (see
-// docs/RUNNER.md): DMN_SWEEP_CHECKPOINT, DMN_SWEEP_POINT_TIMEOUT,
-// DMN_SWEEP_POINT_MAX_EVENTS, DMN_SWEEP_RETRIES.
+// docs/RUNNER.md): DMN_SWEEP_CHECKPOINT, DMN_SWEEP_POINT_TIMEOUT and
+// DMN_SWEEP_POINT_MAX_EVENTS.
 
 #include <algorithm>
 #include <cstdio>

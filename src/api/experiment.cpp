@@ -30,12 +30,13 @@ const char* to_string(Scheme s) {
 
 // The facade owns the scheme-independent substrate — simulator, mediums,
 // traffic sources/sinks, flow statistics — and delegates scheme assembly to
-// the SchemeStack selected by the config (see api/scheme_stack.h).
+// the SchemeStack make_stack() picks for cfg.scheme (see api/scheme_stack.h).
 //
 // Per-queue state (mediums, packet-id lanes, auditors, timeline recorders)
 // is held one entry per event queue and looked up through the simulator's
-// queue_of_node() / wired_queue_index(); a classic run is the one-queue
-// case. Only the kernel choice in run() decides how many queues there are.
+// queue_of_node() / wired_queue_index(); an unpartitioned run is the
+// one-queue case. Only the kernel choice in run() decides how many queues
+// there are.
 struct Experiment::Impl {
   ExperimentConfig cfg;
   /// Dynamic runs own a mutable copy of the caller's topology — the
@@ -50,8 +51,9 @@ struct Experiment::Impl {
 
   sim::Simulator sim;
 
-  /// One Medium per node queue: a single unrestricted medium on the classic
-  /// kernel, one medium restricted to its interference partition otherwise.
+  /// One Medium per node queue: a single unrestricted medium on one queue,
+  /// otherwise one medium restricted to each partition's coupling
+  /// components.
   std::vector<std::unique_ptr<phy::Medium>> mediums;
 
   /// Packet-id lanes, one per node queue with disjoint bases (q << 44); lane
@@ -77,8 +79,8 @@ struct Experiment::Impl {
   std::unique_ptr<topo::ConflictGraph> graph;
   std::uint64_t graph_builds = 0;
   /// Set when the event loop starts: from then on the graph may only be
-  /// rebuilt (classic-kernel lifecycle hook), never built for the first
-  /// time, so no partition worker ever runs the build.
+  /// rebuilt (the lifecycle hook of a dynamic, hence one-queue, run), never
+  /// built for the first time, so no partition worker ever runs the build.
   bool loop_started = false;
 
   std::vector<std::unique_ptr<traffic::UdpSource>> udp_sources;
@@ -349,8 +351,9 @@ struct Experiment::Impl {
       };
     }
 
-    // The stack object itself is created early in run() (its
-    // supports_partitioning() gates the kernel choice); here we assemble it.
+    // The stack object itself is created early in run(), so an
+    // out-of-range scheme fails before the mediums are built; here we
+    // assemble it.
     StackContext ctx{sim,
                      [this](topo::NodeId n) -> phy::Medium& {
                        return medium_of(n);
@@ -389,13 +392,15 @@ struct Experiment::Impl {
     }
     build_flows();
 
-    stack = SchemeStackRegistry::instance().create(
-        cfg.effective_scheme_name());
-    if (lifecycle && !stack->supports_dynamics()) {
+    stack = make_stack(cfg.scheme);
+    // The omniscient oracle precomputes its TDMA frame from the initial
+    // conflict graph and has no re-registration path, so dynamic topologies
+    // are rejected up front rather than silently mis-scheduled.
+    if (lifecycle && cfg.scheme == Scheme::kOmniscient) {
       throw std::invalid_argument(
-          cfg.effective_scheme_name() +
+          std::string(to_string(cfg.scheme)) +
           ": scheme does not support dynamic topologies "
-          "(SchemeStack::supports_dynamics() is false)");
+          "(its TDMA frame is precomputed from the initial conflict graph)");
     }
 
     // Partitioned kernel: one event queue and one restricted medium per
@@ -600,17 +605,12 @@ bool runs_partitioned(const topo::Topology& topology,
                       const ExperimentConfig& cfg) {
   // Dynamic runs keep one queue: a topology change could couple two
   // partitions (phy::Medium::on_topology_changed throws), and a mid-window
-  // RSS change would violate the lookahead contract. One component gains
-  // nothing.
-  if (resolve_sim_threads(cfg) == 0 || cfg.dynamics.any() ||
-      topology.component_count() < 2) {
-    return false;
-  }
-  // An unknown scheme fails when its run creates the stack.
-  const SchemeStackRegistry& registry = SchemeStackRegistry::instance();
-  const std::string name = cfg.effective_scheme_name();
-  return registry.contains(name) &&
-         registry.create(name)->supports_partitioning();
+  // RSS change would violate the lookahead contract. The omniscient oracle
+  // drives every node synchronously from one global TDMA clock, which no
+  // partition boundary can split. One component gains nothing.
+  return resolve_sim_threads(cfg) > 0 && !cfg.dynamics.any() &&
+         cfg.scheme != Scheme::kOmniscient &&
+         topology.component_count() >= 2;
 }
 
 ExperimentInterrupted::ExperimentInterrupted(TimeNs sim_time,

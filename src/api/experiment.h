@@ -59,10 +59,6 @@ struct TrafficSpec {
 
 struct ExperimentConfig {
   Scheme scheme = Scheme::kDcf;
-  /// When non-empty, selects the SchemeStack by registry name instead of
-  /// `scheme` — the hook for plugged-in schemes and ablation variants that
-  /// have no enum value (see api/scheme_stack.h).
-  std::string scheme_name;
   TrafficSpec traffic;
   TimeNs duration = sec(50);
   std::uint64_t seed = 1;
@@ -88,7 +84,7 @@ struct ExperimentConfig {
   /// instantiated, and results stay byte-identical to static builds.
   /// Dynamic runs keep one event queue (a topology change could couple two
   /// partitions), reject TCP traffic (flows have fixed endpoints) and
-  /// reject stacks whose supports_dynamics() is false (Omniscient).
+  /// reject the omniscient scheme (its TDMA frame is precomputed).
   topo::DynamicsPlan dynamics;
 
   /// Online invariant auditing (src/audit). Defaults to AuditMode::kInherit,
@@ -116,16 +112,9 @@ struct ExperimentConfig {
   ///       hash_point folds in *whether* the run partitions
   ///       (runs_partitioned) — never the thread count;
   ///   <0  keep one queue regardless of the environment.
-  /// Stacks that can't run partitioned (SchemeStack::supports_partitioning()
-  /// == false), dynamic runs and single-component topologies keep one queue
-  /// automatically.
+  /// The omniscient scheme, dynamic runs and single-component topologies
+  /// keep one queue automatically.
   int sim_threads = 0;
-
-  /// The registry key this config resolves to: `scheme_name` when set,
-  /// otherwise the enum's canonical name.
-  std::string effective_scheme_name() const {
-    return scheme_name.empty() ? to_string(scheme) : scheme_name;
-  }
 };
 
 /// Thrown out of Experiment::run() when an armed run guard (see
@@ -175,9 +164,9 @@ unsigned resolve_sim_threads(const ExperimentConfig& cfg);
 
 /// The kernel decision, for Experiment::run and hash_point (sweep_io)
 /// alike: whether `cfg` over `topology` runs partitioned. It does when
-/// resolve_sim_threads(cfg) > 0, the scheme's stack supports partitioning,
-/// the run has no dynamics and the topology has at least two coupling
-/// components; every other run keeps one event queue.
+/// resolve_sim_threads(cfg) > 0, the scheme is not omniscient, the run has
+/// no dynamics and the topology has at least two coupling components;
+/// every other run keeps one event queue.
 bool runs_partitioned(const topo::Topology& topology,
                       const ExperimentConfig& cfg);
 

@@ -99,8 +99,9 @@ struct ExperimentResult {
   std::uint64_t lifecycle_join_rejections = 0;
 
   /// Simulation-kernel diagnostics: total events executed and how many
-  /// interference partitions the run used (1 = one event queue). Like the wall-clock split and window statistics below, these
-  /// are telemetry: they describe how the run was scheduled and timed,
+  /// coupling-component partitions the run used (1 = one event queue).
+  /// Like the wall-clock split and window statistics below, these are
+  /// telemetry: they describe how the run was scheduled and timed,
   /// which varies with thread count.
   std::uint64_t events_executed = 0;
   std::uint32_t sim_partitions = 1;

@@ -1,8 +1,9 @@
 #include "api/scheme_stack.h"
 
-#include <mutex>
 #include <stdexcept>
+#include <string>
 
+#include "api/experiment.h"
 #include "api/stacks/centaur_stack.h"
 #include "api/stacks/dcf_stack.h"
 #include "api/stacks/domino_stack.h"
@@ -10,74 +11,15 @@
 
 namespace dmn::api {
 
-namespace {
-
-// Guards the registry map: SweepRunner workers create stacks concurrently.
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-// Built-in registration is explicit rather than via static initializers in
-// the stack translation units: the library is a static archive, and the
-// linker is free to drop a TU whose only purpose is a self-registering
-// global.
-void register_builtins(SchemeStackRegistry& reg) {
-  reg.add(kDcfStackName, [] { return std::make_unique<DcfStack>(); });
-  reg.add(kCentaurStackName, [] { return std::make_unique<CentaurStack>(); });
-  reg.add(kOmniscientStackName,
-          [] { return std::make_unique<OmniscientStack>(); });
-  reg.add(kDominoStackName, [] { return std::make_unique<DominoStack>(); });
-}
-
-}  // namespace
-
-SchemeStackRegistry& SchemeStackRegistry::instance() {
-  static SchemeStackRegistry* reg = [] {
-    auto* r = new SchemeStackRegistry();
-    register_builtins(*r);
-    return r;
-  }();
-  return *reg;
-}
-
-void SchemeStackRegistry::add(const std::string& name,
-                              SchemeStackFactory factory) {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  factories_[name] = std::move(factory);
-}
-
-bool SchemeStackRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  return factories_.count(name) > 0;
-}
-
-std::unique_ptr<SchemeStack> SchemeStackRegistry::create(
-    const std::string& name) const {
-  SchemeStackFactory factory;
-  {
-    const std::lock_guard<std::mutex> lock(registry_mutex());
-    const auto it = factories_.find(name);
-    if (it == factories_.end()) {
-      std::string known;
-      for (const auto& [n, f] : factories_) {
-        if (!known.empty()) known += ", ";
-        known += n;
-      }
-      throw std::out_of_range("unknown scheme stack '" + name +
-                              "' (registered: " + known + ")");
-    }
-    factory = it->second;
+std::unique_ptr<SchemeStack> make_stack(Scheme scheme) {
+  switch (scheme) {
+    case Scheme::kDcf: return std::make_unique<DcfStack>();
+    case Scheme::kCentaur: return std::make_unique<CentaurStack>();
+    case Scheme::kDomino: return std::make_unique<DominoStack>();
+    case Scheme::kOmniscient: return std::make_unique<OmniscientStack>();
   }
-  return factory();
-}
-
-std::vector<std::string> SchemeStackRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;
+  throw std::invalid_argument("unknown scheme value " +
+                              std::to_string(static_cast<int>(scheme)));
 }
 
 }  // namespace dmn::api

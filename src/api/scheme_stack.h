@@ -1,26 +1,16 @@
 #pragma once
-// The scheme-plugin seam of the experiment layer.
+// The scheme seam of the experiment layer.
 //
 // A SchemeStack owns everything specific to one channel-access scheme: the
 // per-node MAC entities, controllers, backbones and signature plans. The
 // Experiment facade owns the shared substrate (simulator, medium, topology,
 // conflict graph built on first use, traffic sources, flow stats) and hands
-// it to the stack through a StackContext. Stacks register themselves by
-// name in the SchemeStackRegistry, so adding a scheme (or an ablation
-// variant of an existing one) means adding one file under src/api/stacks/
-// and one registration call — the facade, benches and tests need no
-// changes.
-//
-//   class MyStack : public SchemeStack { ... };
-//   SchemeStackRegistry::instance().add("MY-SCHEME", [] {
-//     return std::make_unique<MyStack>();
-//   });
-//   cfg.scheme_name = "MY-SCHEME";  // overrides cfg.scheme when non-empty
+// it to the stack through a StackContext. make_stack() maps each Scheme
+// value to its stack; adding a scheme means one enum value, one make_stack
+// case, one to_string case and one file under src/api/stacks/.
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "mac/mac_common.h"
@@ -46,6 +36,7 @@ class SimAuditor;
 
 namespace dmn::api {
 
+enum class Scheme;
 struct ExperimentConfig;
 struct ExperimentResult;
 
@@ -56,9 +47,9 @@ struct ExperimentResult;
 struct StackContext {
   sim::Simulator& sim;
   /// Medium carrying `node`'s airtime: one per node event queue. Every node
-  /// shares one medium in a single-queue run; under the partitioned kernel
-  /// each interference partition has its own, and MAC entities must attach
-  /// to (and transmit on) their node's.
+  /// shares one medium in a single-queue run; a partitioned run gives each
+  /// coupling-component partition its own, and MAC entities must attach to
+  /// (and transmit on) their node's.
   std::function<phy::Medium&(topo::NodeId)> medium_of;
   const topo::Topology& topo;
   const ExperimentConfig& cfg;
@@ -70,8 +61,9 @@ struct StackContext {
   Rng& rng;
   /// Invoked when a data packet is decoded at its MAC destination.
   mac::DeliveryFn deliver;
-  /// Non-null when the config asked for timeline recording; stacks that
-  /// support tracing should wire their tx/poll events into it.
+  /// Non-null when the config asked for timeline recording or auditing is
+  /// on; stacks that support tracing should wire their tx/poll/trigger
+  /// events into it.
   domino::DominoTrace* trace = nullptr;
   /// Non-null only when cfg.faults has an active knob: the per-experiment
   /// fault injector. Stacks route their backbone, controller and MAC fault
@@ -100,20 +92,10 @@ class SchemeStack {
   /// diagnostics, ...) into the result after the simulation ran.
   virtual void collect(ExperimentResult& result) const = 0;
 
-  /// Whether this stack is safe to run on the partitioned kernel (per-node
-  /// state confined to its node's partition, controller state to the wired
-  /// queue, all cross-partition traffic via the backbone). Stacks with
-  /// global synchronous coupling (the omniscient oracle) return false and
-  /// always run on the single-queue kernel.
-  virtual bool supports_partitioning() const { return true; }
-
   // ---- lifecycle (dynamic topologies) ------------------------------------
-  // Invoked by the api::LifecycleDriver between simulator events. A stack
-  // that returns false from supports_dynamics() is rejected up front when
-  // cfg.dynamics has any active knob.
-
-  /// Whether this stack can absorb joins/leaves/roams at runtime.
-  virtual bool supports_dynamics() const { return true; }
+  // Invoked by the api::LifecycleDriver between simulator events. The
+  // facade rejects dynamics for the omniscient scheme up front, so its
+  // stack never sees these.
 
   /// Attach (join or roam-in) `client` to AP `to`: admission control plus
   /// MAC re-registration and queued-traffic hand-off. Returns false to
@@ -135,30 +117,8 @@ class SchemeStack {
   virtual void on_conflict_graph_rebuilt() {}
 };
 
-using SchemeStackFactory = std::function<std::unique_ptr<SchemeStack>()>;
-
-/// Name -> factory registry. The four built-in schemes self-register on
-/// first access; callers may add further schemes at any time (ablation
-/// variants, experimental stacks) and select them via
-/// ExperimentConfig::scheme_name.
-class SchemeStackRegistry {
- public:
-  static SchemeStackRegistry& instance();
-
-  /// Registers (or replaces) a factory under `name`.
-  void add(const std::string& name, SchemeStackFactory factory);
-
-  bool contains(const std::string& name) const;
-
-  /// Throws std::out_of_range naming the scheme and the known schemes when
-  /// `name` is not registered.
-  std::unique_ptr<SchemeStack> create(const std::string& name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-
- private:
-  std::map<std::string, SchemeStackFactory> factories_;
-};
+/// The stack for `scheme`. Throws std::invalid_argument for a value outside
+/// the Scheme enumerators.
+std::unique_ptr<SchemeStack> make_stack(Scheme scheme);
 
 }  // namespace dmn::api

@@ -13,8 +13,6 @@
 
 namespace dmn::api {
 
-inline constexpr const char* kCentaurStackName = "CENTAUR";
-
 class CentaurStack : public SchemeStack {
  public:
   void build(StackContext& ctx, std::vector<mac::MacEntity*>& macs) override;

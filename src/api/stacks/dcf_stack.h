@@ -9,8 +9,6 @@
 
 namespace dmn::api {
 
-inline constexpr const char* kDcfStackName = "DCF";
-
 class DcfStack : public SchemeStack {
  public:
   void build(StackContext& ctx, std::vector<mac::MacEntity*>& macs) override;

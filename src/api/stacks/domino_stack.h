@@ -15,8 +15,6 @@
 
 namespace dmn::api {
 
-inline constexpr const char* kDominoStackName = "DOMINO";
-
 class DominoStack : public SchemeStack {
  public:
   void build(StackContext& ctx, std::vector<mac::MacEntity*>& macs) override;

@@ -230,7 +230,6 @@ SweepReport SweepRunner::run_outcomes(const std::vector<SweepPoint>& points) {
         }
         report.outcomes[index] = rec.outcome;
         report.outcomes[index].from_checkpoint = true;
-        report.outcomes[index].attempts = 0;
         restored.push_back(rec);
       }
     }
@@ -247,51 +246,42 @@ SweepReport SweepRunner::run_outcomes(const std::vector<SweepPoint>& points) {
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::mutex progress_mu;  // serializes on_progress
-  const int max_attempts = std::max(1, options_.max_attempts);
   const bool wall_budget = options_.budget.wall_seconds > 0.0;
 
   auto run_point = [&](const SweepPoint& point, WatchdogSlot& slot) {
     PointOutcome outcome;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      outcome.attempts = attempt;
-      if (wall_budget) {
-        const std::lock_guard<std::mutex> lock(slot.mu);
-        slot.cancel.store(false, std::memory_order_relaxed);
-        slot.deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(
-                                options_.budget.wall_seconds));
-        slot.active = true;
-      }
-      try {
-        Experiment exp(point.topology, point.config);
-        exp.set_run_guard(wall_budget ? &slot.cancel : nullptr,
-                          options_.budget.max_events);
-        outcome.result = exp.run();
-        outcome.status = PointStatus::kOk;
-        outcome.error_type.clear();
-        outcome.error_message.clear();
-      } catch (const ExperimentInterrupted& e) {
-        outcome.status = PointStatus::kTimedOut;
-        outcome.sim_time_ns = e.sim_time_ns;
-        outcome.events_executed = e.events_executed;
-      } catch (const std::exception& e) {
-        outcome.status = PointStatus::kError;
-        outcome.error_type = demangled_type(e);
-        outcome.error_message = e.what();
-      } catch (...) {
-        outcome.status = PointStatus::kError;
-        outcome.error_type = "unknown";
-        outcome.error_message = "non-std::exception thrown";
-      }
-      if (wall_budget) {
-        const std::lock_guard<std::mutex> lock(slot.mu);
-        slot.active = false;
-      }
-      // Retry policy: only errors, with the same seed. A repeat failure is
-      // deterministic; a recovery was an environment flake.
-      if (outcome.status != PointStatus::kError) break;
+    if (wall_budget) {
+      const std::lock_guard<std::mutex> lock(slot.mu);
+      slot.cancel.store(false, std::memory_order_relaxed);
+      slot.deadline = std::chrono::steady_clock::now() +
+                      std::chrono::duration_cast<
+                          std::chrono::steady_clock::duration>(
+                          std::chrono::duration<double>(
+                              options_.budget.wall_seconds));
+      slot.active = true;
+    }
+    try {
+      Experiment exp(point.topology, point.config);
+      exp.set_run_guard(wall_budget ? &slot.cancel : nullptr,
+                        options_.budget.max_events);
+      outcome.result = exp.run();
+      outcome.status = PointStatus::kOk;
+    } catch (const ExperimentInterrupted& e) {
+      outcome.status = PointStatus::kTimedOut;
+      outcome.sim_time_ns = e.sim_time_ns;
+      outcome.events_executed = e.events_executed;
+    } catch (const std::exception& e) {
+      outcome.status = PointStatus::kError;
+      outcome.error_type = demangled_type(e);
+      outcome.error_message = e.what();
+    } catch (...) {
+      outcome.status = PointStatus::kError;
+      outcome.error_type = "unknown";
+      outcome.error_message = "non-std::exception thrown";
+    }
+    if (wall_budget) {
+      const std::lock_guard<std::mutex> lock(slot.mu);
+      slot.active = false;
     }
     return outcome;
   };
@@ -304,9 +294,9 @@ SweepReport SweepRunner::run_outcomes(const std::vector<SweepPoint>& points) {
       if (i >= points.size()) return;
 
       if (!report.outcomes[i].from_checkpoint) {
-        // The whole attempt loop is exception-free by construction (every
-        // failure is captured into the outcome), so nothing can escape a
-        // worker thread and terminate the process.
+        // run_point is exception-free by construction (every failure is
+        // captured into the outcome), so nothing can escape a worker thread
+        // and terminate the process.
         PointOutcome outcome = run_point(points[i], slot);
         if (outcome.ok()) {
           sink.append(CheckpointRecord{i, hashes[i], outcome});
@@ -349,7 +339,6 @@ SweepReport SweepRunner::run_outcomes(const std::vector<SweepPoint>& points) {
       case PointStatus::kSkipped: ++stats_.skipped; break;
     }
     if (o.from_checkpoint) ++stats_.restored;
-    if (o.attempts > 1) ++stats_.retried;
   }
   report.stats = stats_;
 
@@ -386,10 +375,6 @@ SweepOptions sweep_options_from_env() {
   if (const char* v = std::getenv("DMN_SWEEP_POINT_MAX_EVENTS")) {
     const long long n = std::atoll(v);
     if (n > 0) o.budget.max_events = static_cast<std::uint64_t>(n);
-  }
-  if (const char* v = std::getenv("DMN_SWEEP_RETRIES")) {
-    const long n = std::atol(v);
-    if (n > 0) o.max_attempts = 1 + static_cast<int>(n);
   }
   return o;
 }

@@ -9,8 +9,7 @@
 // Robustness contract (docs/RUNNER.md):
 //  * A point that throws is captured as an error outcome with its message
 //    and context; it cannot take down the pool or the process, and the
-//    other points' results are unaffected. An optional retry-with-same-seed
-//    policy distinguishes deterministic failures from environment flakes.
+//    other points' results are unaffected.
 //  * A point that exceeds its wall-clock or simulated-event budget is
 //    terminated at a safe event boundary (a monitor thread sets a
 //    cooperative cancellation flag the Simulator polls between events) and
@@ -81,9 +80,6 @@ struct PointOutcome {
   TimeNs sim_time_ns = 0;
   std::uint64_t events_executed = 0;
 
-  /// Experiment executions consumed (>1 when the retry policy re-ran the
-  /// point); 0 for skipped or checkpoint-restored points.
-  int attempts = 0;
   /// True when the outcome was restored from the checkpoint file rather
   /// than recomputed in this process.
   bool from_checkpoint = false;
@@ -94,7 +90,7 @@ struct PointOutcome {
 /// Per-point execution budgets enforced by the watchdog. Zero disables the
 /// corresponding limit.
 struct PointBudget {
-  /// Wall-clock seconds a single point may run (per attempt).
+  /// Wall-clock seconds a single point may run.
   double wall_seconds = 0.0;
   /// Simulated-event cap enforced inside the Simulator's run loop.
   std::uint64_t max_events = 0;
@@ -114,14 +110,6 @@ struct SweepOptions {
   std::string sweep_name;
 
   PointBudget budget;
-
-  /// Total experiment executions allowed per point: 1 = no retries; k > 1
-  /// re-runs an *errored* point with the same seed up to k times. A point
-  /// failing every attempt is a deterministic failure; one that recovers
-  /// was an environment flake (the outcome records the attempts used).
-  /// Timeouts are never retried — re-running a budget overrun wastes
-  /// exactly one budget more.
-  int max_attempts = 1;
 };
 
 struct SweepStats {
@@ -136,8 +124,6 @@ struct SweepStats {
   std::size_t skipped = 0;
   /// Points restored from the checkpoint instead of recomputed.
   std::size_t restored = 0;
-  /// Points whose retry policy consumed more than one attempt.
-  std::size_t retried = 0;
 };
 
 /// Everything run_outcomes() produced, ordered like the input points.
@@ -187,7 +173,6 @@ std::size_t sweep_threads_from_env();
 ///   DMN_SWEEP_CHECKPOINT        checkpoint file path (enables resume)
 ///   DMN_SWEEP_POINT_TIMEOUT     per-point wall-clock budget, seconds
 ///   DMN_SWEEP_POINT_MAX_EVENTS  per-point simulated-event budget
-///   DMN_SWEEP_RETRIES           extra attempts for errored points
 SweepOptions sweep_options_from_env();
 
 /// Convenience builder: `count` copies of (topology, base) whose seeds run

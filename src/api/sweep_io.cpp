@@ -528,7 +528,7 @@ void hash_topology(Hasher& h, const topo::Topology& t) {
 }
 
 void hash_config(Hasher& h, const ExperimentConfig& c) {
-  h.str(c.effective_scheme_name());
+  h.str(to_string(c.scheme));
   h.u64(static_cast<std::uint64_t>(c.traffic.kind));
   h.num(c.traffic.downlink_bps);
   h.num(c.traffic.uplink_bps);

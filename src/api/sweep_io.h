@@ -79,10 +79,10 @@ std::string serialize_result(const ExperimentResult& r);
 ExperimentResult deserialize_result(const JsonValue& v);
 
 /// Serializes the durable part of an outcome (status, result, error
-/// context, timeout progress). Execution provenance — attempts,
-/// from_checkpoint — is deliberately excluded: it describes *this
-/// process's* work, and including it would break the byte-identity of
-/// resumed vs uninterrupted merged output.
+/// context, timeout progress). Execution provenance — from_checkpoint — is
+/// deliberately excluded: it describes *this process's* work, and including
+/// it would break the byte-identity of resumed vs uninterrupted merged
+/// output.
 std::string serialize_outcome(const PointOutcome& o);
 PointOutcome deserialize_outcome(const JsonValue& v);
 

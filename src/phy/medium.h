@@ -117,10 +117,10 @@ class Medium {
   /// Registers the MAC entity for a node. One client per node.
   void attach(topo::NodeId node, MediumClient* client);
 
-  /// Partitioned runs give each interference partition its own Medium and
-  /// attach only that partition's nodes. Restricting pins the member set,
-  /// before the first transmission: attach()/transmit() by a non-member
-  /// throw. The set must be a union of whole coupling components
+  /// Partitioned runs give each partition its own Medium and attach only
+  /// that partition's nodes. Restricting pins the member set, before the
+  /// first transmission: attach()/transmit() by a non-member throw. The set
+  /// must be a union of whole coupling components
   /// (Topology::component_of), which is verified here in O(members); this
   /// is the kernel's "no cross-partition airtime coupling" assertion. No
   /// member's transmission deposits power on a non-member, so a restricted

@@ -9,11 +9,12 @@
 // single window bounded only by the horizon.
 //
 // configure_partitions() turns it into a conservative parallel kernel
-// (classic ns-3-distributed recipe): each interference partition of the
-// topology gets its own EventQueue + clock, plus one extra "wired" queue for
-// backbone-side logic (controllers). Queues advance in synchronization
-// windows bounded by the lookahead L — the minimum cross-partition delivery
-// latency (the backbone's min_latency floor). Per window:
+// (classic ns-3-distributed recipe): each partition of the topology (a
+// union of its coupling components) gets its own EventQueue + clock, plus
+// one extra "wired" queue for backbone-side logic (controllers). Queues
+// advance in synchronization windows bounded by the lookahead L — the
+// minimum cross-partition delivery latency (the backbone's min_latency
+// floor). Per window:
 //   * the wired queue runs first, on the coordinator thread, while every
 //     node queue is parked at the barrier — so controller code may read
 //     AP MAC state synchronously without a data race;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "api/experiment.h"
-#include "api/scheme_stack.h"
 #include "api/sweep.h"
 #include "api/sweep_io.h"
 #include "domino/domino_mac.h"
@@ -95,19 +94,19 @@ TEST(FaultPlan, DefaultPlanIsInert) {
 
 // Assigning an explicitly default-constructed FaultPlan must be exactly the
 // untouched config: no injector, no extra RNG fork, zero fault counters —
-// for every registered scheme.
+// for every scheme.
 TEST(FaultNoOp, ZeroKnobsReproduceFaultFreeResultsForEveryScheme) {
-  for (const std::string& name :
-       api::SchemeStackRegistry::instance().names()) {
+  for (api::Scheme s : {api::Scheme::kDcf, api::Scheme::kCentaur,
+                        api::Scheme::kDomino, api::Scheme::kOmniscient}) {
     api::ExperimentConfig base;
-    base.scheme_name = name;
+    base.scheme = s;
     base.duration = msec(250);
     base.traffic.saturate_downlink = true;
     api::ExperimentConfig zeroed = base;
     zeroed.faults = fault::FaultPlan{};
     const auto a = api::run_experiment(two_cells(), base);
     const auto b = api::run_experiment(two_cells(), zeroed);
-    SCOPED_TRACE(name);
+    SCOPED_TRACE(api::to_string(s));
     expect_identical(a, b);
     EXPECT_EQ(a.fault_backbone_drops, 0u);
     EXPECT_EQ(a.fault_interference_bursts, 0u);

@@ -575,7 +575,8 @@ TEST(LifecycleRejection, OmniscientStackIsRejected) {
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()),
               "Omniscient: scheme does not support dynamic topologies "
-              "(SchemeStack::supports_dynamics() is false)");
+              "(its TDMA frame is precomputed from the initial conflict "
+              "graph)");
   }
 }
 

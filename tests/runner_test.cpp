@@ -1,7 +1,7 @@
 // Tests for the crash-safe sweep runner (docs/RUNNER.md): checkpoint
 // resume byte-identity after a simulated kill, manifest validation,
-// watchdog budgets (wall clock and event count), the retry-with-same-seed
-// policy, and the SIGINT drain path.
+// watchdog budgets (wall clock and event count), per-point error
+// isolation, the SIGINT drain path and pinned point hashes.
 //
 // The kill is simulated by truncating the checkpoint file to the manifest
 // plus the first K records: every flush is an atomic whole-file rename, so
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -21,8 +20,6 @@
 #include <vector>
 
 #include "api/experiment.h"
-#include "api/scheme_stack.h"
-#include "api/stacks/dcf_stack.h"
 #include "api/sweep.h"
 #include "api/sweep_io.h"
 #include "topo/dynamics.h"
@@ -270,58 +267,16 @@ TEST(Runner, WallClockBudgetKillsOnlyTheRunawayPoint) {
   EXPECT_EQ(runner.stats().ok, 2u);
 }
 
-// ---- retry policy ----------------------------------------------------------
+// ---- error isolation -------------------------------------------------------
 
-/// DCF variant whose build() throws on the first N calls (global counter):
-/// the deterministic model of an environment flake.
-class FlakyStack : public DcfStack {
- public:
-  static std::atomic<int> failures_left;
-  void build(StackContext& ctx, std::vector<mac::MacEntity*>& macs) override {
-    if (failures_left.fetch_sub(1) > 0) {
-      throw std::runtime_error("injected one-shot failure");
-    }
-    DcfStack::build(ctx, macs);
-  }
-};
-std::atomic<int> FlakyStack::failures_left{0};
-
-TEST(Runner, RetryPolicyRecoversOneShotFailure) {
-  SchemeStackRegistry::instance().add(
-      "FLAKY-TEST", [] { return std::make_unique<FlakyStack>(); });
-  const auto topo = two_cells();
-  auto points = seed_sweep(topo, base_config(), 1, 1);
-  points[0].config.scheme_name = "FLAKY-TEST";
-
-  FlakyStack::failures_left.store(1);
-  SweepOptions opt;
-  opt.num_threads = 1;
-  opt.max_attempts = 2;
-  SweepRunner runner(opt);
-  const auto report = runner.run_outcomes(points);
-  ASSERT_EQ(report.outcomes[0].status, PointStatus::kOk);
-  EXPECT_EQ(report.outcomes[0].attempts, 2);
-  EXPECT_EQ(runner.stats().retried, 1u);
-
-  // A deterministic failure exhausts the attempts and stays an error,
-  // with the exception type and message captured.
-  FlakyStack::failures_left.store(1000);
-  SweepRunner strict(opt);
-  const auto failed = strict.run_outcomes(points);
-  ASSERT_EQ(failed.outcomes[0].status, PointStatus::kError);
-  EXPECT_EQ(failed.outcomes[0].attempts, 2);
-  EXPECT_NE(failed.outcomes[0].error_message.find("injected"),
-            std::string::npos);
-  EXPECT_NE(failed.outcomes[0].error_type.find("runtime_error"),
-            std::string::npos);
-  FlakyStack::failures_left.store(0);
-}
-
+// A point whose config the facade rejects is a deterministic failure: it
+// stays an error outcome, with the exception type and message captured, and
+// the other points' results are unaffected.
 TEST(Runner, ErrorsAreIsolatedPerPoint) {
   const auto topo = two_cells();
   auto points = seed_sweep(topo, base_config(), 1, 5);
-  points[1].config.scheme_name = "NO-SUCH-SCHEME";
-  points[3].config.scheme_name = "NO-SUCH-SCHEME";
+  points[1].config.faults.backbone.drop_rate = 2.0;
+  points[3].config.faults.backbone.drop_rate = 2.0;
 
   SweepOptions opt;
   opt.num_threads = 2;
@@ -331,8 +286,11 @@ TEST(Runner, ErrorsAreIsolatedPerPoint) {
   EXPECT_EQ(runner.stats().errors, 2u);
   for (const std::size_t bad : {std::size_t{1}, std::size_t{3}}) {
     EXPECT_EQ(report.outcomes[bad].status, PointStatus::kError);
-    EXPECT_NE(report.outcomes[bad].error_message.find("NO-SUCH-SCHEME"),
+    EXPECT_NE(report.outcomes[bad].error_type.find("invalid_argument"),
               std::string::npos);
+    EXPECT_NE(
+        report.outcomes[bad].error_message.find("faults.backbone.drop_rate"),
+        std::string::npos);
   }
   for (const std::size_t good :
        {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
@@ -458,6 +416,28 @@ TEST(Runner, PointHashFollowsTheKernelTaken) {
     ::setenv("DMN_SIM_THREADS", saved_value.c_str(), 1);
   } else {
     ::unsetenv("DMN_SIM_THREADS");
+  }
+}
+
+TEST(Runner, PointHashIsPinnedForEveryScheme) {
+  // Checkpoints written by earlier builds resume only while a point hashes
+  // to the same value, so the hashed bytes (the scheme's to_string text
+  // included) are pinned here for one fixed point per scheme.
+  const struct {
+    Scheme scheme;
+    std::uint64_t hash;
+  } pins[] = {
+      {Scheme::kDcf, 0x3fb2578b0524fd4bull},
+      {Scheme::kCentaur, 0xcc689a08cec49c28ull},
+      {Scheme::kDomino, 0x251e8d4e94c10221ull},
+      {Scheme::kOmniscient, 0xc99421ba7785f97aull},
+  };
+  for (const auto& pin : pins) {
+    ExperimentConfig cfg = base_config();
+    cfg.scheme = pin.scheme;
+    cfg.sim_threads = -1;
+    const SweepPoint point = seed_sweep(two_cells(), cfg, 1, 1)[0];
+    EXPECT_EQ(hash_point(point), pin.hash) << to_string(pin.scheme);
   }
 }
 

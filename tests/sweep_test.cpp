@@ -1,6 +1,7 @@
-// Tests for the scheme-plugin + sweep layer: registry contents, plugin
-// registration, the determinism contract (1-thread vs N-thread sweeps are
-// bit-identical), error propagation out of the pool, and the result codec
+// Tests for the scheme + sweep layer: every scheme builds through its
+// stack, an out-of-range scheme is rejected, the determinism contract
+// (1-thread vs N-thread sweeps are bit-identical), error propagation out of
+// the pool, and the result codec
 // driven by the field tables in api/metrics.h (pinned bytes, round trip of
 // every result metric, telemetry kept out of the bytes).
 
@@ -10,13 +11,12 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "api/experiment.h"
-#include "api/scheme_stack.h"
-#include "api/stacks/dcf_stack.h"
 #include "api/sweep.h"
 #include "api/sweep_io.h"
 #include "audit/audit.h"
@@ -43,84 +43,45 @@ ExperimentConfig base_config() {
   return cfg;
 }
 
-void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(serialize_result(a), serialize_result(b));
-}
-
 SweepOptions threads(std::size_t n) {
   SweepOptions opts;
   opts.num_threads = n;
   return opts;
 }
 
-// ---- registry --------------------------------------------------------------
+// ---- scheme selection ------------------------------------------------------
 
-TEST(SchemeStackRegistry, BuiltinsRegistered) {
-  auto& reg = SchemeStackRegistry::instance();
-  for (Scheme s : {Scheme::kDcf, Scheme::kCentaur, Scheme::kDomino,
-                   Scheme::kOmniscient}) {
-    EXPECT_TRUE(reg.contains(to_string(s))) << to_string(s);
-  }
-  EXPECT_GE(reg.names().size(), 4u);
-}
+constexpr Scheme kAllSchemes[] = {Scheme::kDcf, Scheme::kCentaur,
+                                  Scheme::kDomino, Scheme::kOmniscient};
 
-TEST(SchemeStackRegistry, UnknownSchemeThrowsWithKnownNames) {
-  auto& reg = SchemeStackRegistry::instance();
-  try {
-    reg.create("NO-SUCH-SCHEME");
-    FAIL() << "expected std::out_of_range";
-  } catch (const std::out_of_range& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("NO-SUCH-SCHEME"), std::string::npos);
-    EXPECT_NE(msg.find("DOMINO"), std::string::npos);
-  }
-}
-
-// Every registered scheme must assemble and run through the stack path.
-TEST(SchemeStackRegistry, EveryRegisteredSchemeBuildsAndRuns) {
-  for (const std::string& name : SchemeStackRegistry::instance().names()) {
+// Every scheme must assemble and run through its stack.
+TEST(SchemeStack, EverySchemeBuildsAndRuns) {
+  for (Scheme s : kAllSchemes) {
     ExperimentConfig cfg = base_config();
-    cfg.scheme_name = name;
+    cfg.scheme = s;
     const auto r = run_experiment(two_cells(), cfg);
-    EXPECT_GT(r.throughput_mbps(), 1.0) << name;
-    EXPECT_EQ(r.links.size(), 2u) << name;
+    EXPECT_GT(r.throughput_mbps(), 1.0) << to_string(s);
+    EXPECT_EQ(r.links.size(), 2u) << to_string(s);
   }
 }
 
-// scheme_name and the enum must resolve to the same stack (parity with the
-// pre-plugin facade exercised by api_test).
-TEST(SchemeStackRegistry, NameAndEnumSelectionAgree) {
-  for (Scheme s : {Scheme::kDcf, Scheme::kCentaur, Scheme::kDomino,
-                   Scheme::kOmniscient}) {
-    ExperimentConfig by_enum = base_config();
-    by_enum.scheme = s;
-    ExperimentConfig by_name = base_config();
-    by_name.scheme_name = to_string(s);
-    expect_identical(run_experiment(two_cells(), by_enum),
-                     run_experiment(two_cells(), by_name));
-  }
-}
+// A value outside the enumerators is the one scheme the facade rejects:
+// make_stack throws std::invalid_argument, and the sweep runner records it
+// as an error outcome without disturbing the other points.
+TEST(SchemeStack, OutOfRangeSchemeIsRejected) {
+  ExperimentConfig bad = base_config();
+  bad.scheme = static_cast<Scheme>(99);
+  EXPECT_THROW(run_experiment(two_cells(), bad), std::invalid_argument);
 
-// A plugged-in scheme (here: a trivially derived DCF variant) runs without
-// any facade change — the point of the plugin seam.
-TEST(SchemeStackRegistry, CustomStackPlugsIn) {
-  class NarrowQueueDcf : public DcfStack {
-   public:
-    void build(StackContext& ctx,
-               std::vector<mac::MacEntity*>& macs) override {
-      DcfStack::build(ctx, macs);
-    }
-  };
-  SchemeStackRegistry::instance().add(
-      "DCF-TEST-VARIANT", [] { return std::make_unique<NarrowQueueDcf>(); });
-  ExperimentConfig cfg = base_config();
-  cfg.scheme_name = "DCF-TEST-VARIANT";
-  const auto r = run_experiment(two_cells(), cfg);
-  EXPECT_GT(r.throughput_mbps(), 1.0);
-  // Identical assembly must give identical results to stock DCF.
-  ExperimentConfig stock = base_config();
-  stock.scheme = Scheme::kDcf;
-  expect_identical(run_experiment(two_cells(), stock), r);
+  auto points = seed_sweep(two_cells(), base_config(), 1, 2);
+  points[1].config.scheme = static_cast<Scheme>(99);
+  SweepRunner runner(threads(1));
+  const auto report = runner.run_outcomes(points);
+  EXPECT_EQ(report.outcomes[0].status, PointStatus::kOk);
+  ASSERT_EQ(report.outcomes[1].status, PointStatus::kError);
+  EXPECT_NE(report.outcomes[1].error_type.find("invalid_argument"),
+            std::string::npos);
+  EXPECT_NE(report.outcomes[1].error_message.find("99"), std::string::npos);
 }
 
 // ---- sweep runner ----------------------------------------------------------
@@ -136,8 +97,7 @@ TEST(SweepRunner, SeedSweepBuilderShapesPoints) {
 // The acceptance-criterion test: a 16-point seed sweep run serially and on
 // a pool produces identical results, for every scheme.
 TEST(SweepRunner, ParallelIdenticalToSerial16Seeds) {
-  for (Scheme s : {Scheme::kDcf, Scheme::kCentaur, Scheme::kDomino,
-                   Scheme::kOmniscient}) {
+  for (Scheme s : kAllSchemes) {
     ExperimentConfig cfg = base_config();
     cfg.scheme = s;
     cfg.duration = msec(150);
