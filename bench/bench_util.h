@@ -207,7 +207,7 @@ class BenchJson {
 // ---- outcome-aware sweep entry point ---------------------------------------
 
 /// Runs a sweep with the full robustness stack (checkpointing, watchdogs,
-/// retries, graceful shutdown — all wired from the environment) and prints
+/// graceful shutdown — all wired from the environment) and prints
 /// the shared summary line. Failed points are reported to stderr instead of
 /// aborting the bench; callers guard each row with `report.ok(i)`.
 /// When `json` is given, the sweep metadata rows every bench used to emit by

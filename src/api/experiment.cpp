@@ -446,8 +446,10 @@ struct Experiment::Impl {
       if (cfg.rop.poll_mode == rop::PollMode::kAdaptive) {
         // Rosters reassign subchannels and defer idle clients up to
         // adaptive_max_interval rounds, plus one round of planning/air
-        // skew; churn adds pipeline slack (rosters planned before a join
-        // air after it).
+        // skew. Under dynamics, rosters planned before a join air after
+        // it: the airtime timer plans at nominal pitch, the chain runs
+        // slower, and plans get up to 8 batches ahead (4x2 floor plans,
+        // seeds 1-20, churn 3 Hz: +3 rounds failed 2 runs, +4 none).
         as.adaptive_polling = true;
         as.starvation_rounds =
             static_cast<unsigned>(cfg.rop.adaptive_max_interval + 1) +

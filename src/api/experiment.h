@@ -107,7 +107,7 @@ struct ExperimentConfig {
   ///       on up to this many worker threads. Results are byte-stable
   ///       across every value >= 1 (the merge order of cross-partition
   ///       events is deterministic). The medium computes the same on one
-  ///       queue, but per-queue RNG lanes and DOMINO's controller peeks
+  ///       queue, but per-queue RNG lanes and CENTAUR's controller peeks
   ///       still make the partitioned family a documented deviation, so
   ///       hash_point folds in *whether* the run partitions
   ///       (runs_partitioned) — never the thread count;

@@ -152,14 +152,8 @@ void DominoStack::build(StackContext& ctx,
     const auto it = ap_map_.find(plan.ap);
     if (it != ap_map_.end()) it->second->receive_plan(plan);
   });
-  controller_->set_downlink_peek([this](const topo::Link& l) {
-    const auto it = ap_map_.find(l.sender);
-    return it == ap_map_.end() ? std::size_t{0}
-                              : it->second->queued_for(l.receiver);
-  });
-  // The controller lives on the wired queue; under the partitioned kernel
-  // it runs at window barriers, where its synchronous downlink peeks of AP
-  // MAC queues are race-free (at most one lookahead stale).
+  // The controller lives on the wired queue and learns queue state only
+  // from AP reports, which reach it over the backbone.
   sim::Simulator::Scope scope(ctx.sim, ctx.sim.wired_queue_index());
   controller_->start(usec(100));
 }

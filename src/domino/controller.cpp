@@ -35,16 +35,10 @@ void DominoController::start(TimeNs at) {
 
 std::vector<std::size_t> DominoController::demand_vector() const {
   std::vector<std::size_t> demand(graph_.num_links(), 0);
-  for (const auto& [link, est] : estimates_) {
-    demand[static_cast<std::size_t>(link)] = est;
-  }
-  if (peek_) {
-    for (std::size_t i = 0; i < graph_.num_links(); ++i) {
-      const topo::Link& l = graph_.link(static_cast<topo::LinkId>(i));
-      if (topo_.node(l.sender).is_ap) {
-        demand[i] = peek_(l);
-      }
-    }
+  for (std::size_t i = 0; i < demand.size(); ++i) {
+    const topo::Link& l = graph_.link(static_cast<topo::LinkId>(i));
+    const auto it = estimates_.find({l.sender, l.receiver});
+    if (it != estimates_.end()) demand[i] = it->second;
   }
   return demand;
 }
@@ -146,8 +140,9 @@ void DominoController::plan_batch() {
 
   // Optimistically decrement estimates by what got scheduled.
   for (const auto& slot : strict) {
-    for (topo::LinkId l : slot) {
-      auto it = estimates_.find(l);
+    for (topo::LinkId id : slot) {
+      const topo::Link& l = graph_.link(id);
+      auto it = estimates_.find({l.sender, l.receiver});
       if (it != estimates_.end() && it->second > 0) --it->second;
     }
   }
@@ -163,6 +158,7 @@ void DominoController::plan_batch() {
     schedule_obs_->on_batch_planned(strict, rs, prev_last_, rop_aps);
   }
   prev_last_ = rs.slots.back().entries;
+  newest_first_slot_ = next_global_slot_ + 1;
   next_global_slot_ += rs.slots.size() - 1;  // overlap slot is shared
 
   pending_polls_.clear();
@@ -216,11 +212,10 @@ void DominoController::plan_batch() {
 }
 
 void DominoController::on_topology_changed() {
-  // LinkIds are indices into the (rebuilt) link set; every cached one is
-  // suspect. prev_last_ must go too — relative anchoring against a link
-  // that no longer exists would chain the next batch to a ghost slot. The
-  // scheduler's fairness queue holds LinkIds as well.
-  estimates_.clear();
+  // LinkIds are indices into the (rebuilt) link set. prev_last_ must go —
+  // relative anchoring against a link that no longer exists would chain the
+  // next batch to a ghost slot — and the scheduler's fairness queue holds
+  // LinkIds as well. The estimates are keyed by endpoints and stay valid.
   prev_last_.clear();
   rand_.on_graph_changed();
 }
@@ -230,22 +225,18 @@ void DominoController::on_ap_report(const ApReport& report) {
     return;  // the silent controller loses reports addressed to it
   }
   for (const ClientQueueReport& c : report.clients) {
-    const topo::LinkId l = graph_.find(topo::Link{c.client, report.ap});
-    if (l != topo::kNoLink) {
-      estimates_[l] = c.reported;
-    }
+    estimates_[{c.client, report.ap}] = c.reported;
     // Planner history for adaptive polling: a backlogged client is polled
     // every round until a later report shows it drained.
     client_backlog_[c.client] = c.reported;
   }
   for (const ClientQueueReport& c : report.downlink) {
-    const topo::LinkId l = graph_.find(topo::Link{report.ap, c.client});
-    if (l != topo::kNoLink) {
-      estimates_[l] = c.reported;
-    }
+    estimates_[{report.ap, c.client}] = c.reported;
   }
-  pending_polls_.erase(report.ap);
-  if (pending_polls_.empty()) {
+  // A poll of an older batch says nothing about the newest batch's polls;
+  // letting it release the plan would plan early again and again.
+  if (report.poll_slot >= newest_first_slot_ &&
+      pending_polls_.erase(report.ap) > 0 && pending_polls_.empty()) {
     // All polls in: plan the next batch now (pipelined with execution).
     plan_batch();
   }

@@ -1,13 +1,15 @@
 #pragma once
-// The DOMINO central server: collects queue state (uplink via ROP reports
-// relayed by APs over the wired backbone, downlink from AP queue reports),
-// runs the RAND greedy scheduler per batch, converts to a relative schedule
-// and distributes per-AP plans over the jittery backbone (§3.3, §4.2.1).
+// The DOMINO central server: collects queue state from the reports APs send
+// over the wired backbone after each poll (uplink backlog learned through
+// ROP, the AP's own downlink backlog alongside it), runs the RAND greedy
+// scheduler per batch, converts to a relative schedule and distributes
+// per-AP plans over the jittery backbone (§3.3, §4.2.1).
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "domino/converter.h"
@@ -42,6 +44,8 @@ struct ClientQueueReport {
 /// What an AP sends the controller after polling (plus its own queues).
 struct ApReport {
   topo::NodeId ap = topo::kNoNode;
+  /// Global slot the poll followed: tags the report with its batch.
+  std::uint64_t poll_slot = 0;
   std::vector<ClientQueueReport> clients;
   /// AP-side downlink backlog per client.
   std::vector<ClientQueueReport> downlink;
@@ -83,13 +87,6 @@ class DominoController {
   /// controller wraps it in backbone latency.
   void set_dispatch(DispatchFn dispatch) { dispatch_ = std::move(dispatch); }
 
-  /// Downlink queue oracle: APs sit on the wired network and push queue
-  /// updates to the server cheaply, so the controller reads AP-side
-  /// (downlink) backlog directly at planning time. Uplink backlog is only
-  /// ever learned through ROP — that is the paper's core constraint.
-  using DownlinkPeekFn = std::function<std::size_t(const topo::Link&)>;
-  void set_downlink_peek(DownlinkPeekFn peek) { peek_ = std::move(peek); }
-
   /// Static poll modes: how many poll symbols `ap` announces
   /// (rop::SlotTable::symbols(), kept current by the stack; default 1).
   void set_poll_symbols(topo::NodeId ap, std::size_t symbols) {
@@ -98,7 +95,8 @@ class DominoController {
 
   void start(TimeNs at);
 
-  /// APs call this (already backbone-delayed by the AP side).
+  /// APs call this (already backbone-delayed by the AP side). Only a report
+  /// on a poll of the newest batch counts toward releasing the next plan.
   void on_ap_report(const ApReport& report);
 
   /// Fault injection (nullable): while the injector reports a controller
@@ -111,9 +109,10 @@ class DominoController {
   void set_schedule_observer(ScheduleObserver* obs) { schedule_obs_ = obs; }
 
   /// The conflict graph / link set changed under the controller (roam,
-  /// join/leave). Drops per-link demand estimates and the cross-batch
-  /// chaining state — stale LinkIds must not leak into the next batch; the
-  /// planning cadence and the global slot counter continue unchanged.
+  /// join/leave). Drops the cross-batch chaining state and the scheduler's
+  /// fairness queue — stale LinkIds must not leak into the next batch. The
+  /// demand estimates are keyed by endpoints and survive; the planning
+  /// cadence and the global slot counter continue unchanged.
   void on_topology_changed();
 
   std::uint64_t batches_planned() const { return batches_; }
@@ -173,16 +172,18 @@ class DominoController {
   TimeNs rop_duration_;
   TimeNs rop_symbol_step_;
   DispatchFn dispatch_;
-  DownlinkPeekFn peek_;
   fault::FaultInjector* faults_ = nullptr;
   ScheduleObserver* schedule_obs_ = nullptr;
   std::uint64_t outage_skips_ = 0;
 
-  std::map<topo::LinkId, std::size_t> estimates_;
+  /// Backlog by (sender, receiver): endpoint keys survive graph rebuilds.
+  std::map<std::pair<topo::NodeId, topo::NodeId>, std::size_t> estimates_;
   std::vector<SlotEntry> prev_last_;
   std::uint64_t next_global_slot_ = 0;
   std::uint64_t batches_ = 0;
+  /// Polling APs of the newest batch, which starts at newest_first_slot_.
   std::set<topo::NodeId> pending_polls_;
+  std::uint64_t newest_first_slot_ = 0;
   sim::EventHandle plan_timer_;
 
   std::map<topo::NodeId, std::uint32_t> static_symbols_;

@@ -249,39 +249,41 @@ RelativeSchedule ScheduleConverter::convert(
         a < rop_symbols_needed.size() ? std::max<std::uint32_t>(
                                             rop_symbols_needed[a], 1)
                                       : 1;
-    bool placed = false;
-    for (std::size_t i = 1; i + 1 < rs.slots.size() && !placed; ++i) {
-      RelSlot& si = rs.slots[i];
+    if (rs.slots.size() < 2) continue;
+    // A boundary qualifies when every AP already polling there (if any)
+    // can share it with this one.
+    const auto shareable = [&](const RelSlot& si) {
+      return std::all_of(
+          si.rop_aps.begin(), si.rop_aps.end(),
+          [&](topo::NodeId other) { return aps_can_share_rop(ap, other); });
+    };
+    std::size_t at = 0;  // boundary 0 is never searched: 0 = not found
+    for (std::size_t i = 1; i + 1 < rs.slots.size() && at == 0; ++i) {
+      const RelSlot& si = rs.slots[i];
       // Can si trigger this AP?
       const bool reachable = std::any_of(
           si.entries.begin(), si.entries.end(), [&](const SlotEntry& e) {
             const topo::Link& l = graph_.link(e.link);
             return can_trigger(l.sender, ap) || can_trigger(l.receiver, ap);
           });
-      if (!reachable) continue;
-      if (!si.rop_after) {
-        si.rop_after = true;
-        si.rop_aps.push_back(ap);
-        placed = true;
-      } else {
-        const bool shareable = std::all_of(
-            si.rop_aps.begin(), si.rop_aps.end(),
-            [&](topo::NodeId other) { return aps_can_share_rop(ap, other); });
-        if (shareable) {
-          si.rop_aps.push_back(ap);
-          placed = true;
+      if (reachable && shareable(si)) at = i;
+    }
+    if (at == 0) {
+      // No boundary can trigger this AP: it self-starts the poll from its
+      // schedule anchor, so only shareability matters. Take the latest
+      // qualifying boundary, else the last one.
+      at = rs.slots.size() - 2;
+      for (std::size_t i = at; i >= 1; --i) {
+        if (shareable(rs.slots[i])) {
+          at = i;
+          break;
         }
       }
-      if (placed) si.rop_symbols = std::max(si.rop_symbols, symbols);
     }
-    if (!placed && rs.slots.size() > 1) {
-      // No boundary can trigger this AP: poll anyway at the last boundary;
-      // the AP self-starts the poll from its schedule anchor.
-      RelSlot& last = rs.slots[rs.slots.size() - 2];
-      last.rop_after = true;
-      last.rop_aps.push_back(ap);
-      last.rop_symbols = std::max(last.rop_symbols, symbols);
-    }
+    RelSlot& chosen = rs.slots[at];
+    chosen.rop_after = true;
+    chosen.rop_aps.push_back(ap);
+    chosen.rop_symbols = std::max(chosen.rop_symbols, symbols);
   }
 
   // Trigger assignment across consecutive slot pairs.

@@ -682,11 +682,12 @@ void DominoApMac::execute_poll(std::uint64_t g, TimeNs at) {
   });
 }
 
-void DominoApMac::evaluate_poll(std::uint64_t /*g*/) {
+void DominoApMac::evaluate_poll(std::uint64_t g) {
   polling_ = false;
   if (!powered_) return;
   ApReport report;
   report.ap = node();
+  report.poll_slot = g;
 
   // Adjacency tolerance check among the simultaneous responders, with the
   // MAC-level model fitted from the signal-level ROP study (Figure 6).
@@ -718,7 +719,8 @@ void DominoApMac::evaluate_poll(std::uint64_t /*g*/) {
       report.clients.push_back(ClientQueueReport{r.client, r.report});
     }
   }
-  // Piggyback the AP's own downlink backlog per client.
+  // Piggyback the AP's own downlink backlog per client: the controller's
+  // only view of downlink demand.
   for (const ClientInfo& ci : clients_) {
     report.downlink.push_back(ClientQueueReport{
         ci.client,

@@ -362,9 +362,6 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   // MacEntity.
   bool enqueue(traffic::Packet p) override;
   std::size_t queue_size() const override { return queue_.size(); }
-  std::size_t queued_for(topo::NodeId dst) const {
-    return queue_.count_for(dst);
-  }
 
   /// Controller dispatch (already backbone-delayed). Merges by slot index.
   /// Dropped while the AP is powered down (outage injection).

@@ -42,10 +42,9 @@
 // m2 > m1 + L + 1.) Controller-peek staleness keeps its documented <= L
 // bound under elongation. Setting DMN_SIM_FIXED_WINDOWS=1 (read at
 // configure_partitions time) disables both optimizations and steps fixed
-// [s, s+L) windows from 0 — the reference schedule. For workloads whose
-// cross-queue interaction is purely message-passing the adaptive schedule
-// matches it byte-for-byte; a controller that synchronously peeks
-// cross-queue state at barriers (DOMINO's downlink peek) observes node
+// [s, s+L) windows from 0 — the reference schedule. Message-passing
+// schemes (DCF, DOMINO) match it byte-for-byte; a controller that peeks
+// cross-queue state at barriers (CENTAUR's, the one left) observes node
 // progress that depends on where the window boundaries fall, so its
 // peeked values may differ between schedules within the same <= L bound.
 //

@@ -322,10 +322,12 @@ TEST(AuditMutant, LifecycleStaleRoamCaught) {
 }
 
 // The full dynamic stack — churn + roaming — under the throwing auditor, in
-// both static poll modes: the lifecycle and ROP invariants hold on the real
+// every poll mode: the lifecycle and ROP invariants hold on the real
 // (unmutated) code path. Multi-symbol polling used to re-plan rosters per
 // round, which aired long after they were planned and starved rejoined
 // clients on these floor plans; the slot table keeps every client's slot.
+// Adaptive rosters starved clients here while a report from an older
+// batch's poll could release the newest plan early (rop.starved-client).
 struct ChurnCase {
   rop::PollMode mode;
   std::uint64_t floorplan_seed;
@@ -362,7 +364,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ChurnCase{rop::PollMode::kLegacy, 9},
                       ChurnCase{rop::PollMode::kMultiSymbol, 13},
                       ChurnCase{rop::PollMode::kMultiSymbol, 3},
-                      ChurnCase{rop::PollMode::kMultiSymbol, 9}),
+                      ChurnCase{rop::PollMode::kMultiSymbol, 9},
+                      ChurnCase{rop::PollMode::kAdaptive, 13},
+                      ChurnCase{rop::PollMode::kAdaptive, 3},
+                      ChurnCase{rop::PollMode::kAdaptive, 9}),
     [](const ::testing::TestParamInfo<ChurnCase>& info) {
       return std::string(rop::to_string(info.param.mode)) + "_seed" +
              std::to_string(info.param.floorplan_seed);
@@ -380,6 +385,27 @@ TEST(Audit, SameApRejoinTakesAFreeSlot) {
   ASSERT_NE(r.audit, nullptr);
   EXPECT_TRUE(r.audit->violation_free()) << r.audit->summary();
   EXPECT_GT(r.lifecycle_joins, 0u) << "nobody rejoined";
+}
+
+// Fig 14 draws whose forced ROP placement (no boundary can trigger the
+// polling AP) appended the AP to the last boundary beside a poller it
+// cannot share with: converter.rop-sharing threw at t = 100 us.
+TEST(Audit, Fig14DrawsPlaceForcedPollsOnShareableBoundaries) {
+  for (std::uint64_t draw = 1005; draw <= 1008; ++draw) {
+    SCOPED_TRACE("T(20,3) draw " + std::to_string(draw));
+    Rng rng(draw);
+    topo::LogDistanceModel model;
+    const auto t =
+        topo::Topology::random_network(20, 3, 800.0, model, {}, rng);
+    auto cfg = audited_cfg(Scheme::kDomino, audit::AuditMode::kThrow);
+    cfg.seed = draw;
+    cfg.duration = msec(200);
+    cfg.traffic.downlink_bps = 10e6;
+    cfg.traffic.uplink_bps = 0;
+    const auto r = run_experiment(t, cfg);
+    ASSERT_NE(r.audit, nullptr);
+    EXPECT_TRUE(r.audit->violation_free()) << r.audit->summary();
+  }
 }
 
 // ---- multi-symbol polling mutant self-test ----------------------------------

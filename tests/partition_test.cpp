@@ -16,6 +16,7 @@
 
 #include "api/experiment.h"
 #include "api/sweep_io.h"
+#include "rop/params.h"
 #include "sim/simulator.h"
 #include "topo/dynamics.h"
 #include "topo/partition.h"
@@ -660,29 +661,33 @@ TEST(Determinism, DcfBytesMatchOnOneQueueAndPerComponentQueues) {
 
 TEST(Determinism, AdaptiveWindowsMatchFixedWindowStepping) {
   // DMN_SIM_FIXED_WINDOWS=1 forces the dumb reference schedule: dense
-  // [s, s+L) windows, no fast-forward, no elongation. For schemes whose
-  // cross-queue interaction is purely message-passing (DCF here), the
-  // adaptive scheduler must produce byte-identical results — delivery
-  // order is encoded in the destination heap key, so window policy is a
-  // performance choice, never a semantic one.
-  //
-  // DOMINO is deliberately excluded: its controller performs synchronous
-  // downlink peeks of AP MAC state at window barriers, and how far a node
-  // queue has progressed when a peek at wired-time t runs depends on
-  // where the window boundaries fall. Both schedules stay within the
-  // documented <= L staleness bound, but the exact peeked values can
-  // differ, so fixed-vs-adaptive byte equality is not a contract for
-  // peeking controllers. (Thread-count byte-stability — the kernel's real
-  // contract — holds for every scheme; see the test above.)
+  // [s, s+L) windows, no fast-forward, no elongation. DCF and DOMINO
+  // interact across queues only by messages (DOMINO's controller learns
+  // queue state only from AP reports over the backbone), so the adaptive
+  // scheduler must produce byte-identical results — delivery order is
+  // encoded in the destination heap key, so window policy is a performance
+  // choice, never a semantic one. CENTAUR's epoch scheduler still reads AP
+  // queues directly at window barriers, so it is not held to this.
   const auto t = campus4();
-  auto cfg = part_cfg(api::Scheme::kDcf, 2);
-  cfg.duration = msec(150);
-  ::unsetenv("DMN_SIM_FIXED_WINDOWS");
-  const std::string adaptive = run_bytes(t, cfg);
-  ::setenv("DMN_SIM_FIXED_WINDOWS", "1", 1);
-  const std::string fixed = run_bytes(t, cfg);
-  ::unsetenv("DMN_SIM_FIXED_WINDOWS");
-  EXPECT_EQ(adaptive, fixed);
+  struct Case {
+    api::Scheme scheme;
+    rop::PollMode poll_mode;
+  };
+  for (const Case c : {Case{api::Scheme::kDcf, rop::PollMode::kLegacy},
+                       Case{api::Scheme::kDomino, rop::PollMode::kLegacy},
+                       Case{api::Scheme::kDomino, rop::PollMode::kAdaptive}}) {
+    SCOPED_TRACE(std::string(api::to_string(c.scheme)) + " " +
+                 rop::to_string(c.poll_mode));
+    auto cfg = part_cfg(c.scheme, 2);
+    cfg.duration = msec(150);
+    cfg.rop.poll_mode = c.poll_mode;
+    ::unsetenv("DMN_SIM_FIXED_WINDOWS");
+    const std::string adaptive = run_bytes(t, cfg);
+    ::setenv("DMN_SIM_FIXED_WINDOWS", "1", 1);
+    const std::string fixed = run_bytes(t, cfg);
+    ::unsetenv("DMN_SIM_FIXED_WINDOWS");
+    EXPECT_EQ(adaptive, fixed);
+  }
 }
 
 TEST(Kernel, AdaptiveWindowsFastForwardAndElongate) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "centaur/centaur.h"
+#include "domino/controller.h"
 #include "domino/converter.h"
 #include "domino/rand_scheduler.h"
 #include "domino/signature_plan.h"
@@ -292,6 +293,25 @@ TEST_F(ConverterTest, ApPlansCoverRolesAndCodes) {
 
 namespace reference {
 
+/// Two APs may poll on one boundary when no link of one conflicts with any
+/// link of the other.
+bool aps_can_share_rop(const topo::ConflictGraph& graph, topo::NodeId a,
+                       topo::NodeId b) {
+  for (std::size_t i = 0; i < graph.num_links(); ++i) {
+    const topo::Link& la = graph.link(static_cast<topo::LinkId>(i));
+    if (la.sender != a && la.receiver != a) continue;
+    for (std::size_t j = 0; j < graph.num_links(); ++j) {
+      const topo::Link& lb = graph.link(static_cast<topo::LinkId>(j));
+      if (lb.sender != b && lb.receiver != b) continue;
+      if (graph.conflicts(static_cast<topo::LinkId>(i),
+                          static_cast<topo::LinkId>(j))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 class MapSetConverter {
  public:
   MapSetConverter(const topo::Topology& topo, const topo::ConflictGraph& graph,
@@ -365,10 +385,24 @@ class MapSetConverter {
         if (placed) si.rop_symbols = std::max(si.rop_symbols, symbols);
       }
       if (!placed && rs.slots.size() > 1) {
-        domino::RelSlot& last = rs.slots[rs.slots.size() - 2];
-        last.rop_after = true;
-        last.rop_aps.push_back(ap);
-        last.rop_symbols = std::max(last.rop_symbols, symbols);
+        std::size_t at = rs.slots.size() - 2;
+        for (std::size_t i = at; i >= 1; --i) {
+          bool shareable = true;
+          for (topo::NodeId other : rs.slots[i].rop_aps) {
+            if (!aps_can_share_rop(ap, other)) {
+              shareable = false;
+              break;
+            }
+          }
+          if (shareable) {
+            at = i;
+            break;
+          }
+        }
+        domino::RelSlot& fallback = rs.slots[at];
+        fallback.rop_after = true;
+        fallback.rop_aps.push_back(ap);
+        fallback.rop_symbols = std::max(fallback.rop_symbols, symbols);
       }
     }
     for (std::size_t i = 0; i + 1 < rs.slots.size(); ++i) {
@@ -470,19 +504,7 @@ class MapSetConverter {
   }
 
   bool aps_can_share_rop(topo::NodeId a, topo::NodeId b) const {
-    for (std::size_t i = 0; i < graph_.num_links(); ++i) {
-      const topo::Link& la = graph_.link(static_cast<topo::LinkId>(i));
-      if (la.sender != a && la.receiver != a) continue;
-      for (std::size_t j = 0; j < graph_.num_links(); ++j) {
-        const topo::Link& lb = graph_.link(static_cast<topo::LinkId>(j));
-        if (lb.sender != b && lb.receiver != b) continue;
-        if (graph_.conflicts(static_cast<topo::LinkId>(i),
-                             static_cast<topo::LinkId>(j))) {
-          return false;
-        }
-      }
-    }
-    return true;
+    return reference::aps_can_share_rop(graph_, a, b);
   }
 
   void assign_triggers(domino::RelSlot& from, domino::RelSlot& to) {
@@ -784,6 +806,70 @@ TEST(ConverterDifferential, FloorplanTopologiesMatchMapSetReference) {
     const auto t = topo::make_floorplan_topology({}, aps, per_ap, {}, rng);
     check_against_reference(t, /*uplink=*/true, rng);
   }
+}
+
+// Forced ROP placement (no boundary can trigger the polling AP) must still
+// keep every boundary's pollers pairwise shareable. Random T(20,3) draws of
+// the Fig 14 shape (downlink links only), converted the way the controller
+// does (an idle first batch, then RAND over random demand, padded to the
+// batch length, every AP polled), count the boundaries where that fails,
+// i.e. where no boundary qualified for a forced AP. Appending forced APs
+// to the last boundary failed 21 times here.
+TEST(ConverterProperty, ForcedRopPlacementAlwaysFindsAShareableBoundary) {
+  const domino::DominoParams batch;
+  std::size_t forced = 0;
+  std::size_t unshareable = 0;
+  for (std::uint64_t draw = 1000; draw < 1040; ++draw) {
+    Rng rng(draw);
+    topo::LogDistanceModel model;
+    const auto t =
+        topo::Topology::random_network(20, 3, 800.0, model, {}, rng);
+    const auto graph =
+        topo::ConflictGraph::build(t, t.make_links(true, false));
+    const domino::SignaturePlan signatures(t.num_nodes());
+    const domino::ConverterParams params;
+    domino::ScheduleConverter conv(t, graph, signatures, params);
+    domino::RandScheduler rand(graph);
+    std::vector<domino::SlotEntry> prev_last;
+    std::uint64_t next_global = 0;
+    for (std::uint64_t b = 1; b <= 20; ++b) {
+      std::vector<std::size_t> demand(graph.num_links());
+      for (auto& d : demand) {
+        d = static_cast<std::size_t>(b == 1 ? 0 : rng.uniform_int(0, 6));
+      }
+      auto strict = rand.schedule_batch(std::move(demand), batch.batch_slots);
+      while (strict.size() < batch.batch_slots) strict.emplace_back();
+      const auto rs =
+          conv.convert(strict, prev_last, t.aps(), b, next_global);
+      for (const domino::RelSlot& slot : rs.slots) {
+        for (std::size_t i = 0; i < slot.rop_aps.size(); ++i) {
+          const topo::NodeId ap = slot.rop_aps[i];
+          const bool reachable = std::any_of(
+              slot.entries.begin(), slot.entries.end(),
+              [&](const domino::SlotEntry& e) {
+                const topo::Link& l = graph.link(e.link);
+                for (topo::NodeId via : {l.sender, l.receiver}) {
+                  if (via == ap || t.rss(via, ap) >=
+                                       params.trigger_rss_floor_dbm) {
+                    return true;
+                  }
+                }
+                return false;
+              });
+          if (!reachable) ++forced;
+          for (std::size_t j = i + 1; j < slot.rop_aps.size(); ++j) {
+            if (!reference::aps_can_share_rop(graph, ap, slot.rop_aps[j])) {
+              ++unshareable;
+            }
+          }
+        }
+      }
+      prev_last = rs.slots.back().entries;
+      next_global += rs.slots.size() - 1;
+    }
+  }
+  EXPECT_GT(forced, 0u) << "no draw forced a placement; the check is vacuous";
+  EXPECT_EQ(unshareable, 0u);
 }
 
 TEST(SignaturePlanTest, AssignsUniqueCodesAndRejectsOverflow) {

@@ -147,8 +147,10 @@ TEST(SweepRunner, ProgressCallbackCoversAllPoints) {
 // ---- result codec ----------------------------------------------------------
 
 // Serialized results of three fixed points, captured before the codec was
-// rebuilt on the field tables: the format is byte-for-byte the same. Line
-// breaks are for width only and are stripped before comparing.
+// rebuilt on the field tables: the format is byte-for-byte the same. The
+// DOMINO bytes were re-taken when the controller began to learn downlink
+// backlog only from batch-tagged AP reports. Line breaks are for width only
+// and are stripped before comparing.
 constexpr const char* kStaticDcfBytes = R"(
 {"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
 "throughput_bps":4423680,"mean_delay_us":43504.671037037035,
@@ -171,23 +173,23 @@ constexpr const char* kStaticDcfBytes = R"(
 
 constexpr const char* kDominoFaultsBytes = R"(
 {"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
-"throughput_bps":6498986.666666667,"mean_delay_us":46216.817336134452,
-"delivered":238},{"flow_id":1,"src":1,"dst":3,"uplink":false,
-"throughput_bps":6444373.333333334,"mean_delay_us":47863.812762711867,
-"delivered":236}],"aggregate_throughput_bps":12943360,
-"jain_fairness":0.99998219690226076,"mean_delay_us":47036.840375527427,
-"ack_timeouts":103,"mac_drops":0,"census_hidden":0,"census_exposed":1,
-"census_total":1,"domino_self_starts":6,"domino_missed_rows":0,
-"domino_rows_executed":579,"domino_untriggerable":0,"domino_batches":37,
-"domino_retry_drops":0,"domino_anchor_rejections":2,
+"throughput_bps":6198613.333333334,"mean_delay_us":47521.80430396476,
+"delivered":227},{"flow_id":1,"src":1,"dst":3,"uplink":false,
+"throughput_bps":6690133.333333334,"mean_delay_us":46257.670159183675,
+"delivered":245}],"aggregate_throughput_bps":12888746.666666668,
+"jain_fairness":0.99854778851497927,"mean_delay_us":46865.632978813555,
+"ack_timeouts":101,"mac_drops":0,"census_hidden":0,"census_exposed":1,
+"census_total":1,"domino_self_starts":5,"domino_missed_rows":0,
+"domino_rows_executed":576,"domino_untriggerable":0,"domino_batches":32,
+"domino_retry_drops":0,"domino_anchor_rejections":0,
 "domino_forced_trigger_losses":7,"domino_controller_outage_skips":0,
 "recovery_slots":[0.019202048218476639,0.019202048218476639,
 0.019202048218476639,0.019202048218476639,0.019202048218476639,
 0.019202048218476639,0.019202048218476639],"ap_health":[{"ap":0,
-"self_starts":3,"missed_rows":0,"ack_timeouts":51,"retry_drops":0,
-"anchor_rejections":0,"forced_trigger_losses":2,"recovery_samples":2},
-{"ap":1,"self_starts":3,"missed_rows":0,"ack_timeouts":52,"retry_drops":0,
-"anchor_rejections":2,"forced_trigger_losses":5,"recovery_samples":5}],
+"self_starts":3,"missed_rows":0,"ack_timeouts":50,"retry_drops":0,
+"anchor_rejections":0,"forced_trigger_losses":2,"recovery_samples":2},{"ap":1,
+"self_starts":2,"missed_rows":0,"ack_timeouts":51,"retry_drops":0,
+"anchor_rejections":0,"forced_trigger_losses":5,"recovery_samples":5}],
 "fault_backbone_drops":10,"fault_backbone_dups":0,"fault_backbone_spikes":0,
 "fault_interference_bursts":30,"fault_controller_outage_skips":0,
 "fault_forced_trigger_losses":7,"fault_forced_false_positives":0,
@@ -307,39 +309,37 @@ constexpr const char* kCampusDcfBytes = R"(
 
 constexpr const char* kCampusDominoBytes = R"(
 {"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
-"throughput_bps":6075733.333333334,"mean_delay_us":46738.426741573036,
-"delivered":178},{"flow_id":1,"src":1,"dst":3,"uplink":false,
+"throughput_bps":6109866.666666667,"mean_delay_us":46783.212899441336,
+"delivered":179},{"flow_id":1,"src":1,"dst":3,"uplink":false,
 "throughput_bps":6826666.666666667,"mean_delay_us":41480.04406,
 "delivered":200},{"flow_id":2,"src":4,"dst":6,"uplink":false,
-"throughput_bps":6860800,"mean_delay_us":41612.108084577114,
-"delivered":201},{"flow_id":3,"src":5,"dst":7,"uplink":false,
+"throughput_bps":6860800,"mean_delay_us":41612.108084577114,"delivered":201},
+{"flow_id":3,"src":5,"dst":7,"uplink":false,
 "throughput_bps":6382933.333333334,"mean_delay_us":42870.630534759359,
-"delivered":187}],"aggregate_throughput_bps":26146133.333333336,
-"jain_fairness":0.99751791858772987,"mean_delay_us":43076.097137075718,
-"ack_timeouts":175,"mac_drops":0,"census_hidden":0,"census_exposed":2,
+"delivered":187}],"aggregate_throughput_bps":26180266.666666672,
+"jain_fairness":0.99770200324263492,"mean_delay_us":43091.324062581487,
+"ack_timeouts":174,"mac_drops":0,"census_hidden":0,"census_exposed":2,
 "census_total":6,"domino_self_starts":8,"domino_missed_rows":0,
-"domino_rows_executed":947,"domino_untriggerable":0,"domino_batches":27,
+"domino_rows_executed":947,"domino_untriggerable":0,"domino_batches":26,
 "domino_retry_drops":0,"domino_anchor_rejections":6,
 "domino_forced_trigger_losses":10,"domino_controller_outage_skips":0,
 "recovery_slots":[0.019202048218476639,0.019202048218476639,
 0.019202048218476639,0.019202048218476639,0.019202048218476639,
 0.019202048218476639,0.019202048218476639,0.019202048218476639,
 0.019202048218476639,0.019202048218476639],"ap_health":[{"ap":0,
-"self_starts":4,"missed_rows":0,"ack_timeouts":40,"retry_drops":0,
-"anchor_rejections":4,"forced_trigger_losses":2,"recovery_samples":2},
-{"ap":1,"self_starts":1,"missed_rows":0,"ack_timeouts":46,
-"retry_drops":0,"anchor_rejections":0,"forced_trigger_losses":3,
-"recovery_samples":3},{"ap":4,"self_starts":1,"missed_rows":0,
-"ack_timeouts":45,"retry_drops":0,"anchor_rejections":0,
-"forced_trigger_losses":3,"recovery_samples":3},{"ap":5,"self_starts":2,
-"missed_rows":0,"ack_timeouts":44,"retry_drops":0,"anchor_rejections":2,
-"forced_trigger_losses":2,"recovery_samples":2}],
-"fault_backbone_drops":13,"fault_backbone_dups":6,
-"fault_backbone_spikes":12,"fault_interference_bursts":24,
-"fault_controller_outage_skips":0,"fault_forced_trigger_losses":10,
-"fault_forced_false_positives":0,"lifecycle_epochs":0,
-"lifecycle_rss_updates":0,"lifecycle_joins":0,"lifecycle_leaves":0,
-"lifecycle_roams":0,"lifecycle_roam_rejections":0,
+"self_starts":4,"missed_rows":0,"ack_timeouts":39,"retry_drops":0,
+"anchor_rejections":4,"forced_trigger_losses":2,"recovery_samples":2},{"ap":1,
+"self_starts":1,"missed_rows":0,"ack_timeouts":46,"retry_drops":0,
+"anchor_rejections":0,"forced_trigger_losses":3,"recovery_samples":3},{"ap":4,
+"self_starts":1,"missed_rows":0,"ack_timeouts":45,"retry_drops":0,
+"anchor_rejections":0,"forced_trigger_losses":3,"recovery_samples":3},{"ap":5,
+"self_starts":2,"missed_rows":0,"ack_timeouts":44,"retry_drops":0,
+"anchor_rejections":2,"forced_trigger_losses":2,"recovery_samples":2}],
+"fault_backbone_drops":12,"fault_backbone_dups":6,"fault_backbone_spikes":12,
+"fault_interference_bursts":24,"fault_controller_outage_skips":0,
+"fault_forced_trigger_losses":10,"fault_forced_false_positives":0,
+"lifecycle_epochs":0,"lifecycle_rss_updates":0,"lifecycle_joins":0,
+"lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
 "lifecycle_join_rejections":0})";
 
 /// Two radio-isolated buildings, each a sensing AP pair with one client per
@@ -368,7 +368,7 @@ TEST(ResultCodec, PinnedBytesPartitionedCampusWithFaultsAndAudit) {
     const char* bytes;
     std::uint64_t checks_run;
   } cases[] = {{Scheme::kDcf, kCampusDcfBytes, 6552},
-               {Scheme::kDomino, kCampusDominoBytes, 12783}};
+               {Scheme::kDomino, kCampusDominoBytes, 12764}};
   const auto t = two_building_campus();
   for (const auto& c : cases) {
     for (int threads : {1, 4}) {
@@ -397,110 +397,112 @@ TEST(ResultCodec, PinnedBytesPartitionedCampusWithFaultsAndAudit) {
 }
 
 // Serialized DOMINO results of the poll paths the per-AP slot table
-// replaced, captured from the build before it: the single-symbol legacy
+// replaced, captured from the build before it and re-taken when the
+// controller moved to batch-tagged AP reports: the single-symbol legacy
 // path (static, and under churn and roaming) and the static multi-symbol
 // rosters of a 26-client cell split over two poll symbols.
 constexpr const char* kLegacyStaticBytes = R"(
 {"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
-"throughput_bps":464213.33333333337,"mean_delay_us":30720.22482352941,
-"delivered":17},{"flow_id":1,"src":2,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":50056.139384615381,
+"throughput_bps":436906.66666666669,"mean_delay_us":16685.491000000002,
+"delivered":16},{"flow_id":1,"src":2,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":49911.923999999999,
 "delivered":13},{"flow_id":2,"src":0,"dst":3,"uplink":false,
-"throughput_bps":354986.66666666669,"mean_delay_us":48479.418769230768,
+"throughput_bps":354986.66666666669,"mean_delay_us":60623.203384615386,
 "delivered":13},{"flow_id":3,"src":3,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":50932.478999999999,
+"throughput_bps":354986.66666666669,"mean_delay_us":50788.263615384618,
 "delivered":13},{"flow_id":4,"src":0,"dst":4,"uplink":false,
-"throughput_bps":300373.33333333337,"mean_delay_us":44786.424636363634,
-"delivered":11},{"flow_id":5,"src":4,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":52164.531615384614,
+"throughput_bps":327680,"mean_delay_us":45559.735999999997,"delivered":12},
+{"flow_id":5,"src":4,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":52008.854692307694,
 "delivered":13},{"flow_id":6,"src":0,"dst":5,"uplink":false,
 "throughput_bps":273066.66666666669,"mean_delay_us":50842.813999999998,
 "delivered":10},{"flow_id":7,"src":5,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":53464.434692307696,
+"throughput_bps":354986.66666666669,"mean_delay_us":53200.596230769232,
 "delivered":13},{"flow_id":8,"src":0,"dst":6,"uplink":false,
-"throughput_bps":354986.66666666669,"mean_delay_us":68842.117076923067,
-"delivered":13},{"flow_id":9,"src":6,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":53738.156307692305,
+"throughput_bps":354986.66666666669,"mean_delay_us":68026.894,"delivered":13},
+{"flow_id":9,"src":6,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":53474.317846153848,
 "delivered":13},{"flow_id":10,"src":0,"dst":7,"uplink":false,
-"throughput_bps":354986.66666666669,"mean_delay_us":67271.90207692307,
+"throughput_bps":354986.66666666669,"mean_delay_us":71588.140538461535,
 "delivered":13},{"flow_id":11,"src":7,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":55548.461384615381,
+"throughput_bps":354986.66666666669,"mean_delay_us":55679.546000000002,
 "delivered":13},{"flow_id":12,"src":0,"dst":8,"uplink":false,
-"throughput_bps":300373.33333333337,"mean_delay_us":55469.738181818182,
-"delivered":11},{"flow_id":13,"src":8,"dst":0,"uplink":true,
-"throughput_bps":327680,"mean_delay_us":51923.146666666667,"delivered":12},
-{"flow_id":14,"src":0,"dst":9,"uplink":false,"throughput_bps":327680,
-"mean_delay_us":66266.876666666663,"delivered":12},{"flow_id":15,"src":9,
-"dst":0,"uplink":true,"throughput_bps":327680,
-"mean_delay_us":53250.199000000001,"delivered":12},{"flow_id":16,"src":0,
-"dst":10,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":57142.247615384615,"delivered":13},{"flow_id":17,"src":10,
-"dst":0,"uplink":true,"throughput_bps":327680,
-"mean_delay_us":53757.529333333339,"delivered":12},{"flow_id":18,"src":0,
+"throughput_bps":327680,"mean_delay_us":53000.144999999997,"delivered":12},
+{"flow_id":13,"src":8,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":55804.464615384619,
+"delivered":13},{"flow_id":14,"src":0,"dst":9,"uplink":false,
+"throughput_bps":354986.66666666669,"mean_delay_us":71390.233076923076,
+"delivered":13},{"flow_id":15,"src":9,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":57129.606692307694,
+"delivered":13},{"flow_id":16,"src":0,"dst":10,"uplink":false,
+"throughput_bps":327680,"mean_delay_us":66123.437999999995,"delivered":12},
+{"flow_id":17,"src":10,"dst":0,"uplink":true,"throughput_bps":327680,
+"mean_delay_us":54524.470999999998,"delivered":12},{"flow_id":18,"src":0,
 "dst":11,"uplink":false,"throughput_bps":327680,
-"mean_delay_us":59621.997333333333,"delivered":12},{"flow_id":19,"src":11,
+"mean_delay_us":64826.272333333334,"delivered":12},{"flow_id":19,"src":11,
 "dst":0,"uplink":true,"throughput_bps":327680,
-"mean_delay_us":54630.163333333338,"delivered":12},{"flow_id":20,"src":0,
+"mean_delay_us":55384.688333333339,"delivered":12},{"flow_id":20,"src":0,
 "dst":12,"uplink":false,"throughput_bps":327680,
-"mean_delay_us":71673.229333333322,"delivered":12},{"flow_id":21,"src":12,
+"mean_delay_us":70050.837666666674,"delivered":12},{"flow_id":21,"src":12,
 "dst":0,"uplink":true,"throughput_bps":327680,
-"mean_delay_us":55328.778666666665,"delivered":12},{"flow_id":22,"src":0,
+"mean_delay_us":56095.720333333338,"delivered":12},{"flow_id":22,"src":0,
 "dst":13,"uplink":false,"throughput_bps":327680,
-"mean_delay_us":70929.066000000006,"delivered":12},{"flow_id":23,"src":13,
+"mean_delay_us":68163.482666666678,"delivered":12},{"flow_id":23,"src":13,
 "dst":0,"uplink":true,"throughput_bps":327680,
-"mean_delay_us":56380.042666666661,"delivered":12},{"flow_id":24,"src":1,
-"dst":14,"uplink":false,"throughput_bps":300373.33333333337,
-"mean_delay_us":12359.049999999999,"delivered":11},{"flow_id":25,"src":14,
-"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":50317.574999999997,"delivered":13},{"flow_id":26,"src":1,
+"mean_delay_us":57186.042666666661,"delivered":12},{"flow_id":24,"src":1,
+"dst":14,"uplink":false,"throughput_bps":273066.66666666669,
+"mean_delay_us":11915.6,"delivered":10},{"flow_id":25,"src":14,"dst":1,
+"uplink":true,"throughput_bps":382293.33333333337,
+"mean_delay_us":52698.474999999999,"delivered":14},{"flow_id":26,"src":1,
 "dst":15,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":62187.29992307692,"delivered":13},{"flow_id":27,"src":15,
+"mean_delay_us":63626.107615384615,"delivered":13},{"flow_id":27,"src":15,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":51826.120615384614,"delivered":13},{"flow_id":28,"src":1,
+"mean_delay_us":50878.928307692302,"delivered":13},{"flow_id":28,"src":1,
 "dst":16,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":67061.506153846145,"delivered":13},{"flow_id":29,"src":16,
+"mean_delay_us":69355.313846153847,"delivered":13},{"flow_id":29,"src":16,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":52605.758153846153,"delivered":13},{"flow_id":30,"src":1,
-"dst":17,"uplink":false,"throughput_bps":327680,
-"mean_delay_us":48207.555666666667,"delivered":12},{"flow_id":31,"src":17,
+"mean_delay_us":51692.950461538465,"delivered":13},{"flow_id":30,"src":1,
+"dst":17,"uplink":false,"throughput_bps":354986.66666666669,
+"mean_delay_us":56553.177461538464,"delivered":13},{"flow_id":31,"src":17,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":53077.266692307698,"delivered":13},{"flow_id":32,"src":1,
+"mean_delay_us":52644.620538461539,"delivered":13},{"flow_id":32,"src":1,
 "dst":18,"uplink":false,"throughput_bps":273066.66666666669,
-"mean_delay_us":51570.889999999999,"delivered":10},{"flow_id":33,"src":18,
+"mean_delay_us":49867.940000000002,"delivered":10},{"flow_id":33,"src":18,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":53687.677307692305,"delivered":13},{"flow_id":34,"src":1,
-"dst":19,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":53979.623230769233,"delivered":13},{"flow_id":35,"src":19,
+"mean_delay_us":53615.569615384615,"delivered":13},{"flow_id":34,"src":1,
+"dst":19,"uplink":false,"throughput_bps":300373.33333333337,
+"mean_delay_us":55887.899454545455,"delivered":11},{"flow_id":35,"src":19,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":54106.788307692303,"delivered":13},{"flow_id":36,"src":1,
+"mean_delay_us":54478.788307692303,"delivered":13},{"flow_id":36,"src":1,
 "dst":20,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":70097.844076923066,"delivered":13},{"flow_id":37,"src":20,
+"mean_delay_us":69839.690230769236,"delivered":13},{"flow_id":37,"src":20,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":54301.47592307692,"delivered":13},{"flow_id":38,"src":1,
+"mean_delay_us":54673.47592307692,"delivered":13},{"flow_id":38,"src":1,
 "dst":21,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":69306.392538461543,"delivered":13},{"flow_id":39,"src":21,
+"mean_delay_us":65717.007923076919,"delivered":13},{"flow_id":39,"src":21,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":55249.192000000003,"delivered":13},{"flow_id":40,"src":1,
-"dst":22,"uplink":false,"throughput_bps":300373.33333333337,
-"mean_delay_us":54071.048818181822,"delivered":11},{"flow_id":41,"src":22,
+"mean_delay_us":55621.192000000003,"delivered":13},{"flow_id":40,"src":1,
+"dst":22,"uplink":false,"throughput_bps":273066.66666666669,
+"mean_delay_us":56284.597000000002,"delivered":10},{"flow_id":41,"src":22,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":55911.228615384614,"delivered":13},{"flow_id":42,"src":1,
-"dst":23,"uplink":false,"throughput_bps":300373.33333333337,
-"mean_delay_us":49872.261090909094,"delivered":11},{"flow_id":43,"src":23,
-"dst":1,"uplink":true,"throughput_bps":327680,
-"mean_delay_us":53240.271666666667,"delivered":12},{"flow_id":44,"src":1,
-"dst":24,"uplink":false,"throughput_bps":327680,
-"mean_delay_us":69967.382666666672,"delivered":12},{"flow_id":45,"src":24,
-"dst":1,"uplink":true,"throughput_bps":327680,
-"mean_delay_us":54413.918666666665,"delivered":12},{"flow_id":46,"src":1,
-"dst":25,"uplink":false,"throughput_bps":327680,
-"mean_delay_us":55814.953999999998,"delivered":12},{"flow_id":47,"src":25,
-"dst":1,"uplink":true,"throughput_bps":327680,"mean_delay_us":55694.659,
-"delivered":12}],"aggregate_throughput_bps":16274773.333333325,
-"jain_fairness":0.99280028619980187,"mean_delay_us":55032.458278523489,
+"mean_delay_us":56643.767076923083,"delivered":13},{"flow_id":42,"src":1,
+"dst":23,"uplink":false,"throughput_bps":354986.66666666669,
+"mean_delay_us":55103.098153846149,"delivered":13},{"flow_id":43,"src":23,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":57628.37423076923,"delivered":13},{"flow_id":44,"src":1,
+"dst":24,"uplink":false,"throughput_bps":354986.66666666669,
+"mean_delay_us":74021.427538461532,"delivered":13},{"flow_id":45,"src":24,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":58823.748153846151,"delivered":13},{"flow_id":46,"src":1,
+"dst":25,"uplink":false,"throughput_bps":354986.66666666669,
+"mean_delay_us":55208.14246153846,"delivered":13},{"flow_id":47,"src":25,
+"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
+"mean_delay_us":60102.578230769235,"delivered":13}],
+"aggregate_throughput_bps":16493226.666666655,
+"jain_fairness":0.99324795260498144,"mean_delay_us":56300.832705298017,
 "ack_timeouts":0,"mac_drops":0,"census_hidden":0,"census_exposed":0,
 "census_total":576,"domino_self_starts":2,"domino_missed_rows":0,
-"domino_rows_executed":619,"domino_untriggerable":0,"domino_batches":42,
+"domino_rows_executed":620,"domino_untriggerable":0,"domino_batches":32,
 "domino_retry_drops":0,"domino_anchor_rejections":0,
 "domino_forced_trigger_losses":0,"domino_controller_outage_skips":0,
 "recovery_slots":[],"ap_health":[{"ap":0,"self_starts":1,"missed_rows":0,
@@ -516,53 +518,53 @@ constexpr const char* kLegacyStaticBytes = R"(
 "lifecycle_join_rejections":0})";
 
 constexpr const char* kLegacyChurnRoamBytes = R"(
-{"links":[{"flow_id":0,"src":0,"dst":4,"uplink":false,
-"throughput_bps":788480,"mean_delay_us":28960.123688311687,"delivered":77},
-{"flow_id":1,"src":4,"dst":0,"uplink":true,"throughput_bps":808960,
-"mean_delay_us":39103.997075949366,"delivered":79},{"flow_id":2,"src":0,
-"dst":5,"uplink":false,"throughput_bps":1658880,
-"mean_delay_us":98108.475234567901,"delivered":162},{"flow_id":3,"src":5,
-"dst":0,"uplink":true,"throughput_bps":921600,
-"mean_delay_us":14899.636444444444,"delivered":90},{"flow_id":4,"src":1,
-"dst":6,"uplink":false,"throughput_bps":2908160,
-"mean_delay_us":45635.353422535212,"delivered":284},{"flow_id":5,"src":6,
+{"links":[{"flow_id":0,"src":0,"dst":4,"uplink":false,"throughput_bps":686080,
+"mean_delay_us":23874.393731343283,"delivered":67},{"flow_id":1,"src":4,
+"dst":0,"uplink":true,"throughput_bps":808960,
+"mean_delay_us":31293.42365822785,"delivered":79},{"flow_id":2,"src":0,
+"dst":5,"uplink":false,"throughput_bps":1556480,
+"mean_delay_us":108306.89242105263,"delivered":152},{"flow_id":3,"src":5,
+"dst":0,"uplink":true,"throughput_bps":911360,
+"mean_delay_us":13760.898067415732,"delivered":89},{"flow_id":4,"src":1,
+"dst":6,"uplink":false,"throughput_bps":2969600,
+"mean_delay_us":40271.359965517237,"delivered":290},{"flow_id":5,"src":6,
 "dst":1,"uplink":true,"throughput_bps":962560,
-"mean_delay_us":9029.9135957446815,"delivered":94},{"flow_id":6,"src":1,
-"dst":7,"uplink":false,"throughput_bps":1372160,
-"mean_delay_us":60109.738582089551,"delivered":134},{"flow_id":7,"src":7,
-"dst":1,"uplink":true,"throughput_bps":552960,
-"mean_delay_us":26811.68414814815,"delivered":54},{"flow_id":8,"src":2,
-"dst":8,"uplink":false,"throughput_bps":471040,
-"mean_delay_us":58756.190086956522,"delivered":46},{"flow_id":9,"src":8,
-"dst":2,"uplink":true,"throughput_bps":317440,
-"mean_delay_us":12805.072967741935,"delivered":31},{"flow_id":10,"src":2,
-"dst":9,"uplink":false,"throughput_bps":686080,
-"mean_delay_us":71155.631985074622,"delivered":67},{"flow_id":11,"src":9,
-"dst":2,"uplink":true,"throughput_bps":583680,
-"mean_delay_us":55277.140315789475,"delivered":57},{"flow_id":12,"src":3,
-"dst":10,"uplink":false,"throughput_bps":2396160,
-"mean_delay_us":34810.931119658118,"delivered":234},{"flow_id":13,"src":10,
+"mean_delay_us":7353.5648723404256,"delivered":94},{"flow_id":6,"src":1,
+"dst":7,"uplink":false,"throughput_bps":1495040,
+"mean_delay_us":58242.42075342466,"delivered":146},{"flow_id":7,"src":7,
+"dst":1,"uplink":true,"throughput_bps":727040,
+"mean_delay_us":11955.619380281691,"delivered":71},{"flow_id":8,"src":2,
+"dst":8,"uplink":false,"throughput_bps":440320,
+"mean_delay_us":60671.410627906975,"delivered":43},{"flow_id":9,"src":8,
+"dst":2,"uplink":true,"throughput_bps":337920,
+"mean_delay_us":18685.683818181817,"delivered":33},{"flow_id":10,"src":2,
+"dst":9,"uplink":false,"throughput_bps":552960,
+"mean_delay_us":72320.9178888889,"delivered":54},{"flow_id":11,"src":9,
+"dst":2,"uplink":true,"throughput_bps":757760,
+"mean_delay_us":24741.766702702702,"delivered":74},{"flow_id":12,"src":3,
+"dst":10,"uplink":false,"throughput_bps":2785280,
+"mean_delay_us":29376.386970588235,"delivered":272},{"flow_id":13,"src":10,
 "dst":3,"uplink":true,"throughput_bps":931840,
-"mean_delay_us":12530.312395604396,"delivered":91},{"flow_id":14,"src":3,
-"dst":11,"uplink":false,"throughput_bps":3020800,
-"mean_delay_us":67252.325322033896,"delivered":295},{"flow_id":15,"src":11,
-"dst":3,"uplink":true,"throughput_bps":931840,
-"mean_delay_us":11855.331098901099,"delivered":91}],
-"aggregate_throughput_bps":19312640,"jain_fairness":0.68186411929970925,
-"mean_delay_us":46175.889439024388,"ack_timeouts":47,"mac_drops":0,
+"mean_delay_us":7184.5772307692314,"delivered":91},{"flow_id":14,"src":3,
+"dst":11,"uplink":false,"throughput_bps":3102720,
+"mean_delay_us":67122.314184818475,"delivered":303},{"flow_id":15,"src":11,
+"dst":3,"uplink":true,"throughput_bps":983040,
+"mean_delay_us":7461.2654166666671,"delivered":96}],
+"aggregate_throughput_bps":20008960,"jain_fairness":0.67094101802804862,
+"mean_delay_us":42037.635264073695,"ack_timeouts":37,"mac_drops":0,
 "census_hidden":0,"census_exposed":0,"census_total":80,
-"domino_self_starts":291,"domino_missed_rows":2,"domino_rows_executed":2241,
-"domino_untriggerable":132,"domino_batches":89,"domino_retry_drops":3,
-"domino_anchor_rejections":159,"domino_forced_trigger_losses":0,
+"domino_self_starts":261,"domino_missed_rows":3,"domino_rows_executed":2269,
+"domino_untriggerable":113,"domino_batches":81,"domino_retry_drops":0,
+"domino_anchor_rejections":117,"domino_forced_trigger_losses":0,
 "domino_controller_outage_skips":0,"recovery_slots":[],"ap_health":[{"ap":0,
-"self_starts":80,"missed_rows":2,"ack_timeouts":1,"retry_drops":0,
-"anchor_rejections":2,"forced_trigger_losses":0,"recovery_samples":0},
-{"ap":1,"self_starts":130,"missed_rows":0,"ack_timeouts":0,"retry_drops":0,
-"anchor_rejections":130,"forced_trigger_losses":0,"recovery_samples":0},
-{"ap":2,"self_starts":72,"missed_rows":0,"ack_timeouts":29,"retry_drops":2,
-"anchor_rejections":0,"forced_trigger_losses":0,"recovery_samples":0},
-{"ap":3,"self_starts":9,"missed_rows":0,"ack_timeouts":8,"retry_drops":1,
-"anchor_rejections":27,"forced_trigger_losses":0,"recovery_samples":0}],
+"self_starts":79,"missed_rows":0,"ack_timeouts":3,"retry_drops":0,
+"anchor_rejections":0,"forced_trigger_losses":0,"recovery_samples":0},{"ap":1,
+"self_starts":110,"missed_rows":0,"ack_timeouts":0,"retry_drops":0,
+"anchor_rejections":94,"forced_trigger_losses":0,"recovery_samples":0},
+{"ap":2,"self_starts":70,"missed_rows":3,"ack_timeouts":17,"retry_drops":0,
+"anchor_rejections":0,"forced_trigger_losses":0,"recovery_samples":0},{"ap":3,
+"self_starts":2,"missed_rows":0,"ack_timeouts":5,"retry_drops":0,
+"anchor_rejections":19,"forced_trigger_losses":0,"recovery_samples":0}],
 "fault_backbone_drops":0,"fault_backbone_dups":0,"fault_backbone_spikes":0,
 "fault_interference_bursts":0,"fault_controller_outage_skips":0,
 "fault_forced_trigger_losses":0,"fault_forced_false_positives":0,
@@ -572,112 +574,112 @@ constexpr const char* kLegacyChurnRoamBytes = R"(
 
 constexpr const char* kMultiSymbolDenseBytes = R"(
 {"links":[{"flow_id":0,"src":0,"dst":1,"uplink":false,
-"throughput_bps":238933.33333333334,"mean_delay_us":9547.4811428571429,
-"delivered":7},{"flow_id":1,"src":1,"dst":0,"uplink":true,
-"throughput_bps":0,"mean_delay_us":0,"delivered":0},{"flow_id":2,"src":0,
-"dst":2,"uplink":false,"throughput_bps":170666.66666666669,
-"mean_delay_us":42590.879000000001,"delivered":5},{"flow_id":3,"src":2,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":46152.661,"delivered":5},{"flow_id":4,"src":0,"dst":3,
-"uplink":false,"throughput_bps":136533.33333333334,
-"mean_delay_us":41193.122000000003,"delivered":4},{"flow_id":5,"src":3,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":47150.214,"delivered":5},{"flow_id":6,"src":0,"dst":4,
-"uplink":false,"throughput_bps":136533.33333333334,
-"mean_delay_us":42470.101999999999,"delivered":4},{"flow_id":7,"src":4,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":47888.993999999999,"delivered":5},{"flow_id":8,"src":0,
-"dst":5,"uplink":false,"throughput_bps":136533.33333333334,
-"mean_delay_us":42709.438999999998,"delivered":4},{"flow_id":9,"src":5,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":49052.779000000002,"delivered":5},{"flow_id":10,"src":0,
-"dst":6,"uplink":false,"throughput_bps":170666.66666666669,
-"mean_delay_us":49800.286,"delivered":5},{"flow_id":11,"src":6,"dst":0,
-"uplink":true,"throughput_bps":170666.66666666669,"mean_delay_us":49608.82,
+"throughput_bps":170666.66666666669,"mean_delay_us":3665.7640000000001,
+"delivered":5},{"flow_id":1,"src":1,"dst":0,"uplink":true,"throughput_bps":0,
+"mean_delay_us":0,"delivered":0},{"flow_id":2,"src":0,"dst":2,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":49571.398999999998,
+"delivered":5},{"flow_id":3,"src":2,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":45965.180999999997,
+"delivered":5},{"flow_id":4,"src":0,"dst":3,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":47967.866999999998,
+"delivered":5},{"flow_id":5,"src":3,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":46929.733999999997,
+"delivered":5},{"flow_id":6,"src":0,"dst":4,"uplink":false,
+"throughput_bps":136533.33333333334,"mean_delay_us":42470.101999999999,
+"delivered":4},{"flow_id":7,"src":4,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":47607.773999999998,
+"delivered":5},{"flow_id":8,"src":0,"dst":5,"uplink":false,
+"throughput_bps":136533.33333333334,"mean_delay_us":42709.438999999998,
+"delivered":4},{"flow_id":9,"src":5,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":48677.819000000003,
+"delivered":5},{"flow_id":10,"src":0,"dst":6,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":54803.485999999997,
+"delivered":5},{"flow_id":11,"src":6,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":49702.559999999998,
 "delivered":5},{"flow_id":12,"src":0,"dst":7,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":45174.68,"delivered":5},
-{"flow_id":13,"src":7,"dst":0,"uplink":true,"throughput_bps":0,
-"mean_delay_us":0,"delivered":0},{"flow_id":14,"src":0,"dst":8,
-"uplink":false,"throughput_bps":170666.66666666669,
-"mean_delay_us":46688.599000000002,"delivered":5},{"flow_id":15,"src":8,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":51631.142999999996,"delivered":5},{"flow_id":16,"src":0,
-"dst":9,"uplink":false,"throughput_bps":170666.66666666669,
-"mean_delay_us":56527.875999999997,"delivered":5},{"flow_id":17,"src":9,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":54401.343999999997,"delivered":5},{"flow_id":18,"src":0,
-"dst":10,"uplink":false,"throughput_bps":170666.66666666669,
-"mean_delay_us":39076.959999999999,"delivered":5},{"flow_id":19,"src":10,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":52126.425999999999,"delivered":5},{"flow_id":20,"src":0,
-"dst":11,"uplink":false,"throughput_bps":170666.66666666669,
-"mean_delay_us":57363.542000000001,"delivered":5},{"flow_id":21,"src":11,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":53832.095999999998,"delivered":5},{"flow_id":22,"src":0,
-"dst":12,"uplink":false,"throughput_bps":136533.33333333334,
-"mean_delay_us":48240.025999999998,"delivered":4},{"flow_id":23,"src":12,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":54437.252999999997,"delivered":5},{"flow_id":24,"src":0,
-"dst":13,"uplink":false,"throughput_bps":170666.66666666669,
-"mean_delay_us":55179.377999999997,"delivered":5},{"flow_id":25,"src":13,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":55773.826000000001,"delivered":5},{"flow_id":26,"src":0,
-"dst":14,"uplink":false,"throughput_bps":170666.66666666669,
-"mean_delay_us":50326.398999999998,"delivered":5},{"flow_id":27,"src":14,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":56521.563000000002,"delivered":5},{"flow_id":28,"src":0,
-"dst":15,"uplink":false,"throughput_bps":170666.66666666669,
-"mean_delay_us":59509.614999999998,"delivered":5},{"flow_id":29,"src":15,
-"dst":0,"uplink":true,"throughput_bps":170666.66666666669,
-"mean_delay_us":57852.042000000001,"delivered":5},{"flow_id":30,"src":0,
-"dst":16,"uplink":false,"throughput_bps":170666.66666666669,
-"mean_delay_us":49583.962,"delivered":5},{"flow_id":31,"src":16,"dst":0,
-"uplink":true,"throughput_bps":170666.66666666669,"mean_delay_us":58833.913,
+"throughput_bps":170666.66666666669,"mean_delay_us":52502.419999999998,
+"delivered":5},{"flow_id":13,"src":7,"dst":0,"uplink":true,"throughput_bps":0,
+"mean_delay_us":0,"delivered":0},{"flow_id":14,"src":0,"dst":8,"uplink":false,
+"throughput_bps":136533.33333333334,"mean_delay_us":45544.624000000003,
+"delivered":4},{"flow_id":15,"src":8,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":51410.663,"delivered":5},
+{"flow_id":16,"src":0,"dst":9,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":56102.595999999998,
+"delivered":5},{"flow_id":17,"src":9,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":53745.163999999997,
+"delivered":5},{"flow_id":18,"src":0,"dst":10,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":55854.879999999997,
+"delivered":5},{"flow_id":19,"src":10,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":51905.946000000004,
+"delivered":5},{"flow_id":20,"src":0,"dst":11,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":57552.661999999997,
+"delivered":5},{"flow_id":21,"src":11,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":53644.616000000002,
+"delivered":5},{"flow_id":22,"src":0,"dst":12,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":56142.076000000001,
+"delivered":5},{"flow_id":23,"src":12,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":54784.472999999998,
+"delivered":5},{"flow_id":24,"src":0,"dst":13,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":57277.697999999997,
+"delivered":5},{"flow_id":25,"src":13,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":55553.345999999998,
+"delivered":5},{"flow_id":26,"src":0,"dst":14,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":61856.858999999997,
+"delivered":5},{"flow_id":27,"src":14,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":56769.783000000003,
+"delivered":5},{"flow_id":28,"src":0,"dst":15,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":48493.834999999999,
+"delivered":5},{"flow_id":29,"src":15,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":58100.262000000002,
+"delivered":5},{"flow_id":30,"src":0,"dst":16,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":49865.182000000001,
+"delivered":5},{"flow_id":31,"src":16,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":59115.133000000002,
 "delivered":5},{"flow_id":32,"src":0,"dst":17,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":48062.148000000001,
-"delivered":5},{"flow_id":33,"src":17,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":59314.256999999998,
+"throughput_bps":170666.66666666669,"mean_delay_us":62993.108,"delivered":5},
+{"flow_id":33,"src":17,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":60130.177000000003,
 "delivered":5},{"flow_id":34,"src":0,"dst":18,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":65178.999000000003,
+"throughput_bps":170666.66666666669,"mean_delay_us":66027.918999999994,
 "delivered":5},{"flow_id":35,"src":18,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":60021.224000000002,
-"delivered":5},{"flow_id":36,"src":0,"dst":19,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":61309.302000000003,
+"throughput_bps":170666.66666666669,"mean_delay_us":60903.144,"delivered":5},
+{"flow_id":36,"src":0,"dst":19,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":63968.421999999999,
 "delivered":5},{"flow_id":37,"src":19,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":60778.233999999997,
+"throughput_bps":170666.66666666669,"mean_delay_us":61495.154000000002,
 "delivered":5},{"flow_id":38,"src":0,"dst":20,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":52912.294999999998,
-"delivered":5},{"flow_id":39,"src":20,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":62267.669999999998,
+"throughput_bps":102400,"mean_delay_us":45338.581666666665,"delivered":3},
+{"flow_id":39,"src":20,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":62797.110000000001,
 "delivered":5},{"flow_id":40,"src":0,"dst":21,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":56568.716999999997,
+"throughput_bps":136533.33333333334,"mean_delay_us":57740.466999999997,
 "delivered":4},{"flow_id":41,"src":21,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":62480.254999999997,
+"throughput_bps":170666.66666666669,"mean_delay_us":62915.955000000002,
 "delivered":5},{"flow_id":42,"src":0,"dst":22,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":57507.478000000003,
-"delivered":4},{"flow_id":43,"src":22,"dst":0,"uplink":true,
-"throughput_bps":136533.33333333334,"mean_delay_us":53144.839,
-"delivered":4},{"flow_id":44,"src":0,"dst":23,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":58643.875,
-"delivered":4},{"flow_id":45,"src":23,"dst":0,"uplink":true,
-"throughput_bps":136533.33333333334,"mean_delay_us":54583.576999999997,
-"delivered":4},{"flow_id":46,"src":0,"dst":24,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":59982.281999999999,
-"delivered":4},{"flow_id":47,"src":24,"dst":0,"uplink":true,
-"throughput_bps":136533.33333333334,"mean_delay_us":55210.103000000003,
+"throughput_bps":170666.66666666669,"mean_delay_us":65860.907999999996,
+"delivered":5},{"flow_id":43,"src":22,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":63714.669000000002,
+"delivered":5},{"flow_id":44,"src":0,"dst":23,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":64843.504999999997,
+"delivered":5},{"flow_id":45,"src":23,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":65186.406999999999,
+"delivered":5},{"flow_id":46,"src":0,"dst":24,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":72071.611999999994,
+"delivered":5},{"flow_id":47,"src":24,"dst":0,"uplink":true,
+"throughput_bps":136533.33333333334,"mean_delay_us":56381.853000000003,
 "delivered":4},{"flow_id":48,"src":0,"dst":25,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":60587.281999999999,
+"throughput_bps":136533.33333333334,"mean_delay_us":61759.031999999999,
 "delivered":4},{"flow_id":49,"src":25,"dst":0,"uplink":true,
-"throughput_bps":136533.33333333334,"mean_delay_us":56567.726000000002,
+"throughput_bps":136533.33333333334,"mean_delay_us":57739.476000000002,
 "delivered":4},{"flow_id":50,"src":0,"dst":26,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":61588.576000000001,
+"throughput_bps":136533.33333333334,"mean_delay_us":62760.326000000001,
 "delivered":4},{"flow_id":51,"src":26,"dst":0,"uplink":true,
-"throughput_bps":136533.33333333334,"mean_delay_us":57474.256000000001,
-"delivered":4}],"aggregate_throughput_bps":8089600,
-"jain_fairness":0.9483521307489704,"mean_delay_us":52277.494253164557,
+"throughput_bps":136533.33333333334,"mean_delay_us":58646.006000000001,
+"delivered":4}],"aggregate_throughput_bps":8157866.6666666688,
+"jain_fairness":0.95271532457135311,"mean_delay_us":55110.491150627611,
 "ack_timeouts":0,"mac_drops":0,"census_hidden":0,"census_exposed":0,
 "census_total":0,"domino_self_starts":1,"domino_missed_rows":0,
-"domino_rows_executed":247,"domino_untriggerable":0,"domino_batches":39,
+"domino_rows_executed":246,"domino_untriggerable":0,"domino_batches":26,
 "domino_retry_drops":0,"domino_anchor_rejections":0,
 "domino_forced_trigger_losses":0,"domino_controller_outage_skips":0,
 "recovery_slots":[],"ap_health":[{"ap":0,"self_starts":1,"missed_rows":0,
@@ -744,10 +746,10 @@ std::uint64_t fnv1a(const std::string& s) {
 
 /// The e2ebench fig14 point shape: a random T(20,3) draw in an 800 m
 /// square, 10 Mbps downlink per client, run as DCF and as DOMINO (here for
-/// 100 ms). Draw 1005 is one of those whose DOMINO run trips the auditor's
-/// converter.rop-sharing check (ROADMAP item 1), so the pin runs unaudited.
-/// Digests were taken before the converter, traffic and DOMINO MAC moved
-/// onto flat tables; the results must not change.
+/// 100 ms). Draw 1005 is one whose forced ROP placement used to break
+/// converter.rop-sharing; the pin runs unaudited whatever DMN_AUDIT says.
+/// The DOMINO digests were re-taken when forced placement began to pick a
+/// shareable boundary and the controller moved to batch-tagged reports.
 TEST(ResultCodec, PinnedBytesFig14Draws) {
   struct Pin {
     std::uint64_t draw;
@@ -757,9 +759,9 @@ TEST(ResultCodec, PinnedBytesFig14Draws) {
   };
   const Pin pins[] = {
       {1000, Scheme::kDcf, 8011, 0x7d39a1febb72f560ull},
-      {1000, Scheme::kDomino, 11074, 0x67163fe056c7caf1ull},
+      {1000, Scheme::kDomino, 11064, 0xcae4354d81f14341ull},
       {1005, Scheme::kDcf, 8006, 0x9489801f912fccfaull},
-      {1005, Scheme::kDomino, 11066, 0x99997fa1b9c3de8eull},
+      {1005, Scheme::kDomino, 11056, 0xfaf4c583d7f847a7ull},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE("draw " + std::to_string(pin.draw) + " " +
