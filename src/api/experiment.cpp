@@ -14,7 +14,6 @@
 #include "topo/conflict_graph.h"
 #include "topo/partition.h"
 #include "traffic/flow_stats.h"
-#include "traffic/udp_source.h"
 
 namespace dmn::api {
 
@@ -29,7 +28,8 @@ const char* to_string(Scheme s) {
 }
 
 // The facade owns the scheme-independent substrate — simulator, mediums,
-// traffic sources/sinks, flow statistics — and delegates scheme assembly to
+// traffic (CBR arrival processes attached to the MAC queues, TCP endpoints),
+// flow statistics — and delegates scheme assembly to
 // the SchemeStack make_stack() picks for cfg.scheme (see api/scheme_stack.h).
 //
 // Per-queue state (mediums, packet-id lanes, auditors, timeline recorders)
@@ -57,8 +57,8 @@ struct Experiment::Impl {
   std::vector<std::unique_ptr<phy::Medium>> mediums;
 
   /// Packet-id lanes, one per node queue with disjoint bases (q << 44); lane
-  /// 0 yields ids 1, 2, 3, ... Never resized after build_traffic — sources
-  /// hold references into it.
+  /// 0 yields ids 1, 2, 3, ... Never resized after build_traffic — arrival
+  /// processes and TCP endpoints hold references into it.
   std::vector<traffic::PacketIdGen> id_gens;
   traffic::FlowStats stats;
 
@@ -67,6 +67,11 @@ struct Experiment::Impl {
     bool uplink = false;
     double rate_bps = 0.0;
     bool saturate = false;
+    /// Node whose MAC queue holds the flow's CBR arrivals (kNoNode for TCP
+    /// and disabled flows). A roam moves a downlink flow to the new AP.
+    topo::NodeId holder = topo::kNoNode;
+
+    topo::NodeId client() const { return uplink ? flow.src : flow.dst; }
   };
   std::vector<FlowCtx> flows;
 
@@ -83,7 +88,6 @@ struct Experiment::Impl {
   /// built for the first time, so no partition worker ever runs the build.
   bool loop_started = false;
 
-  std::vector<std::unique_ptr<traffic::UdpSource>> udp_sources;
   std::map<traffic::FlowId, std::unique_ptr<traffic::TcpSender>> tcp_senders;
   std::map<traffic::FlowId, std::unique_ptr<traffic::TcpReceiver>>
       tcp_receivers;
@@ -240,42 +244,22 @@ struct Experiment::Impl {
   }
 
   void build_traffic() {
-    for (const FlowCtx& fc : flows) {
-      mac::MacEntity* src_mac = macs[static_cast<std::size_t>(fc.flow.src)];
-      // Source events (and everything they offer) belong to the source
-      // node's queue; the Scope below pins construction-time scheduling
-      // there. The per-source auditor is resolved once, by source node.
+    for (FlowCtx& fc : flows) {
+      // Everything a flow offers belongs to its source node's queue: its
+      // auditor and packet-id lane are resolved once, by source node, and
+      // the Scopes below pin construction-time scheduling there.
       audit::SimAuditor* aud = auditor_of(fc.flow.src);
-      const topo::NodeId flow_client = fc.uplink ? fc.flow.src : fc.flow.dst;
-      const bool flow_uplink = fc.uplink;
-      auto enqueue = [this, src_mac, aud, flow_client,
-                      flow_uplink](traffic::Packet p) {
-        mac::MacEntity* at = src_mac;
-        if (lifecycle) {
-          // Offers follow the client's live lifecycle state: an absent
-          // client generates no traffic (gated before any accounting, so
-          // the conservation ledger never sees the offer), and the AP
-          // endpoint re-resolves to the current association so a roam
-          // moves the flow with the client.
-          if (!topo.node_active(flow_client)) return false;
-          const topo::NodeId ap = topo.node(flow_client).ap;
-          if (flow_uplink) {
-            p.dst = ap;
-          } else {
-            p.src = ap;
-            at = macs[static_cast<std::size_t>(ap)];
-          }
-        }
-        stats.record_offered(p.flow);
-        if (!aud) return at->enqueue(std::move(p));
-        aud->on_offered(p);
-        const traffic::PacketId id = p.id;
-        const traffic::FlowId flow = p.flow;
-        const bool accepted = at->enqueue(std::move(p));
-        if (!accepted) aud->on_offer_rejected(id, flow);
-        return accepted;
-      };
       if (tcp()) {
+        mac::MacEntity* src_mac = macs[static_cast<std::size_t>(fc.flow.src)];
+        auto enqueue = [src_mac, aud](traffic::Packet p) {
+          if (!aud) return src_mac->enqueue(std::move(p));
+          aud->on_offered(p);
+          const traffic::PacketId id = p.id;
+          const traffic::FlowId flow = p.flow;
+          const bool accepted = src_mac->enqueue(std::move(p));
+          if (!accepted) aud->on_offer_rejected(id, flow);
+          return accepted;
+        };
         traffic::TcpParams tp = cfg.tcp;
         tp.mss_bytes = cfg.traffic.packet_bytes;
         tp.app_rate_bps = fc.saturate ? 0.0 : fc.rate_bps;
@@ -299,19 +283,56 @@ struct Experiment::Impl {
         tcp_senders[fc.flow.id] = std::move(sender);
         tcp_receivers[fc.flow.id] = std::move(receiver);
       } else {
-        // Saturated sources offer ~3x the PHY rate so the queue never runs
-        // dry; the cap keeps event counts sane.
+        // Saturated flows offer ~3x the PHY rate so the queue never runs
+        // dry; arrivals past a full queue cost a counter, not an event.
         const double rate =
             fc.saturate ? 3.0 * cfg.wifi.data_rate_bps : fc.rate_bps;
         if (rate <= 0.0) continue;
         stats.ensure_flow(fc.flow.id);
-        sim::Simulator::Scope scope(sim, queue_of(fc.flow.src));
-        auto src = std::make_unique<traffic::UdpSource>(
-            sim, fc.flow, rate, cfg.traffic.packet_bytes,
-            ids_for(fc.flow.src), enqueue);
-        src->start(usec(root.uniform(0, 1000)));
-        udp_sources.push_back(std::move(src));
+        traffic::CbrArrivals a;
+        a.flow = fc.flow;
+        a.bytes = cfg.traffic.packet_bytes;
+        a.interval = traffic::cbr_interval(rate, a.bytes);
+        a.next = usec(root.uniform(0, 1000));
+        a.ids = &ids_for(fc.flow.src);
+        a.observer = aud;
+        fc.holder = fc.flow.src;
+        if (lifecycle) fc.holder = follow_client_state(a, fc);
+        sim::Simulator::Scope scope(sim, queue_of(fc.holder));
+        macs[static_cast<std::size_t>(fc.holder)]->add_arrivals(a);
       }
+    }
+  }
+
+  /// Points a CBR flow's arrival process at its client's lifecycle state:
+  /// an absent client offers nothing, and the AP endpoint follows the
+  /// association, so a roam moves a downlink flow to the new AP's queue and
+  /// retargets an uplink flow. Returns the node whose queue must hold it.
+  topo::NodeId follow_client_state(traffic::CbrArrivals& a,
+                                   const FlowCtx& fc) const {
+    const topo::NodeId client = fc.client();
+    a.active = topo.node_active(client);
+    if (!a.active) return fc.holder;  // parked until the client is back
+    const topo::NodeId ap = topo.node(client).ap;
+    if (fc.uplink) {
+      a.flow.dst = ap;
+      return fc.holder;
+    }
+    a.flow.src = ap;
+    return ap;
+  }
+
+  /// Lifecycle hook, after a client's join, leave or roam took effect:
+  /// its flows' arrivals up to now settle under the old state (each flow
+  /// keeps its own copy of it), the rest follow the new one.
+  void follow_client(topo::NodeId client) {
+    for (FlowCtx& fc : flows) {
+      if (fc.holder == topo::kNoNode || fc.client() != client) continue;
+      traffic::CbrArrivals a =
+          *macs[static_cast<std::size_t>(fc.holder)]->queue().take_arrivals(
+              fc.flow.id);
+      fc.holder = follow_client_state(a, fc);
+      macs[static_cast<std::size_t>(fc.holder)]->add_arrivals(a);
     }
   }
 
@@ -506,6 +527,7 @@ struct Experiment::Impl {
       h.reassociated = [this](topo::NodeId c) {
         for (auto& a : auditors) a->on_client_reassociated(c);
       };
+      h.membership_changed = [this](topo::NodeId c) { follow_client(c); };
       lifecycle->arm(std::move(h));
     }
     if (injector) injector->arm_mediums(mediums, cfg.duration);
@@ -515,6 +537,11 @@ struct Experiment::Impl {
     loop_started = true;
     const auto wall_loop = std::chrono::steady_clock::now();
     sim.run_until(cfg.duration);
+    // Account the CBR arrivals no MAC read before the horizon (drop
+    // counters, the auditor's offer ledger): every clock reads the horizon.
+    for (mac::MacEntity* m : macs) {
+      if (m != nullptr) m->queue().settle();
+    }
     const auto wall_end = std::chrono::steady_clock::now();
     if (sim.interrupted()) {
       throw ExperimentInterrupted(sim.now(), sim.events_executed());

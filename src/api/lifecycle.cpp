@@ -237,6 +237,7 @@ void LifecycleDriver::epoch_tick(TimeNs now) {
         // scheduling plane keeps its stale graph — the auditor's
         // converter.stale-association check must catch the next batch.
         topo_.set_association(c, target);
+        if (hooks_.membership_changed) hooks_.membership_changed(c);
         ++counters_.roams;
         last_roam_[c] = now;
         continue;
@@ -244,6 +245,7 @@ void LifecycleDriver::epoch_tick(TimeNs now) {
       if (hooks_.try_attach && hooks_.try_attach(c, target)) {
         topo_.set_association(c, target);
         if (hooks_.reassociated) hooks_.reassociated(c);
+        if (hooks_.membership_changed) hooks_.membership_changed(c);
         ++counters_.roams;
         last_roam_[c] = now;
         graph_dirty_ = true;
@@ -271,6 +273,7 @@ void LifecycleDriver::handle_leave(topo::NodeId node, TimeNs now) {
   topo_.set_node_active(node, false);
   isolate_rows(node);
   if (hooks_.lifecycle_note) hooks_.lifecycle_note(node, false, now);
+  if (hooks_.membership_changed) hooks_.membership_changed(node);
   graph_dirty_ = true;
   flush();
 }
@@ -301,6 +304,7 @@ void LifecycleDriver::handle_join(topo::NodeId node, TimeNs now) {
   topo_.set_association(node, target);
   if (hooks_.reassociated) hooks_.reassociated(node);
   if (hooks_.lifecycle_note) hooks_.lifecycle_note(node, true, now);
+  if (hooks_.membership_changed) hooks_.membership_changed(node);
   ++counters_.joins;
   last_roam_[node] = now;
   graph_dirty_ = true;

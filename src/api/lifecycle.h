@@ -55,6 +55,9 @@ class LifecycleDriver {
     std::function<void(topo::NodeId node, bool active, TimeNs now)>
         lifecycle_note;
     std::function<void(topo::NodeId client)> reassociated;
+    /// After a join, leave or roam of `client` took effect (topology and
+    /// stack both updated): its traffic follows the new state.
+    std::function<void(topo::NodeId client)> membership_changed;
   };
 
   /// `topo` is the experiment's OWNED mutable copy; the driver holds a

@@ -4,7 +4,7 @@
 // A SchemeStack owns everything specific to one channel-access scheme: the
 // per-node MAC entities, controllers, backbones and signature plans. The
 // Experiment facade owns the shared substrate (simulator, medium, topology,
-// conflict graph built on first use, traffic sources, flow stats) and hands
+// conflict graph built on first use, traffic, flow stats) and hands
 // it to the stack through a StackContext. make_stack() maps each Scheme
 // value to its stack; adding a scheme means one enum value, one make_stack
 // case, one to_string case and one file under src/api/stacks/.

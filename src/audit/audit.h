@@ -64,6 +64,7 @@
 #include "topo/conflict_graph.h"
 #include "topo/topology.h"
 #include "traffic/packet.h"
+#include "traffic/queue.h"
 
 namespace dmn::audit {
 
@@ -192,7 +193,8 @@ struct AuditSettings {
 };
 
 class SimAuditor final : public phy::MediumObserver,
-                         public domino::ScheduleObserver {
+                         public domino::ScheduleObserver,
+                         public traffic::OfferObserver {
  public:
   SimAuditor(sim::Simulator& sim, const topo::Topology& topo, AuditMode mode,
              AuditSettings settings);
@@ -225,11 +227,11 @@ class SimAuditor final : public phy::MediumObserver,
   /// In-band continuation authorizing `node` to transmit in `slot`.
   void on_continuation(std::uint64_t slot, topo::NodeId node, TimeNs t);
 
-  // ---- traffic hooks (facade) ---------------------------------------------
+  // ---- traffic hooks (MAC queues, the facade's TCP path) -------------------
   /// An application packet was offered to its source MAC.
-  void on_offered(const traffic::Packet& p);
+  void on_offered(const traffic::Packet& p) override;
   /// The source MAC rejected the offered packet (queue full).
-  void on_offer_rejected(traffic::PacketId id, traffic::FlowId flow);
+  void on_offer_rejected(traffic::PacketId id, traffic::FlowId flow) override;
   /// A data packet was delivered at its MAC destination. TCP ACKs are not
   /// routed here (they are reverse-path control, not generated app data).
   void on_delivered(const traffic::Packet& p, topo::NodeId at, TimeNs now);

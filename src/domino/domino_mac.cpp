@@ -214,11 +214,11 @@ DominoApMac::DominoApMac(sim::Simulator& sim, phy::Medium& medium,
                          DominoTrace* trace)
     : DominoNodeBase(sim, medium, node, timing, signatures, model,
                      std::move(rng), trace),
+      MacEntity(sim, node, timing.wifi.queue_capacity),
       rop_params_(rop_params),
       rop_model_(rop_params),
       deliver_(std::move(deliver)),
-      report_fn_(std::move(report_fn)),
-      queue_(timing.wifi.queue_capacity) {}
+      report_fn_(std::move(report_fn)) {}
 
 void DominoApMac::register_client(const ClientInfo& info) {
   unregister_client(info.client);  // idempotent entry replacement
@@ -247,11 +247,6 @@ std::vector<traffic::Packet> DominoApMac::extract_queued_for(
   std::optional<traffic::PacketId> exclude;
   if (awaiting_ack_valid_ && awaiting_peer_ == dst) exclude = awaiting_ack_;
   return queue_.extract_for(dst, exclude);
-}
-
-bool DominoApMac::enqueue(traffic::Packet p) {
-  p.enqueued = sim_.now();
-  return queue_.push(std::move(p));
 }
 
 DominoApMac::Row* DominoApMac::find_row(std::uint64_t g) {
@@ -635,7 +630,8 @@ void DominoApMac::prune_executed(std::uint64_t upto) {
 }
 
 void DominoApMac::prune_tx_attempts() {
-  // Packet ids are monotonic, so map order is age order: evict oldest.
+  // Packet ids rise with arrival time within a queue, so map order is age
+  // order: evict oldest.
   while (tx_attempts_.size() > kTxAttemptsCap) {
     tx_attempts_.erase(tx_attempts_.begin());
   }
@@ -856,15 +852,10 @@ DominoClientMac::DominoClientMac(sim::Simulator& sim, phy::Medium& medium,
                                  DominoTrace* trace)
     : DominoNodeBase(sim, medium, node, timing, signatures, model,
                      std::move(rng), trace),
+      MacEntity(sim, node, timing.wifi.queue_capacity),
       ap_(ap),
       slot_(slot),
-      deliver_(std::move(deliver)),
-      queue_(timing.wifi.queue_capacity) {}
-
-bool DominoClientMac::enqueue(traffic::Packet p) {
-  p.enqueued = sim_.now();
-  return queue_.push(std::move(p));
-}
+      deliver_(std::move(deliver)) {}
 
 void DominoClientMac::reassociate(topo::NodeId new_ap,
                                   const rop::PollSlot& slot) {

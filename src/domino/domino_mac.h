@@ -359,10 +359,6 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
     return it != seen_.end() && it->second.contains(id);
   }
 
-  // MacEntity.
-  bool enqueue(traffic::Packet p) override;
-  std::size_t queue_size() const override { return queue_.size(); }
-
   /// Controller dispatch (already backbone-delayed). Merges by slot index.
   /// Dropped while the AP is powered down (outage injection).
   void receive_plan(const ApSchedule& plan);
@@ -430,7 +426,6 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   std::function<void(const ApReport&)> report_fn_;
 
   std::vector<ClientInfo> clients_;
-  traffic::PacketQueue queue_;
   std::map<std::uint64_t, Row> rows_;
   /// Shared slot-lattice stretch: boundary slot -> poll symbols there.
   std::map<std::uint64_t, std::uint32_t> rop_boundaries_;
@@ -485,9 +480,6 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
                   const phy::SignatureDetectionModel& model, Rng rng,
                   mac::DeliveryFn deliver, DominoTrace* trace);
 
-  bool enqueue(traffic::Packet p) override;
-  std::size_t queue_size() const override { return queue_.size(); }
-
   std::uint64_t ack_timeouts() const { return ack_timeouts_; }
 
   // ---- lifecycle (roaming) -----------------------------------------------
@@ -528,7 +520,6 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
   topo::NodeId ap_;
   rop::PollSlot slot_;
   mac::DeliveryFn deliver_;
-  traffic::PacketQueue queue_;
 
   sim::EventHandle tx_event_;
   bool tx_scheduled_ = false;

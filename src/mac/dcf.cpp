@@ -7,20 +7,36 @@ namespace dmn::mac {
 
 DcfNode::DcfNode(sim::Simulator& sim, phy::Medium& medium, topo::NodeId node,
                  const WifiParams& params, Rng rng, DeliveryFn deliver)
-    : sim_(sim),
+    : MacEntity(sim, node, params.queue_capacity),
+      sim_(sim),
       radio_(medium, node, this),
       params_(params),
       rng_(std::move(rng)),
       deliver_(std::move(deliver)),
-      queue_(params.queue_capacity),
       cw_(params.cw_min),
       backoff_slots_(-1) {}
 
 bool DcfNode::enqueue(traffic::Packet p) {
-  p.enqueued = sim_.now();
-  const bool ok = queue_.push(std::move(p));
+  const bool ok = MacEntity::enqueue(std::move(p));
   if (ok && state_ == State::kIdle) start_access();
   return ok;
+}
+
+void DcfNode::on_arrivals_added() {
+  if (state_ == State::kIdle) go_idle();
+}
+
+void DcfNode::go_idle() {
+  state_ = State::kIdle;
+  sim_.cancel(wake_);
+  // A disabled node ignores arrivals; set_service_enabled(true) restarts
+  // access itself.
+  if (!service_enabled_) return;
+  const TimeNs at = queue_.next_arrival();
+  if (at == kTimeNever) return;
+  wake_ = sim_.schedule_at(at, [this] {
+    if (state_ == State::kIdle) start_access();
+  });
 }
 
 void DcfNode::set_service_enabled(bool enabled) {
@@ -35,14 +51,14 @@ void DcfNode::set_dest_filter(std::optional<topo::NodeId> dst) {
   if (state_ == State::kIdle) start_access();
 }
 
-const traffic::Packet* DcfNode::head() const {
+const traffic::Packet* DcfNode::head() {
   return dest_filter_.has_value() ? queue_.front_for(*dest_filter_)
                                   : queue_.front();
 }
 
 void DcfNode::start_access() {
   if (!service_enabled_ || head() == nullptr) {
-    state_ = State::kIdle;
+    go_idle();
     return;
   }
   if (backoff_slots_ < 0) {
@@ -114,7 +130,7 @@ void DcfNode::transmit_head() {
   }
   const traffic::Packet* hol = head();
   if (hol == nullptr) {
-    state_ = State::kIdle;
+    go_idle();
     return;
   }
   backoff_slots_ = -1;  // consumed

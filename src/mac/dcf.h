@@ -28,7 +28,6 @@ class DcfNode final : public MacEntity, public phy::MediumClient {
 
   // MacEntity ------------------------------------------------------------
   bool enqueue(traffic::Packet p) override;
-  std::size_t queue_size() const override { return queue_.size(); }
 
   // MediumClient ----------------------------------------------------------
   void on_frame_rx(const phy::Frame& frame, const phy::RxInfo& info) override;
@@ -43,7 +42,7 @@ class DcfNode final : public MacEntity, public phy::MediumClient {
   /// releases one scheduled link at a time).
   void set_dest_filter(std::optional<topo::NodeId> dst);
   /// Queued packets toward `dst`.
-  std::size_t queued_for(topo::NodeId dst) const {
+  std::size_t queued_for(topo::NodeId dst) {
     return queue_.count_for(dst);
   }
   /// Invoked when a head-of-line packet completes (delivered or dropped).
@@ -67,12 +66,15 @@ class DcfNode final : public MacEntity, public phy::MediumClient {
 
   // Introspection -----------------------------------------------------------
   std::uint64_t ack_timeouts() const { return ack_timeouts_; }
-  std::uint64_t drops() const { return retry_drops_ + queue_.dropped(); }
+  std::uint64_t drops() { return retry_drops_ + queue_.dropped(); }
   topo::NodeId node() const { return radio_.node(); }
 
  private:
   enum class State { kIdle, kWaitDifs, kBackoff, kTxData, kWaitAck };
 
+  void on_arrivals_added() override;
+  /// Enters kIdle and arms the wake for the queue's next CBR arrival.
+  void go_idle();
   void start_access();
   void begin_difs();
   void begin_backoff();
@@ -80,7 +82,7 @@ class DcfNode final : public MacEntity, public phy::MediumClient {
   void transmit_head();
   void on_ack_timeout();
   void head_done(bool success);
-  const traffic::Packet* head() const;
+  const traffic::Packet* head();
   bool medium_idle() const { return !radio_.virtual_busy(); }
   TimeNs current_ifs() const;
 
@@ -90,7 +92,6 @@ class DcfNode final : public MacEntity, public phy::MediumClient {
   Rng rng_;
   DeliveryFn deliver_;
 
-  traffic::PacketQueue queue_;
   State state_ = State::kIdle;
   bool service_enabled_ = true;
   std::optional<int> fixed_backoff_;
@@ -101,6 +102,10 @@ class DcfNode final : public MacEntity, public phy::MediumClient {
   int backoff_slots_ = 0;        // remaining full slots
   TimeNs backoff_resumed_at_ = 0;
   sim::EventHandle timer_;       // DIFS wait / backoff completion / ACK t.o.
+  /// An idle node's one event per empty->non-empty edge: its queue
+  /// materialises CBR arrivals only when read, so nothing else would tell
+  /// it a packet arrived.
+  sim::EventHandle wake_;
   TimeNs eifs_until_ = 0;        // defer-by-EIFS deadline after bad frame
 
   std::function<void(const traffic::Packet&, bool)> outcome_hook_;

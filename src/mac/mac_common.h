@@ -5,7 +5,8 @@
 #include <functional>
 
 #include "phy/transceiver.h"
-#include "traffic/packet.h"
+#include "sim/simulator.h"
+#include "traffic/queue.h"
 #include "util/time.h"
 
 namespace dmn::mac {
@@ -42,15 +43,41 @@ struct WifiParams {
 using DeliveryFn =
     std::function<void(const traffic::Packet&, topo::NodeId at, TimeNs now)>;
 
-/// Per-node MAC entity: the traffic layer enqueues into it.
+/// Per-node MAC entity. It owns the node's transmit queue, which the
+/// traffic layer feeds two ways: TCP pushes packets through enqueue(), and
+/// CBR flows attach their arrival processes with add_arrivals(). The queue
+/// runs on the node's clock (traffic/queue.h).
 class MacEntity {
  public:
+  MacEntity(const sim::Simulator& sim, topo::NodeId node,
+            std::size_t queue_capacity)
+      : queue_(queue_capacity, sim, node) {}
   virtual ~MacEntity() = default;
+  MacEntity(const MacEntity&) = delete;
+  MacEntity& operator=(const MacEntity&) = delete;
 
-  /// Accepts a packet for transmission; false when the queue dropped it.
-  virtual bool enqueue(traffic::Packet p) = 0;
+  /// Accepts a packet for transmission, stamping Packet::enqueued; false
+  /// when the queue dropped it.
+  virtual bool enqueue(traffic::Packet p) {
+    p.enqueued = queue_.now();
+    return queue_.push(std::move(p));
+  }
 
-  virtual std::size_t queue_size() const = 0;
+  /// Attaches a CBR flow's arrival process to this node's queue.
+  void add_arrivals(const traffic::CbrArrivals& a) {
+    queue_.add_arrivals(a);
+    on_arrivals_added();
+  }
+
+  traffic::PacketQueue& queue() { return queue_; }
+  std::size_t queue_size() { return queue_.size(); }
+
+ protected:
+  /// Called after add_arrivals. Only a MAC that reacts to an arrival by
+  /// itself (an idle DCF) needs it.
+  virtual void on_arrivals_added() {}
+
+  traffic::PacketQueue queue_;
 };
 
 }  // namespace dmn::mac

@@ -7,16 +7,11 @@ namespace dmn::omni {
 OmniNodeMac::OmniNodeMac(sim::Simulator& sim, phy::Medium& medium,
                          topo::NodeId node, const mac::WifiParams& params,
                          mac::DeliveryFn deliver)
-    : sim_(sim),
+    : MacEntity(sim, node, params.queue_capacity),
+      sim_(sim),
       radio_(medium, node, this),
       params_(params),
-      deliver_(std::move(deliver)),
-      queue_(params.queue_capacity) {}
-
-bool OmniNodeMac::enqueue(traffic::Packet p) {
-  p.enqueued = sim_.now();
-  return queue_.push(std::move(p));
-}
+      deliver_(std::move(deliver)) {}
 
 void OmniNodeMac::on_frame_rx(const phy::Frame& frame,
                               const phy::RxInfo& info) {
@@ -47,9 +42,9 @@ TimeNs OmniscientScheduler::slot_duration(std::size_t payload_bytes) const {
   return params_.data_airtime(payload_bytes) + params_.sifs;
 }
 
-std::size_t OmniscientScheduler::link_demand(topo::LinkId l) const {
+std::size_t OmniscientScheduler::link_demand(topo::LinkId l) {
   const topo::Link& link = graph_.link(l);
-  const OmniNodeMac* n = nodes_.at(static_cast<std::size_t>(link.sender));
+  OmniNodeMac* n = nodes_.at(static_cast<std::size_t>(link.sender));
   return n == nullptr ? 0 : n->queue().count_for(link.receiver);
 }
 

@@ -26,13 +26,8 @@ class OmniNodeMac final : public mac::MacEntity, public phy::MediumClient {
   OmniNodeMac(sim::Simulator& sim, phy::Medium& medium, topo::NodeId node,
               const mac::WifiParams& params, mac::DeliveryFn deliver);
 
-  bool enqueue(traffic::Packet p) override;
-  std::size_t queue_size() const override { return queue_.size(); }
-
   void on_frame_rx(const phy::Frame& frame, const phy::RxInfo& info) override;
 
-  traffic::PacketQueue& queue() { return queue_; }
-  const traffic::PacketQueue& queue() const { return queue_; }
   phy::Transceiver& radio() { return radio_; }
 
  private:
@@ -40,7 +35,6 @@ class OmniNodeMac final : public mac::MacEntity, public phy::MediumClient {
   phy::Transceiver radio_;
   mac::WifiParams params_;
   mac::DeliveryFn deliver_;
-  traffic::PacketQueue queue_;
 };
 
 class OmniscientScheduler {
@@ -57,7 +51,7 @@ class OmniscientScheduler {
 
  private:
   void run_slot();
-  std::size_t link_demand(topo::LinkId l) const;
+  std::size_t link_demand(topo::LinkId l);
 
   sim::Simulator& sim_;
   phy::Medium& medium_;

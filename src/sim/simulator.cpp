@@ -298,6 +298,12 @@ void Simulator::run_until(TimeNs until) {
       start = m1;
       if (have_prev && m1 > prev_end + 1) ++stats_.ff_jumps;
     }
+    // No queue holds an event before `start`, so every clock may read
+    // start - 1: across a fast-forward jump too, a wired peek sees a node
+    // as of the moment just before the window, not as of its last bound.
+    for (std::size_t i = 0; i < nq; ++i) {
+      if (queues_[i]->now() < start - 1) queues_[i]->set_now(start - 1);
+    }
     ++stats_.windows;
     // One queue has lookahead kTimeNever, so its window is bounded only by
     // the horizon.

@@ -17,7 +17,11 @@
 // floor). Per window:
 //   * the wired queue runs first, on the coordinator thread, while every
 //     node queue is parked at the barrier — so controller code may read
-//     AP MAC state synchronously without a data race;
+//     AP MAC state synchronously without a data race. A window starting
+//     at s first moves every clock to at least s - 1 (nothing is pending
+//     before s), so a parked node reads "just before this window" even
+//     after a fast-forward jump; node state judged by that clock
+//     (now_of_node) is exact at the peek;
 //   * node queues with work then run concurrently on the thread pool.
 // Any event executing at time t can only send cross-partition work at
 // >= t + lookahead, i.e. beyond every other queue's window bound, so no
@@ -167,6 +171,14 @@ class Simulator {
 
   /// Current simulation time (of the active queue).
   TimeNs now() const { return active().now(); }
+
+  /// Clock of the queue carrying `node`. State a node owns must be judged
+  /// by this clock even when another queue reads it: the wired queue runs
+  /// at a window barrier while the node's queue is parked at its own last
+  /// event, ahead of or behind the wired clock.
+  TimeNs now_of_node(std::size_t node) const {
+    return queues_[queue_of_node(node)]->now();
+  }
 
   /// Schedule `fn` to run at absolute time `at` (>= now()) on the active
   /// queue. Throws std::logic_error when `at` lies in the past. The

@@ -24,8 +24,6 @@ void FlowStats::record_delivery(const Packet& p, TimeNs now) {
   f.delay_sum_ns += static_cast<double>(now - p.enqueued);
 }
 
-void FlowStats::record_offered(FlowId flow) { ++slot(flow).offered; }
-
 std::uint64_t FlowStats::delivered(FlowId flow) const {
   const PerFlow* f = find(flow);
   return f == nullptr ? 0 : f->count;
@@ -34,11 +32,6 @@ std::uint64_t FlowStats::delivered(FlowId flow) const {
 std::uint64_t FlowStats::delivered_bytes(FlowId flow) const {
   const PerFlow* f = find(flow);
   return f == nullptr ? 0 : f->bytes;
-}
-
-std::uint64_t FlowStats::offered(FlowId flow) const {
-  const PerFlow* f = find(flow);
-  return f == nullptr ? 0 : f->offered;
 }
 
 double FlowStats::throughput_bps(FlowId flow, TimeNs duration) const {

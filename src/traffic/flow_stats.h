@@ -24,12 +24,8 @@ class FlowStats {
   /// arrival (TCP). Delay is measured from Packet::enqueued.
   void record_delivery(const Packet& p, TimeNs now);
 
-  /// Records an application-level offered packet (for loss accounting).
-  void record_offered(FlowId flow);
-
   std::uint64_t delivered(FlowId flow) const;
   std::uint64_t delivered_bytes(FlowId flow) const;
-  std::uint64_t offered(FlowId flow) const;
 
   /// Delivered bits / duration.
   double throughput_bps(FlowId flow, TimeNs duration) const;
@@ -50,7 +46,6 @@ class FlowStats {
   struct PerFlow {
     std::uint64_t count = 0;
     std::uint64_t bytes = 0;
-    std::uint64_t offered = 0;
     double delay_sum_ns = 0.0;
     bool registered = false;  // ensure_flow or a record_* call saw it
   };

@@ -38,10 +38,15 @@ struct Packet {
   bool tcp_is_ack = false;
 };
 
-/// Monotonically increasing packet id source. Partitioned runs use one
-/// generator per partition with disjoint base offsets (partition << 44), so
-/// ids stay globally unique without cross-partition coordination; the
-/// default base preserves the historical single-stream ids 1, 2, 3, ...
+/// Monotonically increasing packet id source, one lane per event queue with
+/// disjoint bases (queue << 44), so ids stay globally unique without
+/// cross-queue coordination; lane 0 yields 1, 2, 3, ... A MAC queue draws a
+/// CBR arrival's id when it materialises the arrival (traffic/queue.h), not
+/// at t_k, and only when it builds the packet: a drop nobody observes draws
+/// none. Ids therefore rise with arrival time within one queue but not
+/// across queues, and differ between audited and unaudited runs. They only
+/// feed equality checks (ACK matching, duplicate filters, the auditor's
+/// ledger) and the age order of one AP's own retry table, never a result.
 class PacketIdGen {
  public:
   explicit PacketIdGen(PacketId base = 0) : last_(base) {}

@@ -8,14 +8,18 @@
 // Sequence numbers count MSS-sized packets, not bytes.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 
 #include "sim/simulator.h"
 #include "traffic/packet.h"
-#include "traffic/udp_source.h"
 
 namespace dmn::traffic {
+
+/// Hands a freshly created segment or ACK to the MAC; returns false when
+/// the MAC queue dropped it (the sender treats that as a loss).
+using EnqueueFn = std::function<bool(Packet)>;
 
 struct TcpParams {
   double app_rate_bps = 10e6;  // application-limited rate; <=0 => saturated

@@ -120,6 +120,28 @@ TEST(Experiment, RateLimitedMatchesOffered) {
   EXPECT_LT(r.mean_delay_us, 5000.0);
 }
 
+// A CBR arrival costs no event of its own: once the queues stay full,
+// tripling the offered rate only adds drops, which are counters. The event
+// count is telemetry (never serialized), so this guards the cost model,
+// not a result.
+TEST(Experiment, SaturatedEventCountDoesNotScaleWithOfferedRate) {
+  for (const Scheme s : {Scheme::kDcf, Scheme::kDomino}) {
+    SCOPED_TRACE(to_string(s));
+    std::uint64_t events[2] = {0, 0};
+    const double rates[2] = {10e6, 30e6};
+    for (int i = 0; i < 2; ++i) {
+      ExperimentConfig cfg;
+      cfg.scheme = s;
+      cfg.duration = msec(300);
+      cfg.traffic.downlink_bps = rates[i];
+      events[i] = run_experiment(two_cells(), cfg).events_executed;
+    }
+    EXPECT_NEAR(static_cast<double>(events[1]),
+                static_cast<double>(events[0]),
+                0.01 * static_cast<double>(events[0]));
+  }
+}
+
 TEST(Experiment, TcpOverDcfConverges) {
   ExperimentConfig cfg;
   cfg.scheme = Scheme::kDcf;

@@ -343,6 +343,43 @@ TEST(Lifecycle, MobilityTriggersRoamAcrossSchemes) {
   }
 }
 
+// DCF bytes of the roam above, pinned against the build whose UDP sources
+// posted one event per packet and looked the AP up at every packet. Here
+// the roam itself moves the downlink flow's arrivals to the new AP's queue
+// and retargets the uplink flow, after both settle under the old
+// association.
+constexpr const char* kDcfRoamBytes = R"(
+{"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
+"throughput_bps":2301952,"mean_delay_us":40028.624395017796,
+"delivered":281},{"flow_id":1,"src":2,"dst":0,"uplink":true,
+"throughput_bps":974848,"mean_delay_us":24961.444798319328,"delivered":119},
+{"flow_id":2,"src":1,"dst":3,"uplink":false,"throughput_bps":3850240,
+"mean_delay_us":48847.843610638301,"delivered":470},{"flow_id":3,"src":3,
+"dst":1,"uplink":true,"throughput_bps":999424,
+"mean_delay_us":1084.8461803278688,"delivered":122}],
+"aggregate_throughput_bps":8126464,"jain_fairness":0.74798270630514496,
+"mean_delay_us":37610.174513104845,"ack_timeouts":77,"mac_drops":374,
+"census_hidden":0,"census_exposed":0,"census_total":0,
+"domino_self_starts":0,"domino_missed_rows":0,"domino_rows_executed":0,
+"domino_untriggerable":0,"domino_batches":0,"domino_retry_drops":0,
+"domino_anchor_rejections":0,"domino_forced_trigger_losses":0,
+"domino_controller_outage_skips":0,"recovery_slots":[],"ap_health":[],
+"fault_backbone_drops":0,"fault_backbone_dups":0,"fault_backbone_spikes":0,
+"fault_interference_bursts":0,"fault_controller_outage_skips":0,
+"fault_forced_trigger_losses":0,"fault_forced_false_positives":0,
+"lifecycle_epochs":24,"lifecycle_rss_updates":24,"lifecycle_joins":0,
+"lifecycle_leaves":0,"lifecycle_roams":1,"lifecycle_roam_rejections":0,
+"lifecycle_join_rejections":0})";
+
+TEST(Lifecycle, RoamMovesCbrArrivalsLikePerPacketSources) {
+  const auto t = floorplan(9, 2, 1);
+  const auto r = api::run_experiment(t, roaming_cfg(t, api::Scheme::kDcf));
+  EXPECT_EQ(r.lifecycle_roams, 1u);
+  std::string want(kDcfRoamBytes);
+  want.erase(std::remove(want.begin(), want.end(), '\n'), want.end());
+  EXPECT_EQ(api::serialize_result(r), want);
+}
+
 TEST(Lifecycle, RoamThenRetransmitKeepsUplinkFlowing) {
   // The roam-then-retransmit regression: a client roams to a new AP and
   // keeps sending uplink. Packet ids are globally unique, so the dedup

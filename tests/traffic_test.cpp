@@ -1,20 +1,23 @@
-// Unit tests: packet queues, UDP sources, flow statistics (Jain), the
-// wired backbone and the simplified TCP Reno.
+// Unit tests: packet queues and their CBR arrival processes (against an
+// eager per-packet-event reference), flow statistics (Jain), the wired
+// backbone and the simplified TCP Reno.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/simulator.h"
 #include "traffic/flow_stats.h"
 #include "traffic/queue.h"
 #include "traffic/tcp_reno.h"
-#include "traffic/udp_source.h"
 #include "util/rng.h"
 #include "wired/backbone.h"
 
@@ -168,55 +171,315 @@ TEST(FlowStatsTest, SparseFlowIdsReportOnlyRegisteredFlows) {
   p.bytes = 100;
   p.enqueued = usec(100);
   stats.record_delivery(p, usec(300));
-  stats.record_offered(2);
   EXPECT_EQ(stats.flows(), (std::vector<FlowId>{2, 5}));
-  EXPECT_EQ(stats.offered(2), 1u);
+  EXPECT_EQ(stats.delivered(2), 1u);
   EXPECT_EQ(stats.delivered(3), 0u);
-  EXPECT_EQ(stats.offered(99), 0u);
   EXPECT_DOUBLE_EQ(stats.mean_delay_us(3), 0.0);
   EXPECT_DOUBLE_EQ(stats.mean_delay_us_all(), 200.0);
   EXPECT_DOUBLE_EQ(stats.aggregate_throughput_bps(sec(1)), 800.0);
 }
 
-TEST(UdpSourceTest, GeneratesAtConfiguredRate) {
-  sim::Simulator sim;
-  PacketIdGen ids;
-  int count = 0;
-  UdpSource src(sim, Flow{0, 0, 1}, 1e6, 500, ids, [&](Packet) {
-    ++count;
-    return true;
-  });
-  src.start(0);
-  sim.run_until(sec(1));
-  // 1 Mbps of 500B packets = 250 packets/sec.
-  EXPECT_NEAR(count, 250, 2);
+// ---- CBR arrivals -----------------------------------------------------------
+
+/// Records what a queue offers, id-free: ('O' offered | 'R' rejected, flow,
+/// creation time). Ids differ between the lazy queue and the reference.
+struct OfferLog final : OfferObserver {
+  std::vector<std::tuple<char, FlowId, TimeNs>> entries;
+  std::map<PacketId, TimeNs> created_of;
+
+  void on_offered(const Packet& p) override {
+    entries.emplace_back('O', p.flow, p.created);
+    created_of[p.id] = p.created;
+  }
+  void on_offer_rejected(PacketId id, FlowId flow) override {
+    entries.emplace_back('R', flow, created_of.at(id));
+  }
+};
+
+CbrArrivals cbr(FlowId id, topo::NodeId dst, TimeNs start, TimeNs interval,
+                PacketIdGen& ids) {
+  CbrArrivals a;
+  a.flow = Flow{id, 0, dst};
+  a.bytes = 500;
+  a.interval = interval;
+  a.next = start;
+  a.ids = &ids;
+  return a;
 }
 
-TEST(UdpSourceTest, StopHalts) {
-  sim::Simulator sim;
-  PacketIdGen ids;
-  int count = 0;
-  UdpSource src(sim, Flow{0, 0, 1}, 1e6, 500, ids, [&](Packet) {
-    ++count;
-    return true;
-  });
-  src.start(0);
-  sim.schedule_at(msec(100), [&] { src.stop(); });
-  sim.run_until(sec(1));
-  EXPECT_NEAR(count, 25, 2);
+TEST(CbrArrivals, IntervalMatchesRate) {
+  // 1 Mbps of 500 B packets = one per 4 ms; 10 Mbps of 512 B = 409.6 us.
+  EXPECT_EQ(cbr_interval(1e6, 500), msec(4));
+  EXPECT_EQ(cbr_interval(10e6, 512), 409600);
+  EXPECT_EQ(cbr_interval(1e18, 512), 1);  // never a zero interval
 }
 
-TEST(UdpSourceTest, ZeroRateDisabled) {
+TEST(CbrArrivals, QueueMaterialisesAtConfiguredRate) {
   sim::Simulator sim;
   PacketIdGen ids;
-  int count = 0;
-  UdpSource src(sim, Flow{0, 0, 1}, 0.0, 500, ids, [&](Packet) {
-    ++count;
-    return true;
-  });
-  src.start(0);
+  PacketQueue q(1000, sim, 0);
+  q.add_arrivals(cbr(0, 1, 0, cbr_interval(1e6, 500), ids));
+  EXPECT_EQ(q.size(), 1u);  // t_0 = 0 is visible at t = 0
   sim.run_until(sec(1));
-  EXPECT_EQ(count, 0);
+  // Arrivals at 0, 4 ms, ..., 1 s, and no simulator event for any of them.
+  EXPECT_EQ(sim.events_executed(), 0u);
+  EXPECT_EQ(q.size(), 251u);
+  EXPECT_EQ(q.next_arrival(), sec(1) + msec(4));
+  const Packet* head = q.front();
+  ASSERT_NE(head, nullptr);
+  EXPECT_EQ(head->created, 0);
+  EXPECT_EQ(head->enqueued, 0);
+  EXPECT_EQ(head->bytes, 500u);
+}
+
+TEST(CbrArrivals, QueueWithoutArrivalProcessesStaysEmpty) {
+  // A zero-rate flow attaches no arrival process: nothing is ever
+  // materialised, and a queue without a clock takes no process at all.
+  sim::Simulator sim;
+  PacketQueue q(10, sim, 0);
+  sim.run_until(sec(1));
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.next_arrival(), kTimeNever);
+  PacketIdGen ids;
+  PacketQueue clockless(10);
+  EXPECT_THROW(clockless.add_arrivals(cbr(0, 1, 0, usec(10), ids)),
+               std::logic_error);
+}
+
+TEST(CbrArrivals, AbsentClientOffersNothingAndResumesOnItsLattice) {
+  sim::Simulator sim;
+  PacketIdGen ids;
+  OfferLog log;
+  PacketQueue q(1000, sim, 0);
+  CbrArrivals a = cbr(0, 1, usec(50), usec(100), ids);
+  a.active = false;  // the client starts absent
+  a.observer = &log;
+  q.add_arrivals(a);
+  EXPECT_EQ(q.next_arrival(), kTimeNever);
+  sim.post_at(msec(1), [&] {
+    // Join at 1 ms: the arrivals while absent are skipped, never offered.
+    CbrArrivals b = *q.take_arrivals(0);
+    EXPECT_EQ(b.next, usec(1050));
+    b.active = true;
+    q.add_arrivals(b);
+  });
+  sim.post_at(msec(2), [&] {
+    // Leave at 2 ms: arrivals up to the leave were offered.
+    EXPECT_EQ(q.size(), 10u);  // 1.05 ms, 1.15 ms, ..., 1.95 ms
+    CbrArrivals b = *q.take_arrivals(0);
+    b.active = false;
+    q.add_arrivals(b);
+  });
+  sim.run_until(msec(5));
+  q.settle();
+  EXPECT_EQ(q.size(), 10u);
+  EXPECT_EQ(log.entries.size(), 10u);
+  EXPECT_EQ(std::get<2>(log.entries.front()), usec(1050));
+  EXPECT_FALSE(q.take_arrivals(7).has_value());
+}
+
+/// Id-free identity of a queued packet.
+std::tuple<FlowId, topo::NodeId, topo::NodeId, TimeNs, TimeNs, std::size_t>
+key(const Packet& p) {
+  return {p.flow, p.src, p.dst, p.created, p.enqueued, p.bytes};
+}
+
+/// The per-packet-event model the lazy queue replaces: one simulator event
+/// per arrival offering a packet to a clockless queue when it fires, gated
+/// by the flow's live state like the facade's old source callback. Every
+/// arrival event is posted before any read, in (time, flow id) order, so a
+/// read at t sees every arrival at t.
+struct EagerReference {
+  struct FlowState {
+    CbrArrivals spec;
+    bool active;
+    topo::NodeId dst;
+  };
+  PacketQueue q;
+  PacketIdGen ids{PacketId{1} << 40};
+  OfferLog log;
+  std::vector<FlowState> flows;
+
+  EagerReference(sim::Simulator& sim, std::size_t capacity,
+                 const std::vector<CbrArrivals>& specs, TimeNs horizon)
+      : q(capacity) {
+    std::vector<std::pair<TimeNs, std::size_t>> arrivals;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      flows.push_back({specs[i], specs[i].active, specs[i].flow.dst});
+      for (TimeNs t = specs[i].next; t <= horizon; t += specs[i].interval) {
+        arrivals.emplace_back(t, i);
+      }
+    }
+    std::sort(arrivals.begin(), arrivals.end());
+    for (const auto& [t, i] : arrivals) {
+      sim.post_at(t, [this, t = t, i = i] { arrive(i, t); });
+    }
+  }
+
+  void arrive(std::size_t i, TimeNs t) {
+    const FlowState& f = flows[i];
+    if (!f.active) return;
+    Packet p;
+    p.id = ids.next();
+    p.flow = f.spec.flow.id;
+    p.src = f.spec.flow.src;
+    p.dst = f.dst;
+    p.bytes = f.spec.bytes;
+    p.created = t;
+    p.enqueued = t;
+    log.on_offered(p);
+    const PacketId id = p.id;
+    if (!q.push(std::move(p))) log.on_offer_rejected(id, f.spec.flow.id);
+  }
+};
+
+/// Differential oracle: random CBR flows (shared phases and intervals make
+/// same-tick ties), capacities, pushes, pops, pop_for / extract_for /
+/// retarget, joins and leaves, destination changes and reads landing
+/// exactly on arrival ticks. The lazy queue must match the eager reference
+/// on every read, in its drop count and offer order, and after the horizon
+/// flush in its contents.
+TEST(CbrArrivals, LazyQueueMatchesEagerPerPacketEvents) {
+  const TimeNs horizon = msec(8);
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    sim::Simulator sim;
+    PacketIdGen lazy_ids;
+    OfferLog lazy_log;
+    const auto capacity = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    PacketQueue lazy(capacity, sim, 0);
+
+    const TimeNs intervals[] = {usec(40), usec(55), usec(80), usec(130)};
+    const TimeNs starts[] = {0, usec(7), usec(25), usec(120)};
+    std::vector<CbrArrivals> specs;
+    const int n_flows = static_cast<int>(rng.uniform_int(1, 4));
+    for (int i = 0; i < n_flows; ++i) {
+      CbrArrivals a = cbr(
+          i, static_cast<topo::NodeId>(rng.uniform_int(1, 3)),
+          starts[rng.uniform_int(0, 3)], intervals[rng.uniform_int(0, 3)],
+          lazy_ids);
+      a.active = rng.chance(0.85);
+      a.observer = &lazy_log;
+      specs.push_back(a);
+    }
+    EagerReference ref(sim, capacity, specs, horizon);
+    for (const CbrArrivals& a : specs) lazy.add_arrivals(a);
+
+    // Operation times: half land exactly on some flow's arrival tick.
+    std::vector<TimeNs> times;
+    for (int k = 0; k < 80; ++k) {
+      if (rng.chance(0.5)) {
+        const CbrArrivals& a =
+            specs[static_cast<std::size_t>(rng.uniform_int(0, n_flows - 1))];
+        times.push_back(a.next + a.interval * static_cast<TimeNs>(
+                                                  rng.uniform_int(0, 150)));
+      } else {
+        times.push_back(static_cast<TimeNs>(
+            rng.uniform(0.0, static_cast<double>(horizon))));
+      }
+    }
+    std::sort(times.begin(), times.end());
+    PacketId pushed = 0;
+    for (const TimeNs t : times) {
+      if (t > horizon) continue;
+      const int op = static_cast<int>(rng.uniform_int(0, 8));
+      const auto dst = static_cast<topo::NodeId>(rng.uniform_int(1, 3));
+      const auto to = static_cast<topo::NodeId>(rng.uniform_int(1, 3));
+      const auto flow = static_cast<std::size_t>(
+          rng.uniform_int(0, n_flows - 1));
+      const PacketId tcp_id = ++pushed;
+      sim.post_at(t, [&, t, op, dst, to, flow, tcp_id] {
+        SCOPED_TRACE("op " + std::to_string(op) + " at " +
+                     std::to_string(t));
+        switch (op) {
+          case 0: {
+            const auto a = lazy.pop();
+            const auto b = ref.q.pop();
+            ASSERT_EQ(a.has_value(), b.has_value());
+            if (a) {
+              EXPECT_EQ(key(*a), key(*b));
+            }
+            break;
+          }
+          case 1: {
+            const auto a = lazy.pop_for(dst);
+            const auto b = ref.q.pop_for(dst);
+            ASSERT_EQ(a.has_value(), b.has_value());
+            if (a) {
+              EXPECT_EQ(key(*a), key(*b));
+            }
+            break;
+          }
+          case 2: {
+            // Keep the head (an in-flight packet) half of the time.
+            const Packet* ha = lazy.front();
+            const Packet* hb = ref.q.front();
+            ASSERT_EQ(ha == nullptr, hb == nullptr);
+            const bool keep = ha != nullptr && rng.chance(0.5);
+            const auto a = lazy.extract_for(
+                dst, keep ? std::optional<PacketId>(ha->id) : std::nullopt);
+            const auto b = ref.q.extract_for(
+                dst, keep ? std::optional<PacketId>(hb->id) : std::nullopt);
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i) {
+              EXPECT_EQ(key(a[i]), key(b[i]));
+            }
+            break;
+          }
+          case 3: {  // a direct push (TCP segment, hand-off)
+            Packet p = make_packet(tcp_id, dst);
+            p.flow = 99;
+            p.created = t;
+            p.enqueued = t;
+            EXPECT_EQ(lazy.push(p), ref.q.push(p));
+            break;
+          }
+          case 4:
+            EXPECT_EQ(lazy.retarget(dst, to), ref.q.retarget(dst, to));
+            break;
+          case 5: {  // the flow's client leaves or (re)joins
+            CbrArrivals a = *lazy.take_arrivals(specs[flow].flow.id);
+            a.active = !a.active;
+            lazy.add_arrivals(a);
+            ref.flows[flow].active = !ref.flows[flow].active;
+            break;
+          }
+          case 6: {  // an uplink flow follows its client to a new AP
+            CbrArrivals a = *lazy.take_arrivals(specs[flow].flow.id);
+            a.flow.dst = to;
+            lazy.add_arrivals(a);
+            ref.flows[flow].dst = to;
+            break;
+          }
+          default: {  // reads only
+            EXPECT_EQ(lazy.count_for(dst), ref.q.count_for(dst));
+            const Packet* ha = lazy.front_for(dst);
+            const Packet* hb = ref.q.front_for(dst);
+            ASSERT_EQ(ha == nullptr, hb == nullptr);
+            if (ha) {
+              EXPECT_EQ(key(*ha), key(*hb));
+            }
+            break;
+          }
+        }
+        EXPECT_EQ(lazy.size(), ref.q.size());
+        EXPECT_EQ(lazy.dropped(), ref.q.dropped());
+      });
+    }
+    sim.run_until(horizon);
+
+    // Offers are observed in arrival order, but only once materialised:
+    // before the horizon flush the lazy log is a prefix of the reference.
+    ASSERT_LE(lazy_log.entries.size(), ref.log.entries.size());
+    EXPECT_TRUE(std::equal(lazy_log.entries.begin(), lazy_log.entries.end(),
+                           ref.log.entries.begin()));
+    lazy.settle();  // the horizon flush
+    EXPECT_EQ(lazy_log.entries, ref.log.entries);
+    EXPECT_EQ(lazy.dropped(), ref.q.dropped());
+    ASSERT_EQ(lazy.size(), ref.q.size());
+    while (auto b = ref.q.pop()) EXPECT_EQ(key(*lazy.pop()), key(*b));
+  }
 }
 
 TEST(FlowStatsTest, ThroughputAndDelay) {
