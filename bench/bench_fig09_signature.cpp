@@ -26,10 +26,8 @@ struct Setup {
 
 double run_setup(const gold::GoldCodeSet& set, const Setup& setup,
                  int combined, int runs, Rng& rng, double* false_pos) {
-  const gold::CorrelatorBank bank(set);
   int ok = 0;
   int fp = 0;
-  std::vector<gold::DetectionResult> results;
   for (int r = 0; r < runs; ++r) {
     // Choose `combined` distinct target codes.
     std::vector<std::size_t> codes;
@@ -54,15 +52,12 @@ double run_setup(const gold::GoldCodeSet& set, const Setup& setup,
       b.phase_rad = rng.uniform(0.0, 2.0 * M_PI);
       senders.push_back(std::move(b));
     }
-    const auto rx =
-        gold::synthesize_burst(bank, senders, /*noise=*/0.05, 16, rng);
-    // One batched pass: the first target code plus a false-positive probe
-    // (a code guaranteed absent) share the burst's SoA conversion and RMS.
-    const std::size_t probes[] = {codes[0],
-                                  110 + static_cast<std::size_t>(r % 10)};
-    bank.detect_many(rx, probes, results);
-    if (results[0].detected) ++ok;
-    if (results[1].detected) ++fp;
+    const auto rx = gold::synthesize_burst(set, senders, /*noise=*/0.05, rng);
+    // The first target code, plus a false-positive probe for a code
+    // guaranteed absent.
+    if (gold::detect(set, rx, codes[0]).detected) ++ok;
+    const std::size_t absent = 110 + static_cast<std::size_t>(r % 10);
+    if (gold::detect(set, rx, absent).detected) ++fp;
   }
   *false_pos += static_cast<double>(fp) / runs;
   return 100.0 * ok / runs;

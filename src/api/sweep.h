@@ -26,9 +26,7 @@
 // sweep run with 1 thread and with N threads produces bit-identical
 // results; parallelism only changes wall-clock time.
 //
-//   std::vector<api::SweepPoint> points;
-//   for (std::uint64_t s = 0; s < 16; ++s)
-//     points.push_back({topo, with_seed(cfg, s)});
+//   const auto points = api::seed_sweep(topo, cfg, /*first_seed=*/0, 16);
 //   api::SweepRunner runner(api::sweep_options_from_env());
 //   const auto report = runner.run_outcomes(points);  // ordered like points
 //   if (report.ok(0)) use(report.result(0));

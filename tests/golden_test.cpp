@@ -1,12 +1,15 @@
-// Golden-value regression tests for the hot-path kernels.
+// Golden-value regression tests for the signature correlator and the
+// Medium.
 //
-// The numbers below were captured from the straightforward reference
-// implementations (scratch-recompute interference in Medium, per-call
-// template construction per detection) BEFORE the incremental/banked fast
-// paths were introduced. They pin the observable outputs bit-for-bit (to a
-// 1e-9 absolute tolerance, far below any physically meaningful delta), so
-// any fast-path rewrite that changes results — not just performance — fails
-// here. See docs/PERFORMANCE.md for the invariants these encode.
+// The numbers below pin observable outputs (to a 1e-9 absolute tolerance,
+// far below any physically meaningful delta), so a rewrite that changes
+// results — not just performance — fails here. The Medium rows were
+// captured from the scratch-recompute interference reference before the
+// incremental accounting was introduced. The correlator rows come from the
+// sliding correlator of gold::detect (the degree-7 rows from the
+// per-call-template reference, the degree-5 and degree-9 rows from the
+// register-blocked bank that preceded the plain per-lag loop). See
+// docs/PERFORMANCE.md for the invariants these encode.
 
 #include <gtest/gtest.h>
 
@@ -35,11 +38,13 @@ struct CorrelatorGolden {
   bool detected;
 };
 
-// Burst scenarios: senders (codes, amplitude, chip offset, phase), AWGN
-// power, RNG seed. Kept tiny but covering: clean single signature, the
-// paper's 4-combined burst, two concurrent senders, weak signal in noise,
-// and pure noise (no signature present).
+// Burst scenarios: Gold degree, senders (codes, amplitude, chip offset,
+// phase), AWGN power, RNG seed. Kept tiny but covering: clean single
+// signature, the paper's 4-combined burst, two concurrent senders, weak
+// signal in noise, pure noise (no signature present), and the 31-chip and
+// 511-chip codes bench_signature_length also runs.
 struct BurstScenario {
+  int degree;
   std::vector<gold::BurstSender> senders;
   double noise;
   std::uint64_t seed;
@@ -47,11 +52,13 @@ struct BurstScenario {
 
 std::vector<BurstScenario> burst_scenarios() {
   return {
-      {{{{5}, 1.0, 0, 0.0}}, 0.01, 11},
-      {{{{1, 2, 3, 4}, 1.0, 3, 0.7}}, 0.05, 22},
-      {{{{10, 11}, 0.8, 2, 1.1}, {{12}, 1.2, 5, -0.4}}, 0.05, 33},
-      {{{{7}, 0.05, 1, 0.2}}, 0.5, 44},
-      {{}, 1.0, 55},
+      {7, {{{5}, 1.0, 0, 0.0}}, 0.01, 11},
+      {7, {{{1, 2, 3, 4}, 1.0, 3, 0.7}}, 0.05, 22},
+      {7, {{{10, 11}, 0.8, 2, 1.1}, {{12}, 1.2, 5, -0.4}}, 0.05, 33},
+      {7, {{{7}, 0.05, 1, 0.2}}, 0.5, 44},
+      {7, {}, 1.0, 55},
+      {5, {{{1, 2}, 1.0, 2, 0.5}}, 0.05, 66},
+      {9, {{{3, 4, 5, 6}, 1.0, 4, 1.3}, {{200}, 0.7, 1, -0.9}}, 0.1, 77},
   };
 }
 
@@ -69,19 +76,28 @@ const CorrelatorGolden kCorrelatorGoldens[] = {
     {3, 8, 0.10355980238571495, 0.065406013958209136, 1, false},
     {4, 0, 0.1772680409244709, 0.098385508197176591, 2, false},
     {4, 42, 0.14317535015797886, 0.070138449528122621, 1, false},
+    {5, 1, 0.93335764208264482, 0.13686651849737178, 2, true},
+    {5, 2, 0.96440186081088775, 0.19210189701965125, 2, true},
+    {5, 7, 0.32972508930702371, 0.15501951961470706, 6, false},
+    {5, 30, 0.33228790632768163, 0.18003141478657128, 6, false},
+    {6, 3, 0.996642972987686, 0.069604867346370045, 4, true},
+    {6, 6, 1.0221873023053822, 0.077998565502548564, 4, true},
+    {6, 200, 0.6629988654022575, 0.063115472601325953, 1, true},
+    {6, 400, 0.17998490804107009, 0.053152133610567268, 15, false},
 };
 
 TEST(Golden, CorrelatorDetect) {
-  gold::GoldCodeSet set(7);
-  const gold::CorrelatorBank bank(set);
   const auto scenarios = burst_scenarios();
+  std::vector<gold::GoldCodeSet> sets;
   std::vector<std::vector<dsp::Cplx>> bursts;
   for (const auto& s : scenarios) {
+    sets.emplace_back(s.degree);
     Rng rng(s.seed);
-    bursts.push_back(gold::synthesize_burst(bank, s.senders, s.noise, 16, rng));
+    bursts.push_back(
+        gold::synthesize_burst(sets.back(), s.senders, s.noise, rng));
   }
   for (const auto& g : kCorrelatorGoldens) {
-    const auto r = bank.detect(bursts[g.scenario], g.code);
+    const auto r = gold::detect(sets[g.scenario], bursts[g.scenario], g.code);
     EXPECT_NEAR(r.peak_metric, g.peak_metric, kTol)
         << "scenario " << g.scenario << " code " << g.code;
     EXPECT_NEAR(r.floor_metric, g.floor_metric, kTol)
