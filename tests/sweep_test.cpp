@@ -733,6 +733,77 @@ TEST(ResultCodec, PinnedBytesMultiSymbolDenseCell) {
   expect_pinned(serialized_run(t, cfg), kMultiSymbolDenseBytes);
 }
 
+constexpr const char* kDominoOutageSkewUplinkBytes = R"(
+{"links":[{"flow_id":0,"src":0,"dst":1,"uplink":false,
+"throughput_bps":791893.33333333337,"mean_delay_us":133486.71125862069,
+"delivered":58},{"flow_id":1,"src":1,"dst":0,"uplink":true,
+"throughput_bps":709973.33333333337,"mean_delay_us":156346.69792307692,
+"delivered":52},{"flow_id":2,"src":0,"dst":2,"uplink":false,
+"throughput_bps":1215146.6666666667,"mean_delay_us":115475.67830337079,
+"delivered":89},{"flow_id":3,"src":2,"dst":0,"uplink":true,
+"throughput_bps":764586.66666666674,"mean_delay_us":154563.56916071431,
+"delivered":56},{"flow_id":4,"src":3,"dst":4,"uplink":false,
+"throughput_bps":928426.66666666674,"mean_delay_us":59632.281617647059,
+"delivered":68},{"flow_id":5,"src":4,"dst":3,"uplink":true,
+"throughput_bps":696320,"mean_delay_us":139719.1731372549,"delivered":51},
+{"flow_id":6,"src":3,"dst":5,"uplink":false,
+"throughput_bps":709973.33333333337,"mean_delay_us":139606.85848076921,
+"delivered":52},{"flow_id":7,"src":5,"dst":3,"uplink":true,
+"throughput_bps":791893.33333333337,"mean_delay_us":144677.94713793104,
+"delivered":58}],"aggregate_throughput_bps":6608213.333333333,
+"jain_fairness":0.96265369189295769,"mean_delay_us":127348.56062396694,
+"ack_timeouts":106,"mac_drops":0,"census_hidden":3,"census_exposed":6,
+"census_total":16,"domino_self_starts":124,"domino_missed_rows":26,
+"domino_rows_executed":610,"domino_untriggerable":0,"domino_batches":61,
+"domino_retry_drops":0,"domino_anchor_rejections":166,
+"domino_forced_trigger_losses":30,"domino_controller_outage_skips":0,
+"recovery_slots":[0.019202048218476639,0.019202048218476639,
+0.019202048218476639,0,0.019202048218476639,7.0143055259227651,0,0,
+0.057576274802645613,0,0.019202048218476639,0.019202048218476639,
+0.019202048218476639,0.019202048218476639,0.019202048218476639,0,
+0.019202048218476639,5.2716023042457865,19.258145935566461,
+6.0382440793684662,1.9686366545764882,1.0192767228504374,0,0,
+0.019202048218476639,0,0.98374226584168978,0.98087262641348405],
+"ap_health":[{"ap":0,"self_starts":46,"missed_rows":12,"ack_timeouts":10,
+"retry_drops":0,"anchor_rejections":22,"forced_trigger_losses":10,
+"recovery_samples":9},{"ap":3,"self_starts":78,"missed_rows":14,
+"ack_timeouts":23,"retry_drops":0,"anchor_rejections":15,
+"forced_trigger_losses":8,"recovery_samples":8}],"fault_backbone_drops":0,
+"fault_backbone_dups":0,"fault_backbone_spikes":0,
+"fault_interference_bursts":0,"fault_controller_outage_skips":0,
+"fault_forced_trigger_losses":30,"fault_forced_false_positives":64,
+"lifecycle_epochs":0,"lifecycle_rss_updates":0,"lifecycle_joins":0,
+"lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
+"lifecycle_join_rejections":0})";
+
+/// Saturated DOMINO downlink and uplink through an AP outage, with skewed
+/// clocks and forced false-positive / false-negative triggers. A random
+/// 2-AP x 2-client draw, not two_cells(): two_cells() never hears a
+/// triggering burst without its own code, so it forges no trigger and its
+/// clients never find their radio busy at a trigger-timed slot start. This
+/// draw covers set_powered, forged triggers, skewed lattice snaps on both
+/// roles and the client's busy-radio retry, which no other pin reaches; the
+/// outage starts inside the SIFS before one of AP 0's uplink ACKs.
+TEST(ResultCodec, PinnedBytesDominoOutageSkewAndUplink) {
+  Rng rng(10);
+  topo::LogDistanceModel model;
+  const auto t = topo::Topology::random_network(2, 2, 400.0, model, {}, rng);
+  ExperimentConfig cfg;
+  cfg.sim_threads = -1;  // classic-kernel bytes, whatever DMN_SIM_THREADS
+  cfg.audit.mode = audit::AuditMode::kOff;  // whatever DMN_AUDIT says
+  cfg.scheme = Scheme::kDomino;
+  cfg.duration = msec(300);
+  cfg.traffic.saturate_downlink = true;
+  cfg.traffic.saturate_uplink = true;
+  cfg.seed = 10;
+  cfg.faults.ap_outages.push_back(
+      fault::ApOutage{0, {TimeNs{105'309'193}, msec(40)}});
+  cfg.faults.clock.max_skew_ppm = 100.0;
+  cfg.faults.signature.false_positive_rate = 0.05;
+  cfg.faults.signature.false_negative_rate = 0.05;
+  expect_pinned(serialized_run(t, cfg), kDominoOutageSkewUplinkBytes);
+}
+
 /// 64-bit FNV-1a: the fig14-shaped results below serialize to 8-11 KB
 /// each, so their bytes are pinned by digest and length.
 std::uint64_t fnv1a(const std::string& s) {
