@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <utility>
 
 #include "fault/fault_injector.h"
 #include "util/units.h"
@@ -16,6 +17,19 @@ constexpr TimeNs kSigEvalSettle = usec(2);
 
 /// Retry delay when an action lands while our own radio is still keyed.
 constexpr TimeNs kTxBusyRetry = usec(7);
+
+/// The signature instruction an AP frame carries for its client in slot
+/// `p`: the client's burst codes, S' or the ROP signature, and the
+/// continuation bit.
+phy::SignatureBurst instruction_for(const ApSlotPlan& p) {
+  phy::SignatureBurst instr;
+  instr.codes = p.client_codes;
+  instr.start_signature = !p.rop_after;
+  instr.rop_signature = p.rop_after;
+  instr.continue_next = p.client_continue;
+  instr.rop_symbols = std::max<std::uint32_t>(p.rop_symbols, 1);
+  return instr;
+}
 
 }  // namespace
 
@@ -77,7 +91,7 @@ void DominoNodeBase::update_anchor(std::uint64_t tag, TimeNs t0,
   anchor_valid_ = true;
   anchor_tag_ = tag;
   anchor_t0_ = t0;
-  if (moved_later && !force) on_anchor_moved();
+  if (moved_later && !force) snap_pending_tx();
 }
 
 TimeNs DominoNodeBase::expected_start(std::uint64_t tag) const {
@@ -93,6 +107,108 @@ TimeNs DominoNodeBase::expected_start(std::uint64_t tag) const {
                                   (1.0 + clock_skew_ppm_ * 1e-6));
   }
   return anchor_t0_ + horizon;
+}
+
+TimeNs DominoNodeBase::anchored_start(std::uint64_t g) const {
+  if (!has_anchor()) return kTimeNever;
+  TimeNs at = expected_start(g);
+  for (const auto& [b, symbols] : rop_boundaries_) {
+    if (b >= anchor_tag() && b < g) at += dur_.rop_duration(symbols);
+  }
+  return at;
+}
+
+void DominoNodeBase::arm_tx(std::uint64_t slot, TimeNs at) {
+  if (pending_tx_) sim_.cancel(pending_tx_->event);
+  at = std::max(at, sim_.now());
+  pending_tx_ = PendingTx{
+      slot, at, sim_.schedule_at(at, [this, slot] { execute_tx(slot); })};
+}
+
+void DominoNodeBase::cancel_tx() {
+  if (pending_tx_) sim_.cancel(pending_tx_->event);
+  pending_tx_.reset();
+}
+
+void DominoNodeBase::snap_pending_tx() {
+  if (!pending_tx_) return;
+  // Fine alignment only: snap a pending transmission onto the freshly
+  // heard lattice when the correction is a fraction of a slot. Larger
+  // disagreements mean the reference belongs to a differently-phased chain
+  // and adopting it would pull us out of our own slot.
+  const TimeNs snapped = anchored_start(pending_tx_->slot);
+  if (snapped > sim_.now() &&
+      std::abs(snapped - pending_tx_->at) < dur_.slot_duration / 4) {
+    arm_tx(pending_tx_->slot, snapped);
+  }
+}
+
+void DominoNodeBase::send_data_phase(std::uint64_t slot, topo::NodeId peer,
+                                     const traffic::Packet* pkt,
+                                     std::optional<phy::SignatureBurst> instr,
+                                     bool uplink) {
+  if (trace_ != nullptr && trace_->on_data_tx) {
+    trace_->on_data_tx(slot, node(), peer, sim_.now(), pkt == nullptr,
+                       uplink);
+  }
+  phy::Frame f;
+  f.dst = peer;
+  f.slot_tag = slot;
+  f.client_instruction = std::move(instr);
+  if (pkt != nullptr) {
+    f.type = phy::FrameType::kData;
+    f.bytes = pkt->bytes + timing_.wifi.mac_header_bytes;
+    f.duration = dur_.data_air;
+    f.packet = *pkt;
+    f.packet_id = pkt->id;
+    f.is_retry = awaiting_ack_ && awaiting_ack_->id == pkt->id;
+    awaiting_ack_ = AwaitedAck{pkt->id, peer};
+    sim_.cancel(ack_timer_);
+    ack_timer_ = sim_.schedule_in(f.duration + timing_.wifi.sifs +
+                                      dur_.ack_air + timing_.wifi.slot_time,
+                                  [this] {
+                                    ++ack_timeouts_;
+                                    on_ack_timeout();
+                                  });
+  } else {
+    f.type = phy::FrameType::kFakeHeader;
+    f.bytes = timing_.fake_header_bytes;
+    f.duration = dur_.fake_air;
+  }
+  radio_.send(f);
+}
+
+void DominoNodeBase::send_ack(topo::NodeId to, traffic::PacketId id,
+                              std::uint64_t tag,
+                              std::optional<phy::SignatureBurst> instr) {
+  phy::Frame ack;
+  ack.type = phy::FrameType::kAck;
+  ack.dst = to;
+  ack.bytes = timing_.wifi.ack_bytes;
+  ack.duration = dur_.ack_air;
+  ack.packet_id = id;
+  ack.slot_tag = tag;
+  ack.client_instruction = std::move(instr);
+  radio_.send(ack);
+}
+
+std::optional<DominoNodeBase::AwaitedAck> DominoNodeBase::take_ack(
+    const phy::Frame& frame) {
+  if (!awaiting_ack_ || frame.packet_id != awaiting_ack_->id) {
+    return std::nullopt;
+  }
+  sim_.cancel(ack_timer_);
+  return std::exchange(awaiting_ack_, std::nullopt);
+}
+
+void DominoNodeBase::post_burst(std::vector<std::size_t> codes,
+                                std::uint64_t tag, bool rop_flag,
+                                std::uint32_t rop_symbols, TimeNs at) {
+  sim_.post_at(std::max(at, sim_.now()),
+               [this, codes = std::move(codes), tag, rop_flag, rop_symbols] {
+                 send_burst(codes, tag, rop_flag, /*recovery=*/false,
+                            rop_symbols);
+               });
 }
 
 void DominoNodeBase::note_chain_resume(TimeNs now) {
@@ -241,11 +357,11 @@ void DominoApMac::unregister_client(topo::NodeId client) {
 
 std::vector<traffic::Packet> DominoApMac::extract_queued_for(
     topo::NodeId dst) {
-  // The packet awaiting its ACK must stay: finish_slot / the ACK path pop
-  // it via queue_.pop_for(awaiting_peer_) and would otherwise pop a
-  // different packet for the same (departed) peer.
+  // The packet awaiting its ACK must stay: the ACK and timeout paths pop
+  // it via queue_.pop_for(peer) and would otherwise pop a different packet
+  // for the same (departed) peer.
   std::optional<traffic::PacketId> exclude;
-  if (awaiting_ack_valid_ && awaiting_peer_ == dst) exclude = awaiting_ack_;
+  if (awaiting_ack_ && awaiting_ack_->peer == dst) exclude = awaiting_ack_->id;
   return queue_.extract_for(dst, exclude);
 }
 
@@ -276,10 +392,9 @@ void DominoApMac::set_powered(bool on) {
   powered_ = on;
   if (!on) {
     sim_.cancel(self_start_timer_);
-    sim_.cancel(tx_event_);
+    cancel_tx();
     sim_.cancel(ack_timer_);
-    tx_scheduled_ = false;
-    awaiting_ack_valid_ = false;
+    awaiting_ack_.reset();
     polling_ = false;
     poll_responses_.clear();
   } else {
@@ -444,57 +559,52 @@ void DominoApMac::on_trigger_detected(std::uint64_t tag,
   Row* nxt = find_row(tag + 1);
   if (nxt != nullptr && !nxt->executed &&
       nxt->plan.role == ApSlotPlan::Role::kTxData) {
-    schedule_tx(tag + 1,
-                detect_time + timing_.wifi.slot_time +
-                    (rop_symbols != 0 ? dur_.rop_duration(rop_symbols)
-                                      : 0));
+    arm_tx(tag + 1, detect_time + timing_.wifi.slot_time +
+                        (rop_symbols != 0 ? dur_.rop_duration(rop_symbols)
+                                          : 0));
   }
   arm_self_start();
 }
 
-void DominoApMac::on_anchor_moved() {
-  if (!tx_scheduled_) return;
-  // Fine alignment only: snap a pending transmission onto the freshly
-  // heard lattice when the correction is a fraction of a slot. Larger
-  // disagreements mean the reference belongs to a differently-phased chain
-  // and adopting it would pull us out of our own slot.
-  const TimeNs snapped = anchored_start(tx_pending_slot_);
-  if (snapped > sim_.now() &&
-      std::abs(snapped - tx_scheduled_at_) < dur_.slot_duration / 4) {
-    sim_.cancel(tx_event_);
-    const std::uint64_t g = tx_pending_slot_;
-    tx_scheduled_at_ = snapped;
-    tx_event_ = sim_.schedule_at(snapped, [this, g] { execute_tx(g); });
-  }
-}
-
-void DominoApMac::schedule_tx(std::uint64_t g, TimeNs at) {
-  Row* r = find_row(g);
-  if (r == nullptr || r->executed) return;
-  if (tx_scheduled_) sim_.cancel(tx_event_);
-  tx_scheduled_ = true;
-  tx_pending_slot_ = g;
-  tx_scheduled_at_ = std::max(at, sim_.now());
-  tx_event_ = sim_.schedule_at(tx_scheduled_at_,
-                               [this, g] { execute_tx(g); });
-}
-
 void DominoApMac::execute_tx(std::uint64_t g) {
-  tx_scheduled_ = false;
+  pending_tx_.reset();
   if (!powered_) return;
   Row* r = find_row(g);
   if (r == nullptr || r->executed) return;
   if (frontier_ != 0 && g <= frontier_) return;  // stale slot
   if (radio_.transmitting()) {
-    schedule_tx(g, sim_.now() + kTxBusyRetry);
+    arm_tx(g, sim_.now() + kTxBusyRetry);
     return;
   }
-  r->executed = true;
+  const ApSlotPlan& p = r->plan;
+  send_data_phase(g, p.peer, queue_.front_for(p.peer), instruction_for(p),
+                  /*uplink=*/false);
+  run_row(*r, sim_.now());
+}
+
+void DominoApMac::on_ack_timeout() {
+  const AwaitedAck missed = *std::exchange(awaiting_ack_, std::nullopt);
+  auto& attempts = tx_attempts_[missed.id];
+  ++attempts;
+  if (attempts > timing_.wifi.retry_limit) {
+    (void)queue_.pop_for(missed.peer);
+    tx_attempts_.erase(missed.id);
+    ++retry_drops_;
+  } else {
+    // Packet ids rise with arrival time within a queue, so map order is age
+    // order: evict oldest.
+    while (tx_attempts_.size() > kTxAttemptsCap) {
+      tx_attempts_.erase(tx_attempts_.begin());
+    }
+  }
+}
+
+void DominoApMac::run_row(Row& r, TimeNs t0) {
+  const std::uint64_t g = r.plan.global_index;
+  r.executed = true;
   ++rows_executed_;
   advance_frontier(g);
   note_chain_resume(sim_.now());
-  const ApSlotPlan& p = r->plan;
-  const TimeNs t0 = sim_.now();
   // Anchor the chain at the lattice-predicted slot start when we are only
   // late by the self-start guard: executing late must not ratchet the
   // lattice itself later (every frame we now send carries the anchor to
@@ -506,75 +616,11 @@ void DominoApMac::execute_tx(std::uint64_t g) {
     anchor_t0 = lattice;
   }
   update_anchor(g, anchor_t0, /*force=*/true);
-
-  const traffic::Packet* pkt = queue_.front_for(p.peer);
-  if (trace_ != nullptr && trace_->on_data_tx) {
-    trace_->on_data_tx(g, node(), p.peer, t0, pkt == nullptr,
-                       /*uplink=*/false);
-  }
-
-  phy::SignatureBurst instr;
-  instr.codes = p.client_codes;
-  instr.start_signature = !p.rop_after;
-  instr.rop_signature = p.rop_after;
-  instr.continue_next = p.client_continue;
-  instr.rop_symbols = std::max<std::uint32_t>(p.rop_symbols, 1);
-
-  phy::Frame f;
-  f.dst = p.peer;
-  f.slot_tag = g;
-  f.client_instruction = instr;
-  if (pkt != nullptr) {
-    f.type = phy::FrameType::kData;
-    f.bytes = pkt->bytes + timing_.wifi.mac_header_bytes;
-    f.duration = dur_.data_air;
-    f.packet = *pkt;
-    f.packet_id = pkt->id;
-    awaiting_ack_ = pkt->id;
-    awaiting_ack_valid_ = true;
-    awaiting_peer_ = p.peer;
-    sim_.cancel(ack_timer_);
-    ack_timer_ = sim_.schedule_in(
-        f.duration + timing_.wifi.sifs + dur_.ack_air +
-            timing_.wifi.slot_time,
-        [this] {
-          ++ack_timeouts_;
-          awaiting_ack_valid_ = false;
-          // §3.5: the packet stays queued; it is retransmitted the next
-          // time this destination appears at the top of the schedule.
-          auto& attempts = tx_attempts_[awaiting_ack_];
-          ++attempts;
-          if (attempts > timing_.wifi.retry_limit) {
-            (void)queue_.pop_for(awaiting_peer_);
-            tx_attempts_.erase(awaiting_ack_);
-            ++retry_drops_;
-          } else {
-            prune_tx_attempts();
-          }
-        });
-  } else {
-    f.type = phy::FrameType::kFakeHeader;
-    f.bytes = timing_.fake_header_bytes;
-    f.duration = dur_.fake_air;
-  }
-  radio_.send(f);
-  after_data_phase(*r, t0, /*uplink=*/false);
-}
-
-void DominoApMac::after_data_phase(const Row& row, TimeNs slot_t0,
-                                   bool /*uplink*/) {
-  const std::vector<std::size_t> codes = row.plan.my_codes;
-  const std::uint64_t g = row.plan.global_index;
-  const bool rop = row.plan.rop_after;
-  const std::uint32_t symbols = row.plan.rop_symbols;
-  sim_.post_at(std::max(slot_t0 + dur_.sig_phase_offset, sim_.now()),
-               [this, codes, g, rop, symbols] {
-                 send_burst(codes, g, rop, /*recovery=*/false, symbols);
-               });
-  const TimeNs burst_end =
-      slot_t0 + dur_.sig_phase_offset + dur_.burst_air;
+  post_burst(r.plan.my_codes, g, r.plan.rop_after, r.plan.rop_symbols,
+             t0 + dur_.sig_phase_offset);
+  const TimeNs burst_end = t0 + dur_.sig_phase_offset + dur_.burst_air;
   sim_.post_at(std::max(burst_end, sim_.now()),
-                   [this, g] { finish_slot(g); });
+               [this, g] { finish_slot(g); });
 }
 
 void DominoApMac::finish_slot(std::uint64_t g) {
@@ -594,24 +640,14 @@ void DominoApMac::finish_slot(std::uint64_t g) {
     Row* nxt = find_row(g + 1);
     if (nxt != nullptr && !nxt->executed &&
         nxt->plan.role == ApSlotPlan::Role::kTxData) {
-      schedule_tx(g + 1,
-                  now + timing_.wifi.slot_time +
-                      (r->plan.rop_after
-                           ? dur_.rop_duration(r->plan.rop_symbols)
-                           : 0));
+      arm_tx(g + 1, now + timing_.wifi.slot_time +
+                        (r->plan.rop_after
+                             ? dur_.rop_duration(r->plan.rop_symbols)
+                             : 0));
     }
   }
   prune_executed(g);
   arm_self_start();
-}
-
-TimeNs DominoApMac::anchored_start(std::uint64_t g) const {
-  if (!has_anchor()) return kTimeNever;
-  TimeNs at = expected_start(g);
-  for (const auto& [b, symbols] : rop_boundaries_) {
-    if (b >= anchor_tag() && b < g) at += dur_.rop_duration(symbols);
-  }
-  return at;
 }
 
 void DominoApMac::prune_executed(std::uint64_t upto) {
@@ -626,14 +662,6 @@ void DominoApMac::prune_executed(std::uint64_t upto) {
     } else {
       ++it;
     }
-  }
-}
-
-void DominoApMac::prune_tx_attempts() {
-  // Packet ids rise with arrival time within a queue, so map order is age
-  // order: evict oldest.
-  while (tx_attempts_.size() > kTxAttemptsCap) {
-    tx_attempts_.erase(tx_attempts_.begin());
   }
 }
 
@@ -763,18 +791,11 @@ void DominoApMac::handle_frame(const phy::Frame& frame,
       phy::SignatureBurst instr;
       std::uint64_t tag = frame.slot_tag;
       if (match != nullptr) {
-        instr.codes = match->plan.client_codes;
-        instr.start_signature = !match->plan.rop_after;
-        instr.rop_signature = match->plan.rop_after;
-        instr.continue_next = match->plan.client_continue;
-        instr.rop_symbols =
-            std::max<std::uint32_t>(match->plan.rop_symbols, 1);
+        instr = instruction_for(match->plan);
         tag = match->plan.global_index;
       } else {
         instr.start_signature = true;
       }
-      const auto ack_for = frame.packet_id;
-      const auto back_to = frame.src;
       // The ACK always sits at the slot's fixed ACK phase — even for a
       // header-only fake packet — so concurrent links' ACK phases align
       // and only interfere with each other, never with data.
@@ -782,47 +803,25 @@ void DominoApMac::handle_frame(const phy::Frame& frame,
           is_data ? timing_.wifi.sifs
                   : dur_.data_air - dur_.fake_air +
                         timing_.wifi.sifs;
-      sim_.post_in(ack_at, [this, ack_for, back_to, instr, tag] {
-        phy::Frame ack;
-        ack.type = phy::FrameType::kAck;
-        ack.dst = back_to;
-        ack.bytes = timing_.wifi.ack_bytes;
-        ack.duration = dur_.ack_air;
-        ack.packet_id = ack_for;
-        ack.slot_tag = tag;
-        ack.client_instruction = instr;
-        radio_.send(ack);
-      });
+      sim_.post_in(ack_at, [this, to = frame.src, id = frame.packet_id, tag,
+                            instr] { send_ack(to, id, tag, instr); });
       if (is_data && frame.packet.has_value()) {
         if (seen_[frame.src].insert(frame.packet_id)) {
           deliver_(*frame.packet, node(), sim_.now());
         }
       }
       if (match != nullptr) {
-        match->executed = true;
-        ++rows_executed_;
-        advance_frontier(match->plan.global_index);
-        note_chain_resume(sim_.now());
         const TimeNs t0 =
             sim_.now() - (is_data ? dur_.data_air : dur_.fake_air);
-        TimeNs anchor_t0 = t0;
-        const TimeNs lattice = anchored_start(match->plan.global_index);
-        if (lattice != kTimeNever && t0 > lattice &&
-            t0 - lattice < dur_.slot_duration / 4) {
-          anchor_t0 = lattice;
-        }
-        update_anchor(match->plan.global_index, anchor_t0, /*force=*/true);
-        after_data_phase(*match, t0, /*uplink=*/true);
+        run_row(*match, t0);
       }
       break;
     }
     case phy::FrameType::kAck: {
       if (frame.dst != node() || !info.decoded) break;
-      if (awaiting_ack_valid_ && frame.packet_id == awaiting_ack_) {
-        sim_.cancel(ack_timer_);
-        awaiting_ack_valid_ = false;
-        tx_attempts_.erase(awaiting_ack_);
-        (void)queue_.pop_for(awaiting_peer_);
+      if (const auto acked = take_ack(frame)) {
+        tx_attempts_.erase(acked->id);
+        (void)queue_.pop_for(acked->peer);
       }
       break;
     }
@@ -864,10 +863,7 @@ void DominoClientMac::reassociate(topo::NodeId new_ap,
   // A transmission scheduled off the old AP's trigger must not fire toward
   // the new one: the new AP's schedule has no row for it, and the old AP no
   // longer carries this client. The head simply waits for the next trigger.
-  if (tx_scheduled_) {
-    sim_.cancel(tx_event_);
-    tx_scheduled_ = false;
-  }
+  cancel_tx();
   // The ACK timer (if armed) stays: its timeout only counts a miss and
   // leaves the head queued — exactly right when the old AP's ACK will never
   // arrive. seen_ is kept too: packet ids are globally unique, so retained
@@ -881,101 +877,48 @@ void DominoClientMac::on_trigger_detected(std::uint64_t tag,
                                           TimeNs detect_time) {
   // Transmit in slot tag+1, one WiFi slot after the trigger (plus the ROP
   // exchange when the boundary carries an ROP slot).
-  schedule_data_tx(tag + 1,
-                   detect_time + timing_.wifi.slot_time +
-                       (rop_symbols != 0 ? dur_.rop_duration(rop_symbols)
-                                         : 0));
+  arm_slot_tx(tag + 1, detect_time + timing_.wifi.slot_time +
+                           (rop_symbols != 0 ? dur_.rop_duration(rop_symbols)
+                                             : 0));
 }
 
-void DominoClientMac::on_anchor_moved() {
-  if (!tx_scheduled_) return;
-  const TimeNs snapped = expected_start(tx_slot_tag_);
-  if (snapped > sim_.now() &&
-      std::abs(snapped - tx_scheduled_at_) < dur_.slot_duration / 4) {
-    sim_.cancel(tx_event_);
-    tx_scheduled_at_ = snapped;
-    tx_event_ =
-        sim_.schedule_at(snapped, [this] { execute_tx(tx_slot_tag_); });
-  }
-}
-
-void DominoClientMac::schedule_data_tx(std::uint64_t tag, TimeNs at) {
+void DominoClientMac::arm_slot_tx(std::uint64_t tag, TimeNs at) {
   if (tag <= last_tx_tag_ && last_tx_tag_ != 0) return;  // stale trigger
-  // Later triggers re-anchor a still-pending transmission ("last correctly
-  // received trigger as time reference").
-  if (tx_scheduled_) sim_.cancel(tx_event_);
-  tx_scheduled_ = true;
-  tx_slot_tag_ = tag;
-  tx_scheduled_at_ = std::max(at, sim_.now());
-  tx_event_ = sim_.schedule_at(tx_scheduled_at_,
-                               [this] { execute_tx(tx_slot_tag_); });
+  arm_tx(tag, at);
 }
 
-void DominoClientMac::handle_continuation(const phy::SignatureBurst& instr,
-                                          std::uint64_t tag, TimeNs slot_t0) {
+void DominoClientMac::follow_instruction(const phy::Frame& frame,
+                                         TimeNs slot_t0) {
+  if (!frame.client_instruction.has_value()) return;
+  const phy::SignatureBurst& instr = *frame.client_instruction;
+  const std::uint64_t tag = frame.slot_tag;
+  if (!instr.codes.empty()) {
+    post_burst(instr.codes, tag, instr.rop_signature, instr.rop_symbols,
+               slot_t0 + dur_.sig_phase_offset);
+  }
   if (!instr.continue_next) return;
   if (trace_ != nullptr && trace_->on_continuation) {
     trace_->on_continuation(tag + 1, node(), sim_.now());
   }
-  const TimeNs next_t0 =
-      slot_t0 + dur_.slot_duration +
-      (instr.rop_signature ? dur_.rop_duration(instr.rop_symbols) : 0);
-  schedule_data_tx(tag + 1, next_t0);
+  arm_slot_tx(tag + 1, slot_t0 + dur_.slot_duration +
+                           (instr.rop_signature
+                                ? dur_.rop_duration(instr.rop_symbols)
+                                : 0));
 }
 
 void DominoClientMac::execute_tx(std::uint64_t slot_tag) {
-  tx_scheduled_ = false;
   if (radio_.transmitting()) {
-    tx_scheduled_ = true;
-    tx_event_ = sim_.schedule_in(kTxBusyRetry,
-                                 [this, slot_tag] { execute_tx(slot_tag); });
+    // Unlike the AP's busy retry, this keeps the trigger-timed `at` that a
+    // lattice snap compares against.
+    pending_tx_->event = sim_.schedule_in(
+        kTxBusyRetry, [this, slot_tag] { execute_tx(slot_tag); });
     return;
   }
+  pending_tx_.reset();
   last_tx_tag_ = std::max(last_tx_tag_, slot_tag);
   note_chain_resume(sim_.now());
-  const traffic::Packet* head = queue_.front();
-  if (trace_ != nullptr && trace_->on_data_tx) {
-    trace_->on_data_tx(slot_tag, node(), ap_, sim_.now(), head == nullptr,
-                       /*uplink=*/true);
-  }
-  phy::Frame f;
-  f.dst = ap_;
-  f.slot_tag = slot_tag;
-  if (head != nullptr) {
-    f.type = phy::FrameType::kData;
-    f.bytes = head->bytes + timing_.wifi.mac_header_bytes;
-    f.duration = dur_.data_air;
-    f.packet = *head;
-    f.packet_id = head->id;
-    f.is_retry = awaiting_ack_valid_ && awaiting_ack_ == head->id;
-    awaiting_ack_ = head->id;
-    awaiting_ack_valid_ = true;
-    sim_.cancel(ack_timer_);
-    ack_timer_ = sim_.schedule_in(
-        f.duration + timing_.wifi.sifs + dur_.ack_air +
-            timing_.wifi.slot_time,
-        [this] {
-          // Missed ACK (§3.5): the packet stays at the head of the queue
-          // and is retransmitted on the next trigger.
-          ++ack_timeouts_;
-        });
-  } else {
-    f.type = phy::FrameType::kFakeHeader;
-    f.bytes = timing_.fake_header_bytes;
-    f.duration = dur_.fake_air;
-  }
-  radio_.send(f);
-}
-
-void DominoClientMac::schedule_instructed_burst(
-    const phy::SignatureBurst& instr, std::uint64_t tag, TimeNs at) {
-  if (instr.codes.empty()) return;
-  const std::vector<std::size_t> codes = instr.codes;
-  const bool rop = instr.rop_signature;
-  const std::uint32_t symbols = instr.rop_symbols;
-  sim_.post_at(std::max(at, sim_.now()), [this, codes, tag, rop, symbols] {
-    send_burst(codes, tag, rop, /*recovery=*/false, symbols);
-  });
+  send_data_phase(slot_tag, ap_, queue_.front(), std::nullopt,
+                  /*uplink=*/true);
 }
 
 void DominoClientMac::handle_frame(const phy::Frame& frame,
@@ -987,66 +930,34 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
           !frame.packet.has_value()) {
         break;
       }
-      // ACK after SIFS.
-      const auto ack_for = frame.packet_id;
-      const auto tag = frame.slot_tag;
-      sim_.post_in(timing_.wifi.sifs, [this, ack_for, tag] {
-        phy::Frame ack;
-        ack.type = phy::FrameType::kAck;
-        ack.dst = ap_;
-        ack.bytes = timing_.wifi.ack_bytes;
-        ack.duration = dur_.ack_air;
-        ack.packet_id = ack_for;
-        ack.slot_tag = tag;
-        radio_.send(ack);
-      });
+      // ACK after SIFS, to the AP associated when it goes out.
+      sim_.post_in(timing_.wifi.sifs,
+                   [this, id = frame.packet_id, tag = frame.slot_tag] {
+                     send_ack(ap_, id, tag, std::nullopt);
+                   });
       if (seen_.insert(frame.packet_id)) {
         deliver_(*frame.packet, node(), sim_.now());
         // Auditor self-test defect (audit::Mutation::kMacDoubleDelivery).
         if (test_double_delivery_) deliver_(*frame.packet, node(), sim_.now());
       }
-      // Rebroadcast the instructed signatures at the slot's signature
-      // phase: our ACK ends at now + SIFS + ack_air; burst one slot later.
-      if (frame.client_instruction.has_value()) {
-        schedule_instructed_burst(*frame.client_instruction, frame.slot_tag,
-                                  sim_.now() + timing_.wifi.sifs +
-                                      dur_.ack_air +
-                                      timing_.wifi.slot_time);
-        handle_continuation(*frame.client_instruction, frame.slot_tag,
-                            sim_.now() - dur_.data_air);
-      }
+      follow_instruction(frame, sim_.now() - dur_.data_air);
       break;
     }
     case phy::FrameType::kFakeHeader: {
       if (frame.dst != node() || frame.src != ap_) break;
-      if (frame.client_instruction.has_value()) {
-        // Fixed slot structure: the signature phase sits at the same offset
-        // from the slot start whether the data phase was real or fake.
-        const TimeNs slot_t0 = sim_.now() - dur_.fake_air;
-        schedule_instructed_burst(*frame.client_instruction, frame.slot_tag,
-                                  slot_t0 + dur_.sig_phase_offset);
-        handle_continuation(*frame.client_instruction, frame.slot_tag,
-                            slot_t0);
-      }
+      // Fixed slot structure: the signature phase sits at the same offset
+      // from the slot start whether the data phase was real or fake.
+      follow_instruction(frame, sim_.now() - dur_.fake_air);
       break;
     }
     case phy::FrameType::kAck: {
       if (frame.dst != node() || frame.src != ap_) break;
-      if (awaiting_ack_valid_ && frame.packet_id == awaiting_ack_) {
-        sim_.cancel(ack_timer_);
-        awaiting_ack_valid_ = false;
-        queue_.pop();  // the acked packet was the head
-      }
+      if (take_ack(frame)) queue_.pop();  // the acked packet was the head
       // Uplink slots: the instruction rides the AP's ACK (Figure 8b); the
       // burst goes at the slot's fixed signature-phase offset. ACKs sit at
       // the same slot phase whether the data was real or a fake header.
-      if (frame.client_instruction.has_value()) {
-        const TimeNs t0 = sim_.now() - dur_.ack_air -
-                          timing_.wifi.sifs - dur_.data_air;
-        schedule_instructed_burst(*frame.client_instruction, frame.slot_tag,
-                                  t0 + dur_.sig_phase_offset);
-        handle_continuation(*frame.client_instruction, frame.slot_tag, t0);
-      }
+      follow_instruction(frame, sim_.now() - dur_.ack_air -
+                                    timing_.wifi.sifs - dur_.data_air);
       break;
     }
     case phy::FrameType::kPoll: {

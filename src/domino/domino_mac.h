@@ -178,7 +178,8 @@ struct DominoTrace {
   std::function<void(std::uint64_t, topo::NodeId, TimeNs)> on_continuation;
 };
 
-/// Shared behaviour: signature-burst detection buffer and slot anchoring.
+/// Shared behaviour: signature-burst detection buffer, slot anchoring and the
+/// slot TX/ACK machinery (pending TX, data or fake header, ACK send/match).
 class DominoNodeBase : public phy::MediumClient {
  public:
   DominoNodeBase(sim::Simulator& sim, phy::Medium& medium, topo::NodeId node,
@@ -206,6 +207,8 @@ class DominoNodeBase : public phy::MediumClient {
   }
 
   // ---- chain-health observability ----------------------------------------
+  /// Data frames whose ACK never arrived.
+  std::uint64_t ack_timeouts() const { return ack_timeouts_; }
   /// Trigger bursts this node was forced to miss by fault injection.
   std::uint64_t forced_trigger_losses() const {
     return forced_trigger_losses_;
@@ -241,10 +244,30 @@ class DominoNodeBase : public phy::MediumClient {
   virtual void handle_frame(const phy::Frame& frame,
                             const phy::RxInfo& info) = 0;
 
-  /// Called after the anchor moved the lattice later: pending slot-timed
-  /// actions should re-snap ("last correctly received trigger as time
-  /// reference").
-  virtual void on_anchor_moved() {}
+  /// Fires the armed slot transmission (the AP also self-starts with it).
+  virtual void execute_tx(std::uint64_t slot) = 0;
+  /// Missed ACK (§3.5), already counted: the packet stays queued for its
+  /// next slot. The AP also gives up on it past retry_limit.
+  virtual void on_ack_timeout() {}
+
+  /// Arms the one pending slot transmission, replacing any earlier one.
+  void arm_tx(std::uint64_t slot, TimeNs at);
+  void cancel_tx();
+  /// Data phase toward `peer`: `pkt` as data awaiting its ACK, or a
+  /// header-only fake when null; `instr` rides AP-sent frames.
+  void send_data_phase(std::uint64_t slot, topo::NodeId peer,
+                       const traffic::Packet* pkt,
+                       std::optional<phy::SignatureBurst> instr, bool uplink);
+  void send_ack(topo::NodeId to, traffic::PacketId id, std::uint64_t tag,
+                std::optional<phy::SignatureBurst> instr);
+  void post_burst(std::vector<std::size_t> codes, std::uint64_t tag,
+                  bool rop_flag, std::uint32_t rop_symbols, TimeNs at);
+  struct AwaitedAck {
+    traffic::PacketId id;
+    topo::NodeId peer;
+  };
+  /// The awaited packet if `frame` acknowledges it (the wait ends).
+  std::optional<AwaitedAck> take_ack(const phy::Frame& frame);
 
   /// Updates the slot-timing anchor. Heard references are adopted
   /// monotonically: a reference implying an *earlier* lattice than the
@@ -257,6 +280,8 @@ class DominoNodeBase : public phy::MediumClient {
   bool has_anchor() const { return anchor_valid_; }
   std::uint64_t anchor_tag() const { return anchor_tag_; }
   TimeNs expected_start(std::uint64_t tag) const;
+  /// expected_start plus the known ROP boundaries before slot `g`.
+  TimeNs anchored_start(std::uint64_t g) const;
 
   /// Closes a pending trigger-loss episode: records now - loss time in
   /// slots. Called wherever the chain demonstrably moves again (a detected
@@ -280,6 +305,20 @@ class DominoNodeBase : public phy::MediumClient {
   bool powered_ = true;
   bool test_trigger_on_any_burst_ = false;
 
+  /// Slot-lattice stretch: boundary slot -> poll symbols there. Only APs
+  /// learn boundaries (from their schedule).
+  std::map<std::uint64_t, std::uint32_t> rop_boundaries_;
+
+  struct PendingTx {
+    std::uint64_t slot;
+    TimeNs at;  // what a lattice snap compares against
+    sim::EventHandle event;
+  };
+  std::optional<PendingTx> pending_tx_;
+  std::optional<AwaitedAck> awaiting_ack_;
+  sim::EventHandle ack_timer_;
+  std::uint64_t ack_timeouts_ = 0;
+
   std::uint64_t forced_trigger_losses_ = 0;
   std::uint64_t anchor_rejections_total_ = 0;
   std::vector<double> recovery_latency_slots_;
@@ -288,6 +327,8 @@ class DominoNodeBase : public phy::MediumClient {
 
  private:
   void evaluate_sig_buffer();
+  /// The anchor moved the lattice later: re-time the pending transmission.
+  void snap_pending_tx();
 
   struct BufferedBurst {
     phy::SignatureBurst burst;
@@ -369,7 +410,6 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   /// first trigger it hears, like the paper's bootstrap.
   void set_powered(bool on);
 
-  std::uint64_t ack_timeouts() const { return ack_timeouts_; }
   std::uint64_t self_starts() const { return self_starts_; }
   std::uint64_t rows_executed() const { return rows_executed_; }
   std::uint64_t missed_rows() const { return missed_rows_; }
@@ -387,6 +427,8 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   void on_trigger_detected(std::uint64_t tag, std::uint32_t rop_symbols,
                            TimeNs detect_time) override;
   void handle_frame(const phy::Frame& frame, const phy::RxInfo& info) override;
+  void execute_tx(std::uint64_t g) override;
+  void on_ack_timeout() override;
 
  private:
   struct Row {
@@ -403,18 +445,15 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   Row* find_row(std::uint64_t g);
   Row* next_pending();
   TimeNs row_due(const Row& r) const;
-  /// Anchor-predicted start of slot g, including known ROP boundaries.
-  TimeNs anchored_start(std::uint64_t g) const;
-  void on_anchor_moved() override;
   /// Marks every row below `g` missed and moves the execution frontier —
   /// slots are strictly ordered; a laggard catches up by skipping, never by
   /// running stale slots out of order.
   void advance_frontier(std::uint64_t g);
   void arm_self_start();
   void on_self_start_timer();
-  void schedule_tx(std::uint64_t g, TimeNs at);
-  void execute_tx(std::uint64_t g);
-  void after_data_phase(const Row& row, TimeNs slot_t0, bool uplink);
+  /// Executes row `r`, whose data phase started at `t0`: anchors the chain
+  /// on it and times its signature phase and finish_slot.
+  void run_row(Row& r, TimeNs t0);
   void finish_slot(std::uint64_t g);
   void execute_poll(std::uint64_t g, TimeNs at);
   void evaluate_poll(std::uint64_t g);
@@ -427,26 +466,14 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
 
   std::vector<ClientInfo> clients_;
   std::map<std::uint64_t, Row> rows_;
-  /// Shared slot-lattice stretch: boundary slot -> poll symbols there.
-  std::map<std::uint64_t, std::uint32_t> rop_boundaries_;
   std::uint64_t frontier_ = 0;  // highest executed slot index
 
-  // In-flight TX bookkeeping.
-  sim::EventHandle tx_event_;
-  std::uint64_t tx_pending_slot_ = 0;
-  bool tx_scheduled_ = false;
-  TimeNs tx_scheduled_at_ = 0;
-  sim::EventHandle ack_timer_;
-  traffic::PacketId awaiting_ack_ = 0;
-  bool awaiting_ack_valid_ = false;
-  topo::NodeId awaiting_peer_ = topo::kNoNode;
   /// Retry counts by packet id, bounded: ids are monotonic, so when the map
   /// outgrows the cap the smallest (oldest, long-since-resolved) entries
   /// are evicted. Unbounded growth showed up on long runs whenever a
   /// destination left the schedule with a timeout entry still parked here.
   std::map<traffic::PacketId, int> tx_attempts_;
   static constexpr std::size_t kTxAttemptsCap = 1024;
-  void prune_tx_attempts();
 
   sim::EventHandle self_start_timer_;
 
@@ -464,7 +491,6 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   // Per-client duplicate filter for uplink deliveries (bounded, oldest-out).
   std::map<topo::NodeId, BoundedIdFilter> seen_;
 
-  std::uint64_t ack_timeouts_ = 0;
   std::uint64_t self_starts_ = 0;
   std::uint64_t rows_executed_ = 0;
   std::uint64_t retry_drops_ = 0;
@@ -479,8 +505,6 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
                   const DominoTiming& timing, const SignaturePlan& signatures,
                   const phy::SignatureDetectionModel& model, Rng rng,
                   mac::DeliveryFn deliver, DominoTrace* trace);
-
-  std::uint64_t ack_timeouts() const { return ack_timeouts_; }
 
   // ---- lifecycle (roaming) -----------------------------------------------
   /// Re-homes this client to `new_ap` on poll `slot`: cancels any pending
@@ -507,32 +531,22 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
   void on_trigger_detected(std::uint64_t tag, std::uint32_t rop_symbols,
                            TimeNs detect_time) override;
   void handle_frame(const phy::Frame& frame, const phy::RxInfo& info) override;
+  void execute_tx(std::uint64_t slot_tag) override;
 
  private:
-  void execute_tx(std::uint64_t slot_tag);
-  void on_anchor_moved() override;
-  void schedule_data_tx(std::uint64_t tag, TimeNs at);
-  void handle_continuation(const phy::SignatureBurst& instr,
-                           std::uint64_t tag, TimeNs slot_t0);
-  void schedule_instructed_burst(const phy::SignatureBurst& instr,
-                                 std::uint64_t tag, TimeNs at);
+  void arm_slot_tx(std::uint64_t tag, TimeNs at);  // stale-trigger guard
+  /// Rebroadcasts the signatures an instruction-carrying AP frame of the
+  /// slot starting at `slot_t0` asks for, and follows its continuation bit.
+  void follow_instruction(const phy::Frame& frame, TimeNs slot_t0);
 
   topo::NodeId ap_;
   rop::PollSlot slot_;
   mac::DeliveryFn deliver_;
 
-  sim::EventHandle tx_event_;
-  bool tx_scheduled_ = false;
-  TimeNs tx_scheduled_at_ = 0;
-  std::uint64_t tx_slot_tag_ = 0;
-  sim::EventHandle ack_timer_;
-  traffic::PacketId awaiting_ack_ = 0;
-  bool awaiting_ack_valid_ = false;
   std::uint64_t last_tx_tag_ = 0;  // stale-trigger guard
 
   BoundedIdFilter seen_;  // downlink duplicate filter (bounded, oldest-out)
 
-  std::uint64_t ack_timeouts_ = 0;
   bool test_double_delivery_ = false;
   bool test_rop_report_offset_ = false;
   bool test_poll_symbol_collapse_ = false;
