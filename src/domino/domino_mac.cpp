@@ -181,6 +181,7 @@ void DominoNodeBase::send_data_phase(std::uint64_t slot, topo::NodeId peer,
 void DominoNodeBase::send_ack(topo::NodeId to, traffic::PacketId id,
                               std::uint64_t tag,
                               std::optional<phy::SignatureBurst> instr) {
+  if (!powered_) return;  // an outage began inside the ACK delay
   phy::Frame ack;
   ack.type = phy::FrameType::kAck;
   ack.dst = to;

@@ -21,6 +21,7 @@
 #include "domino/domino_mac.h"
 #include "domino/signature_plan.h"
 #include "phy/medium.h"
+#include "phy/transceiver.h"
 #include "sim/simulator.h"
 #include "topo/conflict_graph.h"
 #include "topo/dynamics.h"
@@ -531,6 +532,52 @@ TEST(DedupReset, RoamHandsTheDedupFilterToTheNewAp) {
   // An empty hand-off (client never sent anything) adopts nothing.
   ap_b.adopt_uplink_seen(3, ap_a.take_uplink_seen(3));
   EXPECT_FALSE(ap_b.test_uplink_seen(3, 1));
+}
+
+// ---- AP outage inside the ACK delay ------------------------------------------
+
+/// ACKs on the air after a client's data frame reaches AP 0, when the AP
+/// is (or is not) powered down between the frame's end and its ACK, one
+/// SIFS later.
+std::uint64_t acks_around_power_down(bool power_down) {
+  const auto t = floorplan(7, 1, 1);  // AP 0, client 1
+  sim::Simulator sim;
+  phy::Medium medium(sim, t);
+  const domino::SignaturePlan sigs(t.num_nodes());
+  const domino::DominoTiming timing;
+  domino::DominoApMac ap(
+      sim, medium, 0, timing, sigs, {}, {}, Rng(1),
+      [](const traffic::Packet&, topo::NodeId, TimeNs) {},
+      [](const domino::ApReport&) {}, nullptr);
+  ap.register_client({1, -40.0});
+
+  struct Deaf : phy::MediumClient {
+    void on_frame_rx(const phy::Frame&, const phy::RxInfo&) override {}
+  } deaf;
+  phy::Transceiver client(medium, 1, &deaf);
+  traffic::Packet pkt;
+  pkt.id = 42;
+  pkt.src = 1;
+  pkt.dst = 0;
+  phy::Frame data;
+  data.type = phy::FrameType::kData;
+  data.dst = 0;
+  data.bytes = pkt.bytes + timing.wifi.mac_header_bytes;
+  data.duration = timing.data_air();
+  data.packet = pkt;
+  data.packet_id = pkt.id;
+  client.send(data);
+  if (power_down) {
+    sim.post_at(data.duration + timing.wifi.sifs / 2,
+                [&ap] { ap.set_powered(false); });
+  }
+  sim.run();
+  return medium.frames_sent(phy::FrameType::kAck);
+}
+
+TEST(DarkAp, PowerDownInsideTheAckDelaySendsNoAck) {
+  EXPECT_EQ(acks_around_power_down(false), 1u);
+  EXPECT_EQ(acks_around_power_down(true), 0u);
 }
 
 // ---- determinism and kernel selection --------------------------------------
