@@ -72,15 +72,6 @@ class BoundedIdFilter {
   bool contains(traffic::PacketId id) const { return set_.contains(id); }
   std::size_t size() const { return set_.size(); }
 
-  /// Forgets all history. Lifecycle paths deliberately do NOT call this on
-  /// re-association: ids are globally unique, so retained history only ever
-  /// suppresses true duplicates (lost-ACK retransmits), and the bounded
-  /// oldest-out eviction already ages stale entries.
-  void clear() {
-    set_.clear();
-    order_.clear();
-  }
-
  private:
   std::size_t cap_;
   std::set<traffic::PacketId> set_;

@@ -464,16 +464,6 @@ TEST(Lifecycle, ChurnInDenseCellRejoinsStayViolationFree) {
 
 // ---- dedup-filter lifecycle across re-association ---------------------------
 
-TEST(DedupReset, BoundedIdFilterClearForgetsEverything) {
-  domino::BoundedIdFilter f(4);
-  EXPECT_TRUE(f.insert(1));
-  EXPECT_TRUE(f.insert(2));
-  f.clear();
-  EXPECT_EQ(f.size(), 0u);
-  EXPECT_FALSE(f.contains(1));
-  EXPECT_TRUE(f.insert(1));  // reads as new again after the reset
-}
-
 TEST(DedupReset, ReassociationKeepsUplinkDedupState) {
   const auto t = floorplan(7, 1, 2);  // AP 0, clients 1..2
   sim::Simulator sim;
