@@ -568,7 +568,7 @@ void DominoApMac::on_trigger_detected(std::uint64_t tag,
 }
 
 void DominoApMac::execute_tx(std::uint64_t g) {
-  pending_tx_.reset();
+  pending_tx_.reset();  // a self-start forgets, but does not cancel, it
   if (!powered_) return;
   Row* r = find_row(g);
   if (r == nullptr || r->executed) return;
