@@ -225,7 +225,7 @@ void DominoNodeBase::on_frame_rx(const phy::Frame& frame,
   if (!powered_) return;  // AP outage: the radio is dark
   if (frame.type == phy::FrameType::kSignature) {
     if (info.half_duplex_loss || !frame.burst.has_value()) return;
-    sig_buffer_.push_back(BufferedBurst{*frame.burst, info.min_sinr_db,
+    sig_buffer_.push_back(BufferedBurst{*frame.burst, info.min_sinr_db(),
                                         frame.slot_tag, sim_.now()});
     if (!eval_scheduled_) {
       eval_scheduled_ = true;

@@ -64,6 +64,10 @@ Medium::Medium(sim::Simulator& sim, const topo::Topology& topo)
       nav_until_(topo.num_nodes(), 0),
       cs_threshold_mw_(dbm_to_mw(topo.thresholds().cs_threshold_dbm)),
       noise_mw_(dbm_to_mw(topo.thresholds().noise_floor_dbm)) {
+  for (std::size_t t = 0; t < kFrameTypeCount; ++t) {
+    decode_th_db_[t] = decode_threshold_db(static_cast<FrameType>(t));
+    decode_th_lin_[t] = db_to_ratio(decode_th_db_[t]);
+  }
   adopt_components();
 }
 
@@ -146,7 +150,7 @@ double Medium::decode_threshold_db(FrameType t) const {
       // handling for them lives in SignatureDetectionModel. The threshold
       // here only gates the "delivered at all" callback, so keep it at the
       // processing-gain-adjusted floor.
-      return -21.0;  // 10*log10(127) below the control threshold (approx)
+      return -21.0;  // 127-chip processing gain (21 dB) below control
   }
   // All FrameType values are handled above; reaching here is memory
   // corruption, not a missing case.
@@ -221,33 +225,29 @@ void Medium::zero_sums(const std::vector<NodeRun>& runs) {
   }
 }
 
-double Medium::interference_at(topo::NodeId node,
-                               const ActiveTx& victim) const {
-  const auto n = static_cast<std::size_t>(node);
-  double acc = external_intf_mw_ + inbound_mw_[n];
-  if (victim.rop) {
-    // ROP responses are mutually orthogonal: exclude every concurrent ROP
-    // contribution (the victim's own is part of that sum).
-    acc -= rop_inbound_mw_[n];
-  } else {
-    acc -= topo_.rss_mw(victim.frame.src, node);
-  }
-  // Subtraction can leave a tiny negative residue when the victim is the
-  // only contributor; interference is physically non-negative.
-  return acc > 0.0 ? acc : 0.0;
-}
-
 void Medium::sweep_interference(std::uint32_t comp, bool rop_only) {
+  const double ext = external_intf_mw_;
+  const double* inbound = inbound_mw_.data();
+  const double* rop_inbound = rop_inbound_mw_.data();
+  const std::uint32_t* tx_count = tx_count_.data();
   for (const std::uint32_t slot : active_) {
     ActiveTx& tx = slab_[slot];
     if ((comp != kEveryComponent && tx.comp != comp) ||
         (rop_only && !tx.rop)) {
       continue;
     }
+    // ROP responses are mutually orthogonal: a ROP victim excludes every
+    // concurrent ROP contribution (its own is part of that sum).
+    const bool rop = tx.rop;
     for (RxAttempt& rx : tx.rx) {
-      const double intf = interference_at(rx.node, tx);
-      if (intf > rx.max_intf_mw) rx.max_intf_mw = intf;
-      if (transmitting(rx.node)) rx.half_duplex_loss = true;
+      const auto n = static_cast<std::size_t>(rx.node);
+      double acc = ext + inbound[n];
+      acc -= rop ? rop_inbound[n] : rx.own_mw;
+      // Subtraction can leave a tiny negative residue when the victim is
+      // the only contributor; interference is physically non-negative.
+      acc = acc > 0.0 ? acc : 0.0;
+      rx.max_intf_mw = acc > rx.max_intf_mw ? acc : rx.max_intf_mw;
+      rx.half_duplex_loss |= tx_count[n] != 0;
     }
   }
 }
@@ -318,6 +318,7 @@ void Medium::transmit(const Frame& frame) {
     RxAttempt rx;
     rx.node = id;
     rx.rss_mw = topo_.rss_mw(frame.src, id);
+    rx.own_mw = rx.rss_mw;
     rx.max_intf_mw = 0.0;
     rx.half_duplex_loss = transmitting(id);
     tx.rx.push_back(rx);
@@ -360,15 +361,18 @@ void Medium::on_tx_end(std::uint32_t slot) {
   if (tx.rop) sweep_interference(tx.comp, /*rop_only=*/true);
   notify_cs_flips(comps_[tx.comp].runs, flips);
 
-  const double th = decode_threshold_db(tx.frame.type);
+  const auto type = static_cast<std::size_t>(tx.frame.type);
+  const double th_db = decode_th_db_[type];
+  const double th_lin = decode_th_lin_[type];
   for (const RxAttempt& rx : tx.rx) {
     MediumClient* client = clients_[static_cast<std::size_t>(rx.node)];
     if (client == nullptr) continue;
     RxInfo info;
-    info.rss_dbm = mw_to_dbm(rx.rss_mw);
-    info.min_sinr_db = ratio_to_db(rx.rss_mw / (noise_mw_ + rx.max_intf_mw));
+    info.rss_mw = rx.rss_mw;
+    info.min_sinr = rx.rss_mw / (noise_mw_ + rx.max_intf_mw);
     info.half_duplex_loss = rx.half_duplex_loss;
-    info.decoded = !rx.half_duplex_loss && info.min_sinr_db >= th;
+    info.decoded = !rx.half_duplex_loss &&
+                   clears_db_threshold(info.min_sinr, th_db, th_lin);
     // Clients may reentrantly transmit() from this callback; the slab is a
     // deque, so `tx` stays valid, and `slot` is not on the free list yet.
     client->on_frame_rx(tx.frame, info);
@@ -406,8 +410,16 @@ void Medium::on_topology_changed() {
   // every active transmission. TX-end removal subtracts the row as it is at
   // removal time, so the sums must always reflect the current matrix — a
   // zero-and-readd here keeps add/remove pairs consistent across the change.
+  // The own term each reception's sweep subtracts follows the row now in
+  // the sums.
   zero_sums(runs_);
-  for (std::uint32_t slot : active_) add_tx_power(slab_[slot]);
+  for (std::uint32_t slot : active_) {
+    ActiveTx& tx = slab_[slot];
+    add_tx_power(tx);
+    for (RxAttempt& rx : tx.rx) {
+      rx.own_mw = topo_.rss_mw(tx.frame.src, rx.node);
+    }
+  }
   // In-flight receptions keep their frozen desired power (RxAttempt.rss_mw,
   // sampled at TX start); only their interference picture follows the move,
   // in either direction, so every reception is re-swept.

@@ -24,10 +24,13 @@
 // on every TX start/end from the topology's precomputed linear-power row.
 // The interference seen by an in-flight reception is then derived in O(1)
 // as sum minus the victim's own contribution, instead of re-summing all
-// active transmissions per node per edge. Active transmissions live in a
-// slab with a free list (stable storage, recycled RxAttempt capacity), and
-// TX-end events are posted fire-and-forget, so a transmission allocates
-// nothing in steady state.
+// active transmissions per node per edge. Each reception attempt caches that
+// own contribution (own_mw: the sender's current linear-power entry at the
+// receiver, refreshed by a topology change), so the sweep over attempts is
+// one straight, branch-free loop of loads, a subtraction, a clamp and two
+// selects. Active transmissions live in a slab with a free list (stable
+// storage, recycled RxAttempt capacity), and TX-end events are posted
+// fire-and-forget, so a transmission allocates nothing in steady state.
 //
 // Each edge does only the work that can change a result. A TX edge touches
 // only the transmitter's coupling component (Topology::component_of): no
@@ -57,17 +60,37 @@
 #include "phy/frame.h"
 #include "sim/simulator.h"
 #include "topo/topology.h"
+#include "util/units.h"
 
 namespace dmn::phy {
 
+/// What a receiver learns about one frame at its end. The powers are
+/// linear, as the medium accounts them; the dB views are computed on read,
+/// so a delivery nobody inspects in dB costs no log10.
 struct RxInfo {
-  double rss_dbm = 0.0;
-  double min_sinr_db = 0.0;
+  double rss_mw = 0.0;    // desired power, frozen at TX start
+  double min_sinr = 0.0;  // linear: rss over noise + worst interference
   /// SINR cleared the decode threshold and the receiver stayed listening.
   bool decoded = false;
   /// Receiver was transmitting at some point during the frame.
   bool half_duplex_loss = false;
+
+  double rss_dbm() const { return mw_to_dbm(rss_mw); }
+  double min_sinr_db() const { return ratio_to_db(min_sinr); }
 };
+
+/// Whether a linear ratio clears a dB threshold, deciding exactly as
+/// ratio_to_db(ratio) >= th_db does. `th_lin` is db_to_ratio(th_db). The
+/// conversion is monotonic, so outside a relative band of 1e-9 around
+/// th_lin (about 4e-9 dB, far wider than the few ulps by which the two
+/// roundings can disagree) the linear compare decides; inside it, the dB
+/// compare does.
+inline bool clears_db_threshold(double ratio, double th_db, double th_lin) {
+  const double band = 1e-9 * th_lin;
+  if (ratio > th_lin + band) return true;
+  if (ratio < th_lin - band) return false;
+  return ratio_to_db(ratio) >= th_db;
+}
 
 /// Implemented by MAC entities. Callbacks run inside simulator events.
 class MediumClient {
@@ -213,10 +236,12 @@ class Medium {
   void set_test_power_leak(bool on) { test_power_leak_ = on; }
 
  private:
+  // Node id and flag share the last 8 bytes: 32 bytes per attempt.
   struct RxAttempt {
-    topo::NodeId node;
-    double rss_mw;
+    double rss_mw;            // desired power, frozen at TX start
+    double own_mw;            // the sender's current row entry at `node`
     double max_intf_mw;       // worst concurrent interference seen
+    topo::NodeId node;
     bool half_duplex_loss;
   };
   struct ActiveTx {
@@ -242,12 +267,10 @@ class Medium {
   /// Raises each in-flight reception's worst-case interference to its
   /// current value and flags receivers that are transmitting; `comp`
   /// restricts the sweep to one component's transmissions and `rop_only`
-  /// to receptions of ROP responses.
+  /// to receptions of ROP responses. The interference at a receiver is its
+  /// running sum minus the victim's own contribution (RxAttempt::own_mw),
+  /// or, for a ROP victim, minus all concurrent ROP contributions.
   void sweep_interference(std::uint32_t comp, bool rop_only);
-  /// O(1) interference at `node` against `victim`, derived from the running
-  /// per-node sums (sum minus the victim's own contribution; for ROP
-  /// victims, minus all concurrent ROP contributions).
-  double interference_at(topo::NodeId node, const ActiveTx& victim) const;
   /// Adds (sign = +1) or removes (sign = -1) a transmission's power row
   /// from its component's sums and, in the same pass, re-evaluates carrier
   /// sense (mark_cs_flips). Returns whether any node flipped.
@@ -308,6 +331,9 @@ class Medium {
   double external_intf_mw_ = 0.0;
   double cs_threshold_mw_;  // thresholds().cs_threshold_dbm, linear
   double noise_mw_;         // thresholds().noise_floor_dbm, linear
+  // Per FrameType: the decode threshold in dB and its linear ratio.
+  std::array<double, kFrameTypeCount> decode_th_db_{};
+  std::array<double, kFrameTypeCount> decode_th_lin_{};
 };
 
 }  // namespace dmn::phy

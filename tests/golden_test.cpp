@@ -207,7 +207,7 @@ TEST(Golden, MediumSinrAndCs) {
   for (int n = 0; n < 4; ++n) {
     for (const auto& rx : rec[n].heard) {
       observed.push_back({n, rx.frame.src, static_cast<int>(rx.frame.type),
-                          rx.info.rss_dbm, rx.info.min_sinr_db,
+                          rx.info.rss_dbm(), rx.info.min_sinr_db(),
                           rx.info.decoded, rx.info.half_duplex_loss});
     }
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iomanip>
@@ -93,7 +94,7 @@ TEST_F(MediumTest, CleanFrameDecodes) {
   sim_.run();
   ASSERT_EQ(sniffers_[1]->heard.size(), 1u);
   EXPECT_TRUE(sniffers_[1]->heard[0].info.decoded);
-  EXPECT_GT(sniffers_[1]->heard[0].info.min_sinr_db, 30.0);
+  EXPECT_GT(sniffers_[1]->heard[0].info.min_sinr_db(), 30.0);
 }
 
 TEST_F(MediumTest, ConcurrentInterferenceKillsDecode) {
@@ -277,7 +278,8 @@ std::string run_component_x(bool restrict_to_x, bool restrict_to_all) {
     for (const Sniffer::Rx& rx : s.heard) {
       out << "rx " << n << " src=" << rx.frame.src
           << " type=" << static_cast<int>(rx.frame.type)
-          << " rss=" << rx.info.rss_dbm << " sinr=" << rx.info.min_sinr_db
+          << " rss=" << rx.info.rss_dbm()
+          << " sinr=" << rx.info.min_sinr_db()
           << " dec=" << rx.info.decoded << " hd=" << rx.info.half_duplex_loss
           << "\n";
     }
@@ -381,8 +383,8 @@ class DigestClient final : public MediumClient {
     d_.mix(node_);
     d_.mix(f.src);
     d_.mix(static_cast<int>(f.type));
-    d_.mix(std::bit_cast<std::uint64_t>(i.rss_dbm));
-    d_.mix(std::bit_cast<std::uint64_t>(i.min_sinr_db));
+    d_.mix(std::bit_cast<std::uint64_t>(i.rss_dbm()));
+    d_.mix(std::bit_cast<std::uint64_t>(i.min_sinr_db()));
     d_.mix(i.decoded);
     d_.mix(i.half_duplex_loss);
     d_.mix(nav_busy);
@@ -628,8 +630,9 @@ class TranscriptClient final : public MediumClient {
   void on_frame_rx(const Frame& f, const RxInfo& i) override {
     out_ += std::to_string(sim_.now()) + " rx " + std::to_string(f.src) +
             " type=" + std::to_string(static_cast<int>(f.type)) + " " +
-            std::to_string(std::bit_cast<std::uint64_t>(i.rss_dbm)) + " " +
-            std::to_string(std::bit_cast<std::uint64_t>(i.min_sinr_db)) +
+            std::to_string(std::bit_cast<std::uint64_t>(i.rss_dbm())) +
+            " " +
+            std::to_string(std::bit_cast<std::uint64_t>(i.min_sinr_db())) +
             " " + std::to_string(i.decoded) +
             std::to_string(i.half_duplex_loss) + "\n";
   }
@@ -750,6 +753,38 @@ TEST(MediumCallbacks, TransmitFromACarrierSenseCallbackThrows) {
   ASSERT_EQ(sniffer.cs_edges.size(), 2u);
   m.transmit(pin_frame(FrameType::kAck, c, usec(44)));
   EXPECT_TRUE(m.transmitting(c));
+}
+
+// ---- decode decision ------------------------------------------------------
+
+TEST(DecodeThreshold, BandedLinearDecisionMatchesTheDbCompare) {
+  // Thresholds from -30 to +40 dB in 0.01 dB steps; at each, the 128
+  // doubles from 64 ulps below its linear value up. A plain linear compare
+  // (ratio >= th_lin) gets thousands of these points wrong: the two
+  // roundings disagree within a few ulps of the threshold.
+  std::size_t points = 0, mismatches = 0;
+  for (int k = -3000; k <= 4000; ++k) {
+    const double th_db = k / 100.0;
+    const double th_lin = db_to_ratio(th_db);
+    double r = th_lin;
+    for (int i = 0; i < 64; ++i) r = std::nextafter(r, 0.0);
+    for (int i = 0; i < 128; ++i, r = std::nextafter(r, 1e300)) {
+      ++points;
+      const bool want = ratio_to_db(r) >= th_db;
+      if (clears_db_threshold(r, th_db, th_lin) != want) {
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << std::setprecision(17) << "th_db=" << th_db
+                        << " ratio=" << r << " want=" << want;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(points, 896128u);
+  EXPECT_EQ(mismatches, 0u);
+  // Far from the threshold the linear compare decides.
+  EXPECT_TRUE(clears_db_threshold(2.0, 0.0, 1.0));
+  EXPECT_FALSE(clears_db_threshold(0.5, 0.0, 1.0));
+  EXPECT_FALSE(clears_db_threshold(0.0, -21.0, db_to_ratio(-21.0)));
 }
 
 // ---- Signature detection model -------------------------------------------
