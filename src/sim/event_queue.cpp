@@ -14,7 +14,15 @@ void EventQueue::check_future(TimeNs at) const {
   }
 }
 
-std::uint32_t EventQueue::take_slot(EventFn fn, EventHandle::State* state) {
+std::uint32_t EventQueue::insert(TimeNs at, std::uint64_t lane,
+                                 std::uint64_t seq, EventFn&& fn) {
+  check_future(at);
+  if (lane >= kLaneLimit || seq >= kSeqLimit) {
+    throw std::logic_error(
+        "sim: event order key overflows its tie word: lane=" +
+        std::to_string(lane) + " seq=" + std::to_string(seq) + " (queue " +
+        std::to_string(index_) + ")");
+  }
   std::uint32_t slot;
   if (!slot_free_.empty()) {
     slot = slot_free_.back();
@@ -22,31 +30,26 @@ std::uint32_t EventQueue::take_slot(EventFn fn, EventHandle::State* state) {
   } else {
     slot = static_cast<std::uint32_t>(slab_.size());
     slab_.emplace_back();
+    pos_.push_back(0);
   }
-  Entry& e = slab_[slot];
-  e.fn = std::move(fn);
-  e.state = state;
+  slab_[slot].fn = std::move(fn);
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Key{at, lane << kSeqBits | seq, slot});
   return slot;
 }
 
-void EventQueue::heap_insert(Key k) {
-  std::size_t i = heap_.size();
-  heap_.push_back(k);
+void EventQueue::sift_up(std::size_t i, Key k) {
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
     if (!k.before(heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = k;
+  place(i, k);
 }
 
-void EventQueue::heap_pop_top() {
-  const Key moved = heap_.back();
-  heap_.pop_back();
-  if (heap_.empty()) return;
+void EventQueue::sift_down(std::size_t i, Key k) {
   const std::size_t n = heap_.size();
-  std::size_t i = 0;
   for (;;) {
     const std::size_t first = (i << 2) + 1;
     if (first >= n) break;
@@ -55,64 +58,58 @@ void EventQueue::heap_pop_top() {
     for (std::size_t c = first + 1; c < end; ++c) {
       if (heap_[c].before(heap_[best])) best = c;
     }
-    if (!heap_[best].before(moved)) break;
-    heap_[i] = heap_[best];
+    if (!heap_[best].before(k)) break;
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = moved;
+  place(i, k);
+}
+
+void EventQueue::heap_remove(std::size_t i) {
+  const Key moved = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // removed the last key itself
+  if (i > 0 && moved.before(heap_[(i - 1) >> 2])) {
+    sift_up(i, moved);
+  } else {
+    sift_down(i, moved);
+  }
+}
+
+void EventQueue::erase(std::uint32_t slot) {
+  heap_remove(pos_[slot]);
+  slab_[slot].fn = EventFn();
+  release_slot(slot);
 }
 
 void EventQueue::push(TimeNs at, EventFn fn) {
-  check_future(at);
-  const std::uint32_t slot = take_slot(std::move(fn), nullptr);
-  heap_insert(Key{at, 0, next_seq_++, slot});
+  insert(at, 0, next_seq_, std::move(fn));
+  ++next_seq_;
 }
 
 EventHandle EventQueue::schedule(TimeNs at, EventFn fn) {
-  check_future(at);  // validate before drawing from the pool
-  EventHandle::State* state;
-  if (!state_free_.empty()) {
-    state = state_free_.back();
-    state_free_.pop_back();
-  } else {
-    state = &state_slab_.emplace_back();
-  }
-  const std::uint32_t slot = take_slot(std::move(fn), state);
-  heap_insert(Key{at, 0, next_seq_++, slot});
+  const std::uint32_t slot = insert(at, 0, next_seq_, std::move(fn));
+  ++next_seq_;
 #ifndef NDEBUG
-  return EventHandle(state, state->gen, alive_);
+  return EventHandle(this, slot, slab_[slot].gen, alive_);
 #else
-  return EventHandle(state, state->gen);
+  return EventHandle(this, slot, slab_[slot].gen);
 #endif
 }
 
-bool EventQueue::run_one() {
+void EventQueue::run_one() {
   const Key top = heap_[0];
-  Entry& e = slab_[top.slot];
-  if (e.state != nullptr && e.state->cancelled) {
-    // Reap a cancelled entry: recycle state + slot, count nothing.
-    recycle_state(e.state);
-    e.state = nullptr;
-    e.fn = EventFn();
-    slot_free_.push_back(top.slot);
-    heap_pop_top();
-    return false;
-  }
   // Detach the callable and free the slot BEFORE invoking it — the event
   // may schedule new work, reallocating the slab and heap underneath us.
-  EventFn fn = std::move(e.fn);
-  EventHandle::State* state = e.state;
-  e.state = nullptr;
-  slot_free_.push_back(top.slot);
-  heap_pop_top();
+  // Releasing the slot advances its generation first: outstanding handles
+  // read "no longer pending" from inside the callback, and a cancel()
+  // issued there (or any time later) cannot touch the recycled slot.
+  EventFn fn = std::move(slab_[top.slot].fn);
+  release_slot(top.slot);
+  heap_remove(0);
   now_ = top.at;
-  // Advance the generation before running: outstanding handles read
-  // "no longer pending" from inside the callback, and a cancel() issued
-  // there (or any time later) cannot touch the recycled slot.
-  if (state != nullptr) recycle_state(state);
   ++executed_;
   fn();
-  return true;
 }
 
 std::uint64_t EventQueue::run_window(TimeNs last, std::uint64_t max_events,
@@ -124,7 +121,8 @@ std::uint64_t EventQueue::run_window(TimeNs last, std::uint64_t max_events,
       break;
     }
     if (heap_[0].at > last) break;
-    if (run_one()) ++ran;
+    run_one();
+    ++ran;
   }
   return ran;
 }
@@ -143,11 +141,10 @@ void EventQueue::drain_inbox() {
     inbox_flag_.store(false, std::memory_order_release);
   }
   for (CrossMsg& m : drain_scratch_) {
-    check_future(m.at);
-    const std::uint32_t slot = take_slot(std::move(m.fn), nullptr);
     // The (src, seq) stamp IS the heap order — no drain-time sort, and the
     // merged order cannot depend on which barrier drained which message.
-    heap_insert(Key{m.at, 1 + static_cast<std::uint64_t>(m.src), m.seq, slot});
+    insert(m.at, 1 + static_cast<std::uint64_t>(m.src), m.seq,
+           std::move(m.fn));
   }
   drain_scratch_.clear();  // keeps capacity for the next barrier
 }

@@ -5,7 +5,8 @@
 //
 // Events scheduled for the same tick run in FIFO order of scheduling
 // (stable), which keeps protocol state machines deterministic. Cancellation
-// is lazy: cancel() flags the event and the run loop skips flagged entries.
+// is eager: cancel() removes the event's key from the heap at once, so the
+// run loop only ever pops live events and next_time() is the earliest one.
 //
 // The queue is allocation-free on the hot path:
 //  * event callables live in fixed inline storage inside a slab entry
@@ -13,16 +14,21 @@
 //    inline capacity, which no call site in this codebase does;
 //  * the heap itself is a 4-ary min-heap of 24-byte POD keys; callables sit
 //    in a stable slab addressed by slot index, so sift operations move
-//    small PODs instead of 100-byte entries with relocation callbacks;
-//  * cancellation state is pooled: schedule() hands out generation-stamped
-//    State slots from a per-queue free list, recycled the moment the event
-//    runs or its cancelled corpse is popped — no shared_ptr, no allocation
-//    after the pool warms up. post_at()/post_in() carry no state at all.
+//    small PODs instead of 100-byte entries with relocation callbacks. A
+//    compact slot -> heap index array (pos_) lets cancel() find a key and
+//    sift its replacement into place;
+//  * each slab entry carries a 64-bit generation that advances the moment
+//    its event runs or is cancelled, so an EventHandle is just (queue,
+//    slot, generation) — no shared_ptr, no pooled state, no allocation
+//    after the slab warms up. post_at()/post_in() hand out no handle.
 //
 // Event order within a queue is the strict total order
 //   (at, lane, seq)  with  lane 0 = locally scheduled events (seq = FIFO
 //   push order) and lane 1+src = cross-partition messages (seq = per-source
 //   send sequence).
+// The key packs (lane, seq) into one tie word, lane << 48 | seq, so a
+// compare is one 128-bit (at, tie) compare; a lane or sequence that does
+// not fit its field throws std::logic_error instead of aliasing.
 // Putting the cross-partition (source, sequence) pair directly into the
 // heap key — rather than assigning drain-time FIFO numbers — makes the
 // merged order a pure function of the simulated computation, independent of
@@ -35,21 +41,20 @@
 // windows. The sole exception is inbox_put(), which remote partitions may
 // call concurrently (mutex-protected vector plus a lock-free "pending" flag
 // that lets the barrier skip idle inboxes); drain_inbox() moves the
-// accumulated messages into the heap at a window barrier.
+// accumulated messages into the heap at a window barrier. A cancel() edits
+// the owning queue's heap, so it is only valid from that queue's own
+// context (Simulator::cancel asserts this in debug builds).
 //
-// Lifetime contract: an EventHandle borrows pooled state owned by its
-// queue, so handles must not be used after the owning Simulator is
-// destroyed (they were previously shared_ptr-backed and outlived it; no
-// call site relied on that). Debug builds enforce this: each handle carries
-// a weak reference to its queue's liveness token, and pending()/cancel()
-// assert on a dead owner. Release handles stay two raw words.
+// Lifetime contract: an EventHandle points into its queue's slab, so
+// handles must not be used after the owning Simulator is destroyed. Debug
+// builds enforce this: each handle carries a weak reference to its queue's
+// liveness token, and pending()/cancel() assert on a dead owner.
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -148,44 +153,43 @@ class EventFn {
   void (*destroy_)(void*) = nullptr;
 };
 
-/// Handle to a scheduled event; may be used to cancel it. Backed by pooled,
-/// generation-stamped state inside the owning queue: when the event runs
-/// (or its cancelled entry is reaped) the slot's generation advances and
-/// every outstanding handle to it becomes inert — pending() turns false and
-/// cancel() a no-op — even after the slot is reused for a newer event.
+class EventQueue;
+
+/// Handle to a scheduled event; may be used to cancel it. Names the owning
+/// queue, the event's slab slot and that slot's generation: when the event
+/// runs or is cancelled the slot's generation advances and every
+/// outstanding handle to it becomes inert — pending() turns false and
+/// cancel() a no-op — even after the slot is reused for a newer event. The
+/// generation is 64 bits wide, so it cannot wrap around to a stale value.
 class EventHandle {
  public:
   EventHandle() = default;
 
   /// True if the event is still pending (not run, not cancelled).
-  bool pending() const {
-    assert_owner_alive();
-    return state_ != nullptr && state_->gen == gen_ && !state_->cancelled;
-  }
+  bool pending() const;
 
  private:
   friend class EventQueue;
   friend class Simulator;
-  struct State {
-    std::uint64_t gen = 0;
-    bool cancelled = false;
-  };
 #ifndef NDEBUG
-  EventHandle(State* s, std::uint64_t gen, std::weak_ptr<const void> alive)
-      : state_(s), gen_(gen), alive_(std::move(alive)) {}
+  EventHandle(EventQueue* q, std::uint32_t slot, std::uint64_t gen,
+              std::weak_ptr<const void> alive)
+      : queue_(q), slot_(slot), gen_(gen), alive_(std::move(alive)) {}
 #else
-  EventHandle(State* s, std::uint64_t gen) : state_(s), gen_(gen) {}
+  EventHandle(EventQueue* q, std::uint32_t slot, std::uint64_t gen)
+      : queue_(q), slot_(slot), gen_(gen) {}
 #endif
   /// Debug enforcement of the lifetime contract (file-top comment): trips
   /// when a handle is dereferenced after its owning queue — and hence its
-  /// Simulator — was destroyed, instead of reading freed pool memory.
+  /// Simulator — was destroyed, instead of reading freed slab memory.
   void assert_owner_alive() const {
 #ifndef NDEBUG
-    assert((state_ == nullptr || !alive_.expired()) &&
+    assert((queue_ == nullptr || !alive_.expired()) &&
            "EventHandle used after its owning Simulator was destroyed");
 #endif
   }
-  State* state_ = nullptr;
+  EventQueue* queue_ = nullptr;
+  std::uint32_t slot_ = 0;
   std::uint64_t gen_ = 0;
 #ifndef NDEBUG
   std::weak_ptr<const void> alive_;
@@ -205,29 +209,30 @@ class EventQueue {
   TimeNs now() const { return now_; }
   void set_now(TimeNs t) { now_ = t; }
   bool empty() const { return heap_.empty(); }
+  /// Number of pending events (cancelled ones have already left).
+  std::size_t size() const { return heap_.size(); }
   std::uint64_t executed() const { return executed_; }
 
   /// Timestamp of the earliest pending event, kTimeNever when empty.
   TimeNs next_time() const { return heap_.empty() ? kTimeNever : heap_[0].at; }
 
-  /// Inserts a fire-and-forget event (no cancellation state). Throws
-  /// std::logic_error when `at` lies in this queue's past — causality
-  /// violations must be loud even in Release builds, where all benches run.
+  /// Inserts a fire-and-forget event (no handle). Throws std::logic_error
+  /// when `at` lies in this queue's past — causality violations must be
+  /// loud even in Release builds, where all benches run — or when the
+  /// queue's sequence number outgrows its field of the tie word.
   void push(TimeNs at, EventFn fn);
 
-  /// Inserts a cancellable event and returns its handle. The cancellation
-  /// state comes from the queue's pooled free list — no allocation once the
-  /// pool has warmed up. The handle borrows that pooled state: it must not
-  /// be used after the owning Simulator is destroyed (asserted in debug
-  /// builds).
+  /// Inserts a cancellable event and returns its handle; throws like
+  /// push(). The handle points into this queue's slab: it must not be used
+  /// after the owning Simulator is destroyed (asserted in debug builds).
   EventHandle schedule(TimeNs at, EventFn fn);
 
-  /// Cancel a pending event; no-op if already run, reaped, or cancelled.
+  /// Cancels a pending event, removing it from its queue's heap; no-op if
+  /// it already ran or was cancelled. Only valid from the owning queue's
+  /// context (file-top threading contract).
   static void cancel(EventHandle& h) {
     h.assert_owner_alive();
-    if (h.state_ != nullptr && h.state_->gen == h.gen_) {
-      h.state_->cancelled = true;
-    }
+    if (h.pending()) h.queue_->erase(h.slot_);
   }
 
   /// Runs pending events with at <= last, in (at, lane, seq) order, until
@@ -259,56 +264,78 @@ class EventQueue {
   /// Moves accumulated inbox messages into the heap. Their (at, src, seq)
   /// execution order is encoded directly in the heap key, so the result is
   /// independent of which barrier drained which message. Barrier-only: the
-  /// caller must be the queue's sole executor. Throws if a message lands in
-  /// the past.
+  /// caller must be the queue's sole executor. Throws std::logic_error if a
+  /// message lands in the past or its (1 + src, seq) does not fit the tie
+  /// word.
   void drain_inbox();
 
-
  private:
-  friend class Simulator;
+  friend class EventHandle;
 
-  /// Heap key: the strict total order (at, lane, seq). 4-ary layout — the
-  /// shallower tree does fewer cache-missing compares per sift than the
-  /// binary std::push_heap/pop_heap it replaces, and moves 24-byte PODs
-  /// instead of full entries.
+  /// Tie word layout: lane << kSeqBits | seq.
+  static constexpr unsigned kSeqBits = 48;
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << kSeqBits;
+  static constexpr std::uint64_t kLaneLimit = std::uint64_t{1}
+                                              << (64 - kSeqBits);
+
+  /// Heap key: the strict total order (at, lane, seq), with (lane, seq)
+  /// packed into `tie`. 4-ary layout — the shallower tree does fewer
+  /// cache-missing compares per sift than the binary std::push_heap/pop_heap
+  /// it replaces, and moves 24-byte PODs instead of full entries.
   struct Key {
     TimeNs at;
-    std::uint64_t lane;  // 0 = local FIFO; 1 + src for cross messages
-    std::uint64_t seq;
+    std::uint64_t tie;   // lane << kSeqBits | seq; lane 0 = local FIFO,
+                         // lane 1 + src for cross messages
     std::uint32_t slot;  // index into slab_
 
+    /// One branch-free 128-bit compare of (at, tie). Flipping the sign bit
+    /// maps signed time onto unsigned order.
     bool before(const Key& o) const {
-      if (at != o.at) return at < o.at;
-      if (lane != o.lane) return lane < o.lane;
-      return seq < o.seq;
+      __extension__ using Word = unsigned __int128;
+      constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+      const Word a =
+          Word{static_cast<std::uint64_t>(at) ^ kSign} << 64 | tie;
+      const Word b =
+          Word{static_cast<std::uint64_t>(o.at) ^ kSign} << 64 | o.tie;
+      return a < b;
     }
   };
+  static_assert(sizeof(Key) == 24, "heap keys are three words");
   struct Entry {
     EventFn fn;
-    EventHandle::State* state = nullptr;  // null for post_at events
+    std::uint64_t gen = 0;  // advances when the event runs or is cancelled
   };
 
-  /// Pops and executes the earliest pending event; skips (without counting)
-  /// a cancelled entry. The caller guarantees the heap is non-empty.
-  /// Returns true when an event actually ran.
-  bool run_one();
+  /// Pops and executes the earliest pending event. The caller guarantees
+  /// the heap is non-empty.
+  void run_one();
   void check_future(TimeNs at) const;
-  std::uint32_t take_slot(EventFn fn, EventHandle::State* state);
-  void heap_insert(Key k);
-  /// Removes heap_[0]; the caller has already copied it.
-  void heap_pop_top();
-  void recycle_state(EventHandle::State* s) {
-    ++s->gen;
-    s->cancelled = false;
-    state_free_.push_back(s);
+  /// Validates `at` and (lane, seq), then files `fn` under a fresh slot and
+  /// inserts its key. Returns the slot.
+  std::uint32_t insert(TimeNs at, std::uint64_t lane, std::uint64_t seq,
+                       EventFn&& fn);
+  /// Retires a slot whose event ran or was cancelled: its generation
+  /// advances (inerting outstanding handles) and it joins the free list.
+  void release_slot(std::uint32_t slot) {
+    ++slab_[slot].gen;
+    slot_free_.push_back(slot);
+  }
+  /// Removes a cancelled event's key and callable.
+  void erase(std::uint32_t slot);
+  /// Removes heap_[i], sifting the last key into its place.
+  void heap_remove(std::size_t i);
+  void sift_up(std::size_t i, Key k);
+  void sift_down(std::size_t i, Key k);
+  void place(std::size_t i, const Key& k) {
+    heap_[i] = k;
+    pos_[k.slot] = static_cast<std::uint32_t>(i);
   }
 
   std::uint32_t index_;
   std::vector<Key> heap_;
+  std::vector<std::uint32_t> pos_;  // slot -> index of its key in heap_
   std::vector<Entry> slab_;
   std::vector<std::uint32_t> slot_free_;
-  std::deque<EventHandle::State> state_slab_;  // stable addresses
-  std::vector<EventHandle::State*> state_free_;
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
@@ -324,5 +351,10 @@ class EventQueue {
   std::shared_ptr<const void> alive_ = std::make_shared<int>(0);
 #endif
 };
+
+inline bool EventHandle::pending() const {
+  assert_owner_alive();
+  return queue_ != nullptr && queue_->slab_[slot_].gen == gen_;
+}
 
 }  // namespace dmn::sim

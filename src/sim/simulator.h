@@ -72,6 +72,7 @@
 // a fixed partition assignment and window schedule.
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -183,9 +184,9 @@ class Simulator {
   /// Schedule `fn` to run at absolute time `at` (>= now()) on the active
   /// queue. Throws std::logic_error when `at` lies in the past. The
   /// returned handle can cancel the event; if the handle is discarded,
-  /// prefer post_at(), which skips the handle state entirely. Handles
-  /// borrow pooled state owned by the kernel and must not be used after
-  /// the Simulator is destroyed (debug builds assert on such use).
+  /// prefer post_at(). Handles point into the kernel's event slab and must
+  /// not be used after the Simulator is destroyed (debug builds assert on
+  /// such use).
   EventHandle schedule_at(TimeNs at, EventFn fn);
 
   /// Schedule `fn` to run `delay` after now().
@@ -206,9 +207,15 @@ class Simulator {
   /// (`at >= now() + lookahead()`); violations throw std::logic_error.
   void post_to_queue(std::uint32_t dst, TimeNs at, EventFn fn);
 
-  /// Cancel a pending event. No-op if already run or cancelled. Only valid
-  /// for events on the caller's own queue.
-  void cancel(EventHandle& h) { EventQueue::cancel(h); }
+  /// Cancel a pending event, removing it from its queue. No-op if already
+  /// run or cancelled. Only valid for events on the caller's own queue:
+  /// another partition's heap may be running on another thread. Debug
+  /// builds assert the handle's queue is the active one.
+  void cancel(EventHandle& h) {
+    assert((h.queue_ == nullptr || h.queue_ == &active()) &&
+           "Simulator::cancel: the handle's event is on another queue");
+    EventQueue::cancel(h);
+  }
 
   /// Run until every queue drains or simulation time exceeds `until`.
   /// Events stamped exactly at `until` still run. On a normal return every
