@@ -486,16 +486,8 @@ struct Experiment::Impl {
         if (q < mediums.size()) auditors.back()->attach_medium(*mediums[q]);
       }
     }
-    if (cfg.audit.mutation == audit::Mutation::kMediumLeakPower) {
-      for (auto& m : mediums) m->set_test_power_leak(true);
-    }
-    if (lifecycle) {
-      if (cfg.audit.mutation == audit::Mutation::kLifecycleGhostRadio) {
-        lifecycle->set_test_ghost_radio(true);
-      } else if (cfg.audit.mutation == audit::Mutation::kLifecycleStaleRoam) {
-        lifecycle->set_test_stale_roam(true);
-      }
-    }
+    for (auto& m : mediums) m->set_mutation(cfg.audit.mutation);
+    if (lifecycle) lifecycle->set_mutation(cfg.audit.mutation);
 
     build_stack();
     build_traffic();

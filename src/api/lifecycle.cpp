@@ -232,7 +232,7 @@ void LifecycleDriver::epoch_tick(TimeNs now) {
         continue;
       }
       if (now - last_roam_[c] < plan_.roam.min_dwell) continue;
-      if (test_stale_roam_) {
+      if (mutation_ == audit::Mutation::kLifecycleStaleRoam) {
         // Mutant: the association moves but the stack is never told and the
         // scheduling plane keeps its stale graph — the auditor's
         // converter.stale-association check must catch the next batch.
@@ -261,7 +261,7 @@ void LifecycleDriver::epoch_tick(TimeNs now) {
 void LifecycleDriver::handle_leave(topo::NodeId node, TimeNs now) {
   if (!topo_.node_active(node)) return;  // scripted/churn collision
   ++counters_.leaves;
-  if (test_ghost_radio_) {
+  if (mutation_ == audit::Mutation::kLifecycleGhostRadio) {
     // Mutant: the lifecycle ledger records the departure but the driver
     // "forgets" the radio — no detach, no isolation, no deactivation. The
     // departed client keeps decoding and ACKing; the auditor's
@@ -315,7 +315,7 @@ void LifecycleDriver::flush() {
   if (rss_dirty_ && hooks_.refresh_medium) hooks_.refresh_medium();
   rss_dirty_ = false;
   if (graph_dirty_) {
-    if (test_stale_roam_) {
+    if (mutation_ == audit::Mutation::kLifecycleStaleRoam) {
       // Mutant keeps the stale scheduling plane (see epoch_tick); the
       // medium refresh above still happens — the defect under test is the
       // control plane, not the PHY.

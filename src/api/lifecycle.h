@@ -23,6 +23,7 @@
 #include <map>
 #include <vector>
 
+#include "audit/mutation.h"
 #include "sim/simulator.h"
 #include "topo/dynamics.h"
 #include "topo/topology.h"
@@ -79,7 +80,7 @@ class LifecycleDriver {
 
   const LifecycleCounters& counters() const { return counters_; }
 
-  /// Audit mutants (audit::Mutation::kLifecycleGhostRadio / StaleRoam).
+  /// Auditor self-test switch (kLifecycleGhostRadio / kLifecycleStaleRoam).
   /// Ghost radio: departures are recorded in the lifecycle ledger but the
   /// driver "forgets" to detach the MAC or isolate the radio — the departed
   /// client keeps receiving, which the auditor's delivery-to-departed check
@@ -87,8 +88,7 @@ class LifecycleDriver {
   /// skipping stack re-registration and the graph rebuild — the controller
   /// keeps planning over the stale graph, which the auditor's
   /// stale-association check must catch.
-  void set_test_ghost_radio(bool on) { test_ghost_radio_ = on; }
-  void set_test_stale_roam(bool on) { test_stale_roam_ = on; }
+  void set_mutation(audit::Mutation m) { mutation_ = m; }
 
  private:
   struct CompiledEvent {
@@ -132,8 +132,7 @@ class LifecycleDriver {
   LifecycleCounters counters_;
   bool rss_dirty_ = false;
   bool graph_dirty_ = false;
-  bool test_ghost_radio_ = false;
-  bool test_stale_roam_ = false;
+  audit::Mutation mutation_ = audit::Mutation::kNone;
 };
 
 }  // namespace dmn::api

@@ -33,28 +33,13 @@ void DominoStack::build(StackContext& ctx,
   timing.wifi = cfg.wifi;
   timing.payload_bytes = cfg.traffic.packet_bytes;
 
-  domino::DominoParams domino_params = cfg.domino;
-  domino_params.payload_bytes = cfg.traffic.packet_bytes;
   controller_ = std::make_unique<domino::DominoController>(
-      ctx.sim, *backbone_, topo, ctx.graph(), *signatures_, domino_params,
+      ctx.sim, *backbone_, topo, ctx.graph(), *signatures_, cfg.domino,
       cfg.converter, timing.slot_duration(), timing.rop_duration(), cfg.rop,
       timing.rop_symbol);
   if (ctx.faults != nullptr) controller_->set_fault_injector(ctx.faults);
   if (ctx.audit != nullptr) controller_->set_schedule_observer(ctx.audit);
-  const audit::Mutation mutation = cfg.audit.mutation;
-  if (mutation == audit::Mutation::kConverterExtraTrigger) {
-    controller_->converter().set_test_defect(
-        domino::ScheduleConverter::TestDefect::kExtraTrigger);
-  } else if (mutation == audit::Mutation::kConverterConflictingEntry) {
-    controller_->converter().set_test_defect(
-        domino::ScheduleConverter::TestDefect::kConflictingEntry);
-  } else if (mutation == audit::Mutation::kRopAirtimeOverBudget) {
-    controller_->set_test_poll_defect(
-        domino::DominoController::PollDefect::kOverwideRounds);
-  } else if (mutation == audit::Mutation::kRopStarvedClient) {
-    controller_->set_test_poll_defect(
-        domino::DominoController::PollDefect::kStarveClient);
-  }
+  controller_->set_mutation(cfg.audit.mutation);
 
   // APs, each with its static poll slot table.
   topo_ = &topo;
@@ -134,15 +119,7 @@ void DominoStack::build(StackContext& ctx,
       node->set_faults(ctx.faults);
       node->set_clock_skew_ppm(ctx.faults->clock_skew_ppm(c));
     }
-    if (mutation == audit::Mutation::kMacTriggerWithoutSignature) {
-      node->set_test_trigger_on_any_burst(true);
-    } else if (mutation == audit::Mutation::kMacDoubleDelivery) {
-      node->set_test_double_delivery(true);
-    } else if (mutation == audit::Mutation::kRopReportOffset) {
-      node->set_test_rop_report_offset(true);
-    } else if (mutation == audit::Mutation::kRopCrossSymbolCollision) {
-      node->set_test_poll_symbol_collapse(true);
-    }
+    node->set_mutation(cfg.audit.mutation);
     macs[static_cast<std::size_t>(c)] = node.get();
     client_map_[c] = node.get();
     clients_.push_back(std::move(node));

@@ -562,7 +562,6 @@ void hash_config(Hasher& h, const ExperimentConfig& c) {
 
   h.u64(c.domino.batch_slots);
   h.u64(c.domino.batches_per_poll);
-  h.u64(c.domino.payload_bytes);
 
   h.i64(c.converter.max_inbound);
   h.i64(c.converter.max_outbound);
@@ -577,7 +576,6 @@ void hash_config(Hasher& h, const ExperimentConfig& c) {
   h.num(c.sig_model.beyond_decay);
   h.num(c.sig_model.full_sinr_db);
   h.num(c.sig_model.zero_sinr_db);
-  h.num(c.sig_model.false_positive_rate);
 
   h.u64(c.rop.fft_size);
   h.u64(c.rop.data_per_subchannel);
@@ -692,9 +690,9 @@ std::uint64_t hash_sweep(const std::vector<SweepPoint>& points) {
 
 std::string runner_fingerprint() {
 #if defined(__VERSION__)
-  return std::string("dmn-sweep-v5 ") + __VERSION__;
+  return std::string("dmn-sweep-v6 ") + __VERSION__;
 #else
-  return "dmn-sweep-v5 unknown-compiler";
+  return "dmn-sweep-v6 unknown-compiler";
 #endif
 }
 

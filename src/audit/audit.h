@@ -38,10 +38,11 @@
 // into the AuditReport surfaced on ExperimentResult::audit). The env knob
 // lets every existing bench and test run audited without code changes.
 //
-// Trusting the auditor: audit::Mutation enumerates deliberately broken
-// variants of the audited layers (a medium that leaks power on TX end, a
-// converter that over-assigns triggers, a client that misreports its
-// queue, ...) behind test-only hooks. tests/audit_test.cpp compiles each
+// Trusting the auditor: audit::Mutation (audit/mutation.h) enumerates
+// deliberately broken variants of the audited layers (a medium that leaks
+// power on TX end, a converter that over-assigns triggers, a client that
+// misreports its queue, ...); each layer takes it through one test-only
+// set_mutation switch. tests/audit_test.cpp compiles each
 // mutant and asserts the corresponding invariant trips — proving the
 // auditor catches the bugs it claims to. docs/TESTING.md describes how to
 // add an invariant together with its mutant.
@@ -57,6 +58,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "audit/mutation.h"
 #include "domino/controller.h"
 #include "mac/mac_common.h"
 #include "phy/medium.h"
@@ -79,47 +81,10 @@ enum class AuditMode {
   kThrow,
 };
 
-/// Deliberately broken layer variants for the auditor self-test. kNone in
-/// every real experiment; tests/audit_test.cpp runs one mutant per value
-/// and asserts the matching invariant trips.
-enum class Mutation {
-  kNone = 0,
-  /// phy::Medium removes only half of a transmission's power row at TX end,
-  /// corrupting the incremental interference sums.
-  kMediumLeakPower,
-  /// ScheduleConverter duplicates a trigger past max_inbound.
-  kConverterExtraTrigger,
-  /// ScheduleConverter appends a fake entry that conflicts with its slot.
-  kConverterConflictingEntry,
-  /// DominoNodeBase treats every triggering burst as carrying its code.
-  kMacTriggerWithoutSignature,
-  /// DominoClientMac delivers a decoded downlink packet twice.
-  kMacDoubleDelivery,
-  /// DominoClientMac reports queue length + 1 in ROP responses.
-  kRopReportOffset,
-  /// Lifecycle: a departed client is neither detached from its AP nor
-  /// RSS-isolated — its radio keeps running and downlink packets keep
-  /// arriving ("ghost radio").
-  kLifecycleGhostRadio,
-  /// Lifecycle: a roam updates the topology's association but skips MAC
-  /// re-registration and the conflict-graph rebuild, so the controller
-  /// keeps scheduling the stale link.
-  kLifecycleStaleRoam,
-  /// DominoClientMac answers every multi-symbol poll in symbol 0 regardless
-  /// of its assigned symbol, colliding with the symbol-0 group's
-  /// subchannels.
-  kRopCrossSymbolCollision,
-  /// DominoController drops the highest-id client from every (adaptive)
-  /// poll roster it plans, so that client is never polled again.
-  kRopStarvedClient,
-  /// DominoController spreads each (adaptive) roster one-client-per-symbol,
-  /// blowing the round past the max_poll_symbols airtime budget.
-  kRopAirtimeOverBudget,
-};
-
 struct AuditConfig {
   AuditMode mode = AuditMode::kInherit;
-  /// Test-only: compile one deliberate defect into the stack (see above).
+  /// Test-only: compile one deliberate defect into the stack
+  /// (audit/mutation.h).
   Mutation mutation = Mutation::kNone;
 };
 

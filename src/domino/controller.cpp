@@ -67,27 +67,21 @@ std::map<topo::NodeId, rop::PollRound> DominoController::plan_poll_rounds(
     }
     rop::PollRound round = poll_planner_.plan_adaptive(clients, batches_);
 
-    switch (test_poll_defect_) {
-      case PollDefect::kNone:
-        break;
-      case PollDefect::kOverwideRounds:
-        // One client per symbol: the round spans slots.size() symbols,
-        // blowing past max_poll_symbols whenever the roster is larger.
-        for (std::size_t s = 0; s < round.slots.size(); ++s) {
-          round.slots[s].symbol = s;
-        }
-        round.symbols = std::max<std::size_t>(round.slots.size(), 1);
-        break;
-      case PollDefect::kStarveClient: {
-        // Drop the highest-id rostered client — it will never be polled.
-        auto victim = std::max_element(
-            round.slots.begin(), round.slots.end(),
-            [](const rop::PollSlot& a, const rop::PollSlot& b) {
-              return a.client < b.client;
-            });
-        if (victim != round.slots.end()) round.slots.erase(victim);
-        break;
+    if (mutation_ == audit::Mutation::kRopAirtimeOverBudget) {
+      // One client per symbol: the round spans slots.size() symbols,
+      // blowing past max_poll_symbols whenever the roster is larger.
+      for (std::size_t s = 0; s < round.slots.size(); ++s) {
+        round.slots[s].symbol = s;
       }
+      round.symbols = std::max<std::size_t>(round.slots.size(), 1);
+    } else if (mutation_ == audit::Mutation::kRopStarvedClient) {
+      // Drop the highest-id rostered client — it will never be polled.
+      auto victim = std::max_element(
+          round.slots.begin(), round.slots.end(),
+          [](const rop::PollSlot& a, const rop::PollSlot& b) {
+            return a.client < b.client;
+          });
+      if (victim != round.slots.end()) round.slots.erase(victim);
     }
 
     poll_symbols_ += round.symbols;

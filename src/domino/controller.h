@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "audit/mutation.h"
 #include "domino/converter.h"
 #include "domino/rand_scheduler.h"
 #include "domino/relative_schedule.h"
@@ -31,8 +32,6 @@ struct DominoParams {
   /// Poll every N batches (1 = every batch, the paper's default; larger
   /// values are the §5 polling-frequency study).
   std::size_t batches_per_poll = 1;
-  /// Payload bytes of every virtual packet (fixed slot assumption, §3.5).
-  std::size_t payload_bytes = 512;
 };
 
 /// One client's queue report relayed by an AP.
@@ -136,25 +135,20 @@ class DominoController {
                      static_cast<double>(staleness_samples_);
   }
 
-  /// Test-only roster defects for the auditor self-test (src/audit): the
-  /// planner output is corrupted after planning so the auditor must catch
-  /// the violation downstream. Rosters exist only in kAdaptive.
-  enum class PollDefect {
-    kNone = 0,
-    /// Spread the roster one-client-per-symbol so the round spans more
-    /// symbols than the airtime budget allows (rop.airtime-over-budget).
-    kOverwideRounds,
-    /// Silently drop the highest-id client from every roster so it is
-    /// never polled again (rop.starved-client).
-    kStarveClient,
-  };
-  void set_test_poll_defect(PollDefect d) { test_poll_defect_ = d; }
+  /// Auditor self-test switch (src/audit), forwarded to the converter.
+  /// kRopAirtimeOverBudget and kRopStarvedClient corrupt each roster after
+  /// planning, so the auditor must catch the violation downstream. Rosters
+  /// exist only in kAdaptive.
+  void set_mutation(audit::Mutation m) {
+    mutation_ = m;
+    converter_.set_mutation(m);
+  }
 
  private:
   void plan_batch();
   std::vector<std::size_t> demand_vector() const;
   /// Fills `rop_symbols` parallel to `rop_aps`. kAdaptive also plans one
-  /// roster per AP, applies test defects and updates ages/staleness.
+  /// roster per AP, applies the mutant's defect and updates ages/staleness.
   std::map<topo::NodeId, rop::PollRound> plan_poll_rounds(
       const std::vector<topo::NodeId>& rop_aps,
       std::vector<std::uint32_t>& rop_symbols);
@@ -197,7 +191,7 @@ class DominoController {
   std::uint64_t poll_symbols_ = 0;
   std::uint64_t staleness_sum_ = 0;
   std::uint64_t staleness_samples_ = 0;
-  PollDefect test_poll_defect_ = PollDefect::kNone;
+  audit::Mutation mutation_ = audit::Mutation::kNone;
 };
 
 }  // namespace dmn::domino

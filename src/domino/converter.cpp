@@ -293,7 +293,7 @@ RelativeSchedule ScheduleConverter::convert(
 
   // Auditor self-test defects (src/audit): corrupt the otherwise-correct
   // output the way a converter bug would, so the auditor must flag it.
-  if (test_defect_ == TestDefect::kExtraTrigger) {
+  if (mutation_ == audit::Mutation::kConverterExtraTrigger) {
     for (RelSlot& s : rs.slots) {
       auto it = std::find_if(
           s.triggers.begin(), s.triggers.end(),
@@ -303,7 +303,7 @@ RelativeSchedule ScheduleConverter::convert(
       for (int i = 0; i <= params_.max_inbound; ++i) s.triggers.push_back(dup);
       break;
     }
-  } else if (test_defect_ == TestDefect::kConflictingEntry) {
+  } else if (mutation_ == audit::Mutation::kConverterConflictingEntry) {
     for (std::size_t i = 1; i < rs.slots.size(); ++i) {
       RelSlot& s = rs.slots[i];
       if (s.entries.empty()) continue;

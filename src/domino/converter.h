@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "audit/mutation.h"
 #include "domino/relative_schedule.h"
 #include "domino/signature_plan.h"
 #include "topo/conflict_graph.h"
@@ -68,17 +69,10 @@ class ScheduleConverter {
   /// Count of entries dropped because no trigger could reach them.
   std::uint64_t untriggerable_drops() const { return dropped_; }
 
-  /// Test-only defects for the auditor self-test (src/audit): convert()
-  /// injects the defect into its otherwise-correct output so the auditor
-  /// must catch it.
-  enum class TestDefect {
-    kNone = 0,
-    /// Duplicate an existing trigger until its target exceeds max_inbound.
-    kExtraTrigger,
-    /// Append a fake entry that conflicts with a scheduled entry.
-    kConflictingEntry,
-  };
-  void set_test_defect(TestDefect d) { test_defect_ = d; }
+  /// Auditor self-test switch (src/audit): under kConverterExtraTrigger or
+  /// kConverterConflictingEntry, convert() injects that defect into its
+  /// otherwise-correct output so the auditor must catch it.
+  void set_mutation(audit::Mutation m) { mutation_ = m; }
 
  private:
   /// A node to trigger at one boundary (see assign_triggers).
@@ -128,7 +122,7 @@ class ScheduleConverter {
   const SignaturePlan& signatures_;
   ConverterParams params_;
   std::uint64_t dropped_ = 0;
-  TestDefect test_defect_ = TestDefect::kNone;
+  audit::Mutation mutation_ = audit::Mutation::kNone;
 
   // ---- tables of one graph build (refresh_graph_tables) ------------------
   std::uint64_t graph_generation_ = 0;

@@ -301,7 +301,8 @@ void DominoNodeBase::evaluate_sig_buffer() {
 
     // Auditor self-test defect: every triggering burst looks like ours
     // (audit::Mutation::kMacTriggerWithoutSignature).
-    if (test_trigger_on_any_burst_ && triggering && !b.burst.recovery) {
+    if (mutation_ == audit::Mutation::kMacTriggerWithoutSignature &&
+        triggering && !b.burst.recovery) {
       has_mine = true;
     }
 
@@ -939,7 +940,9 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
       if (seen_.insert(frame.packet_id)) {
         deliver_(*frame.packet, node(), sim_.now());
         // Auditor self-test defect (audit::Mutation::kMacDoubleDelivery).
-        if (test_double_delivery_) deliver_(*frame.packet, node(), sim_.now());
+        if (mutation_ == audit::Mutation::kMacDoubleDelivery) {
+          deliver_(*frame.packet, node(), sim_.now());
+        }
       }
       follow_instruction(frame, sim_.now() - dur_.data_air);
       break;
@@ -985,7 +988,7 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
       if (symbol >= frame.poll_symbol) break;
       // Auditor self-test defect (audit::Mutation::kRopCrossSymbolCollision):
       // transmit in symbol 0 regardless of the assigned symbol.
-      if (test_poll_symbol_collapse_) symbol = 0;
+      if (mutation_ == audit::Mutation::kRopCrossSymbolCollision) symbol = 0;
       sim_.post_in(timing_.wifi.slot_time +
                        static_cast<TimeNs>(symbol) * timing_.rop_symbol,
                    [this, tag, subch, symbol] {
@@ -998,7 +1001,9 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
         resp.queue_report = static_cast<unsigned>(
             std::min<std::size_t>(queue_.size(), 63));
         // Auditor self-test defect (audit::Mutation::kRopReportOffset).
-        if (test_rop_report_offset_) ++resp.queue_report;
+        if (mutation_ == audit::Mutation::kRopReportOffset) {
+          ++resp.queue_report;
+        }
         resp.slot_tag = tag;
         radio_.send(resp);
       });

@@ -32,6 +32,7 @@
 #include <set>
 #include <vector>
 
+#include "audit/mutation.h"
 #include "domino/controller.h"
 #include "domino/relative_schedule.h"
 #include "domino/signature_plan.h"
@@ -87,10 +88,6 @@ struct DominoTiming {
   TimeNs sig_air = usec(6.35);   // one length-127 signature at 20 MHz
   TimeNs rop_symbol = usec(16);  // Table 1
   TimeNs rop_guard = usec(40);   // absorbs residual chain misalignment
-  /// §5 co-existence: DOMINO frames carry a NAV covering the rest of their
-  /// slot, so external 802.11 contenders defer for the contention-free
-  /// period and only transmit in the gaps DOMINO leaves idle.
-  bool protect_with_nav = true;
 
   TimeNs data_air() const { return wifi.data_airtime(payload_bytes); }
   TimeNs fake_air() const {
@@ -190,12 +187,10 @@ class DominoNodeBase : public phy::MediumClient {
   /// ppm-scale error accumulates to observable magnitude.
   void set_clock_skew_ppm(double ppm) { clock_skew_ppm_ = ppm; }
 
-  /// Test-only defect (audit::Mutation::kMacTriggerWithoutSignature): treat
-  /// every triggering burst as carrying this node's code, firing triggers
-  /// whose signature was never on the air.
-  void set_test_trigger_on_any_burst(bool on) {
-    test_trigger_on_any_burst_ = on;
-  }
+  /// Auditor self-test switch (src/audit). The base acts on
+  /// kMacTriggerWithoutSignature; DominoClientMac also on kMacDoubleDelivery,
+  /// kRopReportOffset and kRopCrossSymbolCollision.
+  void set_mutation(audit::Mutation m) { mutation_ = m; }
 
   // ---- chain-health observability ----------------------------------------
   /// Data frames whose ACK never arrived.
@@ -294,7 +289,7 @@ class DominoNodeBase : public phy::MediumClient {
   fault::FaultInjector* faults_ = nullptr;
   double clock_skew_ppm_ = 0.0;
   bool powered_ = true;
-  bool test_trigger_on_any_burst_ = false;
+  audit::Mutation mutation_ = audit::Mutation::kNone;
 
   /// Slot-lattice stretch: boundary slot -> poll symbols there. Only APs
   /// learn boundaries (from their schedule).
@@ -508,16 +503,6 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
   topo::NodeId ap() const { return ap_; }
   const rop::PollSlot& slot() const { return slot_; }
 
-  /// Test-only defects for the auditor self-test (src/audit).
-  void set_test_double_delivery(bool on) { test_double_delivery_ = on; }
-  void set_test_rop_report_offset(bool on) { test_rop_report_offset_ = on; }
-  /// audit::Mutation::kRopCrossSymbolCollision: answer every poll in symbol
-  /// 0 regardless of the assigned symbol, colliding with the client
-  /// legitimately holding the same subchannel there.
-  void set_test_poll_symbol_collapse(bool on) {
-    test_poll_symbol_collapse_ = on;
-  }
-
  protected:
   void on_trigger_detected(std::uint64_t tag, std::uint32_t rop_symbols,
                            TimeNs detect_time) override;
@@ -537,10 +522,6 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
   std::uint64_t last_tx_tag_ = 0;  // stale-trigger guard
 
   BoundedIdFilter seen_;  // downlink duplicate filter (bounded, oldest-out)
-
-  bool test_double_delivery_ = false;
-  bool test_rop_report_offset_ = false;
-  bool test_poll_symbol_collapse_ = false;
 };
 
 }  // namespace dmn::domino

@@ -50,11 +50,4 @@ class GoldCodeSet {
   std::vector<Chips> codes_;
 };
 
-/// Index conventions used by DOMINO for the degree-7 set (129 codes):
-/// codes [0, 126] are node signatures; 127 is the START signature S';
-/// 128 is the ROP signature.
-inline constexpr std::size_t kStartSignatureIndex = 127;
-inline constexpr std::size_t kRopSignatureIndex = 128;
-inline constexpr std::size_t kMaxNodesPerDomain = 127;
-
 }  // namespace dmn::gold

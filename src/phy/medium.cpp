@@ -170,7 +170,9 @@ std::uint32_t Medium::alloc_slot() {
 bool Medium::apply_tx_power(const ActiveTx& tx, double sign) {
   // Auditor self-test defect: leave half the row behind on removal, the way
   // a missed bookkeeping path would (audit::Mutation::kMediumLeakPower).
-  if (test_power_leak_ && sign < 0.0) sign = -0.5;
+  if (mutation_ == audit::Mutation::kMediumLeakPower && sign < 0.0) {
+    sign = -0.5;
+  }
   const Component& comp = comps_[tx.comp];
   // Quiescence resets the component's sums to exactly zero (before carrier
   // sense reads them), so add/remove rounding residues cannot accumulate

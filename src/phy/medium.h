@@ -57,6 +57,7 @@
 #include <deque>
 #include <vector>
 
+#include "audit/mutation.h"
 #include "phy/frame.h"
 #include "sim/simulator.h"
 #include "topo/topology.h"
@@ -230,10 +231,10 @@ class Medium {
   }
   double cs_threshold_mw() const { return cs_threshold_mw_; }
 
-  /// Test-only defect (audit::Mutation::kMediumLeakPower): TX end removes
-  /// only half of the transmission's power row, corrupting the running sums
-  /// the way a missed/double bookkeeping bug would.
-  void set_test_power_leak(bool on) { test_power_leak_ = on; }
+  /// Auditor self-test switch. audit::Mutation::kMediumLeakPower: TX end
+  /// removes only half of the transmission's power row, corrupting the
+  /// running sums the way a missed/double bookkeeping bug would.
+  void set_mutation(audit::Mutation m) { mutation_ = m; }
 
  private:
   // Node id and flag share the last 8 bytes: 32 bytes per attempt.
@@ -310,7 +311,7 @@ class Medium {
   std::vector<std::uint32_t> comp_of_;
   std::vector<MediumClient*> clients_;
   MediumObserver* observer_ = nullptr;
-  bool test_power_leak_ = false;
+  audit::Mutation mutation_ = audit::Mutation::kNone;
 
   // Slab of transmissions: deque gives stable references across growth; a
   // free list recycles slots (and their RxAttempt vector capacity).

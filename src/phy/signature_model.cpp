@@ -30,8 +30,4 @@ bool SignatureDetectionModel::sample_detect(int combined_total, double sinr_db,
   return rng.chance(detect_probability(combined_total, sinr_db));
 }
 
-bool SignatureDetectionModel::sample_false_positive(Rng& rng) const {
-  return rng.chance(false_positive_rate);
-}
-
 }  // namespace dmn::phy

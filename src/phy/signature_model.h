@@ -5,8 +5,11 @@
 // bench_fig09_signature) yields the curve the paper measures in Figure 9:
 // detection is essentially perfect while the total number of signatures
 // combined on the air is <= 4 and falls off beyond; false positives stay
-// below 1 %. The trace-driven MAC simulation consumes that fitted curve
-// here — exactly how the paper feeds its USRP measurements into ns-3.
+// below 1 %. The trace-driven MAC simulation consumes that fitted detection
+// curve here — exactly how the paper feeds its USRP measurements into ns-3.
+// The false-positive rate is not part of the model: a baseline run has no
+// spurious triggers, and a node acts on a burst without its code only
+// through fault::SignatureFaults::false_positive_rate (default 0).
 //
 // Correlation adds ~10*log10(127) = 21 dB of processing gain, so signatures
 // remain detectable far below the packet-decode SINR; the model rolls off
@@ -24,7 +27,6 @@ struct SignatureDetectionModel {
   double beyond_decay = 0.12;     // per extra signature past 7
   double full_sinr_db = -10.0;    // full detection probability above this
   double zero_sinr_db = -21.0;    // no detection below this (processing gain)
-  double false_positive_rate = 0.005;  // < 1 % (paper §3.2)
 
   /// Probability that one target signature inside a burst of
   /// `combined_total` signatures is detected at `sinr_db`.
@@ -32,9 +34,6 @@ struct SignatureDetectionModel {
 
   /// Bernoulli sample of detect_probability.
   bool sample_detect(int combined_total, double sinr_db, Rng& rng) const;
-
-  /// Bernoulli sample of a false positive for one correlator in one slot.
-  bool sample_false_positive(Rng& rng) const;
 };
 
 }  // namespace dmn::phy

@@ -7,19 +7,6 @@
 
 namespace dmn::rop {
 
-QueueReport encode_queue(std::size_t queue_len, const RopParams& params) {
-  const std::size_t cap = params.max_queue_report();
-  QueueReport r;
-  if (queue_len <= cap) {
-    r.reported = static_cast<unsigned>(queue_len);
-    r.unreported = 0;
-  } else {
-    r.reported = static_cast<unsigned>(cap);
-    r.unreported = queue_len - cap;
-  }
-  return r;
-}
-
 std::vector<SubchannelAllocator::Assignment> SubchannelAllocator::assign(
     const std::vector<topo::NodeId>& clients,
     const std::vector<double>& rss_at_ap) const {
@@ -96,14 +83,6 @@ bool RopLinkModel::report_decodes(std::size_t subchannel, double rss_dbm,
     if (diff > tolerance_db(dist)) return false;
   }
   return true;
-}
-
-TimeNs rop_exchange_duration(const RopParams& params, TimeNs poll_airtime,
-                             TimeNs slot_time) {
-  // Poll broadcast + one standard slot (§3.1, Figure 4) + the control
-  // symbol + a short AP processing guard before the next slot can start.
-  const TimeNs guard = usec(4.0);
-  return poll_airtime + slot_time + params.symbol_duration() + guard;
 }
 
 }  // namespace dmn::rop

@@ -1,6 +1,8 @@
 #pragma once
-// Protocol-level ROP: queue-report encoding, subchannel assignment, and the
-// MAC-level success model distilled from the signal-level study.
+// Protocol-level ROP: subchannel assignment and the MAC-level success model
+// distilled from the signal-level study. (The 6-bit queue report saturates
+// inline where DominoClientMac answers a poll; the exchange's airtime is
+// DominoTiming::rop_duration.)
 //
 // The MAC simulation does not run the FFT per poll; it applies the rules the
 // signal-level experiments (Figures 5/6, bench_fig05/06) establish:
@@ -23,14 +25,6 @@
 #include "util/rng.h"
 
 namespace dmn::rop {
-
-/// Encoded queue report (§3.5 "virtual packets"): values cap at 63 and the
-/// client tracks what it could not report yet.
-struct QueueReport {
-  unsigned reported = 0;      // 0..63, what goes on the air
-  std::size_t unreported = 0; // remainder the client still holds
-};
-QueueReport encode_queue(std::size_t queue_len, const RopParams& params);
 
 /// Assigns each client of an AP a subchannel. Clients are sorted by RSS
 /// (ties to the lower id, so input order never matters) so
@@ -85,10 +79,5 @@ class RopLinkModel {
   RopParams params_;
   SubchannelMap map_;
 };
-
-/// Airtime of a full ROP exchange: poll broadcast + one WiFi slot + the
-/// control OFDM symbol (+ AP processing guard).
-TimeNs rop_exchange_duration(const RopParams& params, TimeNs poll_airtime,
-                             TimeNs slot_time);
 
 }  // namespace dmn::rop

@@ -1,9 +1,16 @@
 // Integration tests: the full DOMINO stack (controller + converter + AP and
-// client executors over the SINR medium) on small topologies.
+// client executors over the SINR medium) on small topologies, plus the slot
+// timing and a client's poll answer checked in isolation.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "api/experiment.h"
+#include "domino/domino_mac.h"
+#include "phy/medium.h"
+#include "phy/transceiver.h"
+#include "sim/simulator.h"
 #include "topo/topology.h"
 
 namespace dmn {
@@ -254,6 +261,78 @@ TEST(DominoE2E, TcpFlowsDeliverReliably) {
   // TCP over DOMINO: ACKs burn whole slots (§4.2.3), so goodput is roughly
   // half the slot rate.
   EXPECT_GT(r.throughput_mbps(), 2.5);
+}
+
+// ---- slot timing -------------------------------------------------------------
+
+TEST(DominoTimingTest, RopDurationCoversAllPhases) {
+  const domino::DominoTiming t;
+  // Poll broadcast, one WiFi slot, the response symbol and the guard.
+  EXPECT_GT(t.rop_duration(1),
+            t.poll_air() + t.wifi.slot_time + t.rop_symbol);
+  EXPECT_LT(t.rop_duration(1), usec(150));
+  for (std::uint32_t k = 1; k < 11; ++k) {
+    EXPECT_EQ(t.rop_duration(k + 1) - t.rop_duration(k), t.rop_symbol) << k;
+  }
+}
+
+TEST(DominoTimingTest, DurationsMatchTimingRopDuration) {
+  const domino::DominoTiming t;
+  const domino::DominoDurations d(t);
+  for (std::uint32_t k = 1; k <= 11; ++k) {
+    EXPECT_EQ(d.rop_duration(k), t.rop_duration(k)) << k;
+  }
+}
+
+// ---- a client's ROP answer -----------------------------------------------------
+
+/// The queue reports a client with `queued` uplink packets puts on the air
+/// when its AP polls it once.
+std::vector<unsigned> poll_answer(std::size_t queued) {
+  const auto t = one_cell();  // AP 0, client 1
+  sim::Simulator sim;
+  phy::Medium medium(sim, t);
+  const domino::SignaturePlan sigs(t.num_nodes());
+  const domino::DominoTiming timing;
+  domino::DominoClientMac client(
+      sim, medium, 1, 0, rop::PollSlot{1, 0, 0}, timing, sigs, {}, Rng(1),
+      [](const traffic::Packet&, topo::NodeId, TimeNs) {}, nullptr);
+  for (std::size_t i = 0; i < queued; ++i) {
+    traffic::Packet p;
+    p.id = static_cast<traffic::PacketId>(i + 1);
+    p.src = 1;
+    p.dst = 0;
+    EXPECT_TRUE(client.enqueue(p));
+  }
+
+  struct Recorder : phy::MediumClient {
+    std::vector<unsigned> reports;
+    void on_frame_rx(const phy::Frame& f, const phy::RxInfo& info) override {
+      if (f.type == phy::FrameType::kRopResponse && info.decoded) {
+        reports.push_back(f.queue_report);
+      }
+    }
+  } ap;
+  phy::Transceiver radio(medium, 0, &ap);
+  phy::Frame poll;
+  poll.type = phy::FrameType::kPoll;
+  poll.dst = topo::kNoNode;
+  poll.bytes = timing.poll_bytes + timing.wifi.mac_header_bytes;
+  poll.duration = timing.poll_air();
+  poll.slot_tag = 1;
+  poll.poll_symbol = 1;
+  radio.send(poll);
+  sim.run();
+  return ap.reports;
+}
+
+TEST(DominoClientPoll, QueueReportSaturatesAt63) {
+  // 6 data bits: a backlog past 63 reports 63.
+  EXPECT_EQ(poll_answer(100), std::vector<unsigned>{63});
+}
+
+TEST(DominoClientPoll, QueueReportBelowTheCapIsExact) {
+  EXPECT_EQ(poll_answer(62), std::vector<unsigned>{62});
 }
 
 }  // namespace

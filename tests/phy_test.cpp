@@ -815,16 +815,5 @@ TEST(SignatureModel, ZeroCountNeverDetects) {
   EXPECT_EQ(m.detect_probability(0, 10.0), 0.0);
 }
 
-TEST(SignatureModel, FalsePositiveRateSampled) {
-  SignatureDetectionModel m;
-  Rng rng(55);
-  int fp = 0;
-  for (int i = 0; i < 20000; ++i) {
-    if (m.sample_false_positive(rng)) ++fp;
-  }
-  EXPECT_NEAR(fp / 20000.0, m.false_positive_rate, 0.003);
-  EXPECT_LT(fp / 20000.0, 0.01);  // "below 1% all the time"
-}
-
 }  // namespace
 }  // namespace dmn::phy

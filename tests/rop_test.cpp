@@ -1,6 +1,7 @@
 // Unit tests: ROP — Table 1 parameters, the Figure 3 subcarrier map, the
 // signal-level OFDM polling PHY (Figures 5/6 behaviours) and the protocol
-// pieces (queue-report codec, subchannel allocator, MAC-level link model).
+// pieces (subchannel allocator, MAC-level link model). The client's 6-bit
+// queue report and the exchange's airtime are checked in domino_test.
 
 #include <gtest/gtest.h>
 
@@ -75,26 +76,6 @@ TEST(SubchannelMap, AdjacentDistanceEqualsGuardPlusOne) {
   // Neighbouring subchannels on the same side: nearest data bins are
   // separated by guard+1 bins.
   EXPECT_EQ(map.bin_distance(0, 1), p.guard_per_subchannel + 1);
-}
-
-TEST(QueueReport, EncodeCapsAt63) {
-  RopParams p;
-  EXPECT_EQ(encode_queue(0, p).reported, 0u);
-  EXPECT_EQ(encode_queue(63, p).reported, 63u);
-  const auto r = encode_queue(100, p);
-  EXPECT_EQ(r.reported, 63u);
-  EXPECT_EQ(r.unreported, 37u);  // "keep track of unreported packets"
-}
-
-TEST(QueueReport, SaturatesExactlyAtBoundary) {
-  RopParams p;
-  // 6 data bits: 63 is the last exactly-representable length; 64 is the
-  // first saturated one and must carry its remainder forward.
-  EXPECT_EQ(encode_queue(62, p).reported, 62u);
-  EXPECT_EQ(encode_queue(62, p).unreported, 0u);
-  const auto r = encode_queue(64, p);
-  EXPECT_EQ(r.reported, 63u);
-  EXPECT_EQ(r.unreported, 1u);
 }
 
 // ---- Negative paths: layout and capacity guards ----------------------------
@@ -423,13 +404,6 @@ TEST_F(RopPhyTest, ExtremeMismatchFailsEvenWithGuards) {
   int ok = 0;
   for (int t = 0; t < 20; ++t) ok += phy_.round_trip_ok(cs, imp_, rng_);
   EXPECT_LT(ok, 10);
-}
-
-TEST(RopProtocol, ExchangeDurationCoversAllPhases) {
-  RopParams p;
-  const TimeNs d = rop_exchange_duration(p, usec(84), usec(9));
-  EXPECT_GT(d, usec(84) + usec(9) + usec(16));
-  EXPECT_LT(d, usec(150));
 }
 
 }  // namespace

@@ -427,10 +427,10 @@ TEST(Runner, PointHashIsPinnedForEveryScheme) {
     Scheme scheme;
     std::uint64_t hash;
   } pins[] = {
-      {Scheme::kDcf, 0x3fb2578b0524fd4bull},
-      {Scheme::kCentaur, 0xcc689a08cec49c28ull},
-      {Scheme::kDomino, 0x251e8d4e94c10221ull},
-      {Scheme::kOmniscient, 0xc99421ba7785f97aull},
+      {Scheme::kDcf, 0xda7fc279657b17ebull},
+      {Scheme::kCentaur, 0x67aa1e2797be3ae8ull},
+      {Scheme::kDomino, 0x8d320c4698b56bc1ull},
+      {Scheme::kOmniscient, 0x2a23f5181ef8fdd2ull},
   };
   for (const auto& pin : pins) {
     ExperimentConfig cfg = base_config();
