@@ -63,8 +63,10 @@ void DominoStack::build(StackContext& ctx,
           "(rop.poll_mode, rop.max_poll_symbols)");
     }
     // Reports ride the backbone to the controller's (wired) queue.
-    auto report_fn = [this](const domino::ApReport& rep) {
-      backbone_->send_to_wired([this, rep] { controller_->on_ap_report(rep); });
+    auto report_fn = [this](domino::ApReport rep) {
+      backbone_->send_to_wired([this, rep = std::move(rep)] {
+        controller_->on_ap_report(rep);
+      });
     };
     // Build on the AP's partition queue so outage events and any
     // construction-time self-scheduling land with the AP.
@@ -114,7 +116,8 @@ void DominoStack::build(StackContext& ctx,
         ctx.sim, ctx.sim.queue_of_node(static_cast<std::size_t>(c)));
     auto node = std::make_unique<domino::DominoClientMac>(
         ctx.sim, ctx.medium_of(c), c, topo.node(c).ap, sc->second, timing,
-        *signatures_, cfg.sig_model, ctx.rng.fork(), ctx.deliver, ctx.trace);
+        *signatures_, cfg.sig_model, cfg.rop, ctx.rng.fork(), ctx.deliver,
+        ctx.trace);
     if (ctx.faults != nullptr) {
       node->set_faults(ctx.faults);
       node->set_clock_skew_ppm(ctx.faults->clock_skew_ppm(c));

@@ -692,9 +692,7 @@ void SimAuditor::on_trigger(std::uint64_t tag, topo::NodeId node, TimeNs t) {
   const std::size_t code = code_of(node);
   for (const BurstRecord& b : bursts_) {
     if (b.end != t || b.src == node) continue;
-    if (std::find(b.codes.begin(), b.codes.end(), code) != b.codes.end()) {
-      return;
-    }
+    if (b.codes.contains(code)) return;
   }
   std::ostringstream os;
   os << "node " << node << " detected its trigger for slot " << tag

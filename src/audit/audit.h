@@ -256,7 +256,7 @@ class SimAuditor final : public phy::MediumObserver,
   struct BurstRecord {
     topo::NodeId src;
     TimeNs end;
-    std::vector<std::size_t> codes;
+    phy::SignatureCodes codes;
   };
   std::deque<BurstRecord> bursts_;
 

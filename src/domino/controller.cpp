@@ -181,8 +181,11 @@ void DominoController::plan_batch() {
         }
       }
       // Routed to the AP's partition queue; the dispatch closure only
-      // touches that AP's MAC (the controller-side state stays here).
-      backbone_.send_to_node(plan.ap, [this, plan] { dispatch_(plan); });
+      // touches that AP's MAC (the controller-side state stays here). The
+      // plan moves into the closure, and the closure into its event.
+      const topo::NodeId ap = plan.ap;
+      backbone_.send_to_node(
+          ap, [this, plan = std::move(plan)] { dispatch_(plan); });
     }
   }
 

@@ -342,6 +342,7 @@ std::vector<ApSchedule> ScheduleConverter::make_ap_plans(
     plans[i].batch_id = rs.batch_id;
     plans[i].batch_first_slot = first_new;
     plans[i].rop_boundaries = rop_boundaries;
+    plans[i].slots.reserve(rs.slots.size());  // at most one row per slot
   }
 
   for (std::size_t s = 0; s < rs.slots.size(); ++s) {

@@ -51,7 +51,7 @@ DominoNodeBase::DominoNodeBase(sim::Simulator& sim, phy::Medium& medium,
       rng_(std::move(rng)),
       trace_(trace) {}
 
-void DominoNodeBase::send_burst(const std::vector<std::size_t>& codes,
+void DominoNodeBase::send_burst(const phy::SignatureCodes& codes,
                                 std::uint64_t tag, bool rop_flag,
                                 bool recovery, std::uint32_t rop_symbols) {
   if (codes.empty() || !powered_) return;
@@ -112,8 +112,10 @@ TimeNs DominoNodeBase::expected_start(std::uint64_t tag) const {
 TimeNs DominoNodeBase::anchored_start(std::uint64_t g) const {
   if (!has_anchor()) return kTimeNever;
   TimeNs at = expected_start(g);
-  for (const auto& [b, symbols] : rop_boundaries_) {
-    if (b >= anchor_tag() && b < g) at += dur_.rop_duration(symbols);
+  for (auto it = std::ranges::lower_bound(rop_boundaries_, anchor_tag(), {},
+                                          &ApSchedule::RopBoundary::slot);
+       it != rop_boundaries_.end() && it->slot < g; ++it) {
+    at += dur_.rop_duration(it->symbols);
   }
   return at;
 }
@@ -202,11 +204,11 @@ std::optional<DominoNodeBase::AwaitedAck> DominoNodeBase::take_ack(
   return std::exchange(awaiting_ack_, std::nullopt);
 }
 
-void DominoNodeBase::post_burst(std::vector<std::size_t> codes,
+void DominoNodeBase::post_burst(const phy::SignatureCodes& codes,
                                 std::uint64_t tag, bool rop_flag,
                                 std::uint32_t rop_symbols, TimeNs at) {
   sim_.post_at(std::max(at, sim_.now()),
-               [this, codes = std::move(codes), tag, rop_flag, rop_symbols] {
+               [this, codes, tag, rop_flag, rop_symbols] {
                  send_burst(codes, tag, rop_flag, /*recovery=*/false,
                             rop_symbols);
                });
@@ -247,8 +249,9 @@ void DominoNodeBase::on_frame_rx(const phy::Frame& frame,
 
 void DominoNodeBase::evaluate_sig_buffer() {
   eval_scheduled_ = false;
-  std::vector<BufferedBurst> bursts;
-  bursts.swap(sig_buffer_);
+  sig_eval_.swap(sig_buffer_);
+  sig_buffer_.clear();
+  const std::vector<BufferedBurst>& bursts = sig_eval_;
   if (bursts.empty() || !powered_) return;
 
   // Total combined signatures on the air — the x-axis of Figure 9.
@@ -259,9 +262,7 @@ void DominoNodeBase::evaluate_sig_buffer() {
 
   const std::size_t my_code = signatures_.code_of(node());
   for (const BufferedBurst& b : bursts) {
-    bool has_mine =
-        std::find(b.burst.codes.begin(), b.burst.codes.end(), my_code) !=
-        b.burst.codes.end();
+    bool has_mine = b.burst.codes.contains(my_code);
     const bool triggering =
         b.burst.start_signature || b.burst.rop_signature;
 
@@ -328,7 +329,7 @@ DominoApMac::DominoApMac(sim::Simulator& sim, phy::Medium& medium,
                          const phy::SignatureDetectionModel& model,
                          const rop::RopParams& rop_params, Rng rng,
                          mac::DeliveryFn deliver,
-                         std::function<void(const ApReport&)> report_fn,
+                         std::function<void(ApReport)> report_fn,
                          DominoTrace* trace)
     : DominoNodeBase(sim, medium, node, timing, signatures, model,
                      std::move(rng), trace),
@@ -367,22 +368,33 @@ std::vector<traffic::Packet> DominoApMac::extract_queued_for(
   return queue_.extract_for(dst, exclude);
 }
 
+DominoApMac::RowIt DominoApMac::row_at_or_after(std::uint64_t g) {
+  return std::ranges::lower_bound(rows_, g, {},
+                                  [](const Row& r) { return r.slot(); });
+}
+
 DominoApMac::Row* DominoApMac::find_row(std::uint64_t g) {
-  const auto it = rows_.find(g);
-  return it == rows_.end() ? nullptr : &it->second;
+  const RowIt it = row_at_or_after(g);
+  return it == rows_.end() || it->slot() != g ? nullptr : &*it;
+}
+
+DominoApMac::RowIt DominoApMac::first_above_frontier() {
+  return frontier_ == 0 ? rows_.begin() : row_at_or_after(frontier_ + 1);
 }
 
 DominoApMac::Row* DominoApMac::next_pending() {
-  for (auto& [g, row] : rows_) {
-    if (!row.executed && (frontier_ == 0 || g > frontier_)) return &row;
+  // Executing a row moves the frontier to it, so only a row 0 can be
+  // executed and still lie past a frontier of 0 (which reads as none).
+  for (auto it = first_above_frontier(); it != rows_.end(); ++it) {
+    if (!it->executed) return &*it;
   }
   return nullptr;
 }
 
 void DominoApMac::advance_frontier(std::uint64_t g) {
-  for (auto& [idx, row] : rows_) {
-    if (idx < g && !row.executed) {
-      row.executed = true;
+  for (auto it = rows_.begin(); it != rows_.end() && it->slot() < g; ++it) {
+    if (!it->executed) {
+      it->executed = true;
       ++missed_rows_;
     }
   }
@@ -409,28 +421,22 @@ void DominoApMac::set_powered(bool on) {
 void DominoApMac::receive_plan(const ApSchedule& plan) {
   if (!powered_) return;  // a dark AP loses its dispatches
   for (const ApSlotPlan& p : plan.slots) {
-    auto [it, fresh] = rows_.try_emplace(p.global_index);
-    Row& row = it->second;
+    RowIt it = row_at_or_after(p.global_index);
+    const bool fresh = it == rows_.end() || it->slot() != p.global_index;
+    if (fresh) it = rows_.insert(it, Row{.plan = p});
+    Row& row = *it;
     if (fresh || (p.polls_in_rop && !row.plan.polls_in_rop)) {
       row.planned_at = plan.planned_at;
     }
-    if (fresh) {
-      row.plan = p;
-    } else {
+    if (!fresh) {
       // Overlap-slot merge: the next batch re-ships the retained slot with
       // the triggers pointing into the new batch.
       ApSlotPlan& cur = row.plan;
       for (std::size_t c : p.my_codes) {
-        if (std::find(cur.my_codes.begin(), cur.my_codes.end(), c) ==
-            cur.my_codes.end()) {
-          cur.my_codes.push_back(c);
-        }
+        if (!cur.my_codes.contains(c)) cur.my_codes.push_back(c);
       }
       for (std::size_t c : p.client_codes) {
-        if (std::find(cur.client_codes.begin(), cur.client_codes.end(), c) ==
-            cur.client_codes.end()) {
-          cur.client_codes.push_back(c);
-        }
+        if (!cur.client_codes.contains(c)) cur.client_codes.push_back(c);
       }
       cur.rop_after = cur.rop_after || p.rop_after;
       cur.polls_in_rop = cur.polls_in_rop || p.polls_in_rop;
@@ -445,8 +451,12 @@ void DominoApMac::receive_plan(const ApSchedule& plan) {
     }
   }
   for (const ApSchedule::RopBoundary& b : plan.rop_boundaries) {
-    std::uint32_t& symbols = rop_boundaries_[b.slot];
-    symbols = std::max(symbols, std::max<std::uint32_t>(b.symbols, 1));
+    auto it = std::ranges::lower_bound(rop_boundaries_, b.slot, {},
+                                       &ApSchedule::RopBoundary::slot);
+    if (it == rop_boundaries_.end() || it->slot != b.slot) {
+      it = rop_boundaries_.insert(it, {b.slot, 0});
+    }
+    it->symbols = std::max(it->symbols, std::max<std::uint32_t>(b.symbols, 1));
   }
   if (!has_anchor()) {
     // First batch: no chain exists yet, so start strictly from the local
@@ -653,18 +663,17 @@ void DominoApMac::finish_slot(std::uint64_t g) {
 }
 
 void DominoApMac::prune_executed(std::uint64_t upto) {
-  while (!rop_boundaries_.empty() && upto > 8 &&
-         rop_boundaries_.begin()->first + 8 < upto) {
-    rop_boundaries_.erase(rop_boundaries_.begin());
+  if (upto > 8) {
+    rop_boundaries_.erase(
+        rop_boundaries_.begin(),
+        std::ranges::lower_bound(rop_boundaries_, upto - 8, {},
+                                 &ApSchedule::RopBoundary::slot));
   }
-  for (auto it = rows_.begin(); it != rows_.end();) {
-    if (it->first + 2 < upto) {
-      if (!it->second.executed) ++missed_rows_;
-      it = rows_.erase(it);
-    } else {
-      ++it;
-    }
+  auto it = rows_.begin();
+  for (; it != rows_.end() && it->slot() + 2 < upto; ++it) {
+    if (!it->executed) ++missed_rows_;
   }
+  rows_.erase(rows_.begin(), it);
 }
 
 void DominoApMac::execute_poll(std::uint64_t g, TimeNs at) {
@@ -714,6 +723,8 @@ void DominoApMac::evaluate_poll(std::uint64_t g) {
   ApReport report;
   report.ap = node();
   report.poll_slot = g;
+  report.clients.reserve(poll_responses_.size());
+  report.downlink.reserve(clients_.size());
 
   // Adjacency tolerance check among the simultaneous responders, with the
   // MAC-level model fitted from the signal-level ROP study (Figure 6).
@@ -723,7 +734,7 @@ void DominoApMac::evaluate_poll(std::uint64_t g) {
   // round).
   for (const PollResponse& r : poll_responses_) {
     if (!r.decoded) continue;
-    std::vector<rop::RopLinkModel::CoClient> others;
+    co_clients_.clear();
     double my_rss = topo::kRssFaint;
     for (const ClientInfo& ci : clients_) {
       if (ci.client == r.client) {
@@ -732,13 +743,13 @@ void DominoApMac::evaluate_poll(std::uint64_t g) {
       }
       for (const PollResponse& o : poll_responses_) {
         if (o.client == ci.client && o.decoded && o.symbol == r.symbol) {
-          others.push_back({o.subchannel, ci.rss_at_ap});
+          co_clients_.push_back({o.subchannel, ci.rss_at_ap});
           break;
         }
       }
     }
     const bool ok = rop_model_.report_decodes(
-        r.subchannel, my_rss, others,
+        r.subchannel, my_rss, co_clients_,
         radio_.medium().topology().thresholds().noise_floor_dbm,
         radio_.medium().external_interference_mw());
     if (ok) {
@@ -753,7 +764,7 @@ void DominoApMac::evaluate_poll(std::uint64_t g) {
         static_cast<unsigned>(std::min<std::size_t>(
             queue_.count_for(ci.client), 1023))});
   }
-  if (report_fn_) report_fn_(report);
+  if (report_fn_) report_fn_(std::move(report));
 }
 
 void DominoApMac::handle_frame(const phy::Frame& frame,
@@ -777,8 +788,8 @@ void DominoApMac::handle_frame(const phy::Frame& frame,
       // Match the earliest pending (non-stale) uplink row expecting this
       // client.
       Row* match = nullptr;
-      for (auto& [g, row] : rows_) {
-        if (frontier_ != 0 && g <= frontier_) continue;
+      for (auto it = first_above_frontier(); it != rows_.end(); ++it) {
+        Row& row = *it;
         if (!row.executed && row.plan.role == ApSlotPlan::Role::kRxData &&
             row.plan.peer == frame.src) {
           match = &row;
@@ -805,8 +816,11 @@ void DominoApMac::handle_frame(const phy::Frame& frame,
           is_data ? timing_.wifi.sifs
                   : dur_.data_air - dur_.fake_air +
                         timing_.wifi.sifs;
-      sim_.post_in(ack_at, [this, to = frame.src, id = frame.packet_id, tag,
-                            instr] { send_ack(to, id, tag, instr); });
+      auto ack = [this, instr, to = frame.src, id = frame.packet_id, tag] {
+        send_ack(to, id, tag, instr);
+      };
+      static_assert(sizeof(ack) <= sim::EventFn::kInlineCapacity);
+      sim_.post_in(ack_at, std::move(ack));
       if (is_data && frame.packet.has_value()) {
         if (seen_[frame.src].insert(frame.packet_id)) {
           deliver_(*frame.packet, node(), sim_.now());
@@ -849,13 +863,14 @@ DominoClientMac::DominoClientMac(sim::Simulator& sim, phy::Medium& medium,
                                  const DominoTiming& timing,
                                  const SignaturePlan& signatures,
                                  const phy::SignatureDetectionModel& model,
-                                 Rng rng, mac::DeliveryFn deliver,
-                                 DominoTrace* trace)
+                                 const rop::RopParams& rop_params, Rng rng,
+                                 mac::DeliveryFn deliver, DominoTrace* trace)
     : DominoNodeBase(sim, medium, node, timing, signatures, model,
                      std::move(rng), trace),
       MacEntity(sim, node, timing.wifi.queue_capacity),
       ap_(ap),
       slot_(slot),
+      max_report_(rop_params.max_queue_report()),
       deliver_(std::move(deliver)) {}
 
 void DominoClientMac::reassociate(topo::NodeId new_ap,
@@ -999,7 +1014,7 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
         resp.subchannel = subch;
         resp.poll_symbol = symbol;
         resp.queue_report = static_cast<unsigned>(
-            std::min<std::size_t>(queue_.size(), 63));
+            std::min<std::size_t>(queue_.size(), max_report_));
         // Auditor self-test defect (audit::Mutation::kRopReportOffset).
         if (mutation_ == audit::Mutation::kRopReportOffset) {
           ++resp.queue_report;

@@ -24,12 +24,12 @@
 // paper's "APs individually start executing the schedule" bootstrap.
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "audit/mutation.h"
@@ -54,29 +54,35 @@ namespace dmn::domino {
 /// Insertion-ordered duplicate filter with a hard size bound: oldest ids
 /// are evicted first, so long runs neither grow without bound nor forget
 /// their entire history at once (the old cap-then-clear behaviour readmits
-/// every in-flight duplicate the moment the cap is hit).
+/// every in-flight duplicate the moment the cap is hit). Flat: a sorted id
+/// set for lookup and a ring of the same ids in insertion order.
 class BoundedIdFilter {
  public:
-  explicit BoundedIdFilter(std::size_t cap = 4096) : cap_(cap) {}
+  explicit BoundedIdFilter(std::size_t cap = 4096) : cap_(cap) {
+    assert(cap_ > 0);
+  }
 
   /// Inserts `id`; returns true if it was new (i.e. not a duplicate).
   bool insert(traffic::PacketId id) {
-    if (!set_.insert(id).second) return false;
-    order_.push_back(id);
-    while (order_.size() > cap_) {
-      set_.erase(order_.front());
-      order_.pop_front();
+    if (!ids_.insert(id)) return false;
+    if (order_.size() < cap_) {
+      order_.push_back(id);
+    } else {
+      // Full: the new id takes the oldest one's place in the ring.
+      ids_.erase(std::exchange(order_[oldest_], id));
+      oldest_ = (oldest_ + 1) % cap_;
     }
     return true;
   }
 
-  bool contains(traffic::PacketId id) const { return set_.contains(id); }
-  std::size_t size() const { return set_.size(); }
+  bool contains(traffic::PacketId id) const { return ids_.contains(id); }
+  std::size_t size() const { return ids_.size(); }
 
  private:
   std::size_t cap_;
-  std::set<traffic::PacketId> set_;
-  std::deque<traffic::PacketId> order_;
+  mac::PacketIdSet ids_;
+  std::vector<traffic::PacketId> order_;  // ring once cap_ ids are held
+  std::size_t oldest_ = 0;                // ring index of the oldest id
 };
 
 /// Derived airtimes of the DOMINO slot structure.
@@ -220,7 +226,7 @@ class DominoNodeBase : public phy::MediumClient {
   /// `recovery` marks off-lattice kick bursts (not a timing reference).
   /// `rop_symbols` rides the burst in-band when rop_flag is set so every
   /// listener stretches its lattice by the same rop_duration(symbols).
-  void send_burst(const std::vector<std::size_t>& codes, std::uint64_t tag,
+  void send_burst(const phy::SignatureCodes& codes, std::uint64_t tag,
                   bool rop_flag, bool recovery = false,
                   std::uint32_t rop_symbols = 1);
 
@@ -246,7 +252,7 @@ class DominoNodeBase : public phy::MediumClient {
                        std::optional<phy::SignatureBurst> instr, bool uplink);
   void send_ack(topo::NodeId to, traffic::PacketId id, std::uint64_t tag,
                 std::optional<phy::SignatureBurst> instr);
-  void post_burst(std::vector<std::size_t> codes, std::uint64_t tag,
+  void post_burst(const phy::SignatureCodes& codes, std::uint64_t tag,
                   bool rop_flag, std::uint32_t rop_symbols, TimeNs at);
   struct AwaitedAck {
     traffic::PacketId id;
@@ -291,9 +297,9 @@ class DominoNodeBase : public phy::MediumClient {
   bool powered_ = true;
   audit::Mutation mutation_ = audit::Mutation::kNone;
 
-  /// Slot-lattice stretch: boundary slot -> poll symbols there. Only APs
-  /// learn boundaries (from their schedule).
-  std::map<std::uint64_t, std::uint32_t> rop_boundaries_;
+  /// Slot-lattice stretch: the poll symbols at each boundary slot, sorted
+  /// by slot. Only APs learn boundaries (from their schedule).
+  std::vector<ApSchedule::RopBoundary> rop_boundaries_;
 
   struct PendingTx {
     std::uint64_t slot;
@@ -323,6 +329,9 @@ class DominoNodeBase : public phy::MediumClient {
     TimeNs end_time;
   };
   std::vector<BufferedBurst> sig_buffer_;
+  /// The bursts evaluate_sig_buffer is working through; swapped with
+  /// sig_buffer_ so both keep their capacity.
+  std::vector<BufferedBurst> sig_eval_;
   bool eval_scheduled_ = false;
 
   bool anchor_valid_ = false;
@@ -343,7 +352,7 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
               const phy::SignatureDetectionModel& model,
               const rop::RopParams& rop_params, Rng rng,
               mac::DeliveryFn deliver,
-              std::function<void(const ApReport&)> report_fn,
+              std::function<void(ApReport)> report_fn,
               DominoTrace* trace);
 
   // ---- lifecycle (join/leave/roam) ---------------------------------------
@@ -426,9 +435,16 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
     TimeNs kick_deadline = kTimeNever;
     /// When the controller planned the batch that made this row poll.
     TimeNs planned_at = 0;
-  };
 
+    std::uint64_t slot() const { return plan.global_index; }
+  };
+  using RowIt = std::vector<Row>::iterator;
+
+  RowIt row_at_or_after(std::uint64_t g);
   Row* find_row(std::uint64_t g);
+  /// The first row past the execution frontier (every row while nothing
+  /// has executed).
+  RowIt first_above_frontier();
   Row* next_pending();
   TimeNs row_due(const Row& r) const;
   /// Marks every row below `g` missed and moves the execution frontier —
@@ -448,10 +464,13 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   rop::RopParams rop_params_;
   rop::RopLinkModel rop_model_;
   mac::DeliveryFn deliver_;
-  std::function<void(const ApReport&)> report_fn_;
+  std::function<void(ApReport)> report_fn_;
 
   std::vector<ClientInfo> clients_;
-  std::map<std::uint64_t, Row> rows_;
+  /// The plan rows, sorted by slot. Rows arrive at the back and leave from
+  /// the front (prune_executed), so the vector keeps its capacity from
+  /// batch to batch. Row pointers live only within one event.
+  std::vector<Row> rows_;
   std::uint64_t frontier_ = 0;  // highest executed slot index
 
   /// Retry counts by packet id, bounded: ids are monotonic, so when the map
@@ -473,6 +492,8 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   };
   std::vector<PollResponse> poll_responses_;
   bool polling_ = false;
+  /// evaluate_poll's per-response scratch: the same-symbol co-clients.
+  std::vector<rop::RopLinkModel::CoClient> co_clients_;
 
   // Per-client duplicate filter for uplink deliveries (bounded, oldest-out).
   std::map<topo::NodeId, BoundedIdFilter> seen_;
@@ -489,7 +510,8 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
   DominoClientMac(sim::Simulator& sim, phy::Medium& medium, topo::NodeId node,
                   topo::NodeId ap, const rop::PollSlot& slot,
                   const DominoTiming& timing, const SignaturePlan& signatures,
-                  const phy::SignatureDetectionModel& model, Rng rng,
+                  const phy::SignatureDetectionModel& model,
+                  const rop::RopParams& rop_params, Rng rng,
                   mac::DeliveryFn deliver, DominoTrace* trace);
 
   // ---- lifecycle (roaming) -----------------------------------------------
@@ -517,6 +539,9 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
 
   topo::NodeId ap_;
   rop::PollSlot slot_;
+  /// Largest queue report the ROP symbol carries
+  /// (RopParams::max_queue_report); a longer backlog saturates.
+  std::size_t max_report_;
   mac::DeliveryFn deliver_;
 
   std::uint64_t last_tx_tag_ = 0;  // stale-trigger guard

@@ -68,10 +68,10 @@ struct ApSlotPlan {
   bool fake = false;  // the entry was a fake-link insertion
 
   /// Codes this AP broadcasts at the slot's signature phase.
-  std::vector<std::size_t> my_codes;
+  phy::SignatureCodes my_codes;
   /// Codes its client must broadcast (embedded into the data frame or ACK,
   /// Figure 8).
-  std::vector<std::size_t> client_codes;
+  phy::SignatureCodes client_codes;
   /// In-band "transmit again next slot" flag for the peer client.
   bool client_continue = false;
 

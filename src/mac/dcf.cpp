@@ -215,6 +215,16 @@ std::size_t DcfNode::retarget_queued(topo::NodeId from, topo::NodeId to) {
   return queue_.retarget(from, to);
 }
 
+PacketIdSet& DcfNode::seen_from(topo::NodeId src) {
+  auto it = std::lower_bound(
+      seen_.begin(), seen_.end(), src,
+      [](const auto& entry, topo::NodeId n) { return entry.first < n; });
+  if (it == seen_.end() || it->first != src) {
+    it = seen_.insert(it, {src, PacketIdSet{}});
+  }
+  return it->second;
+}
+
 void DcfNode::on_frame_rx(const phy::Frame& frame, const phy::RxInfo& info) {
   if (!info.decoded) {
     if (!info.half_duplex_loss) {
@@ -241,9 +251,8 @@ void DcfNode::on_frame_rx(const phy::Frame& frame, const phy::RxInfo& info) {
         radio_.send(ack);
       });
       // Duplicate filter: deliver each packet id from a sender only once.
-      auto& from = seen_[frame.src];
-      if (!from.contains(frame.packet_id)) {
-        from.insert(frame.packet_id);
+      PacketIdSet& from = seen_from(frame.src);
+      if (from.insert(frame.packet_id)) {
         if (from.size() > 4096) from.clear();  // bounded memory
         deliver_(*frame.packet, radio_.node(), sim_.now());
       }

@@ -9,9 +9,9 @@
 // backoff and gating hooks).
 
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "mac/mac_common.h"
 #include "phy/medium.h"
@@ -110,8 +110,10 @@ class DcfNode final : public MacEntity, public phy::MediumClient {
 
   std::function<void(const traffic::Packet&, bool)> outcome_hook_;
 
-  // Receiver-side duplicate filter: last packet id seen per transmitter.
-  std::map<topo::NodeId, std::set<traffic::PacketId>> seen_;
+  // Receiver-side duplicate filter: the packet ids seen per transmitter,
+  // sorted by transmitter.
+  std::vector<std::pair<topo::NodeId, PacketIdSet>> seen_;
+  PacketIdSet& seen_from(topo::NodeId src);
 
   std::uint64_t ack_timeouts_ = 0;
   std::uint64_t retry_drops_ = 0;

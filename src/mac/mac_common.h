@@ -2,7 +2,9 @@
 // Shared 802.11g MAC parameters and the MAC-entity/delivery interfaces all
 // schemes (DCF, CENTAUR, Omniscient, DOMINO) implement.
 
+#include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "phy/transceiver.h"
 #include "sim/simulator.h"
@@ -78,6 +80,49 @@ class MacEntity {
   virtual void on_arrivals_added() {}
 
   traffic::PacketQueue queue_;
+};
+
+/// A set of packet ids (the receivers' duplicate filters) in one sorted
+/// vector. Ids mostly arrive rising, so an insert usually appends, and
+/// erasing the smallest id only moves the start of the live range.
+class PacketIdSet {
+ public:
+  /// Inserts `id`; returns true if it was new.
+  bool insert(traffic::PacketId id) {
+    const auto it = find(id);
+    if (it != ids_.end() && *it == id) return false;
+    ids_.insert(it, id);
+    return true;
+  }
+  bool contains(traffic::PacketId id) const {
+    return std::binary_search(ids_.begin() + lo_, ids_.end(), id);
+  }
+  void erase(traffic::PacketId id) {
+    const auto it = find(id);
+    if (it == ids_.end() || *it != id) return;
+    if (it != ids_.begin() + lo_) {
+      ids_.erase(it);
+      return;
+    }
+    // Compact once the erased prefix outgrows the live ids.
+    if (++lo_ > size()) {
+      ids_.erase(ids_.begin(), ids_.begin() + lo_);
+      lo_ = 0;
+    }
+  }
+  std::size_t size() const { return ids_.size() - lo_; }
+  void clear() {
+    ids_.clear();
+    lo_ = 0;
+  }
+
+ private:
+  std::vector<traffic::PacketId>::iterator find(traffic::PacketId id) {
+    return std::lower_bound(ids_.begin() + lo_, ids_.end(), id);
+  }
+
+  std::vector<traffic::PacketId> ids_;  // sorted; [0, lo_) is erased
+  std::size_t lo_ = 0;
 };
 
 }  // namespace dmn::mac

@@ -1,10 +1,14 @@
 #pragma once
 // Over-the-air frame types shared by every MAC scheme.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "topo/node.h"
@@ -27,23 +31,99 @@ inline constexpr std::size_t kFrameTypeCount = 6;
 
 const char* to_string(FrameType t);
 
-/// What a signature burst carries (kSignature frames only).
+/// The Gold-code indices combined in one burst, in the order they were
+/// added. Codes are node ids, which stay below 1023 (domino::SignaturePlan),
+/// so each fits 16 bits. Up to kInline codes live in place, and copying such
+/// a list allocates nothing: every listener copies each burst it hears. A
+/// longer list spills to one heap block; the converter caps a node at
+/// max_outbound (4) codes, but the AP's overlap-slot merge
+/// (DominoApMac::receive_plan) can add more.
+class SignatureCodes {
+ public:
+  using Code = std::uint16_t;
+  static constexpr std::size_t kInline = 12;
+
+  SignatureCodes() = default;
+  SignatureCodes(std::initializer_list<std::size_t> codes) {
+    for (std::size_t c : codes) push_back(c);
+  }
+  SignatureCodes(const SignatureCodes& o) : size_(o.size_) {
+    if (o.spilled()) {
+      Code* p = new Code[size_];
+      std::copy(o.begin(), o.end(), p);
+      set_heap(p);
+    } else {
+      std::copy_n(o.inline_, kInline, inline_);
+    }
+  }
+  SignatureCodes(SignatureCodes&& o) noexcept { take(o); }
+  SignatureCodes& operator=(const SignatureCodes& o) {
+    if (this != &o) *this = SignatureCodes(o);
+    return *this;
+  }
+  SignatureCodes& operator=(SignatureCodes&& o) noexcept {
+    if (this != &o) {
+      release();
+      take(o);
+    }
+    return *this;
+  }
+  ~SignatureCodes() { release(); }
+
+  void push_back(std::size_t code);
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Code* begin() const { return spilled() ? heap() : inline_; }
+  const Code* end() const { return begin() + size_; }
+  bool contains(std::size_t code) const {
+    return std::find(begin(), end(), code) != end();
+  }
+  friend bool operator==(const SignatureCodes& a, const SignatureCodes& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  // Spilled, the first bytes of inline_ hold the address of a heap block
+  // of exactly size_ codes.
+  bool spilled() const { return size_ > kInline; }
+  Code* heap() const {
+    Code* p;
+    std::memcpy(&p, inline_, sizeof p);
+    return p;
+  }
+  void set_heap(Code* p) { std::memcpy(inline_, &p, sizeof p); }
+  void take(SignatureCodes& o) {
+    std::copy_n(o.inline_, kInline, inline_);
+    size_ = std::exchange(o.size_, 0);
+  }
+  void release() {
+    if (spilled()) delete[] heap();
+    size_ = 0;
+  }
+
+  Code inline_[kInline] = {};
+  std::uint16_t size_ = 0;
+};
+
+/// What a signature burst carries (kSignature frames only). The flags are
+/// one bit each so a burst stays 32 bytes: events capture instructions by
+/// value (sim::EventFn's inline storage) and every Frame holds two.
 struct SignatureBurst {
   /// Gold-code indices combined in this burst (node signatures).
-  std::vector<std::size_t> codes;
+  SignatureCodes codes;
   /// Followed by the START signature S' (normal slot boundary)...
-  bool start_signature = false;
+  bool start_signature : 1 = false;
   /// ...or by the ROP signature (next slot is a polling slot, §3.3).
-  bool rop_signature = false;
+  bool rop_signature : 1 = false;
   /// Instruction-only (client_instruction field): "you transmit again in
   /// the next slot". A client scheduled in consecutive slots cannot listen
   /// for its own signature while bursting, so its AP — which holds the
   /// schedule — tells it to continue directly. One bit riding the frame
   /// that already carries the S1 samples (Figure 8).
-  bool continue_next = false;
+  bool continue_next : 1 = false;
   /// Recovery kick (AP restarting a silent uplink): timed off-lattice, so
   /// listeners must not treat it as a slot-timing reference.
-  bool recovery = false;
+  bool recovery : 1 = false;
   /// When rop_signature: how many back-to-back poll symbols the announced
   /// ROP spans. Every listener stretches its slot lattice by
   /// rop_duration(rop_symbols), so the count rides the burst in-band (the

@@ -69,8 +69,10 @@ namespace dmn::sim {
 
 /// Move-only `void()` callable with inline storage. Callables up to
 /// kInlineCapacity bytes (every scheduling lambda in the simulator — the
-/// largest captures a SignatureBurst by value) are stored in place; larger
-/// ones fall back to a single heap allocation, preserving correctness.
+/// largest, a DOMINO AP's ACK, captures a 32-byte SignatureBurst and three
+/// words, and domino_mac.cpp static_asserts that it fits) are stored in
+/// place; larger ones fall back to a single heap allocation, preserving
+/// correctness.
 class EventFn {
  public:
   static constexpr std::size_t kInlineCapacity = 64;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dmn::wired {
 
@@ -46,27 +47,28 @@ void Backbone::deliver(Route route, topo::NodeId node,
         std::to_string(mod.extra_latency) + " ns");
   }
   if (mod.copies == 0) return;  // dropped in the wired fabric
-  auto post = [this, route, node](TimeNs delay,
-                                  const std::function<void()>& f) {
+  auto post = [this, route, node](TimeNs delay, std::function<void()> f) {
     const TimeNs at = sim_.now() + delay;
     switch (route) {
       case Route::kActive:
-        sim_.post_at(at, f);
+        sim_.post_at(at, std::move(f));
         break;
       case Route::kNode:
         sim_.post_to_queue(sim_.queue_of_node(static_cast<std::size_t>(node)),
-                           at, f);
+                           at, std::move(f));
         break;
       case Route::kWired:
-        sim_.post_to_queue(sim_.wired_queue_index(), at, f);
+        sim_.post_to_queue(sim_.wired_queue_index(), at, std::move(f));
         break;
     }
   };
-  post(latency + mod.extra_latency, fn);
-  for (unsigned c = 1; c < mod.copies; ++c) {
+  // Only duplicates copy the closure; the last delivery takes it.
+  for (unsigned c = 0; c < mod.copies; ++c) {
     // Duplicates take their own independently-sampled path through the
     // fabric (a retransmitting switch does not replay the original delay).
-    post(sample_latency(rng) + mod.extra_latency, fn);
+    const TimeNs delay = c == 0 ? latency : sample_latency(rng);
+    post(delay + mod.extra_latency,
+         c + 1 == mod.copies ? std::move(fn) : fn);
   }
 }
 

@@ -3,14 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "mac/dcf.h"
 #include "phy/medium.h"
 #include "sim/simulator.h"
 #include "topo/topology.h"
+#include "util/rng.h"
 
 namespace dmn::mac {
 namespace {
@@ -216,6 +221,55 @@ TEST(Dcf, FixedBackoffAlignsExposedSenders) {
   h.offer(1, 1, 3, 100);
   h.sim.run_until(msec(200));
   EXPECT_EQ(h.delivered[0] + h.delivered[1], 200);
+}
+
+// ---- duplicate filter -------------------------------------------------------
+
+TEST(PacketIdSet, MatchesAnOrderedSetReference) {
+  // Differential oracle: mostly rising ids with stragglers and repeats,
+  // erases of the smallest id (the front skip and its compaction) and of
+  // arbitrary ids, and clears, checked against std::set after every step.
+  for (std::uint64_t seed : {1, 2, 3, 4}) {
+    Rng rng(seed);
+    PacketIdSet flat;
+    std::set<traffic::PacketId> ref;
+    traffic::PacketId next = 1;
+    for (int step = 0; step < 20000; ++step) {
+      const std::int64_t op = rng.uniform_int(0, 99);
+      if (op < 55) {
+        const traffic::PacketId id =
+            rng.uniform_int(0, 9) == 0
+                ? next - static_cast<traffic::PacketId>(rng.uniform_int(
+                             0, static_cast<std::int64_t>(
+                                    std::min<traffic::PacketId>(next - 1, 50))))
+                : next++;
+        ASSERT_EQ(flat.insert(id), ref.insert(id).second) << seed << ":" << step;
+      } else if (op < 85) {
+        if (ref.empty()) continue;
+        const traffic::PacketId id =
+            rng.uniform_int(0, 3) == 0
+                ? *std::next(ref.begin(),
+                             rng.uniform_int(0, static_cast<std::int64_t>(
+                                                    ref.size()) - 1))
+                : *ref.begin();
+        flat.erase(id);
+        ref.erase(id);
+      } else if (op < 99) {
+        const traffic::PacketId id = static_cast<traffic::PacketId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(next)));
+        flat.erase(id);
+        ref.erase(id);
+      } else {
+        flat.clear();
+        ref.clear();
+      }
+      ASSERT_EQ(flat.size(), ref.size()) << seed << ":" << step;
+      const traffic::PacketId probe = static_cast<traffic::PacketId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(next)));
+      ASSERT_EQ(flat.contains(probe), ref.contains(probe))
+          << seed << ":" << step;
+    }
+  }
 }
 
 }  // namespace

@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <memory>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "api/experiment.h"
+#include "audit/audit.h"
 #include "domino/domino_mac.h"
 #include "phy/medium.h"
 #include "phy/transceiver.h"
@@ -288,15 +294,16 @@ TEST(DominoTimingTest, DurationsMatchTimingRopDuration) {
 
 /// The queue reports a client with `queued` uplink packets puts on the air
 /// when its AP polls it once.
-std::vector<unsigned> poll_answer(std::size_t queued) {
+std::vector<unsigned> poll_answer(std::size_t queued,
+                                  const rop::RopParams& rop = {}) {
   const auto t = one_cell();  // AP 0, client 1
   sim::Simulator sim;
   phy::Medium medium(sim, t);
   const domino::SignaturePlan sigs(t.num_nodes());
   const domino::DominoTiming timing;
   domino::DominoClientMac client(
-      sim, medium, 1, 0, rop::PollSlot{1, 0, 0}, timing, sigs, {}, Rng(1),
-      [](const traffic::Packet&, topo::NodeId, TimeNs) {}, nullptr);
+      sim, medium, 1, 0, rop::PollSlot{1, 0, 0}, timing, sigs, {}, rop,
+      Rng(1), [](const traffic::Packet&, topo::NodeId, TimeNs) {}, nullptr);
   for (std::size_t i = 0; i < queued; ++i) {
     traffic::Packet p;
     p.id = static_cast<traffic::PacketId>(i + 1);
@@ -333,6 +340,168 @@ TEST(DominoClientPoll, QueueReportSaturatesAt63) {
 
 TEST(DominoClientPoll, QueueReportBelowTheCapIsExact) {
   EXPECT_EQ(poll_answer(62), std::vector<unsigned>{62});
+}
+
+TEST(DominoClientPoll, QueueReportSaturatesAtTheConfiguredWidth) {
+  rop::RopParams rop;
+  rop.data_per_subchannel = 4;  // reports 0..15
+  EXPECT_EQ(poll_answer(100, rop), std::vector<unsigned>{15});
+  EXPECT_EQ(poll_answer(14, rop), std::vector<unsigned>{14});
+}
+
+TEST(DominoClientPoll, NarrowReportsPassTheRopAudit) {
+  // A saturated uplink keeps the client's backlog past a 4-bit report's
+  // ceiling of 15 at every poll; the auditor holds each report to
+  // min(queue, max_queue_report()).
+  api::ExperimentConfig cfg;
+  cfg.duration = sec(1);
+  cfg.traffic.downlink_bps = 0;
+  cfg.traffic.saturate_uplink = true;
+  cfg.rop.data_per_subchannel = 4;
+  cfg.audit.mode = audit::AuditMode::kRecord;
+  const auto r = run_domino(one_cell(), cfg);
+  ASSERT_NE(r.audit, nullptr);
+  EXPECT_GT(r.audit->checks_run, 0u);
+  const auto violations = [&](const std::string& name) {
+    const auto it = r.audit->violations_by_invariant.find(name);
+    return it == r.audit->violations_by_invariant.end() ? 0u : it->second;
+  };
+  EXPECT_EQ(violations("rop.report-range"), 0u);
+  EXPECT_EQ(violations("rop.report-mismatch"), 0u);
+  EXPECT_GT(r.throughput_mbps(), 3.0);
+}
+
+// ---- slot-path structures ------------------------------------------------------
+
+TEST(DominoSlotPath, FrameDoesNotGrow) {
+  // Every reception hands a Frame to each listener, and each DOMINO node
+  // buffers the bursts it hears: the inline code list must not make the
+  // frame larger than its std::vector layout (272 bytes on LP64).
+  EXPECT_LE(sizeof(phy::Frame), 272u);
+  // An AP's ACK event captures one instruction by value next to three
+  // words; together they must fit EventFn's inline storage.
+  EXPECT_LE(sizeof(phy::SignatureBurst), 32u);
+}
+
+TEST(DominoSlotPath, SpilledBurstReachesEveryListenerAndTheAuditor) {
+  // AP 0 and clients 1..15. The AP's burst names clients 14..1, more codes
+  // than SignatureCodes keeps in place; client 15 only records the frame.
+  constexpr topo::NodeId kNamed = 14;
+  const auto t = one_cell(kNamed + 1);
+  sim::Simulator sim;
+  phy::Medium medium(sim, t);
+  audit::SimAuditor auditor(sim, t, audit::AuditMode::kRecord, {});
+  auditor.attach_medium(medium);
+
+  phy::SignatureCodes codes;
+  for (topo::NodeId c = kNamed; c >= 1; --c) codes.push_back(c);
+  ASSERT_GT(codes.size(), phy::SignatureCodes::kInline);
+
+  // Detection is certain at any combined count, so every named client
+  // must trigger.
+  phy::SignatureDetectionModel certain;
+  std::fill(std::begin(certain.p_by_count), std::end(certain.p_by_count),
+            1.0);
+  certain.beyond_decay = 0.0;
+  std::vector<topo::NodeId> triggered;
+  domino::DominoTrace trace;
+  trace.on_trigger = [&](std::uint64_t tag, topo::NodeId n, TimeNs at) {
+    EXPECT_EQ(tag, 7u);
+    triggered.push_back(n);
+    auditor.on_trigger(tag, n, at);
+  };
+  const domino::SignaturePlan sigs(t.num_nodes());
+  const domino::DominoTiming timing;
+  std::vector<std::unique_ptr<domino::DominoClientMac>> clients;
+  for (topo::NodeId c = 1; c <= kNamed; ++c) {
+    clients.push_back(std::make_unique<domino::DominoClientMac>(
+        sim, medium, c, 0,
+        rop::PollSlot{c, static_cast<std::size_t>(c - 1), 0}, timing, sigs,
+        certain, rop::RopParams{}, Rng(static_cast<std::uint64_t>(c)),
+        [](const traffic::Packet&, topo::NodeId, TimeNs) {}, &trace));
+  }
+  struct Recorder : phy::MediumClient {
+    std::vector<std::vector<std::size_t>> bursts;
+    void on_frame_rx(const phy::Frame& f, const phy::RxInfo&) override {
+      if (f.burst) {
+        bursts.emplace_back(f.burst->codes.begin(), f.burst->codes.end());
+      }
+    }
+  } recorder, ap;
+  phy::Transceiver recorder_radio(medium, kNamed + 1, &recorder);
+  phy::Transceiver ap_radio(medium, 0, &ap);
+
+  phy::Frame f;
+  f.type = phy::FrameType::kSignature;
+  f.duration = timing.burst_air();
+  f.slot_tag = 7;
+  f.burst.emplace();
+  f.burst->codes = codes;
+  f.burst->start_signature = true;
+  ap_radio.send(f);
+  sim.run();
+
+  ASSERT_EQ(recorder.bursts.size(), 1u);
+  EXPECT_EQ(recorder.bursts[0],
+            std::vector<std::size_t>(codes.begin(), codes.end()));
+  std::sort(triggered.begin(), triggered.end());
+  std::vector<topo::NodeId> named(kNamed);
+  std::iota(named.begin(), named.end(), 1);
+  EXPECT_EQ(triggered, named);
+  // Each trigger passed the auditor's provenance check.
+  const audit::AuditReport& rep = *auditor.report();
+  EXPECT_TRUE(rep.violation_free()) << rep.summary();
+
+  // The check is live: no burst ending then (it went out at t = 0) names
+  // the unnamed client.
+  auditor.on_trigger(7, kNamed + 1, f.duration);
+  EXPECT_EQ(rep.violations_by_invariant.count("domino.trigger-provenance"),
+            1u);
+}
+
+TEST(DominoSlotPath, RowArrivingBelowTheFrontierIsMissedOnce) {
+  // AP 0 runs downlink rows 1-3 and 5-8 to client 1 (fake headers: its
+  // queue is empty). Row 4 arrives while row 5 executes, below the
+  // frontier: the next row's advance_frontier writes it off, and pruning
+  // it later must not count it again.
+  const auto t = one_cell();
+  sim::Simulator sim;
+  phy::Medium medium(sim, t);
+  const domino::SignaturePlan sigs(t.num_nodes());
+  domino::DominoApMac ap(
+      sim, medium, 0, domino::DominoTiming{}, sigs, {}, {}, Rng(1),
+      [](const traffic::Packet&, topo::NodeId, TimeNs) {},
+      [](const domino::ApReport&) {}, nullptr);
+  ap.register_client({1, -40.0});
+
+  auto plan_of = [](std::vector<std::uint64_t> slots) {
+    domino::ApSchedule plan;
+    plan.ap = 0;
+    plan.batch_first_slot = slots.front();
+    for (std::uint64_t g : slots) {
+      domino::ApSlotPlan& row = plan.slots.emplace_back();
+      row.global_index = g;
+      row.role = domino::ApSlotPlan::Role::kTxData;
+      row.peer = 1;
+    }
+    return plan;
+  };
+  auto run_until_executed = [&](std::uint64_t rows) {
+    while (ap.rows_executed() < rows && sim.now() < msec(50)) {
+      sim.run_until(sim.now() + usec(5));
+    }
+    ASSERT_EQ(ap.rows_executed(), rows);
+  };
+
+  ap.receive_plan(plan_of({1, 2, 3, 5, 6, 7, 8}));
+  run_until_executed(4);  // row 5: the frontier is 5
+  ap.receive_plan(plan_of({4}));
+  EXPECT_EQ(ap.missed_rows(), 0u);
+  run_until_executed(5);  // row 6 passes row 4
+  EXPECT_EQ(ap.missed_rows(), 1u);
+  sim.run();
+  EXPECT_EQ(ap.rows_executed(), 7u);
+  EXPECT_EQ(ap.missed_rows(), 1u);
 }
 
 }  // namespace

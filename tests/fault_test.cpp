@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <limits>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -360,6 +362,41 @@ TEST(BoundedIdFilter, EvictsOldestNeverForgetsNewest) {
   // the stale one.
   EXPECT_TRUE(f.contains(5));
   EXPECT_FALSE(f.insert(5));
+}
+
+TEST(BoundedIdFilter, MatchesASetAndDequeReference) {
+  // Differential oracle against the set + insertion-order deque the flat
+  // filter replaced: mostly rising ids, stragglers below the window, and
+  // repeats, through many evictions of a small cap.
+  for (std::uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    const std::size_t cap = 64;
+    domino::BoundedIdFilter flat(cap);
+    std::set<traffic::PacketId> ref;
+    std::deque<traffic::PacketId> order;
+    traffic::PacketId next = 1;
+    for (int step = 0; step < 20000; ++step) {
+      const traffic::PacketId id =
+          rng.uniform_int(0, 4) == 0
+              ? static_cast<traffic::PacketId>(
+                    rng.uniform_int(1, static_cast<std::int64_t>(next)))
+              : next++;
+      const bool fresh = ref.insert(id).second;
+      if (fresh) {
+        order.push_back(id);
+        while (order.size() > cap) {
+          ref.erase(order.front());
+          order.pop_front();
+        }
+      }
+      ASSERT_EQ(flat.insert(id), fresh) << seed << ":" << step;
+      ASSERT_EQ(flat.size(), ref.size());
+      const traffic::PacketId probe = static_cast<traffic::PacketId>(
+          rng.uniform_int(1, static_cast<std::int64_t>(next)));
+      ASSERT_EQ(flat.contains(probe), ref.contains(probe))
+          << seed << ":" << step;
+    }
+  }
 }
 
 // ---- plan validation (exact messages) --------------------------------------

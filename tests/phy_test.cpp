@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "phy/frame.h"
 #include "phy/medium.h"
 #include "phy/signature_model.h"
 #include "phy/transceiver.h"
@@ -808,6 +810,58 @@ TEST(SignatureModel, ProcessingGainBelowDecodeThreshold) {
   // ...but roll off toward the correlation-gain floor.
   EXPECT_LT(m.detect_probability(1, -18.0), 0.5);
   EXPECT_EQ(m.detect_probability(1, -25.0), 0.0);
+}
+
+// ---- signature code lists ------------------------------------------------------
+
+TEST(SignatureCodes, KeepsOrderInPlaceAndPastTheInlineList) {
+  // Grows one code at a time through the spill at 13 codes and on past
+  // it; every prefix copies, moves and compares intact.
+  SignatureCodes codes;
+  std::vector<std::size_t> want;
+  for (std::size_t i = 0; i < 40; ++i) {
+    const std::size_t code = 1022 - 7 * i;  // out of order, up to 1022
+    codes.push_back(code);
+    want.push_back(code);
+    ASSERT_EQ(codes.size(), want.size());
+    EXPECT_TRUE(std::equal(codes.begin(), codes.end(), want.begin(),
+                           want.end()))
+        << i;
+    const SignatureCodes copy = codes;
+    EXPECT_EQ(copy, codes);
+    EXPECT_TRUE(copy.contains(code));
+    EXPECT_FALSE(copy.contains(code + 1));
+    SignatureCodes moved = SignatureCodes(copy);
+    EXPECT_EQ(moved, codes);
+    SignatureCodes assigned{5};
+    assigned = moved;
+    EXPECT_EQ(assigned, codes);
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned, codes);
+    EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+  }
+  // A shorter list is a different list, spilled or not.
+  SignatureCodes prefix;
+  for (std::size_t i = 0; i + 1 < want.size(); ++i) prefix.push_back(want[i]);
+  EXPECT_FALSE(prefix == codes);
+  prefix.push_back(want.back());
+  EXPECT_EQ(prefix, codes);
+  EXPECT_FALSE(SignatureCodes({1, 2}) == SignatureCodes({2, 1}));
+}
+
+TEST(SignatureCodes, BurstStaysAtThirtyTwoBytes) {
+  EXPECT_LE(sizeof(SignatureBurst), 32u);
+  SignatureBurst b;
+  b.codes = {3, 1, 2};
+  b.rop_signature = true;
+  b.rop_symbols = 3;
+  const SignatureBurst copy = b;
+  EXPECT_EQ(copy.codes, SignatureCodes({3, 1, 2}));
+  EXPECT_FALSE(copy.start_signature);
+  EXPECT_TRUE(copy.rop_signature);
+  EXPECT_FALSE(copy.continue_next);
+  EXPECT_FALSE(copy.recovery);
+  EXPECT_EQ(copy.rop_symbols, 3u);
 }
 
 TEST(SignatureModel, ZeroCountNeverDetects) {
