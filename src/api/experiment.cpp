@@ -14,6 +14,7 @@
 #include "topo/conflict_graph.h"
 #include "topo/partition.h"
 #include "traffic/flow_stats.h"
+#include "traffic/tcp_reno.h"
 
 namespace dmn::api {
 
@@ -260,9 +261,9 @@ struct Experiment::Impl {
           if (!accepted) aud->on_offer_rejected(id, flow);
           return accepted;
         };
-        traffic::TcpParams tp = cfg.tcp;
-        tp.mss_bytes = cfg.traffic.packet_bytes;
-        tp.app_rate_bps = fc.saturate ? 0.0 : fc.rate_bps;
+        const traffic::TcpParams tp{
+            .app_rate_bps = fc.saturate ? 0.0 : fc.rate_bps,
+            .mss_bytes = cfg.traffic.packet_bytes};
         // Pre-register the accounting slot so concurrent record_* calls
         // from partition queues never mutate the map structure.
         stats.ensure_flow(fc.flow.id);
@@ -459,7 +460,6 @@ struct Experiment::Impl {
       audit::AuditSettings as;
       as.max_inbound = cfg.converter.max_inbound;
       as.max_outbound = cfg.converter.max_outbound;
-      as.trigger_rss_floor_dbm = cfg.converter.trigger_rss_floor_dbm;
       as.insert_fake_links = cfg.converter.insert_fake_links;
       as.rop_max_report = static_cast<unsigned>(cfg.rop.max_queue_report());
       as.signature_forging = cfg.faults.signature.false_positive_rate > 0.0;

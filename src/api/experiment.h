@@ -16,7 +16,6 @@
 
 #include "api/metrics.h"
 #include "audit/audit.h"
-#include "centaur/centaur.h"
 #include "domino/controller.h"
 #include "domino/domino_mac.h"
 #include "fault/fault_plan.h"
@@ -24,7 +23,6 @@
 #include "phy/signature_model.h"
 #include "topo/dynamics.h"
 #include "topo/topology.h"
-#include "traffic/tcp_reno.h"
 #include "wired/backbone.h"
 
 namespace dmn::api {
@@ -67,10 +65,8 @@ struct ExperimentConfig {
   wired::BackboneParams backbone;
   domino::DominoParams domino;
   domino::ConverterParams converter;
-  centaur::CentaurParams centaur;
   phy::SignatureDetectionModel sig_model;
   rop::RopParams rop;
-  traffic::TcpParams tcp;
 
   /// Scripted impairments (fault/fault_plan.h). Default-constructed plan =
   /// strict no-op: the injector is not even instantiated, so results stay
@@ -87,11 +83,12 @@ struct ExperimentConfig {
   /// reject the omniscient scheme (its TDMA frame is precomputed).
   topo::DynamicsPlan dynamics;
 
-  /// Online invariant auditing (src/audit). Defaults to AuditMode::kInherit,
-  /// which reads the DMN_AUDIT environment variable (off when unset). The
-  /// auditor is strictly passive, so audit-on results are byte-identical to
-  /// audit-off results; this field is deliberately excluded from
-  /// hash_config (sweep_io) for the same reason.
+  /// Online invariant auditing (src/audit). `mode` defaults to
+  /// AuditMode::kInherit, which reads the DMN_AUDIT environment variable
+  /// (off when unset). The auditor is strictly passive, so audit-on results
+  /// are byte-identical to audit-off results and hash_config (sweep_io)
+  /// leaves `mode` out. `mutation` compiles a deliberate defect into the
+  /// stack, which changes results, so hash_config covers it.
   audit::AuditConfig audit;
 
   /// Records the DOMINO timeline (ExperimentResult::timeline): one recorder

@@ -27,8 +27,7 @@ void CentaurStack::build(StackContext& ctx,
     if (ctx.topo.node(n->node()).is_ap) ap_macs[n->node()] = n.get();
   }
   controller_ = std::make_unique<centaur::CentaurController>(
-      ctx.sim, *backbone_, *downlink_graph_, ctx.cfg.centaur,
-      std::move(ap_macs));
+      ctx.sim, *backbone_, *downlink_graph_, std::move(ap_macs));
   controller_->set_graph_refresh([this] {
     const auto dl_now =
         topo_->make_links(/*downlink=*/true, /*uplink=*/false);

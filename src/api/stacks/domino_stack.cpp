@@ -237,6 +237,7 @@ void DominoStack::collect(ExperimentResult& result) const {
   result.domino_plan_age_us_max = age.max_us;
   for (const auto& n : clients_) {
     result.ack_timeouts += n->ack_timeouts();
+    result.domino_retry_drops += n->retry_drops();
     result.domino_anchor_rejections += n->anchor_rejections();
     result.domino_forced_trigger_losses += n->forced_trigger_losses();
     const auto& lat = n->recovery_latency_slots();

@@ -545,15 +545,7 @@ void hash_config(Hasher& h, const ExperimentConfig& c) {
   h.i64(c.duration);
   h.u64(c.seed);
 
-  h.i64(c.wifi.slot_time);
-  h.i64(c.wifi.sifs);
-  h.i64(c.wifi.cw_min);
-  h.i64(c.wifi.cw_max);
-  h.i64(c.wifi.retry_limit);
   h.num(c.wifi.data_rate_bps);
-  h.num(c.wifi.control_rate_bps);
-  h.u64(c.wifi.mac_header_bytes);
-  h.u64(c.wifi.ack_bytes);
   h.u64(c.wifi.queue_capacity);
 
   h.i64(c.backbone.mean_latency);
@@ -561,41 +553,19 @@ void hash_config(Hasher& h, const ExperimentConfig& c) {
   h.i64(c.backbone.min_latency);
 
   h.u64(c.domino.batch_slots);
-  h.u64(c.domino.batches_per_poll);
 
   h.i64(c.converter.max_inbound);
   h.i64(c.converter.max_outbound);
-  h.num(c.converter.trigger_rss_floor_dbm);
   h.boolean(c.converter.insert_fake_links);
-
-  h.u64(c.centaur.quota);
-  h.i64(c.centaur.fixed_backoff_slots);
-  h.i64(c.centaur.idle_recheck);
 
   for (const double p : c.sig_model.p_by_count) h.num(p);
   h.num(c.sig_model.beyond_decay);
-  h.num(c.sig_model.full_sinr_db);
-  h.num(c.sig_model.zero_sinr_db);
 
-  h.u64(c.rop.fft_size);
   h.u64(c.rop.data_per_subchannel);
   h.u64(c.rop.guard_per_subchannel);
-  h.u64(c.rop.num_subchannels);
-  h.num(c.rop.bandwidth_hz);
-  h.u64(c.rop.cp_samples);
   h.u64(static_cast<std::uint64_t>(c.rop.poll_mode));
   h.u64(c.rop.max_poll_symbols);
-  h.u64(c.rop.adaptive_max_interval);
   h.u64(c.rop.assign_seed);
-
-  h.num(c.tcp.app_rate_bps);
-  h.u64(c.tcp.mss_bytes);
-  h.u64(c.tcp.ack_bytes);
-  h.num(c.tcp.initial_cwnd);
-  h.num(c.tcp.initial_ssthresh);
-  h.num(c.tcp.max_cwnd);
-  h.i64(c.tcp.min_rto);
-  h.i64(c.tcp.max_rto);
 
   const fault::FaultPlan& f = c.faults;
   h.num(f.backbone.drop_rate);
@@ -664,6 +634,9 @@ void hash_config(Hasher& h, const ExperimentConfig& c) {
   h.boolean(d.roam.enabled);
   h.num(d.roam.hysteresis_db);
   h.i64(d.roam.min_dwell);
+
+  // A mutant changes results; the audit mode only watches, so it stays out.
+  h.u64(static_cast<std::uint64_t>(c.audit.mutation));
 }
 
 }  // namespace
@@ -690,9 +663,9 @@ std::uint64_t hash_sweep(const std::vector<SweepPoint>& points) {
 
 std::string runner_fingerprint() {
 #if defined(__VERSION__)
-  return std::string("dmn-sweep-v6 ") + __VERSION__;
+  return std::string("dmn-sweep-v7 ") + __VERSION__;
 #else
-  return "dmn-sweep-v6 unknown-compiler";
+  return "dmn-sweep-v7 unknown-compiler";
 #endif
 }
 

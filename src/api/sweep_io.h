@@ -16,9 +16,10 @@
 //
 // The field tables in api/metrics.h decide what serializes: `result`
 // metrics, in table order, never `telemetry`. The timeline and audit report
-// sit outside the tables, so a restored result has neither, audit-on
-// results serialize like audit-off ones, and hash_config ignores
-// ExperimentConfig::audit too.
+// sit outside the tables, so a restored result has neither, and audit-on
+// results serialize like audit-off ones. hash_config likewise ignores the
+// passive ExperimentConfig::audit.mode, but covers audit.mutation: a
+// mutant changes results.
 
 #include <cstdint>
 #include <string>
@@ -94,8 +95,10 @@ std::string serialize_report(const SweepReport& report);
 
 /// Canonical FNV-1a 64 hash over the point's full semantic content:
 /// topology (nodes, associations, RSS matrix, thresholds) and every
-/// ExperimentConfig field including the seed and fault plan. Labels are
-/// excluded (display-only).
+/// ExperimentConfig value that can change a result, including the seed,
+/// the fault plan and the audit mutation. Labels (display-only), the
+/// passive recorders (audit.mode, record_timeline) and the thread count
+/// are excluded.
 std::uint64_t hash_point(const SweepPoint& p);
 
 /// Order-sensitive combination of all point hashes + the point count: the

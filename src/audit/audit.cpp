@@ -481,11 +481,12 @@ void SimAuditor::check_boundary(const domino::RelSlot& from,
         violate("converter.trigger-via", os.str());
       }
     } else if (topo_.rss(t.via, t.target) <
-               settings_.trigger_rss_floor_dbm) {
+               domino::ConverterParams::trigger_rss_floor_dbm) {
       std::ostringstream os;
       os << "slot " << from.global_index << ": trigger " << t.via << " -> "
          << t.target << " below RSS floor (" << topo_.rss(t.via, t.target)
-         << " dBm < " << settings_.trigger_rss_floor_dbm << " dBm)";
+         << " dBm < " << domino::ConverterParams::trigger_rss_floor_dbm
+         << " dBm)";
       violate("converter.trigger-rss", os.str());
     }
 

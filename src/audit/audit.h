@@ -136,7 +136,6 @@ struct AuditSettings {
   // Converter limits (ExperimentConfig::converter).
   int max_inbound = 2;
   int max_outbound = 4;
-  double trigger_rss_floor_dbm = -82.0;
   bool insert_fake_links = true;
   /// ROP 6-bit saturation ceiling (RopParams::max_queue_report()).
   unsigned rop_max_report = 63;

@@ -3,22 +3,32 @@
 #include <algorithm>
 
 namespace dmn::centaur {
+namespace {
+
+/// Max packets released per link per batch.
+constexpr std::size_t kQuota = 5;
+/// Fixed backoff (slots) used by scheduled APs. One shared value aligns
+/// exposed transmitters that hear each other.
+constexpr int kFixedBackoffSlots = 8;
+/// Controller re-poll interval when no downlink demand exists.
+constexpr TimeNs kIdleRecheck = msec(1);
+
+}  // namespace
 
 CentaurController::CentaurController(
     sim::Simulator& sim, wired::Backbone& backbone,
-    const topo::ConflictGraph& downlink_graph, const CentaurParams& params,
+    const topo::ConflictGraph& downlink_graph,
     std::map<topo::NodeId, mac::DcfNode*> ap_macs)
     : sim_(sim),
       backbone_(backbone),
       graph_(downlink_graph),
-      params_(params),
       ap_macs_(std::move(ap_macs)),
       rand_(downlink_graph) {
   // The controller owns AP downlink service from the start.
   for (auto& [id, mac] : ap_macs_) {
     (void)id;
     mac->set_service_enabled(false);
-    mac->set_fixed_backoff(params_.fixed_backoff_slots);
+    mac->set_fixed_backoff(kFixedBackoffSlots);
   }
 }
 
@@ -44,7 +54,7 @@ void CentaurController::plan_batch() {
   }
   const std::vector<topo::LinkId> chosen = rand_.schedule_slot(demand);
   if (chosen.empty()) {
-    sim_.post_in(params_.idle_recheck, [this] { plan_batch(); });
+    sim_.post_in(kIdleRecheck, [this] { plan_batch(); });
     return;
   }
 
@@ -52,7 +62,7 @@ void CentaurController::plan_batch() {
   outstanding_ = chosen.size();
   for (topo::LinkId l : chosen) {
     const std::size_t quota =
-        std::min(params_.quota, demand[static_cast<std::size_t>(l)]);
+        std::min(kQuota, demand[static_cast<std::size_t>(l)]);
     // Dispatch travels the jittery backbone, so batch members start at
     // slightly different times — CENTAUR relies on carrier sensing plus the
     // fixed backoff to re-align them. Routed to the AP's partition queue.

@@ -26,16 +26,6 @@
 
 namespace dmn::centaur {
 
-struct CentaurParams {
-  /// Max packets released per link per batch.
-  std::size_t quota = 5;
-  /// Fixed backoff (slots) used by scheduled APs. One shared value aligns
-  /// exposed transmitters that hear each other.
-  int fixed_backoff_slots = 8;
-  /// Controller re-poll interval when no downlink demand exists.
-  TimeNs idle_recheck = msec(1);
-};
-
 class CentaurController {
  public:
   /// `downlink_graph` must contain only AP->client links. `ap_macs` maps
@@ -43,7 +33,6 @@ class CentaurController {
   /// service gating for those nodes.
   CentaurController(sim::Simulator& sim, wired::Backbone& backbone,
                     const topo::ConflictGraph& downlink_graph,
-                    const CentaurParams& params,
                     std::map<topo::NodeId, mac::DcfNode*> ap_macs);
 
   void start(TimeNs at);
@@ -68,7 +57,6 @@ class CentaurController {
   sim::Simulator& sim_;
   wired::Backbone& backbone_;
   const topo::ConflictGraph& graph_;
-  CentaurParams params_;
   std::map<topo::NodeId, mac::DcfNode*> ap_macs_;
   domino::RandScheduler rand_;
 

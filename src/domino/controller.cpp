@@ -118,11 +118,8 @@ void DominoController::plan_batch() {
   }
   ++batches_;
 
-  // Poll every `batches_per_poll` batches.
-  std::vector<topo::NodeId> rop_aps;
-  if ((batches_ - 1) % params_.batches_per_poll == 0) {
-    rop_aps = topo_.aps();
-  }
+  // Every AP polls in every batch.
+  const std::vector<topo::NodeId> rop_aps = topo_.aps();
 
   std::vector<std::size_t> demand = demand_vector();
   std::vector<std::vector<topo::LinkId>> strict =

@@ -29,9 +29,6 @@ namespace dmn::domino {
 
 struct DominoParams {
   std::size_t batch_slots = 10;
-  /// Poll every N batches (1 = every batch, the paper's default; larger
-  /// values are the §5 polling-frequency study).
-  std::size_t batches_per_poll = 1;
 };
 
 /// One client's queue report relayed by an AP.

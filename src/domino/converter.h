@@ -38,7 +38,7 @@ struct ConverterParams {
   int max_outbound = 4;  // signatures one node may combine (Figure 9)
   /// A signature from `via` reaches `target` when rss >= this floor
   /// (correlation gain makes signatures detectable at carrier-sense level).
-  double trigger_rss_floor_dbm = -82.0;
+  static constexpr double trigger_rss_floor_dbm = -82.0;
   bool insert_fake_links = true;  // ablation knob
 };
 

@@ -881,8 +881,8 @@ void DominoClientMac::reassociate(topo::NodeId new_ap,
   // the new one: the new AP's schedule has no row for it, and the old AP no
   // longer carries this client. The head simply waits for the next trigger.
   cancel_tx();
-  // The ACK timer (if armed) stays: its timeout only counts a miss and
-  // leaves the head queued — exactly right when the old AP's ACK will never
+  // The ACK timer (if armed) stays: its timeout counts a miss of the head
+  // toward retry_limit — exactly right when the old AP's ACK will never
   // arrive. seen_ is kept too: packet ids are globally unique, so retained
   // history still suppresses duplicates the old AP forwarded.
   queue_.retarget(ap_, new_ap);
@@ -938,6 +938,17 @@ void DominoClientMac::execute_tx(std::uint64_t slot_tag) {
                   /*uplink=*/true);
 }
 
+void DominoClientMac::on_ack_timeout() {
+  // The awaited packet is the head, and it stays awaited, so a late ACK
+  // still retires it. Past retry_limit missed ACKs it is dropped, as the
+  // AP and DCF drop theirs.
+  if (++head_misses_ <= timing_.wifi.retry_limit) return;
+  head_misses_ = 0;
+  awaiting_ack_.reset();
+  (void)queue_.pop();
+  ++retry_drops_;
+}
+
 void DominoClientMac::handle_frame(const phy::Frame& frame,
                                    const phy::RxInfo& info) {
   if (!info.decoded) return;
@@ -971,7 +982,10 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
     }
     case phy::FrameType::kAck: {
       if (frame.dst != node() || frame.src != ap_) break;
-      if (take_ack(frame)) queue_.pop();  // the acked packet was the head
+      if (take_ack(frame)) {  // the acked packet was the head
+        queue_.pop();
+        head_misses_ = 0;
+      }
       // Uplink slots: the instruction rides the AP's ACK (Figure 8b); the
       // burst goes at the slot's fixed signature-phase offset. ACKs sit at
       // the same slot phase whether the data was real or a fake header.

@@ -201,6 +201,8 @@ class DominoNodeBase : public phy::MediumClient {
   // ---- chain-health observability ----------------------------------------
   /// Data frames whose ACK never arrived.
   std::uint64_t ack_timeouts() const { return ack_timeouts_; }
+  /// Packets given up on past WifiParams::retry_limit missed ACKs.
+  std::uint64_t retry_drops() const { return retry_drops_; }
   /// Trigger bursts this node was forced to miss by fault injection.
   std::uint64_t forced_trigger_losses() const {
     return forced_trigger_losses_;
@@ -239,8 +241,8 @@ class DominoNodeBase : public phy::MediumClient {
   /// Fires the armed slot transmission (the AP also self-starts with it).
   virtual void execute_tx(std::uint64_t slot) = 0;
   /// Missed ACK (§3.5), already counted: the packet stays queued for its
-  /// next slot. The AP also gives up on it past retry_limit.
-  virtual void on_ack_timeout() {}
+  /// next slot until it has missed more than retry_limit ACKs.
+  virtual void on_ack_timeout() = 0;
 
   /// Arms the one pending slot transmission, replacing any earlier one.
   void arm_tx(std::uint64_t slot, TimeNs at);
@@ -310,6 +312,7 @@ class DominoNodeBase : public phy::MediumClient {
   std::optional<AwaitedAck> awaiting_ack_;
   sim::EventHandle ack_timer_;
   std::uint64_t ack_timeouts_ = 0;
+  std::uint64_t retry_drops_ = 0;
 
   std::uint64_t forced_trigger_losses_ = 0;
   std::uint64_t anchor_rejections_total_ = 0;
@@ -408,7 +411,6 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   std::uint64_t self_starts() const { return self_starts_; }
   std::uint64_t rows_executed() const { return rows_executed_; }
   std::uint64_t missed_rows() const { return missed_rows_; }
-  std::uint64_t retry_drops() const { return retry_drops_; }
   /// Plan age at each poll: how long before the poll went out the
   /// controller planned the row it polls from.
   struct PlanAge {
@@ -500,7 +502,6 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
 
   std::uint64_t self_starts_ = 0;
   std::uint64_t rows_executed_ = 0;
-  std::uint64_t retry_drops_ = 0;
   std::uint64_t missed_rows_ = 0;
   PlanAge plan_age_;
 };
@@ -518,8 +519,8 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
   /// Re-homes this client to `new_ap` on poll `slot`: cancels any pending
   /// slot transmission toward the old AP, retargets queued uplink packets,
   /// and from now on reacts only to the new AP's frames. The pending ACK
-  /// timer stays armed (its timeout just requeues the head for the next
-  /// trigger), and the downlink duplicate filter is kept — packet ids are
+  /// timer stays armed (its timeout counts a miss of the head, which waits
+  /// for the next trigger), and the downlink duplicate filter is kept — packet ids are
   /// globally unique, so history still suppresses old-AP duplicates.
   void reassociate(topo::NodeId new_ap, const rop::PollSlot& slot);
   topo::NodeId ap() const { return ap_; }
@@ -530,6 +531,7 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
                            TimeNs detect_time) override;
   void handle_frame(const phy::Frame& frame, const phy::RxInfo& info) override;
   void execute_tx(std::uint64_t slot_tag) override;
+  void on_ack_timeout() override;
 
  private:
   void arm_slot_tx(std::uint64_t tag, TimeNs at);  // stale-trigger guard
@@ -545,6 +547,7 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
   mac::DeliveryFn deliver_;
 
   std::uint64_t last_tx_tag_ = 0;  // stale-trigger guard
+  int head_misses_ = 0;  // missed ACKs of the queue head
 
   BoundedIdFilter seen_;  // downlink duplicate filter (bounded, oldest-out)
 };

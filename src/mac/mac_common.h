@@ -14,15 +14,17 @@
 namespace dmn::mac {
 
 struct WifiParams {
-  TimeNs slot_time = usec(9);
-  TimeNs sifs = usec(10);
-  int cw_min = 15;
-  int cw_max = 1023;
-  int retry_limit = 7;
-  double data_rate_bps = 12e6;     // paper §4.2.1
-  double control_rate_bps = 6e6;   // ACKs / polls at the base rate
-  std::size_t mac_header_bytes = 28;  // header + FCS
-  std::size_t ack_bytes = 14;
+  /// 802.11g MAC timing and framing: fixed by the standard, not settable.
+  static constexpr TimeNs slot_time = usec(9);
+  static constexpr TimeNs sifs = usec(10);
+  static constexpr int cw_min = 15;
+  static constexpr int cw_max = 1023;
+  static constexpr int retry_limit = 7;
+  static constexpr double control_rate_bps = 6e6;  // ACKs / polls, base rate
+  static constexpr std::size_t mac_header_bytes = 28;  // header + FCS
+  static constexpr std::size_t ack_bytes = 14;
+
+  double data_rate_bps = 12e6;  // paper §4.2.1
   std::size_t queue_capacity = 100;
 
   TimeNs difs() const { return sifs + 2 * slot_time; }

@@ -24,9 +24,9 @@ struct SignatureDetectionModel {
   /// Index 0 unused; counts beyond 7 extrapolate downward.
   double p_by_count[8] = {0.0, 0.999, 0.999, 0.998, 0.995,
                           0.93, 0.82,  0.68};
-  double beyond_decay = 0.12;     // per extra signature past 7
-  double full_sinr_db = -10.0;    // full detection probability above this
-  double zero_sinr_db = -21.0;    // no detection below this (processing gain)
+  double beyond_decay = 0.12;  // per extra signature past 7
+  static constexpr double full_sinr_db = -10.0;  // full detection above
+  static constexpr double zero_sinr_db = -21.0;  // none below (proc. gain)
 
   /// Probability that one target signature inside a burst of
   /// `combined_total` signatures is detected at `sinr_db`.

@@ -34,15 +34,15 @@ enum class PollMode {
 const char* to_string(PollMode m);
 
 struct RopParams {
-  std::size_t fft_size = 256;           // subcarriers (vs 64 in plain WiFi)
+  static constexpr std::size_t fft_size = 256;  // subcarriers (vs 64 in WiFi)
   std::size_t data_per_subchannel = 6;  // -> queue sizes 0..63
   std::size_t guard_per_subchannel = 3; // tolerates ~38 dB RSS mismatch
-  std::size_t num_subchannels = 24;     // clients pollable per symbol
-  double bandwidth_hz = 20e6;
+  static constexpr std::size_t num_subchannels = 24;  // clients per symbol
+  static constexpr double bandwidth_hz = 20e6;
 
   /// Cyclic prefix: 3.2 us at 20 MHz = 64 samples; sized for a 300 m
   /// turnaround propagation delay (2 us) plus sync slack.
-  std::size_t cp_samples = 64;
+  static constexpr std::size_t cp_samples = 64;
 
   /// Poll planning mode.
   PollMode poll_mode = PollMode::kLegacy;
@@ -55,7 +55,7 @@ struct RopParams {
 
   /// kAdaptive: an idle client is re-polled at least every this many rounds
   /// (the starvation bound). Backlogged clients are polled every round.
-  std::size_t adaptive_max_interval = 4;
+  static constexpr std::size_t adaptive_max_interval = 4;
 
   /// Seed for the deterministic symbol-partition permutation.
   std::uint64_t assign_seed = 1;

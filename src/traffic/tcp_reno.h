@@ -21,15 +21,17 @@ namespace dmn::traffic {
 /// the MAC queue dropped it (the sender treats that as a loss).
 using EnqueueFn = std::function<bool(Packet)>;
 
+/// One flow's TCP parameters. The experiment sets the two per-flow values
+/// from the flow spec; the Reno constants are fixed.
 struct TcpParams {
   double app_rate_bps = 10e6;  // application-limited rate; <=0 => saturated
   std::size_t mss_bytes = 512;
-  std::size_t ack_bytes = 40;
-  double initial_cwnd = 2.0;
-  double initial_ssthresh = 64.0;
-  double max_cwnd = 64.0;  // receive-window stand-in
-  TimeNs min_rto = msec(200);
-  TimeNs max_rto = sec(2);
+  static constexpr std::size_t ack_bytes = 40;
+  static constexpr double initial_cwnd = 2.0;
+  static constexpr double initial_ssthresh = 64.0;
+  static constexpr double max_cwnd = 64.0;  // receive-window stand-in
+  static constexpr TimeNs min_rto = msec(200);
+  static constexpr TimeNs max_rto = sec(2);
 };
 
 class TcpSender {

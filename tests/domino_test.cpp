@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -369,6 +370,60 @@ TEST(DominoClientPoll, NarrowReportsPassTheRopAudit) {
   EXPECT_EQ(violations("rop.report-range"), 0u);
   EXPECT_EQ(violations("rop.report-mismatch"), 0u);
   EXPECT_GT(r.throughput_mbps(), 3.0);
+}
+
+TEST(DominoClientRetry, UnackedHeadIsDroppedPastTheRetryLimit) {
+  // Client 1 holds two uplink packets and its AP triggers it every
+  // millisecond but never ACKs. Each packet goes out retry_limit + 1 times
+  // and is then dropped, as the AP and DCF drop theirs.
+  const auto t = one_cell();  // AP 0, client 1
+  sim::Simulator sim;
+  phy::Medium medium(sim, t);
+  const domino::SignaturePlan sigs(t.num_nodes());
+  const domino::DominoTiming timing;
+  phy::SignatureDetectionModel certain;
+  std::fill(std::begin(certain.p_by_count), std::end(certain.p_by_count),
+            1.0);
+  domino::DominoClientMac client(
+      sim, medium, 1, 0, rop::PollSlot{1, 0, 0}, timing, sigs, certain, {},
+      Rng(1), [](const traffic::Packet&, topo::NodeId, TimeNs) {}, nullptr);
+  for (traffic::PacketId id = 1; id <= 2; ++id) {
+    traffic::Packet p;
+    p.id = id;
+    p.src = 1;
+    p.dst = 0;
+    p.bytes = timing.payload_bytes;
+    ASSERT_TRUE(client.enqueue(p));
+  }
+
+  struct Recorder : phy::MediumClient {
+    std::map<traffic::PacketId, int> sends;
+    void on_frame_rx(const phy::Frame& f, const phy::RxInfo&) override {
+      if (f.type == phy::FrameType::kData) ++sends[f.packet_id];
+    }
+  } ap;
+  phy::Transceiver ap_radio(medium, 0, &ap);
+  constexpr int kTriggers = 24;
+  for (int k = 0; k < kTriggers; ++k) {
+    sim.post_at(k * msec(1), [&ap_radio, &timing, k] {
+      phy::Frame f;
+      f.type = phy::FrameType::kSignature;
+      f.duration = timing.burst_air();
+      f.slot_tag = static_cast<std::uint64_t>(k + 1);
+      f.burst.emplace();
+      f.burst->codes.push_back(1);
+      f.burst->start_signature = true;
+      ap_radio.send(f);
+    });
+  }
+  sim.run();
+
+  constexpr int kSends = mac::WifiParams::retry_limit + 1;
+  EXPECT_EQ(ap.sends,
+            (std::map<traffic::PacketId, int>{{1, kSends}, {2, kSends}}));
+  EXPECT_EQ(client.ack_timeouts(), 2u * kSends);
+  EXPECT_EQ(client.retry_drops(), 2u);
+  EXPECT_EQ(client.queue_size(), 0u);
 }
 
 // ---- slot-path structures ------------------------------------------------------

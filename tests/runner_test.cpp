@@ -365,25 +365,9 @@ TEST(Runner, PointHashDistinguishesSeedAndTopology) {
   const auto points = seed_sweep(topo, base_config(), 1, 2);
   EXPECT_NE(hash_point(points[0]), hash_point(points[1]));
 
-  SweepPoint tweaked = points[0];
-  tweaked.config.traffic.downlink_bps += 1.0;
-  EXPECT_NE(hash_point(points[0]), hash_point(tweaked));
-
   SweepPoint same = points[0];
   same.label = "different label";  // labels are display-only
   EXPECT_EQ(hash_point(points[0]), hash_point(same));
-}
-
-TEST(Runner, PointHashIgnoresPassiveRecorders) {
-  // The timeline and the auditor never change a result, on any kernel, so
-  // checkpoints resume across them.
-  const auto topo = two_cells();
-  const auto points = seed_sweep(topo, base_config(), 1, 1);
-  SweepPoint recorded = points[0];
-  recorded.config.record_timeline = !points[0].config.record_timeline;
-  EXPECT_EQ(hash_point(points[0]), hash_point(recorded));
-  recorded.config.audit.mode = audit::AuditMode::kRecord;
-  EXPECT_EQ(hash_point(points[0]), hash_point(recorded));
 }
 
 TEST(Runner, PointHashFollowsTheKernelTaken) {
@@ -427,10 +411,10 @@ TEST(Runner, PointHashIsPinnedForEveryScheme) {
     Scheme scheme;
     std::uint64_t hash;
   } pins[] = {
-      {Scheme::kDcf, 0xda7fc279657b17ebull},
-      {Scheme::kCentaur, 0x67aa1e2797be3ae8ull},
-      {Scheme::kDomino, 0x8d320c4698b56bc1ull},
-      {Scheme::kOmniscient, 0x2a23f5181ef8fdd2ull},
+      {Scheme::kDcf, 0xab86b45855c1bdbaull},
+      {Scheme::kCentaur, 0xd73ddd7bc0b147edull},
+      {Scheme::kDomino, 0x9db4db77e79c9040ull},
+      {Scheme::kOmniscient, 0x185eda067d177617ull},
   };
   for (const auto& pin : pins) {
     ExperimentConfig cfg = base_config();
@@ -441,28 +425,216 @@ TEST(Runner, PointHashIsPinnedForEveryScheme) {
   }
 }
 
-TEST(Runner, PointHashSeesDynamicsKnobs) {
-  // A checkpoint written by a static sweep must not be trusted by a churny
-  // one (and vice versa): every dynamics knob feeds hash_config.
-  const auto topo = two_cells();
-  const auto points = seed_sweep(topo, base_config(), 1, 1);
+TEST(Runner, PointHashSeesEveryKnob) {
+  // A checkpoint resumes a point only while its hash matches, so every
+  // settable ExperimentConfig value that can change a result feeds
+  // hash_point: perturbing any one of them moves the hash. The passive
+  // recorders and the thread count never change a result, so checkpoints
+  // resume across them. The two buildings partition at any thread count,
+  // which makes the thread-count case a real one.
+  topo::ManualTopologyBuilder b;
+  b.add_client(b.add_ap());
+  b.add_client(b.add_ap());
+  ExperimentConfig base = base_config();
+  base.sim_threads = 1;
+  const SweepPoint point = seed_sweep(b.build(), base, 1, 1)[0];
+  const std::uint64_t base_hash = hash_point(point);
 
-  SweepPoint churny = points[0];
-  churny.config.dynamics.churn_rate_hz = 2.0;
-  EXPECT_NE(hash_point(points[0]), hash_point(churny));
-
-  SweepPoint roamy = points[0];
-  roamy.config.dynamics.roam.enabled = true;
-  EXPECT_NE(hash_point(points[0]), hash_point(roamy));
-  roamy.config.dynamics.roam.hysteresis_db += 1.0;
-  SweepPoint roamy2 = points[0];
-  roamy2.config.dynamics.roam.enabled = true;
-  EXPECT_NE(hash_point(roamy), hash_point(roamy2));
-
-  SweepPoint mobile = points[0];
-  mobile.config.dynamics.trajectories.push_back(
-      {2, {{0, {1.0, 1.0}}, {msec(50), {2.0, 2.0}}}});
-  EXPECT_NE(hash_point(points[0]), hash_point(mobile));
+  using Tweak = void (*)(ExperimentConfig&);
+  const struct {
+    const char* knob;
+    Tweak tweak;
+    bool hashed;
+  } cases[] = {
+      {"scheme", [](ExperimentConfig& c) { c.scheme = Scheme::kDomino; },
+       true},
+      {"traffic.kind",
+       [](ExperimentConfig& c) { c.traffic.kind = TrafficKind::kTcp; }, true},
+      {"traffic.downlink_bps",
+       [](ExperimentConfig& c) { c.traffic.downlink_bps += 1.0; }, true},
+      {"traffic.uplink_bps",
+       [](ExperimentConfig& c) { c.traffic.uplink_bps = 1e6; }, true},
+      {"traffic.saturate_downlink",
+       [](ExperimentConfig& c) { c.traffic.saturate_downlink = false; },
+       true},
+      {"traffic.saturate_uplink",
+       [](ExperimentConfig& c) { c.traffic.saturate_uplink = true; }, true},
+      {"traffic.packet_bytes",
+       [](ExperimentConfig& c) { c.traffic.packet_bytes = 1024; }, true},
+      {"traffic.custom",
+       [](ExperimentConfig& c) { c.traffic.custom.push_back({0, 2, 1e6}); },
+       true},
+      {"duration", [](ExperimentConfig& c) { c.duration += 1; }, true},
+      {"seed", [](ExperimentConfig& c) { c.seed += 1; }, true},
+      {"wifi.data_rate_bps",
+       [](ExperimentConfig& c) { c.wifi.data_rate_bps = 24e6; }, true},
+      {"wifi.queue_capacity",
+       [](ExperimentConfig& c) { c.wifi.queue_capacity = 50; }, true},
+      {"backbone.mean_latency",
+       [](ExperimentConfig& c) { c.backbone.mean_latency += 1; }, true},
+      {"backbone.sigma_latency",
+       [](ExperimentConfig& c) { c.backbone.sigma_latency += 1; }, true},
+      {"backbone.min_latency",
+       [](ExperimentConfig& c) { c.backbone.min_latency += 1; }, true},
+      {"domino.batch_slots",
+       [](ExperimentConfig& c) { c.domino.batch_slots = 12; }, true},
+      {"converter.max_inbound",
+       [](ExperimentConfig& c) { c.converter.max_inbound = 3; }, true},
+      {"converter.max_outbound",
+       [](ExperimentConfig& c) { c.converter.max_outbound = 5; }, true},
+      {"converter.insert_fake_links",
+       [](ExperimentConfig& c) { c.converter.insert_fake_links = false; },
+       true},
+      {"sig_model.p_by_count",
+       [](ExperimentConfig& c) { c.sig_model.p_by_count[5] = 0.5; }, true},
+      {"sig_model.beyond_decay",
+       [](ExperimentConfig& c) { c.sig_model.beyond_decay = 0.2; }, true},
+      {"rop.data_per_subchannel",
+       [](ExperimentConfig& c) { c.rop.data_per_subchannel = 4; }, true},
+      {"rop.guard_per_subchannel",
+       [](ExperimentConfig& c) { c.rop.guard_per_subchannel = 2; }, true},
+      {"rop.poll_mode",
+       [](ExperimentConfig& c) { c.rop.poll_mode = rop::PollMode::kAdaptive; },
+       true},
+      {"rop.max_poll_symbols",
+       [](ExperimentConfig& c) { c.rop.max_poll_symbols = 3; }, true},
+      {"rop.assign_seed",
+       [](ExperimentConfig& c) { c.rop.assign_seed = 2; }, true},
+      {"faults.backbone.drop_rate",
+       [](ExperimentConfig& c) { c.faults.backbone.drop_rate = 0.1; }, true},
+      {"faults.backbone.dup_rate",
+       [](ExperimentConfig& c) { c.faults.backbone.dup_rate = 0.1; }, true},
+      {"faults.backbone.spike_rate",
+       [](ExperimentConfig& c) { c.faults.backbone.spike_rate = 0.1; }, true},
+      {"faults.backbone.spike_extra",
+       [](ExperimentConfig& c) { c.faults.backbone.spike_extra += 1; }, true},
+      {"faults.controller.outages",
+       [](ExperimentConfig& c) {
+         c.faults.controller.outages.push_back({msec(10), msec(5)});
+       },
+       true},
+      {"faults.interference.duty",
+       [](ExperimentConfig& c) { c.faults.interference.duty = 0.5; }, true},
+      {"faults.interference.period",
+       [](ExperimentConfig& c) { c.faults.interference.period += 1; }, true},
+      {"faults.interference.power_dbm",
+       [](ExperimentConfig& c) { c.faults.interference.power_dbm = -50.0; },
+       true},
+      {"faults.signature.false_negative_rate",
+       [](ExperimentConfig& c) {
+         c.faults.signature.false_negative_rate = 0.1;
+       },
+       true},
+      {"faults.signature.false_positive_rate",
+       [](ExperimentConfig& c) {
+         c.faults.signature.false_positive_rate = 0.1;
+       },
+       true},
+      {"faults.signature.blackouts",
+       [](ExperimentConfig& c) {
+         c.faults.signature.blackouts.push_back({2, {0, msec(5)}});
+       },
+       true},
+      {"faults.clock.max_skew_ppm",
+       [](ExperimentConfig& c) { c.faults.clock.max_skew_ppm = 50.0; }, true},
+      {"faults.ap_outages",
+       [](ExperimentConfig& c) {
+         c.faults.ap_outages.push_back({0, {msec(10), msec(5)}});
+       },
+       true},
+      {"dynamics.epoch", [](ExperimentConfig& c) { c.dynamics.epoch += 1; },
+       true},
+      {"dynamics.floorplan.num_nodes",
+       [](ExperimentConfig& c) { c.dynamics.floorplan.num_nodes += 1; },
+       true},
+      {"dynamics.floorplan.building_w",
+       [](ExperimentConfig& c) { c.dynamics.floorplan.building_w += 1.0; },
+       true},
+      {"dynamics.floorplan.building_h",
+       [](ExperimentConfig& c) { c.dynamics.floorplan.building_h += 1.0; },
+       true},
+      {"dynamics.floorplan.building_gap",
+       [](ExperimentConfig& c) { c.dynamics.floorplan.building_gap += 1.0; },
+       true},
+      {"dynamics.floorplan.tx_power_dbm",
+       [](ExperimentConfig& c) { c.dynamics.floorplan.tx_power_dbm += 1.0; },
+       true},
+      {"dynamics.floorplan.ref_loss_db",
+       [](ExperimentConfig& c) { c.dynamics.floorplan.ref_loss_db += 1.0; },
+       true},
+      {"dynamics.floorplan.exponent",
+       [](ExperimentConfig& c) { c.dynamics.floorplan.exponent += 0.1; },
+       true},
+      {"dynamics.floorplan.wall_db",
+       [](ExperimentConfig& c) { c.dynamics.floorplan.wall_db += 1.0; },
+       true},
+      {"dynamics.floorplan.room_w",
+       [](ExperimentConfig& c) { c.dynamics.floorplan.room_w += 1.0; },
+       true},
+      {"dynamics.floorplan.room_h",
+       [](ExperimentConfig& c) { c.dynamics.floorplan.room_h += 1.0; },
+       true},
+      {"dynamics.floorplan.exterior_wall_db",
+       [](ExperimentConfig& c) {
+         c.dynamics.floorplan.exterior_wall_db += 1.0;
+       },
+       true},
+      {"dynamics.floorplan.shadowing_sigma_db",
+       [](ExperimentConfig& c) {
+         c.dynamics.floorplan.shadowing_sigma_db += 1.0;
+       },
+       true},
+      {"dynamics.floorplan.max_interior_walls",
+       [](ExperimentConfig& c) {
+         c.dynamics.floorplan.max_interior_walls += 1;
+       },
+       true},
+      {"dynamics.trajectories",
+       [](ExperimentConfig& c) {
+         c.dynamics.trajectories.push_back(
+             {2, {{0, {1.0, 1.0}}, {msec(50), {2.0, 2.0}}}});
+       },
+       true},
+      {"dynamics.membership",
+       [](ExperimentConfig& c) {
+         c.dynamics.membership.push_back({msec(10), 2, false});
+       },
+       true},
+      {"dynamics.churn_rate_hz",
+       [](ExperimentConfig& c) { c.dynamics.churn_rate_hz = 2.0; }, true},
+      {"dynamics.churn_downtime",
+       [](ExperimentConfig& c) { c.dynamics.churn_downtime += 1; }, true},
+      {"dynamics.churn_nodes",
+       [](ExperimentConfig& c) { c.dynamics.churn_nodes.push_back(2); },
+       true},
+      {"dynamics.roam.enabled",
+       [](ExperimentConfig& c) { c.dynamics.roam.enabled = true; }, true},
+      {"dynamics.roam.hysteresis_db",
+       [](ExperimentConfig& c) { c.dynamics.roam.hysteresis_db += 1.0; },
+       true},
+      {"dynamics.roam.min_dwell",
+       [](ExperimentConfig& c) { c.dynamics.roam.min_dwell += 1; }, true},
+      {"audit.mutation",
+       [](ExperimentConfig& c) {
+         c.audit.mutation = audit::Mutation::kMacDoubleDelivery;
+       },
+       true},
+      {"audit.mode",
+       [](ExperimentConfig& c) { c.audit.mode = audit::AuditMode::kRecord; },
+       false},
+      {"record_timeline",
+       [](ExperimentConfig& c) { c.record_timeline = true; }, false},
+      {"sim_threads", [](ExperimentConfig& c) { c.sim_threads = 4; }, false},
+  };
+  for (const auto& k : cases) {
+    SweepPoint tweaked = point;
+    k.tweak(tweaked.config);
+    if (k.hashed) {
+      EXPECT_NE(hash_point(tweaked), base_hash) << k.knob;
+    } else {
+      EXPECT_EQ(hash_point(tweaked), base_hash) << k.knob;
+    }
+  }
 }
 
 }  // namespace

@@ -954,7 +954,7 @@ TEST(Centaur, BatchBarrierWaitsForSlowestAp) {
   const auto dl = topo.make_links(true, false);
   auto graph = topo::ConflictGraph::build(topo, dl);
   wired::Backbone backbone(sim, {}, Rng(77));
-  centaur::CentaurController ctrl(sim, backbone, graph, {}, aps);
+  centaur::CentaurController ctrl(sim, backbone, graph, aps);
 
   traffic::PacketId next = 0;
   auto offer = [&](topo::NodeId src, topo::NodeId dst, int flow, int n) {
@@ -1002,7 +1002,7 @@ TEST(Centaur, ApsHeldUntilRelease) {
   auto graph = topo::ConflictGraph::build(topo, dl);
   wired::Backbone backbone(sim, {}, Rng(3));
   std::map<topo::NodeId, mac::DcfNode*> aps{{ap, &apn}};
-  centaur::CentaurController ctrl(sim, backbone, graph, {}, aps);
+  centaur::CentaurController ctrl(sim, backbone, graph, aps);
   // Not started: the controller's constructor gates the AP.
   traffic::Packet p;
   p.id = 1;
