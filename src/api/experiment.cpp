@@ -458,9 +458,7 @@ struct Experiment::Impl {
     const audit::AuditMode audit_mode = audit::resolve_mode(cfg.audit);
     if (audit_mode != audit::AuditMode::kOff) {
       audit::AuditSettings as;
-      as.max_inbound = cfg.converter.max_inbound;
-      as.max_outbound = cfg.converter.max_outbound;
-      as.insert_fake_links = cfg.converter.insert_fake_links;
+      as.converter = cfg.converter;
       as.rop_max_report = static_cast<unsigned>(cfg.rop.max_queue_report());
       as.signature_forging = cfg.faults.signature.false_positive_rate > 0.0;
       as.poll_symbol_budget = static_cast<unsigned>(cfg.rop.symbol_cap());

@@ -663,9 +663,9 @@ std::uint64_t hash_sweep(const std::vector<SweepPoint>& points) {
 
 std::string runner_fingerprint() {
 #if defined(__VERSION__)
-  return std::string("dmn-sweep-v7 ") + __VERSION__;
+  return std::string("dmn-sweep-v8 ") + __VERSION__;
 #else
-  return "dmn-sweep-v7 unknown-compiler";
+  return "dmn-sweep-v8 unknown-compiler";
 #endif
 }
 

@@ -372,7 +372,7 @@ void SimAuditor::check_relative_slot(
     }
     for (const domino::SlotEntry& e : slot.entries) {
       if (!e.fake) continue;
-      if (!settings_.insert_fake_links) {
+      if (!settings_.converter.insert_fake_links) {
         std::ostringstream os;
         os << "slot " << slot.global_index << ": fake entry on link "
            << e.link << " with fake-link insertion disabled";
@@ -512,19 +512,20 @@ void SimAuditor::check_boundary(const domino::RelSlot& from,
   }
 
   for (const auto& [node, n] : inbound) {
-    if (n > settings_.max_inbound) {
+    if (n > settings_.converter.max_inbound) {
       std::ostringstream os;
       os << "slot " << from.global_index << ": target " << node << " has "
-         << n << " triggers (max_inbound " << settings_.max_inbound << ")";
+         << n << " triggers (max_inbound "
+         << settings_.converter.max_inbound << ")";
       violate("converter.trigger-in-degree", os.str());
     }
   }
   for (const auto& [node, n] : outbound) {
-    if (n > settings_.max_outbound) {
+    if (n > settings_.converter.max_outbound) {
       std::ostringstream os;
       os << "slot " << from.global_index << ": via " << node << " combines "
-         << n << " signatures (max_outbound " << settings_.max_outbound
-         << ")";
+         << n << " signatures (max_outbound "
+         << settings_.converter.max_outbound << ")";
       violate("converter.trigger-out-degree", os.str());
     }
   }

@@ -133,10 +133,8 @@ class AuditViolation : public std::runtime_error {
 /// Scheme-independent settings the facade distills from ExperimentConfig
 /// (the auditor must not depend on the api layer).
 struct AuditSettings {
-  // Converter limits (ExperimentConfig::converter).
-  int max_inbound = 2;
-  int max_outbound = 4;
-  bool insert_fake_links = true;
+  /// The converter's limits (ExperimentConfig::converter).
+  domino::ConverterParams converter;
   /// ROP 6-bit saturation ceiling (RopParams::max_queue_report()).
   unsigned rop_max_report = 63;
   /// Fault injection forges trigger false positives: the trigger-provenance

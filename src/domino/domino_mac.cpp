@@ -120,16 +120,31 @@ TimeNs DominoNodeBase::anchored_start(std::uint64_t g) const {
   return at;
 }
 
-void DominoNodeBase::arm_tx(std::uint64_t slot, TimeNs at) {
-  if (pending_tx_) sim_.cancel(pending_tx_->event);
-  at = std::max(at, sim_.now());
+void DominoNodeBase::arm_tx(std::uint64_t slot, TimeNs at, TimeNs fire_at) {
+  cancel_tx();
   pending_tx_ = PendingTx{
-      slot, at, sim_.schedule_at(at, [this, slot] { execute_tx(slot); })};
+      slot, at, sim_.schedule_at(std::max({at, fire_at, sim_.now()}),
+                                 [this, slot] { fire_tx(slot); })};
 }
 
 void DominoNodeBase::cancel_tx() {
   if (pending_tx_) sim_.cancel(pending_tx_->event);
   pending_tx_.reset();
+}
+
+void DominoNodeBase::fire_tx(std::uint64_t slot) {
+  if (radio_.transmitting()) {
+    // Keep the trigger-timed `at` a snap compares against; a self-start
+    // has none and snaps against now.
+    const TimeNs at = pending_tx_ && pending_tx_->slot == slot
+                          ? pending_tx_->at
+                          : sim_.now();
+    arm_tx(slot, at, sim_.now() + kTxBusyRetry);
+    return;
+  }
+  // A self-start may run a slot whose trigger-armed TX is still queued.
+  if (pending_tx_ && pending_tx_->slot <= slot) cancel_tx();
+  execute_tx(slot);
 }
 
 void DominoNodeBase::snap_pending_tx() {
@@ -163,15 +178,11 @@ void DominoNodeBase::send_data_phase(std::uint64_t slot, topo::NodeId peer,
     f.duration = dur_.data_air;
     f.packet = *pkt;
     f.packet_id = pkt->id;
-    f.is_retry = awaiting_ack_ && awaiting_ack_->id == pkt->id;
     awaiting_ack_ = AwaitedAck{pkt->id, peer};
     sim_.cancel(ack_timer_);
     ack_timer_ = sim_.schedule_in(f.duration + timing_.wifi.sifs +
                                       dur_.ack_air + timing_.wifi.slot_time,
-                                  [this] {
-                                    ++ack_timeouts_;
-                                    on_ack_timeout();
-                                  });
+                                  [this] { on_ack_timeout(); });
   } else {
     f.type = phy::FrameType::kFakeHeader;
     f.bytes = timing_.fake_header_bytes;
@@ -201,7 +212,24 @@ std::optional<DominoNodeBase::AwaitedAck> DominoNodeBase::take_ack(
     return std::nullopt;
   }
   sim_.cancel(ack_timer_);
+  tx_attempts_.erase(awaiting_ack_->id);
   return std::exchange(awaiting_ack_, std::nullopt);
+}
+
+void DominoNodeBase::on_ack_timeout() {
+  ++ack_timeouts_;
+  const AwaitedAck missed = *std::exchange(awaiting_ack_, std::nullopt);
+  if (++tx_attempts_[missed.id] > timing_.wifi.retry_limit) {
+    tx_attempts_.erase(missed.id);
+    drop_unacked(missed.peer);
+    ++retry_drops_;
+  } else {
+    // Packet ids rise with arrival time within a queue, so map order is age
+    // order: evict oldest.
+    while (tx_attempts_.size() > kTxAttemptsCap) {
+      tx_attempts_.erase(tx_attempts_.begin());
+    }
+  }
 }
 
 void DominoNodeBase::post_burst(const phy::SignatureCodes& codes,
@@ -391,7 +419,10 @@ DominoApMac::Row* DominoApMac::next_pending() {
   return nullptr;
 }
 
-void DominoApMac::advance_frontier(std::uint64_t g) {
+void DominoApMac::mark_executed(Row& r) {
+  const std::uint64_t g = r.slot();
+  r.executed = true;
+  ++rows_executed_;
   for (auto it = rows_.begin(); it != rows_.end() && it->slot() < g; ++it) {
     if (!it->executed) {
       it->executed = true;
@@ -405,17 +436,16 @@ void DominoApMac::set_powered(bool on) {
   if (on == powered_) return;
   powered_ = on;
   if (!on) {
-    sim_.cancel(self_start_timer_);
     cancel_tx();
     sim_.cancel(ack_timer_);
     awaiting_ack_.reset();
     polling_ = false;
     poll_responses_.clear();
-  } else {
-    // Restart: resume from the retained schedule on the (possibly stale)
-    // anchor; the first heard trigger re-snaps the lattice.
-    arm_self_start();
   }
+  // Power-down cancels the self-start. A restart resumes from the retained
+  // schedule on the (possibly stale) anchor; the first heard trigger
+  // re-snaps the lattice.
+  arm_self_start();
 }
 
 void DominoApMac::receive_plan(const ApSchedule& plan) {
@@ -469,38 +499,41 @@ void DominoApMac::receive_plan(const ApSchedule& plan) {
 }
 
 TimeNs DominoApMac::row_due(const Row& r) const {
-  // Bootstrap (nothing executed yet): strict start exactly at the expected
-  // slot time — that is the paper's "APs individually start executing".
-  // Afterwards, the trigger chain leads and the self-start acts as the
-  // anchored local slot clock with a small guard; uplink rows additionally
-  // wait out a full data frame before the AP kicks the silent client, and
-  // one further window after the kick before the row is written off.
+  // A kicked uplink row is written off one response window after the kick,
+  // bootstrap or not. Otherwise, bootstrap (nothing executed yet): strict
+  // start exactly at the expected slot time — that is the paper's "APs
+  // individually start executing". Afterwards, the trigger chain leads and
+  // the self-start acts as the anchored local slot clock with a small
+  // guard; uplink rows additionally wait out a full data frame before the
+  // AP kicks the silent client.
+  if (r.kick_sent) return r.kick_deadline;
   TimeNs due = anchored_start(r.plan.global_index);
   if (rows_executed_ == 0) return due;
   due += 2 * timing_.wifi.slot_time;
   if (r.plan.role == ApSlotPlan::Role::kRxData) {
-    if (r.kick_sent) return r.kick_deadline;
     due += dur_.data_air + timing_.wifi.sifs + dur_.ack_air;
   }
   return due;
 }
 
-void DominoApMac::arm_self_start() {
+void DominoApMac::arm_self_start(TimeNs not_before) {
+  const Row* r = powered_ && has_anchor() ? next_pending() : nullptr;
+  const TimeNs at = r == nullptr
+                        ? kTimeNever
+                        : std::max({row_due(*r), not_before, sim_.now()});
+  if (self_start_timer_.pending() && at == self_start_at_) return;
   sim_.cancel(self_start_timer_);
-  Row* r = next_pending();
-  if (r == nullptr || !has_anchor()) return;
-  const TimeNs at = std::max(row_due(*r), sim_.now());
+  if (at == kTimeNever) return;
+  self_start_at_ = at;
   self_start_timer_ =
       sim_.schedule_at(at, [this] { on_self_start_timer(); });
 }
 
 void DominoApMac::on_self_start_timer() {
-  if (!powered_) return;
   Row* r = next_pending();
   if (r == nullptr) return;
   const std::uint64_t g = r->plan.global_index;
-  const TimeNs due = row_due(*r);
-  if (sim_.now() < due) {
+  if (sim_.now() < row_due(*r)) {
     arm_self_start();
     return;
   }
@@ -508,42 +541,34 @@ void DominoApMac::on_self_start_timer() {
   // trigger-driven transmissions they defer to carrier sense so a lagging
   // AP does not stomp on chains that are still running.
   if (rows_executed_ > 0 && radio_.carrier_busy()) {
-    sim_.cancel(self_start_timer_);
-    self_start_timer_ = sim_.schedule_in(
-        6 * timing_.wifi.slot_time, [this] { on_self_start_timer(); });
+    arm_self_start(sim_.now() + 6 * timing_.wifi.slot_time);
     return;
   }
   switch (r->plan.role) {
     case ApSlotPlan::Role::kTxData:
       ++self_starts_;
-      execute_tx(g);
+      fire_tx(g);
       break;
     case ApSlotPlan::Role::kRxData:
       if (!r->kick_sent) {
         // Bootstrap rule (§3.3): for an uplink at the head of a stalled
-        // schedule the AP sends the client's signature to start it.
+        // schedule the AP sends the client's signature to start it, and
+        // gives the client one response window (row_due is now the kick
+        // deadline) before writing the row off.
         r->kick_sent = true;
         r->kick_deadline = sim_.now() + 2 * dur_.slot_duration;
         ++self_starts_;
         note_chain_resume(sim_.now());
         send_burst({signatures_.code_of(r->plan.peer)}, g - 1,
                    /*rop_flag=*/false, /*recovery=*/true);
-        // Give the client one response window before writing the row off.
-        sim_.cancel(self_start_timer_);
-        self_start_timer_ = sim_.schedule_in(
-            2 * dur_.slot_duration, [this] { on_self_start_timer(); });
       } else {
         // The client never showed up; write the slot off and move on.
-        r->executed = true;
-        ++rows_executed_;
-        advance_frontier(g);
-        arm_self_start();
+        mark_executed(*r);
       }
+      arm_self_start();
       break;
     case ApSlotPlan::Role::kNone:
-      r->executed = true;
-      ++rows_executed_;
-      advance_frontier(g);
+      mark_executed(*r);
       if (r->plan.polls_in_rop) {
         ++self_starts_;
         execute_poll(g, sim_.now());
@@ -562,9 +587,7 @@ void DominoApMac::on_trigger_detected(std::uint64_t tag,
   if (r != nullptr && !r->executed && r->plan.polls_in_rop &&
       r->plan.role == ApSlotPlan::Role::kNone &&
       (frontier_ == 0 || tag > frontier_)) {
-    r->executed = true;
-    ++rows_executed_;
-    advance_frontier(tag);
+    mark_executed(*r);
     execute_poll(tag, detect_time + timing_.wifi.slot_time);
   }
   // A data transmitter of slot tag+1 starts one slot (plus ROP) later.
@@ -579,43 +602,18 @@ void DominoApMac::on_trigger_detected(std::uint64_t tag,
 }
 
 void DominoApMac::execute_tx(std::uint64_t g) {
-  pending_tx_.reset();  // a self-start forgets, but does not cancel, it
-  if (!powered_) return;
   Row* r = find_row(g);
   if (r == nullptr || r->executed) return;
   if (frontier_ != 0 && g <= frontier_) return;  // stale slot
-  if (radio_.transmitting()) {
-    arm_tx(g, sim_.now() + kTxBusyRetry);
-    return;
-  }
   const ApSlotPlan& p = r->plan;
   send_data_phase(g, p.peer, queue_.front_for(p.peer), instruction_for(p),
                   /*uplink=*/false);
   run_row(*r, sim_.now());
 }
 
-void DominoApMac::on_ack_timeout() {
-  const AwaitedAck missed = *std::exchange(awaiting_ack_, std::nullopt);
-  auto& attempts = tx_attempts_[missed.id];
-  ++attempts;
-  if (attempts > timing_.wifi.retry_limit) {
-    (void)queue_.pop_for(missed.peer);
-    tx_attempts_.erase(missed.id);
-    ++retry_drops_;
-  } else {
-    // Packet ids rise with arrival time within a queue, so map order is age
-    // order: evict oldest.
-    while (tx_attempts_.size() > kTxAttemptsCap) {
-      tx_attempts_.erase(tx_attempts_.begin());
-    }
-  }
-}
-
 void DominoApMac::run_row(Row& r, TimeNs t0) {
   const std::uint64_t g = r.plan.global_index;
-  r.executed = true;
-  ++rows_executed_;
-  advance_frontier(g);
+  mark_executed(r);
   note_chain_resume(sim_.now());
   // Anchor the chain at the lattice-predicted slot start when we are only
   // late by the self-start guard: executing late must not ratchet the
@@ -836,7 +834,6 @@ void DominoApMac::handle_frame(const phy::Frame& frame,
     case phy::FrameType::kAck: {
       if (frame.dst != node() || !info.decoded) break;
       if (const auto acked = take_ack(frame)) {
-        tx_attempts_.erase(acked->id);
         (void)queue_.pop_for(acked->peer);
       }
       break;
@@ -924,29 +921,10 @@ void DominoClientMac::follow_instruction(const phy::Frame& frame,
 }
 
 void DominoClientMac::execute_tx(std::uint64_t slot_tag) {
-  if (radio_.transmitting()) {
-    // Unlike the AP's busy retry, this keeps the trigger-timed `at` that a
-    // lattice snap compares against.
-    pending_tx_->event = sim_.schedule_in(
-        kTxBusyRetry, [this, slot_tag] { execute_tx(slot_tag); });
-    return;
-  }
-  pending_tx_.reset();
   last_tx_tag_ = std::max(last_tx_tag_, slot_tag);
   note_chain_resume(sim_.now());
   send_data_phase(slot_tag, ap_, queue_.front(), std::nullopt,
                   /*uplink=*/true);
-}
-
-void DominoClientMac::on_ack_timeout() {
-  // The awaited packet is the head, and it stays awaited, so a late ACK
-  // still retires it. Past retry_limit missed ACKs it is dropped, as the
-  // AP and DCF drop theirs.
-  if (++head_misses_ <= timing_.wifi.retry_limit) return;
-  head_misses_ = 0;
-  awaiting_ack_.reset();
-  (void)queue_.pop();
-  ++retry_drops_;
 }
 
 void DominoClientMac::handle_frame(const phy::Frame& frame,
@@ -982,10 +960,7 @@ void DominoClientMac::handle_frame(const phy::Frame& frame,
     }
     case phy::FrameType::kAck: {
       if (frame.dst != node() || frame.src != ap_) break;
-      if (take_ack(frame)) {  // the acked packet was the head
-        queue_.pop();
-        head_misses_ = 0;
-      }
+      if (take_ack(frame)) queue_.pop();  // the acked packet was the head
       // Uplink slots: the instruction rides the AP's ACK (Figure 8b); the
       // burst goes at the slot's fixed signature-phase offset. ACKs sit at
       // the same slot phase whether the data was real or a fake header.

@@ -238,15 +238,20 @@ class DominoNodeBase : public phy::MediumClient {
   virtual void handle_frame(const phy::Frame& frame,
                             const phy::RxInfo& info) = 0;
 
-  /// Fires the armed slot transmission (the AP also self-starts with it).
+  /// Sends slot `slot`'s data phase; fire_tx has checked the radio.
   virtual void execute_tx(std::uint64_t slot) = 0;
-  /// Missed ACK (§3.5), already counted: the packet stays queued for its
-  /// next slot until it has missed more than retry_limit ACKs.
-  virtual void on_ack_timeout() = 0;
+  /// Drops the un-ACKed packet for `peer` past retry_limit missed ACKs.
+  virtual void drop_unacked(topo::NodeId peer) = 0;
 
-  /// Arms the one pending slot transmission, replacing any earlier one.
-  void arm_tx(std::uint64_t slot, TimeNs at);
+  /// Arms the one pending slot transmission, replacing any earlier one. It
+  /// fires at the later of `at` and `fire_at` (not before now); a lattice
+  /// snap compares against `at`.
+  void arm_tx(std::uint64_t slot, TimeNs at, TimeNs fire_at = 0);
   void cancel_tx();
+  /// Runs slot `slot`'s transmission, armed or self-started: retries while
+  /// our own radio is keyed, else drops an armed TX for this or an earlier
+  /// slot (one for a later slot stays) and calls execute_tx.
+  void fire_tx(std::uint64_t slot);
   /// Data phase toward `peer`: `pkt` as data awaiting its ACK, or a
   /// header-only fake when null; `instr` rides AP-sent frames.
   void send_data_phase(std::uint64_t slot, topo::NodeId peer,
@@ -313,6 +318,12 @@ class DominoNodeBase : public phy::MediumClient {
   sim::EventHandle ack_timer_;
   std::uint64_t ack_timeouts_ = 0;
   std::uint64_t retry_drops_ = 0;
+  /// Missed ACKs by packet id, bounded: ids are monotonic, so when the map
+  /// outgrows the cap the smallest (oldest, long-since-resolved) entries
+  /// are evicted. Unbounded growth showed up on long runs whenever a
+  /// destination left the schedule with a timeout entry still parked here.
+  std::map<traffic::PacketId, int> tx_attempts_;
+  static constexpr std::size_t kTxAttemptsCap = 1024;
 
   std::uint64_t forced_trigger_losses_ = 0;
   std::uint64_t anchor_rejections_total_ = 0;
@@ -324,6 +335,9 @@ class DominoNodeBase : public phy::MediumClient {
   void evaluate_sig_buffer();
   /// The anchor moved the lattice later: re-time the pending transmission.
   void snap_pending_tx();
+  /// Missed ACK (§3.5): the wait ends and the packet stays queued for its
+  /// next slot until it has missed more than retry_limit ACKs.
+  void on_ack_timeout();
 
   struct BufferedBurst {
     phy::SignatureBurst burst;
@@ -425,7 +439,9 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
                            TimeNs detect_time) override;
   void handle_frame(const phy::Frame& frame, const phy::RxInfo& info) override;
   void execute_tx(std::uint64_t g) override;
-  void on_ack_timeout() override;
+  void drop_unacked(topo::NodeId peer) override {
+    (void)queue_.pop_for(peer);
+  }
 
  private:
   struct Row {
@@ -449,11 +465,14 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   RowIt first_above_frontier();
   Row* next_pending();
   TimeNs row_due(const Row& r) const;
-  /// Marks every row below `g` missed and moves the execution frontier —
-  /// slots are strictly ordered; a laggard catches up by skipping, never by
-  /// running stale slots out of order.
-  void advance_frontier(std::uint64_t g);
-  void arm_self_start();
+  /// Marks row `r` executed, every earlier row missed, and moves the
+  /// execution frontier to it — slots are strictly ordered; a laggard
+  /// catches up by skipping, never by running stale slots out of order.
+  void mark_executed(Row& r);
+  /// Times the self-start for the next pending row, no earlier than
+  /// `not_before`, or cancels it (nothing pending, no anchor, dark). A
+  /// pending timer due at that same time keeps its place.
+  void arm_self_start(TimeNs not_before = 0);
   void on_self_start_timer();
   /// Executes row `r`, whose data phase started at `t0`: anchors the chain
   /// on it and times its signature phase and finish_slot.
@@ -475,14 +494,8 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   std::vector<Row> rows_;
   std::uint64_t frontier_ = 0;  // highest executed slot index
 
-  /// Retry counts by packet id, bounded: ids are monotonic, so when the map
-  /// outgrows the cap the smallest (oldest, long-since-resolved) entries
-  /// are evicted. Unbounded growth showed up on long runs whenever a
-  /// destination left the schedule with a timeout entry still parked here.
-  std::map<traffic::PacketId, int> tx_attempts_;
-  static constexpr std::size_t kTxAttemptsCap = 1024;
-
   sim::EventHandle self_start_timer_;
+  TimeNs self_start_at_ = 0;  // when self_start_timer_ fires
 
   // Poll collection state.
   struct PollResponse {
@@ -531,7 +544,8 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
                            TimeNs detect_time) override;
   void handle_frame(const phy::Frame& frame, const phy::RxInfo& info) override;
   void execute_tx(std::uint64_t slot_tag) override;
-  void on_ack_timeout() override;
+  /// The awaited packet was the head.
+  void drop_unacked(topo::NodeId) override { (void)queue_.pop(); }
 
  private:
   void arm_slot_tx(std::uint64_t tag, TimeNs at);  // stale-trigger guard
@@ -547,7 +561,6 @@ class DominoClientMac final : public DominoNodeBase, public mac::MacEntity {
   mac::DeliveryFn deliver_;
 
   std::uint64_t last_tx_tag_ = 0;  // stale-trigger guard
-  int head_misses_ = 0;  // missed ACKs of the queue head
 
   BoundedIdFilter seen_;  // downlink duplicate filter (bounded, oldest-out)
 };

@@ -142,7 +142,6 @@ void DcfNode::transmit_head() {
   f.duration = params_.data_airtime(hol->bytes);
   f.packet = *hol;
   f.packet_id = hol->id;
-  f.is_retry = retry_count_ > 0;
 
   // Set the state and ACK timer before keying the radio: the transmission
   // immediately flips our own carrier sense and on_cs_change must not

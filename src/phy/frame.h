@@ -151,7 +151,6 @@ struct Frame {
   /// frames). Carried by value — frames are small and short-lived.
   std::optional<traffic::Packet> packet;
   std::uint64_t packet_id = 0;  // ACK matching / duplicate filtering
-  bool is_retry = false;
 
   /// kSignature payload.
   std::optional<SignatureBurst> burst;

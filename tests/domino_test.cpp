@@ -517,7 +517,7 @@ TEST(DominoSlotPath, SpilledBurstReachesEveryListenerAndTheAuditor) {
 TEST(DominoSlotPath, RowArrivingBelowTheFrontierIsMissedOnce) {
   // AP 0 runs downlink rows 1-3 and 5-8 to client 1 (fake headers: its
   // queue is empty). Row 4 arrives while row 5 executes, below the
-  // frontier: the next row's advance_frontier writes it off, and pruning
+  // frontier: the next row's mark_executed writes it off, and pruning
   // it later must not count it again.
   const auto t = one_cell();
   sim::Simulator sim;
@@ -557,6 +557,165 @@ TEST(DominoSlotPath, RowArrivingBelowTheFrontierIsMissedOnce) {
   sim.run();
   EXPECT_EQ(ap.rows_executed(), 7u);
   EXPECT_EQ(ap.missed_rows(), 1u);
+}
+
+// ---- self-start timers -----------------------------------------------------
+
+/// A lone AP 0 run by hand: client 1 is a bare radio that sends the
+/// stimuli and never answers. Detection is certain.
+struct LoneAp {
+  using Role = domino::ApSlotPlan::Role;
+
+  LoneAp() {
+    certain.beyond_decay = 0.0;
+    std::fill(std::begin(certain.p_by_count), std::end(certain.p_by_count),
+              1.0);
+    trace.on_data_tx = [this](std::uint64_t slot, topo::NodeId, topo::NodeId,
+                              TimeNs at, bool, bool) { tx_start[slot] = at; };
+    ap.register_client({1, -40.0});
+  }
+
+  /// One batch of (slot, role) rows toward client 1.
+  static domino::ApSchedule plan_of(
+      std::initializer_list<std::pair<std::uint64_t, Role>> rows) {
+    domino::ApSchedule plan;
+    plan.ap = 0;
+    plan.batch_first_slot = rows.begin()->first;
+    for (const auto& [g, role] : rows) {
+      domino::ApSlotPlan& row = plan.slots.emplace_back();
+      row.global_index = g;
+      row.role = role;
+      row.peer = 1;
+    }
+    return plan;
+  }
+
+  /// A start (or ROP, when `rop_symbols` > 0) burst from client 1 that
+  /// closes slot `tag` at `end`.
+  void burst_ending_at(TimeNs end, std::uint64_t tag, topo::NodeId code_of,
+                       bool recovery, std::uint32_t rop_symbols = 0) {
+    phy::Frame f;
+    f.type = phy::FrameType::kSignature;
+    f.duration = timing.burst_air();
+    f.slot_tag = tag;
+    f.burst.emplace();
+    f.burst->codes.push_back(sigs.code_of(code_of));
+    f.burst->start_signature = rop_symbols == 0;
+    f.burst->rop_signature = rop_symbols != 0;
+    f.burst->rop_symbols = std::max<std::uint32_t>(rop_symbols, 1);
+    f.burst->recovery = recovery;
+    sim.post_at(end - f.duration, [this, f] { client.send(f); });
+  }
+
+  struct Silent : phy::MediumClient {
+    void on_frame_rx(const phy::Frame&, const phy::RxInfo&) override {}
+  } silent;
+  topo::Topology t = one_cell();
+  sim::Simulator sim;
+  phy::Medium medium{sim, t};
+  domino::SignaturePlan sigs{t.num_nodes()};
+  domino::DominoTiming timing;
+  phy::SignatureDetectionModel certain;
+  domino::DominoTrace trace;
+  std::map<std::uint64_t, TimeNs> tx_start;  // slot -> data-phase start
+  domino::DominoApMac ap{sim,      medium, 0,      timing,
+                         sigs,     certain, {},    Rng(1),
+                         [](const traffic::Packet&, topo::NodeId, TimeNs) {},
+                         [](const domino::ApReport&) {},
+                         &trace};
+  phy::Transceiver client{medium, 1, &silent};
+};
+
+/// AP 0 holds downlink rows 1 and 2, with a long ROP slot after row 1. An
+/// off-lattice trigger (a recovery burst, which moves no anchor) arms row
+/// 1's TX for later than both the bootstrap self-start of row 1 and the
+/// finish_slot that arms row 2. `perturb(s, row2)` runs after that stale
+/// row-1 time and before row 2's armed TX at `row2`.
+template <typename Perturb>
+void self_start_past_an_armed_tx(LoneAp& s, Perturb perturb) {
+  constexpr std::uint32_t kRop = 30;
+  const TimeNs plan_at = usec(10);
+  const TimeNs row1 = plan_at + s.timing.wifi.slot_time;  // bootstrap
+  const TimeNs row2 = row1 + s.timing.slot_duration() +
+                      s.timing.rop_duration(kRop);
+  const TimeNs trigger_end = s.timing.burst_air();  // detected before row1
+  const TimeNs stale = trigger_end + s.timing.wifi.slot_time +
+                       s.timing.rop_duration(kRop);
+  ASSERT_LT(row1 + s.timing.slot_duration(), stale);  // after finish_slot
+  ASSERT_LT(stale, row2 - usec(200));
+
+  s.burst_ending_at(trigger_end, 0, /*code_of=*/0, /*recovery=*/true, kRop);
+  auto plan = LoneAp::plan_of({{1, LoneAp::Role::kTxData},
+                               {2, LoneAp::Role::kTxData}});
+  plan.slots[0].rop_after = true;
+  plan.slots[0].rop_symbols = kRop;
+  plan.rop_boundaries = {{1, kRop}};
+  s.sim.post_at(plan_at, [&s, plan] { s.ap.receive_plan(plan); });
+  s.sim.run_until(row2 - usec(200));
+  ASSERT_EQ(s.tx_start[1], row1);
+  ASSERT_EQ(s.ap.self_starts(), 1u);
+  perturb(s, row2);
+  s.sim.run();
+}
+
+TEST(DominoSelfStart, SelfStartKeepsTheNextArmedTxSnappable) {
+  // A reference 20 us later than row 2's lattice (a burst without the AP's
+  // code: it only re-anchors) re-times the armed TX.
+  constexpr TimeNs kShift = usec(20);
+  LoneAp s;
+  TimeNs row2 = 0;
+  self_start_past_an_armed_tx(s, [&](LoneAp& lone, TimeNs at) {
+    row2 = at;
+    lone.burst_ending_at(at + kShift - lone.timing.wifi.slot_time -
+                             lone.timing.rop_duration(1),
+                         1, /*code_of=*/1, /*recovery=*/false, 1);
+  });
+  EXPECT_EQ(s.tx_start[2], row2 + kShift);
+}
+
+TEST(DominoSelfStart, SelfStartKeepsTheNextArmedTxCancellable) {
+  // A power cycle cancels the armed TX, so row 2 is self-started.
+  LoneAp s;
+  self_start_past_an_armed_tx(s, [](LoneAp& lone, TimeNs) {
+    lone.ap.set_powered(false);
+    lone.ap.set_powered(true);
+  });
+  EXPECT_EQ(s.ap.rows_executed(), 2u);
+  EXPECT_EQ(s.ap.self_starts(), 2u);
+}
+
+TEST(DominoSelfStart, ReArmingForTheSameDueTimeKeepsTheTimersPlace) {
+  // The self-start is due at the bootstrap slot start; a probe posted for
+  // the same instant after it must run after it, even when the same plan
+  // is shipped again (same due time) in between.
+  LoneAp s;
+  const auto plan = LoneAp::plan_of({{1, LoneAp::Role::kTxData}});
+  s.ap.receive_plan(plan);
+  std::uint64_t seen = 0;
+  s.sim.post_at(s.timing.wifi.slot_time,
+                [&] { seen = s.ap.self_starts(); });
+  s.ap.receive_plan(plan);
+  s.sim.run();
+  EXPECT_EQ(seen, 1u);
+}
+
+TEST(DominoSelfStart, KickedUplinkRowGetsItsWholeResponseWindow) {
+  // Client 1 heads a fresh schedule and stays silent: the bootstrap
+  // self-start kicks it and writes the row off two slot durations later,
+  // even when the next batch re-ships the row inside that window.
+  LoneAp s;
+  const auto plan = LoneAp::plan_of({{1, LoneAp::Role::kRxData}});
+  s.ap.receive_plan(plan);
+  const TimeNs kick = s.timing.wifi.slot_time;
+  const TimeNs deadline = kick + 2 * s.timing.slot_duration();
+  s.sim.post_at(kick + s.timing.slot_duration(),
+                [&] { s.ap.receive_plan(plan); });
+  s.sim.run_until(deadline - 1);
+  EXPECT_EQ(s.ap.self_starts(), 1u);  // the kick
+  EXPECT_EQ(s.ap.rows_executed(), 0u);
+  s.sim.run();
+  EXPECT_EQ(s.ap.rows_executed(), 1u);
+  EXPECT_EQ(s.ap.missed_rows(), 0u);
 }
 
 }  // namespace

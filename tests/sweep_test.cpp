@@ -553,13 +553,13 @@ constexpr const char* kLegacyChurnRoamBytes = R"(
 "aggregate_throughput_bps":20008960,"jain_fairness":0.67094101802804862,
 "mean_delay_us":42037.635264073695,"ack_timeouts":37,"mac_drops":0,
 "census_hidden":0,"census_exposed":0,"census_total":80,
-"domino_self_starts":261,"domino_missed_rows":3,"domino_rows_executed":2269,
+"domino_self_starts":262,"domino_missed_rows":3,"domino_rows_executed":2269,
 "domino_untriggerable":113,"domino_batches":81,"domino_retry_drops":0,
 "domino_anchor_rejections":117,"domino_forced_trigger_losses":0,
 "domino_controller_outage_skips":0,"recovery_slots":[],"ap_health":[{"ap":0,
 "self_starts":79,"missed_rows":0,"ack_timeouts":3,"retry_drops":0,
 "anchor_rejections":0,"forced_trigger_losses":0,"recovery_samples":0},{"ap":1,
-"self_starts":110,"missed_rows":0,"ack_timeouts":0,"retry_drops":0,
+"self_starts":111,"missed_rows":0,"ack_timeouts":0,"retry_drops":0,
 "anchor_rejections":94,"forced_trigger_losses":0,"recovery_samples":0},
 {"ap":2,"self_starts":70,"missed_rows":3,"ack_timeouts":17,"retry_drops":0,
 "anchor_rejections":0,"forced_trigger_losses":0,"recovery_samples":0},{"ap":3,
@@ -819,7 +819,9 @@ std::uint64_t fnv1a(const std::string& s) {
 /// 100 ms). Draw 1005 is one whose forced ROP placement used to break
 /// converter.rop-sharing; the pin runs unaudited whatever DMN_AUDIT says.
 /// The DOMINO digests were re-taken when forced placement began to pick a
-/// shareable boundary and the controller moved to batch-tagged reports.
+/// shareable boundary and the controller moved to batch-tagged reports,
+/// and again when an AP's self-start timer began to keep its place among
+/// same-time events while its due time is unchanged.
 TEST(ResultCodec, PinnedBytesFig14Draws) {
   struct Pin {
     std::uint64_t draw;
@@ -829,9 +831,9 @@ TEST(ResultCodec, PinnedBytesFig14Draws) {
   };
   const Pin pins[] = {
       {1000, Scheme::kDcf, 8011, 0x7d39a1febb72f560ull},
-      {1000, Scheme::kDomino, 11064, 0xcae4354d81f14341ull},
+      {1000, Scheme::kDomino, 11064, 0xc2e5e390bf073f24ull},
       {1005, Scheme::kDcf, 8006, 0x9489801f912fccfaull},
-      {1005, Scheme::kDomino, 11056, 0xfaf4c583d7f847a7ull},
+      {1005, Scheme::kDomino, 11056, 0x6bbfb1cbe9bf9e80ull},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE("draw " + std::to_string(pin.draw) + " " +
