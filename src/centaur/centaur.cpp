@@ -52,7 +52,7 @@ void CentaurController::plan_batch() {
       demand[i] = it->second->queued_for(l.receiver);
     }
   }
-  const std::vector<topo::LinkId> chosen = rand_.schedule_slot(demand);
+  const std::vector<topo::LinkId>& chosen = rand_.schedule_slot(demand);
   if (chosen.empty()) {
     sim_.post_in(kIdleRecheck, [this] { plan_batch(); });
     return;

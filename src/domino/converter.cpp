@@ -1,6 +1,7 @@
 #include "domino/converter.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace dmn::domino {
@@ -31,21 +32,24 @@ void ScheduleConverter::refresh_graph_tables() {
   }
   // Two nodes may poll together iff no link at one conflicts with a link at
   // the other: clear the pair for every endpoint pair of a conflicting
-  // link pair (a link conflicts with itself).
+  // link pair, walking the set bits of each conflict row (a link's row has
+  // its own bit, since a link conflicts with itself).
   const std::size_t n = topo_.num_nodes();
   share_rop_.assign(n * n, 1);
   for (std::size_t i = 0; i < links; ++i) {
     const topo::Link& a = graph_.link(static_cast<topo::LinkId>(i));
-    for (std::size_t j = 0; j < links; ++j) {
-      if (!graph_.conflicts(static_cast<topo::LinkId>(i),
-                            static_cast<topo::LinkId>(j))) {
-        continue;
-      }
-      const topo::Link& b = graph_.link(static_cast<topo::LinkId>(j));
-      for (const topo::NodeId x : {a.sender, a.receiver}) {
-        for (const topo::NodeId y : {b.sender, b.receiver}) {
-          share_rop_[static_cast<std::size_t>(x) * n +
-                     static_cast<std::size_t>(y)] = 0;
+    const std::span<const std::uint64_t> row =
+        graph_.conflict_row(static_cast<topo::LinkId>(i));
+    for (std::size_t w = 0; w < row.size(); ++w) {
+      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t j =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        const topo::Link& b = graph_.link(static_cast<topo::LinkId>(j));
+        for (const topo::NodeId x : {a.sender, a.receiver}) {
+          for (const topo::NodeId y : {b.sender, b.receiver}) {
+            share_rop_[static_cast<std::size_t>(x) * n +
+                       static_cast<std::size_t>(y)] = 0;
+          }
         }
       }
     }

@@ -66,6 +66,14 @@ class ScheduleConverter {
   /// Splits a relative schedule into per-AP plans for distribution.
   std::vector<ApSchedule> make_ap_plans(const RelativeSchedule& rs) const;
 
+  /// Whether nodes `a` and `b` may poll in one ROP slot under the graph as
+  /// it is now: no link at one conflicts with a link at the other.
+  bool aps_can_share_rop(topo::NodeId a, topo::NodeId b) {
+    refresh_graph_tables();
+    return share_rop_[static_cast<std::size_t>(a) * topo_.num_nodes() +
+                      static_cast<std::size_t>(b)] != 0;
+  }
+
   /// Count of entries dropped because no trigger could reach them.
   std::uint64_t untriggerable_drops() const { return dropped_; }
 
@@ -105,10 +113,6 @@ class ScheduleConverter {
   void refresh_graph_tables();
   NodeMark& mark(topo::NodeId n);
   bool can_trigger(topo::NodeId via, topo::NodeId target) const;
-  bool aps_can_share_rop(topo::NodeId a, topo::NodeId b) const {
-    return share_rop_[static_cast<std::size_t>(a) * topo_.num_nodes() +
-                      static_cast<std::size_t>(b)] != 0;
-  }
   /// Gives `tgt` a trigger from `from`: its first (pass 1) or, when
   /// `backup`, a second one from a different via (pass 2). False if none.
   bool assign_one(RelSlot& from, Target& tgt, bool backup);

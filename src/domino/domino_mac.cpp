@@ -255,7 +255,7 @@ void DominoNodeBase::on_frame_rx(const phy::Frame& frame,
   if (!powered_) return;  // AP outage: the radio is dark
   if (frame.type == phy::FrameType::kSignature) {
     if (info.half_duplex_loss || !frame.burst.has_value()) return;
-    sig_buffer_.push_back(BufferedBurst{*frame.burst, info.min_sinr_db(),
+    sig_buffer_.push_back(BufferedBurst{*frame.burst, info.min_sinr,
                                         frame.slot_tag, sim_.now()});
     if (!eval_scheduled_) {
       eval_scheduled_ = true;
@@ -337,7 +337,8 @@ void DominoNodeBase::evaluate_sig_buffer() {
 
     if (!has_mine) continue;
     if (!triggering) continue;
-    if (!model_.sample_detect(total, b.sinr_db, rng_)) continue;
+    // dB only for a burst that reaches the detection model.
+    if (!model_.sample_detect(total, ratio_to_db(b.min_sinr), rng_)) continue;
     if (trace_ != nullptr && trace_->on_trigger) {
       trace_->on_trigger(b.tag, node(), b.end_time);
     }

@@ -341,7 +341,7 @@ class DominoNodeBase : public phy::MediumClient {
 
   struct BufferedBurst {
     phy::SignatureBurst burst;
-    double sinr_db;
+    double min_sinr;  // linear, as phy::RxInfo carries it
     std::uint64_t tag;
     TimeNs end_time;
   };

@@ -12,6 +12,7 @@
 // The same object is reused across batches so the fairness rotation
 // persists, exactly like the paper's long-running scheduler.
 
+#include <cstdint>
 #include <vector>
 
 #include "topo/conflict_graph.h"
@@ -23,8 +24,9 @@ class RandScheduler {
   explicit RandScheduler(const topo::ConflictGraph& graph);
 
   /// One slot: a maximal set of conflict-free links among those with
-  /// demand[link] > 0. Rotates the fairness queue.
-  std::vector<topo::LinkId> schedule_slot(
+  /// demand[link] > 0, in queue order. Rotates the fairness queue. The
+  /// result is a member buffer, valid until the next call.
+  const std::vector<topo::LinkId>& schedule_slot(
       const std::vector<std::size_t>& demand);
 
   /// A batch of up to `slots` slots; consumes a copy of `demand` (one unit
@@ -44,6 +46,9 @@ class RandScheduler {
  private:
   const topo::ConflictGraph& graph_;
   std::vector<topo::LinkId> queue_;  // fairness rotation order
+  // ---- schedule_slot scratch, reused across slots ------------------------
+  std::vector<topo::LinkId> chosen_;
+  std::vector<std::uint64_t> blocked_;  // OR of the chosen links' rows
 };
 
 }  // namespace dmn::domino

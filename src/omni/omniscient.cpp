@@ -53,7 +53,7 @@ void OmniscientScheduler::run_slot() {
   for (std::size_t i = 0; i < demand.size(); ++i) {
     demand[i] = link_demand(static_cast<topo::LinkId>(i));
   }
-  const std::vector<topo::LinkId> chosen = rand_.schedule_slot(demand);
+  const std::vector<topo::LinkId>& chosen = rand_.schedule_slot(demand);
 
   std::size_t max_payload = 0;
   for (topo::LinkId l : chosen) {

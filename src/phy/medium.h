@@ -80,19 +80,6 @@ struct RxInfo {
   double min_sinr_db() const { return ratio_to_db(min_sinr); }
 };
 
-/// Whether a linear ratio clears a dB threshold, deciding exactly as
-/// ratio_to_db(ratio) >= th_db does. `th_lin` is db_to_ratio(th_db). The
-/// conversion is monotonic, so outside a relative band of 1e-9 around
-/// th_lin (about 4e-9 dB, far wider than the few ulps by which the two
-/// roundings can disagree) the linear compare decides; inside it, the dB
-/// compare does.
-inline bool clears_db_threshold(double ratio, double th_db, double th_lin) {
-  const double band = 1e-9 * th_lin;
-  if (ratio > th_lin + band) return true;
-  if (ratio < th_lin - band) return false;
-  return ratio_to_db(ratio) >= th_db;
-}
-
 /// Implemented by MAC entities. Callbacks run inside simulator events.
 class MediumClient {
  public:

@@ -1,7 +1,8 @@
 #include "topo/conflict_graph.h"
 
-#include <algorithm>
+#include <array>
 #include <atomic>
+#include <stdexcept>
 
 namespace dmn::topo {
 namespace {
@@ -11,10 +12,14 @@ namespace {
 /// pair to clear the threshold with margin keeps the summed case feasible.
 constexpr double kGraphMarginDb = 3.0;
 
-/// The one pairwise SINR test behind the graph and the census: SINR (dB) at
-/// `receiver` for a signal from `sender` under one concurrent interferer.
-/// Powers come from the topology's cached linear-power table (exactly
-/// dbm_to_mw of the dBm map), and the noise term is converted once.
+/// The one pairwise SINR test behind the graph and the census: whether the
+/// SINR at `receiver` for a signal from `sender` under one concurrent
+/// interferer falls below a threshold of `th_db` dB (`th_lin` is
+/// db_to_ratio(th_db)). The verdict is clears_db_threshold's: a linear
+/// compare, with the dB compare only inside its narrow band, so it equals
+/// the dB-domain test bit for bit while a test costs a division. Powers come
+/// from the topology's cached linear-power table (exactly dbm_to_mw of the
+/// dBm map), and the noise term is converted once.
 class PairSinr {
  public:
   explicit PairSinr(const Topology& topo)
@@ -22,16 +27,21 @@ class PairSinr {
         noise_mw_(dbm_to_mw(topo.thresholds().noise_floor_dbm)),
         floor_mw_(dbm_to_mw(topo.thresholds().min_rss_dbm)) {}
 
-  double operator()(NodeId sender, NodeId receiver, NodeId interferer) const {
-    return ratio_to_db(topo_.rss_mw(sender, receiver) /
-                       (noise_mw_ + topo_.rss_mw(interferer, receiver)));
+  bool below(NodeId sender, NodeId receiver, NodeId interferer, double th_db,
+             double th_lin) const {
+    return !clears_db_threshold(
+        topo_.rss_mw(sender, receiver) /
+            (noise_mw_ + topo_.rss_mw(interferer, receiver)),
+        th_db, th_lin);
   }
 
-  /// The same SINR with the interferer at the receiver sensitivity: a lower
-  /// bound for every interferer `receiver` cannot hear.
-  double at_floor(NodeId sender, NodeId receiver) const {
-    return ratio_to_db(topo_.rss_mw(sender, receiver) /
-                       (noise_mw_ + floor_mw_));
+  /// The same test with the interferer at the receiver sensitivity: the SINR
+  /// is a lower bound for every interferer `receiver` cannot hear.
+  bool below_at_floor(NodeId sender, NodeId receiver, double th_db,
+                      double th_lin) const {
+    return !clears_db_threshold(
+        topo_.rss_mw(sender, receiver) / (noise_mw_ + floor_mw_), th_db,
+        th_lin);
   }
 
  private:
@@ -56,13 +66,24 @@ ConflictGraph ConflictGraph::build(const Topology& topo,
   g.generation_ = g_last_generation.fetch_add(1, std::memory_order_relaxed) + 1;
   g.links_.assign(links.begin(), links.end());
   const std::size_t n = g.links_.size();
-  g.conflict_.assign(n, std::vector<bool>(n, false));
-  g.data_conflict_.assign(n, std::vector<bool>(n, false));
+  const std::size_t words = (n + 63) / 64;
+  g.words_ = words;
+  g.conflict_.assign(n * words, 0);
+  g.data_conflict_.assign(n * words, 0);
+  const auto set_pair = [words](std::vector<std::uint64_t>& m, std::size_t i,
+                                std::size_t j) {
+    m[i * words + j / 64] |= std::uint64_t{1} << (j % 64);
+    m[j * words + i / 64] |= std::uint64_t{1} << (i % 64);
+  };
   const PairSinr sinr(topo);
   const double data_th = topo.thresholds().sinr_data_db + kGraphMarginDb;
   const double ctrl_th = topo.thresholds().sinr_control_db + kGraphMarginDb;
+  const double data_lin = db_to_ratio(data_th);
+  const double ctrl_lin = db_to_ratio(ctrl_th);
   for (std::size_t i = 0; i < n; ++i) {
     const Link& a = g.links_[i];
+    set_pair(g.conflict_, i, i);  // a link conflicts with itself
+    set_pair(g.data_conflict_, i, i);
     for (std::size_t j = i + 1; j < n; ++j) {
       const Link& b = g.links_[j];
       bool data = true;
@@ -71,35 +92,54 @@ ConflictGraph ConflictGraph::build(const Topology& topo,
         // Data rule: either receiver's data SINR breaks under interference
         // from any endpoint of the other link (both endpoints of a link
         // transmit during a slot: data/fake one way, ACK back).
-        data = sinr(a.sender, a.receiver, b.sender) < data_th ||
-               sinr(a.sender, a.receiver, b.receiver) < data_th ||
-               sinr(b.sender, b.receiver, a.sender) < data_th ||
-               sinr(b.sender, b.receiver, a.receiver) < data_th;
+        data =
+            sinr.below(a.sender, a.receiver, b.sender, data_th, data_lin) ||
+            sinr.below(a.sender, a.receiver, b.receiver, data_th, data_lin) ||
+            sinr.below(b.sender, b.receiver, a.sender, data_th, data_lin) ||
+            sinr.below(b.sender, b.receiver, a.receiver, data_th, data_lin);
         // Full rule = data rule plus ACK protection, so it is a superset of
         // the data rule by construction. Scheduled transmissions share a
         // fixed slot structure (data phases align with data phases, ACK
         // phases with ACK phases), so what must also hold is each ACK
         // decoding under the OTHER link's concurrent ACK.
-        full = data || sinr(a.receiver, a.sender, b.receiver) < ctrl_th ||
-               sinr(b.receiver, b.sender, a.receiver) < ctrl_th;
+        full = data ||
+               sinr.below(a.receiver, a.sender, b.receiver, ctrl_th,
+                          ctrl_lin) ||
+               sinr.below(b.receiver, b.sender, a.receiver, ctrl_th,
+                          ctrl_lin);
       }
-      if (full) g.conflict_[i][j] = g.conflict_[j][i] = true;
-      if (data) g.data_conflict_[i][j] = g.data_conflict_[j][i] = true;
+      if (full) set_pair(g.conflict_, i, j);
+      if (data) set_pair(g.data_conflict_, i, j);
     }
   }
   return g;
 }
 
+std::size_t ConflictGraph::row_offset(LinkId a) const {
+  const auto i = static_cast<std::size_t>(a);
+  if (i >= links_.size()) {
+    throw std::out_of_range("ConflictGraph: link id out of range");
+  }
+  return i * words_;
+}
+
+std::span<const std::uint64_t> ConflictGraph::conflict_row(LinkId a) const {
+  return {conflict_.data() + row_offset(a), words_};
+}
+
+std::span<const std::uint64_t> ConflictGraph::data_conflict_row(
+    LinkId a) const {
+  return {data_conflict_.data() + row_offset(a), words_};
+}
+
 bool ConflictGraph::conflicts(LinkId a, LinkId b) const {
-  if (a == b) return true;
-  return conflict_.at(static_cast<std::size_t>(a))
-      .at(static_cast<std::size_t>(b));
+  row_offset(b);  // range check
+  return row_bit(conflict_row(a), static_cast<std::size_t>(b));
 }
 
 bool ConflictGraph::data_conflicts(LinkId a, LinkId b) const {
-  if (a == b) return true;
-  return data_conflict_.at(static_cast<std::size_t>(a))
-      .at(static_cast<std::size_t>(b));
+  row_offset(b);  // range check
+  return row_bit(data_conflict_row(a), static_cast<std::size_t>(b));
 }
 
 bool ConflictGraph::is_independent(std::span<const LinkId> set) const {
@@ -114,16 +154,22 @@ bool ConflictGraph::is_independent(std::span<const LinkId> set) const {
 void ConflictGraph::extend_to_maximal(std::vector<LinkId>& set,
                                       std::span<const LinkId> candidates)
     const {
+  // blocked = OR of the data rows of the set's links. Each row has its own
+  // bit set, so a candidate already in the set is blocked too. Graphs up to
+  // 1,024 links keep the mask on the stack.
+  std::array<std::uint64_t, 16> inline_words{};
+  std::vector<std::uint64_t> heap_words;
+  std::span<std::uint64_t> blocked(inline_words.data(), words_);
+  if (words_ > inline_words.size()) {
+    heap_words.assign(words_, 0);
+    blocked = heap_words;
+  }
+  for (LinkId s : set) or_row(blocked, data_conflict_row(s));
   for (LinkId c : candidates) {
-    if (std::find(set.begin(), set.end(), c) != set.end()) continue;
-    bool ok = true;
-    for (LinkId s : set) {
-      if (data_conflicts(c, s)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) set.push_back(c);
+    const std::span<const std::uint64_t> row = data_conflict_row(c);
+    if (row_bit(blocked, static_cast<std::size_t>(c))) continue;
+    set.push_back(c);
+    or_row(blocked, row);
   }
 }
 
@@ -147,10 +193,13 @@ PairCensus classify_pairs(const Topology& topo, std::span<const Link> links) {
   const PhyThresholds& ths = topo.thresholds();
   const PairSinr sinr(topo);
   const double th = ths.sinr_data_db;
+  const double th_lin = db_to_ratio(th);
   const bool scan_all = ths.cs_threshold_dbm < ths.min_rss_dbm;
   // Slack (dB) absorbing rounding between the floor bound and the exact
   // per-pair SINR: a link this close to the threshold is never pruned.
   constexpr double kFloorSlackDb = 1e-6;
+  const double floor_th = th + kFloorSlackDb;
+  const double floor_th_lin = db_to_ratio(floor_th);
 
   const std::size_t n = links.size();
   std::vector<std::vector<std::size_t>> by_sender(topo.num_nodes());
@@ -161,7 +210,8 @@ PairCensus classify_pairs(const Topology& topo, std::span<const Link> links) {
     const Link& l = links[i];
     by_sender[static_cast<std::size_t>(l.sender)].push_back(i);
     by_receiver[static_cast<std::size_t>(l.receiver)].push_back(i);
-    if (scan_all || sinr.at_floor(l.sender, l.receiver) < th + kFloorSlackDb) {
+    if (scan_all ||
+        sinr.below_at_floor(l.sender, l.receiver, floor_th, floor_th_lin)) {
       is_fallback[i] = 1;
       fallback.push_back(i);
     }
@@ -189,8 +239,9 @@ PairCensus classify_pairs(const Topology& topo, std::span<const Link> links) {
       mark[j] = i;
       const Link& b = links[j];
       const bool sense = topo.can_sense(a.sender, b.sender);
-      const bool both_ok = sinr(a.sender, a.receiver, b.sender) >= th &&
-                           sinr(b.sender, b.receiver, a.sender) >= th;
+      const bool both_ok =
+          !sinr.below(a.sender, a.receiver, b.sender, th, th_lin) &&
+          !sinr.below(b.sender, b.receiver, a.sender, th, th_lin);
       if (!sense && !both_ok) ++census.hidden;
       if (sense && both_ok) ++census.exposed;
     };

@@ -32,11 +32,21 @@ class ConflictGraph {
     return links_.at(static_cast<std::size_t>(id));
   }
 
+  /// Whether `a` and `b` conflict (a link conflicts with itself). Throws
+  /// std::out_of_range on an id outside the graph.
   bool conflicts(LinkId a, LinkId b) const;
   /// Relaxed rule protecting only the data direction: used for fake-link
   /// insertion, where losing the occasional instruction-carrying ACK is
   /// acceptable but corrupting a real link's data is not.
   bool data_conflicts(LinkId a, LinkId b) const;
+
+  /// Row `a` of the adjacency matrix as words_per_row() packed words: bit
+  /// j % 64 of word j / 64 is conflicts(a, j), the diagonal included (see
+  /// row_bit). Throws std::out_of_range on an id outside the graph.
+  std::span<const std::uint64_t> conflict_row(LinkId a) const;
+  /// The same row under the data-only rule (data_conflicts).
+  std::span<const std::uint64_t> data_conflict_row(LinkId a) const;
+  std::size_t words_per_row() const { return words_; }
 
   /// True if `set` is an independent set (pairwise conflict-free).
   bool is_independent(std::span<const LinkId> set) const;
@@ -59,9 +69,25 @@ class ConflictGraph {
  private:
   std::uint64_t generation_ = 0;
   std::vector<Link> links_;
-  std::vector<std::vector<bool>> conflict_;       // full (data + ACK)
-  std::vector<std::vector<bool>> data_conflict_;  // data direction only
+  /// Checked start of row `a` in either matrix (words_ words per row).
+  std::size_t row_offset(LinkId a) const;
+
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> conflict_;       // full (data + ACK), row-major
+  std::vector<std::uint64_t> data_conflict_;  // data direction only
 };
+
+/// Bit `j` of a packed row: word j / 64, bit j % 64.
+inline bool row_bit(std::span<const std::uint64_t> row, std::size_t j) {
+  return ((row[j / 64] >> (j % 64)) & 1u) != 0;
+}
+
+/// mask |= row, word by word: after OR-ing in the rows of the links chosen
+/// so far, a candidate's bit is clear iff it conflicts with none of them.
+inline void or_row(std::span<std::uint64_t> mask,
+                   std::span<const std::uint64_t> row) {
+  for (std::size_t w = 0; w < mask.size(); ++w) mask[w] |= row[w];
+}
 
 /// Hidden/exposed census over all unordered pairs of node-disjoint links:
 ///  * hidden: senders cannot carrier-sense each other, yet concurrent

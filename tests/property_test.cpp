@@ -7,7 +7,9 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -396,6 +398,178 @@ TEST_P(ConflictGraphProperty, MatchesDbDomainReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConflictGraphProperty,
                          ::testing::Range(1, 9));
+
+// ---- Bit-row adjacency against pairwise references --------------------------
+//
+// The graph stores each adjacency row as packed 64-bit words, and RAND, fake-
+// link insertion and the converter's ROP-sharing table read those words
+// directly. Each is checked against a pairwise reference over the dB-domain
+// verdicts (reference_verdicts) on random draws of 63, 64, 65 and 240 links,
+// so the last word of a row is partial, exactly full, one bit long and
+// mid-way. The link order is shuffled, so set bits land in every word.
+
+/// RAND as first written: a candidate fits when no chosen link conflicts.
+class RefRand {
+ public:
+  explicit RefRand(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      queue_.push_back(static_cast<topo::LinkId>(i));
+    }
+  }
+  std::vector<topo::LinkId> slot(const RefVerdicts& v,
+                                 const std::vector<std::size_t>& demand) {
+    const std::size_t n = queue_.size();
+    std::vector<topo::LinkId> chosen;
+    for (topo::LinkId c : queue_) {
+      if (demand[static_cast<std::size_t>(c)] == 0) continue;
+      const bool ok = std::none_of(
+          chosen.begin(), chosen.end(), [&](topo::LinkId s) {
+            return v.full[static_cast<std::size_t>(c) * n +
+                          static_cast<std::size_t>(s)];
+          });
+      if (ok) chosen.push_back(c);
+    }
+    std::vector<topo::LinkId> next;
+    for (topo::LinkId l : queue_) {
+      if (std::find(chosen.begin(), chosen.end(), l) == chosen.end()) {
+        next.push_back(l);
+      }
+    }
+    next.insert(next.end(), chosen.begin(), chosen.end());
+    queue_ = std::move(next);
+    return chosen;
+  }
+
+ private:
+  std::vector<topo::LinkId> queue_;
+};
+
+/// Greedy maximal extension as first written, over the data-only verdicts.
+void ref_extend(const RefVerdicts& v, std::size_t n,
+                std::vector<topo::LinkId>& set,
+                const std::vector<topo::LinkId>& candidates) {
+  for (topo::LinkId c : candidates) {
+    if (std::find(set.begin(), set.end(), c) != set.end()) continue;
+    const bool ok = std::none_of(set.begin(), set.end(), [&](topo::LinkId s) {
+      return v.data[static_cast<std::size_t>(c) * n +
+                    static_cast<std::size_t>(s)];
+    });
+    if (ok) set.push_back(c);
+  }
+}
+
+/// Two nodes share an ROP slot when no link at one conflicts with a link at
+/// the other (a link conflicts with itself).
+bool ref_share_rop(const RefVerdicts& v, const std::vector<topo::Link>& links,
+                   topo::NodeId a, topo::NodeId b) {
+  const std::size_t n = links.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (links[i].sender != a && links[i].receiver != a) continue;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (links[j].sender != b && links[j].receiver != b) continue;
+      if (v.full[i * n + j]) return false;
+    }
+  }
+  return true;
+}
+
+TEST(BitRowAdjacency, WordBoundaryDrawsMatchPairwiseReference) {
+  for (std::uint64_t draw = 1; draw <= 3; ++draw) {
+    Rng rng(draw * 97 + 5);
+    // 20 APs x 6 clients, up- and downlinks: 240 links. A small square
+    // gives dense rows, a large one sparse rows.
+    const double side = draw == 2 ? 800.0 : 250.0;
+    const auto t = topo::Topology::random_network(20, 6, side, {}, {}, rng);
+    std::vector<topo::Link> all = t.make_links(true, true);
+    ASSERT_EQ(all.size(), 240u);
+    rng.shuffle(all);
+    const domino::SignaturePlan signatures(t.num_nodes());
+    auto g = std::make_unique<topo::ConflictGraph>();
+    // One converter across in-place rebuilds: its tables must follow.
+    domino::ScheduleConverter conv(t, *g, signatures);
+    for (const std::size_t n : {63u, 64u, 65u, 240u}) {
+      SCOPED_TRACE("draw " + std::to_string(draw) + ", " +
+                   std::to_string(n) + " links");
+      const std::vector<topo::Link> links(all.begin(), all.begin() + n);
+      *g = topo::ConflictGraph::build(t, links);
+      const RefVerdicts want = reference_verdicts(t, links, default_rules(t));
+
+      // Both rows, word by word, padding bits included.
+      const std::size_t words = (n + 63) / 64;
+      ASSERT_EQ(g->words_per_row(), words);
+      std::size_t full_bad = 0, data_bad = 0, full_set = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto id = static_cast<topo::LinkId>(i);
+        const auto full = g->conflict_row(id);
+        const auto data = g->data_conflict_row(id);
+        ASSERT_EQ(full.size(), words);
+        ASSERT_EQ(data.size(), words);
+        for (std::size_t j = 0; j < words * 64; ++j) {
+          const bool want_full = j < n && want.full[i * n + j];
+          const bool want_data = j < n && want.data[i * n + j];
+          full_bad += topo::row_bit(full, j) != want_full ? 1 : 0;
+          data_bad += topo::row_bit(data, j) != want_data ? 1 : 0;
+          full_set += want_full ? 1 : 0;
+        }
+      }
+      EXPECT_EQ(full_bad, 0u) << "conflict_row differs from the reference";
+      EXPECT_EQ(data_bad, 0u) << "data_conflict_row differs";
+      EXPECT_GT(full_set, n) << "no off-diagonal conflict: the draw is vacuous";
+      EXPECT_LT(full_set, n * n) << "all links conflict: the draw is vacuous";
+
+      // RAND slots, demand consumed as a batch does.
+      domino::RandScheduler rand(*g);
+      RefRand ref_rand(n);
+      std::vector<std::size_t> demand(n);
+      for (auto& d : demand) {
+        d = static_cast<std::size_t>(rng.uniform_int(0, 3));
+      }
+      for (int s = 0; s < 40; ++s) {
+        const std::vector<topo::LinkId> got = rand.schedule_slot(demand);
+        ASSERT_EQ(got, ref_rand.slot(want, demand)) << "slot " << s;
+        for (topo::LinkId l : got) --demand[static_cast<std::size_t>(l)];
+      }
+
+      // Fake-link insertion from random seed sets and candidate orders
+      // (duplicates and seed members included).
+      for (int k = 0; k < 40; ++k) {
+        std::vector<topo::LinkId> seed;
+        const auto seeds = rng.uniform_int(0, 4);
+        for (std::int64_t i = 0; i < seeds; ++i) {
+          seed.push_back(static_cast<topo::LinkId>(
+              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1)));
+        }
+        std::vector<topo::LinkId> cands(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          cands[i] = static_cast<topo::LinkId>(i);
+        }
+        rng.shuffle(cands);
+        cands.resize(static_cast<std::size_t>(
+            rng.uniform_int(1, static_cast<std::int64_t>(n))));
+        cands.push_back(cands.front());
+        std::vector<topo::LinkId> got = seed;
+        std::vector<topo::LinkId> ref = seed;
+        g->extend_to_maximal(got, cands);
+        ref_extend(want, n, ref, cands);
+        ASSERT_EQ(got, ref) << "extension " << k;
+      }
+
+      // The converter's ROP-sharing table, every node pair.
+      std::size_t share_bad = 0, shared = 0;
+      for (std::size_t a = 0; a < t.num_nodes(); ++a) {
+        for (std::size_t b = 0; b < t.num_nodes(); ++b) {
+          const auto na = static_cast<topo::NodeId>(a);
+          const auto nb = static_cast<topo::NodeId>(b);
+          const bool ref = ref_share_rop(want, links, na, nb);
+          share_bad += conv.aps_can_share_rop(na, nb) != ref ? 1 : 0;
+          shared += ref ? 1 : 0;
+        }
+      }
+      EXPECT_EQ(share_bad, 0u) << "ROP-sharing table differs";
+      EXPECT_GT(shared, 0u);
+    }
+  }
+}
 
 // ---- Schedule-converter invariants over random topologies and batches ------
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -206,6 +207,23 @@ TEST(ConflictGraph, AckPhaseProtected) {
   const auto g = ConflictGraph::build(t, links);
   EXPECT_TRUE(g.conflicts(0, 1));        // full rule: ACK at AP0 breaks
   EXPECT_FALSE(g.data_conflicts(0, 1));  // data-only rule passes
+}
+
+TEST(ConflictGraph, BadLinkIdThrowsOutOfRange) {
+  const Topology t = hidden_pair_topology();
+  const auto g = ConflictGraph::build(t, t.make_links(true, false));
+  ASSERT_EQ(g.num_links(), 2u);
+  for (const LinkId bad : {LinkId{2}, LinkId{64}, kNoLink}) {
+    EXPECT_THROW((void)g.conflicts(0, bad), std::out_of_range) << bad;
+    EXPECT_THROW((void)g.conflicts(bad, 0), std::out_of_range) << bad;
+    EXPECT_THROW((void)g.data_conflicts(1, bad), std::out_of_range) << bad;
+    EXPECT_THROW((void)g.data_conflicts(bad, 1), std::out_of_range) << bad;
+    EXPECT_THROW((void)g.conflict_row(bad), std::out_of_range) << bad;
+    EXPECT_THROW((void)g.data_conflict_row(bad), std::out_of_range) << bad;
+  }
+  // A link conflicts with itself under both rules.
+  EXPECT_TRUE(g.conflicts(1, 1));
+  EXPECT_TRUE(g.data_conflicts(1, 1));
 }
 
 TEST(ConflictGraph, ExtendToMaximalIsMaximalAndIndependent) {
