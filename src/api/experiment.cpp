@@ -28,6 +28,26 @@ const char* to_string(Scheme s) {
   return "?";
 }
 
+namespace {
+
+/// Whether `cfg` over `topology` runs partitioned: a pure performance
+/// choice, since results are the same bytes on one queue and on K.
+bool runs_partitioned(const topo::Topology& topology,
+                      const ExperimentConfig& cfg) {
+  // Dynamic runs keep one queue: a topology change could couple two
+  // partitions (phy::Medium::on_topology_changed throws), and a mid-window
+  // RSS change would violate the lookahead contract. The omniscient oracle
+  // drives every node synchronously from one global TDMA clock, and
+  // CENTAUR's controller reads AP queue backlogs synchronously
+  // (CentaurController::plan_batch), which no partition boundary can split.
+  // One component gains nothing.
+  return resolve_sim_threads(cfg) > 0 && !cfg.dynamics.any() &&
+         cfg.scheme != Scheme::kOmniscient &&
+         cfg.scheme != Scheme::kCentaur && topology.component_count() >= 2;
+}
+
+}  // namespace
+
 // The facade owns the scheme-independent substrate — simulator, mediums,
 // traffic (CBR arrival processes attached to the MAC queues, TCP endpoints),
 // flow statistics — and delegates scheme assembly to
@@ -448,8 +468,8 @@ struct Experiment::Impl {
       id_gens.emplace_back(static_cast<traffic::PacketId>(q) << 44);
     }
 
-    // The injector forks per-queue RNG lanes in its constructor, so it must
-    // be built after configure_partitions.
+    // The injector sizes its per-queue counter lanes in its constructor, so
+    // it must be built after configure_partitions.
     if (cfg.faults.any()) {
       injector = std::make_unique<fault::FaultInjector>(
           sim, topo.num_nodes(), cfg.faults, root.fork());
@@ -527,15 +547,15 @@ struct Experiment::Impl {
     loop_started = true;
     const auto wall_loop = std::chrono::steady_clock::now();
     sim.run_until(cfg.duration);
+    if (sim.interrupted()) {
+      throw ExperimentInterrupted(sim.now(), sim.events_executed());
+    }
     // Account the CBR arrivals no MAC read before the horizon (drop
     // counters, the auditor's offer ledger): every clock reads the horizon.
     for (mac::MacEntity* m : macs) {
       if (m != nullptr) m->queue().settle();
     }
     const auto wall_end = std::chrono::steady_clock::now();
-    if (sim.interrupted()) {
-      throw ExperimentInterrupted(sim.now(), sim.events_executed());
-    }
 
     ExperimentResult result;
     result.wall_setup_seconds =
@@ -618,18 +638,6 @@ unsigned resolve_sim_threads(const ExperimentConfig& cfg) {
   if (env == nullptr || *env == '\0') return 0;
   const long v = std::strtol(env, nullptr, 10);
   return v > 0 ? static_cast<unsigned>(v) : 0;
-}
-
-bool runs_partitioned(const topo::Topology& topology,
-                      const ExperimentConfig& cfg) {
-  // Dynamic runs keep one queue: a topology change could couple two
-  // partitions (phy::Medium::on_topology_changed throws), and a mid-window
-  // RSS change would violate the lookahead contract. The omniscient oracle
-  // drives every node synchronously from one global TDMA clock, which no
-  // partition boundary can split. One component gains nothing.
-  return resolve_sim_threads(cfg) > 0 && !cfg.dynamics.any() &&
-         cfg.scheme != Scheme::kOmniscient &&
-         topology.component_count() >= 2;
 }
 
 ExperimentInterrupted::ExperimentInterrupted(TimeNs sim_time,

@@ -101,16 +101,13 @@ struct ExperimentConfig {
   ///   0   consult the DMN_SIM_THREADS environment variable; unset / 0 /
   ///       unparsable keeps one event queue;
   ///   >=1 partition the run into its coupling components and execute them
-  ///       on up to this many worker threads. Results are byte-stable
-  ///       across every value >= 1 (the merge order of cross-partition
-  ///       events is deterministic). The medium computes the same on one
-  ///       queue, but per-queue RNG lanes and CENTAUR's controller peeks
-  ///       still make the partitioned family a documented deviation, so
-  ///       hash_point folds in *whether* the run partitions
-  ///       (runs_partitioned) — never the thread count;
+  ///       on up to this many worker threads;
   ///   <0  keep one queue regardless of the environment.
-  /// The omniscient scheme, dynamic runs and single-component topologies
-  /// keep one queue automatically.
+  /// A performance choice only: results are byte-identical on one queue
+  /// and partitioned, at every thread count, so hash_point (sweep_io)
+  /// leaves it out. Omniscient and CENTAUR runs (their controllers drive or
+  /// read node state synchronously), dynamic runs and single-component
+  /// topologies keep one queue automatically.
   int sim_threads = 0;
 };
 
@@ -158,13 +155,5 @@ ExperimentResult run_experiment(const topo::Topology& topology,
 /// positive value wins, a negative value forces 0 (one queue), and 0
 /// defers to DMN_SIM_THREADS. 0 means "do not partition".
 unsigned resolve_sim_threads(const ExperimentConfig& cfg);
-
-/// The kernel decision, for Experiment::run and hash_point (sweep_io)
-/// alike: whether `cfg` over `topology` runs partitioned. It does when
-/// resolve_sim_threads(cfg) > 0, the scheme is not omniscient, the run has
-/// no dynamics and the topology has at least two coupling components;
-/// every other run keeps one event queue.
-bool runs_partitioned(const topo::Topology& topology,
-                      const ExperimentConfig& cfg);
 
 }  // namespace dmn::api

@@ -16,11 +16,11 @@ void CentaurStack::build(StackContext& ctx,
   const auto dl = ctx.topo.make_links(/*downlink=*/true, /*uplink=*/false);
   downlink_graph_ = std::make_unique<topo::ConflictGraph>(
       topo::ConflictGraph::build(ctx.topo, dl));
-  backbone_ = std::make_unique<wired::Backbone>(ctx.sim, ctx.cfg.backbone,
-                                                ctx.rng.fork());
+  backbone_ = std::make_unique<wired::Backbone>(
+      ctx.sim, ctx.cfg.backbone, ctx.topo.aps(), ctx.rng.fork());
   if (ctx.faults != nullptr) {
     backbone_->set_fault_hook(
-        [f = ctx.faults] { return f->backbone_delivery(); });
+        [f = ctx.faults](Rng& rng) { return f->backbone_delivery(rng); });
   }
   std::map<topo::NodeId, mac::DcfNode*> ap_macs;
   for (const auto& n : dcf_.nodes()) {

@@ -23,10 +23,10 @@ void DominoStack::build(StackContext& ctx,
 
   signatures_ = std::make_unique<domino::SignaturePlan>(topo.num_nodes());
   backbone_ = std::make_unique<wired::Backbone>(ctx.sim, cfg.backbone,
-                                                ctx.rng.fork());
+                                                topo.aps(), ctx.rng.fork());
   if (ctx.faults != nullptr) {
     backbone_->set_fault_hook(
-        [f = ctx.faults] { return f->backbone_delivery(); });
+        [f = ctx.faults](Rng& rng) { return f->backbone_delivery(rng); });
   }
 
   domino::DominoTiming timing;
@@ -63,8 +63,8 @@ void DominoStack::build(StackContext& ctx,
           "(rop.poll_mode, rop.max_poll_symbols)");
     }
     // Reports ride the backbone to the controller's (wired) queue.
-    auto report_fn = [this](domino::ApReport rep) {
-      backbone_->send_to_wired([this, rep = std::move(rep)] {
+    auto report_fn = [this, ap](domino::ApReport rep) {
+      backbone_->send_to_wired(ap, [this, rep = std::move(rep)] {
         controller_->on_ap_report(rep);
       });
     };

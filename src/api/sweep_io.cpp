@@ -645,12 +645,6 @@ std::uint64_t hash_point(const SweepPoint& p) {
   Hasher h;
   hash_topology(h, p.topology);
   hash_config(h, p.config);
-  // The kernel the run takes — the partitioned family is a documented
-  // deviation from one queue (per-queue RNG lanes, CENTAUR's peeks), so it
-  // hashes as a distinct point. The thread count itself is deliberately
-  // excluded: results are byte-stable across every thread count >= 1, and
-  // a run that keeps one queue hashes alike whatever DMN_SIM_THREADS says.
-  h.boolean(runs_partitioned(p.topology, p.config));
   return h.value();
 }
 
@@ -663,9 +657,9 @@ std::uint64_t hash_sweep(const std::vector<SweepPoint>& points) {
 
 std::string runner_fingerprint() {
 #if defined(__VERSION__)
-  return std::string("dmn-sweep-v8 ") + __VERSION__;
+  return std::string("dmn-sweep-v9 ") + __VERSION__;
 #else
-  return "dmn-sweep-v8 unknown-compiler";
+  return "dmn-sweep-v9 unknown-compiler";
 #endif
 }
 

@@ -87,7 +87,8 @@ void CentaurController::release_link(topo::LinkId link, std::size_t quota) {
           ap->set_service_enabled(false);
           ap->set_outcome_hook(nullptr);
           // Completion report rides the backbone back to the controller.
-          backbone_.send_to_wired([this, link] { link_finished(link); });
+          backbone_.send_to_wired(lk.sender,
+                                  [this, link] { link_finished(link); });
         }
       });
   ap->set_service_enabled(true);

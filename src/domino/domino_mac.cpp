@@ -362,7 +362,7 @@ DominoApMac::DominoApMac(sim::Simulator& sim, phy::Medium& medium,
                          DominoTrace* trace)
     : DominoNodeBase(sim, medium, node, timing, signatures, model,
                      std::move(rng), trace),
-      MacEntity(sim, node, timing.wifi.queue_capacity),
+      MacEntity(sim, timing.wifi.queue_capacity),
       rop_params_(rop_params),
       rop_model_(rop_params),
       deliver_(std::move(deliver)),
@@ -865,7 +865,7 @@ DominoClientMac::DominoClientMac(sim::Simulator& sim, phy::Medium& medium,
                                  mac::DeliveryFn deliver, DominoTrace* trace)
     : DominoNodeBase(sim, medium, node, timing, signatures, model,
                      std::move(rng), trace),
-      MacEntity(sim, node, timing.wifi.queue_capacity),
+      MacEntity(sim, timing.wifi.queue_capacity),
       ap_(ap),
       slot_(slot),
       max_report_(rop_params.max_queue_report()),

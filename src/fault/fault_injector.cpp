@@ -23,6 +23,14 @@ std::vector<double> draw_skews(const ClockFaults& clock, std::size_t num_nodes,
   return skew;
 }
 
+/// Phase of the interference burst chain, shared by every medium; 0 (no
+/// draw) when the knob is off.
+TimeNs draw_phase(const InterferenceFaults& intf, Rng& rng) {
+  if (!intf.any() || intf.period <= 0) return 0;
+  return static_cast<TimeNs>(
+      rng.uniform(0.0, static_cast<double>(intf.period)));
+}
+
 }  // namespace
 
 FaultInjector::FaultInjector(sim::Simulator& sim, std::size_t num_nodes,
@@ -30,7 +38,7 @@ FaultInjector::FaultInjector(sim::Simulator& sim, std::size_t num_nodes,
     : sim_(sim),
       plan_(plan),
       skew_ppm_(draw_skews(plan_.clock, num_nodes, rng)),
-      rng_(sim, std::move(rng)),
+      interference_phase_(draw_phase(plan_.interference, rng)),
       lane_counters_(sim.queue_count()) {}
 
 FaultCounters FaultInjector::counters() const {
@@ -61,10 +69,9 @@ void FaultInjector::note_trigger_loss() {
   ++lane_counters().forced_trigger_losses;
 }
 
-wired::DeliveryMod FaultInjector::backbone_delivery() {
+wired::DeliveryMod FaultInjector::backbone_delivery(Rng& rng) {
   wired::DeliveryMod mod;
   const BackboneFaults& bf = plan_.backbone;
-  Rng& rng = rng_.active();
   FaultCounters& counters = lane_counters();
   if (rng.chance(bf.drop_rate)) {
     mod.copies = 0;
@@ -87,16 +94,14 @@ void FaultInjector::arm_mediums(
     TimeNs duration) {
   const InterferenceFaults& intf = plan_.interference;
   if (!intf.any() || intf.period <= 0 || mediums.empty()) return;
-  // Random burst phase (one draw from the root stream, whatever the queue
-  // count), then a self-rescheduling on/off chain per medium: one pending
-  // event at a time per chain regardless of run length. Each chain lives on
-  // its medium's queue; the environment-wide interferer is counted once, on
-  // the first chain.
-  const TimeNs phase = static_cast<TimeNs>(
-      rng_.root().uniform(0.0, static_cast<double>(intf.period)));
+  // A self-rescheduling on/off chain per medium, all from the one phase
+  // drawn at construction: one pending event at a time per chain regardless
+  // of run length. Each chain lives on its medium's queue; the
+  // environment-wide interferer is counted once, on the first chain.
   for (std::size_t i = 0; i < mediums.size(); ++i) {
     sim::Simulator::Scope scope(sim_, static_cast<std::uint32_t>(i));
-    schedule_burst(*mediums[i], phase, duration, /*count_bursts=*/i == 0);
+    schedule_burst(*mediums[i], interference_phase_, duration,
+                   /*count_bursts=*/i == 0);
   }
 }
 

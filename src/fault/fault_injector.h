@@ -9,20 +9,20 @@
 // ExperimentResult.
 //
 // Thread safety: an injector belongs to exactly one Experiment. Its
-// decisions are taken from every event queue, so both the RNG streams
-// (sim/rng_lanes.h) and the counters are striped into per-queue lanes: each
-// lane is only touched by its queue's executing thread, and counters()
-// merges the lanes on read. The lane split is what keeps 1-thread and
-// N-thread results bit-identical — a fault decision consumes randomness
-// from the lane of the queue that asked, a pure function of that queue's
-// event stream.
+// decisions are taken from every event queue, so the counters are striped
+// into per-queue lanes: each lane is only touched by its queue's executing
+// thread, and counters() merges the lanes on read. The injector draws no
+// randomness while the simulation runs: backbone verdicts draw from the
+// backbone stream of the message's AP endpoint (wired/backbone.h), and
+// signature faults from the node's own stream. Its root stream serves only
+// the setup draws (clock skews, the interference phase), so results are
+// the same on one event queue and on K.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "fault/fault_plan.h"
-#include "sim/rng_lanes.h"
 #include "util/rng.h"
 #include "util/time.h"
 #include "wired/backbone.h"
@@ -47,8 +47,9 @@ struct FaultCounters {
 class FaultInjector {
  public:
   /// `num_nodes` sizes the per-node clock-skew table; skews are drawn at
-  /// construction so lookup order cannot affect the RNG stream. Must be
-  /// built after Simulator::configure_partitions (it forks the RNG lanes).
+  /// construction so lookup order cannot affect the RNG stream, and so is
+  /// the interference phase. Must be built after
+  /// Simulator::configure_partitions (it sizes the counter lanes).
   FaultInjector(sim::Simulator& sim, std::size_t num_nodes,
                 const FaultPlan& plan, Rng rng);
 
@@ -67,9 +68,9 @@ class FaultInjector {
   // ---- backbone ----------------------------------------------------------
 
   /// Delivery hook for wired::Backbone::set_fault_hook. Decides drop /
-  /// duplicate / latency spike for one message, consuming injector RNG in
-  /// event order (of the asking queue's lane).
-  wired::DeliveryMod backbone_delivery();
+  /// duplicate / latency spike for one message, drawing from `rng`, the
+  /// stream of the message's backbone endpoint.
+  wired::DeliveryMod backbone_delivery(Rng& rng);
 
   // ---- controller --------------------------------------------------------
 
@@ -116,9 +117,9 @@ class FaultInjector {
 
   sim::Simulator& sim_;
   FaultPlan plan_;
-  /// Drawn from the root stream before the lanes fork.
+  /// Setup draws from the root stream, in this order.
   std::vector<double> skew_ppm_;
-  sim::RngLanes rng_;
+  TimeNs interference_phase_ = 0;
   /// One counter lane per event queue.
   std::vector<FaultCounters> lane_counters_;
 };

@@ -50,12 +50,11 @@ using DeliveryFn =
 /// Per-node MAC entity. It owns the node's transmit queue, which the
 /// traffic layer feeds two ways: TCP pushes packets through enqueue(), and
 /// CBR flows attach their arrival processes with add_arrivals(). The queue
-/// runs on the node's clock (traffic/queue.h).
+/// runs on the clock of the node's event queue (traffic/queue.h).
 class MacEntity {
  public:
-  MacEntity(const sim::Simulator& sim, topo::NodeId node,
-            std::size_t queue_capacity)
-      : queue_(queue_capacity, sim, node) {}
+  MacEntity(const sim::Simulator& sim, std::size_t queue_capacity)
+      : queue_(queue_capacity, sim) {}
   virtual ~MacEntity() = default;
   MacEntity(const MacEntity&) = delete;
   MacEntity& operator=(const MacEntity&) = delete;

@@ -7,7 +7,7 @@ namespace dmn::omni {
 OmniNodeMac::OmniNodeMac(sim::Simulator& sim, phy::Medium& medium,
                          topo::NodeId node, const mac::WifiParams& params,
                          mac::DeliveryFn deliver)
-    : MacEntity(sim, node, params.queue_capacity),
+    : MacEntity(sim, params.queue_capacity),
       sim_(sim),
       radio_(medium, node, this),
       params_(params),

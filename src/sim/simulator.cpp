@@ -281,9 +281,9 @@ void Simulator::run_until(TimeNs until) {
       break;
     }
     // The previous window ran to completion: advance every clock to its
-    // bound so this window's wired peeks and inbox drains see a consistent
-    // "time has passed" view. A halted window skips this, leaving each
-    // clock at its last executed event.
+    // bound so this window's inbox drains see a consistent "time has
+    // passed" view. A halted window skips this, leaving each clock at its
+    // last executed event.
     if (have_prev) {
       for (std::size_t i = 0; i < nq; ++i) {
         if (queues_[i]->now() < bounds_[i]) queues_[i]->set_now(bounds_[i]);
@@ -299,8 +299,7 @@ void Simulator::run_until(TimeNs until) {
       if (have_prev && m1 > prev_end + 1) ++stats_.ff_jumps;
     }
     // No queue holds an event before `start`, so every clock may read
-    // start - 1: across a fast-forward jump too, a wired peek sees a node
-    // as of the moment just before the window, not as of its last bound.
+    // start - 1, across a fast-forward jump too.
     for (std::size_t i = 0; i < nq; ++i) {
       if (queues_[i]->now() < start - 1) queues_[i]->set_now(start - 1);
     }
@@ -335,9 +334,7 @@ void Simulator::run_until(TimeNs until) {
             : event_budget_ - total;
     errors_.assign(nq, nullptr);
     // Wired queue first, on the coordinator, while every node queue is
-    // parked: controller logic may peek AP MAC state race-free. Its view
-    // stays < lookahead stale even under elongation — negligible against
-    // the backbone latency its outputs already ride.
+    // parked.
     if (queues_[wired]->next_time() <= bounds_[wired]) {
       run_queue_window(wired, bounds_[wired], cap);
     }

@@ -16,12 +16,8 @@
 // minimum cross-partition delivery latency (the backbone's min_latency
 // floor). Per window:
 //   * the wired queue runs first, on the coordinator thread, while every
-//     node queue is parked at the barrier — so controller code may read
-//     AP MAC state synchronously without a data race. A window starting
-//     at s first moves every clock to at least s - 1 (nothing is pending
-//     before s), so a parked node reads "just before this window" even
-//     after a fast-forward jump; node state judged by that clock
-//     (now_of_node) is exact at the peek;
+//     node queue is parked at the barrier. A window starting at s first
+//     moves every clock to at least s - 1 (nothing is pending before s);
 //   * node queues with work then run concurrently on the thread pool.
 // Any event executing at time t can only send cross-partition work at
 // >= t + lookahead, i.e. beyond every other queue's window bound, so no
@@ -43,14 +39,12 @@
 // strictly beyond its bound. (The tempting m2 + L - 1 bound is NOT safe
 // across multiple windows: a remote queue may execute a freshly drained
 // message at m1 + L and reply landing at m1 + 2L < m2 + L - 1 when
-// m2 > m1 + L + 1.) Controller-peek staleness keeps its documented <= L
-// bound under elongation. Setting DMN_SIM_FIXED_WINDOWS=1 (read at
+// m2 > m1 + L + 1.) Setting DMN_SIM_FIXED_WINDOWS=1 (read at
 // configure_partitions time) disables both optimizations and steps fixed
-// [s, s+L) windows from 0 — the reference schedule. Message-passing
-// schemes (DCF, DOMINO) match it byte-for-byte; a controller that peeks
-// cross-queue state at barriers (CENTAUR's, the one left) observes node
-// progress that depends on where the window boundaries fall, so its
-// peeked values may differ between schedules within the same <= L bound.
+// [s, s+L) windows from 0 — the reference schedule. Every scheme that
+// partitions matches it byte-for-byte: queues interact only by messages
+// (no code reads another queue's state), so the window schedule is a
+// performance choice, never a semantic one.
 //
 // Per window only queues whose next event lies inside their bound are
 // activated; active queues enter a single atomic work word (largest
@@ -131,8 +125,8 @@ class Simulator {
                             unsigned threads);
 
   /// Number of event queues: 1 by default, the node partitions plus the
-  /// wired queue once partitioned. Per-queue state (RNG and counter lanes,
-  /// mediums, auditors, timeline recorders) is sized by this and indexed by
+  /// wired queue once partitioned. Per-queue state (counter lanes, mediums,
+  /// auditors, timeline recorders) is sized by this and indexed by
   /// active_queue_index() / queue_of_node() / wired_queue_index().
   std::uint32_t queue_count() const {
     return static_cast<std::uint32_t>(queues_.size());
@@ -172,14 +166,6 @@ class Simulator {
 
   /// Current simulation time (of the active queue).
   TimeNs now() const { return active().now(); }
-
-  /// Clock of the queue carrying `node`. State a node owns must be judged
-  /// by this clock even when another queue reads it: the wired queue runs
-  /// at a window barrier while the node's queue is parked at its own last
-  /// event, ahead of or behind the wired clock.
-  TimeNs now_of_node(std::size_t node) const {
-    return queues_[queue_of_node(node)]->now();
-  }
 
   /// Schedule `fn` to run at absolute time `at` (>= now()) on the active
   /// queue. Throws std::logic_error when `at` lies in the past. The

@@ -11,10 +11,10 @@
 // read: drop-tail admission at catch-up sees the occupancy the queue had at
 // t_k. Same-tick arrivals of different flows enter in ascending flow id.
 //
-// The owner's clock is the clock of the event queue carrying the owning
-// node (sim::Simulator::now_of_node), never the reader's: a controller that
-// reads an AP's queue from the wired queue sees only the arrivals the AP's
-// own queue has reached.
+// Arrivals settle to the clock of the event queue that reads the MAC
+// queue, which is always the one carrying its owning node: no controller
+// reads a node's queue from another event queue (the schemes whose
+// controllers read node state synchronously keep one queue).
 
 #include <cstddef>
 #include <deque>
@@ -61,11 +61,9 @@ class PacketQueue {
  public:
   /// A queue without a clock: it accepts pushes but no arrival processes.
   explicit PacketQueue(std::size_t capacity = 100) : capacity_(capacity) {}
-  /// A queue owned by node `owner`: its arrivals settle to that node's
-  /// clock in `sim`.
-  PacketQueue(std::size_t capacity, const sim::Simulator& sim,
-              topo::NodeId owner)
-      : capacity_(capacity), sim_(&sim), owner_(owner) {}
+  /// A queue whose arrivals settle to the clock of `sim`.
+  PacketQueue(std::size_t capacity, const sim::Simulator& sim)
+      : capacity_(capacity), sim_(&sim) {}
 
   /// Enqueues; returns false (and counts a drop) when full.
   bool push(Packet p);
@@ -131,11 +129,7 @@ class PacketQueue {
     return next_due_ == kNoArrival ? kTimeNever : next_due_;
   }
   /// The owner's clock (0 on a queue without one).
-  TimeNs now() const {
-    return sim_ == nullptr
-               ? 0
-               : sim_->now_of_node(static_cast<std::size_t>(owner_));
-  }
+  TimeNs now() const { return sim_ == nullptr ? 0 : sim_->now(); }
   /// Materialises every arrival up to the owner's clock. Every accessor
   /// does this first; call it directly to account arrivals nobody read
   /// (the horizon flush).
@@ -170,7 +164,6 @@ class PacketQueue {
   std::uint64_t dropped_ = 0;
 
   const sim::Simulator* sim_ = nullptr;
-  topo::NodeId owner_ = topo::kNoNode;
   /// Arrival processes, ascending flow id.
   std::vector<CbrArrivals> flows_;
   /// Earliest next arrival of an active flow, kNoArrival when none.

@@ -7,38 +7,50 @@
 
 namespace dmn::wired {
 
-Backbone::Backbone(sim::Simulator& sim, const BackboneParams& params, Rng rng)
-    : sim_(sim), params_(params), rng_(sim, std::move(rng)) {}
+Backbone::Backbone(sim::Simulator& sim, const BackboneParams& params,
+                   std::vector<topo::NodeId> aps, Rng rng)
+    : sim_(sim), params_(params), aps_(std::move(aps)) {
+  std::sort(aps_.begin(), aps_.end());
+  to_ap_.reserve(aps_.size());
+  to_wired_.reserve(aps_.size());
+  for (std::size_t i = 0; i < aps_.size(); ++i) {
+    to_ap_.push_back(rng.fork());
+    to_wired_.push_back(rng.fork());
+  }
+}
 
-TimeNs Backbone::sample_latency(Rng& rng) {
+std::size_t Backbone::endpoint(topo::NodeId ap) const {
+  const auto it = std::lower_bound(aps_.begin(), aps_.end(), ap);
+  if (it == aps_.end() || *it != ap) {
+    throw std::invalid_argument("backbone: node " + std::to_string(ap) +
+                                " is not an AP endpoint");
+  }
+  return static_cast<std::size_t>(it - aps_.begin());
+}
+
+TimeNs Backbone::sample_latency(Rng& rng) const {
   const double s = rng.normal(static_cast<double>(params_.mean_latency),
                               static_cast<double>(params_.sigma_latency));
   return std::max(params_.min_latency, static_cast<TimeNs>(s));
 }
 
-TimeNs Backbone::sample_latency() { return sample_latency(rng_.active()); }
-
-void Backbone::send(std::function<void()> fn) {
-  deliver(Route::kActive, topo::kNoNode, std::move(fn));
+void Backbone::send_to_node(topo::NodeId ap, std::function<void()> fn) {
+  deliver(sim_.queue_of_node(static_cast<std::size_t>(ap)),
+          to_ap_[endpoint(ap)], std::move(fn));
 }
 
-void Backbone::send_to_node(topo::NodeId node, std::function<void()> fn) {
-  deliver(Route::kNode, node, std::move(fn));
+void Backbone::send_to_wired(topo::NodeId ap, std::function<void()> fn) {
+  deliver(sim_.wired_queue_index(), to_wired_[endpoint(ap)], std::move(fn));
 }
 
-void Backbone::send_to_wired(std::function<void()> fn) {
-  deliver(Route::kWired, topo::kNoNode, std::move(fn));
-}
-
-void Backbone::deliver(Route route, topo::NodeId node,
+void Backbone::deliver(std::uint32_t queue, Rng& rng,
                        std::function<void()> fn) {
   // Single delivery path: the unimpaired case is DeliveryMod{1, 0}, so the
   // hook-free RNG stream and event order are identical to a build without
   // fault support at all.
-  Rng& rng = rng_.active();
   const TimeNs latency = sample_latency(rng);
   DeliveryMod mod;
-  if (fault_hook_) mod = fault_hook_();
+  if (fault_hook_) mod = fault_hook_(rng);
   if (mod.extra_latency < 0) {
     // A negative spike could deliver below min_latency and break the
     // partitioned kernel's lookahead horizon.
@@ -46,29 +58,14 @@ void Backbone::deliver(Route route, topo::NodeId node,
         "backbone: DeliveryMod.extra_latency must be non-negative, got " +
         std::to_string(mod.extra_latency) + " ns");
   }
-  if (mod.copies == 0) return;  // dropped in the wired fabric
-  auto post = [this, route, node](TimeNs delay, std::function<void()> f) {
-    const TimeNs at = sim_.now() + delay;
-    switch (route) {
-      case Route::kActive:
-        sim_.post_at(at, std::move(f));
-        break;
-      case Route::kNode:
-        sim_.post_to_queue(sim_.queue_of_node(static_cast<std::size_t>(node)),
-                           at, std::move(f));
-        break;
-      case Route::kWired:
-        sim_.post_to_queue(sim_.wired_queue_index(), at, std::move(f));
-        break;
-    }
-  };
-  // Only duplicates copy the closure; the last delivery takes it.
+  // Only duplicates copy the closure; the last delivery takes it. Zero
+  // copies: dropped in the wired fabric.
   for (unsigned c = 0; c < mod.copies; ++c) {
     // Duplicates take their own independently-sampled path through the
     // fabric (a retransmitting switch does not replay the original delay).
     const TimeNs delay = c == 0 ? latency : sample_latency(rng);
-    post(delay + mod.extra_latency,
-         c + 1 == mod.copies ? std::move(fn) : fn);
+    sim_.post_to_queue(queue, sim_.now() + delay + mod.extra_latency,
+                       c + 1 == mod.copies ? std::move(fn) : fn);
   }
 }
 

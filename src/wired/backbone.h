@@ -12,17 +12,24 @@
 // schedule the surviving copies. Nothing in the system may assume a
 // backbone message arrives exactly once.
 //
+// Each AP has two random streams, forked from the backbone's root in
+// ascending AP-id order at construction: one for controller->AP messages
+// and one for AP->controller messages. A message draws its latency and its
+// fault verdict from the stream of the AP endpoint it names, so the draws
+// are a pure function of that AP's message sequence, whatever event queue
+// sends it: results are the same on one queue and on K queues. Each stream
+// is drawn by one queue only (the controller's draws the controller->AP
+// streams, an AP's queue its AP->controller stream), so no draw races.
+//
 // Partitioned kernel: min_latency is the conservative lookahead bound of
 // src/sim/simulator.h, so every delivery — including every faulted copy —
-// must take at least min_latency. send_to_node()/send_to_wired() route a
-// delivery to the destination's event queue, and each queue samples from
-// its own RNG lane (sim/rng_lanes.h) so the latency stream is a pure
-// function of the sending queue's computation (byte-stable at any thread
-// count).
+// must take at least min_latency. send_to_node() delivers on the AP's event
+// queue, send_to_wired() on the wired queue.
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
-#include "sim/rng_lanes.h"
 #include "sim/simulator.h"
 #include "topo/node.h"
 #include "util/rng.h"
@@ -48,40 +55,39 @@ struct DeliveryMod {
 
 class Backbone {
  public:
-  Backbone(sim::Simulator& sim, const BackboneParams& params, Rng rng);
+  /// `aps` names every AP endpoint the backbone serves.
+  Backbone(sim::Simulator& sim, const BackboneParams& params,
+           std::vector<topo::NodeId> aps, Rng rng);
 
-  /// Installs the fault hook consulted once per send(). Null (the default)
-  /// means every message is delivered exactly once.
-  using FaultHook = std::function<DeliveryMod()>;
+  /// Installs the fault hook consulted once per message, with the stream
+  /// the message draws from. Null (the default) means every message is
+  /// delivered exactly once.
+  using FaultHook = std::function<DeliveryMod(Rng&)>;
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
-  /// Delivers `fn` after one sampled one-way latency — or, under a fault
-  /// hook, zero/one/two independently-delayed copies — on the caller's own
-  /// event queue.
-  void send(std::function<void()> fn);
+  /// Delivers `fn` on `ap`'s event queue after one sampled one-way latency
+  /// — or, under a fault hook, zero/one/two independently-delayed copies
+  /// (a dispatch or release headed for the AP). Throws
+  /// std::invalid_argument when `ap` is not one of the backbone's APs.
+  void send_to_node(topo::NodeId ap, std::function<void()> fn);
 
-  /// Same, but delivers on `node`'s event queue (an AP-bound dispatch or
-  /// release). Equivalent to send() when the simulator is not partitioned.
-  void send_to_node(topo::NodeId node, std::function<void()> fn);
-
-  /// Same, but delivers on the wired queue (an AP report or completion
-  /// notice headed for a controller).
-  void send_to_wired(std::function<void()> fn);
-
-  /// One latency sample (exposed for tests and the Fig-11 study).
-  TimeNs sample_latency();
+  /// Same, but from `ap` to the controller, on the wired queue (an AP
+  /// report or completion notice).
+  void send_to_wired(topo::NodeId ap, std::function<void()> fn);
 
   const BackboneParams& params() const { return params_; }
 
  private:
-  enum class Route { kActive, kNode, kWired };
-
-  void deliver(Route route, topo::NodeId node, std::function<void()> fn);
-  TimeNs sample_latency(Rng& rng);
+  /// Index of `ap`'s stream pair.
+  std::size_t endpoint(topo::NodeId ap) const;
+  void deliver(std::uint32_t queue, Rng& rng, std::function<void()> fn);
+  TimeNs sample_latency(Rng& rng) const;
 
   sim::Simulator& sim_;
   BackboneParams params_;
-  sim::RngLanes rng_;
+  std::vector<topo::NodeId> aps_;  // ascending
+  std::vector<Rng> to_ap_;         // controller->AP, parallel to aps_
+  std::vector<Rng> to_wired_;      // AP->controller, parallel to aps_
   FaultHook fault_hook_;
 };
 

@@ -43,7 +43,7 @@ struct ControllerHarness {
         links(topo.make_links(true, true)),
         graph(topo::ConflictGraph::build(topo, links)),
         signatures(topo.num_nodes()),
-        backbone(sim, {}, Rng(4)) {
+        backbone(sim, {}, topo.aps(), Rng(4)) {
     params.batch_slots = 6;
     ctrl = std::make_unique<DominoController>(
         sim, backbone, topo, graph, signatures, params, ConverterParams{},

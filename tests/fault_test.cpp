@@ -122,26 +122,26 @@ TEST(FaultNoOp, ZeroKnobsReproduceFaultFreeResultsForEveryScheme) {
 TEST(BackboneFaults, HookControlsCopiesAndLatency) {
   sim::Simulator sim;
   wired::BackboneParams params;
-  wired::Backbone bb(sim, params, Rng(7));
+  wired::Backbone bb(sim, params, {0}, Rng(7));
 
   int delivered = 0;
   wired::DeliveryMod next;
-  bb.set_fault_hook([&next] { return next; });
+  bb.set_fault_hook([&next](Rng&) { return next; });
 
   next = wired::DeliveryMod{0, 0};  // drop
-  bb.send([&delivered] { ++delivered; });
+  bb.send_to_node(0, [&delivered] { ++delivered; });
   sim.run_until(msec(10));
   EXPECT_EQ(delivered, 0);
 
   next = wired::DeliveryMod{2, 0};  // duplicate
-  bb.send([&delivered] { ++delivered; });
+  bb.send_to_wired(0, [&delivered] { ++delivered; });
   sim.run_until(msec(20));
   EXPECT_EQ(delivered, 2);
 
   next = wired::DeliveryMod{1, msec(5)};  // latency spike
   TimeNs arrival = 0;
   const TimeNs sent_at = sim.now();
-  bb.send([&] { arrival = sim.now(); });
+  bb.send_to_node(0, [&] { arrival = sim.now(); });
   sim.run_until(msec(40));
   EXPECT_GE(arrival - sent_at, msec(5));
 }

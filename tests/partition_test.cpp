@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
@@ -21,7 +20,6 @@
 #include "topo/dynamics.h"
 #include "topo/partition.h"
 #include "topo/topology.h"
-#include "traffic/queue.h"
 #include "util/rng.h"
 #include "wired/backbone.h"
 
@@ -385,9 +383,9 @@ TEST(Kernel, RunLoopContractOnOneAndManyQueues) {
 
 TEST(Kernel, NegativeExtraLatencyThrows) {
   sim::Simulator sim;
-  wired::Backbone bb(sim, wired::BackboneParams{}, Rng(7));
-  bb.set_fault_hook([] { return wired::DeliveryMod{1, -usec(5)}; });
-  EXPECT_THROW(bb.send([] {}), std::invalid_argument);
+  wired::Backbone bb(sim, wired::BackboneParams{}, {0}, Rng(7));
+  bb.set_fault_hook([](Rng&) { return wired::DeliveryMod{1, -usec(5)}; });
+  EXPECT_THROW(bb.send_to_node(0, [] {}), std::invalid_argument);
 }
 
 TEST(Kernel, BackboneRespectsMinLatencyFloor) {
@@ -396,10 +394,17 @@ TEST(Kernel, BackboneRespectsMinLatencyFloor) {
   params.mean_latency = usec(30);
   params.sigma_latency = usec(200);  // huge jitter: clamp must engage
   params.min_latency = usec(25);
-  wired::Backbone bb(sim, params, Rng(3));
+  wired::Backbone bb(sim, params, {0}, Rng(3));
+  int delivered = 0;
   for (int i = 0; i < 200; ++i) {
-    EXPECT_GE(bb.sample_latency(), params.min_latency);
+    // Sent at 0, so each delivery time is one latency sample.
+    bb.send_to_wired(0, [&] {
+      EXPECT_GE(sim.now(), params.min_latency);
+      ++delivered;
+    });
   }
+  sim.run();
+  EXPECT_EQ(delivered, 200);
 }
 
 // ---- thread-count resolution ------------------------------------------------
@@ -643,32 +648,62 @@ TEST(Determinism, CampusByteStableAtAllThreadCountsWithFaultsAndAudit) {
   }
 }
 
-TEST(Determinism, DcfBytesMatchOnOneQueueAndPerComponentQueues) {
-  // One medium over every component computes what one medium per component
-  // does, and DCF draws no per-queue RNG lane: the result bytes are the
-  // same on one queue and on the partitioned kernel.
+TEST(Determinism, EverySchemeGivesTheSameBytesOnOneQueueAndOnK) {
+  // The partition count is a performance choice: one medium over every
+  // component computes what one medium per component does, and every
+  // random draw comes from a stream that no queue owns (a node's own, a
+  // backbone AP endpoint's, or a setup draw of the fault injector). So the
+  // result bytes are the same on one queue and on the partitioned kernel,
+  // with and without faults. CENTAUR keeps one queue at any thread count.
+  struct Case {
+    api::Scheme scheme;
+    rop::PollMode poll_mode;
+  };
+  const Case cases[] = {{api::Scheme::kDcf, rop::PollMode::kLegacy},
+                        {api::Scheme::kDomino, rop::PollMode::kLegacy},
+                        {api::Scheme::kDomino, rop::PollMode::kAdaptive},
+                        {api::Scheme::kCentaur, rop::PollMode::kLegacy}};
   for (const auto& t : {two_buildings(2), campus4()}) {
-    const std::string one_queue =
-        run_bytes(t, part_cfg(api::Scheme::kDcf, -1));
-    for (const int threads : {1, 4}) {
-      const auto r =
-          api::run_experiment(t, part_cfg(api::Scheme::kDcf, threads));
-      EXPECT_EQ(r.sim_partitions, t.component_count());
-      EXPECT_EQ(api::serialize_result(r), one_queue)
-          << t.num_nodes() << " nodes at " << threads << " threads";
+    for (const Case c : cases) {
+      for (const bool faults : {false, true}) {
+        SCOPED_TRACE(std::string(api::to_string(c.scheme)) + " " +
+                     rop::to_string(c.poll_mode) + " on " +
+                     std::to_string(t.num_nodes()) + " nodes" +
+                     (faults ? " with faults" : ""));
+        auto cfg = part_cfg(c.scheme, -1);
+        cfg.duration = msec(150);
+        cfg.rop.poll_mode = c.poll_mode;
+        if (faults) {
+          cfg.faults.backbone.drop_rate = 0.05;
+          cfg.faults.backbone.dup_rate = 0.05;
+          cfg.faults.backbone.spike_rate = 0.05;
+          cfg.faults.interference.duty = 0.1;
+          cfg.faults.signature.false_negative_rate = 0.02;
+          cfg.faults.clock.max_skew_ppm = 20.0;
+        }
+        const std::string one_queue = run_bytes(t, cfg);
+        for (const int threads : {1, 4}) {
+          cfg.sim_threads = threads;
+          const auto r = api::run_experiment(t, cfg);
+          EXPECT_EQ(r.sim_partitions, c.scheme == api::Scheme::kCentaur
+                                          ? 1u
+                                          : t.component_count());
+          EXPECT_EQ(api::serialize_result(r), one_queue)
+              << "at " << threads << " threads";
+        }
+      }
     }
   }
 }
 
 TEST(Determinism, AdaptiveWindowsMatchFixedWindowStepping) {
   // DMN_SIM_FIXED_WINDOWS=1 forces the dumb reference schedule: dense
-  // [s, s+L) windows, no fast-forward, no elongation. DCF and DOMINO
-  // interact across queues only by messages (DOMINO's controller learns
-  // queue state only from AP reports over the backbone), so the adaptive
-  // scheduler must produce byte-identical results — delivery order is
-  // encoded in the destination heap key, so window policy is a performance
-  // choice, never a semantic one. CENTAUR's epoch scheduler still reads AP
-  // queues directly at window barriers, so it is not held to this.
+  // [s, s+L) windows, no fast-forward, no elongation. Queues interact only
+  // by messages (DOMINO's controller learns queue state only from AP
+  // reports over the backbone), so the adaptive scheduler must produce
+  // byte-identical results — delivery order is encoded in the destination
+  // heap key, so window policy is a performance choice, never a semantic
+  // one.
   const auto t = campus4();
   struct Case {
     api::Scheme scheme;
@@ -715,118 +750,6 @@ TEST(Kernel, AdaptiveWindowsFastForwardAndElongate) {
   EXPECT_GE(ks.elongated_windows, 3u);
   EXPECT_EQ(ks.activations, 3u);
   EXPECT_EQ(ks.activated_max(), 1u);
-}
-
-// ---- lazily materialised CBR arrivals --------------------------------------
-
-TEST(Kernel, WiredPeekSettlesANodeQueueByTheNodeClock) {
-  // Node 0's queue materialises CBR arrivals (one per 100 us from 0) only
-  // when read. A wired-queue event reads it at 3.0 ms, at the barrier of
-  // the window node 1's event opened at 2.9 ms, before node 0's own dequeue
-  // at 2.95 ms has run. It must see the queue as of node 0's clock (just
-  // before the window), not as of its own: settling to 3.0 ms would fill
-  // the queue past the pending dequeue and drop an arrival that fits.
-  sim::Simulator sim;
-  sim.configure_partitions({0u, 1u}, 2, usec(200), 1);
-  traffic::PacketIdGen ids;
-  traffic::PacketQueue q(30, sim, 0);
-  traffic::CbrArrivals a;
-  a.flow = traffic::Flow{0, 0, 1};
-  a.interval = usec(100);
-  a.ids = &ids;
-  {
-    sim::Simulator::Scope scope(sim, 0);
-    q.add_arrivals(a);
-    sim.post_at(usec(2950), [&] { EXPECT_TRUE(q.pop().has_value()); });
-  }
-  {
-    sim::Simulator::Scope scope(sim, 1);
-    sim.post_at(usec(2900), [] {});
-  }
-  TimeNs node_clock = 0;
-  TimeNs wired_clock = 0;
-  std::size_t seen = 0;
-  {
-    sim::Simulator::Scope scope(sim, sim.wired_queue_index());
-    sim.post_at(usec(3000), [&] {
-      node_clock = sim.now_of_node(0);
-      wired_clock = sim.now();
-      seen = q.size();
-    });
-  }
-  sim.run_until(usec(3050));
-  EXPECT_EQ(wired_clock, usec(3000));
-  EXPECT_EQ(node_clock, usec(2900) - 1);
-  EXPECT_EQ(seen, 29u);  // arrivals at 0, 0.1, ..., 2.8 ms
-  q.settle();
-  EXPECT_EQ(q.size(), 30u);  // 31 arrivals, one dequeue, none dropped
-  EXPECT_EQ(q.dropped(), 0u);
-}
-
-// CENTAUR's epoch scheduler reads AP queue backlogs from the wired queue at
-// window barriers. Bytes of a partitioned saturated-downlink run, pinned
-// against the build whose UDP sources posted one event per packet: AP
-// queues that materialise arrivals by their own clock give the controller
-// the same view.
-constexpr const char* kCentaurCampus4Bytes = R"(
-{"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
-"throughput_bps":2157226.666666667,"mean_delay_us":72802.256240506336,
-"delivered":79},{"flow_id":1,"src":0,"dst":3,"uplink":false,
-"throughput_bps":1611093.3333333335,"mean_delay_us":56841.582898305089,
-"delivered":59},{"flow_id":2,"src":1,"dst":4,"uplink":false,
-"throughput_bps":1884160,"mean_delay_us":69892.033434782614,"delivered":69},
-{"flow_id":3,"src":1,"dst":5,"uplink":false,
-"throughput_bps":1911466.6666666667,"mean_delay_us":60967.850628571425,
-"delivered":70},{"flow_id":4,"src":6,"dst":8,"uplink":false,
-"throughput_bps":1911466.6666666667,"mean_delay_us":66887.791685714285,
-"delivered":70},{"flow_id":5,"src":6,"dst":9,"uplink":false,
-"throughput_bps":1884160,"mean_delay_us":64145.771405797102,"delivered":69},
-{"flow_id":6,"src":7,"dst":10,"uplink":false,
-"throughput_bps":1911466.6666666667,"mean_delay_us":66518.197057142854,
-"delivered":70},{"flow_id":7,"src":7,"dst":11,"uplink":false,
-"throughput_bps":1856853.3333333335,"mean_delay_us":66344.721029411769,
-"delivered":68},{"flow_id":8,"src":12,"dst":14,"uplink":false,
-"throughput_bps":1911466.6666666667,"mean_delay_us":67020.889171428571,
-"delivered":70},{"flow_id":9,"src":12,"dst":15,"uplink":false,
-"throughput_bps":1856853.3333333335,"mean_delay_us":63900.864338235297,
-"delivered":68},{"flow_id":10,"src":13,"dst":16,"uplink":false,
-"throughput_bps":1911466.6666666667,"mean_delay_us":65247.012000000002,
-"delivered":70},{"flow_id":11,"src":13,"dst":17,"uplink":false,
-"throughput_bps":1884160,"mean_delay_us":69002.631898550724,"delivered":69},
-{"flow_id":12,"src":18,"dst":20,"uplink":false,
-"throughput_bps":2020693.3333333335,"mean_delay_us":69085.589027027032,
-"delivered":74},{"flow_id":13,"src":18,"dst":21,"uplink":false,
-"throughput_bps":1747626.6666666667,"mean_delay_us":60289.359562500002,
-"delivered":64},{"flow_id":14,"src":19,"dst":22,"uplink":false,
-"throughput_bps":1911466.6666666667,"mean_delay_us":67515.186228571431,
-"delivered":70},{"flow_id":15,"src":19,"dst":23,"uplink":false,
-"throughput_bps":1856853.3333333335,"mean_delay_us":63365.974823529417,
-"delivered":68}],"aggregate_throughput_bps":30228480,
-"jain_fairness":0.99663707400226398,"mean_delay_us":65801.486301716344,
-"ack_timeouts":0,"mac_drops":19133,"census_hidden":0,"census_exposed":16,
-"census_total":112,"domino_self_starts":0,"domino_missed_rows":0,
-"domino_rows_executed":0,"domino_untriggerable":0,"domino_batches":0,
-"domino_retry_drops":0,"domino_anchor_rejections":0,
-"domino_forced_trigger_losses":0,"domino_controller_outage_skips":0,
-"recovery_slots":[],"ap_health":[],"fault_backbone_drops":0,
-"fault_backbone_dups":0,"fault_backbone_spikes":0,
-"fault_interference_bursts":0,"fault_controller_outage_skips":0,
-"fault_forced_trigger_losses":0,"fault_forced_false_positives":0,
-"lifecycle_epochs":0,"lifecycle_rss_updates":0,"lifecycle_joins":0,
-"lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
-"lifecycle_join_rejections":0})";
-
-TEST(Determinism, PartitionedCentaurPeeksOfLazyQueuesArePinned) {
-  api::ExperimentConfig cfg;
-  cfg.scheme = api::Scheme::kCentaur;
-  cfg.duration = msec(150);
-  cfg.traffic.saturate_downlink = true;
-  cfg.sim_threads = 2;
-  const auto r = api::run_experiment(campus4(), cfg);
-  EXPECT_EQ(r.sim_partitions, 4u);
-  std::string want(kCentaurCampus4Bytes);
-  want.erase(std::remove(want.begin(), want.end(), '\n'), want.end());
-  EXPECT_EQ(api::serialize_result(r), want);
 }
 
 TEST(Kernel, ReconfigureBeforeSchedulingTakesEffect) {

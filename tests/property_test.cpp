@@ -193,11 +193,84 @@ void mutate_randomly(topo::Topology& t, Rng& rng) {
   }
 }
 
+/// True when the plain linear compare (ratio >= th_lin) and the dB compare
+/// decide `ratio` differently. Such ratios lie a few ulps from th_lin, deep
+/// inside the banded decision's 1e-9 band, where only its dB fallback
+/// matches the reference; some thresholds have none (the default 10 dB
+/// data rule, 7 dB ACK rule and 7 dB census among them).
+bool compares_split(double ratio, double th_db) {
+  return (ratio >= db_to_ratio(th_db)) != (ratio_to_db(ratio) >= th_db);
+}
+
+bool has_split_ratios(double th_db) {
+  double r = db_to_ratio(th_db);
+  for (int i = 0; i < 64; ++i) r = std::nextafter(r, 0.0);
+  for (int i = 0; i < 128; ++i, r = std::nextafter(r, 1e300)) {
+    if (compares_split(r, th_db)) return true;
+  }
+  return false;
+}
+
+/// Plants one data-rule term on a split ratio: link a's signal sits 0.1 dB
+/// above the threshold over noise, so the interferer level that meets the
+/// threshold lies ~16 dB under the noise floor, where one ulp of it moves
+/// the ratio by less than one ulp; walking it across the threshold visits
+/// every ratio there. The pair's three other data-rule terms are made to
+/// clear (b's receiver goes silent at a's receiver, a's endpoints at b's
+/// receiver, and b's own SNR keeps a 1 dB margin), so that one term decides
+/// the pair's data verdict.
+/// Returns false (with the topology restored) when no pair can take it
+/// while `keeps` holds.
+template <typename Keeps>
+bool plant_split_ratio(topo::Topology& t, const std::vector<topo::Link>& links,
+                       Keeps keeps) {
+  const double th = default_rules(t).data_th;
+  const double noise_dbm = t.thresholds().noise_floor_dbm;
+  const double noise_mw = dbm_to_mw(noise_dbm);
+  const double sig = noise_dbm + th + 0.1;
+  const double sig_mw = dbm_to_mw(sig);
+  for (const topo::Link& a : links) {
+    for (const topo::Link& b : links) {
+      if (ref_share_node(a, b) ||
+          t.rss(b.sender, b.receiver) < noise_dbm + th + 1.0) {
+        continue;
+      }
+      double intf = mw_to_dbm(sig_mw / db_to_ratio(th) - noise_mw);
+      for (int i = 0; i < 512; ++i) intf = std::nextafter(intf, -1e300);
+      for (int i = 0; i < 1024; ++i, intf = std::nextafter(intf, 0.0)) {
+        if (!compares_split(sig_mw / (noise_mw + dbm_to_mw(intf)), th)) {
+          continue;
+        }
+        const std::pair<topo::NodeId, topo::NodeId> pairs[] = {
+            {a.sender, a.receiver},   {b.sender, a.receiver},
+            {b.receiver, a.receiver}, {a.sender, b.receiver},
+            {a.receiver, b.receiver}};
+        const double levels[] = {sig, intf, topo::kRssFaint, topo::kRssFaint,
+                                 topo::kRssFaint};
+        double old[5];
+        for (int k = 0; k < 5; ++k) {
+          old[k] = t.rss(pairs[k].first, pairs[k].second);
+          t.update_rss(pairs[k].first, pairs[k].second, levels[k]);
+        }
+        if (keeps()) return true;
+        for (int k = 4; k >= 0; --k) {
+          t.update_rss(pairs[k].first, pairs[k].second, old[k]);
+        }
+        break;  // one split level per pair is enough to try
+      }
+    }
+  }
+  return false;
+}
+
 /// Random RSS updates, then one interference value per (rule, side) moved
 /// onto that rule's threshold to within rounding, so a rule whose threshold
 /// is off by 1e-9 dB in either direction flips a verdict. A boundary case is
 /// kept only if the reference sees every case placed so far, so the seeded
-/// topology provably has that sharpness.
+/// topology provably has that sharpness. When the data rule's threshold has
+/// split ratios (compares_split), one data-rule term is also planted on
+/// one, so a build whose banded decision answers linearly in-band differs
+/// from the reference.
 void mutate_with_boundary_cases(topo::Topology& t, Rng& rng) {
   mutate_randomly(t, rng);
 
@@ -249,6 +322,10 @@ void mutate_with_boundary_cases(topo::Topology& t, Rng& rng) {
       ASSERT_TRUE(placed) << "no boundary case for a threshold "
                           << (above ? "+" : "-") << "1e-9 dB";
     }
+  }
+  if (has_split_ratios(base.data_th)) {
+    ASSERT_TRUE(plant_split_ratio(t, links, all_sharp))
+        << "no pair takes a split data-rule ratio";
   }
 }
 
@@ -345,7 +422,13 @@ TEST_P(ConflictGraphProperty, MatchesDbDomainReference) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 53 + 11);
   const auto trace = topo::synthesize_trace({}, rng);
   auto tmn = topo::Topology::build_tmn(trace.rss, 6, 2, {}, rng);
-  auto rnd = topo::Topology::random_network(6, 3, 400.0, {}, {}, rng);
+  // A 6 dB data threshold puts the data rule at 9 dB, which has split
+  // ratios (compares_split), so this draw pins the banded decision's
+  // in-band dB fallback.
+  topo::PhyThresholds split_th;
+  split_th.sinr_data_db = 6.0;
+  ASSERT_TRUE(has_split_ratios(split_th.sinr_data_db + 3.0));
+  auto rnd = topo::Topology::random_network(6, 3, 400.0, {}, split_th, rng);
   auto floor = topo::make_floorplan_topology({}, 4, 3, {}, rng);
   for (auto& [name, t] : {std::pair<const char*, topo::Topology*>{"tmn", &tmn},
                           {"random", &rnd},

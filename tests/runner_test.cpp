@@ -370,31 +370,24 @@ TEST(Runner, PointHashDistinguishesSeedAndTopology) {
   EXPECT_EQ(hash_point(points[0]), hash_point(same));
 }
 
-TEST(Runner, PointHashFollowsTheKernelTaken) {
-  // DMN_SIM_THREADS counts only where it changes the kernel. A path-loss
-  // floor plan is one coupling component at any building gap, so it keeps
-  // one queue and hashes alike whatever the variable says: its checkpoints
-  // resume across it. Two radio-isolated buildings do partition when asked,
-  // and hash as a distinct point then.
+TEST(Runner, PointHashIgnoresTheKernel) {
+  // Results are the same bytes on one queue and partitioned, so the kernel
+  // is no part of a point: two radio-isolated buildings, which partition
+  // when DMN_SIM_THREADS asks, hash alike with it unset and set, and their
+  // checkpoints resume across it.
   const char* saved = std::getenv("DMN_SIM_THREADS");
   const std::string saved_value = saved != nullptr ? saved : "";
-  topo::TraceParams params;
-  params.building_gap = 500.0;
-  Rng rng(11);
-  const auto plan = topo::make_floorplan_topology(params, 4, 2, {}, rng);
   topo::ManualTopologyBuilder b;
   b.add_client(b.add_ap());
   b.add_client(b.add_ap());
   const auto buildings = b.build();
-  const SweepPoint on_plan = seed_sweep(plan, base_config(), 1, 1)[0];
+  ASSERT_EQ(buildings.component_count(), 2u);
   const SweepPoint split = seed_sweep(buildings, base_config(), 1, 1)[0];
 
   ::unsetenv("DMN_SIM_THREADS");
-  const std::uint64_t plan_unset = hash_point(on_plan);
   const std::uint64_t split_unset = hash_point(split);
   ::setenv("DMN_SIM_THREADS", "4", 1);
-  EXPECT_EQ(hash_point(on_plan), plan_unset);
-  EXPECT_NE(hash_point(split), split_unset);
+  EXPECT_EQ(hash_point(split), split_unset);
 
   if (saved != nullptr) {
     ::setenv("DMN_SIM_THREADS", saved_value.c_str(), 1);
@@ -411,15 +404,14 @@ TEST(Runner, PointHashIsPinnedForEveryScheme) {
     Scheme scheme;
     std::uint64_t hash;
   } pins[] = {
-      {Scheme::kDcf, 0xab86b45855c1bdbaull},
-      {Scheme::kCentaur, 0xd73ddd7bc0b147edull},
-      {Scheme::kDomino, 0x9db4db77e79c9040ull},
-      {Scheme::kOmniscient, 0x185eda067d177617ull},
+      {Scheme::kDcf, 0xdc41f4fe11af2a7aull},
+      {Scheme::kCentaur, 0x552c4da8d4d07c4dull},
+      {Scheme::kDomino, 0x19a3d9876c590840ull},
+      {Scheme::kOmniscient, 0xb8f30e4acb676937ull},
   };
   for (const auto& pin : pins) {
     ExperimentConfig cfg = base_config();
     cfg.scheme = pin.scheme;
-    cfg.sim_threads = -1;
     const SweepPoint point = seed_sweep(two_cells(), cfg, 1, 1)[0];
     EXPECT_EQ(hash_point(point), pin.hash) << to_string(pin.scheme);
   }
@@ -430,13 +422,13 @@ TEST(Runner, PointHashSeesEveryKnob) {
   // settable ExperimentConfig value that can change a result feeds
   // hash_point: perturbing any one of them moves the hash. The passive
   // recorders and the thread count never change a result, so checkpoints
-  // resume across them. The two buildings partition at any thread count,
-  // which makes the thread-count case a real one.
+  // resume across them. The two buildings keep one queue in the base point
+  // and partition in the thread-count case, which makes it a real one.
   topo::ManualTopologyBuilder b;
   b.add_client(b.add_ap());
   b.add_client(b.add_ap());
   ExperimentConfig base = base_config();
-  base.sim_threads = 1;
+  base.sim_threads = -1;
   const SweepPoint point = seed_sweep(b.build(), base, 1, 1)[0];
   const std::uint64_t base_hash = hash_point(point);
 

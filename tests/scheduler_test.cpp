@@ -953,7 +953,7 @@ TEST(Centaur, BatchBarrierWaitsForSlowestAp) {
   }
   const auto dl = topo.make_links(true, false);
   auto graph = topo::ConflictGraph::build(topo, dl);
-  wired::Backbone backbone(sim, {}, Rng(77));
+  wired::Backbone backbone(sim, {}, topo.aps(), Rng(77));
   centaur::CentaurController ctrl(sim, backbone, graph, aps);
 
   traffic::PacketId next = 0;
@@ -1000,7 +1000,7 @@ TEST(Centaur, ApsHeldUntilRelease) {
                   });
   const auto dl = topo.make_links(true, false);
   auto graph = topo::ConflictGraph::build(topo, dl);
-  wired::Backbone backbone(sim, {}, Rng(3));
+  wired::Backbone backbone(sim, {}, topo.aps(), Rng(3));
   std::map<topo::NodeId, mac::DcfNode*> aps{{ap, &apn}};
   centaur::CentaurController ctrl(sim, backbone, graph, aps);
   // Not started: the controller's constructor gates the AP.

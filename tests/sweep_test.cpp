@@ -149,8 +149,9 @@ TEST(SweepRunner, ProgressCallbackCoversAllPoints) {
 // Serialized results of three fixed points, captured before the codec was
 // rebuilt on the field tables: the format is byte-for-byte the same. The
 // DOMINO bytes were re-taken when the controller began to learn downlink
-// backlog only from batch-tagged AP reports. Line breaks are for width only
-// and are stripped before comparing.
+// backlog only from batch-tagged AP reports, and again when the backbone
+// began to draw from one stream per AP endpoint. Line breaks are for width
+// only and are stripped before comparing.
 constexpr const char* kStaticDcfBytes = R"(
 {"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
 "throughput_bps":4423680,"mean_delay_us":43504.671037037035,
@@ -172,25 +173,24 @@ constexpr const char* kStaticDcfBytes = R"(
 "lifecycle_join_rejections":0})";
 
 constexpr const char* kDominoFaultsBytes = R"(
-{"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
-"throughput_bps":6198613.333333334,"mean_delay_us":47521.80430396476,
-"delivered":227},{"flow_id":1,"src":1,"dst":3,"uplink":false,
-"throughput_bps":6690133.333333334,"mean_delay_us":46257.670159183675,
-"delivered":245}],"aggregate_throughput_bps":12888746.666666668,
-"jain_fairness":0.99854778851497927,"mean_delay_us":46865.632978813555,
-"ack_timeouts":101,"mac_drops":0,"census_hidden":0,"census_exposed":1,
-"census_total":1,"domino_self_starts":5,"domino_missed_rows":0,
-"domino_rows_executed":576,"domino_untriggerable":0,"domino_batches":32,
-"domino_retry_drops":0,"domino_anchor_rejections":0,
+{"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,"throughput_bps":6307840,
+"mean_delay_us":49226.870419913415,"delivered":231},{"flow_id":1,"src":1,
+"dst":3,"uplink":false,"throughput_bps":6717440,
+"mean_delay_us":46354.783243902435,"delivered":246}],
+"aggregate_throughput_bps":13025280,"jain_fairness":0.99901209199399355,
+"mean_delay_us":47745.668228511524,"ack_timeouts":102,"mac_drops":0,
+"census_hidden":0,"census_exposed":1,"census_total":1,"domino_self_starts":5,
+"domino_missed_rows":0,"domino_rows_executed":581,"domino_untriggerable":0,
+"domino_batches":32,"domino_retry_drops":0,"domino_anchor_rejections":4,
 "domino_forced_trigger_losses":7,"domino_controller_outage_skips":0,
 "recovery_slots":[0.019202048218476639,0.019202048218476639,
 0.019202048218476639,0.019202048218476639,0.019202048218476639,
 0.019202048218476639,0.019202048218476639],"ap_health":[{"ap":0,
-"self_starts":3,"missed_rows":0,"ack_timeouts":50,"retry_drops":0,
-"anchor_rejections":0,"forced_trigger_losses":2,"recovery_samples":2},{"ap":1,
-"self_starts":2,"missed_rows":0,"ack_timeouts":51,"retry_drops":0,
+"self_starts":4,"missed_rows":0,"ack_timeouts":49,"retry_drops":0,
+"anchor_rejections":4,"forced_trigger_losses":2,"recovery_samples":2},{"ap":1,
+"self_starts":1,"missed_rows":0,"ack_timeouts":53,"retry_drops":0,
 "anchor_rejections":0,"forced_trigger_losses":5,"recovery_samples":5}],
-"fault_backbone_drops":10,"fault_backbone_dups":0,"fault_backbone_spikes":0,
+"fault_backbone_drops":5,"fault_backbone_dups":0,"fault_backbone_spikes":0,
 "fault_interference_bursts":30,"fault_controller_outage_skips":0,
 "fault_forced_trigger_losses":7,"fault_forced_false_positives":0,
 "lifecycle_epochs":0,"lifecycle_rss_updates":0,"lifecycle_joins":0,
@@ -247,7 +247,6 @@ void expect_pinned(const std::string& bytes, const char* wrapped) {
 
 TEST(ResultCodec, PinnedBytesStaticDcf) {
   ExperimentConfig cfg;
-  cfg.sim_threads = -1;  // classic-kernel bytes, whatever DMN_SIM_THREADS
   cfg.duration = msec(100);
   cfg.traffic.saturate_downlink = true;
   cfg.seed = 3;
@@ -256,7 +255,6 @@ TEST(ResultCodec, PinnedBytesStaticDcf) {
 
 TEST(ResultCodec, PinnedBytesDominoWithFaults) {
   ExperimentConfig cfg;
-  cfg.sim_threads = -1;  // classic-kernel bytes, whatever DMN_SIM_THREADS
   cfg.scheme = Scheme::kDomino;
   cfg.duration = msec(150);
   cfg.traffic.saturate_downlink = true;
@@ -271,7 +269,6 @@ TEST(ResultCodec, PinnedBytesChurn) {
   Rng rng(11);
   const auto t = topo::make_floorplan_topology({}, 2, 2, {}, rng);
   ExperimentConfig cfg;
-  cfg.sim_threads = -1;  // classic-kernel bytes, whatever DMN_SIM_THREADS
   cfg.duration = msec(200);
   cfg.traffic.downlink_bps = 5e6;
   cfg.traffic.uplink_bps = 1e6;
@@ -285,16 +282,16 @@ TEST(ResultCodec, PinnedBytesChurn) {
 
 constexpr const char* kCampusDcfBytes = R"(
 {"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
-"throughput_bps":3618133.3333333335,"mean_delay_us":55481.140396226416,
-"delivered":106},{"flow_id":1,"src":1,"dst":3,"uplink":false,
-"throughput_bps":3754666.666666667,"mean_delay_us":53043.828272727274,
-"delivered":110},{"flow_id":2,"src":4,"dst":6,"uplink":false,
-"throughput_bps":3788800,"mean_delay_us":56145.284315315315,
-"delivered":111},{"flow_id":3,"src":5,"dst":7,"uplink":false,
-"throughput_bps":3584000,"mean_delay_us":51976.479314285716,
-"delivered":105}],"aggregate_throughput_bps":14745600,
-"jain_fairness":0.99944304014395258,"mean_delay_us":54179.34925694445,
-"ack_timeouts":45,"mac_drops":3368,"census_hidden":0,"census_exposed":2,
+"throughput_bps":3447466.666666667,"mean_delay_us":56609.041712871294,
+"delivered":101},{"flow_id":1,"src":1,"dst":3,"uplink":false,
+"throughput_bps":3891200,"mean_delay_us":51803.483368421053,"delivered":114},
+{"flow_id":2,"src":4,"dst":6,"uplink":false,"throughput_bps":3686400,
+"mean_delay_us":55696.189388888888,"delivered":108},{"flow_id":3,"src":5,
+"dst":7,"uplink":false,"throughput_bps":3720533.3333333335,
+"mean_delay_us":51990.951137614684,"delivered":109}],
+"aggregate_throughput_bps":14745600.000000002,
+"jain_fairness":0.99816011296050677,"mean_delay_us":53947.482511574075,
+"ack_timeouts":46,"mac_drops":3370,"census_hidden":0,"census_exposed":2,
 "census_total":6,"domino_self_starts":0,"domino_missed_rows":0,
 "domino_rows_executed":0,"domino_untriggerable":0,"domino_batches":0,
 "domino_retry_drops":0,"domino_anchor_rejections":0,
@@ -309,35 +306,35 @@ constexpr const char* kCampusDcfBytes = R"(
 
 constexpr const char* kCampusDominoBytes = R"(
 {"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
-"throughput_bps":6109866.666666667,"mean_delay_us":46783.212899441336,
-"delivered":179},{"flow_id":1,"src":1,"dst":3,"uplink":false,
-"throughput_bps":6826666.666666667,"mean_delay_us":41480.04406,
-"delivered":200},{"flow_id":2,"src":4,"dst":6,"uplink":false,
-"throughput_bps":6860800,"mean_delay_us":41612.108084577114,"delivered":201},
-{"flow_id":3,"src":5,"dst":7,"uplink":false,
-"throughput_bps":6382933.333333334,"mean_delay_us":42870.630534759359,
-"delivered":187}],"aggregate_throughput_bps":26180266.666666672,
-"jain_fairness":0.99770200324263492,"mean_delay_us":43091.324062581487,
-"ack_timeouts":174,"mac_drops":0,"census_hidden":0,"census_exposed":2,
-"census_total":6,"domino_self_starts":8,"domino_missed_rows":0,
-"domino_rows_executed":947,"domino_untriggerable":0,"domino_batches":26,
-"domino_retry_drops":0,"domino_anchor_rejections":6,
-"domino_forced_trigger_losses":10,"domino_controller_outage_skips":0,
+"throughput_bps":6417066.666666667,"mean_delay_us":41791.062680851064,
+"delivered":188},{"flow_id":1,"src":1,"dst":3,"uplink":false,
+"throughput_bps":5870933.333333334,"mean_delay_us":44262.044116279074,
+"delivered":172},{"flow_id":2,"src":4,"dst":6,"uplink":false,
+"throughput_bps":6621866.666666667,"mean_delay_us":43102.970010309276,
+"delivered":194},{"flow_id":3,"src":5,"dst":7,"uplink":false,
+"throughput_bps":6007466.666666667,"mean_delay_us":41675.702863636368,
+"delivered":176}],"aggregate_throughput_bps":24917333.333333336,
+"jain_fairness":0.99764115620787774,"mean_delay_us":42694.097613698628,
+"ack_timeouts":165,"mac_drops":0,"census_hidden":0,"census_exposed":2,
+"census_total":6,"domino_self_starts":11,"domino_missed_rows":0,
+"domino_rows_executed":900,"domino_untriggerable":0,"domino_batches":26,
+"domino_retry_drops":0,"domino_anchor_rejections":2,
+"domino_forced_trigger_losses":9,"domino_controller_outage_skips":0,
 "recovery_slots":[0.019202048218476639,0.019202048218476639,
 0.019202048218476639,0.019202048218476639,0.019202048218476639,
 0.019202048218476639,0.019202048218476639,0.019202048218476639,
-0.019202048218476639,0.019202048218476639],"ap_health":[{"ap":0,
-"self_starts":4,"missed_rows":0,"ack_timeouts":39,"retry_drops":0,
-"anchor_rejections":4,"forced_trigger_losses":2,"recovery_samples":2},{"ap":1,
-"self_starts":1,"missed_rows":0,"ack_timeouts":46,"retry_drops":0,
-"anchor_rejections":0,"forced_trigger_losses":3,"recovery_samples":3},{"ap":4,
-"self_starts":1,"missed_rows":0,"ack_timeouts":45,"retry_drops":0,
-"anchor_rejections":0,"forced_trigger_losses":3,"recovery_samples":3},{"ap":5,
-"self_starts":2,"missed_rows":0,"ack_timeouts":44,"retry_drops":0,
-"anchor_rejections":2,"forced_trigger_losses":2,"recovery_samples":2}],
-"fault_backbone_drops":12,"fault_backbone_dups":6,"fault_backbone_spikes":12,
+0.019202048218476639],"ap_health":[{"ap":0,"self_starts":2,"missed_rows":0,
+"ack_timeouts":44,"retry_drops":0,"anchor_rejections":0,
+"forced_trigger_losses":2,"recovery_samples":2},{"ap":1,"self_starts":4,
+"missed_rows":0,"ack_timeouts":40,"retry_drops":0,"anchor_rejections":2,
+"forced_trigger_losses":2,"recovery_samples":2},{"ap":4,"self_starts":2,
+"missed_rows":0,"ack_timeouts":42,"retry_drops":0,"anchor_rejections":0,
+"forced_trigger_losses":3,"recovery_samples":3},{"ap":5,"self_starts":3,
+"missed_rows":0,"ack_timeouts":39,"retry_drops":0,"anchor_rejections":0,
+"forced_trigger_losses":2,"recovery_samples":2}],"fault_backbone_drops":12,
+"fault_backbone_dups":11,"fault_backbone_spikes":13,
 "fault_interference_bursts":24,"fault_controller_outage_skips":0,
-"fault_forced_trigger_losses":10,"fault_forced_false_positives":0,
+"fault_forced_trigger_losses":9,"fault_forced_false_positives":0,
 "lifecycle_epochs":0,"lifecycle_rss_updates":0,"lifecycle_joins":0,
 "lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
 "lifecycle_join_rejections":0})";
@@ -357,18 +354,19 @@ topo::Topology two_building_campus() {
 }
 
 // Partitioned campus bytes pinned against an earlier build, at 1 and 4
-// threads. Backbone drop/dup/spike and signature false negatives draw from
-// the per-queue RNG lanes, the interference burst phase from the root
-// stream, and every check lands on its queue's auditor: moving the lane
-// forking order, the phase draw or the per-queue auditor wiring changes
-// the bytes or the audit check count.
+// threads. Backbone drop/dup/spike draw from the streams of the message's
+// AP endpoint, signature false negatives from the node's own stream, the
+// interference burst phase from the fault injector's root, and every check
+// lands on its queue's auditor: moving the stream forking order, the phase
+// draw or the per-queue auditor wiring changes the bytes or the audit
+// check count.
 TEST(ResultCodec, PinnedBytesPartitionedCampusWithFaultsAndAudit) {
   const struct {
     Scheme scheme;
     const char* bytes;
     std::uint64_t checks_run;
-  } cases[] = {{Scheme::kDcf, kCampusDcfBytes, 6552},
-               {Scheme::kDomino, kCampusDominoBytes, 12764}};
+  } cases[] = {{Scheme::kDcf, kCampusDcfBytes, 6551},
+               {Scheme::kDomino, kCampusDominoBytes, 12406}};
   const auto t = two_building_campus();
   for (const auto& c : cases) {
     for (int threads : {1, 4}) {
@@ -398,111 +396,112 @@ TEST(ResultCodec, PinnedBytesPartitionedCampusWithFaultsAndAudit) {
 
 // Serialized DOMINO results of the poll paths the per-AP slot table
 // replaced, captured from the build before it and re-taken when the
-// controller moved to batch-tagged AP reports: the single-symbol legacy
+// controller moved to batch-tagged AP reports and when the backbone began
+// to draw from one stream per AP endpoint: the single-symbol legacy
 // path (static, and under churn and roaming) and the static multi-symbol
 // rosters of a 26-client cell split over two poll symbols.
 constexpr const char* kLegacyStaticBytes = R"(
 {"links":[{"flow_id":0,"src":0,"dst":2,"uplink":false,
-"throughput_bps":436906.66666666669,"mean_delay_us":16685.491000000002,
+"throughput_bps":436906.66666666669,"mean_delay_us":16413.616999999998,
 "delivered":16},{"flow_id":1,"src":2,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":49911.923999999999,
+"throughput_bps":354986.66666666669,"mean_delay_us":49985.907692307694,
 "delivered":13},{"flow_id":2,"src":0,"dst":3,"uplink":false,
-"throughput_bps":354986.66666666669,"mean_delay_us":60623.203384615386,
+"throughput_bps":354986.66666666669,"mean_delay_us":60697.187076923081,
 "delivered":13},{"flow_id":3,"src":3,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":50788.263615384618,
+"throughput_bps":354986.66666666669,"mean_delay_us":50862.247307692305,
 "delivered":13},{"flow_id":4,"src":0,"dst":4,"uplink":false,
-"throughput_bps":327680,"mean_delay_us":45559.735999999997,"delivered":12},
-{"flow_id":5,"src":4,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":52008.854692307694,
+"throughput_bps":300373.33333333337,"mean_delay_us":45439.936999999998,
+"delivered":11},{"flow_id":5,"src":4,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":52046.784538461536,
 "delivered":13},{"flow_id":6,"src":0,"dst":5,"uplink":false,
-"throughput_bps":273066.66666666669,"mean_delay_us":50842.813999999998,
-"delivered":10},{"flow_id":7,"src":5,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":53200.596230769232,
+"throughput_bps":300373.33333333337,"mean_delay_us":49563.671818181821,
+"delivered":11},{"flow_id":7,"src":5,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":53322.095307692303,
 "delivered":13},{"flow_id":8,"src":0,"dst":6,"uplink":false,
-"throughput_bps":354986.66666666669,"mean_delay_us":68026.894,"delivered":13},
-{"flow_id":9,"src":6,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":53474.317846153848,
+"throughput_bps":354986.66666666669,"mean_delay_us":68184.446923076932,
+"delivered":13},{"flow_id":9,"src":6,"dst":0,"uplink":true,
+"throughput_bps":354986.66666666669,"mean_delay_us":53631.870769230765,
 "delivered":13},{"flow_id":10,"src":0,"dst":7,"uplink":false,
-"throughput_bps":354986.66666666669,"mean_delay_us":71588.140538461535,
+"throughput_bps":354986.66666666669,"mean_delay_us":71734.231923076921,
 "delivered":13},{"flow_id":11,"src":7,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":55679.546000000002,
+"throughput_bps":354986.66666666669,"mean_delay_us":55825.637384615387,
 "delivered":13},{"flow_id":12,"src":0,"dst":8,"uplink":false,
-"throughput_bps":327680,"mean_delay_us":53000.144999999997,"delivered":12},
+"throughput_bps":327680,"mean_delay_us":53131.612666666668,"delivered":12},
 {"flow_id":13,"src":8,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":55804.464615384619,
+"throughput_bps":354986.66666666669,"mean_delay_us":55950.555999999997,
 "delivered":13},{"flow_id":14,"src":0,"dst":9,"uplink":false,
-"throughput_bps":354986.66666666669,"mean_delay_us":71390.233076923076,
+"throughput_bps":354986.66666666669,"mean_delay_us":71536.324461538461,
 "delivered":13},{"flow_id":15,"src":9,"dst":0,"uplink":true,
-"throughput_bps":354986.66666666669,"mean_delay_us":57129.606692307694,
-"delivered":13},{"flow_id":16,"src":0,"dst":10,"uplink":false,
-"throughput_bps":327680,"mean_delay_us":66123.437999999995,"delivered":12},
-{"flow_id":17,"src":10,"dst":0,"uplink":true,"throughput_bps":327680,
-"mean_delay_us":54524.470999999998,"delivered":12},{"flow_id":18,"src":0,
+"throughput_bps":327680,"mean_delay_us":53667.491666666661,"delivered":12},
+{"flow_id":16,"src":0,"dst":10,"uplink":false,"throughput_bps":327680,
+"mean_delay_us":69229.155666666673,"delivered":12},{"flow_id":17,"src":10,
+"dst":0,"uplink":true,"throughput_bps":327680,
+"mean_delay_us":54643.521999999997,"delivered":12},{"flow_id":18,"src":0,
 "dst":11,"uplink":false,"throughput_bps":327680,
-"mean_delay_us":64826.272333333334,"delivered":12},{"flow_id":19,"src":11,
+"mean_delay_us":64019.073333333334,"delivered":12},{"flow_id":19,"src":11,
 "dst":0,"uplink":true,"throughput_bps":327680,
-"mean_delay_us":55384.688333333339,"delivered":12},{"flow_id":20,"src":0,
+"mean_delay_us":55516.156000000003,"delivered":12},{"flow_id":20,"src":0,
 "dst":12,"uplink":false,"throughput_bps":327680,
-"mean_delay_us":70050.837666666674,"delivered":12},{"flow_id":21,"src":12,
+"mean_delay_us":70169.888666666666,"delivered":12},{"flow_id":21,"src":12,
 "dst":0,"uplink":true,"throughput_bps":327680,
-"mean_delay_us":56095.720333333338,"delivered":12},{"flow_id":22,"src":0,
+"mean_delay_us":56214.771333333338,"delivered":12},{"flow_id":22,"src":0,
 "dst":13,"uplink":false,"throughput_bps":327680,
-"mean_delay_us":68163.482666666678,"delivered":12},{"flow_id":23,"src":13,
+"mean_delay_us":68243.475333333336,"delivered":12},{"flow_id":23,"src":13,
 "dst":0,"uplink":true,"throughput_bps":327680,
-"mean_delay_us":57186.042666666661,"delivered":12},{"flow_id":24,"src":1,
+"mean_delay_us":57266.035333333333,"delivered":12},{"flow_id":24,"src":1,
 "dst":14,"uplink":false,"throughput_bps":273066.66666666669,
-"mean_delay_us":11915.6,"delivered":10},{"flow_id":25,"src":14,"dst":1,
-"uplink":true,"throughput_bps":382293.33333333337,
-"mean_delay_us":52698.474999999999,"delivered":14},{"flow_id":26,"src":1,
-"dst":15,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":63626.107615384615,"delivered":13},{"flow_id":27,"src":15,
+"mean_delay_us":12345.494000000001,"delivered":10},{"flow_id":25,"src":14,
+"dst":1,"uplink":true,"throughput_bps":382293.33333333337,
+"mean_delay_us":52489.497571428576,"delivered":14},{"flow_id":26,"src":1,
+"dst":15,"uplink":false,"throughput_bps":382293.33333333337,
+"mean_delay_us":66771.717000000004,"delivered":14},{"flow_id":27,"src":15,
+"dst":1,"uplink":true,"throughput_bps":382293.33333333337,
+"mean_delay_us":53995.587142857141,"delivered":14},{"flow_id":28,"src":1,
+"dst":16,"uplink":false,"throughput_bps":382293.33333333337,
+"mean_delay_us":73191.93971428572,"delivered":14},{"flow_id":29,"src":16,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":50878.928307692302,"delivered":13},{"flow_id":28,"src":1,
-"dst":16,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":69355.313846153847,"delivered":13},{"flow_id":29,"src":16,
-"dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":51692.950461538465,"delivered":13},{"flow_id":30,"src":1,
+"mean_delay_us":51565.221384615383,"delivered":13},{"flow_id":30,"src":1,
 "dst":17,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":56553.177461538464,"delivered":13},{"flow_id":31,"src":17,
+"mean_delay_us":57685.756076923077,"delivered":13},{"flow_id":31,"src":17,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":52644.620538461539,"delivered":13},{"flow_id":32,"src":1,
-"dst":18,"uplink":false,"throughput_bps":273066.66666666669,
-"mean_delay_us":49867.940000000002,"delivered":10},{"flow_id":33,"src":18,
+"mean_delay_us":52528.353000000003,"delivered":13},{"flow_id":32,"src":1,
+"dst":18,"uplink":false,"throughput_bps":245760,
+"mean_delay_us":51489.64844444445,"delivered":9},{"flow_id":33,"src":18,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":53615.569615384615,"delivered":13},{"flow_id":34,"src":1,
-"dst":19,"uplink":false,"throughput_bps":300373.33333333337,
-"mean_delay_us":55887.899454545455,"delivered":11},{"flow_id":35,"src":19,
+"mean_delay_us":53451.786692307694,"delivered":13},{"flow_id":34,"src":1,
+"dst":19,"uplink":false,"throughput_bps":354986.66666666669,
+"mean_delay_us":57245.455692307696,"delivered":13},{"flow_id":35,"src":19,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":54478.788307692303,"delivered":13},{"flow_id":36,"src":1,
+"mean_delay_us":54410.036153846151,"delivered":13},{"flow_id":36,"src":1,
 "dst":20,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":69839.690230769236,"delivered":13},{"flow_id":37,"src":20,
+"mean_delay_us":69759.476538461531,"delivered":13},{"flow_id":37,"src":20,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":54673.47592307692,"delivered":13},{"flow_id":38,"src":1,
+"mean_delay_us":54593.262230769229,"delivered":13},{"flow_id":38,"src":1,
 "dst":21,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":65717.007923076919,"delivered":13},{"flow_id":39,"src":21,
+"mean_delay_us":65558.024999999994,"delivered":13},{"flow_id":39,"src":21,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":55621.192000000003,"delivered":13},{"flow_id":40,"src":1,
+"mean_delay_us":55540.978307692305,"delivered":13},{"flow_id":40,"src":1,
 "dst":22,"uplink":false,"throughput_bps":273066.66666666669,
-"mean_delay_us":56284.597000000002,"delivered":10},{"flow_id":41,"src":22,
+"mean_delay_us":56276.491000000002,"delivered":10},{"flow_id":41,"src":22,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":56643.767076923083,"delivered":13},{"flow_id":42,"src":1,
-"dst":23,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":55103.098153846149,"delivered":13},{"flow_id":43,"src":23,
+"mean_delay_us":56588.145692307698,"delivered":13},{"flow_id":42,"src":1,
+"dst":23,"uplink":false,"throughput_bps":300373.33333333337,
+"mean_delay_us":54305.546000000002,"delivered":11},{"flow_id":43,"src":23,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":57628.37423076923,"delivered":13},{"flow_id":44,"src":1,
+"mean_delay_us":57500.645153846155,"delivered":13},{"flow_id":44,"src":1,
 "dst":24,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":74021.427538461532,"delivered":13},{"flow_id":45,"src":24,
+"mean_delay_us":73905.160000000003,"delivered":13},{"flow_id":45,"src":24,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":58823.748153846151,"delivered":13},{"flow_id":46,"src":1,
-"dst":25,"uplink":false,"throughput_bps":354986.66666666669,
-"mean_delay_us":55208.14246153846,"delivered":13},{"flow_id":47,"src":25,
+"mean_delay_us":58671.426769230769,"delivered":13},{"flow_id":46,"src":1,
+"dst":25,"uplink":false,"throughput_bps":300373.33333333337,
+"mean_delay_us":58094.270727272728,"delivered":11},{"flow_id":47,"src":25,
 "dst":1,"uplink":true,"throughput_bps":354986.66666666669,
-"mean_delay_us":60102.578230769235,"delivered":13}],
-"aggregate_throughput_bps":16493226.666666655,
-"jain_fairness":0.99324795260498144,"mean_delay_us":56300.832705298017,
+"mean_delay_us":59878.149153846149,"delivered":13}],
+"aggregate_throughput_bps":16465919.999999994,
+"jain_fairness":0.99164648514203302,"mean_delay_us":56656.298469320063,
 "ack_timeouts":0,"mac_drops":0,"census_hidden":0,"census_exposed":0,
 "census_total":576,"domino_self_starts":2,"domino_missed_rows":0,
-"domino_rows_executed":620,"domino_untriggerable":0,"domino_batches":32,
+"domino_rows_executed":618,"domino_untriggerable":0,"domino_batches":32,
 "domino_retry_drops":0,"domino_anchor_rejections":0,
 "domino_forced_trigger_losses":0,"domino_controller_outage_skips":0,
 "recovery_slots":[],"ap_health":[{"ap":0,"self_starts":1,"missed_rows":0,
@@ -518,53 +517,52 @@ constexpr const char* kLegacyStaticBytes = R"(
 "lifecycle_join_rejections":0})";
 
 constexpr const char* kLegacyChurnRoamBytes = R"(
-{"links":[{"flow_id":0,"src":0,"dst":4,"uplink":false,"throughput_bps":686080,
-"mean_delay_us":23874.393731343283,"delivered":67},{"flow_id":1,"src":4,
+{"links":[{"flow_id":0,"src":0,"dst":4,"uplink":false,"throughput_bps":696320,
+"mean_delay_us":24730.355352941177,"delivered":68},{"flow_id":1,"src":4,
 "dst":0,"uplink":true,"throughput_bps":808960,
-"mean_delay_us":31293.42365822785,"delivered":79},{"flow_id":2,"src":0,
-"dst":5,"uplink":false,"throughput_bps":1556480,
-"mean_delay_us":108306.89242105263,"delivered":152},{"flow_id":3,"src":5,
-"dst":0,"uplink":true,"throughput_bps":911360,
-"mean_delay_us":13760.898067415732,"delivered":89},{"flow_id":4,"src":1,
-"dst":6,"uplink":false,"throughput_bps":2969600,
-"mean_delay_us":40271.359965517237,"delivered":290},{"flow_id":5,"src":6,
-"dst":1,"uplink":true,"throughput_bps":962560,
-"mean_delay_us":7353.5648723404256,"delivered":94},{"flow_id":6,"src":1,
-"dst":7,"uplink":false,"throughput_bps":1495040,
-"mean_delay_us":58242.42075342466,"delivered":146},{"flow_id":7,"src":7,
+"mean_delay_us":31390.935898734177,"delivered":79},{"flow_id":2,"src":0,
+"dst":5,"uplink":false,"throughput_bps":1536000,"mean_delay_us":109320.823,
+"delivered":150},{"flow_id":3,"src":5,"dst":0,"uplink":true,
+"throughput_bps":911360,"mean_delay_us":13756.909269662921,"delivered":89},
+{"flow_id":4,"src":1,"dst":6,"uplink":false,"throughput_bps":2826240,
+"mean_delay_us":39417.594398550726,"delivered":276},{"flow_id":5,"src":6,
+"dst":1,"uplink":true,"throughput_bps":993280,
+"mean_delay_us":8963.2283917525765,"delivered":97},{"flow_id":6,"src":1,
+"dst":7,"uplink":false,"throughput_bps":1484800,
+"mean_delay_us":58588.244772413789,"delivered":145},{"flow_id":7,"src":7,
 "dst":1,"uplink":true,"throughput_bps":727040,
-"mean_delay_us":11955.619380281691,"delivered":71},{"flow_id":8,"src":2,
+"mean_delay_us":12118.541507042253,"delivered":71},{"flow_id":8,"src":2,
 "dst":8,"uplink":false,"throughput_bps":440320,
-"mean_delay_us":60671.410627906975,"delivered":43},{"flow_id":9,"src":8,
+"mean_delay_us":60694.596395348839,"delivered":43},{"flow_id":9,"src":8,
 "dst":2,"uplink":true,"throughput_bps":337920,
-"mean_delay_us":18685.683818181817,"delivered":33},{"flow_id":10,"src":2,
-"dst":9,"uplink":false,"throughput_bps":552960,
-"mean_delay_us":72320.9178888889,"delivered":54},{"flow_id":11,"src":9,
+"mean_delay_us":18710.456818181818,"delivered":33},{"flow_id":10,"src":2,
+"dst":9,"uplink":false,"throughput_bps":573440,
+"mean_delay_us":70484.759142857147,"delivered":56},{"flow_id":11,"src":9,
 "dst":2,"uplink":true,"throughput_bps":757760,
-"mean_delay_us":24741.766702702702,"delivered":74},{"flow_id":12,"src":3,
-"dst":10,"uplink":false,"throughput_bps":2785280,
-"mean_delay_us":29376.386970588235,"delivered":272},{"flow_id":13,"src":10,
-"dst":3,"uplink":true,"throughput_bps":931840,
-"mean_delay_us":7184.5772307692314,"delivered":91},{"flow_id":14,"src":3,
-"dst":11,"uplink":false,"throughput_bps":3102720,
-"mean_delay_us":67122.314184818475,"delivered":303},{"flow_id":15,"src":11,
-"dst":3,"uplink":true,"throughput_bps":983040,
-"mean_delay_us":7461.2654166666671,"delivered":96}],
-"aggregate_throughput_bps":20008960,"jain_fairness":0.67094101802804862,
-"mean_delay_us":42037.635264073695,"ack_timeouts":37,"mac_drops":0,
+"mean_delay_us":24842.008621621619,"delivered":74},{"flow_id":12,"src":3,
+"dst":10,"uplink":false,"throughput_bps":2488320,
+"mean_delay_us":29318.091855967079,"delivered":243},{"flow_id":13,"src":10,
+"dst":3,"uplink":true,"throughput_bps":901120,
+"mean_delay_us":8625.4672272727257,"delivered":88},{"flow_id":14,"src":3,
+"dst":11,"uplink":false,"throughput_bps":3072000,
+"mean_delay_us":73313.753666666671,"delivered":300},{"flow_id":15,"src":11,
+"dst":3,"uplink":true,"throughput_bps":1003520,
+"mean_delay_us":6965.6570612244896,"delivered":98}],
+"aggregate_throughput_bps":19558400,"jain_fairness":0.6890821254578644,
+"mean_delay_us":43173.457288481673,"ack_timeouts":43,"mac_drops":0,
 "census_hidden":0,"census_exposed":0,"census_total":80,
-"domino_self_starts":262,"domino_missed_rows":3,"domino_rows_executed":2269,
-"domino_untriggerable":113,"domino_batches":81,"domino_retry_drops":0,
-"domino_anchor_rejections":117,"domino_forced_trigger_losses":0,
+"domino_self_starts":271,"domino_missed_rows":3,"domino_rows_executed":2248,
+"domino_untriggerable":119,"domino_batches":81,"domino_retry_drops":1,
+"domino_anchor_rejections":107,"domino_forced_trigger_losses":0,
 "domino_controller_outage_skips":0,"recovery_slots":[],"ap_health":[{"ap":0,
 "self_starts":79,"missed_rows":0,"ack_timeouts":3,"retry_drops":0,
 "anchor_rejections":0,"forced_trigger_losses":0,"recovery_samples":0},{"ap":1,
-"self_starts":111,"missed_rows":0,"ack_timeouts":0,"retry_drops":0,
-"anchor_rejections":94,"forced_trigger_losses":0,"recovery_samples":0},
-{"ap":2,"self_starts":70,"missed_rows":3,"ack_timeouts":17,"retry_drops":0,
+"self_starts":117,"missed_rows":0,"ack_timeouts":8,"retry_drops":1,
+"anchor_rejections":89,"forced_trigger_losses":0,"recovery_samples":0},{"ap":2,
+"self_starts":70,"missed_rows":3,"ack_timeouts":16,"retry_drops":0,
 "anchor_rejections":0,"forced_trigger_losses":0,"recovery_samples":0},{"ap":3,
-"self_starts":2,"missed_rows":0,"ack_timeouts":5,"retry_drops":0,
-"anchor_rejections":19,"forced_trigger_losses":0,"recovery_samples":0}],
+"self_starts":5,"missed_rows":0,"ack_timeouts":3,"retry_drops":0,
+"anchor_rejections":14,"forced_trigger_losses":0,"recovery_samples":0}],
 "fault_backbone_drops":0,"fault_backbone_dups":0,"fault_backbone_spikes":0,
 "fault_interference_bursts":0,"fault_controller_outage_skips":0,
 "fault_forced_trigger_losses":0,"fault_forced_false_positives":0,
@@ -574,109 +572,109 @@ constexpr const char* kLegacyChurnRoamBytes = R"(
 
 constexpr const char* kMultiSymbolDenseBytes = R"(
 {"links":[{"flow_id":0,"src":0,"dst":1,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":3665.7640000000001,
+"throughput_bps":170666.66666666669,"mean_delay_us":2882.8400000000001,
 "delivered":5},{"flow_id":1,"src":1,"dst":0,"uplink":true,"throughput_bps":0,
 "mean_delay_us":0,"delivered":0},{"flow_id":2,"src":0,"dst":2,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":49571.398999999998,
+"throughput_bps":170666.66666666669,"mean_delay_us":42184.794999999998,
 "delivered":5},{"flow_id":3,"src":2,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":45965.180999999997,
+"throughput_bps":170666.66666666669,"mean_delay_us":45746.576999999997,
 "delivered":5},{"flow_id":4,"src":0,"dst":3,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":47967.866999999998,
+"throughput_bps":170666.66666666669,"mean_delay_us":47782.262999999999,
 "delivered":5},{"flow_id":5,"src":3,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":46929.733999999997,
+"throughput_bps":170666.66666666669,"mean_delay_us":46744.129999999997,
 "delivered":5},{"flow_id":6,"src":0,"dst":4,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":42470.101999999999,
-"delivered":4},{"flow_id":7,"src":4,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":47607.773999999998,
+"throughput_bps":170666.66666666669,"mean_delay_us":38442.642999999996,
+"delivered":5},{"flow_id":7,"src":4,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":47515.910000000003,
 "delivered":5},{"flow_id":8,"src":0,"dst":5,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":42709.438999999998,
+"throughput_bps":136533.33333333334,"mean_delay_us":42476.964999999997,
 "delivered":4},{"flow_id":9,"src":5,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":48677.819000000003,
+"throughput_bps":170666.66666666669,"mean_delay_us":48585.955000000002,
 "delivered":5},{"flow_id":10,"src":0,"dst":6,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":54803.485999999997,
+"throughput_bps":170666.66666666669,"mean_delay_us":54711.622000000003,
 "delivered":5},{"flow_id":11,"src":6,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":49702.559999999998,
+"throughput_bps":170666.66666666669,"mean_delay_us":49610.696000000004,
 "delivered":5},{"flow_id":12,"src":0,"dst":7,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":52502.419999999998,
-"delivered":5},{"flow_id":13,"src":7,"dst":0,"uplink":true,"throughput_bps":0,
+"throughput_bps":170666.66666666669,"mean_delay_us":54630.356,"delivered":5},
+{"flow_id":13,"src":7,"dst":0,"uplink":true,"throughput_bps":0,
 "mean_delay_us":0,"delivered":0},{"flow_id":14,"src":0,"dst":8,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":45544.624000000003,
-"delivered":4},{"flow_id":15,"src":8,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":51410.663,"delivered":5},
-{"flow_id":16,"src":0,"dst":9,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":56102.595999999998,
+"throughput_bps":170666.66666666669,"mean_delay_us":46690.474999999999,
+"delivered":5},{"flow_id":15,"src":8,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":51412.538999999997,
+"delivered":5},{"flow_id":16,"src":0,"dst":9,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":56104.472000000002,
 "delivered":5},{"flow_id":17,"src":9,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":53745.163999999997,
+"throughput_bps":170666.66666666669,"mean_delay_us":51370.540000000001,
 "delivered":5},{"flow_id":18,"src":0,"dst":10,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":55854.879999999997,
-"delivered":5},{"flow_id":19,"src":10,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":51905.946000000004,
+"throughput_bps":136533.33333333334,"mean_delay_us":47139.981,"delivered":4},
+{"flow_id":19,"src":10,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":52315.781999999999,
 "delivered":5},{"flow_id":20,"src":0,"dst":11,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":57552.661999999997,
-"delivered":5},{"flow_id":21,"src":11,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":53644.616000000002,
+"throughput_bps":170666.66666666669,"mean_delay_us":55914.498,"delivered":5},
+{"flow_id":21,"src":11,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":54021.451999999997,
 "delivered":5},{"flow_id":22,"src":0,"dst":12,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":56142.076000000001,
-"delivered":5},{"flow_id":23,"src":12,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":54784.472999999998,
+"throughput_bps":136533.33333333334,"mean_delay_us":48827.777000000002,
+"delivered":4},{"flow_id":23,"src":12,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":54565.868999999999,
 "delivered":5},{"flow_id":24,"src":0,"dst":13,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":57277.697999999997,
+"throughput_bps":170666.66666666669,"mean_delay_us":57185.834000000003,
 "delivered":5},{"flow_id":25,"src":13,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":55553.345999999998,
+"throughput_bps":170666.66666666669,"mean_delay_us":55461.482000000004,
 "delivered":5},{"flow_id":26,"src":0,"dst":14,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":61856.858999999997,
+"throughput_bps":170666.66666666669,"mean_delay_us":61764.995000000003,
 "delivered":5},{"flow_id":27,"src":14,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":56769.783000000003,
+"throughput_bps":170666.66666666669,"mean_delay_us":56677.919000000002,
 "delivered":5},{"flow_id":28,"src":0,"dst":15,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":48493.834999999999,
+"throughput_bps":170666.66666666669,"mean_delay_us":61509.171000000002,
 "delivered":5},{"flow_id":29,"src":15,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":58100.262000000002,
+"throughput_bps":170666.66666666669,"mean_delay_us":58008.398000000001,
 "delivered":5},{"flow_id":30,"src":0,"dst":16,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":49865.182000000001,
-"delivered":5},{"flow_id":31,"src":16,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":59115.133000000002,
+"throughput_bps":136533.33333333334,"mean_delay_us":53463.358,"delivered":4},
+{"flow_id":31,"src":16,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":58929.529000000002,
 "delivered":5},{"flow_id":32,"src":0,"dst":17,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":62993.108,"delivered":5},
-{"flow_id":33,"src":17,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":60130.177000000003,
+"throughput_bps":170666.66666666669,"mean_delay_us":63217.103999999999,
+"delivered":5},{"flow_id":33,"src":17,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":59911.572999999997,
 "delivered":5},{"flow_id":34,"src":0,"dst":18,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":66027.918999999994,
+"throughput_bps":170666.66666666669,"mean_delay_us":65842.315000000002,
 "delivered":5},{"flow_id":35,"src":18,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":60903.144,"delivered":5},
-{"flow_id":36,"src":0,"dst":19,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":63968.421999999999,
+"throughput_bps":170666.66666666669,"mean_delay_us":60717.540000000001,
+"delivered":5},{"flow_id":36,"src":0,"dst":19,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":63782.817999999999,
 "delivered":5},{"flow_id":37,"src":19,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":61495.154000000002,
+"throughput_bps":170666.66666666669,"mean_delay_us":61309.550000000003,
 "delivered":5},{"flow_id":38,"src":0,"dst":20,"uplink":false,
-"throughput_bps":102400,"mean_delay_us":45338.581666666665,"delivered":3},
+"throughput_bps":102400,"mean_delay_us":45184.224333333339,"delivered":3},
 {"flow_id":39,"src":20,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":62797.110000000001,
+"throughput_bps":170666.66666666669,"mean_delay_us":62611.506000000001,
 "delivered":5},{"flow_id":40,"src":0,"dst":21,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":57740.466999999997,
+"throughput_bps":136533.33333333334,"mean_delay_us":57625.167999999998,
 "delivered":4},{"flow_id":41,"src":21,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":62915.955000000002,
+"throughput_bps":170666.66666666669,"mean_delay_us":62730.351000000002,
 "delivered":5},{"flow_id":42,"src":0,"dst":22,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":65860.907999999996,
+"throughput_bps":170666.66666666669,"mean_delay_us":65642.304000000004,
 "delivered":5},{"flow_id":43,"src":22,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":63714.669000000002,
+"throughput_bps":170666.66666666669,"mean_delay_us":63496.065000000002,
 "delivered":5},{"flow_id":44,"src":0,"dst":23,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":64843.504999999997,
-"delivered":5},{"flow_id":45,"src":23,"dst":0,"uplink":true,
-"throughput_bps":170666.66666666669,"mean_delay_us":65186.406999999999,
+"throughput_bps":136533.33333333334,"mean_delay_us":59824.076000000001,
+"delivered":4},{"flow_id":45,"src":23,"dst":0,"uplink":true,
+"throughput_bps":170666.66666666669,"mean_delay_us":64907.063000000002,
 "delivered":5},{"flow_id":46,"src":0,"dst":24,"uplink":false,
-"throughput_bps":170666.66666666669,"mean_delay_us":72071.611999999994,
+"throughput_bps":170666.66666666669,"mean_delay_us":71792.267999999996,
 "delivered":5},{"flow_id":47,"src":24,"dst":0,"uplink":true,
-"throughput_bps":136533.33333333334,"mean_delay_us":56381.853000000003,
-"delivered":4},{"flow_id":48,"src":0,"dst":25,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":61759.031999999999,
-"delivered":4},{"flow_id":49,"src":25,"dst":0,"uplink":true,
-"throughput_bps":136533.33333333334,"mean_delay_us":57739.476000000002,
+"throughput_bps":170666.66666666669,"mean_delay_us":65401.589,"delivered":5},
+{"flow_id":48,"src":0,"dst":25,"uplink":false,
+"throughput_bps":170666.66666666669,"mean_delay_us":68423.567999999999,
+"delivered":5},{"flow_id":49,"src":25,"dst":0,"uplink":true,
+"throughput_bps":136533.33333333334,"mean_delay_us":57624.177000000003,
 "delivered":4},{"flow_id":50,"src":0,"dst":26,"uplink":false,
-"throughput_bps":136533.33333333334,"mean_delay_us":62760.326000000001,
+"throughput_bps":136533.33333333334,"mean_delay_us":62645.027000000002,
 "delivered":4},{"flow_id":51,"src":26,"dst":0,"uplink":true,
-"throughput_bps":136533.33333333334,"mean_delay_us":58646.006000000001,
-"delivered":4}],"aggregate_throughput_bps":8157866.6666666688,
-"jain_fairness":0.95271532457135311,"mean_delay_us":55110.491150627611,
+"throughput_bps":136533.33333333334,"mean_delay_us":58530.707000000002,
+"delivered":4}],"aggregate_throughput_bps":8157866.6666666698,
+"jain_fairness":0.95271532457135333,"mean_delay_us":54983.110447698746,
 "ack_timeouts":0,"mac_drops":0,"census_hidden":0,"census_exposed":0,
 "census_total":0,"domino_self_starts":1,"domino_missed_rows":0,
 "domino_rows_executed":246,"domino_untriggerable":0,"domino_batches":26,
@@ -692,11 +690,8 @@ constexpr const char* kMultiSymbolDenseBytes = R"(
 "lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
 "lifecycle_join_rejections":0})";
 
-/// Pins classic-kernel bytes: sim_threads = -1 keeps one queue whatever
-/// DMN_SIM_THREADS says (the two-building floor plans would partition).
 ExperimentConfig polled_domino_cfg(TimeNs duration) {
   ExperimentConfig cfg;
-  cfg.sim_threads = -1;
   cfg.scheme = Scheme::kDomino;
   cfg.duration = duration;
   cfg.traffic.downlink_bps = 4e6;
@@ -734,42 +729,42 @@ TEST(ResultCodec, PinnedBytesMultiSymbolDenseCell) {
 }
 
 constexpr const char* kDominoOutageSkewUplinkBytes = R"(
-{"links":[{"flow_id":0,"src":0,"dst":1,"uplink":false,
-"throughput_bps":764586.66666666674,"mean_delay_us":122074.25064285715,
-"delivered":56},{"flow_id":1,"src":1,"dst":0,"uplink":true,
-"throughput_bps":709973.33333333337,"mean_delay_us":155111.87778846154,
-"delivered":52},{"flow_id":2,"src":0,"dst":2,"uplink":false,
-"throughput_bps":1338026.6666666667,"mean_delay_us":110133.27722448979,
-"delivered":98},{"flow_id":3,"src":2,"dst":0,"uplink":true,
-"throughput_bps":805546.66666666674,"mean_delay_us":154963.1722881356,
-"delivered":59},{"flow_id":4,"src":3,"dst":4,"uplink":false,
-"throughput_bps":983040,"mean_delay_us":61636.177097222222,"delivered":72},
-{"flow_id":5,"src":4,"dst":3,"uplink":true,
-"throughput_bps":764586.66666666674,"mean_delay_us":145475.2745357143,
-"delivered":56},{"flow_id":6,"src":3,"dst":5,"uplink":false,
-"throughput_bps":750933.33333333337,"mean_delay_us":147236.9460909091,
-"delivered":55},{"flow_id":7,"src":5,"dst":3,"uplink":true,
-"throughput_bps":846506.66666666674,"mean_delay_us":149374.03895161289,
-"delivered":62}],"aggregate_throughput_bps":6963200.0000000009,
-"jain_fairness":0.95305446444275099,"mean_delay_us":127022.5619392157,
-"ack_timeouts":107,"mac_drops":0,"census_hidden":3,"census_exposed":6,
-"census_total":16,"domino_self_starts":108,"domino_missed_rows":66,
-"domino_rows_executed":629,"domino_untriggerable":0,"domino_batches":61,
-"domino_retry_drops":0,"domino_anchor_rejections":110,
-"domino_forced_trigger_losses":24,"domino_controller_outage_skips":0,
-"recovery_slots":[0.019202048218476639,0.019202048218476639,
-0.019202048218476639,0.019202048218476639,0.019202048218476639,
-1.1563900149349264,0,0.33710262427992321,0,0.019202048218476639,0,0,
-0.019202048218476639,5.2716023042457865,1.337177298911884,0,
-0.33710262427992321,0.019202048218476639,7.2716023042457865,0,
-0.019202048218476639,0,0.98374226584168978],"ap_health":[{"ap":0,
-"self_starts":46,"missed_rows":24,"ack_timeouts":12,"retry_drops":0,
-"anchor_rejections":4,"forced_trigger_losses":8,"recovery_samples":8},
-{"ap":3,"self_starts":62,"missed_rows":42,"ack_timeouts":22,"retry_drops":0,
-"anchor_rejections":17,"forced_trigger_losses":5,"recovery_samples":5}],
-"fault_backbone_drops":0,"fault_backbone_dups":0,"fault_backbone_spikes":0,
+{"links":[{"flow_id":0,"src":0,"dst":1,"uplink":false,"throughput_bps":737280,
+"mean_delay_us":125413.28129629629,"delivered":54},{"flow_id":1,"src":1,
+"dst":0,"uplink":true,"throughput_bps":819200,
+"mean_delay_us":158937.63183333335,"delivered":60},{"flow_id":2,"src":0,
+"dst":2,"uplink":false,"throughput_bps":1378986.6666666667,
+"mean_delay_us":91914.754851485151,"delivered":101},{"flow_id":3,"src":2,
+"dst":0,"uplink":true,"throughput_bps":860160,
+"mean_delay_us":159590.50326984128,"delivered":63},{"flow_id":4,"src":3,
+"dst":4,"uplink":false,"throughput_bps":1010346.6666666667,
+"mean_delay_us":54864.526459459463,"delivered":74},{"flow_id":5,"src":4,
+"dst":3,"uplink":true,"throughput_bps":737280,
+"mean_delay_us":150257.29296296297,"delivered":54},{"flow_id":6,"src":3,
+"dst":5,"uplink":false,"throughput_bps":764586.66666666674,
+"mean_delay_us":149122.88371428571,"delivered":56},{"flow_id":7,"src":5,
+"dst":3,"uplink":true,"throughput_bps":846506.66666666674,
+"mean_delay_us":152180.62338709677,"delivered":62}],
+"aggregate_throughput_bps":7154346.6666666679,
+"jain_fairness":0.9518553441677301,"mean_delay_us":125202.5113778626,
+"ack_timeouts":116,"mac_drops":0,"census_hidden":3,"census_exposed":6,
+"census_total":16,"domino_self_starts":110,"domino_missed_rows":73,
+"domino_rows_executed":645,"domino_untriggerable":0,"domino_batches":62,
+"domino_retry_drops":0,"domino_anchor_rejections":185,
+"domino_forced_trigger_losses":27,"domino_controller_outage_skips":0,
+"recovery_slots":[2.6933219543417963,8.0195050138681463,0,0,
+0.019202048218476639,0.33710262427992321,0.019202048218476639,0,0,
+0.019202048218476639,0,6.3561446554299126,0.019202048218476639,
+3.972978451034777,0,0.019202048218476639,0.014934926392148495,
+0.019202048218476639,0,0,0.019202048218476639,0,0,0,0.019202048218476639],
+"ap_health":[{"ap":0,"self_starts":39,"missed_rows":25,"ack_timeouts":12,
+"retry_drops":0,"anchor_rejections":7,"forced_trigger_losses":4,
+"recovery_samples":4},{"ap":3,"self_starts":71,"missed_rows":48,
+"ack_timeouts":22,"retry_drops":0,"anchor_rejections":30,
+"forced_trigger_losses":7,"recovery_samples":7}],"fault_backbone_drops":0,
+"fault_backbone_dups":0,"fault_backbone_spikes":0,
 "fault_interference_bursts":0,"fault_controller_outage_skips":0,
-"fault_forced_trigger_losses":24,"fault_forced_false_positives":82,
+"fault_forced_trigger_losses":27,"fault_forced_false_positives":87,
 "lifecycle_epochs":0,"lifecycle_rss_updates":0,"lifecycle_joins":0,
 "lifecycle_leaves":0,"lifecycle_roams":0,"lifecycle_roam_rejections":0,
 "lifecycle_join_rejections":0})";
@@ -788,7 +783,6 @@ TEST(ResultCodec, PinnedBytesDominoOutageSkewAndUplink) {
   topo::LogDistanceModel model;
   const auto t = topo::Topology::random_network(2, 2, 400.0, model, {}, rng);
   ExperimentConfig cfg;
-  cfg.sim_threads = -1;  // classic-kernel bytes, whatever DMN_SIM_THREADS
   cfg.audit.mode = audit::AuditMode::kOff;  // whatever DMN_AUDIT says
   cfg.scheme = Scheme::kDomino;
   cfg.duration = msec(300);
@@ -820,8 +814,9 @@ std::uint64_t fnv1a(const std::string& s) {
 /// converter.rop-sharing; the pin runs unaudited whatever DMN_AUDIT says.
 /// The DOMINO digests were re-taken when forced placement began to pick a
 /// shareable boundary and the controller moved to batch-tagged reports,
-/// and again when an AP's self-start timer began to keep its place among
-/// same-time events while its due time is unchanged.
+/// again when an AP's self-start timer began to keep its place among
+/// same-time events while its due time is unchanged, and again when the
+/// backbone began to draw from one stream per AP endpoint.
 TEST(ResultCodec, PinnedBytesFig14Draws) {
   struct Pin {
     std::uint64_t draw;
@@ -831,9 +826,9 @@ TEST(ResultCodec, PinnedBytesFig14Draws) {
   };
   const Pin pins[] = {
       {1000, Scheme::kDcf, 8011, 0x7d39a1febb72f560ull},
-      {1000, Scheme::kDomino, 11064, 0xc2e5e390bf073f24ull},
+      {1000, Scheme::kDomino, 11062, 0xe6b2b9f923a4c19eull},
       {1005, Scheme::kDcf, 8006, 0x9489801f912fccfaull},
-      {1005, Scheme::kDomino, 11056, 0x6bbfb1cbe9bf9e80ull},
+      {1005, Scheme::kDomino, 11038, 0xa0f29c6060c11265ull},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE("draw " + std::to_string(pin.draw) + " " +
@@ -843,8 +838,7 @@ TEST(ResultCodec, PinnedBytesFig14Draws) {
     const auto t =
         topo::Topology::random_network(20, 3, 800.0, model, {}, rng);
     ExperimentConfig cfg;
-    cfg.sim_threads = -1;  // classic-kernel bytes, whatever DMN_SIM_THREADS
-    cfg.audit.mode = audit::AuditMode::kOff;  // whatever DMN_AUDIT says
+      cfg.audit.mode = audit::AuditMode::kOff;  // whatever DMN_AUDIT says
     cfg.scheme = pin.scheme;
     cfg.seed = pin.draw;
     cfg.duration = msec(100);

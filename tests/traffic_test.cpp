@@ -217,7 +217,7 @@ TEST(CbrArrivals, IntervalMatchesRate) {
 TEST(CbrArrivals, QueueMaterialisesAtConfiguredRate) {
   sim::Simulator sim;
   PacketIdGen ids;
-  PacketQueue q(1000, sim, 0);
+  PacketQueue q(1000, sim);
   q.add_arrivals(cbr(0, 1, 0, cbr_interval(1e6, 500), ids));
   EXPECT_EQ(q.size(), 1u);  // t_0 = 0 is visible at t = 0
   sim.run_until(sec(1));
@@ -236,7 +236,7 @@ TEST(CbrArrivals, QueueWithoutArrivalProcessesStaysEmpty) {
   // A zero-rate flow attaches no arrival process: nothing is ever
   // materialised, and a queue without a clock takes no process at all.
   sim::Simulator sim;
-  PacketQueue q(10, sim, 0);
+  PacketQueue q(10, sim);
   sim.run_until(sec(1));
   EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.next_arrival(), kTimeNever);
@@ -250,7 +250,7 @@ TEST(CbrArrivals, AbsentClientOffersNothingAndResumesOnItsLattice) {
   sim::Simulator sim;
   PacketIdGen ids;
   OfferLog log;
-  PacketQueue q(1000, sim, 0);
+  PacketQueue q(1000, sim);
   CbrArrivals a = cbr(0, 1, usec(50), usec(100), ids);
   a.active = false;  // the client starts absent
   a.observer = &log;
@@ -348,7 +348,7 @@ TEST(CbrArrivals, LazyQueueMatchesEagerPerPacketEvents) {
     PacketIdGen lazy_ids;
     OfferLog lazy_log;
     const auto capacity = static_cast<std::size_t>(rng.uniform_int(1, 12));
-    PacketQueue lazy(capacity, sim, 0);
+    PacketQueue lazy(capacity, sim);
 
     const TimeNs intervals[] = {usec(40), usec(55), usec(80), usec(130)};
     const TimeNs starts[] = {0, usec(7), usec(25), usec(120)};
@@ -510,27 +510,64 @@ TEST(FlowStatsTest, JainIndex) {
 TEST(BackboneTest, LatencyDistribution) {
   sim::Simulator sim;
   wired::BackboneParams bp;  // mean 285us sigma 22us
-  wired::Backbone bb(sim, bp, Rng(17));
+  wired::Backbone bb(sim, bp, {0}, Rng(17));
   double sum = 0.0, sq = 0.0;
   const int n = 5000;
+  int delivered = 0;
   for (int i = 0; i < n; ++i) {
-    const double s = to_usec(bb.sample_latency());
-    sum += s;
-    sq += s * s;
+    // Sent at 0, so each delivery time is one latency sample.
+    bb.send_to_node(0, [&] {
+      const double s = to_usec(sim.now());
+      sum += s;
+      sq += s * s;
+      ++delivered;
+    });
   }
+  sim.run();
+  ASSERT_EQ(delivered, n);
   const double mean = sum / n;
   EXPECT_NEAR(mean, 285.0, 2.0);
   EXPECT_NEAR(std::sqrt(sq / n - mean * mean), 22.0, 2.0);
 }
 
-TEST(BackboneTest, DeliversAfterLatency) {
+TEST(BackboneTest, DeliversAfterLatencyInBothDirections) {
   sim::Simulator sim;
-  wired::Backbone bb(sim, {}, Rng(18));
-  TimeNs delivered_at = kTimeNever;
-  bb.send([&] { delivered_at = sim.now(); });
+  wired::Backbone bb(sim, {}, {0}, Rng(18));
+  TimeNs to_ap = kTimeNever;
+  TimeNs to_wired = kTimeNever;
+  bb.send_to_node(0, [&] { to_ap = sim.now(); });
+  bb.send_to_wired(0, [&] { to_wired = sim.now(); });
   sim.run();
-  EXPECT_GT(delivered_at, usec(100));
-  EXPECT_LT(delivered_at, usec(500));
+  for (const TimeNs at : {to_ap, to_wired}) {
+    EXPECT_GT(at, usec(100));
+    EXPECT_LT(at, usec(500));
+  }
+  EXPECT_THROW(bb.send_to_node(1, [] {}), std::invalid_argument);
+}
+
+/// Each AP endpoint draws from its own streams: one AP's latencies do not
+/// depend on how many messages another AP exchanged before it.
+TEST(BackboneTest, EachApEndpointHasItsOwnStreams) {
+  auto first_latency = [](int other_messages, bool to_ap) {
+    sim::Simulator sim;
+    wired::Backbone bb(sim, {}, {4, 1}, Rng(19));
+    for (int i = 0; i < other_messages; ++i) {
+      bb.send_to_node(1, [] {});
+      bb.send_to_wired(1, [] {});
+    }
+    TimeNs at = kTimeNever;
+    if (to_ap) {
+      bb.send_to_node(4, [&] { at = sim.now(); });
+    } else {
+      bb.send_to_wired(4, [&] { at = sim.now(); });
+    }
+    sim.run();
+    return at;
+  };
+  for (const bool to_ap : {true, false}) {
+    EXPECT_EQ(first_latency(0, to_ap), first_latency(7, to_ap));
+  }
+  EXPECT_NE(first_latency(0, true), first_latency(0, false));
 }
 
 // ---- TCP Reno --------------------------------------------------------------
