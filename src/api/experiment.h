@@ -86,15 +86,15 @@ struct ExperimentConfig {
   /// Online invariant auditing (src/audit). `mode` defaults to
   /// AuditMode::kInherit, which reads the DMN_AUDIT environment variable
   /// (off when unset). The auditor is strictly passive, so audit-on results
-  /// are byte-identical to audit-off results and hash_config (sweep_io)
-  /// leaves `mode` out. `mutation` compiles a deliberate defect into the
-  /// stack, which changes results, so hash_config covers it.
+  /// are byte-identical to audit-off results and `mode` is telemetry in the
+  /// field table below. `mutation` compiles a deliberate defect into the
+  /// stack, which changes results, so it is a result field.
   audit::AuditConfig audit;
 
   /// Records the DOMINO timeline (ExperimentResult::timeline): one recorder
   /// per event queue, merged when the run is collected. Strictly passive,
-  /// on every kernel: results are byte-identical with it on or off, so
-  /// hash_config (sweep_io) leaves it out, like `audit`.
+  /// on every kernel: results are byte-identical with it on or off, so it
+  /// is telemetry in the field table below, like `audit.mode`.
   bool record_timeline = false;
 
   /// Partitioned simulation kernel (src/sim, src/topo/partition.h).
@@ -104,12 +104,157 @@ struct ExperimentConfig {
   ///       on up to this many worker threads;
   ///   <0  keep one queue regardless of the environment.
   /// A performance choice only: results are byte-identical on one queue
-  /// and partitioned, at every thread count, so hash_point (sweep_io)
-  /// leaves it out. Omniscient and CENTAUR runs (their controllers drive or
-  /// read node state synchronously), dynamic runs and single-component
-  /// topologies keep one queue automatically.
+  /// and partitioned, at every thread count, so it is telemetry in the
+  /// field table below. Omniscient and CENTAUR runs (their controllers
+  /// drive or read node state synchronously), dynamic runs and
+  /// single-component topologies keep one queue automatically.
   int sim_threads = 0;
 };
+
+// ---- config field tables ----------------------------------------------------
+//
+// Every settable ExperimentConfig value, declared once in the idiom of the
+// metric tables (api/metrics.h): its key, its class and its member.
+// `result` values change what a run computes; `telemetry` ones (the passive
+// recorders and the thread count) never do. hash_point (api/sweep_io.h)
+// hashes the canonical bytes of the `result` values, so listing a value
+// here is what makes a checkpoint tell it apart. A struct that appears once
+// is flattened into dotted keys; one that appears in a vector or in more
+// than one place has a table of its own. Enums are written as their
+// underlying integer, so enum values are append-only.
+// Runner.PointHashSeesEveryKnob fails when a struct gains a member its
+// table does not name.
+
+template <MaybeConst<FlowSpec> F, typename Visit>
+void visit_fields(F& f, Visit&& visit) {
+  using enum MetricClass;
+  visit("src", kResult, f.src);
+  visit("dst", kResult, f.dst);
+  visit("rate_bps", kResult, f.rate_bps);
+  visit("saturate", kResult, f.saturate);
+}
+
+template <MaybeConst<fault::TimeWindow> W, typename Visit>
+void visit_fields(W& w, Visit&& visit) {
+  using enum MetricClass;
+  visit("start", kResult, w.start);
+  visit("duration", kResult, w.duration);
+}
+
+template <MaybeConst<fault::SignatureFaults::Blackout> B, typename Visit>
+void visit_fields(B& b, Visit&& visit) {
+  using enum MetricClass;
+  visit("node", kResult, b.node);
+  visit("window", kResult, b.window);
+}
+
+template <MaybeConst<fault::ApOutage> O, typename Visit>
+void visit_fields(O& o, Visit&& visit) {
+  using enum MetricClass;
+  visit("ap", kResult, o.ap);
+  visit("window", kResult, o.window);
+}
+
+template <MaybeConst<topo::Waypoint> W, typename Visit>
+void visit_fields(W& w, Visit&& visit) {
+  using enum MetricClass;
+  visit("at", kResult, w.at);
+  visit("pos.x", kResult, w.pos.x);
+  visit("pos.y", kResult, w.pos.y);
+}
+
+template <MaybeConst<topo::MobilityTrajectory> T, typename Visit>
+void visit_fields(T& t, Visit&& visit) {
+  using enum MetricClass;
+  visit("node", kResult, t.node);
+  visit("waypoints", kResult, t.waypoints);
+}
+
+template <MaybeConst<topo::MembershipEvent> E, typename Visit>
+void visit_fields(E& e, Visit&& visit) {
+  using enum MetricClass;
+  visit("at", kResult, e.at);
+  visit("node", kResult, e.node);
+  visit("join", kResult, e.join);
+}
+
+template <MaybeConst<ExperimentConfig> C, typename Visit>
+void visit_fields(C& c, Visit&& visit) {
+  using enum MetricClass;
+  visit("scheme", kResult, c.scheme);
+  visit("traffic.kind", kResult, c.traffic.kind);
+  visit("traffic.downlink_bps", kResult, c.traffic.downlink_bps);
+  visit("traffic.uplink_bps", kResult, c.traffic.uplink_bps);
+  visit("traffic.saturate_downlink", kResult, c.traffic.saturate_downlink);
+  visit("traffic.saturate_uplink", kResult, c.traffic.saturate_uplink);
+  visit("traffic.packet_bytes", kResult, c.traffic.packet_bytes);
+  visit("traffic.custom", kResult, c.traffic.custom);
+  visit("duration", kResult, c.duration);
+  visit("seed", kResult, c.seed);
+  visit("wifi.data_rate_bps", kResult, c.wifi.data_rate_bps);
+  visit("wifi.queue_capacity", kResult, c.wifi.queue_capacity);
+  visit("backbone.mean_latency", kResult, c.backbone.mean_latency);
+  visit("backbone.sigma_latency", kResult, c.backbone.sigma_latency);
+  visit("backbone.min_latency", kResult, c.backbone.min_latency);
+  visit("domino.batch_slots", kResult, c.domino.batch_slots);
+  visit("converter.max_inbound", kResult, c.converter.max_inbound);
+  visit("converter.max_outbound", kResult, c.converter.max_outbound);
+  visit("converter.insert_fake_links", kResult,
+        c.converter.insert_fake_links);
+  visit("sig_model.p_by_count", kResult, c.sig_model.p_by_count);
+  visit("sig_model.beyond_decay", kResult, c.sig_model.beyond_decay);
+  visit("rop.data_per_subchannel", kResult, c.rop.data_per_subchannel);
+  visit("rop.guard_per_subchannel", kResult, c.rop.guard_per_subchannel);
+  visit("rop.poll_mode", kResult, c.rop.poll_mode);
+  visit("rop.max_poll_symbols", kResult, c.rop.max_poll_symbols);
+  visit("rop.assign_seed", kResult, c.rop.assign_seed);
+  auto& f = c.faults;
+  visit("faults.backbone.drop_rate", kResult, f.backbone.drop_rate);
+  visit("faults.backbone.dup_rate", kResult, f.backbone.dup_rate);
+  visit("faults.backbone.spike_rate", kResult, f.backbone.spike_rate);
+  visit("faults.backbone.spike_extra", kResult, f.backbone.spike_extra);
+  visit("faults.controller.outages", kResult, f.controller.outages);
+  visit("faults.interference.duty", kResult, f.interference.duty);
+  visit("faults.interference.period", kResult, f.interference.period);
+  visit("faults.interference.power_dbm", kResult, f.interference.power_dbm);
+  visit("faults.signature.false_negative_rate", kResult,
+        f.signature.false_negative_rate);
+  visit("faults.signature.false_positive_rate", kResult,
+        f.signature.false_positive_rate);
+  visit("faults.signature.blackouts", kResult, f.signature.blackouts);
+  visit("faults.clock.max_skew_ppm", kResult, f.clock.max_skew_ppm);
+  visit("faults.ap_outages", kResult, f.ap_outages);
+  auto& d = c.dynamics;
+  visit("dynamics.epoch", kResult, d.epoch);
+  visit("dynamics.floorplan.num_nodes", kResult, d.floorplan.num_nodes);
+  visit("dynamics.floorplan.building_w", kResult, d.floorplan.building_w);
+  visit("dynamics.floorplan.building_h", kResult, d.floorplan.building_h);
+  visit("dynamics.floorplan.building_gap", kResult, d.floorplan.building_gap);
+  visit("dynamics.floorplan.tx_power_dbm", kResult, d.floorplan.tx_power_dbm);
+  visit("dynamics.floorplan.ref_loss_db", kResult, d.floorplan.ref_loss_db);
+  visit("dynamics.floorplan.exponent", kResult, d.floorplan.exponent);
+  visit("dynamics.floorplan.wall_db", kResult, d.floorplan.wall_db);
+  visit("dynamics.floorplan.room_w", kResult, d.floorplan.room_w);
+  visit("dynamics.floorplan.room_h", kResult, d.floorplan.room_h);
+  visit("dynamics.floorplan.exterior_wall_db", kResult,
+        d.floorplan.exterior_wall_db);
+  visit("dynamics.floorplan.shadowing_sigma_db", kResult,
+        d.floorplan.shadowing_sigma_db);
+  visit("dynamics.floorplan.max_interior_walls", kResult,
+        d.floorplan.max_interior_walls);
+  visit("dynamics.trajectories", kResult, d.trajectories);
+  visit("dynamics.membership", kResult, d.membership);
+  visit("dynamics.churn_rate_hz", kResult, d.churn_rate_hz);
+  visit("dynamics.churn_downtime", kResult, d.churn_downtime);
+  visit("dynamics.churn_nodes", kResult, d.churn_nodes);
+  visit("dynamics.roam.enabled", kResult, d.roam.enabled);
+  visit("dynamics.roam.hysteresis_db", kResult, d.roam.hysteresis_db);
+  visit("dynamics.roam.min_dwell", kResult, d.roam.min_dwell);
+  visit("audit.mode", kTelemetry, c.audit.mode);
+  visit("audit.mutation", kResult, c.audit.mutation);
+  visit("record_timeline", kTelemetry, c.record_timeline);
+  visit("sim_threads", kTelemetry, c.sim_threads);
+}
 
 /// Thrown out of Experiment::run() when an armed run guard (see
 /// Experiment::set_run_guard) stopped the simulation before the configured

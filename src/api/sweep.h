@@ -85,6 +85,22 @@ struct PointOutcome {
   bool ok() const { return status == PointStatus::kOk; }
 };
 
+/// An outcome's durable part is `result` class. Execution provenance
+/// (from_checkpoint) describes this process's work, so it is telemetry and
+/// never serialized: resumed merged output stays byte-identical to an
+/// uninterrupted run.
+template <MaybeConst<PointOutcome> O, typename Visit>
+void visit_fields(O& o, Visit&& visit) {
+  using enum MetricClass;
+  visit("status", kResult, o.status);
+  visit("error_type", kResult, o.error_type);
+  visit("error_message", kResult, o.error_message);
+  visit("sim_time_ns", kResult, o.sim_time_ns);
+  visit("events_executed", kResult, o.events_executed);
+  visit("result", kResult, o.result);
+  visit("from_checkpoint", kTelemetry, o.from_checkpoint);
+}
+
 /// Per-point execution budgets enforced by the watchdog. Zero disables the
 /// corresponding limit.
 struct PointBudget {

@@ -1,5 +1,6 @@
 #include "api/sweep_io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -7,7 +8,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <type_traits>
 
@@ -53,17 +53,6 @@ void append_double(std::string& out, double v) {
                       std::snprintf(buf, sizeof(buf), "%.17g", v)));
 }
 
-std::string hex_u64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::uint64_t parse_hex_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 16);
-}
-
 /// Overwrites `out` when all of `text` spells an integer T can hold; leaves
 /// it alone for a fraction, an exponent, a sign T cannot take, or a value
 /// out of range.
@@ -91,26 +80,6 @@ const JsonValue* JsonValue::find(std::string_view key) const {
     if (k == key) return &v;
   }
   return nullptr;
-}
-
-std::uint64_t JsonValue::u64_or(std::string_view key,
-                                std::uint64_t fallback) const {
-  const JsonValue* v = find(key);
-  if (v != nullptr && v->type == Type::kNumber) read_int(v->text, fallback);
-  return fallback;
-}
-
-std::int64_t JsonValue::i64_or(std::string_view key,
-                               std::int64_t fallback) const {
-  const JsonValue* v = find(key);
-  if (v != nullptr && v->type == Type::kNumber) read_int(v->text, fallback);
-  return fallback;
-}
-
-std::string JsonValue::str_or(std::string_view key,
-                              const std::string& fb) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->type == Type::kString ? v->text : fb;
 }
 
 namespace {
@@ -322,37 +291,15 @@ JsonValue parse_json(std::string_view text) {
   return JsonParser(text).parse_document();
 }
 
-// ---- result serialization --------------------------------------------------
+// ---- the codec -------------------------------------------------------------
 //
-// One codec for ExperimentResult and its LinkResult / ApChainHealth rows:
-// it walks the field tables in api/metrics.h over `result`-class fields
-// only. Writing appends into one string (table keys need no escaping);
-// reading keeps a field's default when its key is absent, mistyped or out
-// of range.
+// One writer and one reader for every struct with a field table (results,
+// outcomes, checkpoint lines, the config the point hash reads): they walk
+// the table over `result`-class fields only. Writing appends into one
+// string (table keys need no escaping); reading keeps a field's default
+// when its key is absent, mistyped or out of range.
 
 namespace {
-
-/// Streaming writer for fixed-order JSON objects.
-class ObjWriter {
- public:
-  template <typename Int>
-  void num(const char* k, Int v) { field(k, std::to_string(v)); }
-  void str(const char* k, const std::string& v) { field(k, json_quote(v)); }
-  void raw(const char* k, const std::string& v) { field(k, v); }
-
-  std::string close() { return out_ + "}"; }
-
- private:
-  void field(const char* k, const std::string& v) {
-    out_ += first_ ? "{" : ",";
-    first_ = false;
-    out_ += json_quote(k);
-    out_ += ":";
-    out_ += v;
-  }
-  std::string out_;
-  bool first_ = true;
-};
 
 template <typename T>
 inline constexpr bool kIsVector = false;
@@ -366,11 +313,15 @@ void write_value(std::string& out, const T& v) {
   } else if constexpr (std::is_integral_v<T>) {
     char buf[24];
     out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  } else if constexpr (std::is_enum_v<T>) {
+    write_value(out, static_cast<std::underlying_type_t<T>>(v));
   } else if constexpr (std::is_floating_point_v<T>) {
     append_double(out, v);
-  } else if constexpr (kIsVector<T>) {
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out += json_quote(v);
+  } else if constexpr (kIsVector<T> || std::is_array_v<T>) {
     out += '[';
-    for (std::size_t i = 0; i < v.size(); ++i) {
+    for (std::size_t i = 0; i < std::size(v); ++i) {
       if (i != 0) out += ',';
       write_value(out, v[i]);
     }
@@ -396,10 +347,20 @@ void read_value(const JsonValue& j, T& v) {
     if (j.type == JsonValue::Type::kBool) v = j.boolean;
   } else if constexpr (std::is_integral_v<T>) {
     if (j.type == JsonValue::Type::kNumber) read_int(j.text, v);
+  } else if constexpr (std::is_enum_v<T>) {
+    auto u = static_cast<std::underlying_type_t<T>>(v);
+    read_value(j, u);
+    v = static_cast<T>(u);
   } else if constexpr (std::is_floating_point_v<T>) {
     if (j.type == JsonValue::Type::kNumber) v = j.number;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (j.type == JsonValue::Type::kString) v = j.text;
   } else if constexpr (kIsVector<T>) {
     for (const JsonValue& e : j.array) read_value(e, v.emplace_back());
+  } else if constexpr (std::is_array_v<T>) {
+    for (std::size_t i = 0; i < std::min(std::size(v), j.array.size()); ++i) {
+      read_value(j.array[i], v[i]);
+    }
   } else {
     visit_fields(v, [&](const char* key, MetricClass cls, auto& f) {
       if (cls != MetricClass::kResult) return;
@@ -408,51 +369,32 @@ void read_value(const JsonValue& j, T& v) {
   }
 }
 
-}  // namespace
-
-std::string serialize_result(const ExperimentResult& r) {
+template <typename T>
+std::string to_json(const T& v) {
   std::string out;
-  write_value(out, r);
+  write_value(out, v);
   return out;
 }
 
-ExperimentResult deserialize_result(const JsonValue& v) {
-  ExperimentResult r;
-  read_value(v, r);
-  return r;
+template <typename T>
+T from_json(const JsonValue& j) {
+  T v;
+  read_value(j, v);
+  return v;
 }
 
-std::string serialize_outcome(const PointOutcome& o) {
-  ObjWriter w;
-  w.str("status", to_string(o.status));
-  w.str("error_type", o.error_type);
-  w.str("error_message", o.error_message);
-  w.num("sim_time_ns", o.sim_time_ns);
-  w.num("events_executed", o.events_executed);
-  w.raw("result", serialize_result(o.result));
-  return w.close();
+}  // namespace
+
+std::string serialize_result(const ExperimentResult& r) { return to_json(r); }
+
+ExperimentResult deserialize_result(const JsonValue& v) {
+  return from_json<ExperimentResult>(v);
 }
+
+std::string serialize_outcome(const PointOutcome& o) { return to_json(o); }
 
 PointOutcome deserialize_outcome(const JsonValue& v) {
-  PointOutcome o;
-  const std::string status = v.str_or("status", "skipped");
-  if (status == "ok") {
-    o.status = PointStatus::kOk;
-  } else if (status == "error") {
-    o.status = PointStatus::kError;
-  } else if (status == "timed_out") {
-    o.status = PointStatus::kTimedOut;
-  } else {
-    o.status = PointStatus::kSkipped;
-  }
-  o.error_type = v.str_or("error_type", "");
-  o.error_message = v.str_or("error_message", "");
-  o.sim_time_ns = v.i64_or("sim_time_ns", 0);
-  o.events_executed = v.u64_or("events_executed", 0);
-  if (const JsonValue* r = v.find("result")) {
-    o.result = deserialize_result(*r);
-  }
-  return o;
+  return from_json<PointOutcome>(v);
 }
 
 std::string serialize_report(const SweepReport& report) {
@@ -487,14 +429,6 @@ class Hasher {
     bytes(&v, sizeof(v));
   }
   void boolean(bool v) { u64(v ? 1 : 0); }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-  void window(const fault::TimeWindow& w) {
-    i64(w.start);
-    i64(w.duration);
-  }
 
   std::uint64_t value() const { return h_; }
 
@@ -527,124 +461,13 @@ void hash_topology(Hasher& h, const topo::Topology& t) {
   }
 }
 
-void hash_config(Hasher& h, const ExperimentConfig& c) {
-  h.str(to_string(c.scheme));
-  h.u64(static_cast<std::uint64_t>(c.traffic.kind));
-  h.num(c.traffic.downlink_bps);
-  h.num(c.traffic.uplink_bps);
-  h.boolean(c.traffic.saturate_downlink);
-  h.boolean(c.traffic.saturate_uplink);
-  h.u64(c.traffic.packet_bytes);
-  h.u64(c.traffic.custom.size());
-  for (const FlowSpec& f : c.traffic.custom) {
-    h.i64(f.src);
-    h.i64(f.dst);
-    h.num(f.rate_bps);
-    h.boolean(f.saturate);
-  }
-  h.i64(c.duration);
-  h.u64(c.seed);
-
-  h.num(c.wifi.data_rate_bps);
-  h.u64(c.wifi.queue_capacity);
-
-  h.i64(c.backbone.mean_latency);
-  h.i64(c.backbone.sigma_latency);
-  h.i64(c.backbone.min_latency);
-
-  h.u64(c.domino.batch_slots);
-
-  h.i64(c.converter.max_inbound);
-  h.i64(c.converter.max_outbound);
-  h.boolean(c.converter.insert_fake_links);
-
-  for (const double p : c.sig_model.p_by_count) h.num(p);
-  h.num(c.sig_model.beyond_decay);
-
-  h.u64(c.rop.data_per_subchannel);
-  h.u64(c.rop.guard_per_subchannel);
-  h.u64(static_cast<std::uint64_t>(c.rop.poll_mode));
-  h.u64(c.rop.max_poll_symbols);
-  h.u64(c.rop.assign_seed);
-
-  const fault::FaultPlan& f = c.faults;
-  h.num(f.backbone.drop_rate);
-  h.num(f.backbone.dup_rate);
-  h.num(f.backbone.spike_rate);
-  h.i64(f.backbone.spike_extra);
-  h.u64(f.controller.outages.size());
-  for (const fault::TimeWindow& w : f.controller.outages) h.window(w);
-  h.num(f.interference.duty);
-  h.i64(f.interference.period);
-  h.num(f.interference.power_dbm);
-  h.num(f.signature.false_negative_rate);
-  h.num(f.signature.false_positive_rate);
-  h.u64(f.signature.blackouts.size());
-  for (const auto& b : f.signature.blackouts) {
-    h.i64(b.node);
-    h.window(b.window);
-  }
-  h.num(f.clock.max_skew_ppm);
-  h.u64(f.ap_outages.size());
-  for (const fault::ApOutage& o : f.ap_outages) {
-    h.i64(o.ap);
-    h.window(o.window);
-  }
-
-  // Dynamics plan: every knob that shapes the compiled lifecycle timeline.
-  // A default-constructed plan contributes a fixed prefix (any()==false and
-  // empty containers), and the runner fingerprint was bumped to v2 with its
-  // introduction, so pre-dynamics checkpoints never mix with new ones.
-  const topo::DynamicsPlan& d = c.dynamics;
-  h.boolean(d.any());
-  h.i64(d.epoch);
-  h.u64(d.floorplan.num_nodes);
-  h.num(d.floorplan.building_w);
-  h.num(d.floorplan.building_h);
-  h.num(d.floorplan.building_gap);
-  h.num(d.floorplan.tx_power_dbm);
-  h.num(d.floorplan.ref_loss_db);
-  h.num(d.floorplan.exponent);
-  h.num(d.floorplan.wall_db);
-  h.num(d.floorplan.room_w);
-  h.num(d.floorplan.room_h);
-  h.num(d.floorplan.exterior_wall_db);
-  h.num(d.floorplan.shadowing_sigma_db);
-  h.i64(d.floorplan.max_interior_walls);
-  h.u64(d.trajectories.size());
-  for (const topo::MobilityTrajectory& t : d.trajectories) {
-    h.i64(t.node);
-    h.u64(t.waypoints.size());
-    for (const topo::Waypoint& w2 : t.waypoints) {
-      h.i64(w2.at);
-      h.num(w2.pos.x);
-      h.num(w2.pos.y);
-    }
-  }
-  h.u64(d.membership.size());
-  for (const topo::MembershipEvent& e : d.membership) {
-    h.i64(e.at);
-    h.i64(e.node);
-    h.boolean(e.join);
-  }
-  h.num(d.churn_rate_hz);
-  h.i64(d.churn_downtime);
-  h.u64(d.churn_nodes.size());
-  for (const topo::NodeId n2 : d.churn_nodes) h.i64(n2);
-  h.boolean(d.roam.enabled);
-  h.num(d.roam.hysteresis_db);
-  h.i64(d.roam.min_dwell);
-
-  // A mutant changes results; the audit mode only watches, so it stays out.
-  h.u64(static_cast<std::uint64_t>(c.audit.mutation));
-}
-
 }  // namespace
 
 std::uint64_t hash_point(const SweepPoint& p) {
   Hasher h;
-  hash_topology(h, p.topology);
-  hash_config(h, p.config);
+  hash_topology(h, p.topology);  // streamed: the RSS matrix is O(N^2)
+  const std::string config = to_json(p.config);
+  h.bytes(config.data(), config.size());
   return h.value();
 }
 
@@ -657,32 +480,19 @@ std::uint64_t hash_sweep(const std::vector<SweepPoint>& points) {
 
 std::string runner_fingerprint() {
 #if defined(__VERSION__)
-  return std::string("dmn-sweep-v9 ") + __VERSION__;
+  return std::string("dmn-sweep-v10 ") + __VERSION__;
 #else
-  return "dmn-sweep-v9 unknown-compiler";
+  return "dmn-sweep-v10 unknown-compiler";
 #endif
 }
 
 // ---- checkpoint file -------------------------------------------------------
 
 std::string serialize_manifest(const CheckpointManifest& m) {
-  ObjWriter w;
-  w.str("type", "manifest");
-  w.str("sweep_hash", hex_u64(m.sweep_hash));
-  w.num("num_points", m.num_points);
-  w.str("fingerprint", m.fingerprint);
-  w.str("sweep_name", m.sweep_name);
-  return w.close();
+  return to_json(m);
 }
 
-std::string serialize_record(const CheckpointRecord& r) {
-  ObjWriter w;
-  w.str("type", "point");
-  w.num("index", r.index);
-  w.str("point_hash", hex_u64(r.point_hash));
-  w.raw("outcome", serialize_outcome(r.outcome));
-  return w.close();
-}
+std::string serialize_record(const CheckpointRecord& r) { return to_json(r); }
 
 LoadedCheckpoint load_checkpoint(const std::string& path,
                                  const CheckpointManifest& expected) {
@@ -691,7 +501,6 @@ LoadedCheckpoint load_checkpoint(const std::string& path,
   if (!in) return out;  // no checkpoint yet: fresh run
 
   std::string line;
-  bool saw_manifest = false;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     JsonValue v;
@@ -706,43 +515,23 @@ LoadedCheckpoint load_checkpoint(const std::string& path,
                    path.c_str());
       break;
     }
-    const std::string type = v.str_or("type", "");
-    if (!saw_manifest) {
-      if (type != "manifest") {
-        std::fprintf(stderr,
-                     "sweep checkpoint %s: missing manifest, starting "
-                     "fresh\n",
-                     path.c_str());
-        return out;
-      }
-      saw_manifest = true;
-      out.found = true;
-      out.manifest.sweep_hash = parse_hex_u64(v.str_or("sweep_hash", "0"));
-      out.manifest.num_points =
-          static_cast<std::size_t>(v.u64_or("num_points", 0));
-      out.manifest.fingerprint = v.str_or("fingerprint", "");
-      out.manifest.sweep_name = v.str_or("sweep_name", "");
-      if (out.manifest.sweep_hash != expected.sweep_hash ||
-          out.manifest.num_points != expected.num_points ||
-          out.manifest.fingerprint != expected.fingerprint) {
+    if (!out.compatible) {  // the first line must be this sweep's manifest
+      const auto m = from_json<CheckpointManifest>(v);
+      if (m.sweep_hash != expected.sweep_hash ||
+          m.num_points != expected.num_points ||
+          m.fingerprint != expected.fingerprint) {
         std::fprintf(stderr,
                      "sweep checkpoint %s: manifest does not match this "
                      "sweep (different definition, point count or build); "
                      "recomputing all points\n",
                      path.c_str());
-        return out;  // found, not compatible
+        return out;
       }
       out.compatible = true;
       continue;
     }
-    if (type != "point") continue;
-    CheckpointRecord rec;
-    rec.index = static_cast<std::size_t>(v.u64_or("index", 0));
-    rec.point_hash = parse_hex_u64(v.str_or("point_hash", "0"));
-    if (const JsonValue* o = v.find("outcome")) {
-      rec.outcome = deserialize_outcome(*o);
-    }
-    if (rec.index >= expected.num_points) continue;
+    auto rec = from_json<CheckpointRecord>(v);
+    if (rec.index >= expected.num_points || !rec.outcome.ok()) continue;
     out.records[rec.index] = std::move(rec);
   }
   return out;

@@ -14,12 +14,14 @@
 //    (write temp + rename) so a killed process always leaves a readable,
 //    consistent file.
 //
-// The field tables in api/metrics.h decide what serializes: `result`
-// metrics, in table order, never `telemetry`. The timeline and audit report
-// sit outside the tables, so a restored result has neither, and audit-on
-// results serialize like audit-off ones. hash_config likewise ignores the
-// passive ExperimentConfig::audit.mode, but covers audit.mutation: a
-// mutant changes results.
+// One codec serves all of it: the field tables (visit_fields in
+// api/metrics.h, api/experiment.h, api/sweep.h and below) decide what
+// serializes, `result` fields in table order, never `telemetry`. The
+// timeline and audit report sit outside the tables, so a restored result
+// has neither, and audit-on results serialize like audit-off ones. The
+// point hash reads the same bytes of the config, so it ignores the passive
+// ExperimentConfig::audit.mode but covers audit.mutation: a mutant changes
+// results.
 
 #include <cstdint>
 #include <string>
@@ -48,13 +50,6 @@ struct JsonValue {
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
-
-  /// Member values, or `fallback` when the member is absent or of another
-  /// type. The integer forms also fall back unless the number's text is an
-  /// integer in range (no fraction, exponent or stray sign).
-  std::uint64_t u64_or(std::string_view key, std::uint64_t fallback) const;
-  std::int64_t i64_or(std::string_view key, std::int64_t fallback) const;
-  std::string str_or(std::string_view key, const std::string& fb) const;
 };
 
 /// Parses one JSON document. Throws std::runtime_error on malformed input,
@@ -73,17 +68,17 @@ std::string json_double(double v);
 
 // ---- result / outcome serialization ----------------------------------------
 
-/// Compact single-line JSON object of the `result`-class metrics, keys in
-/// field-table order (api/metrics.h), so equal results serialize to equal
-/// bytes.
+/// Compact single-line JSON object of the `result`-class fields, keys in
+/// field-table order, so equal values serialize to equal bytes. Reading
+/// keeps a field's default when its key is absent, mistyped or out of
+/// range: an integer field takes only a number whose text is an integer it
+/// can hold (no fraction, exponent or stray sign), so 64-bit hashes
+/// round-trip exactly.
 std::string serialize_result(const ExperimentResult& r);
 ExperimentResult deserialize_result(const JsonValue& v);
 
-/// Serializes the durable part of an outcome (status, result, error
-/// context, timeout progress). Execution provenance — from_checkpoint — is
-/// deliberately excluded: it describes *this process's* work, and including
-/// it would break the byte-identity of resumed vs uninterrupted merged
-/// output.
+/// The durable part of an outcome (status, error context, timeout
+/// progress, result); see its field table in api/sweep.h.
 std::string serialize_outcome(const PointOutcome& o);
 PointOutcome deserialize_outcome(const JsonValue& v);
 
@@ -94,11 +89,11 @@ std::string serialize_report(const SweepReport& report);
 // ---- point / sweep hashing -------------------------------------------------
 
 /// Canonical FNV-1a 64 hash over the point's full semantic content:
-/// topology (nodes, associations, RSS matrix, thresholds) and every
-/// ExperimentConfig value that can change a result, including the seed,
-/// the fault plan and the audit mutation. Labels (display-only), the
-/// passive recorders (audit.mode, record_timeline) and the thread count
-/// are excluded.
+/// topology (nodes, associations, RSS matrix, thresholds), then the
+/// serialized `result` fields of the ExperimentConfig table
+/// (api/experiment.h), which include the seed, the fault plan and the
+/// audit mutation. Labels (display-only), the passive recorders
+/// (audit.mode, record_timeline) and the thread count are excluded.
 std::uint64_t hash_point(const SweepPoint& p);
 
 /// Order-sensitive combination of all point hashes + the point count: the
@@ -112,12 +107,23 @@ std::string runner_fingerprint();
 
 // ---- checkpoint file -------------------------------------------------------
 
+// The file's first line is the manifest, every later line one record.
+
 struct CheckpointManifest {
   std::uint64_t sweep_hash = 0;
   std::size_t num_points = 0;
   std::string fingerprint;
   std::string sweep_name;
 };
+
+template <MaybeConst<CheckpointManifest> M, typename Visit>
+void visit_fields(M& m, Visit&& visit) {
+  using enum MetricClass;
+  visit("sweep_hash", kResult, m.sweep_hash);
+  visit("num_points", kResult, m.num_points);
+  visit("fingerprint", kResult, m.fingerprint);
+  visit("sweep_name", kResult, m.sweep_name);
+}
 
 std::string serialize_manifest(const CheckpointManifest& m);
 
@@ -129,12 +135,18 @@ struct CheckpointRecord {
   PointOutcome outcome;
 };
 
+template <MaybeConst<CheckpointRecord> R, typename Visit>
+void visit_fields(R& r, Visit&& visit) {
+  using enum MetricClass;
+  visit("index", kResult, r.index);
+  visit("point_hash", kResult, r.point_hash);
+  visit("outcome", kResult, r.outcome);
+}
+
 std::string serialize_record(const CheckpointRecord& r);
 
 struct LoadedCheckpoint {
-  bool found = false;      // file existed and parsed at all
-  bool compatible = false; // manifest matched the live sweep + runner
-  CheckpointManifest manifest;
+  bool compatible = false;  // manifest matched the live sweep + runner
   /// Valid records by point index (only when compatible).
   std::unordered_map<std::size_t, CheckpointRecord> records;
 };
@@ -143,6 +155,8 @@ struct LoadedCheckpoint {
 /// throws: a missing file, unreadable line or mismatched manifest degrades
 /// to "nothing to restore" (with a warning on stderr for mismatches —
 /// silently recomputing is safe; silently reusing stale results is not).
+/// Only `ok` outcomes are ever persisted, so a record of any other status
+/// is not restored.
 LoadedCheckpoint load_checkpoint(const std::string& path,
                                  const CheckpointManifest& expected);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -178,8 +177,6 @@ void Simulator::configure_partitions(std::vector<std::uint32_t> assignment,
   node_queue_ = std::move(assignment);
   lookahead_ = lookahead;
   threads_ = std::max(1u, threads);
-  const char* fixed = std::getenv("DMN_SIM_FIXED_WINDOWS");
-  fixed_windows_ = fixed != nullptr && fixed[0] != '\0' && fixed[0] != '0';
   stats_ = KernelStats{};
   stats_.activation_hist.assign(count + 1, 0);
   queues_.clear();
@@ -289,15 +286,9 @@ void Simulator::run_until(TimeNs until) {
         if (queues_[i]->now() < bounds_[i]) queues_[i]->set_now(bounds_[i]);
       }
     }
-    // Window start: jump straight to the earliest event (adaptive mode) or
-    // step densely from the previous end (DMN_SIM_FIXED_WINDOWS reference).
-    TimeNs start;
-    if (fixed_windows_) {
-      start = have_prev ? prev_end + 1 : 0;
-    } else {
-      start = m1;
-      if (have_prev && m1 > prev_end + 1) ++stats_.ff_jumps;
-    }
+    // Window start: jump straight to the earliest event.
+    const TimeNs start = m1;
+    if (have_prev && m1 > prev_end + 1) ++stats_.ff_jumps;
     // No queue holds an event before `start`, so every clock may read
     // start - 1, across a fast-forward jump too.
     for (std::size_t i = 0; i < nq; ++i) {
@@ -315,7 +306,7 @@ void Simulator::run_until(TimeNs until) {
     // Elongation: when the minimum is unique, that queue alone may run to
     // min(m2, m1 + L) + L - 1 — every message that can ever reach it lands
     // at or beyond min(m2, m1 + L) + L (see the header-comment induction).
-    if (!fixed_windows_ && m2 > m1) {
+    if (m2 > m1) {
       const TimeNs e_start = std::min(m2, horizon);
       const TimeNs e_horizon = (e_start > kTimeNever - lookahead_)
                                    ? kTimeNever

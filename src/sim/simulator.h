@@ -39,12 +39,11 @@
 // strictly beyond its bound. (The tempting m2 + L - 1 bound is NOT safe
 // across multiple windows: a remote queue may execute a freshly drained
 // message at m1 + L and reply landing at m1 + 2L < m2 + L - 1 when
-// m2 > m1 + L + 1.) Setting DMN_SIM_FIXED_WINDOWS=1 (read at
-// configure_partitions time) disables both optimizations and steps fixed
-// [s, s+L) windows from 0 — the reference schedule. Every scheme that
-// partitions matches it byte-for-byte: queues interact only by messages
-// (no code reads another queue's state), so the window schedule is a
-// performance choice, never a semantic one.
+// m2 > m1 + L + 1.) The window schedule is a performance choice, never a
+// semantic one: queues interact only by messages (no code reads another
+// queue's state), so every scheme that partitions gives the bytes of its
+// one-queue run, which is the reference the determinism tests compare
+// against.
 //
 // Per window only queues whose next event lies inside their bound are
 // activated; active queues enter a single atomic work word (largest
@@ -273,7 +272,6 @@ class Simulator {
   std::vector<std::uint32_t> node_queue_;  // empty on one queue
   TimeNs lookahead_ = kTimeNever;
   unsigned threads_ = 1;
-  bool fixed_windows_ = false;  // DMN_SIM_FIXED_WINDOWS=1 reference schedule
   std::uint32_t build_queue_ = 0;
   bool interrupted_ = false;
   std::atomic<bool> stop_all_{false};

@@ -69,26 +69,46 @@ TEST(CheckpointParser, RejectsNonHexUnicodeEscapes) {
   EXPECT_EQ(parse_json(R"("\u0041\u001f")").text, "A\x1f");
 }
 
-TEST(CheckpointParser, IntegerAccessorsFallBackOnNonIntegers) {
-  const JsonValue v = parse_json(
-      R"({"neg":-1,"frac":1.5,"exp":1e3,"big":18446744073709551616,)"
-      R"("max":18446744073709551615,"i_big":9223372036854775808,)"
-      R"("i_min":-9223372036854775808,"inf":inf,"str":"7"})");
-  constexpr std::uint64_t kU = 42;
-  EXPECT_EQ(v.u64_or("neg", kU), kU);
-  EXPECT_EQ(v.u64_or("frac", kU), kU);
-  EXPECT_EQ(v.u64_or("exp", kU), kU);
-  EXPECT_EQ(v.u64_or("big", kU), kU);
-  EXPECT_EQ(v.u64_or("inf", kU), kU);
-  EXPECT_EQ(v.u64_or("str", kU), kU);
-  EXPECT_EQ(v.u64_or("max", kU), std::numeric_limits<std::uint64_t>::max());
+TEST(CheckpointParser, IntegerFieldsFallBackOnNonIntegers) {
+  // The table reader takes an integer field only from a number whose text
+  // is an integer the field can hold; anything else keeps the default.
+  const auto outcome = [](const std::string& events, const std::string& t) {
+    return deserialize_outcome(parse_json(R"({"events_executed":)" + events +
+                                          R"(,"sim_time_ns":)" + t + "}"));
+  };
+  for (const char* bad : {"-1", "1.5", "1e3", "18446744073709551616", "inf",
+                          R"("7")"}) {
+    EXPECT_EQ(outcome(bad, "0").events_executed, 0u) << bad;
+  }
+  for (const char* bad : {"1.5", "1e3", "9223372036854775808", "inf",
+                          R"("7")"}) {
+    EXPECT_EQ(outcome("0", bad).sim_time_ns, 0) << bad;
+  }
+  const PointOutcome extremes =
+      outcome("18446744073709551615", "-9223372036854775808");
+  EXPECT_EQ(extremes.events_executed,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(extremes.sim_time_ns, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(outcome("0", "-1").sim_time_ns, -1);
 
-  constexpr std::int64_t kI = -42;
-  EXPECT_EQ(v.i64_or("frac", kI), kI);
-  EXPECT_EQ(v.i64_or("exp", kI), kI);
-  EXPECT_EQ(v.i64_or("i_big", kI), kI);
-  EXPECT_EQ(v.i64_or("neg", kI), -1);
-  EXPECT_EQ(v.i64_or("i_min", kI), std::numeric_limits<std::int64_t>::min());
+  // A manifest's num_points read from the same tokens keeps its default, so
+  // the checkpoint does not match a sweep of 1000 points; u64 hashes
+  // round-trip exactly.
+  const std::string path = "checkpoint_fuzz_test_ints.jsonl";
+  CheckpointManifest expected;
+  expected.sweep_hash = std::numeric_limits<std::uint64_t>::max();
+  expected.num_points = 1000;
+  expected.fingerprint = runner_fingerprint();
+  const std::string tail =
+      R"(,"fingerprint":)" + json_quote(expected.fingerprint) + "}\n";
+  for (const char* bad : {"-1", "1.5", "1e3", "18446744073709551616", "inf"}) {
+    atomic_write_file(path, R"({"sweep_hash":18446744073709551615,)"
+                            R"("num_points":)" + std::string(bad) + tail);
+    EXPECT_FALSE(load_checkpoint(path, expected).compatible) << bad;
+  }
+  atomic_write_file(path, serialize_manifest(expected) + "\n");
+  EXPECT_TRUE(load_checkpoint(path, expected).compatible);
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointParser, ResultIntegersOutOfRangeKeepTheirDefaults) {
@@ -221,7 +241,32 @@ TEST(CheckpointFuzz, MutatedRecordsParseOrThrowRuntimeError) {
   EXPECT_GT(rejected, 100u);
 }
 
+/// Whether the first non-empty line of `file` still carries `m`'s sweep
+/// hash, point count and fingerprint, read without the table reader.
+bool names_manifest(const std::string& file, const CheckpointManifest& m) {
+  const std::size_t start = file.find_first_not_of('\n');
+  if (start == std::string::npos) return false;
+  try {
+    const JsonValue v =
+        parse_json(file.substr(start, file.find('\n', start) - start));
+    const JsonValue* hash = v.find("sweep_hash");
+    const JsonValue* n = v.find("num_points");
+    const JsonValue* fp = v.find("fingerprint");
+    return hash != nullptr && n != nullptr && fp != nullptr &&
+           hash->number == static_cast<double>(m.sweep_hash) &&
+           n->number == static_cast<double>(m.num_points) &&
+           fp->text == m.fingerprint;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
 TEST(CheckpointFuzz, LoadCheckpointSurvivesMutatedFiles) {
+  // Lines carry no type tag: the first is read as the manifest, every
+  // later one as a record. So the body also mixes in a manifest line, and
+  // the manifest line itself is mutated: no file restores more records
+  // than it has, and one whose first line no longer names this sweep
+  // restores none.
   const std::vector<std::string> seeds = corpus();
   CheckpointManifest manifest;
   manifest.sweep_hash = 0x1234;
@@ -231,14 +276,31 @@ TEST(CheckpointFuzz, LoadCheckpointSurvivesMutatedFiles) {
   const std::string path = "checkpoint_fuzz_test.jsonl";
 
   Rng rng(0xc0c0);
-  for (int i = 0; i < 200; ++i) {
+  std::size_t restored = 0;
+  std::size_t foreign = 0;
+  for (int i = 0; i < 400; ++i) {
     const std::string& record = seeds[1 + 2 * static_cast<std::size_t>(i % 2)];
-    const std::string body = mutate(record + "\n" + record + "\n", rng);
-    atomic_write_file(path, rng.chance(0.2) ? mutate(head, rng) + body
-                                            : head + body);
+    const std::string body =
+        mutate(rng.chance(0.5) ? record + "\n" + head + record + "\n"
+                               : record + "\n" + record + "\n",
+               rng);
+    const std::string file =
+        (rng.chance(0.3) ? mutate(head, rng) : head) + body;
+    atomic_write_file(path, file);
     const LoadedCheckpoint loaded = load_checkpoint(path, manifest);
     EXPECT_LE(loaded.records.size(), 2u);
+    restored += loaded.records.empty() ? 0 : 1;
+    if (!names_manifest(file, manifest)) {
+      ++foreign;
+      EXPECT_TRUE(loaded.records.empty()) << file.substr(0, 120);
+    }
   }
+  // Both paths must be exercised for the harness to mean anything.
+  EXPECT_GT(restored, 50u);
+  EXPECT_GT(foreign, 20u);
+  // A file whose first line is a record restores nothing.
+  atomic_write_file(path, seeds[1] + "\n" + head + seeds[3] + "\n");
+  EXPECT_FALSE(load_checkpoint(path, manifest).compatible);
   std::remove(path.c_str());
 }
 

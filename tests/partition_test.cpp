@@ -655,6 +655,8 @@ TEST(Determinism, EverySchemeGivesTheSameBytesOnOneQueueAndOnK) {
   // backbone AP endpoint's, or a setup draw of the fault injector). So the
   // result bytes are the same on one queue and on the partitioned kernel,
   // with and without faults. CENTAUR keeps one queue at any thread count.
+  // The one-queue run is also the reference for the partitioned kernel's
+  // adaptive windows (fast-forward and elongation), at every thread count.
   struct Case {
     api::Scheme scheme;
     rop::PollMode poll_mode;
@@ -682,7 +684,7 @@ TEST(Determinism, EverySchemeGivesTheSameBytesOnOneQueueAndOnK) {
           cfg.faults.clock.max_skew_ppm = 20.0;
         }
         const std::string one_queue = run_bytes(t, cfg);
-        for (const int threads : {1, 4}) {
+        for (const int threads : {1, 2, 4}) {
           cfg.sim_threads = threads;
           const auto r = api::run_experiment(t, cfg);
           EXPECT_EQ(r.sim_partitions, c.scheme == api::Scheme::kCentaur
@@ -693,36 +695,6 @@ TEST(Determinism, EverySchemeGivesTheSameBytesOnOneQueueAndOnK) {
         }
       }
     }
-  }
-}
-
-TEST(Determinism, AdaptiveWindowsMatchFixedWindowStepping) {
-  // DMN_SIM_FIXED_WINDOWS=1 forces the dumb reference schedule: dense
-  // [s, s+L) windows, no fast-forward, no elongation. Queues interact only
-  // by messages (DOMINO's controller learns queue state only from AP
-  // reports over the backbone), so the adaptive scheduler must produce
-  // byte-identical results — delivery order is encoded in the destination
-  // heap key, so window policy is a performance choice, never a semantic
-  // one.
-  const auto t = campus4();
-  struct Case {
-    api::Scheme scheme;
-    rop::PollMode poll_mode;
-  };
-  for (const Case c : {Case{api::Scheme::kDcf, rop::PollMode::kLegacy},
-                       Case{api::Scheme::kDomino, rop::PollMode::kLegacy},
-                       Case{api::Scheme::kDomino, rop::PollMode::kAdaptive}}) {
-    SCOPED_TRACE(std::string(api::to_string(c.scheme)) + " " +
-                 rop::to_string(c.poll_mode));
-    auto cfg = part_cfg(c.scheme, 2);
-    cfg.duration = msec(150);
-    cfg.rop.poll_mode = c.poll_mode;
-    ::unsetenv("DMN_SIM_FIXED_WINDOWS");
-    const std::string adaptive = run_bytes(t, cfg);
-    ::setenv("DMN_SIM_FIXED_WINDOWS", "1", 1);
-    const std::string fixed = run_bytes(t, cfg);
-    ::unsetenv("DMN_SIM_FIXED_WINDOWS");
-    EXPECT_EQ(adaptive, fixed);
   }
 }
 

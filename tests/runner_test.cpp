@@ -15,8 +15,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "api/experiment.h"
@@ -100,9 +104,12 @@ TEST(Runner, CheckpointResumeIsByteIdentical) {
   // Manifest line + one record per point, all parseable JSON.
   const auto lines = read_lines(ckpt.path);
   ASSERT_EQ(lines.size(), points.size() + 1);
-  EXPECT_EQ(parse_json(lines[0]).str_or("type", ""), "manifest");
+  const JsonValue manifest = parse_json(lines[0]);
+  const JsonValue* fingerprint = manifest.find("fingerprint");
+  ASSERT_NE(fingerprint, nullptr);
+  EXPECT_EQ(fingerprint->text, runner_fingerprint());
   for (std::size_t i = 1; i < lines.size(); ++i) {
-    EXPECT_EQ(parse_json(lines[i]).str_or("type", ""), "point") << i;
+    EXPECT_NE(parse_json(lines[i]).find("outcome"), nullptr) << i;
   }
 
   // Kill after 3 completed points, then resume at 1 and at 4 threads.
@@ -193,6 +200,17 @@ TEST(Runner, MismatchedManifestStartsFresh) {
   const auto report = runner.run_outcomes(other);
   EXPECT_EQ(runner.stats().restored, 0u);
   EXPECT_TRUE(report.all_ok());
+
+  // Lines carry no type tag, so a file whose first line is a record, not
+  // this sweep's manifest, must not restore either.
+  const auto lines = read_lines(ckpt.path);
+  ASSERT_EQ(lines.size(), other.size() + 1);
+  std::string headless;
+  for (std::size_t i = 1; i < lines.size(); ++i) headless += lines[i] + "\n";
+  atomic_write_file(ckpt.path, headless);
+  SweepRunner again(opt);
+  EXPECT_TRUE(again.run_outcomes(other).all_ok());
+  EXPECT_EQ(again.stats().restored, 0u);
 }
 
 TEST(Runner, TornCheckpointLineIsIgnored) {
@@ -398,16 +416,16 @@ TEST(Runner, PointHashIgnoresTheKernel) {
 
 TEST(Runner, PointHashIsPinnedForEveryScheme) {
   // Checkpoints written by earlier builds resume only while a point hashes
-  // to the same value, so the hashed bytes (the scheme's to_string text
-  // included) are pinned here for one fixed point per scheme.
+  // to the same value, so the hashed bytes (the scheme as its enum value)
+  // are pinned here for one fixed point per scheme.
   const struct {
     Scheme scheme;
     std::uint64_t hash;
   } pins[] = {
-      {Scheme::kDcf, 0xdc41f4fe11af2a7aull},
-      {Scheme::kCentaur, 0x552c4da8d4d07c4dull},
-      {Scheme::kDomino, 0x19a3d9876c590840ull},
-      {Scheme::kOmniscient, 0xb8f30e4acb676937ull},
+      {Scheme::kDcf, 0x6c8354efff044a1cull},
+      {Scheme::kCentaur, 0x00ede04923545ee1ull},
+      {Scheme::kDomino, 0xab3de787dd282cdaull},
+      {Scheme::kOmniscient, 0x955b1b19fcab32cfull},
   };
   for (const auto& pin : pins) {
     ExperimentConfig cfg = base_config();
@@ -417,216 +435,163 @@ TEST(Runner, PointHashIsPinnedForEveryScheme) {
   }
 }
 
+/// Converts to any member type, so `T{AnyMember{}...}` compiles for up to
+/// T's number of aggregate members (a C array counts as its extent: brace
+/// elision spreads the initializers over its elements).
+struct AnyMember {
+  template <typename T>
+  operator T() const;  // only named in unevaluated requires-expressions
+};
+
+template <typename T, std::size_t... I>
+constexpr bool brace_initializable(std::index_sequence<I...>) {
+  return requires { T{(void(I), AnyMember{})...}; };
+}
+
+template <typename T, std::size_t N = 0>
+constexpr std::size_t member_count() {
+  if constexpr (brace_initializable<T>(std::make_index_sequence<N + 1>{})) {
+    return member_count<T, N + 1>();
+  } else {
+    return N;
+  }
+}
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+/// The members a field table names under `prefix`: each distinct key
+/// component after it, a C array at that level counted by its extent.
+template <typename T>
+std::size_t named_members(const T& x, const std::string& prefix) {
+  std::map<std::string, std::size_t> members;
+  visit_fields(x, [&](const char* key, MetricClass, const auto& f) {
+    const std::string k = key;
+    if (!k.starts_with(prefix)) return;
+    const std::string rest = k.substr(prefix.size());
+    const std::size_t dot = rest.find('.');
+    using F = std::remove_cvref_t<decltype(f)>;
+    members[rest.substr(0, dot)] =
+        dot == std::string::npos && std::is_array_v<F> ? std::extent_v<F> : 1;
+  });
+  std::size_t n = 0;
+  for (const auto& [name, width] : members) n += width;
+  return n;
+}
+
+/// Perturbs every leaf the field table reaches from `x`, one at a time and
+/// undone after: flips a bool, adds 1 to an integer or enum and 1.0 to a
+/// double, pushes one default element onto a vector (then perturbs that
+/// element's leaves against the pushed state), and descends into a member
+/// struct with a table of its own. Expects `hash()` to move exactly for
+/// `result` entries, not under a `telemetry` one. Each table reached must
+/// name every member of its struct.
+template <typename T>
+void perturb_each(T& x, bool hashed, const std::string& prefix,
+                  const std::function<std::uint64_t()>& hash,
+                  std::size_t& probes) {
+  EXPECT_EQ(named_members(x, ""), member_count<T>())
+      << prefix << " has a member its field table does not name";
+  const std::uint64_t before = hash();
+  visit_fields(x, [&](const char* key, MetricClass cls, auto& f) {
+    const std::string path = prefix + key;
+    const bool h = hashed && cls == MetricClass::kResult;
+    const auto expect_moved = [&](const std::string& at, std::uint64_t base) {
+      ++probes;
+      EXPECT_EQ(hash() != base, h) << at;
+    };
+    const auto bump = [&](auto& v, const std::string& at, std::uint64_t base) {
+      using V = std::remove_cvref_t<decltype(v)>;
+      const V saved = v;
+      if constexpr (std::is_same_v<V, bool>) {
+        v = !v;
+      } else if constexpr (std::is_enum_v<V>) {
+        v = static_cast<V>(static_cast<std::underlying_type_t<V>>(v) + 1);
+      } else {
+        v = static_cast<V>(v + 1);
+      }
+      expect_moved(at, base);
+      v = saved;
+    };
+    using F = std::remove_cvref_t<decltype(f)>;
+    if constexpr (kIsVector<F>) {
+      f.emplace_back();
+      expect_moved(path + "[+]", before);
+      if constexpr (std::is_class_v<typename F::value_type>) {
+        perturb_each(f.back(), h, path + "[0].", hash, probes);
+      } else {
+        bump(f.back(), path + "[0]", hash());
+      }
+      f.pop_back();
+    } else if constexpr (std::is_array_v<F>) {
+      for (std::size_t i = 0; i < std::size(f); ++i) {
+        bump(f[i], path + "[" + std::to_string(i) + "]", before);
+      }
+    } else if constexpr (std::is_class_v<F>) {
+      perturb_each(f, h, path + ".", hash, probes);
+    } else {
+      bump(f, path, before);
+    }
+  });
+}
+
 TEST(Runner, PointHashSeesEveryKnob) {
   // A checkpoint resumes a point only while its hash matches, so every
   // settable ExperimentConfig value that can change a result feeds
-  // hash_point: perturbing any one of them moves the hash. The passive
-  // recorders and the thread count never change a result, so checkpoints
-  // resume across them. The two buildings keep one queue in the base point
-  // and partition in the thread-count case, which makes it a real one.
-  topo::ManualTopologyBuilder b;
-  b.add_client(b.add_ap());
-  b.add_client(b.add_ap());
-  ExperimentConfig base = base_config();
-  base.sim_threads = -1;
-  const SweepPoint point = seed_sweep(b.build(), base, 1, 1)[0];
+  // hash_point: perturbing any `result` entry of the field table moves the
+  // hash, and perturbing a `telemetry` one (the passive recorders and the
+  // thread count) does not. The cases come from the table itself, and each
+  // table must name every member of its struct, so a new config field
+  // cannot be left out of the hash.
+  SweepPoint point = seed_sweep(two_cells(), base_config(), 1, 1)[0];
   const std::uint64_t base_hash = hash_point(point);
+  std::size_t probes = 0;
+  perturb_each(
+      point.config, true, "", [&] { return hash_point(point); }, probes);
+  EXPECT_EQ(hash_point(point), base_hash);  // every perturbation undone
+  EXPECT_GT(probes, 80u);
 
-  using Tweak = void (*)(ExperimentConfig&);
+  // Telemetry is exactly the values that never change a result.
+  std::vector<std::string> telemetry;
+  visit_fields(point.config, [&](const char* key, MetricClass cls, auto&) {
+    if (cls == MetricClass::kTelemetry) telemetry.emplace_back(key);
+  });
+  EXPECT_EQ(telemetry, (std::vector<std::string>{"audit.mode",
+                                                 "record_timeline",
+                                                 "sim_threads"}));
+
+  // Structs the config table flattens into dotted keys name every member.
+  const ExperimentConfig& c = point.config;
   const struct {
-    const char* knob;
-    Tweak tweak;
-    bool hashed;
-  } cases[] = {
-      {"scheme", [](ExperimentConfig& c) { c.scheme = Scheme::kDomino; },
-       true},
-      {"traffic.kind",
-       [](ExperimentConfig& c) { c.traffic.kind = TrafficKind::kTcp; }, true},
-      {"traffic.downlink_bps",
-       [](ExperimentConfig& c) { c.traffic.downlink_bps += 1.0; }, true},
-      {"traffic.uplink_bps",
-       [](ExperimentConfig& c) { c.traffic.uplink_bps = 1e6; }, true},
-      {"traffic.saturate_downlink",
-       [](ExperimentConfig& c) { c.traffic.saturate_downlink = false; },
-       true},
-      {"traffic.saturate_uplink",
-       [](ExperimentConfig& c) { c.traffic.saturate_uplink = true; }, true},
-      {"traffic.packet_bytes",
-       [](ExperimentConfig& c) { c.traffic.packet_bytes = 1024; }, true},
-      {"traffic.custom",
-       [](ExperimentConfig& c) { c.traffic.custom.push_back({0, 2, 1e6}); },
-       true},
-      {"duration", [](ExperimentConfig& c) { c.duration += 1; }, true},
-      {"seed", [](ExperimentConfig& c) { c.seed += 1; }, true},
-      {"wifi.data_rate_bps",
-       [](ExperimentConfig& c) { c.wifi.data_rate_bps = 24e6; }, true},
-      {"wifi.queue_capacity",
-       [](ExperimentConfig& c) { c.wifi.queue_capacity = 50; }, true},
-      {"backbone.mean_latency",
-       [](ExperimentConfig& c) { c.backbone.mean_latency += 1; }, true},
-      {"backbone.sigma_latency",
-       [](ExperimentConfig& c) { c.backbone.sigma_latency += 1; }, true},
-      {"backbone.min_latency",
-       [](ExperimentConfig& c) { c.backbone.min_latency += 1; }, true},
-      {"domino.batch_slots",
-       [](ExperimentConfig& c) { c.domino.batch_slots = 12; }, true},
-      {"converter.max_inbound",
-       [](ExperimentConfig& c) { c.converter.max_inbound = 3; }, true},
-      {"converter.max_outbound",
-       [](ExperimentConfig& c) { c.converter.max_outbound = 5; }, true},
-      {"converter.insert_fake_links",
-       [](ExperimentConfig& c) { c.converter.insert_fake_links = false; },
-       true},
-      {"sig_model.p_by_count",
-       [](ExperimentConfig& c) { c.sig_model.p_by_count[5] = 0.5; }, true},
-      {"sig_model.beyond_decay",
-       [](ExperimentConfig& c) { c.sig_model.beyond_decay = 0.2; }, true},
-      {"rop.data_per_subchannel",
-       [](ExperimentConfig& c) { c.rop.data_per_subchannel = 4; }, true},
-      {"rop.guard_per_subchannel",
-       [](ExperimentConfig& c) { c.rop.guard_per_subchannel = 2; }, true},
-      {"rop.poll_mode",
-       [](ExperimentConfig& c) { c.rop.poll_mode = rop::PollMode::kAdaptive; },
-       true},
-      {"rop.max_poll_symbols",
-       [](ExperimentConfig& c) { c.rop.max_poll_symbols = 3; }, true},
-      {"rop.assign_seed",
-       [](ExperimentConfig& c) { c.rop.assign_seed = 2; }, true},
-      {"faults.backbone.drop_rate",
-       [](ExperimentConfig& c) { c.faults.backbone.drop_rate = 0.1; }, true},
-      {"faults.backbone.dup_rate",
-       [](ExperimentConfig& c) { c.faults.backbone.dup_rate = 0.1; }, true},
-      {"faults.backbone.spike_rate",
-       [](ExperimentConfig& c) { c.faults.backbone.spike_rate = 0.1; }, true},
-      {"faults.backbone.spike_extra",
-       [](ExperimentConfig& c) { c.faults.backbone.spike_extra += 1; }, true},
-      {"faults.controller.outages",
-       [](ExperimentConfig& c) {
-         c.faults.controller.outages.push_back({msec(10), msec(5)});
-       },
-       true},
-      {"faults.interference.duty",
-       [](ExperimentConfig& c) { c.faults.interference.duty = 0.5; }, true},
-      {"faults.interference.period",
-       [](ExperimentConfig& c) { c.faults.interference.period += 1; }, true},
-      {"faults.interference.power_dbm",
-       [](ExperimentConfig& c) { c.faults.interference.power_dbm = -50.0; },
-       true},
-      {"faults.signature.false_negative_rate",
-       [](ExperimentConfig& c) {
-         c.faults.signature.false_negative_rate = 0.1;
-       },
-       true},
-      {"faults.signature.false_positive_rate",
-       [](ExperimentConfig& c) {
-         c.faults.signature.false_positive_rate = 0.1;
-       },
-       true},
-      {"faults.signature.blackouts",
-       [](ExperimentConfig& c) {
-         c.faults.signature.blackouts.push_back({2, {0, msec(5)}});
-       },
-       true},
-      {"faults.clock.max_skew_ppm",
-       [](ExperimentConfig& c) { c.faults.clock.max_skew_ppm = 50.0; }, true},
-      {"faults.ap_outages",
-       [](ExperimentConfig& c) {
-         c.faults.ap_outages.push_back({0, {msec(10), msec(5)}});
-       },
-       true},
-      {"dynamics.epoch", [](ExperimentConfig& c) { c.dynamics.epoch += 1; },
-       true},
-      {"dynamics.floorplan.num_nodes",
-       [](ExperimentConfig& c) { c.dynamics.floorplan.num_nodes += 1; },
-       true},
-      {"dynamics.floorplan.building_w",
-       [](ExperimentConfig& c) { c.dynamics.floorplan.building_w += 1.0; },
-       true},
-      {"dynamics.floorplan.building_h",
-       [](ExperimentConfig& c) { c.dynamics.floorplan.building_h += 1.0; },
-       true},
-      {"dynamics.floorplan.building_gap",
-       [](ExperimentConfig& c) { c.dynamics.floorplan.building_gap += 1.0; },
-       true},
-      {"dynamics.floorplan.tx_power_dbm",
-       [](ExperimentConfig& c) { c.dynamics.floorplan.tx_power_dbm += 1.0; },
-       true},
-      {"dynamics.floorplan.ref_loss_db",
-       [](ExperimentConfig& c) { c.dynamics.floorplan.ref_loss_db += 1.0; },
-       true},
-      {"dynamics.floorplan.exponent",
-       [](ExperimentConfig& c) { c.dynamics.floorplan.exponent += 0.1; },
-       true},
-      {"dynamics.floorplan.wall_db",
-       [](ExperimentConfig& c) { c.dynamics.floorplan.wall_db += 1.0; },
-       true},
-      {"dynamics.floorplan.room_w",
-       [](ExperimentConfig& c) { c.dynamics.floorplan.room_w += 1.0; },
-       true},
-      {"dynamics.floorplan.room_h",
-       [](ExperimentConfig& c) { c.dynamics.floorplan.room_h += 1.0; },
-       true},
-      {"dynamics.floorplan.exterior_wall_db",
-       [](ExperimentConfig& c) {
-         c.dynamics.floorplan.exterior_wall_db += 1.0;
-       },
-       true},
-      {"dynamics.floorplan.shadowing_sigma_db",
-       [](ExperimentConfig& c) {
-         c.dynamics.floorplan.shadowing_sigma_db += 1.0;
-       },
-       true},
-      {"dynamics.floorplan.max_interior_walls",
-       [](ExperimentConfig& c) {
-         c.dynamics.floorplan.max_interior_walls += 1;
-       },
-       true},
-      {"dynamics.trajectories",
-       [](ExperimentConfig& c) {
-         c.dynamics.trajectories.push_back(
-             {2, {{0, {1.0, 1.0}}, {msec(50), {2.0, 2.0}}}});
-       },
-       true},
-      {"dynamics.membership",
-       [](ExperimentConfig& c) {
-         c.dynamics.membership.push_back({msec(10), 2, false});
-       },
-       true},
-      {"dynamics.churn_rate_hz",
-       [](ExperimentConfig& c) { c.dynamics.churn_rate_hz = 2.0; }, true},
-      {"dynamics.churn_downtime",
-       [](ExperimentConfig& c) { c.dynamics.churn_downtime += 1; }, true},
-      {"dynamics.churn_nodes",
-       [](ExperimentConfig& c) { c.dynamics.churn_nodes.push_back(2); },
-       true},
-      {"dynamics.roam.enabled",
-       [](ExperimentConfig& c) { c.dynamics.roam.enabled = true; }, true},
-      {"dynamics.roam.hysteresis_db",
-       [](ExperimentConfig& c) { c.dynamics.roam.hysteresis_db += 1.0; },
-       true},
-      {"dynamics.roam.min_dwell",
-       [](ExperimentConfig& c) { c.dynamics.roam.min_dwell += 1; }, true},
-      {"audit.mutation",
-       [](ExperimentConfig& c) {
-         c.audit.mutation = audit::Mutation::kMacDoubleDelivery;
-       },
-       true},
-      {"audit.mode",
-       [](ExperimentConfig& c) { c.audit.mode = audit::AuditMode::kRecord; },
-       false},
-      {"record_timeline",
-       [](ExperimentConfig& c) { c.record_timeline = true; }, false},
-      {"sim_threads", [](ExperimentConfig& c) { c.sim_threads = 4; }, false},
+    const char* prefix;
+    std::size_t members;
+  } flattened[] = {
+      {"traffic.", member_count<TrafficSpec>()},
+      {"wifi.", member_count<mac::WifiParams>()},
+      {"backbone.", member_count<wired::BackboneParams>()},
+      {"domino.", member_count<domino::DominoParams>()},
+      {"converter.", member_count<domino::ConverterParams>()},
+      {"sig_model.", member_count<phy::SignatureDetectionModel>()},
+      {"rop.", member_count<rop::RopParams>()},
+      {"faults.", member_count<fault::FaultPlan>()},
+      {"faults.backbone.", member_count<fault::BackboneFaults>()},
+      {"faults.controller.", member_count<fault::ControllerFaults>()},
+      {"faults.interference.", member_count<fault::InterferenceFaults>()},
+      {"faults.signature.", member_count<fault::SignatureFaults>()},
+      {"faults.clock.", member_count<fault::ClockFaults>()},
+      {"dynamics.", member_count<topo::DynamicsPlan>()},
+      {"dynamics.floorplan.", member_count<topo::TraceParams>()},
+      {"dynamics.roam.", member_count<topo::RoamPolicy>()},
+      {"audit.", member_count<audit::AuditConfig>()},
   };
-  for (const auto& k : cases) {
-    SweepPoint tweaked = point;
-    k.tweak(tweaked.config);
-    if (k.hashed) {
-      EXPECT_NE(hash_point(tweaked), base_hash) << k.knob;
-    } else {
-      EXPECT_EQ(hash_point(tweaked), base_hash) << k.knob;
-    }
+  for (const auto& s : flattened) {
+    EXPECT_EQ(named_members(c, s.prefix), s.members)
+        << s.prefix << " has a member the config table does not name";
   }
+  EXPECT_EQ(named_members(topo::Waypoint{}, "pos."),
+            member_count<topo::Position>());
 }
 
 }  // namespace
