@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace dmn::topo {
 
@@ -14,14 +15,16 @@ double LogDistanceModel::rss_dbm(const Position& a, const Position& b) const {
 
 RssMap::RssMap(std::size_t n_nodes)
     : n_(n_nodes),
-      rss_(n_nodes * n_nodes, -std::numeric_limits<double>::infinity()) {}
+      rss_(n_nodes < 2 ? 0 : n_nodes * (n_nodes - 1) / 2,
+           -std::numeric_limits<double>::infinity()) {}
 
 double RssMap::rss(NodeId a, NodeId b) const {
   if (a < 0 || b < 0 || static_cast<std::size_t>(a) >= n_ ||
       static_cast<std::size_t>(b) >= n_) {
     throw std::out_of_range("RssMap::rss");
   }
-  return rss_[static_cast<std::size_t>(a) * n_ + static_cast<std::size_t>(b)];
+  if (a == b) return -std::numeric_limits<double>::infinity();
+  return rss_[index(static_cast<std::size_t>(a), static_cast<std::size_t>(b))];
 }
 
 void RssMap::set_rss(NodeId a, NodeId b, double dbm) {
@@ -29,8 +32,11 @@ void RssMap::set_rss(NodeId a, NodeId b, double dbm) {
       static_cast<std::size_t>(b) >= n_) {
     throw std::out_of_range("RssMap::set_rss");
   }
-  rss_[static_cast<std::size_t>(a) * n_ + static_cast<std::size_t>(b)] = dbm;
-  rss_[static_cast<std::size_t>(b) * n_ + static_cast<std::size_t>(a)] = dbm;
+  if (a == b) {
+    throw std::invalid_argument("RssMap::set_rss: node " + std::to_string(a) +
+                                " paired with itself");
+  }
+  rss_[index(static_cast<std::size_t>(a), static_cast<std::size_t>(b))] = dbm;
 }
 
 RssMap RssMap::from_positions(const std::vector<Position>& pos,

@@ -8,6 +8,8 @@
 // positions (the ns-3-style random-network experiments, Figure 14) or by
 // the synthetic two-building trace generator (everything else).
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "topo/node.h"
@@ -27,6 +29,10 @@ struct LogDistanceModel {
 };
 
 /// Symmetric RSS matrix between all node pairs, in dBm.
+///
+/// Layout: only the pairs a < b are stored, the upper triangle row by row
+/// (row a holds rss(a, a+1) .. rss(a, n-1)), n(n-1)/2 doubles in all. The
+/// other direction reads the same entry and the diagonal is -inf.
 class RssMap {
  public:
   /// Every pair starts at -inf dBm: no path.
@@ -34,8 +40,17 @@ class RssMap {
 
   std::size_t size() const { return n_; }
 
+  /// Either order; -inf on the diagonal. Throws std::out_of_range for an
+  /// id outside [0, size()).
   double rss(NodeId a, NodeId b) const;
-  void set_rss(NodeId a, NodeId b, double dbm);  // sets both directions
+  /// Sets both directions. Throws std::out_of_range for an id outside
+  /// [0, size()) and std::invalid_argument on the diagonal.
+  void set_rss(NodeId a, NodeId b, double dbm);
+
+  /// rss(a, b) for b = a+1 .. size()-1, contiguous. `a` must be in range.
+  std::span<const double> upper_row(std::size_t a) const {
+    return {rss_.data() + row_start(a), n_ - 1 - a};
+  }
 
   /// Builds the map from positions with a path-loss model plus optional
   /// per-pair lognormal shadowing (frozen, symmetric).
@@ -45,7 +60,17 @@ class RssMap {
 
  private:
   std::size_t n_;
-  util::DenseTable rss_;  // row-major, symmetric
+  util::DenseTable rss_;  // upper triangle, row-major
+
+  /// Offset of rss(a, a+1): rows 0 .. a-1 hold n-1, n-2, .. n-a pairs.
+  std::size_t row_start(std::size_t a) const {
+    return a * (2 * n_ - a - 1) / 2;
+  }
+  /// Entry of the pair {a, b}, a != b, in either order.
+  std::size_t index(std::size_t a, std::size_t b) const {
+    if (a > b) std::swap(a, b);
+    return row_start(a) + (b - a - 1);
+  }
 };
 
 }  // namespace dmn::topo

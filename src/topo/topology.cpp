@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -12,9 +14,11 @@ namespace {
 
 /// Dense-matrix memory guard: the RSS fast path bakes an n x n double
 /// matrix, so an absurd node count from a bad trace would silently try to
-/// allocate unbounded memory. 32768 nodes ~= 8 GB per matrix — enough for
-/// the 1000-AP / 24k-client campus the partitioned-kernel scale bench
-/// simulates (bench/bench_scale.cpp), while still rejecting garbage counts.
+/// allocate unbounded memory. 32768 nodes ~= 8 GiB for the linear-power
+/// matrix plus 4 GiB for the dBm map (its upper triangle, n(n-1)/2
+/// doubles) — enough for the 1000-AP / 24k-client campus the
+/// partitioned-kernel scale bench simulates (bench/bench_scale.cpp), while
+/// still rejecting garbage counts.
 constexpr std::size_t kMaxNodes = 32768;
 
 std::size_t find_root(std::vector<std::size_t>& parent, std::size_t x) {
@@ -78,32 +82,42 @@ Topology::Topology(std::vector<Node> nodes, RssMap rss,
   // Bake the PHY fast-path tables: the linear-power matrix (one pow() per
   // pair here instead of one per interference term at runtime), the
   // per-source audible-neighbor lists that bound frame delivery fan-out,
-  // and, by union-find in the same pass, the coupling components.
-  rss_mw_.resize(n * n);
+  // and, by union-find in the same pass, the coupling components. One
+  // visit per unordered pair a < b, in row order, fills both directions.
+  // The matrix starts zeroed, which is already the entry of a -inf (no
+  // path) pair and of the diagonal, so those pairs cost no pow() and no
+  // store. Both audible lists come out ascending: audible_[x] gains every
+  // a < x in rows a < x, then every b > x in its own row.
+  constexpr double kNoPath = -std::numeric_limits<double>::infinity();
+  rss_mw_ = util::DenseTable(n * n);
   audible_.resize(n);
   std::vector<std::size_t> parent(n);
   for (std::size_t i = 0; i < n; ++i) parent[i] = i;
   for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      const double dbm = rss_.rss(static_cast<NodeId>(a),
-                                  static_cast<NodeId>(b));
-      // Off-diagonal entries must be real attenuations: NaN poisons every
-      // downstream SINR sum, and a positive-dBm "received" power is
-      // stronger than any transmitter in this model — both are trace
-      // corruption, not physics. (-inf marks "no path" and is fine; the
-      // diagonal is -inf by construction.)
-      if (a != b && (std::isnan(dbm) || dbm > 0.0)) {
-        throw std::invalid_argument(
-            "Topology: RSS(" + std::to_string(a) + ", " + std::to_string(b) +
-            ") = " + std::to_string(dbm) +
-            " dBm is invalid (expected a finite value <= 0 dBm, or -inf "
-            "for no path)");
+    const std::span<const double> row = rss_.upper_row(a);
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const double dbm = row[b - a - 1];
+      if (dbm != kNoPath) {
+        // Entries must be real attenuations: NaN poisons every downstream
+        // SINR sum, and a positive-dBm "received" power is stronger than
+        // any transmitter in this model — both are trace corruption, not
+        // physics. (-inf marks "no path" and is fine.) Row order over
+        // a < b names the same first bad pair as a scan of every (a, b).
+        if (std::isnan(dbm) || dbm > 0.0) {
+          throw std::invalid_argument(
+              "Topology: RSS(" + std::to_string(a) + ", " +
+              std::to_string(b) + ") = " + std::to_string(dbm) +
+              " dBm is invalid (expected a finite value <= 0 dBm, or -inf "
+              "for no path)");
+        }
+        const double mw = dbm_to_mw(dbm);
+        rss_mw_[a * n + b] = mw;
+        rss_mw_[b * n + a] = mw;
+        if (mw > 0.0) unite(parent, a, b);
       }
-      const double mw = dbm_to_mw(dbm);
-      rss_mw_[a * n + b] = mw;
-      if (mw > 0.0 && parent[b] != parent[a]) unite(parent, a, b);
-      if (a != b && dbm >= thresholds_.min_rss_dbm) {
+      if (dbm >= thresholds_.min_rss_dbm) {
         audible_[a].push_back(static_cast<NodeId>(b));
+        audible_[b].push_back(static_cast<NodeId>(a));
       }
     }
   }
@@ -281,24 +295,23 @@ Topology Topology::build_tmn(const RssMap& trace, std::size_t m,
   const std::size_t total = trace.size();
 
   // Degree in the communication graph (paper: "number of nodes in their
-  // communication range").
-  auto degree = [&](std::size_t i) {
-    std::size_t d = 0;
-    for (std::size_t j = 0; j < total; ++j) {
-      if (j != i && trace.rss(static_cast<NodeId>(i),
-                              static_cast<NodeId>(j)) >=
-                        thresholds.assoc_rss_dbm) {
-        ++d;
+  // communication range"), counted once per pair before the sort.
+  std::vector<std::size_t> degree(total, 0);
+  for (std::size_t i = 0; i < total; ++i) {
+    for (std::size_t j = i + 1; j < total; ++j) {
+      if (trace.rss(static_cast<NodeId>(i), static_cast<NodeId>(j)) >=
+          thresholds.assoc_rss_dbm) {
+        ++degree[i];
+        ++degree[j];
       }
     }
-    return d;
-  };
+  }
 
   std::vector<std::size_t> order(total);
   for (std::size_t i = 0; i < total; ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
                                                    std::size_t b) {
-    return degree(a) > degree(b);
+    return degree[a] > degree[b];
   });
 
   std::vector<bool> used(total, false);

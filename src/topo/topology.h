@@ -105,7 +105,10 @@ class Topology {
   // ---- PHY fast path ---------------------------------------------------
   // Derived tables precomputed at construction so the per-transmission
   // loops in phy::Medium never convert dBm (a pow() per term) and never
-  // visit nodes that cannot hear the transmitter.
+  // visit nodes that cannot hear the transmitter. The dBm map keeps one
+  // entry per unordered pair (see RssMap); the linear-power matrix keeps
+  // both directions, full n x n rows, so a transmitter's contributions
+  // are one contiguous row.
 
   /// Linear received power in mW for the (a, b) pair; exactly
   /// dbm_to_mw(rss(a, b)). 0 mW on the diagonal (rss is -inf there).
@@ -169,7 +172,7 @@ class Topology {
   std::vector<Node> nodes_;
   RssMap rss_;
   PhyThresholds thresholds_;
-  util::DenseTable rss_mw_;  // row-major linear-power matrix
+  util::DenseTable rss_mw_;  // n x n, row-major; 0 mW where no path
   std::vector<std::vector<NodeId>> audible_;  // per-src audible neighbors
   /// Lazy presence flags (join/leave churn): empty = every node active.
   std::vector<char> active_;
