@@ -449,8 +449,10 @@ struct Experiment::Impl {
     // coupling component (see runs_partitioned).
     if (runs_partitioned(topo, cfg)) {
       const topo::Partitioning parts = topo::compute_partitions(topo);
+      // The window width follows from the cross-queue channels the stack
+      // declares: DOMINO's backbone sets it to min_latency; a stack with no
+      // backbone runs each run_until() as one window.
       sim.configure_partitions(parts.assignment, parts.count,
-                               cfg.backbone.min_latency,
                                resolve_sim_threads(cfg));
       for (std::uint32_t q = 0; q < parts.count; ++q) {
         auto m = std::make_unique<phy::Medium>(sim, topo);
@@ -592,6 +594,8 @@ struct Experiment::Impl {
     result.sim_spin_wakes = ks.spin_wakes;
     result.sim_sleep_wakes = ks.sleep_wakes;
     result.sim_barrier_seconds = ks.barrier_seconds;
+    result.sim_lookahead_ns =
+        sim.lookahead() == sim::kTimeNever ? 0 : sim.lookahead();
     stack->collect(result);
     if (injector) {
       const fault::FaultCounters fc = injector->counters();

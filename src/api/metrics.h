@@ -12,6 +12,7 @@
 #include "api/timeline.h"
 #include "topo/conflict_graph.h"
 #include "traffic/packet.h"
+#include "util/time.h"
 
 namespace dmn::audit {
 struct AuditReport;
@@ -114,8 +115,8 @@ struct ExperimentResult {
   /// when no consumer (DOMINO, Omniscient, the auditor) asked for the
   /// graph.
   std::uint64_t graph_builds = 0;
-  /// Kernel window statistics (sim::KernelStats; one queue runs one window
-  /// per run and activates no node queue).
+  /// Kernel window statistics (sim::KernelStats; a run with no cross-queue
+  /// channel — one queue, or partitions with no backbone — is one window).
   std::uint64_t sim_windows = 0;            ///< synchronization windows
   std::uint64_t sim_ff_jumps = 0;           ///< windows that skipped idle time
   std::uint64_t sim_elongated_windows = 0;  ///< windows with an extended bound
@@ -124,6 +125,9 @@ struct ExperimentResult {
   std::uint64_t sim_spin_wakes = 0;         ///< worker wakeups served by spinning
   std::uint64_t sim_sleep_wakes = 0;        ///< worker wakeups via condition var
   double sim_barrier_seconds = 0.0;         ///< coordinator publish+wait time
+  /// Window width (sim::Simulator::lookahead(): the smallest declared
+  /// cross-queue channel floor); 0 when only the horizon bounds a window.
+  TimeNs sim_lookahead_ns = 0;
 
   // Attachments, not metrics: outside the field tables, so audit-on and
   // timeline-recording runs serialize like plain ones.
@@ -244,6 +248,7 @@ void visit_fields(E& r, Visit&& visit) {
   visit("sim_spin_wakes", kTelemetry, r.sim_spin_wakes);
   visit("sim_sleep_wakes", kTelemetry, r.sim_sleep_wakes);
   visit("sim_barrier_seconds", kTelemetry, r.sim_barrier_seconds);
+  visit("sim_lookahead_ns", kTelemetry, r.sim_lookahead_ns);
 }
 
 /// Misalignment restricted to transmitters that share a collision domain

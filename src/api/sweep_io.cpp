@@ -369,10 +369,14 @@ void read_value(const JsonValue& j, T& v) {
   }
 }
 
+/// Serialized bytes without the append buffer's growth slack: callers keep
+/// results (checkpoints, reports, benchmark passes) and should pay only
+/// their size.
 template <typename T>
 std::string to_json(const T& v) {
   std::string out;
   write_value(out, v);
+  out.shrink_to_fit();
   return out;
 }
 

@@ -144,8 +144,7 @@ EventQueue& Simulator::active() const {
 }
 
 void Simulator::configure_partitions(std::vector<std::uint32_t> assignment,
-                                     std::uint32_t count, TimeNs lookahead,
-                                     unsigned threads) {
+                                     std::uint32_t count, unsigned threads) {
   if (count < 2) {
     throw std::invalid_argument(
         "sim: configure_partitions requires >= 2 partitions; keep one "
@@ -155,10 +154,6 @@ void Simulator::configure_partitions(std::vector<std::uint32_t> assignment,
     throw std::invalid_argument(
         "sim: partition count exceeds the work-index capacity (" +
         std::to_string(Pool::kIdxMask) + ")");
-  }
-  if (lookahead <= 0) {
-    throw std::invalid_argument(
-        "sim: partitioned kernel requires a positive lookahead");
   }
   for (std::uint32_t a : assignment) {
     if (a >= count) {
@@ -175,7 +170,6 @@ void Simulator::configure_partitions(std::vector<std::uint32_t> assignment,
   // wake counters don't leak into the freshly-reset stats below.
   shutdown_pool();
   node_queue_ = std::move(assignment);
-  lookahead_ = lookahead;
   threads_ = std::max(1u, threads);
   stats_ = KernelStats{};
   stats_.activation_hist.assign(count + 1, 0);
@@ -183,6 +177,21 @@ void Simulator::configure_partitions(std::vector<std::uint32_t> assignment,
   for (std::uint32_t q = 0; q <= count; ++q) {  // + the wired queue
     queues_.push_back(std::make_unique<EventQueue>(q));
   }
+}
+
+void Simulator::add_cross_queue_channel(TimeNs min_latency) {
+  if (min_latency <= 0) {
+    throw std::invalid_argument(
+        "sim: a cross-queue channel needs a positive latency floor");
+  }
+  // Inside an event (g_active names this simulator) an event has run by
+  // definition; outside, no queue is running, so the counts are stable.
+  if (g_active.sim == this || events_executed() != 0) {
+    throw std::logic_error(
+        "sim: cross-queue channels must be declared before the first event "
+        "runs");
+  }
+  channel_floor_ = std::min(channel_floor_, min_latency);
 }
 
 EventHandle Simulator::schedule_at(TimeNs at, EventFn fn) {
@@ -204,14 +213,21 @@ void Simulator::post_to_queue(std::uint32_t dst, TimeNs at, EventFn fn) {
     src.push(at, std::move(fn));
     return;
   }
+  // With no channel declared every queue runs to the horizon in one
+  // window, so nothing may cross at all.
+  if (channel_floor_ == kTimeNever) {
+    throw std::logic_error(
+        "sim: cross-queue send with no cross-queue channel declared");
+  }
   // Conservative-lookahead contract: a cross-queue event must land beyond
   // every other queue's current window bound, otherwise the destination may
-  // have already run past it in parallel.
-  if (at < src.now() + lookahead_) {
+  // have already run past it in parallel. Written as a difference so that
+  // no sum can overflow.
+  if (at < src.now() || at - src.now() < channel_floor_) {
     throw std::logic_error(
         "sim: cross-partition event below the lookahead horizon: at=" +
         std::to_string(at) + " ns < now=" + std::to_string(src.now()) +
-        " ns + lookahead=" + std::to_string(lookahead_) + " ns");
+        " ns + lookahead=" + std::to_string(channel_floor_) + " ns");
   }
   dq.inbox_put(EventQueue::CrossMsg{at, src.index(), src.next_cross_seq(),
                                     std::move(fn)});
@@ -244,6 +260,7 @@ void Simulator::run_until(TimeNs until) {
   for (auto& q : queues_) q->clear_stop();
   const std::uint32_t wired = wired_queue_index();
   const std::size_t nq = queues_.size();
+  const TimeNs lookahead = this->lookahead();
   bounds_.assign(nq, 0);
   exec_delta_.assign(nq, 0);
   bool have_prev = false;
@@ -295,11 +312,11 @@ void Simulator::run_until(TimeNs until) {
       if (queues_[i]->now() < start - 1) queues_[i]->set_now(start - 1);
     }
     ++stats_.windows;
-    // One queue has lookahead kTimeNever, so its window is bounded only by
-    // the horizon.
-    const TimeNs horizon = (start > kTimeNever - lookahead_)
+    // A lookahead of kTimeNever (one queue, or no channel declared) bounds
+    // the window only by the horizon.
+    const TimeNs horizon = (start > kTimeNever - lookahead)
                                ? kTimeNever
-                               : start + lookahead_;
+                               : start + lookahead;
     const TimeNs base_last = std::min(until, horizon - 1);
     TimeNs window_end = base_last;
     for (std::size_t i = 0; i < nq; ++i) bounds_[i] = base_last;
@@ -308,9 +325,9 @@ void Simulator::run_until(TimeNs until) {
     // at or beyond min(m2, m1 + L) + L (see the header-comment induction).
     if (m2 > m1) {
       const TimeNs e_start = std::min(m2, horizon);
-      const TimeNs e_horizon = (e_start > kTimeNever - lookahead_)
+      const TimeNs e_horizon = (e_start > kTimeNever - lookahead)
                                    ? kTimeNever
-                                   : e_start + lookahead_;
+                                   : e_start + lookahead;
       const TimeNs e_last = std::min(until, e_horizon - 1);
       if (e_last > base_last) {
         bounds_[argmin] = e_last;

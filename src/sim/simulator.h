@@ -13,8 +13,11 @@
 // union of its coupling components) gets its own EventQueue + clock, plus
 // one extra "wired" queue for backbone-side logic (controllers). Queues
 // advance in synchronization windows bounded by the lookahead L — the
-// minimum cross-partition delivery latency (the backbone's min_latency
-// floor). Per window:
+// minimum latency floor over the cross-queue channels declared with
+// add_cross_queue_channel() (the wired backbone declares its min_latency).
+// With no channel declared no message can cross a queue, L is kTimeNever,
+// and each run_until() is one window in which every queue runs to the
+// horizon. Per window:
 //   * the wired queue runs first, on the coordinator thread, while every
 //     node queue is parked at the barrier. A window starting at s first
 //     moves every clock to at least s - 1 (nothing is pending before s);
@@ -23,7 +26,9 @@
 // >= t + lookahead, i.e. beyond every other queue's window bound, so no
 // in-window event can affect another queue's current window: the merge of
 // per-queue executions is equivalent to the sequential execution of a
-// global heap over the same per-queue event streams.
+// global heap over the same per-queue event streams. Channels must
+// therefore be declared before the first event runs: a floor lowered
+// mid-run would admit messages into windows already granted a wider bound.
 //
 // Window protocol v2 (adaptive). Let m1 = min over queues of next_time()
 // after inbox drains, m2 = the second-smallest. Every window starts at m1 —
@@ -80,10 +85,12 @@ namespace dmn::sim {
 /// Kernel telemetry for the run loop. Counters accumulate across
 /// run_until() calls; all are coordinator-written except the wake counts,
 /// which workers accumulate into the pool and the coordinator folds in.
-/// Cheap enough to keep always-on. A one-queue simulator counts one window
-/// per run_until() that executes anything and never activates a node queue
-/// (its only queue is the wired one). The counts describe how a run was
-/// scheduled, never what it computed: results carry them as telemetry only.
+/// Cheap enough to keep always-on. A simulator whose lookahead is
+/// kTimeNever — one queue, or partitions with no cross-queue channel —
+/// counts one window per run_until() that executes anything; a one-queue
+/// simulator never activates a node queue (its only queue is the wired
+/// one). The counts describe how a run was scheduled, never what it
+/// computed: results carry them as telemetry only.
 struct KernelStats {
   std::uint64_t windows = 0;            ///< synchronization windows executed
   std::uint64_t ff_jumps = 0;           ///< windows whose start skipped idle time
@@ -113,15 +120,21 @@ class Simulator {
 
   /// Splits the kernel into `count` node partitions (queues 0..count-1)
   /// plus one wired queue (index count). `assignment[node]` maps each
-  /// topology node to its partition. `lookahead` must be positive — it is
-  /// the minimum latency of any cross-partition delivery, and becomes the
-  /// synchronization window width. `threads` caps the worker pool (clamped
-  /// to the partition count). Must be called before anything is scheduled;
-  /// calling it again reconfigures from scratch — the worker pool and its
-  /// telemetry are torn down so the next run matches the new settings.
+  /// topology node to its partition. `threads` caps the worker pool
+  /// (clamped to the partition count). The window width is not a parameter:
+  /// it follows from the declared cross-queue channels (lookahead()). Must
+  /// be called before anything is scheduled; calling it again reconfigures
+  /// from scratch — the worker pool and its telemetry are torn down so the
+  /// next run matches the new settings. Declared channels survive: they
+  /// describe senders, not the partition layout.
   void configure_partitions(std::vector<std::uint32_t> assignment,
-                            std::uint32_t count, TimeNs lookahead,
-                            unsigned threads);
+                            std::uint32_t count, unsigned threads);
+
+  /// Declares a sender that may post across queues (post_to_queue), and
+  /// the smallest latency any of its deliveries takes; it must be positive.
+  /// Throws std::logic_error once an event has run: lowering the floor
+  /// mid-run would break windows already granted.
+  void add_cross_queue_channel(TimeNs min_latency);
 
   /// Number of event queues: 1 by default, the node partitions plus the
   /// wired queue once partitioned. Per-queue state (counter lanes, mediums,
@@ -130,9 +143,13 @@ class Simulator {
   std::uint32_t queue_count() const {
     return static_cast<std::uint32_t>(queues_.size());
   }
-  /// Minimum latency of any cross-queue delivery: the window width of a
-  /// partitioned kernel, kTimeNever on one queue (nothing can cross).
-  TimeNs lookahead() const { return lookahead_; }
+  /// Minimum latency of any cross-queue delivery — the minimum over the
+  /// declared channel floors — and the window width of a partitioned
+  /// kernel. kTimeNever when no channel was declared, and always on one
+  /// queue (nothing can cross).
+  TimeNs lookahead() const {
+    return queues_.size() == 1 ? kTimeNever : channel_floor_;
+  }
 
   /// Queue carrying a node's events: its partition's queue. A node no
   /// partition claims — every node of a one-queue simulator — runs on the
@@ -188,8 +205,9 @@ class Simulator {
   /// Schedules `fn` at absolute time `at` on queue `dst`. Falls back to
   /// post_at() when `dst` is the active queue (always so on one queue);
   /// otherwise appends to dst's inbox in (time, source queue, source seq)
-  /// order. Cross-queue sends must respect the lookahead contract
-  /// (`at >= now() + lookahead()`); violations throw std::logic_error.
+  /// order. Cross-queue sends need a declared channel and must respect the
+  /// lookahead contract (`at >= now() + lookahead()`); violations throw
+  /// std::logic_error.
   void post_to_queue(std::uint32_t dst, TimeNs at, EventFn fn);
 
   /// Cancel a pending event, removing it from its queue. No-op if already
@@ -233,6 +251,9 @@ class Simulator {
   /// at every window barrier and enforced deterministically in-window: each
   /// window lets every queue run at most (budget - total at window start)
   /// events, a per-queue cap that does not depend on other queues' progress.
+  /// A run with one window per run_until() (lookahead kTimeNever) therefore
+  /// lets each of its K queues run up to the remaining budget before it
+  /// reports the interruption.
   /// 0 disables the budget.
   void set_event_budget(std::uint64_t max_events) {
     event_budget_ = max_events;
@@ -270,7 +291,7 @@ class Simulator {
 
   std::vector<std::unique_ptr<EventQueue>> queues_;
   std::vector<std::uint32_t> node_queue_;  // empty on one queue
-  TimeNs lookahead_ = kTimeNever;
+  TimeNs channel_floor_ = kTimeNever;  // min over declared channels
   unsigned threads_ = 1;
   std::uint32_t build_queue_ = 0;
   bool interrupted_ = false;

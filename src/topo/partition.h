@@ -3,9 +3,9 @@
 // (Topology::component_of). Two nodes in different components share no
 // nonzero power and no association, so neither carrier sense, interference
 // summation nor frame delivery can couple them over the air — the wired
-// backbone is the only cross-component channel, and its min_latency floor
-// becomes the conservative lookahead of the partitioned kernel
-// (src/sim/simulator.h).
+// backbone, when a scheme builds one, is the only cross-component channel,
+// and its min_latency floor becomes the conservative lookahead of the
+// partitioned kernel (src/sim/simulator.h).
 
 #include <cstdint>
 #include <vector>

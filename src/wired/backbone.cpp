@@ -10,6 +10,8 @@ namespace dmn::wired {
 Backbone::Backbone(sim::Simulator& sim, const BackboneParams& params,
                    std::vector<topo::NodeId> aps, Rng rng)
     : sim_(sim), params_(params), aps_(std::move(aps)) {
+  // Every delivery, faulted copies included, takes at least min_latency.
+  sim_.add_cross_queue_channel(params_.min_latency);
   std::sort(aps_.begin(), aps_.end());
   to_ap_.reserve(aps_.size());
   to_wired_.reserve(aps_.size());

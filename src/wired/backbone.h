@@ -21,10 +21,13 @@
 // is drawn by one queue only (the controller's draws the controller->AP
 // streams, an AP's queue its AP->controller stream), so no draw races.
 //
-// Partitioned kernel: min_latency is the conservative lookahead bound of
-// src/sim/simulator.h, so every delivery — including every faulted copy —
-// must take at least min_latency. send_to_node() delivers on the AP's event
-// queue, send_to_wired() on the wired queue.
+// Partitioned kernel: the constructor declares the backbone as a
+// cross-queue channel with floor min_latency
+// (Simulator::add_cross_queue_channel), which bounds the kernel's lookahead
+// (src/sim/simulator.h), so every delivery — including every faulted copy —
+// must take at least min_latency. A backbone must therefore be built before
+// the first event runs, and min_latency must be positive. send_to_node()
+// delivers on the AP's event queue, send_to_wired() on the wired queue.
 
 #include <cstdint>
 #include <functional>
@@ -55,7 +58,10 @@ struct DeliveryMod {
 
 class Backbone {
  public:
-  /// `aps` names every AP endpoint the backbone serves.
+  /// `aps` names every AP endpoint the backbone serves. Declares the
+  /// backbone's cross-queue channel on `sim`: throws std::invalid_argument
+  /// when params.min_latency is not positive, and std::logic_error once an
+  /// event of `sim` has run.
   Backbone(sim::Simulator& sim, const BackboneParams& params,
            std::vector<topo::NodeId> aps, Rng rng);
 

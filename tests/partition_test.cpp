@@ -285,26 +285,100 @@ TEST(Kernel, SchedulingIntoThePastThrows) {
 
 TEST(Kernel, CrossPartitionSendBelowLookaheadThrows) {
   sim::Simulator sim;
-  sim.configure_partitions({0u, 1u}, 2, usec(20), 1);
+  sim.configure_partitions({0u, 1u}, 2, 1);
+  sim.add_cross_queue_channel(usec(20));
   sim::Simulator::Scope scope(sim, 0);
   // Below the lookahead horizon: rejected.
   EXPECT_THROW(sim.post_to_queue(1, usec(10), [] {}), std::logic_error);
   // At the horizon: accepted and delivered.
   bool ran = false;
   sim.post_to_queue(1, usec(20), [&] { ran = true; });
+  // The horizon counts from the sender's running clock, and the farthest
+  // landing time passes without overflow.
+  bool checked = false;
+  sim.post_at(usec(30), [&] {
+    EXPECT_THROW(sim.post_to_queue(1, usec(49), [] {}), std::logic_error);
+    EXPECT_THROW(sim.post_to_queue(1, usec(10), [] {}), std::logic_error);
+    sim.post_to_queue(1, sim::kTimeNever - 1, [] {});
+    checked = true;
+  });
   sim.run_until(usec(50));
   EXPECT_TRUE(ran);
+  EXPECT_TRUE(checked);
+}
+
+TEST(Kernel, LookaheadIsTheSmallestDeclaredChannelFloor) {
+  sim::Simulator sim;
+  sim.add_cross_queue_channel(usec(30));
+  EXPECT_EQ(sim.lookahead(), sim::kTimeNever);  // one queue: nothing crosses
+  sim.configure_partitions({0u, 1u}, 2, 1);
+  EXPECT_EQ(sim.lookahead(), usec(30));  // declared before configuring
+  sim.add_cross_queue_channel(usec(50));
+  EXPECT_EQ(sim.lookahead(), usec(30));
+  sim.add_cross_queue_channel(usec(20));
+  EXPECT_EQ(sim.lookahead(), usec(20));
+  EXPECT_THROW(sim.add_cross_queue_channel(0), std::invalid_argument);
+  EXPECT_THROW(sim.add_cross_queue_channel(-usec(1)), std::invalid_argument);
+}
+
+TEST(Kernel, CrossQueueSendWithNoChannelThrows) {
+  sim::Simulator sim;
+  sim.configure_partitions({0u, 1u}, 2, 1);
+  EXPECT_EQ(sim.lookahead(), sim::kTimeNever);
+  sim::Simulator::Scope scope(sim, 0);
+  // However far ahead: with no channel every queue runs to the horizon in
+  // one window, so nothing may cross.
+  EXPECT_THROW(sim.post_to_queue(1, msec(1), [] {}), std::logic_error);
+  EXPECT_THROW(sim.post_to_queue(1, sim::kTimeNever, [] {}),
+               std::logic_error);
+  // Posting to the active queue needs no channel.
+  bool ran = false;
+  sim.post_to_queue(0, usec(5), [&] { ran = true; });
+  sim.run_until(usec(10));
+  EXPECT_TRUE(ran);
+}
+
+TEST(Kernel, DeclaringAChannelAfterAnEventRanThrows) {
+  sim::Simulator sim;
+  sim.configure_partitions({0u, 1u}, 2, 1);
+  {
+    sim::Simulator::Scope scope(sim, 0);
+    sim.post_at(usec(10), [&sim] {
+      // From inside an event, too.
+      EXPECT_THROW(sim.add_cross_queue_channel(usec(20)), std::logic_error);
+    });
+  }
+  // Scheduling alone is fine: no window has been granted yet.
+  sim.add_cross_queue_channel(usec(40));
+  sim.run_until(usec(20));
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_THROW(sim.add_cross_queue_channel(usec(20)), std::logic_error);
+  EXPECT_EQ(sim.lookahead(), usec(40));
+  // A Backbone declares its channel, so it cannot be built mid-run either.
+  EXPECT_THROW(
+      (void)wired::Backbone(sim, wired::BackboneParams{}, {0}, Rng(1)),
+      std::logic_error);
 }
 
 // ---- run-loop contract ------------------------------------------------------
 
+/// The kernels the run-loop contract covers: one queue, and two node
+/// queues plus the wired queue on one thread, with a 20 us channel (20 us
+/// windows) or with none (one window per run_until).
+enum class ContractKernel { kOneQueue, kChannel20us, kNoChannel };
+
 /// Ten events on queue 0 at 10, 20, ..., 100 us (event k calls `hook(k)`)
 /// and five on the wired queue at 15, 35, ..., 95 us — on one queue both
-/// sets land on queue 0. Partitioned: two node queues plus the wired queue,
-/// lookahead 20 us, one thread.
+/// sets land on queue 0.
 struct ContractRun {
-  explicit ContractRun(bool partitioned, std::function<void(int)> hook = {}) {
-    if (partitioned) sim.configure_partitions({0u, 1u}, 2, usec(20), 1);
+  explicit ContractRun(ContractKernel kernel,
+                       std::function<void(int)> hook = {}) {
+    if (kernel != ContractKernel::kOneQueue) {
+      sim.configure_partitions({0u, 1u}, 2, 1);
+    }
+    if (kernel == ContractKernel::kChannel20us) {
+      sim.add_cross_queue_channel(usec(20));
+    }
     {
       sim::Simulator::Scope scope(sim, 0);
       for (int k = 1; k <= 10; ++k) {
@@ -324,24 +398,40 @@ struct ContractRun {
   sim::Simulator sim;
 };
 
-// One run loop serves both kernels, with one clock rule: a normal return
+// One run loop serves every kernel, with one clock rule: a normal return
 // leaves every clock at the horizon, a halted run (budget, interrupt flag,
 // stop()) leaves each clock at its last executed event. A budget met
 // exactly as the work runs out is no interruption, and run() drains a
-// partitioned simulator too.
+// partitioned simulator too. With no channel each run_until is one window:
+// the wired queue runs first, then queue 0, each up to the whole remaining
+// budget, and a halt takes effect at the one barrier after both ran.
 TEST(Kernel, RunLoopContractOnOneAndManyQueues) {
-  for (const bool partitioned : {false, true}) {
-    SCOPED_TRACE(partitioned ? "partitioned" : "one queue");
-    const std::uint64_t halted_events = partitioned ? 7 : 6;
+  for (const ContractKernel kernel :
+       {ContractKernel::kOneQueue, ContractKernel::kChannel20us,
+        ContractKernel::kNoChannel}) {
+    SCOPED_TRACE(kernel == ContractKernel::kOneQueue      ? "one queue"
+                 : kernel == ContractKernel::kChannel20us ? "20 us channel"
+                                                          : "no channel");
+    const bool one_window = kernel == ContractKernel::kNoChannel;
+    // Queue 0 halts after its 4th event (40 us). One queue has run the
+    // wired events at 15 and 35 us by then, 20 us windows also the one at
+    // 55 us (the window [40, 60) us), one window all five.
+    const std::uint64_t halted_events =
+        kernel == ContractKernel::kOneQueue ? 6 : one_window ? 9 : 7;
     {
-      ContractRun r(partitioned);
+      ContractRun r(kernel);
       r.sim.set_event_budget(4);
       r.sim.run_until(msec(1));
-      r.expect(4, true, usec(30));
+      // One window: the wired queue and queue 0 each run 4 events.
+      if (one_window) {
+        r.expect(8, true, usec(40));
+      } else {
+        r.expect(4, true, usec(30));
+      }
     }
     {
       std::atomic<bool> flag{false};
-      ContractRun r(partitioned, [&flag](int k) {
+      ContractRun r(kernel, [&flag](int k) {
         if (k == 4) flag = true;
       });
       r.sim.set_interrupt_flag(&flag);
@@ -350,7 +440,7 @@ TEST(Kernel, RunLoopContractOnOneAndManyQueues) {
     }
     {
       sim::Simulator* sim = nullptr;
-      ContractRun r(partitioned, [&sim](int k) {
+      ContractRun r(kernel, [&sim](int k) {
         if (k == 4) sim->stop();
       });
       sim = &r.sim;
@@ -360,24 +450,50 @@ TEST(Kernel, RunLoopContractOnOneAndManyQueues) {
       r.expect(15, false, msec(1));
     }
     {
-      ContractRun r(partitioned);
+      ContractRun r(kernel);
       r.sim.run_until(usec(58));  // 60 us and later stay pending
       r.expect(8, false, usec(58));
+      if (one_window) {
+        EXPECT_EQ(r.sim.kernel_stats().windows, 1u);
+      }
       r.sim.run_until(msec(1));
       r.expect(15, false, msec(1));
+      if (one_window) {
+        EXPECT_EQ(r.sim.kernel_stats().windows, 2u);
+      }
     }
     {
       // A budget met exactly as the work runs out is no interruption.
-      ContractRun r(partitioned);
+      ContractRun r(kernel);
       r.sim.set_event_budget(15);
       r.sim.run_until(msec(1));
       r.expect(15, false, msec(1));
     }
     {
-      ContractRun r(partitioned);
+      ContractRun r(kernel);
       r.sim.run();  // drains; the clock stays at the last event
       r.expect(15, false, usec(100));
     }
+  }
+}
+
+// A one-window run caps each queue at the remaining budget, independent of
+// the others' progress, so the overshoot — and the count a budgeted run
+// reports — is the same at any thread count.
+TEST(Kernel, BudgetedOneWindowRunIsThreadCountInvariant) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    sim::Simulator sim;
+    sim.configure_partitions({0u, 1u, 2u, 3u}, 4, threads);
+    for (std::uint32_t q = 0; q < 4; ++q) {
+      sim::Simulator::Scope scope(sim, q);
+      for (int k = 1; k <= 10; ++k) sim.post_at(usec(10 * k + q), [] {});
+    }
+    sim.set_event_budget(6);
+    sim.run_until(msec(1));
+    EXPECT_TRUE(sim.interrupted());
+    EXPECT_EQ(sim.events_executed(), 4u * 6u);
+    EXPECT_EQ(sim.kernel_stats().windows, 1u);
   }
 }
 
@@ -700,7 +816,8 @@ TEST(Determinism, EverySchemeGivesTheSameBytesOnOneQueueAndOnK) {
 
 TEST(Kernel, AdaptiveWindowsFastForwardAndElongate) {
   sim::Simulator sim;
-  sim.configure_partitions({0u, 1u}, 2, usec(20), 1);
+  sim.configure_partitions({0u, 1u}, 2, 1);
+  sim.add_cross_queue_channel(usec(20));
   int ran = 0;
   {
     sim::Simulator::Scope scope(sim, 0);
@@ -726,13 +843,15 @@ TEST(Kernel, AdaptiveWindowsFastForwardAndElongate) {
 
 TEST(Kernel, ReconfigureBeforeSchedulingTakesEffect) {
   // configure_partitions() may legally run again before any scheduling;
-  // the second call must rebuild everything — partition count, lookahead,
-  // node map, worker pool, telemetry — rather than mixing old state (e.g.
-  // a pool sized for the previous thread count, or wake counters surviving
-  // the stats reset) into the new configuration.
+  // the second call must rebuild everything — partition count, node map,
+  // worker pool, telemetry — rather than mixing old state (e.g. a pool
+  // sized for the previous thread count, or wake counters surviving the
+  // stats reset) into the new configuration. Declared channels describe
+  // senders, so they survive.
   sim::Simulator sim;
-  sim.configure_partitions({0u, 1u}, 2, usec(20), 8);
-  sim.configure_partitions({0u, 1u, 2u, 0u}, 3, usec(40), 2);
+  sim.configure_partitions({0u, 1u}, 2, 8);
+  sim.add_cross_queue_channel(usec(40));
+  sim.configure_partitions({0u, 1u, 2u, 0u}, 3, 2);
   EXPECT_EQ(sim.queue_count(), 4u);  // three partitions + the wired queue
   EXPECT_EQ(sim.lookahead(), usec(40));
   EXPECT_EQ(sim.queue_of_node(3), 0u);
@@ -777,7 +896,8 @@ TEST(Kernel, CrossPartitionPingPongStressAtEightThreads) {
   sim::Simulator sim;
   std::vector<std::uint32_t> assignment(partitions);
   for (std::uint32_t n = 0; n < partitions; ++n) assignment[n] = n;
-  sim.configure_partitions(std::move(assignment), partitions, usec(20), 8);
+  sim.configure_partitions(std::move(assignment), partitions, 8);
+  sim.add_cross_queue_channel(usec(20));
   std::vector<std::uint64_t> hits(partitions, 0);
   Pinger pinger{sim, hits, partitions, until};
   for (std::uint32_t q = 0; q < partitions; ++q) {

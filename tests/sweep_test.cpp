@@ -353,6 +353,24 @@ topo::Topology two_building_campus() {
   return b.build();
 }
 
+/// The faulted, audited run on two_building_campus() whose bytes are
+/// pinned below.
+ExperimentConfig faulted_campus_config(Scheme scheme, int threads) {
+  ExperimentConfig cfg;
+  cfg.scheme = scheme;
+  cfg.duration = msec(120);
+  cfg.seed = 7;
+  cfg.traffic.saturate_downlink = true;
+  cfg.sim_threads = threads;
+  cfg.faults.backbone.drop_rate = 0.05;
+  cfg.faults.backbone.dup_rate = 0.05;
+  cfg.faults.backbone.spike_rate = 0.05;
+  cfg.faults.interference.duty = 0.1;
+  cfg.faults.signature.false_negative_rate = 0.02;
+  cfg.audit.mode = audit::AuditMode::kRecord;
+  return cfg;
+}
+
 // Partitioned campus bytes pinned against an earlier build, at 1 and 4
 // threads. Backbone drop/dup/spike draw from the streams of the message's
 // AP endpoint, signature false negatives from the node's own stream, the
@@ -372,24 +390,36 @@ TEST(ResultCodec, PinnedBytesPartitionedCampusWithFaultsAndAudit) {
     for (int threads : {1, 4}) {
       SCOPED_TRACE(std::string(to_string(c.scheme)) + " at " +
                    std::to_string(threads) + " threads");
-      ExperimentConfig cfg;
-      cfg.scheme = c.scheme;
-      cfg.duration = msec(120);
-      cfg.seed = 7;
-      cfg.traffic.saturate_downlink = true;
-      cfg.sim_threads = threads;
-      cfg.faults.backbone.drop_rate = 0.05;
-      cfg.faults.backbone.dup_rate = 0.05;
-      cfg.faults.backbone.spike_rate = 0.05;
-      cfg.faults.interference.duty = 0.1;
-      cfg.faults.signature.false_negative_rate = 0.02;
-      cfg.audit.mode = audit::AuditMode::kRecord;
-      const ExperimentResult r = run_experiment(t, cfg);
+      const ExperimentResult r =
+          run_experiment(t, faulted_campus_config(c.scheme, threads));
       EXPECT_EQ(r.sim_partitions, 2u);
       expect_pinned(serialize_result(r), c.bytes);
       ASSERT_NE(r.audit, nullptr);
       EXPECT_EQ(r.audit->checks_run, c.checks_run);
       EXPECT_TRUE(r.audit->violation_free()) << r.audit->summary();
+    }
+  }
+}
+
+// The same runs' window schedule. DCF builds no backbone, so nothing can
+// cross a partition and each run_until is one window; DOMINO's backbone
+// declares its min_latency floor, which sets the window width.
+TEST(KernelSchedule, PartitionedCampusWindowsFollowTheDeclaredChannels) {
+  const auto t = two_building_campus();
+  for (const Scheme scheme : {Scheme::kDcf, Scheme::kDomino}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(to_string(scheme)) + " at " +
+                   std::to_string(threads) + " threads");
+      const ExperimentConfig cfg = faulted_campus_config(scheme, threads);
+      const ExperimentResult r = run_experiment(t, cfg);
+      EXPECT_EQ(r.sim_partitions, 2u);
+      if (scheme == Scheme::kDcf) {
+        EXPECT_EQ(r.sim_windows, 1u);
+        EXPECT_EQ(r.sim_lookahead_ns, 0);
+      } else {
+        EXPECT_GT(r.sim_windows, 1u);
+        EXPECT_EQ(r.sim_lookahead_ns, cfg.backbone.min_latency);
+      }
     }
   }
 }

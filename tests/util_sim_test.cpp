@@ -275,7 +275,7 @@ TEST(Simulator, CrossQueueCancelIsAContractViolation) {
   // thread: debug builds stop a cancel issued from any other queue. (Here
   // nothing runs, so a release build's removal is still safe.)
   sim::Simulator sim;
-  sim.configure_partitions({0, 1}, 2, usec(10), 1);
+  sim.configure_partitions({0, 1}, 2, 1);
   sim::EventHandle h;
   {
     const sim::Simulator::Scope scope(sim, 1);
